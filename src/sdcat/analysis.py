@@ -23,6 +23,7 @@ from .core import (
     apply_map,
     center_of,
     diagonal_relation,
+    fiber_presentation,
     full_shift,
     image_presentation,
     pair_symbol,
@@ -55,27 +56,7 @@ class SubshiftRelation:
 
 def kernel_set(f: BlockMap) -> SubshiftRelation:
     """Pairs of source points with equal image."""
-    x = f.source
-    alphabet = product_alphabet(x.alphabet, x.alphabet)
-    if x.is_empty():
-        return SubshiftRelation(
-            presentation_from_nfa(alphabet, Nfa(alphabet, 1, [], [0], [0])), x, x
-        )
-    nodes, trans = window_graph(x, f.width())
-    n = len(nodes)
-    check_budget(n * n, "kernel presentation")
-    edges = []
-    for k1 in range(n):
-        for w1, t1 in trans[k1].items():
-            out1 = f.local(w1)
-            for k2 in range(n):
-                for w2, t2 in trans[k2].items():
-                    if f.local(w2) == out1:
-                        edges.append(
-                            (k1 * n + k2, pair_symbol(center_of(w1), center_of(w2)), t1 * n + t2)
-                        )
-    nfa = Nfa(alphabet, n * n, edges, range(n * n), range(n * n))
-    return SubshiftRelation(presentation_from_nfa(alphabet, nfa), x, x)
+    return SubshiftRelation(f.kernel, f.source, f.source)
 
 
 def graph_relation(f: BlockMap) -> SubshiftRelation:
@@ -139,29 +120,7 @@ def equalizer_set(f: BlockMap, g: BlockMap) -> Presentation:
 
 def fiber_product(f: BlockMap, g: BlockMap) -> SubshiftRelation:
     """{(x, y) : f(x) = g(y)} for maps with a common target."""
-    if not f.target.language_equal(g.target):
-        raise DomainMismatch("fiber product needs a common target")
-    x, y = f.source, g.source
-    alphabet = product_alphabet(x.alphabet, y.alphabet)
-    r = max(f.radius, g.radius)
-    fr = f.padded_rule(r)
-    gr = g.padded_rule(r)
-    nx_nodes, nx_trans = window_graph(x, 2 * r + 1)
-    ny_nodes, ny_trans = window_graph(y, 2 * r + 1)
-    n1, n2 = len(nx_nodes), len(ny_nodes)
-    check_budget(max(1, n1) * max(1, n2), "fiber product")
-    edges = []
-    for k1 in range(n1):
-        for w1, t1 in nx_trans[k1].items():
-            o1 = fr[w1]
-            for k2 in range(n2):
-                for w2, t2 in ny_trans[k2].items():
-                    if gr[w2] == o1:
-                        edges.append(
-                            (k1 * n2 + k2, pair_symbol(center_of(w1), center_of(w2)), t1 * n2 + t2)
-                        )
-    nfa = Nfa(alphabet, max(1, n1 * n2), edges, range(n1 * n2), range(n1 * n2))
-    return SubshiftRelation(presentation_from_nfa(alphabet, nfa), x, y)
+    return SubshiftRelation(fiber_presentation(f, g), f.source, g.source)
 
 
 def intersection_presentation(x: Presentation, y: Presentation) -> Presentation:
@@ -582,7 +541,7 @@ class InjectivityFamily:
 
 
 def injectivity_family(f: BlockMap) -> InjectivityFamily:
-    ker = kernel_set(f).presentation
+    ker = f.kernel
     n = ker.n_live()
     inj = True
     for i in range(n):
@@ -652,7 +611,7 @@ def is_preinjective(f: BlockMap) -> v.Verdict:
     infinite diagonal history through an off-diagonal edge to an infinite
     diagonal future.
     """
-    rel = kernel_set(f).presentation
+    rel = f.kernel
     n = rel.n_live()
     backward, forward = _diag_tail_states(rel)
     reach = set(backward)
@@ -792,7 +751,7 @@ class Resolvingness:
 
 
 def resolvingness(f: BlockMap) -> Resolvingness:
-    rel = kernel_set(f).presentation
+    rel = f.kernel
     backward, forward = _diag_tail_states(rel)
     right = True
     left = True

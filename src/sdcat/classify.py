@@ -29,7 +29,7 @@ from .core import (
     recode_to_symbol_map,
     reduce_radius,
 )
-from .errors import BudgetExceeded, ValidationError, check_budget
+from .errors import BudgetExceeded, InternalError, ValidationError, check_budget
 from .limits import CategoryTag
 
 DEFAULT_P_CAP = 6
@@ -95,7 +95,7 @@ def _off_diag_parts(kernel: Presentation, x: Presentation):
 
 
 def _monic_m2(f: BlockMap) -> v.Verdict:
-    ker = an.kernel_set(f).presentation
+    ker = f.kernel
     from .core import diagonal_relation
 
     diag = diagonal_relation(f.source)
@@ -112,7 +112,7 @@ def _monic_m3(f: BlockMap, fam) -> v.Verdict:
         return v.yes(note="injective")
     if fam.injective_on_periodic:
         return v.yes(note="injective on periodic points")
-    ker = an.kernel_set(f).presentation
+    ker = f.kernel
     subs, diag = _off_diag_parts(ker, f.source)
     for s in subs:
         if not s.included_in(diag) and an.is_mixing(s) and not s.is_empty():
@@ -640,8 +640,8 @@ def is_regular_epic(f: BlockMap, cat: CategoryTag, witness_endo: BlockMap | None
         res = co.coequalizer_id(witness_endo, CategoryTag("K", 3))
         if res.status == "exists":
             q = res.legs[0]
-            kq = an.kernel_set(q).presentation
-            kf = an.kernel_set(f).presentation
+            kq = q.kernel
+            kf = f.kernel
             if kq.language_equal(kf):
                 return v.yes(note="isomorphic to a verified coequalizer")
     return v.undecided(note="open in the classification table")
@@ -728,7 +728,7 @@ def classify(
     }
     violations = implication_violations(row)
     if violations:
-        raise AssertionError(f"classification violates the implication lattice: {violations}")
+        raise InternalError(f"classification violates the implication lattice: {violations}")
     return row
 
 

@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Exit codes: 0 = YES / exists, 1 = NO / not-exists, 2 = UNDECIDED,
-64 = parse error, 65 = validation error, 69 = budget exceeded.
+64 = parse error, 65 = validation error, 69 = budget exceeded,
+70 = internal error (a failed consistency check, not an answer).
 """
 
 from __future__ import annotations

@@ -30,6 +30,7 @@ from .core import (
     pair_symbol,
     presentation_from_allowed_words,
     product_presentation,
+    rule_image,
     shift_power,
     split_pair,
     trivial_shift,
@@ -282,7 +283,7 @@ def _closure_search(f: BlockMap, cat: CategoryTag, window_cap: int) -> LimitResu
             if q is None:
                 prev = loc
                 continue
-            ker = an.kernel_set(q).presentation
+            ker = q.kernel
             if not ker.language_equal(prev.relation):
                 prev = loc
                 continue
@@ -317,11 +318,7 @@ def _quotient_map(x: Presentation, loc: LocalEquivalence) -> BlockMap | None:
         if mid not in class_of:
             return None
         rule[w] = f"c{class_of[mid]}"
-    from .core import image_dfa, Presentation as P, _essential_states
-
-    alphabet = tuple(sorted({t for t in rule.values()}))
-    dfa = image_dfa(x, rho, rule, alphabet)
-    target = P(alphabet, dfa, _essential_states(dfa))
+    target = rule_image(x, rho, rule, sorted(set(rule.values())))
     return make_block_map(x, target, rho, rule, validate_image=False)
 
 

@@ -14,7 +14,6 @@ construction and safe to share.
 from __future__ import annotations
 
 import math
-import re
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -163,24 +162,12 @@ def presentation_from_nfa(alphabet, nfa: Nfa, point=None) -> Presentation:
     """Trim a labeled graph to its essential part and canonicalize."""
     alphabet = tuple(alphabet)
     n = nfa.n
-    out_deg = [0] * n
-    in_deg = [0] * n
     succs: list[list[int]] = [[] for _ in range(n)]
     preds: list[list[int]] = [[] for _ in range(n)]
     for q, _, p in nfa.edges():
         succs[q].append(p)
         preds[p].append(q)
-    alive = set(range(n))
-
-    changed = True
-    while changed:
-        changed = False
-        for q in list(alive):
-            if not any(p in alive for p in succs[q]) or not any(
-                p in alive for p in preds[q]
-            ):
-                alive.discard(q)
-                changed = True
+    alive = _peel(n, succs, preds)
 
     if not alive:
         dfa = au.make_dfa(alphabet, [{}], 0, {0})
@@ -196,21 +183,41 @@ def presentation_from_nfa(alphabet, nfa: Nfa, point=None) -> Presentation:
     return pres
 
 
+def _peel(n: int, succs, preds) -> frozenset[int]:
+    """The states on bi-infinite paths of a graph on ``range(n)``.
+
+    ``succs[q]`` and ``preds[q]`` list the edge ends at ``q``, one entry per
+    edge.  A worklist drops every state whose live in-degree or out-degree
+    reaches zero, so the cost is linear in states plus edges.
+    """
+    out_deg = [len(s) for s in succs]
+    in_deg = [len(p) for p in preds]
+    alive = [bool(out_deg[q] and in_deg[q]) for q in range(n)]
+    stack = [q for q in range(n) if not alive[q]]
+    while stack:
+        q = stack.pop()
+        for p in succs[q]:
+            if alive[p]:
+                in_deg[p] -= 1
+                if not in_deg[p]:
+                    alive[p] = False
+                    stack.append(p)
+        for p in preds[q]:
+            if alive[p]:
+                out_deg[p] -= 1
+                if not out_deg[p]:
+                    alive[p] = False
+                    stack.append(p)
+    return frozenset(q for q in range(n) if alive[q])
+
+
 def _essential_states(dfa: Dfa) -> frozenset[int]:
-    alive = set(range(dfa.n))
-    changed = True
-    while changed:
-        changed = False
-        for q in list(alive):
-            has_out = any(p in alive for _, p in dfa.trans[q])
-            has_in = any(
-                q2 in alive and any(p == q for _, p in dfa.trans[q2])
-                for q2 in range(dfa.n)
-            )
-            if not (has_out and has_in):
-                alive.discard(q)
-                changed = True
-    return frozenset(alive)
+    succs = [[p for _, p in row] for row in dfa.trans]
+    preds: list[list[int]] = [[] for _ in range(dfa.n)]
+    for q, row in enumerate(succs):
+        for p in row:
+            preds[p].append(q)
+    return _peel(dfa.n, succs, preds)
 
 
 def _find_forbidden_factor(word: Word, forbidden: list[Word]) -> bool:
@@ -551,6 +558,16 @@ class BlockMap:
     def rule_dict(self) -> dict[Word, str]:
         return dict(self.rule)
 
+    @cached_property
+    def image(self) -> Presentation:
+        """The image subshift, over the target alphabet."""
+        return rule_image(self.source, self.radius, self.rule_dict, self.target.alphabet)
+
+    @cached_property
+    def kernel(self) -> Presentation:
+        """Pairs of source points with equal image, over the pair alphabet."""
+        return fiber_presentation(self, self)
+
     def width(self) -> int:
         return 2 * self.radius + 1
 
@@ -573,18 +590,45 @@ class BlockMap:
         return hash((self.source, self.target, self.radius, self.rule))
 
 
-def image_dfa(source: Presentation, radius: int, rule: dict[Word, str], target_alphabet) -> Dfa:
-    """Canonical acceptor of the image language of a rule."""
-    if source.is_empty():
-        return au.make_dfa(tuple(target_alphabet), [{}], 0, {0})
+def rule_image(source: Presentation, radius: int, rule: dict[Word, str], alphabet) -> Presentation:
+    """The image subshift of a local rule, canonically presented over ``alphabet``."""
+    alphabet = tuple(alphabet)
     nodes, trans = window_graph(source, 2 * radius + 1)
+    n = len(nodes)
+    edges = [(k, rule[window], tgt) for k in range(n) for window, tgt in trans[k].items()]
+    nfa = Nfa(alphabet, max(1, n), edges, range(n), range(n))
+    return presentation_from_nfa(alphabet, nfa)
+
+
+def fiber_presentation(f: BlockMap, g: BlockMap) -> Presentation:
+    """{(x, y) : f(x) = g(y)} over the pair alphabet of the two sources.
+
+    The window edges of ``g`` are bucketed by output symbol, so each window
+    edge of ``f`` meets only the edges of ``g`` with the same output.
+    """
+    if f is not g and not f.target.language_equal(g.target):
+        raise DomainMismatch("fiber product needs a common target")
+    x, y = f.source, g.source
+    alphabet = product_alphabet(x.alphabet, y.alphabet)
+    r = max(f.radius, g.radius)
+    fr, gr = f.padded_rule(r), g.padded_rule(r)
+    nodes1, trans1 = window_graph(x, 2 * r + 1)
+    nodes2, trans2 = (nodes1, trans1) if y == x else window_graph(y, 2 * r + 1)
+    n1, n2 = len(nodes1), len(nodes2)
+    check_budget(max(1, n1) * max(1, n2), "fiber product")
+    buckets: dict[str, list[tuple[int, str, int]]] = {}
+    for k2 in range(n2):
+        for w2, t2 in trans2[k2].items():
+            buckets.setdefault(gr[w2], []).append((k2, center_of(w2), t2))
     edges = []
-    for k in range(len(nodes)):
-        for window, tgt in trans[k].items():
-            edges.append((k, rule[window], tgt))
-    nfa = Nfa(tuple(target_alphabet), max(1, len(nodes)), edges, range(len(nodes)), range(len(nodes)))
-    pres = presentation_from_nfa(tuple(target_alphabet), nfa)
-    return pres.dfa
+    for k1 in range(n1):
+        for w1, t1 in trans1[k1].items():
+            a = center_of(w1)
+            for k2, b, t2 in buckets.get(fr[w1], ()):
+                edges.append((k1 * n2 + k2, pair_symbol(a, b), t1 * n2 + t2))
+    n = n1 * n2
+    nfa = Nfa(alphabet, max(1, n), edges, range(n), range(n))
+    return presentation_from_nfa(alphabet, nfa)
 
 
 def make_block_map(
@@ -616,13 +660,13 @@ def make_block_map(
     bad = {v for v in rule.values() if v not in target.alphabet}
     if bad:
         raise ValidationError(f"rule produces symbols outside the target alphabet: {sorted(bad)}")
+    f = BlockMap(source, target, radius, tuple(sorted(rule.items())))
     if validate_image and not source.is_empty():
-        img = image_dfa(source, radius, rule, target.alphabet)
+        img = f.image.dfa
         if not au.included(img, target.dfa):
             w = au.separating_word(img, target.dfa)
             raise ValidationError(f"image is not contained in the target: word {w}")
-    frozen = tuple(sorted(rule.items()))
-    return BlockMap(source, target, radius, frozen)
+    return f
 
 
 def identity_map(x: Presentation) -> BlockMap:
@@ -655,8 +699,7 @@ def zero_map(x: Presentation, y: Presentation) -> BlockMap:
 
 
 def image_presentation(f: BlockMap) -> Presentation:
-    dfa = image_dfa(f.source, f.radius, f.rule_dict, f.target.alphabet)
-    return Presentation(tuple(f.target.alphabet), dfa, _essential_states(dfa), None)
+    return f.image
 
 
 def apply_map(f: BlockMap, x: PeriodicPoint) -> PeriodicPoint:

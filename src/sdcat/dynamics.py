@@ -16,19 +16,15 @@ from .automata import Word
 from .core import (
     BlockMap,
     Presentation,
-    Nfa,
-    center_of,
     compose,
+    fiber_presentation,
     identity_map,
     make_block_map,
     maps_equal,
-    pair_symbol,
-    presentation_from_nfa,
-    product_alphabet,
     reduce_radius,
-    window_graph,
+    rule_image,
 )
-from .errors import BudgetExceeded, ValidationError, check_budget
+from .errors import BudgetExceeded, InternalError, ValidationError, check_budget
 from .limits import connecting_map
 
 
@@ -133,40 +129,17 @@ def orbit_subshift(f: BlockMap, k: int, p: int, window_cap: int = 4):
     stages = [power(f, k + j) for j in range(p)]
     orbit_rel = None
     for j in range(p):
-        rel = _orbit_graph_relation(stages[0], stages[j])
+        # {(x, y) : f^k(y) = f^(k+j)(x)}
+        rel = fiber_presentation(stages[j], stages[0])
         orbit_rel = rel if orbit_rel is None else an.union_presentation(orbit_rel, rel)
     for n in range(0, window_cap + 1):
         g = _orbit_quotient_map(x, stages, n)
-        ker = an.kernel_set(g).presentation
+        ker = g.kernel
         if ker.language_equal(orbit_rel):
             if not maps_equal(compose(g, f), g):
-                raise AssertionError("orbit quotient failed to absorb the dynamics")
+                raise InternalError("orbit quotient failed to absorb the dynamics")
             return g.target, g
     raise BudgetExceeded("orbit quotient window cap exceeded")
-
-
-def _orbit_graph_relation(fk: BlockMap, fkj: BlockMap) -> Presentation:
-    """{(x, y) : fk(y) = fkj(x)} over the pair alphabet of the source."""
-    x = fk.source
-    r = max(fk.radius, fkj.radius)
-    fr = fkj.padded_rule(r)
-    gr = fk.padded_rule(r)
-    nodes, trans = window_graph(x, 2 * r + 1)
-    n = len(nodes)
-    check_budget(n * n, "orbit relation")
-    alphabet = product_alphabet(x.alphabet, x.alphabet)
-    edges = []
-    for k1 in range(n):
-        for w1, t1 in trans[k1].items():
-            out1 = fr[w1]
-            for k2 in range(n):
-                for w2, t2 in trans[k2].items():
-                    if gr[w2] == out1:
-                        edges.append(
-                            (k1 * n + k2, pair_symbol(center_of(w1), center_of(w2)), t1 * n + t2)
-                        )
-    nfa = Nfa(alphabet, max(1, n * n), edges, range(n * n), range(n * n))
-    return presentation_from_nfa(alphabet, nfa)
 
 
 def _orbit_quotient_map(x: Presentation, stages, n: int) -> BlockMap:
@@ -184,11 +157,7 @@ def _orbit_quotient_map(x: Presentation, stages, n: int) -> BlockMap:
         tok = orbit_symbol(tuple(words))
         tokens.add(tok)
         rule[w] = tok
-    from .core import image_dfa, Presentation as P, _essential_states
-
-    alphabet = tuple(sorted(tokens))
-    dfa = image_dfa(x, r, rule, alphabet)
-    target = P(alphabet, dfa, _essential_states(dfa))
+    target = rule_image(x, r, rule, sorted(tokens))
     return make_block_map(x, target, r, rule, validate_image=False)
 
 

@@ -1,7 +1,8 @@
 """Exception types and the enumeration budget.
 
 Exit codes follow the CLI contract: 64 for parse errors, 65 for
-validation errors, 69 for an exceeded enumeration budget.
+validation errors, 69 for an exceeded enumeration budget, 70 for an
+internal contradiction.
 """
 
 import os
@@ -27,26 +28,36 @@ class BudgetExceeded(SdcatError):
     exit_code = 69
 
 
+class InternalError(SdcatError):
+    """An internal consistency check failed: a bug, not an answer."""
+
+    exit_code = 70
+
+
 DEFAULT_BUDGET = 500_000
 
-_budget_override: int | None = None
+# The budget in force; None until ``SDCAT_BUDGET`` is read on first use.
+_budget: int | None = None
 
 
 def budget() -> int:
-    if _budget_override is not None:
-        return _budget_override
-    try:
-        return int(os.environ.get("SDCAT_BUDGET", DEFAULT_BUDGET))
-    except ValueError:
-        return DEFAULT_BUDGET
+    global _budget
+    if _budget is None:
+        try:
+            _budget = int(os.environ.get("SDCAT_BUDGET", DEFAULT_BUDGET))
+        except ValueError:
+            _budget = DEFAULT_BUDGET
+    return _budget
 
 
 def set_budget(value: int | None) -> None:
-    """Process-wide override, mainly for tests."""
-    global _budget_override
-    _budget_override = value
+    """Process-wide override, mainly for tests; ``None`` re-reads
+    ``SDCAT_BUDGET`` on next use."""
+    global _budget
+    _budget = value
 
 
 def check_budget(size: int, what: str) -> None:
-    if size > budget():
-        raise BudgetExceeded(f"{what}: size {size} exceeds budget {budget()}")
+    limit = budget()
+    if size > limit:
+        raise BudgetExceeded(f"{what}: size {size} exceeds budget {limit}")

@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import analysis as an
-from . import verdicts as v
 from .core import (
     BlockMap,
     Presentation,
@@ -330,8 +329,8 @@ def connecting_map(f: BlockMap, g: BlockMap, radius_cap: int = 8) -> BlockMap | 
     Ker g; None when the kernel inclusion fails."""
     if not f.source.language_equal(g.source):
         raise DomainMismatch("connecting map needs a shared source")
-    kf = an.kernel_set(f).presentation
-    kg = an.kernel_set(g).presentation
+    kf = f.kernel
+    kg = g.kernel
     if not kf.included_in(kg):
         return None
     img_f = an.image(f)

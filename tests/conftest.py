@@ -154,11 +154,9 @@ def sofic_preinj_map():
           ("q", "p34", "3"), ("p34", "p34", "0"), ("p34", "q", "4")]),
     )
     rule = {(a,): ("1" if a == "3" else a) for a in x.alphabet if x.contains_word((a,))}
-    from sdcat.core import image_dfa, Presentation, _essential_states
+    from sdcat.core import rule_image
 
-    dfa = image_dfa(x, 0, rule, x.alphabet)
-    y = Presentation(x.alphabet, dfa, _essential_states(dfa))
-    return make_block_map(x, y, 0, rule)
+    return make_block_map(x, rule_image(x, 0, rule, x.alphabet), 0, rule)
 
 
 @pytest.fixture(scope="session")

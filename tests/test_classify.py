@@ -268,6 +268,17 @@ class TestClassifyRow:
             assert not cl.implication_violations(row)
 
 
+    def test_lattice_violation_is_an_internal_error(self, xor3, monkeypatch):
+        from sdcat import verdicts as v
+        from sdcat.errors import InternalError
+
+        monkeypatch.setattr(cl, "is_split_epic", lambda *a, **k: v.yes())
+        monkeypatch.setattr(cl, "is_epic", lambda *a, **k: v.no())
+        with pytest.raises(InternalError, match="implication lattice") as info:
+            cl.classify(xor3, K3)
+        assert info.value.exit_code == 70
+
+
 class TestExistsMorphism:
     def test_golden_to_full(self, golden, full2):
         assert cl.exists_morphism(golden, full2).yes

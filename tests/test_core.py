@@ -1,6 +1,8 @@
 """Shift representations, points, and block map algebra."""
 
 import itertools
+import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -233,6 +235,40 @@ class TestReduceRadius:
         sq = reduce_radius(compose(flip, flip))
         assert sq.radius == 0
         assert maps_equal(sq, identity_map(full2))
+
+
+class TestDerivedObjects:
+    def test_image_and_kernel_are_built_once(self, full2, monkeypatch):
+        from sdcat import analysis as an
+        from sdcat import core
+
+        built = []
+        real = core.presentation_from_nfa
+
+        def counting(alphabet, nfa, *rest):
+            built.append(nfa)
+            return real(alphabet, nfa, *rest)
+
+        monkeypatch.setattr(core, "presentation_from_nfa", counting)
+        rule = {w: str(int(w[0]) ^ int(w[2])) for w in full2.words(3)}
+        f = make_block_map(full2, full2, 1, rule)
+        assert len(built) == 1  # the image, built to validate inclusion
+        for _ in range(2):
+            assert core.image_presentation(f) is f.image
+            assert an.kernel_set(f).presentation is f.kernel
+        assert len(built) == 2  # plus the kernel
+        # the caches are not fields: equality and hashing see only the rule
+        g = make_block_map(full2, full2, 1, rule, validate_image=False)
+        assert f == g and hash(f) == hash(g)
+
+    def test_radius3_binary_map_builds(self, full2):
+        # a random radius-3 rule: its image automaton has tens of thousands
+        # of states, so a quadratic trim does not finish
+        rng = random.Random(1)
+        t0 = time.time()
+        f = make_block_map(full2, full2, 3, {w: rng.choice("01") for w in full2.words(7)})
+        assert not f.image.is_empty()
+        assert time.time() - t0 < 60
 
 
 @st.composite

@@ -223,6 +223,50 @@ class TestCli:
         assert code == 69
         capsys.readouterr()
 
+    def test_internal_error_exit(self, workdir, capsys, monkeypatch):
+        from sdcat import classify as cl
+        from sdcat import verdicts as v
+
+        # `check epic` answers from a classify row whose epic verdict is NO
+        # while split_epic is YES: the row contradicts itself
+        def epic_via_row(f, cat):
+            monkeypatch.setattr(cl, "is_epic", lambda *a, **k: v.no())
+            return cl.classify(f, cat)["epic"]
+
+        monkeypatch.setattr(cl, "is_split_epic", lambda *a, **k: v.yes())
+        monkeypatch.setattr(cl, "is_epic", epic_via_row)
+        code = main(["check", "epic", str(workdir / "xor3.bmap"), "--category", "K3"])
+        assert code == 70
+        err = capsys.readouterr().err
+        assert "implication lattice" in err
+        assert "Traceback" not in err
+
+    def test_budget_env_is_read_once(self, monkeypatch):
+        from sdcat import errors
+
+        try:
+            monkeypatch.setenv("SDCAT_BUDGET", "123")
+            errors.set_budget(None)
+            assert errors.budget() == 123
+            monkeypatch.setenv("SDCAT_BUDGET", "456")
+            assert errors.budget() == 123
+            errors.set_budget(7)
+            assert errors.budget() == 7
+            errors.set_budget(None)
+            assert errors.budget() == 456
+        finally:
+            errors.set_budget(None)
+
+    def test_invalid_budget_env_falls_back_to_default(self, monkeypatch):
+        from sdcat import errors
+
+        try:
+            monkeypatch.setenv("SDCAT_BUDGET", "lots")
+            errors.set_budget(None)
+            assert errors.budget() == errors.DEFAULT_BUDGET
+        finally:
+            errors.set_budget(None)
+
     def test_check_exists_morphism(self, workdir, capsys):
         code = main([
             "check", "exists-morphism", str(workdir / "golden.shift"),

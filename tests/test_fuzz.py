@@ -2,7 +2,8 @@
 
 Random labeled graphs are canonicalized and their derived data compared
 against definition-level recomputation: language stability, mirror
-involution, periodic membership, and product/union identities.
+involution, periodic membership, product/union identities, the
+essential-state trim and the fiber product of block maps.
 """
 
 import math
@@ -12,10 +13,19 @@ from hypothesis import given, settings, strategies as st
 from sdcat import analysis as an
 from sdcat.core import (
     PeriodicPoint,
+    _peel,
+    center_of,
+    empty_shift,
+    fiber_presentation,
+    full_shift,
+    make_block_map,
     make_presentation,
     mirror_presentation,
+    pair_symbol,
     presentation_from_nfa,
+    product_alphabet,
     product_presentation,
+    window_graph,
 )
 from sdcat.automata import Nfa
 
@@ -126,3 +136,114 @@ class TestCanonicalization:
             for w in x.words(length):
                 if x.contains_periodic(w):
                     assert any(c.contains_periodic(w) for c in consts)
+
+
+# ---------------------------------------------------------------------------
+# Essential-state trim
+
+
+@st.composite
+def plain_graphs(draw):
+    """Unlabeled graphs with self-loops, parallel edges and isolated nodes."""
+    n = draw(st.integers(min_value=0, max_value=7))
+    if n == 0:
+        return 0, []
+    node = st.integers(min_value=0, max_value=n - 1)
+    return n, draw(st.lists(st.tuples(node, node), max_size=14))
+
+
+def _fixed_point_trim(n, succs, preds):
+    """Reference: sweep until no state lacks a live successor or predecessor."""
+    alive = set(range(n))
+    changed = True
+    while changed:
+        changed = False
+        for q in list(alive):
+            if not any(p in alive for p in succs[q]) or not any(
+                p in alive for p in preds[q]
+            ):
+                alive.discard(q)
+                changed = True
+    return alive
+
+
+class TestPeel:
+    @given(plain_graphs())
+    @settings(max_examples=300, deadline=None)
+    def test_peel_is_the_greatest_fixed_point(self, graph):
+        n, edges = graph
+        succs = [[] for _ in range(n)]
+        preds = [[] for _ in range(n)]
+        for q, p in edges:
+            succs[q].append(p)
+            preds[p].append(q)
+        assert _peel(n, succs, preds) == _fixed_point_trim(n, succs, preds)
+
+    def test_peel_keeps_a_lone_self_loop_and_drops_its_tail(self):
+        # 0 -> 0, 0 -> 1, 2 isolated
+        assert _peel(3, [[0, 1], [], []], [[0], [0], []]) == {0}
+
+
+# ---------------------------------------------------------------------------
+# Fiber product
+
+
+FULL2 = full_shift(("0", "1"))
+
+
+@st.composite
+def binary_maps(draw):
+    """A radius-0 or radius-1 map from a random sofic shift into the full
+    2-shift; the source may be empty."""
+    n, edges = draw(random_graphs())
+    x = presentation_from_nfa(("0", "1"), Nfa(("0", "1"), n, edges, range(n), range(n)))
+    if draw(st.integers(min_value=0, max_value=9)) == 0:
+        x = empty_shift(("0", "1"))
+    radius = draw(st.integers(min_value=0, max_value=1))
+    windows = x.words(2 * radius + 1)
+    outs = draw(st.lists(st.sampled_from("01"), min_size=len(windows), max_size=len(windows)))
+    return make_block_map(x, FULL2, radius, dict(zip(windows, outs)))
+
+
+def _pairwise_fiber(f, g):
+    """Reference: every pair of window edges with equal outputs."""
+    x, y = f.source, g.source
+    alphabet = product_alphabet(x.alphabet, y.alphabet)
+    r = max(f.radius, g.radius)
+    fr, gr = f.padded_rule(r), g.padded_rule(r)
+    nodes1, trans1 = window_graph(x, 2 * r + 1)
+    nodes2, trans2 = window_graph(y, 2 * r + 1)
+    n1, n2 = len(nodes1), len(nodes2)
+    edges = []
+    for k1 in range(n1):
+        for w1, t1 in trans1[k1].items():
+            for k2 in range(n2):
+                for w2, t2 in trans2[k2].items():
+                    if fr[w1] == gr[w2]:
+                        edges.append(
+                            (k1 * n2 + k2, pair_symbol(center_of(w1), center_of(w2)), t1 * n2 + t2)
+                        )
+    n = max(1, n1 * n2)
+    return presentation_from_nfa(alphabet, Nfa(alphabet, n, edges, range(n), range(n)))
+
+
+class TestFiberProduct:
+    @given(binary_maps(), binary_maps())
+    @settings(max_examples=80, deadline=None)
+    def test_fiber_matches_pairwise_loop(self, f, g):
+        got = fiber_presentation(f, g)
+        assert got.alphabet == product_alphabet(f.source.alphabet, g.source.alphabet)
+        assert got.language_equal(_pairwise_fiber(f, g))
+
+    @given(binary_maps())
+    @settings(max_examples=60, deadline=None)
+    def test_kernel_matches_pairwise_loop(self, f):
+        assert f.kernel.language_equal(_pairwise_fiber(f, f))
+        assert an.kernel_set(f).presentation is f.kernel
+
+    def test_fiber_with_an_empty_source_is_empty(self):
+        full = make_block_map(FULL2, FULL2, 0, {("0",): "1", ("1",): "0"})
+        none = make_block_map(empty_shift(("0", "1")), FULL2, 0, {})
+        assert fiber_presentation(full, none).is_empty()
+        assert fiber_presentation(none, full).is_empty()
+        assert none.kernel.is_empty()
