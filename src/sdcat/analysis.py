@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 
 from . import automata as au
 from . import verdicts as v
@@ -17,7 +18,6 @@ from .automata import Word
 from .core import (
     BlockMap,
     EventuallyPeriodicPoint,
-    Nfa,
     PeriodicPoint,
     Presentation,
     apply_map,
@@ -27,7 +27,7 @@ from .core import (
     full_shift,
     image_presentation,
     pair_symbol,
-    presentation_from_nfa,
+    presentation_from_edges,
     product_alphabet,
     sft_approximation,
     split_pair,
@@ -68,8 +68,7 @@ def graph_relation(f: BlockMap) -> SubshiftRelation:
     for k in range(len(nodes)):
         for w, t in trans[k].items():
             edges.append((k, pair_symbol(center_of(w), f.local(w)), t))
-    nfa = Nfa(alphabet, max(1, len(nodes)), edges, range(len(nodes)), range(len(nodes)))
-    return SubshiftRelation(presentation_from_nfa(alphabet, nfa), x, f.target)
+    return SubshiftRelation(presentation_from_edges(alphabet, len(nodes), edges), x, f.target)
 
 
 def swap_relation(r: SubshiftRelation) -> SubshiftRelation:
@@ -81,8 +80,7 @@ def swap_relation(r: SubshiftRelation) -> SubshiftRelation:
         for t, j in pres.live_trans[i].items():
             a, b = split_pair(t)
             edges.append((i, pair_symbol(b, a), j))
-    nfa = Nfa(alphabet, max(1, n), edges, range(n), range(n))
-    return SubshiftRelation(presentation_from_nfa(alphabet, nfa), r.right, r.left)
+    return SubshiftRelation(presentation_from_edges(alphabet, n, edges), r.right, r.left)
 
 
 def relation_projections(r: SubshiftRelation):
@@ -114,8 +112,7 @@ def equalizer_set(f: BlockMap, g: BlockMap) -> Presentation:
         for w, t in trans[k].items():
             if fr[w] == gr[w]:
                 edges.append((k, center_of(w), t))
-    nfa = Nfa(x.alphabet, max(1, len(nodes)), edges, range(len(nodes)), range(len(nodes)))
-    return presentation_from_nfa(x.alphabet, nfa)
+    return presentation_from_edges(x.alphabet, len(nodes), edges)
 
 
 def fiber_product(f: BlockMap, g: BlockMap) -> SubshiftRelation:
@@ -135,8 +132,7 @@ def intersection_presentation(x: Presentation, y: Presentation) -> Presentation:
                 j2 = y.live_trans[j].get(a)
                 if j2 is not None:
                     edges.append((i * ny + j, a, i2 * ny + j2))
-    nfa = Nfa(x.alphabet, max(1, nx * ny), edges, range(nx * ny), range(nx * ny))
-    return presentation_from_nfa(x.alphabet, nfa)
+    return presentation_from_edges(x.alphabet, nx * ny, edges)
 
 
 def union_presentation(x: Presentation, y: Presentation) -> Presentation:
@@ -148,9 +144,7 @@ def union_presentation(x: Presentation, y: Presentation) -> Presentation:
     for i in range(y.n_live()):
         for a, j in y.live_trans[i].items():
             edges.append((nx + i, a, nx + j))
-    n = nx + y.n_live()
-    nfa = Nfa(x.alphabet, max(1, n), edges, range(n), range(n))
-    return presentation_from_nfa(x.alphabet, nfa)
+    return presentation_from_edges(x.alphabet, nx + y.n_live(), edges)
 
 
 # ---------------------------------------------------------------------------
@@ -181,8 +175,7 @@ def scc_subshift(x: Presentation, comp: list[int]) -> Presentation:
         for a, p in x.live_trans[q].items():
             if p in cs:
                 edges.append((idx[q], a, idx[p]))
-    nfa = Nfa(x.alphabet, len(comp), edges, range(len(comp)), range(len(comp)))
-    return presentation_from_nfa(x.alphabet, nfa)
+    return presentation_from_edges(x.alphabet, len(comp), edges)
 
 
 def constituents(x: Presentation) -> list[Presentation]:
@@ -204,35 +197,6 @@ def is_transitive(x: Presentation) -> bool:
     return any(c.language_equal(x) for c in constituents(x))
 
 
-def _follower_reduce_scc(x: Presentation, comp: list[int]):
-    """Merge follower-equivalent states inside one SCC; returns the quotient
-    graph as (state count, successor dict list)."""
-    cs = set(comp)
-    idx = {q: i for i, q in enumerate(comp)}
-    trans = [{a: idx[p] for a, p in x.live_trans[q].items() if p in cs} for q in comp]
-    syms = sorted(x.alphabet)
-    cls = [1] * len(comp)
-    while True:
-        sigs: dict = {}
-        new = [0] * len(comp)
-        for i in range(len(comp)):
-            sig = (cls[i], tuple(cls[trans[i][a]] if a in trans[i] else -1 for a in syms))
-            if sig not in sigs:
-                sigs[sig] = len(sigs) + 1
-            new[i] = sigs[sig]
-        if len(set(new)) == len(set(cls)):
-            cls = new
-            break
-        cls = new
-    classes = sorted(set(cls))
-    pos = {c: i for i, c in enumerate(classes)}
-    out: list[dict[str, int]] = [{} for _ in classes]
-    for i in range(len(comp)):
-        for a, j in trans[i].items():
-            out[pos[cls[i]]][a] = pos[cls[j]]
-    return len(classes), out
-
-
 def shift_period(x: Presentation) -> int:
     """gcd of return times on the minimal synchronizing presentation of a
     transitive shift (0 for the empty shift)."""
@@ -240,8 +204,12 @@ def shift_period(x: Presentation) -> int:
         return 0
     for comp in _live_sccs(x):
         if scc_subshift(x, comp).language_equal(x):
-            n, trans = _follower_reduce_scc(x, comp)
-            return au.graph_period(range(n), lambda i: trans[i].values())
+            # the component as a partial DFA, all states accepting; minimizing
+            # merges its follower-equivalent states
+            idx = {q: i for i, q in enumerate(comp)}
+            trans = [{a: idx[p] for a, p in x.live_trans[q].items() if p in idx} for q in comp]
+            m = au.minimize(au.make_dfa(x.alphabet, trans, 0, range(len(comp))))
+            return au.graph_period(range(m.n), lambda q: [p for _, p in m.trans[q]])
     raise ValidationError("shift_period requires a transitive presentation")
 
 
@@ -286,10 +254,6 @@ class PeriodSet:
 
     def residues(self) -> list[int]:
         return sorted({(self.threshold + i) % self.modulus for i, f in enumerate(self.eventual) if f})
-
-    def subset_of(self, other: "PeriodSet") -> bool:
-        bound = max(self.threshold, other.threshold) + math.lcm(self.modulus, other.modulus)
-        return all(other.contains(n) for n in range(1, bound + 1) if self.contains(n))
 
     def first_not_in(self, other: "PeriodSet") -> int | None:
         bound = max(self.threshold, other.threshold) + math.lcm(self.modulus, other.modulus)
@@ -358,6 +322,12 @@ def retraction_peric(source: Presentation, target: Presentation) -> v.Verdict:
 # SFT-ness
 
 
+@cache
+def _full_shift(alphabet: tuple[str, ...]) -> Presentation:
+    """One full shift per alphabet, shared by the SFT tests."""
+    return full_shift(alphabet)
+
+
 def is_subsft_of(inner: Presentation, outer: Presentation, window_bound=None) -> v.Verdict:
     """Whether ``inner`` equals ``outer`` intersected with an SFT.
 
@@ -370,7 +340,7 @@ def is_subsft_of(inner: Presentation, outer: Presentation, window_bound=None) ->
     if inner.is_empty():
         return v.yes(certificate={"window": 1})
     bound = window_bound if window_bound is not None else 2 * inner.dfa.n**2 + 2
-    outer_is_full = outer.language_equal(full_shift(outer.alphabet))
+    outer_is_full = outer.language_equal(_full_shift(outer.alphabet))
     exhausted = False
 
     def try_window(m):
@@ -521,7 +491,7 @@ def _check_uv_witness(inner: Presentation, outer: Presentation, u: Word, w: Word
 
 
 def is_sft(x: Presentation, window_bound=None) -> v.Verdict:
-    return is_subsft_of(x, full_shift(x.alphabet), window_bound)
+    return is_subsft_of(x, _full_shift(x.alphabet), window_bound)
 
 
 # ---------------------------------------------------------------------------

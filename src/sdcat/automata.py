@@ -36,9 +36,6 @@ class Dfa:
     init: int
     accepting: frozenset[int]
 
-    def edges(self, q: int) -> dict[str, int]:
-        return dict(self.trans[q])
-
     def step(self, q: int | None, sym: str) -> int | None:
         if q is None:
             return None
@@ -58,9 +55,6 @@ class Dfa:
     def accepts(self, word) -> bool:
         q = self.run(word)
         return q is not None and q in self.accepting
-
-    def all_accepting(self) -> bool:
-        return len(self.accepting) == self.n
 
 
 def make_dfa(alphabet, trans_dicts, init, accepting) -> Dfa:
@@ -150,9 +144,6 @@ def _live(dfa: Dfa) -> set[int]:
     return live
 
 
-EMPTY_LANGUAGE = object()
-
-
 def minimize(dfa: Dfa) -> Dfa:
     """Canonical minimal partial DFA (Moore refinement with a virtual sink).
 
@@ -226,25 +217,12 @@ def is_empty_language(dfa: Dfa) -> bool:
     return not dfa.accepting or not (_live(dfa) & set(_reachable(dfa)))
 
 
-def complement(dfa: Dfa) -> Dfa:
-    """Complement within the full word set over the alphabet (adds a sink)."""
-    trans = [dict(t) for t in (dfa.edges(q) for q in range(dfa.n))]
-    sink = dfa.n
-    trans.append({})
-    for q in range(dfa.n + 1):
-        for a in dfa.alphabet:
-            if a not in trans[q]:
-                trans[q][a] = sink
-    acc = {q for q in range(dfa.n + 1) if q not in dfa.accepting}
-    return make_dfa(dfa.alphabet, trans, dfa.init, acc)
+def product_dfa(a: Dfa, b: Dfa) -> Dfa:
+    """The difference automaton: it accepts L(a) \\ L(b).
 
-
-def product_dfa(a: Dfa, b: Dfa, accept) -> Dfa:
-    """Product automaton over pairs (including virtual sinks).
-
-    ``accept(x, y)`` takes booleans "in accepting set of a/b" where a dead
-    component counts as non-accepting; pairs with both components dead are
-    not explored.
+    States are pairs, with ``-1`` for a ``b`` component that has left its
+    partial automaton.  A pair whose ``a`` component has left accepts
+    nothing, so it is not explored.
     """
     if set(a.alphabet) != set(b.alphabet):
         raise ValidationError("alphabet mismatch in product")
@@ -256,7 +234,7 @@ def product_dfa(a: Dfa, b: Dfa, accept) -> Dfa:
 
     def is_acc(pair):
         x, y = pair
-        return accept(x != DEAD and x in a.accepting, y != DEAD and y in b.accepting)
+        return x in a.accepting and y not in b.accepting
 
     if is_acc(start):
         acc.add(0)
@@ -266,11 +244,11 @@ def product_dfa(a: Dfa, b: Dfa, accept) -> Dfa:
         qi = index[pair]
         x, y = pair
         for sym in a.alphabet:
-            nx = a.step(x, sym) if x != DEAD else None
-            ny = b.step(y, sym) if y != DEAD else None
-            tgt = (DEAD if nx is None else nx, DEAD if ny is None else ny)
-            if tgt == (DEAD, DEAD):
+            nx = a.step(x, sym)
+            if nx is None:
                 continue
+            ny = b.step(y, sym) if y != DEAD else None
+            tgt = (nx, DEAD if ny is None else ny)
             if tgt not in index:
                 index[tgt] = len(trans_dicts)
                 trans_dicts.append({})
@@ -284,26 +262,12 @@ def product_dfa(a: Dfa, b: Dfa, accept) -> Dfa:
 
 def included(a: Dfa, b: Dfa) -> bool:
     """L(a) subseteq L(b)."""
-    diff = product_dfa(a, b, lambda x, y: x and not y)
-    return is_empty_language(diff)
-
-
-def language_equal(a: Dfa, b: Dfa) -> bool:
-    return included(a, b) and included(b, a)
+    return is_empty_language(product_dfa(a, b))
 
 
 def separating_word(a: Dfa, b: Dfa) -> Word | None:
     """Shortest word in L(a) \\ L(b), or None."""
-    diff = product_dfa(a, b, lambda x, y: x and not y)
-    return shortest_accepted(diff)
-
-
-def intersect(a: Dfa, b: Dfa) -> Dfa:
-    return minimize(product_dfa(a, b, lambda x, y: x and y))
-
-
-def union_dfa(a: Dfa, b: Dfa) -> Dfa:
-    return minimize(product_dfa(a, b, lambda x, y: x or y))
+    return shortest_accepted(product_dfa(a, b))
 
 
 def shortest_accepted(dfa: Dfa) -> Word | None:
@@ -459,12 +423,6 @@ class FiniteMonoid:
     def is_idempotent(self, x: int) -> bool:
         return self.mul(x, x) == x
 
-    def power(self, x: int, k: int) -> int:
-        e = self.identity
-        for _ in range(k):
-            e = self.mul(e, x)
-        return e
-
 
 def monoid_from_functions(alphabet, n_states, sym_functions) -> FiniteMonoid:
     """Transition monoid generated by total functions on ``range(n_states)``.
@@ -529,35 +487,6 @@ def syntactic_monoid_of_dfa(dfa: Dfa) -> FiniteMonoid:
             f.append(sink)
         fns[a] = tuple(f)
     return monoid_from_functions(sorted(set(dfa.alphabet)), n, fns)
-
-
-def find_idempotent_factor(monoid: FiniteMonoid, seq) -> tuple[int, int] | None:
-    """Indices (i1, i2), i1 < i2, such that the product of seq[i1:i2] is
-    idempotent; scans intervals by length, then start position."""
-    seq = list(seq)
-    n = len(seq)
-    for length in range(1, n + 1):
-        for i in range(0, n - length + 1):
-            e = monoid.identity
-            for j in range(i, i + length):
-                e = monoid.mul(e, seq[j])
-            if monoid.is_idempotent(e):
-                return (i, i + length)
-    return None
-
-
-def is_pumpable(syn: FiniteMonoid, aux: FiniteMonoid | None, word, aux_class=None) -> bool:
-    """True iff the pair (class in syn, class in aux) is idempotent.
-
-    Idempotence of the pair is equivalent to stability of all powers, which
-    is the pumpability condition.
-    """
-    x = syn.class_of(word)
-    ok = syn.mul(x, x) == x
-    if aux is not None:
-        y = aux.class_of(word) if aux_class is None else aux_class
-        ok = ok and aux.mul(y, y) == y
-    return ok
 
 
 # ---------------------------------------------------------------------------

@@ -325,7 +325,7 @@ def strong_condition(f: BlockMap, p: int) -> StrongConditionReport:
             )
             bad = l_dfa(u, vv)
             for a, b in pairs:
-                bad = au.product_dfa(bad, g_dfa(u, a, vv, b), lambda x, yy: x and not yy)
+                bad = au.product_dfa(bad, g_dfa(u, a, vv, b))
             w = au.shortest_accepted(bad)
             if w is not None:
                 tuples = tuple(

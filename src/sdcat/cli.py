@@ -221,11 +221,9 @@ def _cmd_oracle(args) -> int:
     if args.alphabet != 2 or args.radius != 1:
         raise SdcatError("the census covers radius 1 on the binary alphabet")
     checks = tuple(args.check.split(","))
-    rows = []
     print("rule_bits," + ",".join(checks))
     for bits, _, row in orc.census_radius1_binary(checks=checks):
         print(f"{bits}," + ",".join(str(int(row[c])) for c in checks))
-        rows.append(row)
     return 0
 
 

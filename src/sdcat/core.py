@@ -7,6 +7,10 @@ of the factor language of a sofic shift, together with its *essential* part
 are exactly the points of the shift.  All higher constructions (images,
 kernels, products, higher-block recodings) are built from these two views.
 
+Every presentation comes out of :func:`presentation_from_nfa`; the derived
+ones describe their shift as a labeled graph whose states are all initial
+and accepting and hand its edges to :func:`presentation_from_edges`.
+
 Words are tuples of symbol tokens.  Everything is immutable after
 construction and safe to share.
 """
@@ -108,8 +112,18 @@ class Presentation:
     def contains_word(self, word) -> bool:
         return self.dfa.accepts(tuple(word))
 
+    @cached_property
+    def _words(self) -> dict[int, tuple[Word, ...]]:
+        return {}
+
     def words(self, n: int) -> list[Word]:
-        return au.words_of_length(self.dfa, n)
+        """The words of length ``n``, enumerated once per presentation."""
+        words = self._words.get(n)
+        if words is None:
+            words = self._words[n] = tuple(au.words_of_length(self.dfa, n))
+        else:
+            check_budget(len(words), "word enumeration")
+        return list(words)
 
     def count_words(self, n: int) -> int:
         return au.count_words(self.dfa, n)
@@ -129,8 +143,13 @@ class Presentation:
         return [a for a in self.alphabet if self.contains_periodic((a,))]
 
     def language_equal(self, other: "Presentation") -> bool:
-        return set(self.alphabet) == set(other.alphabet) and au.language_equal(
-            self.dfa, other.dfa
+        # Every dfa comes from presentation_from_nfa, either minimized and
+        # numbered in BFS order over sorted symbols or the fixed empty form,
+        # and _cast_alphabet and with_point keep it unchanged: equal
+        # languages have equal automata.
+        a, b = self.dfa, other.dfa
+        return set(self.alphabet) == set(other.alphabet) and (
+            (a.trans, a.init, a.accepting) == (b.trans, b.init, b.accepting)
         )
 
     def included_in(self, other: "Presentation") -> bool:
@@ -181,6 +200,12 @@ def presentation_from_nfa(alphabet, nfa: Nfa, point=None) -> Presentation:
     if point is not None:
         pres = pres.with_point(point)
     return pres
+
+
+def presentation_from_edges(alphabet, n: int, edges, point=None) -> Presentation:
+    """The shift of the labeled graph on ``range(n)`` with the given
+    ``(src, symbol, dst)`` edges."""
+    return presentation_from_nfa(alphabet, Nfa(alphabet, n, edges, range(n), range(n)), point)
 
 
 def _peel(n: int, succs, preds) -> frozenset[int]:
@@ -261,8 +286,7 @@ def make_presentation(alphabet, kind: str, payload, point=None) -> Presentation:
                 v = w[1:]
                 if v in idx:
                     edges.append((idx[u], a, idx[v]))
-        nfa = Nfa(alphabet, len(nodes), edges, range(len(nodes)), range(len(nodes)))
-        return presentation_from_nfa(alphabet, nfa, point)
+        return presentation_from_edges(alphabet, len(nodes), edges, point)
     elif kind == "graph":
         nodes, raw_edges = payload
         nodes = list(nodes)
@@ -274,8 +298,7 @@ def make_presentation(alphabet, kind: str, payload, point=None) -> Presentation:
             if src not in idx or dst not in idx:
                 raise ValidationError(f"edge endpoint {src!r}/{dst!r} not declared")
             edges.append((idx[src], label, idx[dst]))
-        nfa = Nfa(alphabet, len(nodes), edges, range(len(nodes)), range(len(nodes)))
-        return presentation_from_nfa(alphabet, nfa, point)
+        return presentation_from_edges(alphabet, len(nodes), edges, point)
     raise ValidationError(f"unknown presentation kind {kind!r}")
 
 
@@ -314,8 +337,7 @@ def mirror_presentation(x: Presentation) -> Presentation:
     for i in range(n):
         for a, j in x.live_trans[i].items():
             rev.append((j, a, i))
-    nfa = Nfa(x.alphabet, max(1, n), rev, range(n), range(n))
-    return presentation_from_nfa(x.alphabet, nfa, x.point)
+    return presentation_from_edges(x.alphabet, n, rev, x.point)
 
 
 def product_presentation(x: Presentation, y: Presentation) -> Presentation:
@@ -329,11 +351,10 @@ def product_presentation(x: Presentation, y: Presentation) -> Presentation:
             for j in range(ny):
                 for b, j2 in y.live_trans[j].items():
                     edges.append((i * ny + j, pair_symbol(a, b), i2 * ny + j2))
-    nfa = Nfa(alphabet, max(1, nx * ny), edges, range(nx * ny), range(nx * ny))
     point = None
     if x.point is not None and y.point is not None:
         point = pair_symbol(x.point, y.point)
-    return presentation_from_nfa(alphabet, nfa, point)
+    return presentation_from_edges(alphabet, nx * ny, edges, point)
 
 
 def diagonal_relation(x: Presentation) -> Presentation:
@@ -344,8 +365,7 @@ def diagonal_relation(x: Presentation) -> Presentation:
     for i in range(n):
         for a, j in x.live_trans[i].items():
             edges.append((i, pair_symbol(a, a), j))
-    nfa = Nfa(alphabet, max(1, n), edges, range(n), range(n))
-    return presentation_from_nfa(alphabet, nfa)
+    return presentation_from_edges(alphabet, n, edges)
 
 
 def disjoint_union(x: Presentation, y: Presentation):
@@ -360,9 +380,7 @@ def disjoint_union(x: Presentation, y: Presentation):
     for i in range(y.n_live()):
         for b, j in y.live_trans[i].items():
             edges.append((nx + i, rmap[b], nx + j))
-    n = nx + y.n_live()
-    nfa = Nfa(alphabet, max(1, n), edges, range(n), range(n))
-    return presentation_from_nfa(alphabet, nfa), lmap, rmap
+    return presentation_from_edges(alphabet, nx + y.n_live(), edges), lmap, rmap
 
 
 def presentation_from_allowed_words(alphabet, words_m) -> Presentation:
@@ -374,17 +392,14 @@ def presentation_from_allowed_words(alphabet, words_m) -> Presentation:
         return empty_shift(alphabet)
     m = len(words_m[0])
     if m == 1:
-        edges = [(0, w[0], 0) for w in words_m]
-        nfa = Nfa(alphabet, 1, edges, [0], [0])
-        return presentation_from_nfa(alphabet, nfa)
+        return presentation_from_edges(alphabet, 1, [(0, w[0], 0) for w in words_m])
     prefixes: dict[Word, int] = {}
     for w in words_m:
         for u in (w[:-1], w[1:]):
             if u not in prefixes:
                 prefixes[u] = len(prefixes)
     edges = [(prefixes[w[:-1]], w[-1], prefixes[w[1:]]) for w in words_m]
-    nfa = Nfa(alphabet, len(prefixes), edges, range(len(prefixes)), range(len(prefixes)))
-    return presentation_from_nfa(alphabet, nfa)
+    return presentation_from_edges(alphabet, len(prefixes), edges)
 
 
 def sft_approximation(x: Presentation, m: int) -> Presentation:
@@ -520,12 +535,6 @@ class EventuallyPeriodicPoint:
         hi = max(self.mid_end(), other.mid_end()) + 2 * lr
         return self.segment(lo, hi) == other.segment(lo, hi)
 
-    def is_periodic(self) -> bool:
-        p = math.lcm(len(self.left), len(self.right))
-        lo = self.start - 2 * p
-        hi = self.mid_end() + 2 * p
-        return all(self.at(i) == self.at(i + p) for i in range(lo, hi))
-
     def in_shift(self, x: Presentation) -> bool:
         if x.is_empty():
             return False
@@ -596,8 +605,7 @@ def rule_image(source: Presentation, radius: int, rule: dict[Word, str], alphabe
     nodes, trans = window_graph(source, 2 * radius + 1)
     n = len(nodes)
     edges = [(k, rule[window], tgt) for k in range(n) for window, tgt in trans[k].items()]
-    nfa = Nfa(alphabet, max(1, n), edges, range(n), range(n))
-    return presentation_from_nfa(alphabet, nfa)
+    return presentation_from_edges(alphabet, n, edges)
 
 
 def fiber_presentation(f: BlockMap, g: BlockMap) -> Presentation:
@@ -626,9 +634,7 @@ def fiber_presentation(f: BlockMap, g: BlockMap) -> Presentation:
             a = center_of(w1)
             for k2, b, t2 in buckets.get(fr[w1], ()):
                 edges.append((k1 * n2 + k2, pair_symbol(a, b), t1 * n2 + t2))
-    n = n1 * n2
-    nfa = Nfa(alphabet, max(1, n), edges, range(n), range(n))
-    return presentation_from_nfa(alphabet, nfa)
+    return presentation_from_edges(alphabet, n1 * n2, edges)
 
 
 def make_block_map(
@@ -679,10 +685,6 @@ def constant_map(x: Presentation, y: Presentation, sym: str) -> BlockMap:
         raise ValidationError(f"constant {sym!r} is not a uniform point of the target")
     return make_block_map(x, y, 0, {(a,): sym for a in x.alphabet if x.contains_word((a,))},
                           validate_image=False)
-
-
-def symbol_map(x: Presentation, y: Presentation, mapping: dict[str, str]) -> BlockMap:
-    return make_block_map(x, y, 0, {(a,): mapping[a] for a in x.alphabet if x.contains_word((a,))})
 
 
 def shift_power(x: Presentation, k: int) -> BlockMap:
@@ -769,12 +771,6 @@ def reduce_radius(f: BlockMap) -> BlockMap:
     return f
 
 
-def is_identity(f: BlockMap) -> bool:
-    if not f.source.language_equal(f.target):
-        return False
-    return maps_equal(f, identity_map(f.source))
-
-
 def mirror_map(f: BlockMap) -> BlockMap:
     src = mirror_presentation(f.source)
     tgt = mirror_presentation(f.target)
@@ -790,8 +786,7 @@ def higher_block_presentation(x: Presentation, w: int):
     for k in range(len(nodes)):
         for window, tgt in trans[k].items():
             edges.append((k, block_symbol(window), tgt))
-    nfa = Nfa(tuple(tokens), max(1, len(nodes)), edges, range(len(nodes)), range(len(nodes)))
-    return presentation_from_nfa(tuple(tokens), nfa)
+    return presentation_from_edges(tuple(tokens), len(nodes), edges)
 
 
 def recode_to_symbol_map(f: BlockMap):

@@ -169,12 +169,6 @@ def initial(cat: CategoryTag) -> LimitResult:
     return exists(empty_shift(["0"]), reason=reason)
 
 
-def zero_morphism(x: Presentation, y: Presentation) -> BlockMap:
-    from .core import zero_map
-
-    return zero_map(x, y)
-
-
 def product(x: Presentation, y: Presentation) -> LimitResult:
     """Coordinatewise product with projection symbol maps."""
     p = product_presentation(x, y)

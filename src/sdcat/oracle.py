@@ -15,7 +15,7 @@ from itertools import product as iproduct
 import numpy as np
 
 from .core import BlockMap, PeriodicPoint, Presentation, make_block_map
-from .errors import BudgetExceeded, ValidationError, check_budget
+from .errors import ValidationError, check_budget
 
 Word = tuple[str, ...]
 
@@ -211,12 +211,9 @@ def brute_split_epic(f: BlockMap, radius_bound: int = 1) -> bool:
     idy = identity_map(f.target)
     for r in range(radius_bound + 1):
         spec = EnumerationSpec(f.target, f.source, radius=r)
-        try:
-            for g in enumerate_block_maps(spec):
-                if maps_equal(compose(f, g), idy):
-                    return True
-        except BudgetExceeded:
-            raise
+        for g in enumerate_block_maps(spec):
+            if maps_equal(compose(f, g), idy):
+                return True
     return False
 
 
@@ -229,7 +226,6 @@ def ep_preimage_search(f: BlockMap, failing_tuple: dict, pad: int = 8):
     pruning prefixes whose induced image already disagrees with the point
     around w.  Returns a conforming preimage or None.
     """
-    from . import automata as au
     from .core import EventuallyPeriodicPoint, apply_map_ep
 
     u, vv, w = failing_tuple["u"], failing_tuple["v"], failing_tuple["w"]

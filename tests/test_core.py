@@ -22,7 +22,7 @@ from sdcat.core import (
     recode_to_symbol_map,
     reduce_radius,
 )
-from sdcat.errors import ValidationError
+from sdcat.errors import BudgetExceeded, ValidationError, set_budget
 
 
 def brute_sft_words(alphabet, forbidden, n, pad=6):
@@ -269,6 +269,39 @@ class TestDerivedObjects:
         f = make_block_map(full2, full2, 3, {w: rng.choice("01") for w in full2.words(7)})
         assert not f.image.is_empty()
         assert time.time() - t0 < 60
+
+
+class TestWordsCache:
+    def test_words_are_enumerated_once(self, monkeypatch):
+        from sdcat import automata as au
+
+        calls = []
+        real = au.words_of_length
+
+        def counting(dfa, n):
+            calls.append(n)
+            return real(dfa, n)
+
+        monkeypatch.setattr(au, "words_of_length", counting)
+        x = make_presentation(["0", "1"], "sft", [("1", "1")])
+        assert x.words(3) == x.words(3)
+        assert calls == [3]
+
+    def test_returned_list_is_a_copy(self):
+        x = make_presentation(["0", "1"], "sft", [("1", "1")])
+        first = x.words(2)
+        first.clear()
+        assert x.words(2) == [("0", "0"), ("0", "1"), ("1", "0")]
+
+    def test_budget_holds_on_a_cache_hit(self):
+        x = make_presentation(["0", "1"], "sft", [("1", "1")])
+        x.words(3)
+        set_budget(1)
+        try:
+            with pytest.raises(BudgetExceeded):
+                x.words(3)
+        finally:
+            set_budget(None)
 
 
 @st.composite

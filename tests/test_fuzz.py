@@ -3,7 +3,8 @@
 Random labeled graphs are canonicalized and their derived data compared
 against definition-level recomputation: language stability, mirror
 involution, periodic membership, product/union identities, the
-essential-state trim and the fiber product of block maps.
+essential-state trim, the fiber product of block maps, structural language
+equality and the shift period.
 """
 
 import math
@@ -11,8 +12,10 @@ import math
 from hypothesis import given, settings, strategies as st
 
 from sdcat import analysis as an
+from sdcat import automata as au
 from sdcat.core import (
     PeriodicPoint,
+    _cast_alphabet,
     _peel,
     center_of,
     empty_shift,
@@ -22,6 +25,7 @@ from sdcat.core import (
     make_presentation,
     mirror_presentation,
     pair_symbol,
+    presentation_from_edges,
     presentation_from_nfa,
     product_alphabet,
     product_presentation,
@@ -247,3 +251,92 @@ class TestFiberProduct:
         assert fiber_presentation(full, none).is_empty()
         assert fiber_presentation(none, full).is_empty()
         assert none.kernel.is_empty()
+
+
+# ---------------------------------------------------------------------------
+# Structural language equality
+
+
+@st.composite
+def forbidden_lists(draw):
+    word = st.lists(st.sampled_from("01"), min_size=1, max_size=3).map(tuple)
+    return draw(st.lists(word, max_size=3))
+
+
+def _graph_form(x, alphabet):
+    """``x`` rebuilt from its essential graph, with the symbols in the given order."""
+    nodes = [f"v{i}" for i in range(x.n_live())]
+    edges = [(f"v{i}", f"v{j}", a) for i in range(x.n_live()) for a, j in x.live_trans[i].items()]
+    return make_presentation(alphabet, "graph", (nodes, edges))
+
+
+def _mutually_included(x, y):
+    union = tuple(sorted(set(x.alphabet) | set(y.alphabet)))
+    a, b = _cast_alphabet(x, union).dfa, _cast_alphabet(y, union).dfa
+    return au.included(a, b) and au.included(b, a)
+
+
+class TestStructuralEquality:
+    @given(random_graphs(), random_graphs(), forbidden_lists())
+    @settings(max_examples=150, deadline=None)
+    def test_structural_equality_is_mutual_inclusion(self, g1, g2, forbidden):
+        x = presentation_from_edges(("0", "1"), *g1)
+        y = presentation_from_edges(("0", "1"), *g2)
+        sft = make_presentation(("0", "1"), "sft", forbidden)
+        same = [
+            (sft, _graph_form(sft, ("0", "1"))),
+            (x, mirror_presentation(mirror_presentation(x))),
+            (x, _graph_form(x, ("1", "0"))),
+        ]
+        for p, q in same:
+            assert p.language_equal(q)
+            assert _mutually_included(p, q)
+        for p, q in [(x, y), (x, sft), (y, sft)]:
+            assert p.language_equal(q) == _mutually_included(p, q)
+
+
+# ---------------------------------------------------------------------------
+# Shift period
+
+
+def _moore_period(x, comp):
+    """Reference: Moore refinement on one SCC, missing edges in class -1,
+    then the period of the quotient graph."""
+    cs = set(comp)
+    idx = {q: i for i, q in enumerate(comp)}
+    trans = [{a: idx[p] for a, p in x.live_trans[q].items() if p in cs} for q in comp]
+    syms = sorted(x.alphabet)
+    cls = [1] * len(comp)
+    while True:
+        sigs: dict = {}
+        new = [0] * len(comp)
+        for i in range(len(comp)):
+            sig = (cls[i], tuple(cls[trans[i][a]] if a in trans[i] else -1 for a in syms))
+            new[i] = sigs.setdefault(sig, len(sigs) + 1)
+        if len(set(new)) == len(set(cls)):
+            cls = new
+            break
+        cls = new
+    classes = sorted(set(cls))
+    pos = {c: i for i, c in enumerate(classes)}
+    out: list[dict[str, int]] = [{} for _ in classes]
+    for i in range(len(comp)):
+        for a, j in trans[i].items():
+            out[pos[cls[i]]][a] = pos[cls[j]]
+    return au.graph_period(range(len(classes)), lambda i: out[i].values())
+
+
+class TestShiftPeriod:
+    @given(random_graphs())
+    @settings(max_examples=150, deadline=None)
+    def test_period_matches_moore_refinement(self, graph):
+        x = presentation_from_edges(("0", "1"), *graph)
+        for c in an.constituents(x):
+            comp = next(
+                comp for comp in an._live_sccs(c) if an.scc_subshift(c, comp).language_equal(c)
+            )
+            assert an.shift_period(c) == _moore_period(c, comp)
+
+    def test_orbit_of_three_has_period_three(self):
+        x = make_presentation(("0", "1"), "graph", ([0, 1, 2], [(0, 1, "0"), (1, 2, "0"), (2, 0, "1")]))
+        assert an.shift_period(x) == 3
