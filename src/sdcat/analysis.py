@@ -4,13 +4,17 @@ Images, kernel sets, equalizer sets, constituents, transitivity and
 mixing, period sets, SFT-ness (absolute and relative), the injectivity
 family, preinjectivity, and resolvingness.  Everything here is exact
 except where a verdict explicitly says otherwise.
+
+Facts about one shift or one map are decided once per object and kept on
+it, as ``BlockMap.image`` is; an UNDECIDED verdict, which depends on the
+work budget, is not kept.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, reduce
 
 from . import automata as au
 from . import verdicts as v
@@ -26,6 +30,7 @@ from .core import (
     fiber_presentation,
     full_shift,
     image_presentation,
+    make_block_map,
     pair_symbol,
     presentation_from_edges,
     product_alphabet,
@@ -36,6 +41,26 @@ from .core import (
 from .errors import BudgetExceeded, DomainMismatch, ValidationError, check_budget
 
 image = image_presentation
+
+
+def _per_object(fn):
+    """Keep ``fn(obj)`` in ``obj.__dict__``, which equality and hashing of
+    the frozen dataclasses do not see; an UNDECIDED verdict is not kept."""
+    key = f"{fn.__module__}.{fn.__name__}"
+
+    def once(obj):
+        memo = obj.__dict__
+        if key in memo:
+            return memo[key]
+        out = fn(obj)
+        if not (isinstance(out, v.Verdict) and out.undecided):
+            memo[key] = out
+        return out
+
+    # not functools.wraps: ``__wrapped__`` marks the bindings that the
+    # benchmark tracer has wrapped
+    once.__name__, once.__qualname__, once.__doc__ = fn.__name__, fn.__qualname__, fn.__doc__
+    return once
 
 
 # ---------------------------------------------------------------------------
@@ -85,8 +110,6 @@ def swap_relation(r: SubshiftRelation) -> SubshiftRelation:
 
 def relation_projections(r: SubshiftRelation):
     """The two coordinate block maps out of the relation."""
-    from .core import make_block_map
-
     pres = r.presentation
     pairs = r.alphabet_pairs()
     rule1 = {(t,): pairs[t][0] for t in pres.alphabet if pres.contains_word((t,))}
@@ -151,19 +174,14 @@ def union_presentation(x: Presentation, y: Presentation) -> Presentation:
 # Constituents, transitivity, mixing
 
 
-def _live_sccs(x: Presentation) -> list[list[int]]:
-    n = x.n_live()
-
-    def succ(i):
-        return x.live_trans[i].values()
-
-    comps = au.strongly_connected_components(range(n), succ)
+def _cycle_sccs(n: int, succ) -> list[list[int]]:
+    """The strongly connected components of the graph ``succ`` on
+    ``range(n)`` that carry an internal edge, in the order they are found."""
     out = []
-    for comp in comps:
+    for comp in au.strongly_connected_components(range(n), succ):
         cs = set(comp)
-        has_edge = any(j in cs for i in comp for j in x.live_trans[i].values())
-        if has_edge:
-            out.append(sorted(comp))
+        if any(j in cs for i in comp for j in succ(i)):
+            out.append(comp)
     return out
 
 
@@ -178,47 +196,60 @@ def scc_subshift(x: Presentation, comp: list[int]) -> Presentation:
     return presentation_from_edges(x.alphabet, len(comp), edges)
 
 
-def constituents(x: Presentation) -> list[Presentation]:
-    """Maximal transitive subshifts, from the SCCs of the canonical
-    presentation (inclusion-maximal, deduplicated)."""
-    subs = [scc_subshift(x, comp) for comp in _live_sccs(x)]
+@_per_object
+def cycle_components(x: Presentation) -> tuple[tuple[tuple[int, ...], Presentation], ...]:
+    """(component, subshift) for each SCC of the essential graph that
+    carries an internal edge."""
+    comps = _cycle_sccs(x.n_live(), lambda i: x.live_trans[i].values())
+    return tuple((tuple(comp), scc_subshift(x, comp)) for comp in comps)
+
+
+def inclusion_maximal(shifts) -> tuple[Presentation, ...]:
+    """The inclusion-maximal shifts among ``shifts``, one per language."""
     out: list[Presentation] = []
-    for s in subs:
+    for s in shifts:
         if any(s.included_in(t) for t in out):
             continue
         out = [t for t in out if not t.included_in(s)]
         out.append(s)
-    return out
+    return tuple(out)
 
 
-def is_transitive(x: Presentation) -> bool:
-    if x.is_empty():
-        return True
-    return any(c.language_equal(x) for c in constituents(x))
+@_per_object
+def constituents(x: Presentation) -> tuple[Presentation, ...]:
+    """Maximal transitive subshifts: the inclusion-maximal SCC subshifts of
+    the canonical presentation."""
+    return inclusion_maximal(s for _, s in cycle_components(x))
 
 
-def shift_period(x: Presentation) -> int:
+@_per_object
+def shift_period(x: Presentation) -> int | None:
     """gcd of return times on the minimal synchronizing presentation of a
-    transitive shift (0 for the empty shift)."""
+    transitive shift (0 for the empty shift), None when ``x`` is not
+    transitive.
+
+    ``x`` is transitive exactly when one of its SCC subshifts is ``x``
+    itself, since that one is then a constituent.
+    """
     if x.is_empty():
         return 0
-    for comp in _live_sccs(x):
-        if scc_subshift(x, comp).language_equal(x):
+    for comp, sub in cycle_components(x):
+        if sub.language_equal(x):
             # the component as a partial DFA, all states accepting; minimizing
             # merges its follower-equivalent states
             idx = {q: i for i, q in enumerate(comp)}
             trans = [{a: idx[p] for a, p in x.live_trans[q].items() if p in idx} for q in comp]
             m = au.minimize(au.make_dfa(x.alphabet, trans, 0, range(len(comp))))
             return au.graph_period(range(m.n), lambda q: [p for _, p in m.trans[q]])
-    raise ValidationError("shift_period requires a transitive presentation")
+    return None
+
+
+def is_transitive(x: Presentation) -> bool:
+    return shift_period(x) is not None
 
 
 def is_mixing(x: Presentation) -> bool:
-    if x.is_empty():
-        return True
-    if not is_transitive(x):
-        return False
-    return shift_period(x) == 1
+    return shift_period(x) in (0, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -263,6 +294,7 @@ class PeriodSet:
         return None
 
 
+@_per_object
 def periods(x: Presentation) -> PeriodSet:
     """Exact sigma^n fixed-point period set, via the word-action recurrence."""
     n_live = x.n_live()
@@ -328,7 +360,7 @@ def _full_shift(alphabet: tuple[str, ...]) -> Presentation:
     return full_shift(alphabet)
 
 
-def is_subsft_of(inner: Presentation, outer: Presentation, window_bound=None) -> v.Verdict:
+def is_subsft_of(inner: Presentation, outer: Presentation) -> v.Verdict:
     """Whether ``inner`` equals ``outer`` intersected with an SFT.
 
     YES carries the minimal window; NO carries a pumpable witness family
@@ -339,7 +371,7 @@ def is_subsft_of(inner: Presentation, outer: Presentation, window_bound=None) ->
         raise ValidationError("is_subsft_of: inner must be contained in outer")
     if inner.is_empty():
         return v.yes(certificate={"window": 1})
-    bound = window_bound if window_bound is not None else 2 * inner.dfa.n**2 + 2
+    bound = 2 * inner.dfa.n**2 + 2
     outer_is_full = outer.language_equal(_full_shift(outer.alphabet))
     exhausted = False
 
@@ -490,8 +522,10 @@ def _check_uv_witness(inner: Presentation, outer: Presentation, u: Word, w: Word
     return None
 
 
-def is_sft(x: Presentation, window_bound=None) -> v.Verdict:
-    return is_subsft_of(x, _full_shift(x.alphabet), window_bound)
+@_per_object
+def is_sft(x: Presentation) -> v.Verdict:
+    """Whether ``x`` is a shift of finite type, as in :func:`is_subsft_of`."""
+    return is_subsft_of(x, _full_shift(x.alphabet))
 
 
 # ---------------------------------------------------------------------------
@@ -510,6 +544,7 @@ class InjectivityFamily:
     injective_on_uniform: bool
 
 
+@_per_object
 def injectivity_family(f: BlockMap) -> InjectivityFamily:
     ker = f.kernel
     n = ker.n_live()
@@ -522,7 +557,7 @@ def injectivity_family(f: BlockMap) -> InjectivityFamily:
         if not inj:
             break
     ipp = True
-    for comp in _live_sccs(ker):
+    for comp in _cycle_sccs(n, lambda i: ker.live_trans[i].values()):
         cs = set(comp)
         for i in comp:
             for t, j in ker.live_trans[i].items():
@@ -553,12 +588,7 @@ def _diag_tail_states(rel: Presentation):
             diag_pred[j].add(i)
 
     def closure_on_cycles(succ):
-        comps = au.strongly_connected_components(range(n), lambda i: succ[i])
-        seeds = set()
-        for comp in comps:
-            cs = set(comp)
-            if any(j in cs for i in comp for j in succ[i]):
-                seeds |= cs
+        seeds = {q for comp in _cycle_sccs(n, lambda i: succ[i]) for q in comp}
         out = set(seeds)
         queue = list(seeds)
         while queue:
@@ -631,11 +661,8 @@ def _diagonal_cycle_seeds(rel: Presentation):
         for i in range(n)
     ]
     seeds = {}
-    comps = au.strongly_connected_components(range(n), lambda q: [p for p, _ in diag_succ[q]])
-    for comp in comps:
+    for comp in _cycle_sccs(n, lambda q: [p for p, _ in diag_succ[q]]):
         cs = set(comp)
-        if not any(p in cs for q in comp for p, _ in diag_succ[q]):
-            continue
         s = comp[0]
         prev: dict = {s: None}
         queue = [s]
@@ -739,34 +766,19 @@ def resolvingness(f: BlockMap) -> Resolvingness:
 # Finiteness and countability
 
 
-def _simple_cycle_sccs(x: Presentation):
-    """SCC list together with whether each is a simple cycle."""
-    out = []
-    for comp in _live_sccs(x):
-        cs = set(comp)
-        simple = True
-        for i in comp:
-            internal = [j for j in x.live_trans[i].values() if j in cs]
-            if len(internal) != 1:
-                simple = False
-        out.append((comp, simple))
-    return out
-
-
 def is_countable(x: Presentation) -> bool:
-    return all(simple for _, simple in _simple_cycle_sccs(x))
+    """Countably many points: every SCC with an internal edge is a simple cycle."""
+    for comp, _ in cycle_components(x):
+        cs = set(comp)
+        if any(sum(j in cs for j in x.live_trans[i].values()) != 1 for i in comp):
+            return False
+    return True
 
 
 def is_finite(x: Presentation) -> bool:
-    """Finitely many points: all SCCs are simple cycles and the shift equals
-    the union of their cycle orbits."""
-    sccs = _simple_cycle_sccs(x)
-    if not all(simple for _, simple in sccs):
+    """Finitely many points: the shift is countable and equals the union of
+    its cycle orbits."""
+    if not is_countable(x):
         return False
-    if x.is_empty():
-        return True
-    orbit_union = None
-    for comp, _ in sccs:
-        orb = scc_subshift(x, comp)
-        orbit_union = orb if orbit_union is None else union_presentation(orbit_union, orb)
-    return orbit_union is not None and x.included_in(orbit_union)
+    orbits = [s for _, s in cycle_components(x)]
+    return x.is_empty() or x.included_in(reduce(union_presentation, orbits))

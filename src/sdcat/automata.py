@@ -288,8 +288,9 @@ def shortest_accepted(dfa: Dfa) -> Word | None:
 
 def words_of_length(dfa: Dfa, n: int):
     """All accepted words of length exactly n, lexicographic in symbol order."""
-    if count_words(dfa, n) > 0:
-        check_budget(count_words(dfa, n), "word enumeration")
+    count = count_words(dfa, n)
+    if count > 0:
+        check_budget(count, "word enumeration")
     out: list[Word] = []
 
     def rec(q: int, word: Word):

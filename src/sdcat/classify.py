@@ -23,6 +23,7 @@ from .core import (
     apply_map,
     block_symbol,
     compose,
+    diagonal_relation,
     identity_map,
     make_block_map,
     maps_equal,
@@ -85,19 +86,8 @@ def is_monic(f: BlockMap, cat: CategoryTag) -> v.Verdict:
     return v.undecided(note="open in the classification table")
 
 
-def _off_diag_parts(kernel: Presentation, x: Presentation):
-    """(scc subshifts, diagonal) for kernel analyses."""
-    from .core import diagonal_relation
-
-    diag = diagonal_relation(x)
-    subs = [an.scc_subshift(kernel, comp) for comp in an._live_sccs(kernel)]
-    return subs, diag
-
-
 def _monic_m2(f: BlockMap) -> v.Verdict:
     ker = f.kernel
-    from .core import diagonal_relation
-
     diag = diagonal_relation(f.source)
     consts = an.constituents(ker)
     mixing_off = [c for c in consts if an.is_mixing(c) and not c.language_equal(diag)]
@@ -113,8 +103,8 @@ def _monic_m3(f: BlockMap, fam) -> v.Verdict:
     if fam.injective_on_periodic:
         return v.yes(note="injective on periodic points")
     ker = f.kernel
-    subs, diag = _off_diag_parts(ker, f.source)
-    for s in subs:
+    diag = diagonal_relation(f.source)
+    for _, s in an.cycle_components(ker):
         if not s.included_in(diag) and an.is_mixing(s) and not s.is_empty():
             return v.no(note="kernel contains a mixing sofic subshift off the diagonal")
     consts = an.constituents(ker)
@@ -377,7 +367,8 @@ def strong_condition(f: BlockMap, p: int) -> StrongConditionReport:
 
 def _csp_solutions(variables, domains, pair_ok, limit):
     """DFS over assignments; ``pair_ok(i, vi, j, vj)`` constrains assigned
-    pairs.  Yields complete assignments as dicts."""
+    pairs and checks both orientations.  Yields complete assignments as
+    dicts."""
     order = sorted(range(len(variables)), key=lambda i: len(domains[i]))
     assign: dict[int, object] = {}
     produced = 0
@@ -392,7 +383,7 @@ def _csp_solutions(variables, domains, pair_ok, limit):
             return
         i = order[k]
         for val in domains[i]:
-            if all(pair_ok(i, val, j, w) and pair_ok(j, w, i, val) for j, w in assign.items()):
+            if all(pair_ok(i, val, j, w) for j, w in assign.items()):
                 assign[i] = val
                 yield from rec(k + 1)
                 del assign[i]

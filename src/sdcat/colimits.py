@@ -36,7 +36,15 @@ from .core import (
     trivial_shift,
 )
 from .errors import BudgetExceeded, ValidationError
-from .limits import CategoryTag, LimitResult, check_morphism, exists, not_exists, undecided_limit
+from .limits import (
+    CategoryTag,
+    LimitResult,
+    check_morphism,
+    exists,
+    not_exists,
+    object_problems,
+    undecided_limit,
+)
 
 
 @dataclass(frozen=True)
@@ -168,12 +176,6 @@ def _trivial_target_map(x: Presentation) -> BlockMap:
     return constant_map(x, t, "0")
 
 
-def _object_ok(cat: CategoryTag, y: Presentation) -> bool:
-    from .limits import object_problems
-
-    return not object_problems(cat, y)
-
-
 def _detect_shift_power(f: BlockMap) -> int | None:
     for k in range(-f.radius, f.radius + 1):
         if k == 0:
@@ -232,7 +234,7 @@ def coequalizer_id(
             target, q = dy.orbit_subshift(f, ep.preperiod, ep.period)
         except BudgetExceeded:
             return undecided_limit("orbit quotient construction exceeded its window cap")
-        if not _object_ok(cat, target):
+        if object_problems(cat, target):
             return undecided_limit(
                 f"orbit quotient is not an object of {cat}; no verdict in this category"
             )
@@ -289,7 +291,7 @@ def _closure_search(f: BlockMap, cat: CategoryTag, window_cap: int) -> LimitResu
                 continue
             if not maps_equal(compose(q, f), q):
                 return None
-            if not _object_ok(cat, q.target):
+            if object_problems(cat, q.target):
                 return undecided_limit(
                     f"closure quotient is not an object of {cat}"
                 )

@@ -172,22 +172,7 @@ def initial(cat: CategoryTag) -> LimitResult:
 def product(x: Presentation, y: Presentation) -> LimitResult:
     """Coordinatewise product with projection symbol maps."""
     p = product_presentation(x, y)
-    from .core import split_pair
-
-    if p.is_empty():
-        e1 = make_block_map(p, x, 0, {}, validate_image=False)
-        e2 = make_block_map(p, y, 0, {}, validate_image=False)
-        return exists(p, e1, e2)
-    rule1 = {}
-    rule2 = {}
-    for t in p.alphabet:
-        if p.contains_word((t,)):
-            a, b = split_pair(t)
-            rule1[(t,)] = a
-            rule2[(t,)] = b
-    p1 = make_block_map(p, x, 0, rule1)
-    p2 = make_block_map(p, y, 0, rule2)
-    return exists(p, p1, p2)
+    return exists(p, *an.relation_projections(an.SubshiftRelation(p, x, y)))
 
 
 def coproduct(x: Presentation, y: Presentation, cat: CategoryTag) -> LimitResult:
@@ -216,14 +201,9 @@ def coproduct(x: Presentation, y: Presentation, cat: CategoryTag) -> LimitResult
 def _maximal_mixing_candidates(e: Presentation):
     """Inclusion-maximal mixing SCC subshifts, plus an exhaustiveness flag:
     when True, every mixing subshift is contained in one of them."""
-    sccs = [an.scc_subshift(e, comp) for comp in an._live_sccs(e)]
-    mixing = [s for s in sccs if an.is_mixing(s) and not s.is_empty()]
-    cands: list[Presentation] = []
-    for s in mixing:
-        if any(s.included_in(t) for t in cands):
-            continue
-        cands = [t for t in cands if not t.included_in(s)]
-        cands.append(s)
+    cands = an.inclusion_maximal(
+        s for _, s in an.cycle_components(e) if an.is_mixing(s) and not s.is_empty()
+    )
     exhaustive = True
     for c in an.constituents(e):
         if any(c.included_in(k) for k in cands):
@@ -305,13 +285,7 @@ def equalizer(f: BlockMap, g: BlockMap, cat: CategoryTag) -> LimitResult:
 def pullback(f: BlockMap, g: BlockMap) -> LimitResult:
     """Fiber product of maps with a common target, with its projections."""
     rel = an.fiber_product(f, g)
-    p = rel.presentation
-    if p.is_empty():
-        e1 = make_block_map(p, f.source, 0, {}, validate_image=False)
-        e2 = make_block_map(p, g.source, 0, {}, validate_image=False)
-        return exists(p, e1, e2)
-    p1, p2 = an.relation_projections(rel)
-    return exists(p, p1, p2)
+    return exists(rel.presentation, *an.relation_projections(rel))
 
 
 def kernel_pair(f: BlockMap) -> LimitResult:

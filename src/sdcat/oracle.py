@@ -12,10 +12,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product as iproduct
 
-import numpy as np
-
 from .core import BlockMap, PeriodicPoint, Presentation, make_block_map
 from .errors import ValidationError, check_budget
+
+# numpy is imported inside the functions that use it, so that importing the
+# CLI, which imports this module, does not load it.
 
 Word = tuple[str, ...]
 
@@ -48,6 +49,8 @@ def enumerate_block_maps(spec: EnumerationSpec):
 
 
 def _binary_rule_table(f: BlockMap) -> np.ndarray:
+    import numpy as np
+
     w = f.width()
     table = np.zeros(2**w, dtype=np.int64)
     for word, val in f.rule_dict.items():
@@ -61,6 +64,8 @@ def _binary_rule_table(f: BlockMap) -> np.ndarray:
 def _binary_images_of_period(f: BlockMap, p: int) -> np.ndarray:
     """Images of all words of length p under the induced map on p-periodic
     points of the binary full shift, as integers."""
+    import numpy as np
+
     table = _binary_rule_table(f)
     w = f.width()
     us = np.arange(2**p, dtype=np.int64)
@@ -85,6 +90,8 @@ def brute_injective_on_periodic(f: BlockMap, period_bound: int = 16) -> bool:
     Only implemented for binary full-shift endomorphisms (the census
     class); distinct length-p words are distinct points, so injectivity is
     just table injectivity."""
+    import numpy as np
+
     _require_binary_full(f)
     for p in range(1, period_bound + 1):
         imgs = _binary_images_of_period(f, p)
@@ -94,6 +101,8 @@ def brute_injective_on_periodic(f: BlockMap, period_bound: int = 16) -> bool:
 
 
 def _binary_image_words(f: BlockMap, length: int) -> np.ndarray:
+    import numpy as np
+
     table = _binary_rule_table(f)
     r = f.radius
     w = f.width()
@@ -114,6 +123,8 @@ def brute_surjective(f: BlockMap, length: int | None = None) -> bool:
     The default length dominates the size of any determinization of the
     image cover, so the check is exact for the instances used here; a
     binary full-shift source takes the integer-coded path."""
+    import numpy as np
+
     src, tgt = f.source, f.target
     binary = set(src.alphabet) == {"0", "1"} and src.dfa.n == 1
     if length is None:

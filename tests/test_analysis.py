@@ -289,3 +289,62 @@ class TestMixingSftImagePersistence:
         # a mixing SFT image by construction; spot check the xor3 instance
         img = an.image(xor3)
         assert an.is_mixing(img) and an.is_sft(img).yes
+
+
+class TestFactsDecidedOnce:
+    def test_facts_are_decided_once_per_object(self, monkeypatch):
+        from collections import Counter
+
+        from sdcat import automata as au
+        from sdcat.core import golden_mean
+
+        x = golden_mean()
+        f = identity_map(x)
+        work = Counter()
+
+        def count(owner, name):
+            real = getattr(owner, name)
+
+            def counting(*args):
+                work[name] += 1
+                return real(*args)
+
+            monkeypatch.setattr(owner, name, counting)
+
+        # the step each fact's computation cannot skip
+        for owner, name in [(an, "is_subsft_of"), (an, "scc_subshift"), (au, "minimize"),
+                            (au, "compose_pfn"), (an, "apply_map")]:
+            count(owner, name)
+
+        def facts():
+            return (an.is_sft(x), an.is_mixing(x), an.constituents(x), an.periods(x),
+                    an.injectivity_family(f))
+
+        first = facts()
+        after_first = Counter(work)
+        assert all(after_first[k] > 0 for k in ("is_subsft_of", "scc_subshift", "minimize",
+                                                "compose_pfn", "apply_map"))
+        for _ in range(2):
+            again = facts()
+            assert all(a is b for a, b in zip(first, again) if not isinstance(a, bool))
+            assert again == first
+        assert work == after_first
+        # the kept answers are not fields: equality and hashing are unchanged
+        y = golden_mean()
+        g = identity_map(y)
+        assert x == y and hash(x) == hash(y)
+        assert f == g and hash(f) == hash(g)
+
+    def test_undecided_sft_answer_is_not_kept(self):
+        from sdcat.core import golden_mean
+        from sdcat.errors import set_budget
+
+        x = golden_mean()
+        # a budget of 3 stops the window search at window 2, one short
+        set_budget(3)
+        try:
+            assert an.is_sft(x).undecided
+        finally:
+            set_budget(None)
+        sft = an.is_sft(x)
+        assert sft.yes and sft.certificate == {"window": 2}

@@ -2,9 +2,13 @@
 
 import json
 import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import sdcat
 from sdcat import analysis as an
 from sdcat.cli import main
 from sdcat.core import maps_equal, product_presentation
@@ -288,3 +292,13 @@ class TestCli:
         assert code == 0
         assert out[0] == "rule_bits,injective"
         assert len(out) == 257
+
+    def test_cli_import_does_not_load_numpy(self):
+        # numpy serves only the brute-force oracle; the CLI still imports
+        # sdcat.oracle, which the traced benchmark run looks up
+        code = "import sys, sdcat.cli; print('sdcat.oracle' in sys.modules, 'numpy' in sys.modules)"
+        env = dict(os.environ, PYTHONPATH=str(pathlib.Path(sdcat.__file__).parents[1]))
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env=env, timeout=60)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.split() == ["True", "False"]

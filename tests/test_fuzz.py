@@ -4,12 +4,12 @@ Random labeled graphs are canonicalized and their derived data compared
 against definition-level recomputation: language stability, mirror
 involution, periodic membership, product/union identities, the
 essential-state trim, the fiber product of block maps, structural language
-equality and the shift period.
+equality, the shift period, and transitivity, mixing and constituents.
 """
 
 import math
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from sdcat import analysis as an
 from sdcat import automata as au
@@ -332,11 +332,49 @@ class TestShiftPeriod:
     def test_period_matches_moore_refinement(self, graph):
         x = presentation_from_edges(("0", "1"), *graph)
         for c in an.constituents(x):
-            comp = next(
-                comp for comp in an._live_sccs(c) if an.scc_subshift(c, comp).language_equal(c)
-            )
+            comp = next(comp for comp, s in an.cycle_components(c) if s.language_equal(c))
             assert an.shift_period(c) == _moore_period(c, comp)
 
     def test_orbit_of_three_has_period_three(self):
         x = make_presentation(("0", "1"), "graph", ([0, 1, 2], [(0, 1, "0"), (1, 2, "0"), (2, 0, "1")]))
         assert an.shift_period(x) == 3
+
+
+# ---------------------------------------------------------------------------
+# Transitivity, mixing and constituents
+
+
+def _reference_components(x):
+    """Reference: the SCCs with an internal edge, and the inclusion-maximal
+    SCC subshifts (the constituents)."""
+    def succ(i):
+        return x.live_trans[i].values()
+
+    comps = [
+        comp for comp in au.strongly_connected_components(range(x.n_live()), succ)
+        if any(j in comp for i in comp for j in succ(i))
+    ]
+    consts = []
+    for s in (an.scc_subshift(x, comp) for comp in comps):
+        if any(s.included_in(t) for t in consts):
+            continue
+        consts = [t for t in consts if not t.included_in(s)] + [s]
+    return comps, consts
+
+
+class TestComponents:
+    @given(random_graphs())
+    @example((1, []))
+    @example((2, [(0, "0", 0), (0, "1", 1), (1, "1", 1)]))
+    @settings(max_examples=150, deadline=None)
+    def test_facts_match_constituent_definitions(self, graph):
+        x = presentation_from_edges(("0", "1"), *graph)
+        comps, consts = _reference_components(x)
+        transitive = x.is_empty() or any(c.language_equal(x) for c in consts)
+        mixing = x.is_empty()
+        if transitive and not mixing:
+            comp = next(comp for comp in comps if an.scc_subshift(x, comp).language_equal(x))
+            mixing = _moore_period(x, comp) == 1
+        assert list(an.constituents(x)) == consts
+        assert an.is_transitive(x) == transitive
+        assert an.is_mixing(x) == mixing
