@@ -45,7 +45,8 @@ image = image_presentation
 
 def _per_object(fn):
     """Keep ``fn(obj)`` in ``obj.__dict__``, which equality and hashing of
-    the frozen dataclasses do not see; an UNDECIDED verdict is not kept."""
+    the frozen dataclasses do not see, under the wrapper's ``key``; an
+    UNDECIDED verdict is not kept."""
     key = f"{fn.__module__}.{fn.__name__}"
 
     def once(obj):
@@ -60,6 +61,7 @@ def _per_object(fn):
     # not functools.wraps: ``__wrapped__`` marks the bindings that the
     # benchmark tracer has wrapped
     once.__name__, once.__qualname__, once.__doc__ = fn.__name__, fn.__qualname__, fn.__doc__
+    once.key = key
     return once
 
 
@@ -199,9 +201,24 @@ def scc_subshift(x: Presentation, comp: list[int]) -> Presentation:
 @_per_object
 def cycle_components(x: Presentation) -> tuple[tuple[tuple[int, ...], Presentation], ...]:
     """(component, subshift) for each SCC of the essential graph that
-    carries an internal edge."""
-    comps = _cycle_sccs(x.n_live(), lambda i: x.live_trans[i].values())
-    return tuple((tuple(comp), scc_subshift(x, comp)) for comp in comps)
+    carries an internal edge.
+
+    Each subshift's ``shift_period`` is kept from its component: an
+    irreducible right-resolving presentation minimizes to the unique
+    follower-separated one (Lind & Marcus, Section 3.3), so minimizing the
+    component as a partial DFA, all states accepting, gives the graph whose
+    period ``shift_period`` would find on the subshift's own presentation.
+    """
+    out = []
+    for comp in _cycle_sccs(x.n_live(), lambda i: x.live_trans[i].values()):
+        sub = scc_subshift(x, comp)
+        idx = {q: i for i, q in enumerate(comp)}
+        trans = [{a: idx[p] for a, p in x.live_trans[q].items() if p in idx} for q in comp]
+        m = au.minimize(au.make_dfa(x.alphabet, trans, 0, range(len(comp))))
+        period = au.graph_period(range(m.n), lambda q: [p for _, p in m.trans[q]])
+        vars(sub)[shift_period.key] = period
+        out.append((tuple(comp), sub))
+    return tuple(out)
 
 
 def inclusion_maximal(shifts) -> tuple[Presentation, ...]:
@@ -229,18 +246,14 @@ def shift_period(x: Presentation) -> int | None:
     transitive.
 
     ``x`` is transitive exactly when one of its SCC subshifts is ``x``
-    itself, since that one is then a constituent.
+    itself, since that one is then a constituent; its period is kept by
+    ``cycle_components``.
     """
     if x.is_empty():
         return 0
-    for comp, sub in cycle_components(x):
+    for _, sub in cycle_components(x):
         if sub.language_equal(x):
-            # the component as a partial DFA, all states accepting; minimizing
-            # merges its follower-equivalent states
-            idx = {q: i for i, q in enumerate(comp)}
-            trans = [{a: idx[p] for a, p in x.live_trans[q].items() if p in idx} for q in comp]
-            m = au.minimize(au.make_dfa(x.alphabet, trans, 0, range(len(comp))))
-            return au.graph_period(range(m.n), lambda q: [p for _, p in m.trans[q]])
+            return shift_period(sub)
     return None
 
 
@@ -588,16 +601,8 @@ def _diag_tail_states(rel: Presentation):
             diag_pred[j].add(i)
 
     def closure_on_cycles(succ):
-        seeds = {q for comp in _cycle_sccs(n, lambda i: succ[i]) for q in comp}
-        out = set(seeds)
-        queue = list(seeds)
-        while queue:
-            q = queue.pop()
-            for p in succ[q]:
-                if p not in out:
-                    out.add(p)
-                    queue.append(p)
-        return out
+        return au.closure((q for comp in _cycle_sccs(n, succ.__getitem__) for q in comp),
+                          succ.__getitem__)
 
     backward = closure_on_cycles(diag_succ)  # reachable from a diagonal cycle
     forward = closure_on_cycles(diag_pred)  # reaches a diagonal cycle
@@ -614,26 +619,12 @@ def is_preinjective(f: BlockMap) -> v.Verdict:
     rel = f.kernel
     n = rel.n_live()
     backward, forward = _diag_tail_states(rel)
-    reach = set(backward)
-    queue = list(backward)
-    while queue:
-        q = queue.pop()
-        for t, p in rel.live_trans[q].items():
-            if p not in reach:
-                reach.add(p)
-                queue.append(p)
-    coreach = set(forward)
-    pred = [set() for _ in range(n)]
+    reach = au.closure(backward, lambda q: rel.live_trans[q].values())
+    pred: list[list[int]] = [[] for _ in range(n)]
     for i in range(n):
-        for t, j in rel.live_trans[i].items():
-            pred[j].add(i)
-    queue = list(forward)
-    while queue:
-        q = queue.pop()
-        for p in pred[q]:
-            if p not in coreach:
-                coreach.add(p)
-                queue.append(p)
+        for j in rel.live_trans[i].values():
+            pred[j].append(i)
+    coreach = au.closure(forward, pred.__getitem__)
     for i in range(n):
         if i in reach:
             for t, j in rel.live_trans[i].items():

@@ -9,6 +9,9 @@ are not factorial.
 
 States are consecutive integers.  Symbols are opaque string tokens; words
 are tuples of tokens.
+
+Every construction numbers its states through one breadth-first explorer,
+``explore``, and every reachability question is one ``closure``.
 """
 
 from __future__ import annotations
@@ -81,67 +84,62 @@ class Nfa:
                     yield q, sym, p
 
 
+def explore(start, successors, what: str | None):
+    """Number the states reachable from ``start`` in breadth-first order.
+
+    ``successors(state)`` yields ``(symbol, state)`` pairs.  Returns
+    ``(states, trans)`` with ``states[0] == start`` and ``trans[i]`` mapping
+    each symbol to the number of its successor.  Each new state counts
+    against the work budget under ``what``; ``None`` is for renumberings
+    that cannot outgrow an automaton already counted.
+    """
+    index = {start: 0}
+    states = [start]
+    trans: list[dict] = []
+    for state in states:
+        row = {}
+        for sym, nxt in successors(state):
+            i = index.get(nxt)
+            if i is None:
+                i = index[nxt] = len(states)
+                states.append(nxt)
+                if what is not None:
+                    check_budget(len(states), what)
+            row[sym] = i
+        trans.append(row)
+    return states, trans
+
+
+def closure(seeds, succ) -> set:
+    """The states reachable from ``seeds`` (included) along ``succ``."""
+    out = set(seeds)
+    stack = list(out)
+    while stack:
+        for p in succ(stack.pop()):
+            if p not in out:
+                out.add(p)
+                stack.append(p)
+    return out
+
+
 def determinize(nfa: Nfa) -> Dfa:
     """Subset construction; drops the empty subset (partial-DFA convention)."""
-    start = frozenset(nfa.initial)
-    index = {start: 0}
-    trans_dicts: list[dict[str, int]] = [{}]
-    acc = set()
-    if start & nfa.accepting:
-        acc.add(0)
-    queue = deque([start])
-    while queue:
-        subset = queue.popleft()
-        qi = index[subset]
+    trans = nfa.trans
+
+    def successors(subset):
         succs: dict[str, set[int]] = {}
         for q in subset:
-            for sym, dsts in nfa.trans[q].items():
-                succs.setdefault(sym, set()).update(dsts)
-        for sym, dsts in succs.items():
-            tgt = frozenset(dsts)
-            if not tgt:
-                continue
-            if tgt not in index:
-                index[tgt] = len(trans_dicts)
-                trans_dicts.append({})
-                check_budget(len(trans_dicts), "determinization")
-                if tgt & nfa.accepting:
-                    acc.add(index[tgt])
-                queue.append(tgt)
-            trans_dicts[qi][sym] = index[tgt]
-    return make_dfa(nfa.alphabet, trans_dicts, 0, acc)
+            for sym, dsts in trans[q].items():
+                merged = succs.get(sym)
+                if merged is None:
+                    succs[sym] = set(dsts)
+                else:
+                    merged |= dsts
+        return zip(succs, map(frozenset, succs.values()))
 
-
-def _reachable(dfa: Dfa) -> list[int]:
-    seen = [False] * dfa.n
-    seen[dfa.init] = True
-    order = [dfa.init]
-    queue = deque([dfa.init])
-    while queue:
-        q = queue.popleft()
-        for _, p in dfa.trans[q]:
-            if not seen[p]:
-                seen[p] = True
-                order.append(p)
-                queue.append(p)
-    return order
-
-
-def _live(dfa: Dfa) -> set[int]:
-    """States from which some accepting state is reachable."""
-    rev: list[list[int]] = [[] for _ in range(dfa.n)]
-    for q in range(dfa.n):
-        for _, p in dfa.trans[q]:
-            rev[p].append(q)
-    live = set(dfa.accepting)
-    queue = deque(live)
-    while queue:
-        q = queue.popleft()
-        for p in rev[q]:
-            if p not in live:
-                live.add(p)
-                queue.append(p)
-    return live
+    subsets, rows = explore(frozenset(nfa.initial), successors, "determinization")
+    acc = [i for i, s in enumerate(subsets) if not s.isdisjoint(nfa.accepting)]
+    return make_dfa(nfa.alphabet, rows, 0, acc)
 
 
 def minimize(dfa: Dfa) -> Dfa:
@@ -151,62 +149,43 @@ def minimize(dfa: Dfa) -> Dfa:
     language-equal inputs minimize to structurally identical automata.
     Returns a one-state non-accepting DFA if the language is empty.
     """
-    reach = _reachable(dfa)
-    live = _live(dfa)
-    keep = [q for q in reach if q in live]
-    if not keep:
+    pred: list[list[int]] = [[] for _ in range(dfa.n)]
+    for q, row in enumerate(dfa.trans):
+        for _, p in row:
+            pred[p].append(q)
+    live = closure(dfa.accepting, pred.__getitem__)
+    if dfa.init not in live:
         return make_dfa(dfa.alphabet, [{}], 0, [])
-    remap = {q: i for i, q in enumerate(keep)}
-    trans = []
-    for q in keep:
-        trans.append({a: remap[p] for a, p in dfa.trans[q] if p in live})
-    acc = {remap[q] for q in keep if q in dfa.accepting}
+    # a state on a path from init to a live state is live itself
+    keep = list(closure([dfa.init], lambda q: [p for _, p in dfa.trans[q] if p in live]))
     n = len(keep)
-
-    # class 0 is reserved for the sink
-    cls = [1 if q in acc else 2 for q in range(n)]
+    remap = {q: i for i, q in enumerate(keep)}
     syms = sorted(set(dfa.alphabet))
+    # successors in symbol order; index n is the virtual sink, alone in class 0
+    nxt = []
+    for q in keep:
+        row = dict(dfa.trans[q])
+        nxt.append([remap.get(row.get(a), n) for a in syms])
+    cls = [1 if q in dfa.accepting else 2 for q in keep] + [0]
+    count = len(set(cls))
     while True:
-        sigs = {}
-        new_cls = [0] * n
-        for q in range(n):
-            sig = (cls[q], tuple(cls[trans[q][a]] if a in trans[q] else 0 for a in syms))
-            if sig not in sigs:
-                sigs[sig] = len(sigs) + 1
-            new_cls[q] = sigs[sig]
-        if len(set(new_cls)) == len(set(cls)):
-            cls = new_cls
+        sigs: dict[tuple, int] = {}
+        cls = [sigs.setdefault((cls[q], *map(cls.__getitem__, nxt[q])), len(sigs) + 1)
+               for q in range(n)] + [0]
+        if len(sigs) + 1 == count:
             break
-        cls = new_cls
+        count = len(sigs) + 1
 
     reps: dict[int, int] = {}
     for q in range(n):
         reps.setdefault(cls[q], q)
-    # BFS renumbering from the initial state's class
-    init_c = cls[remap[dfa.init]] if dfa.init in remap else cls[0]
-    order = [init_c]
-    seen = {init_c}
-    queue = deque([init_c])
-    while queue:
-        c = queue.popleft()
-        q = reps[c]
-        for a in syms:
-            if a in trans[q]:
-                c2 = cls[trans[q][a]]
-                if c2 not in seen:
-                    seen.add(c2)
-                    order.append(c2)
-                    queue.append(c2)
-    pos = {c: i for i, c in enumerate(order)}
-    out = [{} for _ in order]
-    out_acc = set()
-    for c in order:
-        q = reps[c]
-        if q in acc:
-            out_acc.add(pos[c])
-        for a, p in trans[q].items():
-            out[pos[c]][a] = pos[cls[p]]
-    return make_dfa(dfa.alphabet, out, pos[init_c], out_acc)
+
+    def successors(c):
+        return [(a, cls[p]) for a, p in zip(syms, nxt[reps[c]]) if p != n]
+
+    order, rows = explore(cls[remap[dfa.init]], successors, None)
+    acc = [i for i, c in enumerate(order) if keep[reps[c]] in dfa.accepting]
+    return make_dfa(dfa.alphabet, rows, 0, acc)
 
 
 def determinize_minimize(nfa: Nfa) -> Dfa:
@@ -214,55 +193,35 @@ def determinize_minimize(nfa: Nfa) -> Dfa:
 
 
 def is_empty_language(dfa: Dfa) -> bool:
-    return not dfa.accepting or not (_live(dfa) & set(_reachable(dfa)))
+    return dfa.accepting.isdisjoint(closure([dfa.init], lambda q: [p for _, p in dfa.trans[q]]))
 
 
 def product_dfa(a: Dfa, b: Dfa) -> Dfa:
     """The difference automaton: it accepts L(a) \\ L(b).
 
-    States are pairs, with ``-1`` for a ``b`` component that has left its
-    partial automaton.  A pair whose ``a`` component has left accepts
-    nothing, so it is not explored.
+    States are reachable pairs, with ``-1`` for a ``b`` component that has
+    left its partial automaton.  A pair whose ``a`` component has left
+    accepts nothing, so it is not explored.
     """
     if set(a.alphabet) != set(b.alphabet):
         raise ValidationError("alphabet mismatch in product")
     DEAD = -1
-    start = (a.init, b.init)
-    index = {start: 0}
-    trans_dicts: list[dict[str, int]] = [{}]
-    acc = set()
+    b_rows = [dict(row) for row in b.trans]
+    no_row: dict[str, int] = {}
 
-    def is_acc(pair):
+    def successors(pair):
         x, y = pair
-        return x in a.accepting and y not in b.accepting
+        row = b_rows[y] if y != DEAD else no_row
+        return [(sym, (nx, row.get(sym, DEAD))) for sym, nx in a.trans[x]]
 
-    if is_acc(start):
-        acc.add(0)
-    queue = deque([start])
-    while queue:
-        pair = queue.popleft()
-        qi = index[pair]
-        x, y = pair
-        for sym in a.alphabet:
-            nx = a.step(x, sym)
-            if nx is None:
-                continue
-            ny = b.step(y, sym) if y != DEAD else None
-            tgt = (nx, DEAD if ny is None else ny)
-            if tgt not in index:
-                index[tgt] = len(trans_dicts)
-                trans_dicts.append({})
-                check_budget(len(trans_dicts), "product automaton")
-                if is_acc(tgt):
-                    acc.add(index[tgt])
-                queue.append(tgt)
-            trans_dicts[qi][sym] = index[tgt]
-    return make_dfa(a.alphabet, trans_dicts, 0, acc)
+    pairs, rows = explore((a.init, b.init), successors, "product automaton")
+    acc = [i for i, (x, y) in enumerate(pairs) if x in a.accepting and y not in b.accepting]
+    return make_dfa(a.alphabet, rows, 0, acc)
 
 
 def included(a: Dfa, b: Dfa) -> bool:
     """L(a) subseteq L(b)."""
-    return is_empty_language(product_dfa(a, b))
+    return not product_dfa(a, b).accepting
 
 
 def separating_word(a: Dfa, b: Dfa) -> Word | None:
@@ -431,28 +390,14 @@ def monoid_from_functions(alphabet, n_states, sym_functions) -> FiniteMonoid:
     Functions are tuples ``f`` with ``f[q]`` the image of ``q``; composition
     of the actions of words proceeds left to right.
     """
-    ident = tuple(range(n_states))
-    elems: dict[tuple, int] = {ident: 0}
-    order = [ident]
-    gens = []
-    queue = deque()
-    for a in alphabet:
-        f = sym_functions[a]
-        if f not in elems:
-            elems[f] = len(order)
-            order.append(f)
-            queue.append(f)
-        gens.append((a, elems[f]))
-    while queue:
-        f = queue.popleft()
-        for a in alphabet:
-            g = sym_functions[a]
-            h = tuple(g[f[q]] for q in range(n_states))
-            if h not in elems:
-                check_budget(len(order) + 1, "transition monoid")
-                elems[h] = len(order)
-                order.append(h)
-                queue.append(h)
+    fns = [sym_functions[a] for a in alphabet]
+
+    def successors(f):
+        return [(a, tuple(g[x] for x in f)) for a, g in zip(alphabet, fns)]
+
+    order, rows = explore(tuple(range(n_states)), successors, "transition monoid")
+    elems = {f: i for i, f in enumerate(order)}
+    gens = [(a, rows[0][a]) for a in alphabet]
     size = len(order)
     table = []
     for f in order:

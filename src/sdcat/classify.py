@@ -187,26 +187,13 @@ class _StrongConditionEngine:
             return a
         return tuple(block_symbol(p.segment(j - r, j + r + 1)) for j in range(len(a)))
 
-    def _step_pre(self, states: frozenset, sym: str) -> frozenset:
-        nxt = set()
-        for q in states:
-            for t in self.pre_syms.get(sym, ()):
-                q2 = self.xb.estep(q, t)
-                if q2 is not None:
-                    nxt.add(q2)
-        return frozenset(nxt)
-
-    def _block_closure(self, seed: frozenset, word: Word) -> frozenset:
-        """Closure of ``seed`` under whole-word preimage steps."""
-        cur = frozenset(seed)
-        while True:
-            step = cur
-            for sym in word:
-                step = self._step_pre(step, sym)
-            new = cur | step
-            if new == cur:
-                return cur
-            cur = new
+    def _read_pre(self, q: int, word: Word) -> set:
+        """States reached from ``q`` along preimage paths of ``word``."""
+        states = {q}
+        for sym in word:
+            rows = [self.xb.live_trans[q1] for q1 in states]
+            states = {row[t] for row in rows for t in self.pre_syms.get(sym, ()) if t in row}
+        return states
 
     def good_nfa(self, u: Word, a: Word, vv: Word, b: Word) -> Nfa:
         ab = self.block_word(a)
@@ -214,23 +201,15 @@ class _StrongConditionEngine:
         ei = frozenset(
             q for q in au.eventual_image(self.xb.word_action(ab)) if q != au.UNDEF
         )
-        s0 = self._block_closure(ei, u)
+        s0 = au.closure(ei, lambda q: self._read_pre(q, u))
         fwd = au.forever_defined(self.xb.word_action(bb))
-        acc = set(fwd)
-        while True:
-            grew = False
-            for q in range(self.xb.n_live()):
-                if q in acc:
-                    continue
-                step = frozenset([q])
-                for sym in vv:
-                    step = self._step_pre(step, sym)
-                if step & acc:
-                    acc.add(q)
-                    grew = True
-            if not grew:
-                break
         n = self.xb.n_live()
+        # acc: the states with a preimage path of vv into acc, grown from fwd
+        back: list[list[int]] = [[] for _ in range(n)]
+        for q in range(n):
+            for p in self._read_pre(q, vv):
+                back[p].append(q)
+        acc = au.closure(fwd, back.__getitem__)
         edges = []
         for q in range(n):
             for t, q2 in self.xb.live_trans[q].items():
@@ -365,11 +344,22 @@ def strong_condition(f: BlockMap, p: int) -> StrongConditionReport:
 # Section and retraction searches
 
 
-def _csp_solutions(variables, domains, pair_ok, limit):
-    """DFS over assignments; ``pair_ok(i, vi, j, vj)`` constrains assigned
-    pairs and checks both orientations.  Yields complete assignments as
-    dicts."""
-    order = sorted(range(len(variables)), key=lambda i: len(domains[i]))
+def _csp_solutions(domains, follows, allowed, limit):
+    """DFS over assignments to the variables ``range(len(domains))``,
+    smallest domain first.  The values of a pair ``(i, j)`` in ``follows``,
+    ``i != j``, must form a pair in ``allowed``; each new value is checked
+    against its assigned neighbours only.  Yields at most ``limit``
+    complete assignments, as dicts."""
+    order = sorted(range(len(domains)), key=lambda i: len(domains[i]))
+    depth = {i: k for k, i in enumerate(order)}
+    # (earlier successors, earlier predecessors) of the variable at each depth
+    outs: list[list[int]] = [[] for _ in order]
+    ins: list[list[int]] = [[] for _ in order]
+    for i, j in set(follows):
+        if depth[j] < depth[i]:
+            outs[depth[i]].append(j)
+        elif depth[i] < depth[j]:
+            ins[depth[j]].append(i)
     assign: dict[int, object] = {}
     produced = 0
 
@@ -383,7 +373,9 @@ def _csp_solutions(variables, domains, pair_ok, limit):
             return
         i = order[k]
         for val in domains[i]:
-            if all(pair_ok(i, val, j, w) for j, w in assign.items()):
+            if all((val, assign[j]) in allowed for j in outs[k]) and all(
+                (assign[j], val) in allowed for j in ins[k]
+            ):
                 assign[i] = val
                 yield from rec(k + 1)
                 del assign[i]
@@ -421,17 +413,7 @@ def find_section(f: BlockMap, radius_cap: int = DEFAULT_RADIUS_CAP, pointed: boo
             a, b = w[:-1], w[1:]
             if a in wpos and b in wpos:
                 follows.append((wpos[a], wpos[b]))
-        follow_set = set(follows)
-
-        def pair_ok(i, vi, j, vj):
-            ok = True
-            if (i, j) in follow_set and (vi, vj) not in b2:
-                ok = False
-            if (j, i) in follow_set and (vj, vi) not in b2:
-                ok = False
-            return ok
-
-        for sol in _csp_solutions(windows, domains, pair_ok, SEARCH_LIMIT):
+        for sol in _csp_solutions(domains, follows, b2, SEARCH_LIMIT):
             rule = {windows[i]: t for i, t in sol.items()}
             try:
                 gb = make_block_map(y, xb, rho, rule)
@@ -493,19 +475,8 @@ def find_retraction(f: BlockMap, radius_cap: int = DEFAULT_RADIUS_CAP, pointed: 
             ]
             domains.append(tuple(dom))
         wpos = {w: i for i, w in enumerate(free)}
-        adj = set()
-        for a, b in follows:
-            if a in wpos and b in wpos:
-                adj.add((wpos[a], wpos[b]))
-
-        def pair_ok(i, vi, j, vj):
-            if (i, j) in adj and (vi, vj) not in b2x:
-                return False
-            if (j, i) in adj and (vj, vi) not in b2x:
-                return False
-            return True
-
-        for sol in _csp_solutions(free, domains, pair_ok, SEARCH_LIMIT):
+        adj = [(wpos[a], wpos[b]) for a, b in follows if a in wpos and b in wpos]
+        for sol in _csp_solutions(domains, adj, b2x, SEARCH_LIMIT):
             rule = dict(forced)
             for i, t in sol.items():
                 rule[free[i]] = t

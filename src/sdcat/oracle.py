@@ -95,7 +95,7 @@ def brute_injective_on_periodic(f: BlockMap, period_bound: int = 16) -> bool:
     _require_binary_full(f)
     for p in range(1, period_bound + 1):
         imgs = _binary_images_of_period(f, p)
-        if len(np.unique(imgs)) != len(imgs):
+        if np.bincount(imgs).max() > 1:
             return False
     return True
 
@@ -103,11 +103,13 @@ def brute_injective_on_periodic(f: BlockMap, period_bound: int = 16) -> bool:
 def _binary_image_words(f: BlockMap, length: int) -> np.ndarray:
     import numpy as np
 
-    table = _binary_rule_table(f)
     r = f.radius
     w = f.width()
     total = length + 2 * r
-    us = np.arange(2**total, dtype=np.int64)
+    # int32 words halve the memory traffic of every shift below
+    dtype = np.int32 if total < 32 else np.int64
+    table = _binary_rule_table(f).astype(dtype)
+    us = np.arange(2**total, dtype=dtype)
     mask = (1 << w) - 1
     idx = (us >> (total - w)) & mask
     out = table[idx].copy()
@@ -131,11 +133,10 @@ def brute_surjective(f: BlockMap, length: int | None = None) -> bool:
         cover = max(1, len(src.words(2 * f.radius))) if f.radius else src.n_live()
         length = 2 ** min(cover, 4) + tgt.dfa.n + 1
     if binary and set(tgt.alphabet) == {"0", "1"}:
-        imgs = set(np.unique(_binary_image_words(f, length)).tolist())
+        hit = np.bincount(_binary_image_words(f, length), minlength=2**length) > 0
         if tgt.dfa.n == 1 and tgt.count_words(1) == 2:
-            return len(imgs) == 2**length
-        want = {int("".join(w), 2) for w in tgt.words(length)}
-        return want <= imgs
+            return bool(hit.all())
+        return all(hit[int("".join(w), 2)] for w in tgt.words(length))
     seen = set()
     r = f.radius
     for w in src.words(length + 2 * r):

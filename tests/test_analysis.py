@@ -335,6 +335,23 @@ class TestFactsDecidedOnce:
         assert x == y and hash(x) == hash(y)
         assert f == g and hash(f) == hash(g)
 
+    def test_mixing_of_kernel_constituents_builds_no_components(self, xor3, monkeypatch):
+        from sdcat.core import full_shift
+
+        # a fresh map, so no kernel fact is kept from another test
+        full = full_shift(("0", "1"))
+        f = make_block_map(full, full, xor3.radius, xor3.rule_dict)
+        built = []
+        real = an.scc_subshift
+        monkeypatch.setattr(an, "scc_subshift", lambda x, comp: built.append(comp) or real(x, comp))
+        consts = an.constituents(f.kernel)
+        assert built
+        before = len(built)
+        assert sorted(an.is_mixing(c) for c in consts) == [False, True]
+        for _, s in an.cycle_components(f.kernel):
+            an.is_mixing(s)
+        assert len(built) == before
+
     def test_undecided_sft_answer_is_not_kept(self):
         from sdcat.core import golden_mean
         from sdcat.errors import set_budget

@@ -5,9 +5,13 @@ against definition-level recomputation: language stability, mirror
 involution, periodic membership, product/union identities, the
 essential-state trim, the fiber product of block maps, structural language
 equality, the shift period, and transitivity, mixing and constituents.
+The constructions built on ``automata.explore`` and ``automata.closure``, and
+the section search's constraint solver, are checked against the loops they
+replaced.
 """
 
 import math
+from collections import deque
 
 from hypothesis import example, given, settings, strategies as st
 
@@ -335,6 +339,17 @@ class TestShiftPeriod:
             comp = next(comp for comp, s in an.cycle_components(c) if s.language_equal(c))
             assert an.shift_period(c) == _moore_period(c, comp)
 
+    @given(random_graphs())
+    @settings(max_examples=150, deadline=None)
+    def test_kept_period_matches_a_fresh_copy(self, graph):
+        x = presentation_from_edges(("0", "1"), *graph)
+        for _, sub in an.cycle_components(x):
+            kept = vars(sub)[an.shift_period.key]
+            fresh = _graph_form(sub, sub.alphabet)
+            comps, _ = _reference_components(fresh)
+            comp = next(c for c in comps if an.scc_subshift(fresh, c).language_equal(fresh))
+            assert kept == _moore_period(fresh, comp)
+
     def test_orbit_of_three_has_period_three(self):
         x = make_presentation(("0", "1"), "graph", ([0, 1, 2], [(0, 1, "0"), (1, 2, "0"), (2, 0, "1")]))
         assert an.shift_period(x) == 3
@@ -378,3 +393,278 @@ class TestComponents:
         assert list(an.constituents(x)) == consts
         assert an.is_transitive(x) == transitive
         assert an.is_mixing(x) == mixing
+
+
+# ---------------------------------------------------------------------------
+# One explorer, one closure: the constructions against their former loops
+
+
+def _old_determinize(nfa):
+    """Reference: the subset construction as its own breadth-first loop."""
+    start = frozenset(nfa.initial)
+    index = {start: 0}
+    trans_dicts = [{}]
+    acc = {0} if start & nfa.accepting else set()
+    queue = deque([start])
+    while queue:
+        subset = queue.popleft()
+        qi = index[subset]
+        succs = {}
+        for q in subset:
+            for sym, dsts in nfa.trans[q].items():
+                succs.setdefault(sym, set()).update(dsts)
+        for sym, dsts in succs.items():
+            tgt = frozenset(dsts)
+            if tgt not in index:
+                index[tgt] = len(trans_dicts)
+                trans_dicts.append({})
+                if tgt & nfa.accepting:
+                    acc.add(index[tgt])
+                queue.append(tgt)
+            trans_dicts[qi][sym] = index[tgt]
+    return au.make_dfa(nfa.alphabet, trans_dicts, 0, acc)
+
+
+def _old_minimize(dfa):
+    """Reference: forward and backward trims, Moore refinement, then a
+    breadth-first renumbering of the classes, each its own loop."""
+    reach, queue = [dfa.init], deque([dfa.init])
+    while queue:
+        for _, p in dfa.trans[queue.popleft()]:
+            if p not in reach:
+                reach.append(p)
+                queue.append(p)
+    rev = [[] for _ in range(dfa.n)]
+    for q in range(dfa.n):
+        for _, p in dfa.trans[q]:
+            rev[p].append(q)
+    live, queue = set(dfa.accepting), deque(dfa.accepting)
+    while queue:
+        for p in rev[queue.popleft()]:
+            if p not in live:
+                live.add(p)
+                queue.append(p)
+    keep = [q for q in reach if q in live]
+    if not keep:
+        return au.make_dfa(dfa.alphabet, [{}], 0, [])
+    remap = {q: i for i, q in enumerate(keep)}
+    trans = [{a: remap[p] for a, p in dfa.trans[q] if p in live} for q in keep]
+    acc = {remap[q] for q in keep if q in dfa.accepting}
+    n = len(keep)
+    cls = [1 if q in acc else 2 for q in range(n)]
+    syms = sorted(set(dfa.alphabet))
+    while True:
+        sigs = {}
+        new_cls = [sigs.setdefault(
+            (cls[q], tuple(cls[trans[q][a]] if a in trans[q] else 0 for a in syms)), len(sigs) + 1
+        ) for q in range(n)]
+        done = len(set(new_cls)) == len(set(cls))
+        cls = new_cls
+        if done:
+            break
+    reps = {}
+    for q in range(n):
+        reps.setdefault(cls[q], q)
+    init_c = cls[remap[dfa.init]]
+    order, queue = [init_c], deque([init_c])
+    while queue:
+        q = reps[queue.popleft()]
+        for a in syms:
+            if a in trans[q] and cls[trans[q][a]] not in order:
+                order.append(cls[trans[q][a]])
+                queue.append(cls[trans[q][a]])
+    pos = {c: i for i, c in enumerate(order)}
+    out = [{a: pos[cls[p]] for a, p in trans[reps[c]].items()} for c in order]
+    return au.make_dfa(dfa.alphabet, out, 0, {pos[c] for c in order if reps[c] in acc})
+
+
+def _old_product(a, b):
+    """Reference: the difference product stepping both automata by
+    ``Dfa.step`` over ``a``'s alphabet."""
+    start = (a.init, b.init)
+    index = {start: 0}
+    trans_dicts = [{}]
+    pairs = [start]
+    queue = deque([start])
+    while queue:
+        pair = queue.popleft()
+        x, y = pair
+        for sym in a.alphabet:
+            nx = a.step(x, sym)
+            if nx is None:
+                continue
+            ny = b.step(y, sym) if y != -1 else None
+            tgt = (nx, -1 if ny is None else ny)
+            if tgt not in index:
+                index[tgt] = len(trans_dicts)
+                trans_dicts.append({})
+                pairs.append(tgt)
+                queue.append(tgt)
+            trans_dicts[index[pair]][sym] = index[tgt]
+    acc = {i for i, (x, y) in enumerate(pairs) if x in a.accepting and y not in b.accepting}
+    return au.make_dfa(a.alphabet, trans_dicts, 0, acc)
+
+
+def _old_monoid(alphabet, n_states, sym_functions):
+    """Reference: generators first, then a breadth-first loop over products."""
+    ident = tuple(range(n_states))
+    elems, order, gens, queue = {ident: 0}, [ident], [], deque()
+    for a in alphabet:
+        f = sym_functions[a]
+        if f not in elems:
+            elems[f] = len(order)
+            order.append(f)
+            queue.append(f)
+        gens.append((a, elems[f]))
+    while queue:
+        f = queue.popleft()
+        for a in alphabet:
+            h = tuple(sym_functions[a][f[q]] for q in range(n_states))
+            if h not in elems:
+                elems[h] = len(order)
+                order.append(h)
+                queue.append(h)
+    table = tuple(tuple(elems[tuple(g[f[q]] for q in range(n_states))] for g in order)
+                  for f in order)
+    size = len(order)
+    zero = next((i for i in range(size)
+                 if all(table[i][j] == i and table[j][i] == i for j in range(size))), None)
+    return au.FiniteMonoid(size, table, 0, tuple(gens), zero)
+
+
+def _naive_closure(seeds, succ, n):
+    """Reference: add successors until a sweep over all states adds none."""
+    out = set(seeds)
+    changed = True
+    while changed:
+        changed = False
+        for q in range(n):
+            if q in out and not set(succ(q)) <= out:
+                out |= set(succ(q))
+                changed = True
+    return out
+
+
+@st.composite
+def random_nfas(draw):
+    """NFAs on up to four states, the stateless one included, with
+    arbitrary initial and accepting sets."""
+    n = draw(st.integers(min_value=0, max_value=4))
+    states = st.sets(st.integers(min_value=0, max_value=n - 1)) if n else st.just(set())
+    edges = [(q, sym, p) for q in range(n) for sym in "01" for p in draw(states)]
+    return Nfa(("0", "1"), n, edges, draw(states), draw(states))
+
+
+@st.composite
+def random_dfas(draw, alphabet=("0", "1")):
+    """Partial DFAs on one to four states, empty languages included."""
+    n = draw(st.integers(min_value=1, max_value=4))
+    state = st.integers(min_value=0, max_value=n - 1)
+    rows = []
+    for _ in range(n):
+        targets = [draw(st.none() | state) for _ in alphabet]
+        rows.append({a: p for a, p in zip(alphabet, targets) if p is not None})
+    return au.make_dfa(alphabet, rows, draw(state), draw(st.sets(state)))
+
+
+class TestExploreAndClosure:
+    @given(random_nfas())
+    @example(Nfa(("0", "1"), 0, [], [], []))
+    @example(Nfa(("0", "1"), 1, [(0, "0", 0)], [0], [0]))
+    @settings(max_examples=200, deadline=None)
+    def test_determinize_matches_the_subset_loop(self, nfa):
+        got, ref = au.determinize(nfa), _old_determinize(nfa)
+        assert got.n == ref.n
+        assert got == ref  # the same numbering, so the same language
+
+    @given(random_dfas() | random_nfas().map(au.determinize))
+    @settings(max_examples=300, deadline=None)
+    def test_minimize_is_structurally_the_old_minimize(self, dfa):
+        assert au.minimize(dfa) == _old_minimize(dfa)
+
+    @given(random_dfas(), st.sampled_from([("0", "1"), ("1", "0")]).flatmap(random_dfas))
+    @settings(max_examples=300, deadline=None)
+    def test_product_matches_the_stepping_loop(self, a, b):
+        got, ref = au.product_dfa(a, b), _old_product(a, b)
+        assert got.n == ref.n
+        assert au.shortest_accepted(got) == au.shortest_accepted(ref)
+        assert au.included(a, b) == au.is_empty_language(ref)
+
+    @given(st.integers(min_value=1, max_value=3).flatmap(lambda n: st.lists(
+        st.lists(st.integers(min_value=0, max_value=n - 1), min_size=n, max_size=n).map(tuple),
+        min_size=1, max_size=3)))
+    @example([(0,)])
+    @settings(max_examples=150, deadline=None)
+    def test_monoid_matches_the_generator_loop(self, fns):
+        alphabet = [str(i) for i in range(len(fns))]
+        sym_functions = dict(zip(alphabet, fns))
+        got = au.monoid_from_functions(alphabet, len(fns[0]), sym_functions)
+        assert got == _old_monoid(alphabet, len(fns[0]), sym_functions)
+
+    @given(plain_graphs(), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_closure_is_the_naive_fixpoint(self, graph, data):
+        n, edges = graph
+        succs = [[p for q2, p in edges if q2 == q] for q in range(n)]
+        seeds = data.draw(st.sets(st.integers(min_value=0, max_value=n - 1)) if n else st.just(set()))
+        assert au.closure(seeds, succs.__getitem__) == _naive_closure(seeds, succs.__getitem__, n)
+
+
+def _old_csp_solutions(variables, domains, pair_ok, limit):
+    """Reference: each new value is tested against every assigned variable."""
+    order = sorted(range(len(variables)), key=lambda i: len(domains[i]))
+    assign = {}
+    produced = 0
+
+    def rec(k):
+        nonlocal produced
+        if produced >= limit:
+            return
+        if k == len(order):
+            produced += 1
+            yield dict(assign)
+            return
+        i = order[k]
+        for val in domains[i]:
+            if all(pair_ok(i, val, j, w) for j, w in assign.items()):
+                assign[i] = val
+                yield from rec(k + 1)
+                del assign[i]
+                if produced >= limit:
+                    return
+
+    yield from rec(0)
+
+
+@st.composite
+def csp_instances(draw):
+    """Domains over three values, follow graphs with self-loops and
+    2-cycles, an allowed-pair relation and a solution limit."""
+    n = draw(st.integers(min_value=0, max_value=5))
+    var = st.integers(min_value=0, max_value=max(0, n - 1))
+    val = st.sampled_from("abc")
+    domains = [tuple(draw(st.lists(val, max_size=3, unique=True))) for _ in range(n)]
+    follows = draw(st.lists(st.tuples(var, var), max_size=10)) if n else []
+    allowed = draw(st.sets(st.tuples(val, val)))
+    return domains, follows, allowed, draw(st.integers(min_value=1, max_value=20))
+
+
+class TestCspSolutions:
+    @given(csp_instances())
+    @example(([("a", "b"), ("a", "b")], [(0, 0), (0, 1), (1, 0)], {("a", "b"), ("b", "a")}, 5))
+    @settings(max_examples=300, deadline=None)
+    def test_neighbour_checks_match_the_all_pairs_search(self, instance):
+        from sdcat.classify import _csp_solutions
+
+        domains, follows, allowed, limit = instance
+        follow_set = set(follows)
+
+        def pair_ok(i, vi, j, vj):
+            if (i, j) in follow_set and (vi, vj) not in allowed:
+                return False
+            return (j, i) not in follow_set or (vj, vi) in allowed
+
+        got = _csp_solutions(domains, follows, allowed, limit)
+        ref = _old_csp_solutions(domains, domains, pair_ok, limit)
+        # items, not dicts: the assignment order is part of the answer
+        assert [list(sol.items()) for sol in got] == [list(sol.items()) for sol in ref]

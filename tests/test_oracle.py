@@ -76,3 +76,17 @@ class TestCensusSlice:
         # the reversible radius-1 binary rules: id, not, both shifts and
         # their negations
         assert injective_count == 6
+
+
+class TestBruteSurjectiveOnGolden:
+    """A binary map into the golden mean shift takes the path that looks up
+    each target word among the image words."""
+
+    def test_golden_target_agrees_with_the_engine(self, full2, golden):
+        windows = full2.words(3)
+        rising = make_block_map(full2, golden, 1, {w: str(int(w[:2] == ("0", "1"))) for w in windows})
+        const = make_block_map(full2, golden, 1, {w: "0" for w in windows})
+        assert orc.brute_surjective(rising)
+        assert not orc.brute_surjective(const)
+        for f in (rising, const):
+            assert cl.is_epic(f, K2).yes == orc.brute_surjective(f)
