@@ -1,13 +1,15 @@
 """Shift-level and map-level predicates.
 
 Images, kernel sets, equalizer sets, constituents, transitivity and
-mixing, period sets, SFT-ness (absolute and relative), the injectivity
-family, preinjectivity, and resolvingness.  Everything here is exact
-except where a verdict explicitly says otherwise.
+mixing, period sets, SFT-ness (absolute and relative), surjectivity, the
+injectivity family, preinjectivity, and resolvingness.  Everything here is
+exact except where a verdict explicitly says otherwise.
 
 Facts about one shift or one map are decided once per object and kept on
 it, as ``BlockMap.image`` is; an UNDECIDED verdict, which depends on the
-work budget, is not kept.
+work budget, is not kept.  Surjectivity is one such fact: every epic,
+bijectivity and cokernel test reads ``surjectivity(f)``, whose YES is
+structural equality of image and target and builds no product.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from .core import (
     split_pair,
     window_graph,
 )
-from .errors import BudgetExceeded, DomainMismatch, ValidationError, check_budget
+from .errors import BudgetExceeded, DomainMismatch, InternalError, ValidationError, check_budget
 
 image = image_presentation
 
@@ -542,7 +544,23 @@ def is_sft(x: Presentation) -> v.Verdict:
 
 
 # ---------------------------------------------------------------------------
-# Injectivity family, preinjectivity, resolvingness
+# Surjectivity, injectivity family, preinjectivity, resolvingness
+
+
+@_per_object
+def surjectivity(f: BlockMap) -> v.Verdict:
+    """Whether ``f`` is onto its target: epic in all twelve categories.
+
+    ``make_block_map`` checks that the image lies in the target, so YES is
+    structural equality of the two languages.  NO carries the shortlex-least
+    target word outside the image.
+    """
+    if f.image.language_equal(f.target):
+        return v.yes()
+    word = au.separating_word(f.target.dfa, f.image.dfa)
+    if word is None:
+        raise InternalError("image and target differ, but no target word is missing")
+    return v.no(witness={"word": word})
 
 
 def _off_diagonal(token: str) -> bool:
@@ -609,6 +627,7 @@ def _diag_tail_states(rel: Presentation):
     return backward, forward
 
 
+@_per_object
 def is_preinjective(f: BlockMap) -> v.Verdict:
     """No two distinct finitely-differing points share an image.
 

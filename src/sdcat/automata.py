@@ -196,26 +196,31 @@ def is_empty_language(dfa: Dfa) -> bool:
     return dfa.accepting.isdisjoint(closure([dfa.init], lambda q: [p for _, p in dfa.trans[q]]))
 
 
-def product_dfa(a: Dfa, b: Dfa) -> Dfa:
-    """The difference automaton: it accepts L(a) \\ L(b).
+def product_dfa(a: Dfa, *bs: Dfa) -> Dfa:
+    """The difference automaton: it accepts L(a) minus every L(b).
 
-    States are reachable pairs, with ``-1`` for a ``b`` component that has
-    left its partial automaton.  A pair whose ``a`` component has left
+    States are reachable tuples, with ``-1`` for a ``b`` component that has
+    left its partial automaton.  A tuple whose ``a`` component has left
     accepts nothing, so it is not explored.
     """
-    if set(a.alphabet) != set(b.alphabet):
+    if any(set(a.alphabet) != set(b.alphabet) for b in bs):
         raise ValidationError("alphabet mismatch in product")
-    DEAD = -1
-    b_rows = [dict(row) for row in b.trans]
-    no_row: dict[str, int] = {}
+    # row -1, the empty one, is where a component that has left stays
+    b_rows = [[*map(dict, b.trans), {}] for b in bs]
 
-    def successors(pair):
-        x, y = pair
-        row = b_rows[y] if y != DEAD else no_row
-        return [(sym, (nx, row.get(sym, DEAD))) for sym, nx in a.trans[x]]
+    def successors(state):
+        rows = [table[y] for table, y in zip(b_rows, state[1:])]
+        return [(sym, (nx, *[row.get(sym, -1) for row in rows])) for sym, nx in a.trans[state[0]]]
 
-    pairs, rows = explore((a.init, b.init), successors, "product automaton")
-    acc = [i for i, (x, y) in enumerate(pairs) if x in a.accepting and y not in b.accepting]
+    def pair_successors(state):  # one b, the common case: no inner loop
+        row = b_rows[0][state[1]]
+        return [(sym, (nx, row.get(sym, -1))) for sym, nx in a.trans[state[0]]]
+
+    states, rows = explore((a.init, *[b.init for b in bs]),
+                           pair_successors if len(bs) == 1 else successors, "product automaton")
+    acc = [i for i, s in enumerate(states) if s[0] in a.accepting]
+    for j, b in enumerate(bs, 1):
+        acc = [i for i in acc if states[i][j] not in b.accepting]
     return make_dfa(a.alphabet, rows, 0, acc)
 
 
@@ -224,12 +229,15 @@ def included(a: Dfa, b: Dfa) -> bool:
     return not product_dfa(a, b).accepting
 
 
-def separating_word(a: Dfa, b: Dfa) -> Word | None:
-    """Shortest word in L(a) \\ L(b), or None."""
-    return shortest_accepted(product_dfa(a, b))
+def separating_word(a: Dfa, *bs: Dfa) -> Word | None:
+    """Shortlex-least word in L(a) outside every L(b), or None."""
+    return shortest_accepted(product_dfa(a, *bs))
 
 
 def shortest_accepted(dfa: Dfa) -> Word | None:
+    """Shortlex-least accepted word, or None."""
+    if not dfa.accepting:
+        return None
     dist: dict[int, Word] = {dfa.init: ()}
     if dfa.init in dfa.accepting:
         return ()

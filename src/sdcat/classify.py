@@ -10,6 +10,7 @@ Blank cells of the classification table surface as UNDECIDED.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 from . import analysis as an
 from . import automata as au
@@ -45,11 +46,7 @@ SEARCH_LIMIT = 4000
 def is_epic(f: BlockMap, cat: CategoryTag) -> v.Verdict:
     """Epic = surjective, in all twelve categories."""
     li.check_morphism(cat, f)
-    img = an.image(f)
-    missing = au.separating_word(f.target.dfa, img.dfa)
-    if missing is None:
-        return v.yes()
-    return v.no(witness={"word": missing})
+    return an.surjectivity(f)
 
 
 # ---------------------------------------------------------------------------
@@ -165,19 +162,33 @@ def _aligned_periodic_preimages(f: BlockMap, u: Word) -> list[Word]:
     return out
 
 
+@an._per_object
+def _symbol_recoding(f: BlockMap):
+    """``(f0, from_blocks, pre)``: ``f`` recoded as the radius-0 map ``f0`` on
+    its higher block presentation, and the live block symbols over each
+    target symbol."""
+    f0, _, from_blocks = recode_to_symbol_map(f)
+    xb = f0.source
+    pre: dict[str, list[str]] = {}
+    for t in xb.alphabet:
+        if xb.contains_word((t,)):
+            pre.setdefault(f0.local((t,)), []).append(t)
+    return f0, from_blocks, pre
+
+
 class _StrongConditionEngine:
     """Automaton plumbing shared across the (u, v) pair checks."""
 
     def __init__(self, f: BlockMap):
         self.f = f
-        self.y = f.target
-        f0, to_blocks, _ = recode_to_symbol_map(f)
-        self.f0 = f0
-        self.xb = f0.source
-        self.pre_syms: dict[str, list[str]] = {}
-        for t in self.xb.alphabet:
-            if self.xb.contains_word((t,)):
-                self.pre_syms.setdefault(f0.local((t,)), []).append(t)
+        y = self.y = f.target
+        f0, _, self.pre_syms = _symbol_recoding(f)
+        xb = self.xb = f0.source
+        # the two labelled graphs; each (u, a, v, b) check sets only their ends
+        self.good_edges = [(q, f0.local((t,)), q2)
+                           for q, row in enumerate(xb.live_trans) for t, q2 in row.items()]
+        self.allw_edges = [(q, sym, q2)
+                           for q, row in enumerate(y.live_trans) for sym, q2 in row.items()]
 
     def block_word(self, a: Word) -> Word:
         """The higher-block reading of the a-periodic point at phase 0."""
@@ -210,22 +221,13 @@ class _StrongConditionEngine:
             for p in self._read_pre(q, vv):
                 back[p].append(q)
         acc = au.closure(fwd, back.__getitem__)
-        edges = []
-        for q in range(n):
-            for t, q2 in self.xb.live_trans[q].items():
-                edges.append((q, self.f0.local((t,)), q2))
-        return Nfa(self.y.alphabet, max(1, n), edges, s0, acc)
+        return Nfa(self.y.alphabet, max(1, n), self.good_edges, s0, acc)
 
     def allw_nfa(self, u: Word, vv: Word) -> Nfa:
         y = self.y
         ei = frozenset(q for q in au.eventual_image(y.word_action(u)) if q != au.UNDEF)
         fwd = au.forever_defined(y.word_action(vv))
-        n = y.n_live()
-        edges = []
-        for q in range(n):
-            for sym, q2 in y.live_trans[q].items():
-                edges.append((q, sym, q2))
-        return Nfa(y.alphabet, max(1, n), edges, ei, fwd)
+        return Nfa(y.alphabet, max(1, y.n_live()), self.allw_edges, ei, fwd)
 
 
 def strong_condition(f: BlockMap, p: int) -> StrongConditionReport:
@@ -249,36 +251,20 @@ def strong_condition(f: BlockMap, p: int) -> StrongConditionReport:
     if failures:
         return StrongConditionReport(p, False, failures=tuple(failures))
 
-    detL: dict = {}
-    detG: dict = {}
-
-    def l_dfa(u, vv):
-        if (u, vv) not in detL:
-            detL[(u, vv)] = au.determinize(engine.allw_nfa(u, vv))
-        return detL[(u, vv)]
-
-    def g_dfa(u, a, vv, b):
-        key = (u, a, vv, b)
-        if key not in detG:
-            detG[key] = au.determinize(engine.good_nfa(u, a, vv, b))
-        return detG[key]
-
-    ok_cache: dict = {}
-
-    def pair_ok(u, a, vv, b) -> bool:
-        key = (u, a, vv, b)
-        if key not in ok_cache:
-            ok_cache[key] = au.included(l_dfa(u, vv), g_dfa(u, a, vv, b))
-        return ok_cache[key]
+    # each automaton and each difference-product question once per key
+    l_dfa = cache(lambda u, vv: au.determinize(engine.allw_nfa(u, vv)))
+    g_dfa = cache(lambda u, a, vv, b: au.determinize(engine.good_nfa(u, a, vv, b)))
+    # the shortlex-least w for which (u, vv, w) has no (a, b) preimage
+    missed = cache(lambda u, a, vv, b: au.separating_word(l_dfa(u, vv), g_dfa(u, a, vv, b)))
 
     # unary pruning on the diagonal
     for u in words:
         kept = []
         for a in cands[u]:
-            if pair_ok(u, a, u, a):
+            w = missed(u, a, u, a)
+            if w is None:
                 kept.append(a)
             else:
-                w = au.separating_word(l_dfa(u, u), g_dfa(u, a, u, a))
                 failures.append({"u": u, "v": u, "w": w, "a": a, "b": a})
         cands[u] = kept
         if not kept:
@@ -292,10 +278,7 @@ def strong_condition(f: BlockMap, p: int) -> StrongConditionReport:
                 if u == vv
                 else [(a, b) for a in cands[u] for b in cands[vv]]
             )
-            bad = l_dfa(u, vv)
-            for a, b in pairs:
-                bad = au.product_dfa(bad, g_dfa(u, a, vv, b))
-            w = au.shortest_accepted(bad)
+            w = au.separating_word(l_dfa(u, vv), *[g_dfa(u, a, vv, b) for a, b in pairs])
             if w is not None:
                 tuples = tuple(
                     {"u": u, "v": vv, "w": w, "a": a, "b": b} for a, b in pairs
@@ -309,12 +292,9 @@ def strong_condition(f: BlockMap, p: int) -> StrongConditionReport:
     assign: dict[Word, Word] = {}
 
     def consistent(u, a) -> bool:
-        if not pair_ok(u, a, u, a):
-            return False
-        for vv, b in assign.items():
-            if not pair_ok(u, a, vv, b) or not pair_ok(vv, b, u, a):
-                return False
-        return True
+        # (u, a) itself passed the unary pruning
+        return all(missed(u, a, vv, b) is None and missed(vv, b, u, a) is None
+                   for vv, b in assign.items())
 
     def solve(i: int) -> bool:
         if i == len(order):
@@ -391,12 +371,8 @@ def find_section(f: BlockMap, radius_cap: int = DEFAULT_RADIUS_CAP, pointed: boo
     y = f.target
     if y.is_empty():
         return make_block_map(y, f.source, 0, {}, validate_image=False)
-    f0, to_blocks, from_blocks = recode_to_symbol_map(f)
+    f0, from_blocks, pre = _symbol_recoding(f)
     xb = f0.source
-    pre: dict[str, list[str]] = {}
-    for t in xb.alphabet:
-        if xb.contains_word((t,)):
-            pre.setdefault(f0.local((t,)), []).append(t)
     if any(y.contains_word((c,)) and c not in pre for c in y.alphabet):
         return None
     b2 = set(map(tuple, xb.words(2)))
@@ -498,8 +474,15 @@ def find_retraction(f: BlockMap, radius_cap: int = DEFAULT_RADIUS_CAP, pointed: 
 # Split epic / split monic
 
 
-def _is_bijective(f: BlockMap) -> bool:
-    return an.injectivity_family(f).injective and an.image(f).language_equal(f.target)
+def _isomorphism_rule(f: BlockMap, which: str, inverse: str | None = None) -> v.Verdict:
+    """At level 1 of T, M and P the split and regular epis and monos are the
+    bijections; a YES with an ``inverse`` name carries the inverse map."""
+    if not (an.injectivity_family(f).injective and an.surjectivity(f).yes):
+        return v.no(note=f"{which} are the isomorphisms")
+    if inverse is None:
+        return v.yes(note="bijective")
+    g = li.connecting_map(f, identity_map(f.source))
+    return v.yes(certificate=g, note=f"bijective; inverse is the {inverse}")
 
 
 def is_split_epic(
@@ -510,14 +493,10 @@ def is_split_epic(
 ) -> v.Verdict:
     li.check_morphism(cat, f)
     if cat.level == 1 and cat.restriction in ("T", "M", "P"):
-        if _is_bijective(f):
-            g = li.connecting_map(f, identity_map(f.source))
-            return v.yes(certificate=g, note="bijective; inverse is the section")
-        return v.no(note="split epis of this category are the isomorphisms")
-    img = an.image(f)
-    missing = au.separating_word(f.target.dfa, img.dfa)
-    if missing is not None:
-        return v.no(witness={"word": missing}, note="not surjective")
+        return _isomorphism_rule(f, "split epis of this category", "section")
+    surj = an.surjectivity(f)
+    if surj.no:
+        return v.no(witness=surj.witness, note="not surjective")
     pointed = cat.pointed
     phases = [
         ("sc", 1), ("sec", 0), ("sec", 1), ("sc", 2), ("sc", 3),
@@ -556,10 +535,7 @@ def is_split_monic(
     li.check_morphism(cat, f)
     fam = an.injectivity_family(f)
     if cat.level == 1 and cat.restriction in ("T", "M", "P"):
-        if _is_bijective(f):
-            h = li.connecting_map(f, identity_map(f.source))
-            return v.yes(certificate=h, note="bijective; inverse is the retraction")
-        return v.no(note="split monos of this category are the isomorphisms")
+        return _isomorphism_rule(f, "split monos of this category", "retraction")
     if not fam.injective:
         return v.no(note="not injective")
     if cat.level == 2 and cat.restriction in ("M", "P"):
@@ -584,18 +560,15 @@ def is_split_monic(
 
 def is_regular_epic(f: BlockMap, cat: CategoryTag, witness_endo: BlockMap | None = None) -> v.Verdict:
     li.check_morphism(cat, f)
-    if cat.restriction == "K" and cat.level in (2, 3):
-        ep = is_epic(f, cat)
-        if ep.yes:
-            return v.yes(note="epic, and every epi of this category is regular")
-        return v.no(witness=ep.witness, note="not surjective")
     if (cat.restriction, cat.level) == ("P", 1):
-        if _is_bijective(f):
-            return v.yes(note="bijective")
-        return v.no(note="regular epis of P1 are the isomorphisms")
-    img = an.image(f)
-    if not img.language_equal(f.target):
-        return v.no(note="not surjective, hence not epic")
+        return _isomorphism_rule(f, "regular epis of P1")
+    surj = an.surjectivity(f)
+    if cat.restriction == "K" and cat.level in (2, 3):
+        if surj.yes:
+            return v.yes(note="epic, and every epi of this category is regular")
+        return v.no(witness=surj.witness, note="not surjective")
+    if surj.no:
+        return v.no(witness=surj.witness, note="not surjective, hence not epic")
     if witness_endo is not None:
         from . import colimits as co
 
@@ -615,9 +588,7 @@ def is_regular_monic(
     li.check_morphism(cat, f)
     fam = an.injectivity_family(f)
     if cat.level == 1 and cat.restriction in ("T", "M", "P"):
-        if _is_bijective(f):
-            return v.yes(note="bijective")
-        return v.no(note="regular monos of this category are the isomorphisms")
+        return _isomorphism_rule(f, "regular monos of this category")
     if not fam.injective:
         return v.no(note="not injective")
     img = an.image(f)

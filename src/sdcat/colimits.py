@@ -347,11 +347,11 @@ def cokernel_p(f: BlockMap, cat: CategoryTag) -> LimitResult:
     y = f.target
     if maps_equal(f, zero_map(f.source, y)):
         return exists(y, identity_map(y), reason="cokernel of the zero map is the identity")
-    img = an.image(f)
-    if img.language_equal(y):
+    surj = an.surjectivity(f)
+    if surj.yes:
         t = trivial_shift(y.point if y.point is not None else "0")
         return exists(t, constant_map(y, t, t.point), reason="cokernel of a surjection is the zero map")
-    h = _cokernel_diagnostic(f)
+    h = _cokernel_diagnostic(f, surj.witness["word"])
     return LimitResult(
         "not-exists",
         reason="morphism is neither surjective nor zero",
@@ -359,17 +359,13 @@ def cokernel_p(f: BlockMap, cat: CategoryTag) -> LimitResult:
     )
 
 
-def _cokernel_diagnostic(f: BlockMap) -> BlockMap | None:
+def _cokernel_diagnostic(f: BlockMap, missing: Word) -> BlockMap | None:
     """The separating map used to refute cokernels: indicator of image
-    windows."""
-    from . import automata as au
-
+    windows, at the length of the target word ``missing`` outside the
+    image."""
     y = f.target
     img = an.image(f)
-    wit = au.separating_word(y.dfa, img.dfa)
-    if wit is None:
-        return None
-    rp = max(1, len(wit))
+    rp = max(1, len(missing))
     target = full_shift(["0", "1"], point="0")
     img_words = set(img.words(rp))
     rule = {}

@@ -668,9 +668,8 @@ def make_block_map(
         raise ValidationError(f"rule produces symbols outside the target alphabet: {sorted(bad)}")
     f = BlockMap(source, target, radius, tuple(sorted(rule.items())))
     if validate_image and not source.is_empty():
-        img = f.image.dfa
-        if not au.included(img, target.dfa):
-            w = au.separating_word(img, target.dfa)
+        w = au.separating_word(f.image.dfa, target.dfa)
+        if w is not None:
             raise ValidationError(f"image is not contained in the target: word {w}")
     return f
 

@@ -40,8 +40,9 @@ def is_reversible(f: BlockMap, inverse_radius_cap: int = 8) -> v.Verdict:
     fam = an.injectivity_family(f)
     if not fam.injective:
         return v.no(note="not injective")
-    if not an.image(f).language_equal(f.target):
-        return v.no(note="not surjective")
+    surj = an.surjectivity(f)
+    if surj.no:
+        return v.no(witness=surj.witness, note="not surjective")
     try:
         inv = connecting_map(f, identity_map(f.source), radius_cap=inverse_radius_cap)
     except BudgetExceeded:

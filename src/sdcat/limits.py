@@ -351,7 +351,7 @@ def image_factorization(f: BlockMap, cat: CategoryTag):
         m = inclusion_map(img, f.target)
         return exists(img, e, m)
     if cat.level == 1:
-        if img.language_equal(f.target):
+        if an.surjectivity(f).yes:
             return exists(img, corestrict(f, img), identity_map(f.target))
         return not_exists("level-1 factorization needs a surjective endomorphism")
     sft = an.is_sft(img)

@@ -296,7 +296,7 @@ class TestFactsDecidedOnce:
         from collections import Counter
 
         from sdcat import automata as au
-        from sdcat.core import golden_mean
+        from sdcat.core import Presentation, golden_mean
 
         x = golden_mean()
         f = identity_map(x)
@@ -312,18 +312,19 @@ class TestFactsDecidedOnce:
             monkeypatch.setattr(owner, name, counting)
 
         # the step each fact's computation cannot skip
-        for owner, name in [(an, "is_subsft_of"), (an, "scc_subshift"), (au, "minimize"),
-                            (au, "compose_pfn"), (an, "apply_map")]:
+        steps = [(an, "is_subsft_of"), (an, "scc_subshift"), (au, "minimize"),
+                 (au, "compose_pfn"), (an, "apply_map"), (an, "_diag_tail_states"),
+                 (Presentation, "language_equal")]
+        for owner, name in steps:
             count(owner, name)
 
         def facts():
             return (an.is_sft(x), an.is_mixing(x), an.constituents(x), an.periods(x),
-                    an.injectivity_family(f))
+                    an.injectivity_family(f), an.is_preinjective(f), an.surjectivity(f))
 
         first = facts()
         after_first = Counter(work)
-        assert all(after_first[k] > 0 for k in ("is_subsft_of", "scc_subshift", "minimize",
-                                                "compose_pfn", "apply_map"))
+        assert all(after_first[name] > 0 for _, name in steps)
         for _ in range(2):
             again = facts()
             assert all(a is b for a, b in zip(first, again) if not isinstance(a, bool))
@@ -351,6 +352,35 @@ class TestFactsDecidedOnce:
         for _, s in an.cycle_components(f.kernel):
             an.is_mixing(s)
         assert len(built) == before
+
+    def test_surjectivity_compares_target_and_image_at_most_once(self, xor3, and_rule,
+                                                                 monkeypatch):
+        from sdcat import automata as au
+        from sdcat import classify as cl
+        from sdcat import dynamics as dy
+        from sdcat.limits import CategoryTag
+
+        real = au.separating_word
+        calls = []
+        monkeypatch.setattr(au, "separating_word", lambda a, *bs: calls.append((a, bs)) or real(a, *bs))
+        # fresh maps, so no verdict is kept from another test; the strong
+        # condition's own difference products compare other automata
+        for g, onto, expected in [(xor3, True, 0), (and_rule, False, 1)]:
+            f = make_block_map(g.source, g.target, g.radius, g.rule_dict)
+            calls.clear()
+            row = cl.classify(f, CategoryTag.parse("K2"))
+            dy.is_reversible(f)
+            assert row["epic"].yes == onto
+            assert sum(a is f.target.dfa and bs == (f.image.dfa,) for a, bs in calls) == expected
+
+    def test_non_surjective_verdicts_carry_the_missing_word(self, and_rule):
+        from sdcat import classify as cl
+        from sdcat.limits import CategoryTag
+
+        word = an.surjectivity(and_rule).witness["word"]
+        assert not and_rule.image.contains_word(word) and and_rule.target.contains_word(word)
+        for cat in ("K2", "T2", "M2", "M3"):
+            assert cl.is_regular_epic(and_rule, CategoryTag.parse(cat)).witness == {"word": word}
 
     def test_undecided_sft_answer_is_not_kept(self):
         from sdcat.core import golden_mean

@@ -5,9 +5,9 @@ against definition-level recomputation: language stability, mirror
 involution, periodic membership, product/union identities, the
 essential-state trim, the fiber product of block maps, structural language
 equality, the shift period, and transitivity, mixing and constituents.
-The constructions built on ``automata.explore`` and ``automata.closure``, and
-the section search's constraint solver, are checked against the loops they
-replaced.
+The constructions built on ``automata.explore`` and ``automata.closure``, the
+section search's constraint solver, the surjectivity verdict and the
+many-sided difference product are checked against the loops they replaced.
 """
 
 import math
@@ -668,3 +668,53 @@ class TestCspSolutions:
         ref = _old_csp_solutions(domains, domains, pair_ok, limit)
         # items, not dicts: the assignment order is part of the answer
         assert [list(sol.items()) for sol in got] == [list(sol.items()) for sol in ref]
+
+
+# ---------------------------------------------------------------------------
+# Surjectivity and the many-sided difference product
+
+
+def _old_surjectivity_word(f):
+    """Reference: the shortest target word outside the image, from the
+    difference product of target and image (``separating_word(target,
+    image)``)."""
+    return au.shortest_accepted(_old_product(f.target.dfa, f.image.dfa))
+
+
+@st.composite
+def sofic_maps(draw):
+    """A map between random sofic shifts: the target is the image, or the
+    image joined with a second random shift."""
+    f = draw(binary_maps())
+    target = f.image
+    if draw(st.booleans()):
+        target = an.union_presentation(target, presentation_from_edges(("0", "1"), *draw(random_graphs())))
+    return make_block_map(f.source, target, f.radius, f.rule_dict)
+
+
+class TestSurjectivity:
+    def _check(self, f):
+        got, ref = an.surjectivity(f), _old_surjectivity_word(f)
+        assert got.yes == (ref is None) and got.no == (ref is not None)
+        assert got.witness == (None if ref is None else {"word": ref})
+
+    @given(binary_maps() | sofic_maps())
+    @settings(max_examples=150, deadline=None)
+    def test_verdict_matches_the_difference_product(self, f):
+        self._check(f)
+
+    def test_census_maps_match_the_difference_product(self):
+        windows = FULL2.words(3)
+        for bits in range(256):
+            self._check(make_block_map(FULL2, FULL2, 1, {w: str(bits >> i & 1) for i, w in enumerate(windows)}))
+
+    @given(random_dfas(), st.lists(st.sampled_from([("0", "1"), ("1", "0")]).flatmap(random_dfas),
+                                   max_size=3))
+    @settings(max_examples=300, deadline=None)
+    def test_many_sided_product_matches_the_pairwise_fold(self, a, bs):
+        bad = a
+        for b in bs:
+            bad = _old_product(bad, b)
+        assert au.separating_word(a, *bs) == au.shortest_accepted(bad)
+        if bs:  # the same reachable tuples, nested in pairs
+            assert au.product_dfa(a, *bs).n == bad.n
