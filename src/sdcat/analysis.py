@@ -9,7 +9,9 @@ Facts about one shift or one map are decided once per object and kept on
 it, as ``BlockMap.image`` is; an UNDECIDED verdict, which depends on the
 work budget, is not kept.  Surjectivity is one such fact: every epic,
 bijectivity and cokernel test reads ``surjectivity(f)``, whose YES is
-structural equality of image and target and builds no product.
+structural equality of image and target and builds no product.  The
+injectivity family, preinjectivity and resolvingness all read one
+diagonal view per kernel, ``_diagonal_view``.
 """
 
 from __future__ import annotations
@@ -39,32 +41,11 @@ from .core import (
     sft_approximation,
     split_pair,
     window_graph,
+    _per_object,
 )
 from .errors import BudgetExceeded, DomainMismatch, InternalError, ValidationError, check_budget
 
 image = image_presentation
-
-
-def _per_object(fn):
-    """Keep ``fn(obj)`` in ``obj.__dict__``, which equality and hashing of
-    the frozen dataclasses do not see, under the wrapper's ``key``; an
-    UNDECIDED verdict is not kept."""
-    key = f"{fn.__module__}.{fn.__name__}"
-
-    def once(obj):
-        memo = obj.__dict__
-        if key in memo:
-            return memo[key]
-        out = fn(obj)
-        if not (isinstance(out, v.Verdict) and out.undecided):
-            memo[key] = out
-        return out
-
-    # not functools.wraps: ``__wrapped__`` marks the bindings that the
-    # benchmark tracer has wrapped
-    once.__name__, once.__qualname__, once.__doc__ = fn.__name__, fn.__qualname__, fn.__doc__
-    once.key = key
-    return once
 
 
 # ---------------------------------------------------------------------------
@@ -387,7 +368,7 @@ def is_subsft_of(inner: Presentation, outer: Presentation) -> v.Verdict:
     if inner.is_empty():
         return v.yes(certificate={"window": 1})
     bound = 2 * inner.dfa.n**2 + 2
-    outer_is_full = outer.language_equal(_full_shift(outer.alphabet))
+    outer_is_full = outer.is_full()
     exhausted = False
 
     def try_window(m):
@@ -429,7 +410,7 @@ def _non_subsft_witness(inner: Presentation, outer: Presentation):
     max_uv = n_live + 2
     for w in _short_cyclic_words(inner, max_w):
         fw = inner.word_action(w)
-        ei = {q for q in au.eventual_image(fw) if q != au.UNDEF}
+        ei = au.eventual_image(fw)
         fd = au.forever_defined(fw)
         if not ei:
             continue
@@ -490,7 +471,7 @@ def _ep_membership_pattern(x: Presentation, u: Word, w: Word, vv: Word):
     """Membership of the point ...w w . u w^n vv w w... in x, for n = 0..;
     returns (preperiod, period, flags)."""
     fw = x.word_action(w)
-    ei = frozenset(q for q in au.eventual_image(fw) if q != au.UNDEF)
+    ei = au.eventual_image(fw)
     fd = au.forever_defined(fw)
 
     def read(states, word):
@@ -563,11 +544,6 @@ def surjectivity(f: BlockMap) -> v.Verdict:
     return v.no(witness={"word": word})
 
 
-def _off_diagonal(token: str) -> bool:
-    a, b = split_pair(token)
-    return a != b
-
-
 @dataclass(frozen=True)
 class InjectivityFamily:
     injective: bool
@@ -575,25 +551,58 @@ class InjectivityFamily:
     injective_on_uniform: bool
 
 
+@dataclass(frozen=True)
+class _DiagonalView:
+    """How a relation presentation sits against the diagonal.
+
+    ``pairs`` holds each pair token parsed, ``off`` the off-diagonal ones.
+    ``diag[q]`` lists the diagonal ``(token, state)`` edges out of ``q`` in
+    ``live_trans`` order, which is sorted token order.  ``cycles`` are the
+    diagonal SCCs that carry a cycle, in the order Tarjan's search over
+    those lists finds them.  ``backward`` holds the states with an infinite
+    diagonal past (reachable from a diagonal cycle along diagonal edges),
+    ``forward`` those with an infinite diagonal future.
+    """
+
+    pairs: dict[str, tuple[str, str]]
+    off: frozenset[str]
+    diag: tuple[tuple[tuple[str, int], ...], ...]
+    cycles: tuple[list[int], ...]
+    backward: frozenset[int]
+    forward: frozenset[int]
+
+
+@_per_object
+def _diagonal_view(rel: Presentation) -> _DiagonalView:
+    """The diagonal structure of ``rel``, built once per presentation."""
+    pairs = {t: split_pair(t) for t in rel.alphabet}
+    off = frozenset(t for t, (a, b) in pairs.items() if a != b)
+    n = rel.n_live()
+    diag = tuple(tuple((t, p) for t, p in row.items() if t not in off) for row in rel.live_trans)
+    succ = [[p for _, p in row] for row in diag]
+    pred: list[list[int]] = [[] for _ in range(n)]
+    for q in range(n):
+        for p in succ[q]:
+            pred[p].append(q)
+    cycles = _cycle_sccs(n, succ.__getitem__)
+    on_cycle = [q for comp in cycles for q in comp]
+    backward = au.closure(on_cycle, succ.__getitem__)
+    forward = au.closure(on_cycle, pred.__getitem__)
+    return _DiagonalView(pairs, off, diag, tuple(cycles), frozenset(backward), frozenset(forward))
+
+
 @_per_object
 def injectivity_family(f: BlockMap) -> InjectivityFamily:
     ker = f.kernel
-    n = ker.n_live()
-    inj = True
-    for i in range(n):
-        for t in ker.live_trans[i]:
-            if _off_diagonal(t):
-                inj = False
-                break
-        if not inj:
-            break
+    off = _diagonal_view(ker).off
+    inj = not any(t in off for row in ker.live_trans for t in row)
     ipp = True
-    for comp in _cycle_sccs(n, lambda i: ker.live_trans[i].values()):
-        cs = set(comp)
-        for i in comp:
-            for t, j in ker.live_trans[i].items():
-                if j in cs and _off_diagonal(t):
-                    ipp = False
+    if not inj:
+        # an off-diagonal edge inside a cycle component joins two periodic points
+        for comp in _cycle_sccs(ker.n_live(), lambda i: ker.live_trans[i].values()):
+            cs = set(comp)
+            if any(j in cs and t in off for i in comp for t, j in ker.live_trans[i].items()):
+                ipp = False
     uni = True
     ups = f.source.uniform_points()
     images = {}
@@ -605,28 +614,6 @@ def injectivity_family(f: BlockMap) -> InjectivityFamily:
     return InjectivityFamily(inj, ipp, uni)
 
 
-def _diag_tail_states(rel: Presentation):
-    """(backward, forward): states with an infinite purely-diagonal history /
-    future inside the relation presentation."""
-    n = rel.n_live()
-    diag_succ = [
-        {j for t, j in rel.live_trans[i].items() if not _off_diagonal(t)}
-        for i in range(n)
-    ]
-    diag_pred = [set() for _ in range(n)]
-    for i in range(n):
-        for j in diag_succ[i]:
-            diag_pred[j].add(i)
-
-    def closure_on_cycles(succ):
-        return au.closure((q for comp in _cycle_sccs(n, succ.__getitem__) for q in comp),
-                          succ.__getitem__)
-
-    backward = closure_on_cycles(diag_succ)  # reachable from a diagonal cycle
-    forward = closure_on_cycles(diag_pred)  # reaches a diagonal cycle
-    return backward, forward
-
-
 @_per_object
 def is_preinjective(f: BlockMap) -> v.Verdict:
     """No two distinct finitely-differing points share an image.
@@ -636,22 +623,19 @@ def is_preinjective(f: BlockMap) -> v.Verdict:
     diagonal future.
     """
     rel = f.kernel
+    view = _diagonal_view(rel)
     n = rel.n_live()
-    backward, forward = _diag_tail_states(rel)
-    reach = au.closure(backward, lambda q: rel.live_trans[q].values())
+    reach = au.closure(view.backward, lambda q: rel.live_trans[q].values())
     pred: list[list[int]] = [[] for _ in range(n)]
     for i in range(n):
         for j in rel.live_trans[i].values():
             pred[j].append(i)
-    coreach = au.closure(forward, pred.__getitem__)
+    coreach = au.closure(view.forward, pred.__getitem__)
     for i in range(n):
         if i in reach:
             for t, j in rel.live_trans[i].items():
-                if j in coreach and _off_diagonal(t):
-                    witness = _diamond_witness(rel, backward, forward, i, t, j)
-                    report = {"pair": witness} if witness else None
-                    out = v.no(witness=report)
-                    return out
+                if j in coreach and t in view.off:
+                    return v.no(witness={"pair": _diamond_witness(rel, i, t, j)})
     note = None
     if is_transitive(f.source):
         sft = is_sft(f.source)
@@ -663,92 +647,60 @@ def is_preinjective(f: BlockMap) -> v.Verdict:
     return v.yes(note=note)
 
 
-def _diagonal_cycle_seeds(rel: Presentation):
-    """States on a purely diagonal cycle, with a first-return cycle word."""
-    n = rel.n_live()
-    diag_succ = [
-        [(p, t) for t, p in rel.live_trans[i].items() if not _off_diagonal(t)]
-        for i in range(n)
-    ]
+def _bfs_tree(roots, succ) -> dict:
+    """Breadth-first tree from ``roots``, in order, over the ``(token,
+    state)`` edges ``succ(q)``, in order: each reached state, in the order
+    reached, maps to ``(parent, token)``, a root to None."""
+    tree = dict.fromkeys(roots)
+    order = list(tree)
+    for q in order:
+        for t, p in succ(q):
+            if p not in tree:
+                tree[p] = (q, t)
+                order.append(p)
+    return tree
+
+
+def _tree_path(tree: dict, q: int) -> tuple[Word, int]:
+    """The token word of the tree path into ``q``, and the root it starts at."""
+    parts = []
+    while tree[q] is not None:
+        q, t = tree[q]
+        parts.append(t)
+    return tuple(reversed(parts)), q
+
+
+def _diagonal_cycle_seeds(view: _DiagonalView) -> dict[int, Word]:
+    """The first state of each diagonal cycle SCC, with the first cycle word
+    back to it that a breadth-first tree inside the SCC meets."""
     seeds = {}
-    for comp in _cycle_sccs(n, lambda q: [p for p, _ in diag_succ[q]]):
-        cs = set(comp)
-        s = comp[0]
-        prev: dict = {s: None}
-        queue = [s]
-        word = None
-        while queue and word is None:
-            q = queue.pop(0)
-            for p, t in diag_succ[q]:
-                if p == s:
-                    parts = [t]
-                    back = q
-                    while back != s:
-                        back, t2 = prev[back]
-                        parts.append(t2)
-                    word = tuple(reversed(parts))
-                    break
-                if p not in prev and p in cs:
-                    prev[p] = (q, t)
-                    queue.append(p)
-        if word:
-            for q in comp:
-                seeds.setdefault(q, None)
-            seeds[s] = word
-    return {q: w for q, w in seeds.items() if w is not None}
+    for comp in view.cycles:
+        s, cs = comp[0], set(comp)
+        tree = _bfs_tree([s], lambda q: [(t, p) for t, p in view.diag[q] if p in cs])
+        q, t = next((q, t) for q in tree for t, p in view.diag[q] if p == s)
+        seeds[s] = _tree_path(tree, q)[0] + (t,)
+    return seeds
 
 
-def _path_word(rel: Presentation, sources, target):
-    """Shortest path word from any source to the target, with its origin."""
-    sources = sorted(sources)
-    prev: dict = {s: None for s in sources}
-    queue = list(sources)
-    while queue:
-        q = queue.pop(0)
-        if q == target:
-            parts = []
-            back = q
-            while prev[back] is not None:
-                back, t = prev[back]
-                parts.append(t)
-            return tuple(reversed(parts)), back
-        for t, p in sorted(rel.live_trans[q].items()):
-            if p not in prev:
-                prev[p] = (q, t)
-                queue.append(p)
-    return None
-
-
-def _diamond_witness(rel: Presentation, backward, forward, i, tok, j):
+def _diamond_witness(rel: Presentation, i: int, tok: str, j: int):
     """Eventually periodic pair witnessing a diamond through the
-    off-diagonal edge (i, tok, j): diagonal tails, finite difference."""
-    seeds = _diagonal_cycle_seeds(rel)
-    if not seeds:
-        return None
-    hit = _path_word(rel, set(seeds), i)
-    if hit is None:
-        return None
-    mid1, origin = hit
-    lword = seeds[origin]
-    best = None
-    for s2, rword in seeds.items():
-        found = _path_word(rel, {j}, s2)
-        if found is not None and (best is None or len(found[0]) < len(best[0])):
-            best = (found[0], rword)
-    if best is None:
-        return None
-    mid2, rword = best
-    mid = mid1 + (tok,) + mid2
-    lpair = [split_pair(t) for t in lword]
-    mpair = [split_pair(t) for t in mid]
-    rpair = [split_pair(t) for t in rword]
-    p1 = EventuallyPeriodicPoint(
-        tuple(a for a, _ in lpair), tuple(a for a, _ in mpair), tuple(a for a, _ in rpair)
+    off-diagonal edge (i, tok, j): diagonal tails, finite difference.
+
+    ``i`` has an infinite diagonal past and ``j`` an infinite diagonal
+    future, so a tree out of the cycle seeds reaches ``i`` and a tree out
+    of ``j`` reaches a seed; the closest seed, first in seed order on ties,
+    gives the right tail.
+    """
+    view = _diagonal_view(rel)
+    seeds = _diagonal_cycle_seeds(view)
+    mid1, left = _tree_path(_bfs_tree(sorted(seeds), lambda q: rel.live_trans[q].items()), i)
+    out = _bfs_tree([j], lambda q: rel.live_trans[q].items())
+    right = min((s for s in seeds if s in out), key=lambda s: len(_tree_path(out, s)[0]))
+    words = (seeds[left], mid1 + (tok,) + _tree_path(out, right)[0], seeds[right])
+    return tuple(
+        EventuallyPeriodicPoint(*(tuple(view.pairs[t][k] for t in w) for w in words))
+        for k in (0, 1)
     )
-    p2 = EventuallyPeriodicPoint(
-        tuple(b for _, b in lpair), tuple(b for _, b in mpair), tuple(b for _, b in rpair)
-    )
-    return (p1, p2)
 
 
 @dataclass(frozen=True)
@@ -759,17 +711,11 @@ class Resolvingness:
 
 def resolvingness(f: BlockMap) -> Resolvingness:
     rel = f.kernel
-    backward, forward = _diag_tail_states(rel)
-    right = True
-    left = True
-    for i in range(rel.n_live()):
-        for t, j in rel.live_trans[i].items():
-            if _off_diagonal(t):
-                if i in backward:
-                    right = False
-                if j in forward:
-                    left = False
-    return Resolvingness(right, left)
+    view = _diagonal_view(rel)
+    off_edges = [(i, j) for i, row in enumerate(rel.live_trans)
+                 for t, j in row.items() if t in view.off]
+    return Resolvingness(not any(i in view.backward for i, _ in off_edges),
+                         not any(j in view.forward for _, j in off_edges))
 
 
 # ---------------------------------------------------------------------------

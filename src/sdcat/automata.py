@@ -192,10 +192,6 @@ def determinize_minimize(nfa: Nfa) -> Dfa:
     return minimize(determinize(nfa))
 
 
-def is_empty_language(dfa: Dfa) -> bool:
-    return dfa.accepting.isdisjoint(closure([dfa.init], lambda q: [p for _, p in dfa.trans[q]]))
-
-
 def product_dfa(a: Dfa, *bs: Dfa) -> Dfa:
     """The difference automaton: it accepts L(a) minus every L(b).
 

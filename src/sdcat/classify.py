@@ -10,7 +10,6 @@ Blank cells of the classification table surface as UNDECIDED.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
 
 from . import analysis as an
 from . import automata as au
@@ -30,6 +29,7 @@ from .core import (
     maps_equal,
     recode_to_symbol_map,
     reduce_radius,
+    _per_object,
 )
 from .errors import BudgetExceeded, InternalError, ValidationError, check_budget
 from .limits import CategoryTag
@@ -162,7 +162,7 @@ def _aligned_periodic_preimages(f: BlockMap, u: Word) -> list[Word]:
     return out
 
 
-@an._per_object
+@_per_object
 def _symbol_recoding(f: BlockMap):
     """``(f0, from_blocks, pre)``: ``f`` recoded as the radius-0 map ``f0`` on
     its higher block presentation, and the live block symbols over each
@@ -177,10 +177,16 @@ def _symbol_recoding(f: BlockMap):
 
 
 class _StrongConditionEngine:
-    """Automaton plumbing shared across the (u, v) pair checks."""
+    """Automaton plumbing shared across the (u, v) pair checks.
+
+    One engine is kept per map, so every p reuses the candidates, automata
+    and missing words that a smaller p has made: ``once`` keeps each under
+    a tagged key, and an automaton under the ends of its graph.
+    """
 
     def __init__(self, f: BlockMap):
-        self.f = f
+        # no reference to f: the engine is kept on it
+        self.radius = f.radius
         y = self.y = f.target
         f0, _, self.pre_syms = _symbol_recoding(f)
         xb = self.xb = f0.source
@@ -189,10 +195,16 @@ class _StrongConditionEngine:
                            for q, row in enumerate(xb.live_trans) for t, q2 in row.items()]
         self.allw_edges = [(q, sym, q2)
                            for q, row in enumerate(y.live_trans) for sym, q2 in row.items()]
+        self.memo: dict = {}
+
+    def once(self, key, make):
+        if key not in self.memo:
+            self.memo[key] = make()
+        return self.memo[key]
 
     def block_word(self, a: Word) -> Word:
         """The higher-block reading of the a-periodic point at phase 0."""
-        r = self.f.radius
+        r = self.radius
         p = PeriodicPoint(a)
         if r == 0:
             return a
@@ -206,28 +218,40 @@ class _StrongConditionEngine:
             states = {row[t] for row in rows for t in self.pre_syms.get(sym, ()) if t in row}
         return states
 
-    def good_nfa(self, u: Word, a: Word, vv: Word, b: Word) -> Nfa:
-        ab = self.block_word(a)
-        bb = self.block_word(b)
-        ei = frozenset(
-            q for q in au.eventual_image(self.xb.word_action(ab)) if q != au.UNDEF
-        )
-        s0 = au.closure(ei, lambda q: self._read_pre(q, u))
-        fwd = au.forever_defined(self.xb.word_action(bb))
-        n = self.xb.n_live()
-        # acc: the states with a preimage path of vv into acc, grown from fwd
-        back: list[list[int]] = [[] for _ in range(n)]
-        for q in range(n):
+    def _back(self, vv: Word) -> list[list[int]]:
+        """For each state, the states with a preimage path of ``vv`` into it."""
+        back: list[list[int]] = [[] for _ in range(self.xb.n_live())]
+        for q in range(self.xb.n_live()):
             for p in self._read_pre(q, vv):
                 back[p].append(q)
-        acc = au.closure(fwd, back.__getitem__)
-        return Nfa(self.y.alphabet, max(1, n), self.good_edges, s0, acc)
+        return back
 
-    def allw_nfa(self, u: Word, vv: Word) -> Nfa:
+    def good_dfa(self, u: Word, a: Word, vv: Word, b: Word):
+        xb = self.xb
+        s0 = self.once(("starts", u, a), lambda: frozenset(au.closure(
+            au.eventual_image(xb.word_action(self.block_word(a))), lambda q: self._read_pre(q, u))))
+        back = self.once(("back", vv), lambda: self._back(vv))
+        acc = self.once(("accepts", vv, b), lambda: frozenset(au.closure(
+            au.forever_defined(xb.word_action(self.block_word(b))), back.__getitem__)))
+        return self.once(("good", s0, acc), lambda: au.determinize(
+            Nfa(self.y.alphabet, max(1, xb.n_live()), self.good_edges, s0, acc)))
+
+    def allw_dfa(self, u: Word, vv: Word):
         y = self.y
-        ei = frozenset(q for q in au.eventual_image(y.word_action(u)) if q != au.UNDEF)
+        ei = au.eventual_image(y.word_action(u))
         fwd = au.forever_defined(y.word_action(vv))
-        return Nfa(y.alphabet, max(1, y.n_live()), self.allw_edges, ei, fwd)
+        return self.once(("allw", ei, fwd), lambda: au.determinize(
+            Nfa(y.alphabet, max(1, y.n_live()), self.allw_edges, ei, fwd)))
+
+    def missed(self, u: Word, a: Word, vv: Word, b: Word) -> Word | None:
+        """The shortlex-least w for which (u, vv, w) has no (a, b) preimage."""
+        return self.once(("missed", u, a, vv, b), lambda: au.separating_word(
+            self.allw_dfa(u, vv), self.good_dfa(u, a, vv, b)))
+
+
+@_per_object
+def _strong_engine(f: BlockMap) -> _StrongConditionEngine:
+    return _StrongConditionEngine(f)
 
 
 def strong_condition(f: BlockMap, p: int) -> StrongConditionReport:
@@ -237,37 +261,23 @@ def strong_condition(f: BlockMap, p: int) -> StrongConditionReport:
     for u and b for v, the point repeating u, reading w, then repeating v
     has no conforming preimage.
     """
-    y = f.target
-    words = _periodic_words_upto(y, p)
+    words = _periodic_words_upto(f.target, p)
     if not words:
         return StrongConditionReport(p, True)
-    engine = _StrongConditionEngine(f)
-    cands: dict[Word, list[Word]] = {}
-    failures: list[dict] = []
-    for u in words:
-        cands[u] = _aligned_periodic_preimages(f, u)
-        if not cands[u]:
-            failures.append({"u": u, "reason": "no aligned periodic preimage of the same length"})
+    engine = _strong_engine(f)
+    cands = {u: engine.once(("aligned", u), lambda: _aligned_periodic_preimages(f, u))
+             for u in words}
+    failures = [{"u": u, "reason": "no aligned periodic preimage of the same length"}
+                for u in words if not cands[u]]
     if failures:
         return StrongConditionReport(p, False, failures=tuple(failures))
 
-    # each automaton and each difference-product question once per key
-    l_dfa = cache(lambda u, vv: au.determinize(engine.allw_nfa(u, vv)))
-    g_dfa = cache(lambda u, a, vv, b: au.determinize(engine.good_nfa(u, a, vv, b)))
-    # the shortlex-least w for which (u, vv, w) has no (a, b) preimage
-    missed = cache(lambda u, a, vv, b: au.separating_word(l_dfa(u, vv), g_dfa(u, a, vv, b)))
-
     # unary pruning on the diagonal
     for u in words:
-        kept = []
-        for a in cands[u]:
-            w = missed(u, a, u, a)
-            if w is None:
-                kept.append(a)
-            else:
-                failures.append({"u": u, "v": u, "w": w, "a": a, "b": a})
-        cands[u] = kept
-        if not kept:
+        missed = [(a, engine.missed(u, a, u, a)) for a in cands[u]]
+        cands[u] = [a for a, w in missed if w is None]
+        failures += [{"u": u, "v": u, "w": w, "a": a, "b": a} for a, w in missed if w is not None]
+        if not cands[u]:
             return StrongConditionReport(p, False, failures=tuple(failures))
 
     # pointwise failing tuple: some (u, v, w) bad for every candidate pair
@@ -278,7 +288,9 @@ def strong_condition(f: BlockMap, p: int) -> StrongConditionReport:
                 if u == vv
                 else [(a, b) for a in cands[u] for b in cands[vv]]
             )
-            w = au.separating_word(l_dfa(u, vv), *[g_dfa(u, a, vv, b) for a, b in pairs])
+            # the pruned candidates, and so the pairs, are the same for every p
+            w = engine.once(("pointwise", u, vv), lambda: au.separating_word(
+                engine.allw_dfa(u, vv), *[engine.good_dfa(u, a, vv, b) for a, b in pairs]))
             if w is not None:
                 tuples = tuple(
                     {"u": u, "v": vv, "w": w, "a": a, "b": b} for a, b in pairs
@@ -293,7 +305,7 @@ def strong_condition(f: BlockMap, p: int) -> StrongConditionReport:
 
     def consistent(u, a) -> bool:
         # (u, a) itself passed the unary pruning
-        return all(missed(u, a, vv, b) is None and missed(vv, b, u, a) is None
+        return all(engine.missed(u, a, vv, b) is None and engine.missed(vv, b, u, a) is None
                    for vv, b in assign.items())
 
     def solve(i: int) -> bool:

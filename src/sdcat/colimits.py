@@ -242,13 +242,6 @@ def coequalizer_id(
 
     rev = dy.is_reversible(f)
     if rev.yes:
-        k = _detect_shift_power(f)
-        if k is not None and mixing:
-            return exists(
-                trivial_shift("0"),
-                _trivial_target_map(x),
-                reason=f"shift power {k} on a mixing shift is chain transitive",
-            )
         level = dy.chain_transitive_upto(f, level_cap)
         if level < level_cap:
             note = f"reversible, not chain transitive at level {level + 1}; trivial map is not the coequalizer"

@@ -22,8 +22,31 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from . import automata as au
+from . import verdicts as v
 from .automata import Dfa, Nfa, Word
 from .errors import ValidationError, DomainMismatch, check_budget
+
+
+def _per_object(fn):
+    """Keep ``fn(obj)`` in ``obj.__dict__``, which equality and hashing of
+    the frozen dataclasses do not see, under the wrapper's ``key``; an
+    UNDECIDED verdict is not kept."""
+    key = f"{fn.__module__}.{fn.__name__}"
+
+    def once(obj):
+        memo = obj.__dict__
+        if key in memo:
+            return memo[key]
+        out = fn(obj)
+        if not (isinstance(out, v.Verdict) and out.undecided):
+            memo[key] = out
+        return out
+
+    # not functools.wraps: ``__wrapped__`` marks the bindings that the
+    # benchmark tracer has wrapped
+    once.__name__, once.__qualname__, once.__doc__ = fn.__name__, fn.__qualname__, fn.__doc__
+    once.key = key
+    return once
 
 
 def make_alphabet(symbols) -> tuple[str, ...]:
@@ -138,6 +161,11 @@ class Presentation:
         if not word or self.is_empty():
             return False
         return au.pfn_has_cycle(self.word_action(word))
+
+    def is_full(self) -> bool:
+        """Whether this is the full shift on its alphabet: the canonical
+        automaton is one state with a loop on every symbol."""
+        return self.dfa.n == 1 and len(self.dfa.trans[0]) == len(self.alphabet)
 
     def uniform_points(self) -> list[str]:
         return [a for a in self.alphabet if self.contains_periodic((a,))]
@@ -357,8 +385,10 @@ def product_presentation(x: Presentation, y: Presentation) -> Presentation:
     return presentation_from_edges(alphabet, nx * ny, edges, point)
 
 
+@_per_object
 def diagonal_relation(x: Presentation) -> Presentation:
-    """The diagonal of ``x`` inside the product alphabet of ``x`` with itself."""
+    """The diagonal of ``x`` inside the product alphabet of ``x`` with itself,
+    built once per shift."""
     alphabet = product_alphabet(x.alphabet, x.alphabet)
     n = x.n_live()
     edges = []
@@ -538,9 +568,7 @@ class EventuallyPeriodicPoint:
     def in_shift(self, x: Presentation) -> bool:
         if x.is_empty():
             return False
-        f_left = x.word_action(self.left)
-        states = au.eventual_image(f_left)
-        states = {q for q in states if q != au.UNDEF}
+        states = au.eventual_image(x.word_action(self.left))
         for a in self.mid:
             states = {x.estep(q, a) for q in states} - {None}
             if not states:
@@ -650,7 +678,8 @@ def make_block_map(
     The rule may be partial if ``default`` is given; words outside the
     source language are rejected.  Image inclusion in the target is checked
     exactly unless ``validate_image`` is disabled (used internally for
-    constructions whose image is correct by design).
+    constructions whose image is correct by design); a full-shift target
+    holds every image over its alphabet, so no image is built for it.
     """
     rule = {tuple(w): v for w, v in (rule.items() if hasattr(rule, "items") else rule)}
     needed = set(source.words(2 * radius + 1))
@@ -667,7 +696,7 @@ def make_block_map(
     if bad:
         raise ValidationError(f"rule produces symbols outside the target alphabet: {sorted(bad)}")
     f = BlockMap(source, target, radius, tuple(sorted(rule.items())))
-    if validate_image and not source.is_empty():
+    if validate_image and not source.is_empty() and not target.is_full():
         w = au.separating_word(f.image.dfa, target.dfa)
         if w is not None:
             raise ValidationError(f"image is not contained in the target: word {w}")

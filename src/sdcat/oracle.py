@@ -124,7 +124,9 @@ def brute_surjective(f: BlockMap, length: int | None = None) -> bool:
 
     The default length dominates the size of any determinization of the
     image cover, so the check is exact for the instances used here; a
-    binary full-shift source takes the integer-coded path."""
+    binary full-shift source takes the integer-coded path.  Lengths run up
+    to it from 1 and stop at the first missed target word: target words
+    extend and image words are factorial, so a miss stays a miss."""
     import numpy as np
 
     src, tgt = f.source, f.target
@@ -132,17 +134,21 @@ def brute_surjective(f: BlockMap, length: int | None = None) -> bool:
     if length is None:
         cover = max(1, len(src.words(2 * f.radius))) if f.radius else src.n_live()
         length = 2 ** min(cover, 4) + tgt.dfa.n + 1
-    if binary and set(tgt.alphabet) == {"0", "1"}:
-        hit = np.bincount(_binary_image_words(f, length), minlength=2**length) > 0
-        if tgt.dfa.n == 1 and tgt.count_words(1) == 2:
-            return bool(hit.all())
-        return all(hit[int("".join(w), 2)] for w in tgt.words(length))
-    seen = set()
-    r = f.radius
-    for w in src.words(length + 2 * r):
-        seen.add(tuple(f.local(w[i : i + f.width()]) for i in range(length)))
-    target_words = set(tgt.words(length))
-    return target_words <= seen
+    for n in range(1, length + 1):
+        if binary and set(tgt.alphabet) == {"0", "1"}:
+            hit = np.bincount(_binary_image_words(f, n), minlength=2**n) > 0
+            if tgt.dfa.n == 1 and tgt.count_words(1) == 2:
+                onto = bool(hit.all())
+            else:
+                onto = all(hit[int("".join(w), 2)] for w in tgt.words(n))
+        else:
+            r = f.radius
+            seen = {tuple(f.local(w[i : i + f.width()]) for i in range(n))
+                    for w in src.words(n + 2 * r)}
+            onto = set(tgt.words(n)) <= seen
+        if not onto:
+            return False
+    return True
 
 
 def brute_preinjective(f: BlockMap) -> bool:

@@ -313,7 +313,7 @@ class TestFactsDecidedOnce:
 
         # the step each fact's computation cannot skip
         steps = [(an, "is_subsft_of"), (an, "scc_subshift"), (au, "minimize"),
-                 (au, "compose_pfn"), (an, "apply_map"), (an, "_diag_tail_states"),
+                 (au, "compose_pfn"), (an, "apply_map"), (an, "_diagonal_view"),
                  (Presentation, "language_equal")]
         for owner, name in steps:
             count(owner, name)
@@ -335,6 +335,37 @@ class TestFactsDecidedOnce:
         g = identity_map(y)
         assert x == y and hash(x) == hash(y)
         assert f == g and hash(f) == hash(g)
+
+    def test_each_kernel_has_one_diagonal_view(self, and_rule, full2, monkeypatch):
+        from sdcat import core
+
+        # a fresh map, so no kernel fact is kept from another test
+        f = make_block_map(full2, full2, 1, and_rule.rule_dict)
+        sccs, parsed = [], []
+        real_sccs, real_split = an._cycle_sccs, an.split_pair
+        monkeypatch.setattr(an, "_cycle_sccs", lambda n, succ: sccs.append(n) or real_sccs(n, succ))
+        monkeypatch.setattr(an, "split_pair", lambda t: parsed.append(t) or real_split(t))
+        for _ in range(2):
+            fam = an.injectivity_family(f)
+            pre = an.is_preinjective(f)
+            res = an.resolvingness(f)
+        assert not fam.injective and pre.no and res == an.Resolvingness(False, False)
+        p1, p2 = pre.witness["pair"]
+        assert not p1.same_point(p2)
+        assert core.apply_map_ep(f, p1).same_point(core.apply_map_ep(f, p2))
+        # the kernel's cycle components, then its diagonal ones; every pair
+        # token is parsed once, where the view is built
+        assert len(sccs) == 2
+        assert sorted(parsed) == sorted(f.kernel.alphabet)
+
+        built = []
+        real = core.presentation_from_nfa
+        monkeypatch.setattr(core, "presentation_from_nfa",
+                            lambda alphabet, nfa, *rest: built.append(nfa) or real(alphabet, nfa, *rest))
+        x = core.golden_mean()
+        built.clear()
+        assert diagonal_relation(x) is diagonal_relation(x)
+        assert len(built) == 1
 
     def test_mixing_of_kernel_constituents_builds_no_components(self, xor3, monkeypatch):
         from sdcat.core import full_shift

@@ -47,7 +47,7 @@ class TestDeterminizeMinimize:
     def test_empty_language(self):
         nfa = Nfa(("0",), 1, [], {0}, set())
         dfa = au.determinize_minimize(nfa)
-        assert au.is_empty_language(dfa)
+        assert au.shortest_accepted(dfa) is None
 
     def test_idempotent_and_language_preserving(self, even_shift):
         once = au.minimize(even_shift.dfa)
@@ -60,7 +60,7 @@ class TestDeterminizeMinimize:
 class TestLanguageOps:
     def test_intersection_with_complement_is_empty(self, golden):
         # the difference product accepts L(a) intersected with the complement of L(b)
-        assert au.is_empty_language(au.product_dfa(golden.dfa, golden.dfa))
+        assert au.shortest_accepted(au.product_dfa(golden.dfa, golden.dfa)) is None
 
     def test_golden_inside_full(self, golden, full2):
         assert au.included(golden.dfa, full2.dfa)

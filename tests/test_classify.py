@@ -101,6 +101,31 @@ class TestStrongCondition:
             # oracle confirmation: no conforming preimage with these tails
             assert orc.ep_preimage_search(compress_map, t, pad=8) is None
 
+    def test_each_automaton_is_made_once_across_p(self, xor3, compress_map, shrink_map,
+                                                  monkeypatch):
+        from sdcat import automata as au
+
+        real = au.determinize
+        made = []
+
+        def counting(nfa):
+            made.append((frozenset(nfa.initial), frozenset(nfa.accepting),
+                         tuple(tuple(sorted((a, tuple(sorted(d))) for a, d in row.items()))
+                               for row in nfa.trans)))
+            return real(nfa)
+
+        monkeypatch.setattr(au, "determinize", counting)
+        for g in (xor3, compress_map, shrink_map):
+            # fresh maps: the engine of f is kept across p, a new map per p
+            # starts from nothing
+            f = make_block_map(g.source, g.target, g.radius, g.rule_dict)
+            made.clear()
+            reports = [cl.strong_condition(f, p) for p in range(1, 7)]
+            assert made and len(set(made)) == len(made)
+            for p, rep in enumerate(reports, 1):
+                assert rep == cl.strong_condition(make_block_map(g.source, g.target, g.radius,
+                                                                 g.rule_dict), p)
+
 
 class TestSplitEpic:
     def test_identity(self, full2):

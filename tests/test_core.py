@@ -238,7 +238,7 @@ class TestReduceRadius:
 
 
 class TestDerivedObjects:
-    def test_image_and_kernel_are_built_once(self, full2, monkeypatch):
+    def test_image_and_kernel_are_built_once(self, full2, golden, monkeypatch):
         from sdcat import analysis as an
         from sdcat import core
 
@@ -250,16 +250,34 @@ class TestDerivedObjects:
             return real(alphabet, nfa, *rest)
 
         monkeypatch.setattr(core, "presentation_from_nfa", counting)
-        rule = {w: str(int(w[0]) ^ int(w[2])) for w in full2.words(3)}
-        f = make_block_map(full2, full2, 1, rule)
+        # isolated 1s: a 1 is never followed by a 1, so the image is in the golden mean
+        rule = {w: str(int(w == ("0", "1", "0"))) for w in full2.words(3)}
+        f = make_block_map(full2, golden, 1, rule)
         assert len(built) == 1  # the image, built to validate inclusion
         for _ in range(2):
             assert core.image_presentation(f) is f.image
             assert an.kernel_set(f).presentation is f.kernel
         assert len(built) == 2  # plus the kernel
         # the caches are not fields: equality and hashing see only the rule
-        g = make_block_map(full2, full2, 1, rule, validate_image=False)
+        g = make_block_map(full2, golden, 1, rule, validate_image=False)
         assert f == g and hash(f) == hash(g)
+
+    def test_full_shift_targets_build_no_image_to_validate(self, full2, golden, monkeypatch):
+        from sdcat import core
+
+        assert full2.is_full() and not golden.is_full()
+        assert not core.empty_shift(("0", "1")).is_full()
+        built = []
+        real = core.presentation_from_nfa
+        monkeypatch.setattr(core, "presentation_from_nfa",
+                            lambda alphabet, nfa, *rest: built.append(nfa) or real(alphabet, nfa, *rest))
+        xor = make_block_map(full2, full2, 1, {w: str(int(w[0]) ^ int(w[2])) for w in full2.words(3)})
+        assert built == []
+        assert xor.image.is_full()
+        assert len(built) == 1
+        # an image that escapes a target that is not full is still refused
+        with pytest.raises(ValidationError):
+            make_block_map(full2, golden, 0, {("0",): "1", ("1",): "1"})
 
     def test_radius3_binary_map_builds(self, full2):
         # a random radius-3 rule: its image automaton has tens of thousands

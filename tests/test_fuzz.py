@@ -6,8 +6,9 @@ involution, periodic membership, product/union identities, the
 essential-state trim, the fiber product of block maps, structural language
 equality, the shift period, and transitivity, mixing and constituents.
 The constructions built on ``automata.explore`` and ``automata.closure``, the
-section search's constraint solver, the surjectivity verdict and the
-many-sided difference product are checked against the loops they replaced.
+section search's constraint solver, the surjectivity verdict, the
+many-sided difference product and the verdicts read off a kernel's
+diagonal view are checked against the loops they replaced.
 """
 
 import math
@@ -18,10 +19,13 @@ from hypothesis import example, given, settings, strategies as st
 from sdcat import analysis as an
 from sdcat import automata as au
 from sdcat.core import (
+    EventuallyPeriodicPoint,
     PeriodicPoint,
     _cast_alphabet,
     _peel,
+    apply_map,
     center_of,
+    diagonal_relation,
     empty_shift,
     fiber_presentation,
     full_shift,
@@ -33,6 +37,7 @@ from sdcat.core import (
     presentation_from_nfa,
     product_alphabet,
     product_presentation,
+    split_pair,
     window_graph,
 )
 from sdcat.automata import Nfa
@@ -588,7 +593,7 @@ class TestExploreAndClosure:
         got, ref = au.product_dfa(a, b), _old_product(a, b)
         assert got.n == ref.n
         assert au.shortest_accepted(got) == au.shortest_accepted(ref)
-        assert au.included(a, b) == au.is_empty_language(ref)
+        assert au.included(a, b) == (au.shortest_accepted(ref) is None)
 
     @given(st.integers(min_value=1, max_value=3).flatmap(lambda n: st.lists(
         st.lists(st.integers(min_value=0, max_value=n - 1), min_size=n, max_size=n).map(tuple),
@@ -682,10 +687,10 @@ def _old_surjectivity_word(f):
 
 
 @st.composite
-def sofic_maps(draw):
+def sofic_maps(draw, maps=binary_maps()):
     """A map between random sofic shifts: the target is the image, or the
     image joined with a second random shift."""
-    f = draw(binary_maps())
+    f = draw(maps)
     target = f.image
     if draw(st.booleans()):
         target = an.union_presentation(target, presentation_from_edges(("0", "1"), *draw(random_graphs())))
@@ -718,3 +723,217 @@ class TestSurjectivity:
         assert au.separating_word(a, *bs) == au.shortest_accepted(bad)
         if bs:  # the same reachable tuples, nested in pairs
             assert au.product_dfa(a, *bs).n == bad.n
+
+
+# ---------------------------------------------------------------------------
+# The diagonal view of a kernel
+
+
+def _old_off_diagonal(token):
+    a, b = split_pair(token)
+    return a != b
+
+
+def _old_cycle_sccs(n, succ):
+    out = []
+    for comp in au.strongly_connected_components(range(n), succ):
+        cs = set(comp)
+        if any(j in cs for i in comp for j in succ(i)):
+            out.append(comp)
+    return out
+
+
+def _old_injectivity_family(f):
+    """Reference: the injectivity family with a token parse per edge."""
+    ker = f.kernel
+    n = ker.n_live()
+    inj = not any(_old_off_diagonal(t) for i in range(n) for t in ker.live_trans[i])
+    ipp = True
+    for comp in _old_cycle_sccs(n, lambda i: ker.live_trans[i].values()):
+        cs = set(comp)
+        for i in comp:
+            for t, j in ker.live_trans[i].items():
+                if j in cs and _old_off_diagonal(t):
+                    ipp = False
+    images = {}
+    uni = True
+    for a in f.source.uniform_points():
+        img = apply_map(f, PeriodicPoint((a,))).word
+        if img in images:
+            uni = False
+        images[img] = a
+    return an.InjectivityFamily(inj, ipp, uni)
+
+
+def _old_diag_tail_states(rel):
+    n = rel.n_live()
+    diag_succ = [{j for t, j in rel.live_trans[i].items() if not _old_off_diagonal(t)}
+                 for i in range(n)]
+    diag_pred = [set() for _ in range(n)]
+    for i in range(n):
+        for j in diag_succ[i]:
+            diag_pred[j].add(i)
+
+    def closure_on_cycles(succ):
+        return au.closure((q for comp in _old_cycle_sccs(n, succ.__getitem__) for q in comp),
+                          succ.__getitem__)
+
+    return closure_on_cycles(diag_succ), closure_on_cycles(diag_pred)
+
+
+def _old_diagonal_cycle_seeds(rel):
+    n = rel.n_live()
+    diag_succ = [[(p, t) for t, p in rel.live_trans[i].items() if not _old_off_diagonal(t)]
+                 for i in range(n)]
+    seeds = {}
+    for comp in _old_cycle_sccs(n, lambda q: [p for p, _ in diag_succ[q]]):
+        cs = set(comp)
+        s = comp[0]
+        prev = {s: None}
+        queue = [s]
+        word = None
+        while queue and word is None:
+            q = queue.pop(0)
+            for p, t in diag_succ[q]:
+                if p == s:
+                    parts = [t]
+                    back = q
+                    while back != s:
+                        back, t2 = prev[back]
+                        parts.append(t2)
+                    word = tuple(reversed(parts))
+                    break
+                if p not in prev and p in cs:
+                    prev[p] = (q, t)
+                    queue.append(p)
+        if word:
+            for q in comp:
+                seeds.setdefault(q, None)
+            seeds[s] = word
+    return {q: w for q, w in seeds.items() if w is not None}
+
+
+def _old_path_word(rel, sources, target):
+    sources = sorted(sources)
+    prev = {s: None for s in sources}
+    queue = list(sources)
+    while queue:
+        q = queue.pop(0)
+        if q == target:
+            parts = []
+            back = q
+            while prev[back] is not None:
+                back, t = prev[back]
+                parts.append(t)
+            return tuple(reversed(parts)), back
+        for t, p in sorted(rel.live_trans[q].items()):
+            if p not in prev:
+                prev[p] = (q, t)
+                queue.append(p)
+    return None
+
+
+def _old_diamond_witness(rel, i, tok, j):
+    seeds = _old_diagonal_cycle_seeds(rel)
+    if not seeds:
+        return None
+    hit = _old_path_word(rel, set(seeds), i)
+    if hit is None:
+        return None
+    mid1, origin = hit
+    best = None
+    for s2, rword in seeds.items():
+        found = _old_path_word(rel, {j}, s2)
+        if found is not None and (best is None or len(found[0]) < len(best[0])):
+            best = (found[0], rword)
+    if best is None:
+        return None
+    mid2, rword = best
+    words = (seeds[origin], mid1 + (tok,) + mid2, rword)
+    pairs = [[split_pair(t) for t in w] for w in words]
+    return tuple(EventuallyPeriodicPoint(*(tuple(p[k] for p in ps) for ps in pairs)) for k in (0, 1))
+
+
+def _old_is_preinjective(f):
+    """Reference: (answer, witness, note) from the separate tail, seed and
+    path loops."""
+    rel = f.kernel
+    n = rel.n_live()
+    backward, forward = _old_diag_tail_states(rel)
+    reach = au.closure(backward, lambda q: rel.live_trans[q].values())
+    pred = [[] for _ in range(n)]
+    for i in range(n):
+        for j in rel.live_trans[i].values():
+            pred[j].append(i)
+    coreach = au.closure(forward, pred.__getitem__)
+    for i in range(n):
+        if i in reach:
+            for t, j in rel.live_trans[i].items():
+                if j in coreach and _old_off_diagonal(t):
+                    witness = _old_diamond_witness(rel, i, t, j)
+                    return "NO", ({"pair": witness} if witness else None), None
+    note = None
+    if an.is_transitive(f.source) and an.is_sft(f.source).yes:
+        diag = diagonal_relation(f.source)
+        note = f"diagonal is a constituent: {any(c.language_equal(diag) for c in an.constituents(rel))}"
+    return "YES", None, note
+
+
+def _old_resolvingness(f):
+    rel = f.kernel
+    backward, forward = _old_diag_tail_states(rel)
+    right = left = True
+    for i in range(rel.n_live()):
+        for t, j in rel.live_trans[i].items():
+            if _old_off_diagonal(t):
+                right = right and i not in backward
+                left = left and j not in forward
+    return an.Resolvingness(right, left)
+
+
+def _ladder_pool():
+    """The benchmark's ladder maps, from the committed rule table."""
+    import pathlib
+    import sys
+
+    sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "bench"))
+    try:
+        import workloads
+    finally:
+        sys.path.pop(0)
+    return [make_block_map(src, tgt, r, rule) for src, tgt, r, _, rule in workloads.Ladder().items]
+
+
+@st.composite
+def sft_maps(draw):
+    """A radius-0 or radius-1 map from a random SFT, which may be empty,
+    into the full 2-shift.  A YES of ``is_preinjective`` decides SFT-ness of
+    a transitive source for its note, which is quick for an SFT and can take
+    minutes for some strictly sofic shifts of four states."""
+    x = make_presentation(("0", "1"), "sft", draw(forbidden_lists()))
+    radius = draw(st.integers(min_value=0, max_value=1))
+    windows = x.words(2 * radius + 1)
+    outs = draw(st.lists(st.sampled_from("01"), min_size=len(windows), max_size=len(windows)))
+    return make_block_map(x, FULL2, radius, dict(zip(windows, outs)))
+
+
+class TestDiagonalView:
+    def _check(self, f):
+        pre = an.is_preinjective(f)
+        assert (pre.answer, pre.witness, pre.note) == _old_is_preinjective(f)
+        assert an.injectivity_family(f) == _old_injectivity_family(f)
+        assert an.resolvingness(f) == _old_resolvingness(f)
+
+    @given(sft_maps() | sofic_maps(sft_maps()))
+    @settings(max_examples=150, deadline=None)
+    def test_verdicts_match_the_separate_loops(self, f):
+        self._check(f)
+
+    def test_census_maps_match_the_separate_loops(self):
+        windows = FULL2.words(3)
+        for bits in range(256):
+            self._check(make_block_map(FULL2, FULL2, 1, {w: str(bits >> i & 1) for i, w in enumerate(windows)}))
+
+    def test_ladder_maps_match_the_separate_loops(self):
+        for f in _ladder_pool():
+            self._check(f)

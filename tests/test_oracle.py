@@ -4,6 +4,7 @@ from sdcat import analysis as an
 from sdcat import classify as cl
 from sdcat import oracle as orc
 from sdcat.core import identity_map, make_block_map
+from sdcat.errors import ValidationError
 from sdcat.limits import CategoryTag
 
 K2 = CategoryTag.parse("K2")
@@ -90,3 +91,36 @@ class TestBruteSurjectiveOnGolden:
         assert not orc.brute_surjective(const)
         for f in (rising, const):
             assert cl.is_epic(f, K2).yes == orc.brute_surjective(f)
+
+
+def _final_length_surjective(f):
+    """Reference: the word check at the default final length only."""
+    import numpy as np
+
+    src, tgt = f.source, f.target
+    cover = max(1, len(src.words(2 * f.radius))) if f.radius else src.n_live()
+    length = 2 ** min(cover, 4) + tgt.dfa.n + 1
+    hit = np.bincount(orc._binary_image_words(f, length), minlength=2**length) > 0
+    if tgt.dfa.n == 1 and tgt.count_words(1) == 2:
+        return bool(hit.all())
+    return all(hit[int("".join(w), 2)] for w in tgt.words(length))
+
+
+class TestBruteSurjectiveStopsAtFirstMiss:
+    def test_census_sample_matches_the_final_length_check(self, full2, golden):
+        import random
+
+        windows = full2.words(3)
+        # plus two surjective rules and rule 8, which also maps into the golden mean
+        sample = random.Random(2013).sample(range(256), 6) + [150, 204, 8]
+        answers = set()
+        for bits in sample:
+            rule = {w: str((bits >> i) & 1) for i, w in enumerate(windows)}
+            for tgt in (full2, golden):
+                try:
+                    f = make_block_map(full2, tgt, 1, rule)
+                except ValidationError:
+                    continue
+                answers.add(orc.brute_surjective(f))
+                assert orc.brute_surjective(f) == _final_length_surjective(f)
+        assert answers == {True, False}
