@@ -217,33 +217,21 @@ def spreading_state(f: BlockMap) -> str | None:
 
 
 def nilpotency_index(f: BlockMap, cap: int = 8) -> int | None:
-    """Smallest n with f^n(X) a single uniform point, if within cap.
-
-    f^n(X) is f applied to f^(n-1)(X) at f's own radius, unless X under the
-    composed map f^n reads fewer windows: images that grow fast blow up the
-    first, large n the second.  f^n is composed only when it is used.
-    """
+    """Smallest n with f^n(X) a single uniform point, if within cap."""
     _require_endo(f)
-    x, r, k = f.source, f.radius, len(f.source.alphabet)
-    current, img = x, f.image
-    fm, m = f, 1  # f^m
+    current = f.source
+    fr = f
     for n in range(1, cap + 1):
-        if n > 1:
-            current = img
-            # windows read: X at f^n's radius n r, or f^(n-1)(X) at radius r
-            if x.n_live() * k ** (2 * (n - 1) * r) < current.n_live():
-                try:
-                    while m < n:
-                        fm, m = reduce_radius(compose(f, fm)), m + 1
-                except BudgetExceeded:
-                    return None
-                img = fm.image
-            else:
-                img = rule_image(current, r, f.rule_dict, f.target.alphabet)
+        img = an.image(fr)
         if img.n_live() == 1 and len([a for a in img.alphabet if img.contains_word((a,))]) == 1 \
                 and img.count_words(2) == 1:
             return n
         if img.language_equal(current):
+            return None
+        current = img
+        try:
+            fr = reduce_radius(compose(f, fr))
+        except BudgetExceeded:
             return None
     return None
 

@@ -11,10 +11,12 @@ many-sided difference product and the verdicts read off a kernel's
 diagonal view are checked against the loops they replaced.
 """
 
+import functools
+import itertools
 import math
 from collections import deque
 
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from sdcat import analysis as an
 from sdcat import automata as au
@@ -44,8 +46,8 @@ from sdcat.automata import Nfa
 
 
 @st.composite
-def random_graphs(draw):
-    n = draw(st.integers(min_value=1, max_value=4))
+def random_graphs(draw, max_nodes=4):
+    n = draw(st.integers(min_value=1, max_value=max_nodes))
     syms = ("0", "1")
     edges = []
     for src in range(n):
@@ -205,13 +207,18 @@ FULL2 = full_shift(("0", "1"))
 
 
 @st.composite
-def binary_maps(draw):
-    """A radius-0 or radius-1 map from a random sofic shift into the full
-    2-shift; the source may be empty."""
-    n, edges = draw(random_graphs())
+def binary_maps(draw, graphs=random_graphs()):
+    """A radius-0 or radius-1 map from a random sofic shift, presented by
+    one of ``graphs``, into the full 2-shift; the source may be empty."""
+    n, edges = draw(graphs)
     x = presentation_from_nfa(("0", "1"), Nfa(("0", "1"), n, edges, range(n), range(n)))
     if draw(st.integers(min_value=0, max_value=9)) == 0:
         x = empty_shift(("0", "1"))
+    return _rule_map(draw, x)
+
+
+def _rule_map(draw, x):
+    """A random radius-0 or radius-1 map from ``x`` into the full 2-shift."""
     radius = draw(st.integers(min_value=0, max_value=1))
     windows = x.words(2 * radius + 1)
     outs = draw(st.lists(st.sampled_from("01"), min_size=len(windows), max_size=len(windows)))
@@ -907,14 +914,35 @@ def _ladder_pool():
 @st.composite
 def sft_maps(draw):
     """A radius-0 or radius-1 map from a random SFT, which may be empty,
-    into the full 2-shift.  A YES of ``is_preinjective`` decides SFT-ness of
-    a transitive source for its note, which is quick for an SFT and can take
-    minutes for some strictly sofic shifts of four states."""
-    x = make_presentation(("0", "1"), "sft", draw(forbidden_lists()))
-    radius = draw(st.integers(min_value=0, max_value=1))
-    windows = x.words(2 * radius + 1)
-    outs = draw(st.lists(st.sampled_from("01"), min_size=len(windows), max_size=len(windows)))
-    return make_block_map(x, FULL2, radius, dict(zip(windows, outs)))
+    into the full 2-shift."""
+    return _rule_map(draw, make_presentation(("0", "1"), "sft", draw(forbidden_lists())))
+
+
+@functools.cache
+def _two_node_sofic_shifts():
+    """The strictly sofic shifts presented by graphs of two nodes, each once."""
+    ends = [(), (0,), (1,), (0, 1)]
+    shifts = {}
+    for dsts in itertools.product(ends, repeat=4):
+        edges = [(q, a, d) for (q, a), ds in zip(itertools.product((0, 1), "01"), dsts) for d in ds]
+        x = presentation_from_nfa(("0", "1"), Nfa(("0", "1"), 2, edges, range(2), range(2)))
+        if not x.is_empty() and not an.is_sft(x).yes:
+            shifts.setdefault(x.dfa, x)
+    return list(shifts.values())
+
+
+@st.composite
+def small_sofic_maps(draw):
+    """A radius-0 or radius-1 map into the full 2-shift from a shift of at
+    most four states: a strictly sofic shift of a two-node graph, or the
+    shift of a random graph of at most three nodes.  A YES of
+    ``is_preinjective`` decides SFT-ness of a transitive source for its
+    note, which can take seconds to minutes on five states."""
+    if draw(st.booleans()):
+        return _rule_map(draw, draw(st.sampled_from(_two_node_sofic_shifts())))
+    f = draw(binary_maps(random_graphs(max_nodes=3)))
+    assume(f.source.n_live() <= 4)
+    return f
 
 
 class TestDiagonalView:
@@ -924,8 +952,8 @@ class TestDiagonalView:
         assert an.injectivity_family(f) == _old_injectivity_family(f)
         assert an.resolvingness(f) == _old_resolvingness(f)
 
-    @given(sft_maps() | sofic_maps(sft_maps()))
-    @settings(max_examples=150, deadline=None)
+    @given(sft_maps() | small_sofic_maps() | sofic_maps(sft_maps() | small_sofic_maps()))
+    @settings(max_examples=200, deadline=None)
     def test_verdicts_match_the_separate_loops(self, f):
         self._check(f)
 
