@@ -8,8 +8,10 @@ exact except where a verdict explicitly says otherwise.
 Facts about one shift or one map are decided once per object and kept on
 it, as ``BlockMap.image`` is; an UNDECIDED verdict, which depends on the
 work budget, is not kept.  Surjectivity is one such fact: every epic,
-bijectivity and cokernel test reads ``surjectivity(f)``, whose YES is
-structural equality of image and target and builds no product.  The
+bijectivity and cokernel test reads ``surjectivity(f)``, which builds no
+image.  Its YES is the Garden-of-Eden theorem for a preinjective
+endomorphism of a transitive SFT, and otherwise an exhausted search for a
+target word outside the image, whose first hit is the NO witness.  The
 injectivity family, preinjectivity and resolvingness all read one
 diagonal view per kernel, ``_diagonal_view``.
 """
@@ -33,6 +35,7 @@ from .core import (
     diagonal_relation,
     fiber_presentation,
     full_shift,
+    image_graph,
     image_presentation,
     make_block_map,
     pair_symbol,
@@ -43,7 +46,7 @@ from .core import (
     window_graph,
     _per_object,
 )
-from .errors import BudgetExceeded, DomainMismatch, InternalError, ValidationError, check_budget
+from .errors import BudgetExceeded, DomainMismatch, ValidationError, check_budget
 
 image = image_presentation
 
@@ -532,16 +535,20 @@ def is_sft(x: Presentation) -> v.Verdict:
 def surjectivity(f: BlockMap) -> v.Verdict:
     """Whether ``f`` is onto its target: epic in all twelve categories.
 
-    ``make_block_map`` checks that the image lies in the target, so YES is
-    structural equality of the two languages.  NO carries the shortlex-least
-    target word outside the image.
+    No image is built.  An endomorphism of a transitive SFT is onto exactly
+    when it is preinjective: the Garden-of-Eden theorem (Moore 1962, Myhill
+    1963), for irreducible SFTs in Lind & Marcus, Section 8.1.  So there a
+    YES of ``is_preinjective`` is a YES.  Otherwise ``automata.missing_word``
+    searches the target automaton against the image graph: NO carries the
+    shortlex-least target word outside the image, and a search that finds
+    none is a YES.
     """
-    if f.image.language_equal(f.target):
-        return v.yes()
-    word = au.separating_word(f.target.dfa, f.image.dfa)
-    if word is None:
-        raise InternalError("image and target differ, but no target word is missing")
-    return v.no(witness={"word": word})
+    x = f.source
+    if (x.language_equal(f.target) and is_transitive(x) and is_sft(x).yes
+            and is_preinjective(f).yes):
+        return v.yes(note="Garden of Eden: a preinjective endomorphism of a transitive SFT is onto")
+    word = au.missing_word(f.target.dfa, image_graph(x, f.radius, f.rule_dict, f.target.alphabet))
+    return v.yes() if word is None else v.no(witness={"word": word})
 
 
 @dataclass(frozen=True)

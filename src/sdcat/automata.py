@@ -11,7 +11,8 @@ States are consecutive integers.  Symbols are opaque string tokens; words
 are tuples of tokens.
 
 Every construction numbers its states through one breadth-first explorer,
-``explore``, and every reachability question is one ``closure``.
+``explore``, every reachability question is one ``closure``, and every
+search for a word stops early in one ``first_word``.
 """
 
 from __future__ import annotations
@@ -122,19 +123,26 @@ def closure(seeds, succ) -> set:
     return out
 
 
+def _subset_step(trans, subset) -> dict[str, set[int]]:
+    """The successors of a set of NFA states, by symbol; a symbol that
+    leads nowhere is absent."""
+    succs: dict[str, set[int]] = {}
+    for q in subset:
+        for sym, dsts in trans[q].items():
+            merged = succs.get(sym)
+            if merged is None:
+                succs[sym] = set(dsts)
+            else:
+                merged |= dsts
+    return succs
+
+
 def determinize(nfa: Nfa) -> Dfa:
     """Subset construction; drops the empty subset (partial-DFA convention)."""
     trans = nfa.trans
 
     def successors(subset):
-        succs: dict[str, set[int]] = {}
-        for q in subset:
-            for sym, dsts in trans[q].items():
-                merged = succs.get(sym)
-                if merged is None:
-                    succs[sym] = set(dsts)
-                else:
-                    merged |= dsts
+        succs = _subset_step(trans, subset)
         return zip(succs, map(frozenset, succs.values()))
 
     subsets, rows = explore(frozenset(nfa.initial), successors, "determinization")
@@ -192,13 +200,39 @@ def determinize_minimize(nfa: Nfa) -> Dfa:
     return minimize(determinize(nfa))
 
 
-def product_dfa(a: Dfa, *bs: Dfa) -> Dfa:
-    """The difference automaton: it accepts L(a) minus every L(b).
+def first_word(starts, successors, stop, what: str | None) -> Word | None:
+    """Breadth-first search from ``starts``, in order, with early exit.
 
-    States are reachable tuples, with ``-1`` for a ``b`` component that has
-    left its partial automaton.  A tuple whose ``a`` component has left
-    accepts nothing, so it is not explored.
+    States are reached in ``explore``'s order.  Returns the word from a
+    start to the first successor for which ``stop`` holds, tested before
+    the seen-check; the starts themselves are not tested.  Returns None
+    once every reachable state is seen.  With one start and successors in
+    sorted symbol order, the word is the shortlex-least one to a stopping
+    state.  Each new state counts against the work budget under ``what``.
     """
+    parent: dict = dict.fromkeys(starts)
+    states = list(parent)
+    for state in states:
+        for sym, nxt in successors(state):
+            if stop(nxt):
+                word = [sym]
+                while parent[state] is not None:
+                    state, sym = parent[state]
+                    word.append(sym)
+                return tuple(reversed(word))
+            if nxt not in parent:
+                parent[nxt] = (state, sym)
+                states.append(nxt)
+                if what is not None:
+                    check_budget(len(states), what)
+    return None
+
+
+def _product_successors(a: Dfa, bs):
+    """Successors of the tuples of the difference automaton of ``a`` and
+    ``bs``, with ``-1`` for a ``b`` component that has left its partial
+    automaton; a tuple whose ``a`` component has left accepts nothing, so
+    it has none."""
     if any(set(a.alphabet) != set(b.alphabet) for b in bs):
         raise ValidationError("alphabet mismatch in product")
     # row -1, the empty one, is where a component that has left stays
@@ -212,8 +246,13 @@ def product_dfa(a: Dfa, *bs: Dfa) -> Dfa:
         row = b_rows[0][state[1]]
         return [(sym, (nx, row.get(sym, -1))) for sym, nx in a.trans[state[0]]]
 
-    states, rows = explore((a.init, *[b.init for b in bs]),
-                           pair_successors if len(bs) == 1 else successors, "product automaton")
+    return pair_successors if len(bs) == 1 else successors
+
+
+def product_dfa(a: Dfa, *bs: Dfa) -> Dfa:
+    """The difference automaton: it accepts L(a) minus every L(b)."""
+    states, rows = explore((a.init, *[b.init for b in bs]), _product_successors(a, bs),
+                           "product automaton")
     acc = [i for i, s in enumerate(states) if s[0] in a.accepting]
     for j, b in enumerate(bs, 1):
         acc = [i for i in acc if states[i][j] not in b.accepting]
@@ -226,27 +265,70 @@ def included(a: Dfa, b: Dfa) -> bool:
 
 
 def separating_word(a: Dfa, *bs: Dfa) -> Word | None:
-    """Shortlex-least word in L(a) outside every L(b), or None."""
-    return shortest_accepted(product_dfa(a, *bs))
+    """Shortlex-least word in L(a) outside every L(b), or None.
+
+    The difference automaton is searched, not built: the search stops at
+    the first accepting tuple.
+    """
+    successors = _product_successors(a, bs)
+
+    def accepting(state):
+        return state[0] in a.accepting and all(y not in b.accepting for y, b in zip(state[1:], bs))
+
+    start = (a.init, *[b.init for b in bs])
+    if accepting(start):
+        return ()
+    return first_word([start], successors, accepting, "product automaton")
 
 
 def shortest_accepted(dfa: Dfa) -> Word | None:
     """Shortlex-least accepted word, or None."""
-    if not dfa.accepting:
-        return None
-    dist: dict[int, Word] = {dfa.init: ()}
     if dfa.init in dfa.accepting:
         return ()
-    queue = deque([dfa.init])
-    while queue:
-        q = queue.popleft()
-        for a, p in sorted(dfa.trans[q]):
-            if p not in dist:
-                dist[p] = dist[q] + (a,)
-                if p in dfa.accepting:
-                    return dist[p]
-                queue.append(p)
-    return None
+    if not dfa.accepting:
+        return None
+    return first_word([dfa.init], dfa.trans.__getitem__, dfa.accepting.__contains__, None)
+
+
+def missing_word(dfa: Dfa, graph: Nfa) -> Word | None:
+    """Shortlex-least nonempty word of L(dfa) that labels no path of
+    ``graph`` out of its initial states, or None.
+
+    A breadth-first search over pairs (state of ``dfa``, set of states of
+    ``graph``) that stops at the first empty set under an accepting state;
+    no subset automaton is built or minimized.  The empty word labels the
+    empty path, so only successor sets are tested.
+    """
+    trans = graph.trans
+
+    def successors(pair):
+        q, subset = pair
+        succs = _subset_step(trans, subset)
+        return [(sym, (p, frozenset(succs.get(sym, ())))) for sym, p in dfa.trans[q]]
+
+    def missed(pair):
+        return not pair[1] and pair[0] in dfa.accepting
+
+    return first_word([(dfa.init, frozenset(graph.initial))], successors, missed, "determinization")
+
+
+def escaping_word(graph: Nfa, dfa: Dfa) -> Word | None:
+    """A shortest word labelling a path of ``graph`` out of one of its
+    initial states that leaves the partial automaton ``dfa``, or None.
+
+    A breadth-first search over pairs (state of ``graph``, state of
+    ``dfa``) from every initial state; ``dfa`` is deterministic, so there
+    is no subset construction.
+    """
+    rows = [dict(row) for row in dfa.trans]
+
+    def successors(pair):
+        s, q = pair
+        row = rows[q]
+        return [(sym, (d, row.get(sym))) for sym, dsts in graph.trans[s].items() for d in dsts]
+
+    starts = [(s, dfa.init) for s in sorted(graph.initial)]
+    return first_word(starts, successors, lambda pair: pair[1] is None, "image inclusion")
 
 
 def words_of_length(dfa: Dfa, n: int):

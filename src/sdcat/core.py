@@ -208,20 +208,14 @@ def _cast_alphabet(x: Presentation, alphabet) -> Presentation:
 def presentation_from_nfa(alphabet, nfa: Nfa, point=None) -> Presentation:
     """Trim a labeled graph to its essential part and canonicalize."""
     alphabet = tuple(alphabet)
-    n = nfa.n
-    succs: list[list[int]] = [[] for _ in range(n)]
-    preds: list[list[int]] = [[] for _ in range(n)]
-    for q, _, p in nfa.edges():
-        succs[q].append(p)
-        preds[p].append(q)
-    alive = _peel(n, succs, preds)
+    alive = _live_nodes(nfa.n, nfa.edges())
 
     if not alive:
         dfa = au.make_dfa(alphabet, [{}], 0, {0})
         return Presentation(alphabet, dfa, frozenset(), point)
 
     edges = [(q, a, p) for q, a, p in nfa.edges() if q in alive and p in alive]
-    trimmed = Nfa(alphabet, n, edges, alive, alive)
+    trimmed = Nfa(alphabet, nfa.n, edges, alive, alive)
     dfa = au.determinize_minimize(trimmed)
     live = _essential_states(dfa)
     pres = Presentation(alphabet, dfa, live, None)
@@ -234,6 +228,17 @@ def presentation_from_edges(alphabet, n: int, edges, point=None) -> Presentation
     """The shift of the labeled graph on ``range(n)`` with the given
     ``(src, symbol, dst)`` edges."""
     return presentation_from_nfa(alphabet, Nfa(alphabet, n, edges, range(n), range(n)), point)
+
+
+def _live_nodes(n: int, edges) -> frozenset[int]:
+    """The nodes on bi-infinite paths of the graph on ``range(n)`` with the
+    given ``(src, symbol, dst)`` edges."""
+    succs: list[list[int]] = [[] for _ in range(n)]
+    preds: list[list[int]] = [[] for _ in range(n)]
+    for q, _, p in edges:
+        succs[q].append(p)
+        preds[p].append(q)
+    return _peel(n, succs, preds)
 
 
 def _peel(n: int, succs, preds) -> frozenset[int]:
@@ -627,13 +632,22 @@ class BlockMap:
         return hash((self.source, self.target, self.radius, self.rule))
 
 
-def rule_image(source: Presentation, radius: int, rule: dict[Word, str], alphabet) -> Presentation:
-    """The image subshift of a local rule, canonically presented over ``alphabet``."""
-    alphabet = tuple(alphabet)
+def image_graph(source: Presentation, radius: int, rule: dict[Word, str], alphabet) -> Nfa:
+    """The window graph of ``source`` with each edge labelled by its rule
+    output, trimmed to the nodes on bi-infinite paths, which are all
+    initial and accepting: the paths of this graph read the image words."""
     nodes, trans = window_graph(source, 2 * radius + 1)
     n = len(nodes)
     edges = [(k, rule[window], tgt) for k in range(n) for window, tgt in trans[k].items()]
-    return presentation_from_edges(alphabet, n, edges)
+    alive = _live_nodes(n, edges)
+    edges = [(q, a, p) for q, a, p in edges if q in alive and p in alive]
+    return Nfa(alphabet, n, edges, alive, alive)
+
+
+def rule_image(source: Presentation, radius: int, rule: dict[Word, str], alphabet) -> Presentation:
+    """The image subshift of a local rule, canonically presented over ``alphabet``."""
+    alphabet = tuple(alphabet)
+    return presentation_from_nfa(alphabet, image_graph(source, radius, rule, alphabet))
 
 
 def fiber_presentation(f: BlockMap, g: BlockMap) -> Presentation:
@@ -678,8 +692,10 @@ def make_block_map(
     The rule may be partial if ``default`` is given; words outside the
     source language are rejected.  Image inclusion in the target is checked
     exactly unless ``validate_image`` is disabled (used internally for
-    constructions whose image is correct by design); a full-shift target
-    holds every image over its alphabet, so no image is built for it.
+    constructions whose image is correct by design): the image graph is
+    searched against the target automaton, and no image is built.  A
+    full-shift target holds every image over its alphabet, so it is not
+    searched.
     """
     rule = {tuple(w): v for w, v in (rule.items() if hasattr(rule, "items") else rule)}
     needed = set(source.words(2 * radius + 1))
@@ -696,8 +712,8 @@ def make_block_map(
     if bad:
         raise ValidationError(f"rule produces symbols outside the target alphabet: {sorted(bad)}")
     f = BlockMap(source, target, radius, tuple(sorted(rule.items())))
-    if validate_image and not source.is_empty() and not target.is_full():
-        w = au.separating_word(f.image.dfa, target.dfa)
+    if validate_image and not target.is_full():
+        w = au.escaping_word(image_graph(source, radius, rule, target.alphabet), target.dfa)
         if w is not None:
             raise ValidationError(f"image is not contained in the target: word {w}")
     return f

@@ -384,25 +384,19 @@ class TestFactsDecidedOnce:
             an.is_mixing(s)
         assert len(built) == before
 
-    def test_surjectivity_compares_target_and_image_at_most_once(self, xor3, and_rule,
-                                                                 monkeypatch):
-        from sdcat import automata as au
+    def test_classify_and_reversibility_build_no_image(self, xor3, and_rule):
         from sdcat import classify as cl
         from sdcat import dynamics as dy
         from sdcat.limits import CategoryTag
 
-        real = au.separating_word
-        calls = []
-        monkeypatch.setattr(au, "separating_word", lambda a, *bs: calls.append((a, bs)) or real(a, *bs))
-        # fresh maps, so no verdict is kept from another test; the strong
-        # condition's own difference products compare other automata
-        for g, onto, expected in [(xor3, True, 0), (and_rule, False, 1)]:
+        # fresh maps, so no verdict is kept from another test; neither map
+        # is injective, so nothing but surjectivity could ask for the image
+        for g, onto in [(xor3, True), (and_rule, False)]:
             f = make_block_map(g.source, g.target, g.radius, g.rule_dict)
-            calls.clear()
             row = cl.classify(f, CategoryTag.parse("K2"))
             dy.is_reversible(f)
             assert row["epic"].yes == onto
-            assert sum(a is f.target.dfa and bs == (f.image.dfa,) for a, bs in calls) == expected
+            assert "image" not in vars(f)
 
     def test_non_surjective_verdicts_carry_the_missing_word(self, and_rule):
         from sdcat import classify as cl

@@ -253,7 +253,9 @@ class TestDerivedObjects:
         # isolated 1s: a 1 is never followed by a 1, so the image is in the golden mean
         rule = {w: str(int(w == ("0", "1", "0"))) for w in full2.words(3)}
         f = make_block_map(full2, golden, 1, rule)
-        assert len(built) == 1  # the image, built to validate inclusion
+        assert built == []  # inclusion is validated without an image
+        assert core.image_presentation(f) is f.image
+        assert len(built) == 1
         for _ in range(2):
             assert core.image_presentation(f) is f.image
             assert an.kernel_set(f).presentation is f.kernel
@@ -287,6 +289,32 @@ class TestDerivedObjects:
         f = make_block_map(full2, full2, 3, {w: rng.choice("01") for w in full2.words(7)})
         assert not f.image.is_empty()
         assert time.time() - t0 < 60
+
+    @pytest.mark.parametrize("seed", [1, 2, 3, "permutive"])
+    def test_radius2_ternary_map_classifies(self, seed):
+        # random radius-2 ternary rules: their image automata have hundreds
+        # of thousands of states, so classifying must not build one; the
+        # right-permutive rule x_2 + g(x_-2..x_1) mod 3 is onto
+        from sdcat.classify import classify
+        from sdcat.limits import CategoryTag
+
+        full3 = full_shift(["0", "1", "2"])
+        windows = full3.words(5)
+        if seed == "permutive":
+            rng = random.Random(0)
+            g = {w[:4]: rng.randrange(3) for w in windows}
+            rule = {w: str((int(w[4]) + g[w[:4]]) % 3) for w in windows}
+        else:
+            rng = random.Random(seed)
+            rule = {w: rng.choice("012") for w in windows}
+        t0 = time.time()
+        f = make_block_map(full3, full3, 2, rule)
+        epic = classify(f, CategoryTag.parse("K2"))["epic"]
+        assert time.time() - t0 < 20
+        if seed == "permutive":
+            assert epic.yes
+        else:
+            assert epic.no and len(epic.witness["word"]) == 9
 
 
 class TestWordsCache:

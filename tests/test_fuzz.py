@@ -6,11 +6,14 @@ involution, periodic membership, product/union identities, the
 essential-state trim, the fiber product of block maps, structural language
 equality, the shift period, and transitivity, mixing and constituents.
 The constructions built on ``automata.explore`` and ``automata.closure``, the
-section search's constraint solver, the surjectivity verdict, the
-many-sided difference product and the verdicts read off a kernel's
-diagonal view are checked against the loops they replaced.
+section search's constraint solver, the surjectivity verdict (on
+endomorphisms of transitive SFTs too, where the Garden-of-Eden theorem
+answers YES), the image validation of ``make_block_map``, the many-sided
+difference product and the verdicts read off a kernel's diagonal view are
+checked against the loops they replaced.
 """
 
+import ast
 import functools
 import itertools
 import math
@@ -39,10 +42,12 @@ from sdcat.core import (
     presentation_from_nfa,
     product_alphabet,
     product_presentation,
+    rule_image,
     split_pair,
     window_graph,
 )
 from sdcat.automata import Nfa
+from sdcat.errors import ValidationError
 
 
 @st.composite
@@ -704,6 +709,44 @@ def sofic_maps(draw, maps=binary_maps()):
     return make_block_map(f.source, target, f.radius, f.rule_dict)
 
 
+@st.composite
+def transitive_sfts(draw):
+    """A nonempty transitive SFT on two or three symbols that forbids at
+    most three words of length one to three."""
+    alphabet = draw(st.sampled_from([("0", "1"), ("0", "1", "2")]))
+    word = st.lists(st.sampled_from(alphabet), min_size=1, max_size=3).map(tuple)
+    x = make_presentation(alphabet, "sft", draw(st.lists(word, max_size=3)))
+    assume(not x.is_empty() and an.is_transitive(x))
+    return x
+
+
+@st.composite
+def endomorphisms(draw):
+    """A radius-0 or radius-1 endomorphism of a random transitive SFT.
+
+    The rule is right-permutive, moving the last symbol of each window by a
+    cyclic shift of the symbols that depends on the rest of the window, or
+    it copies one coordinate on some windows and draws the others.  A rule
+    whose image leaves the shift is rejected."""
+    x = draw(transitive_sfts())
+    radius = draw(st.integers(min_value=0, max_value=1))
+    windows = x.words(2 * radius + 1)
+    syms = [a for a in x.alphabet if x.contains_word((a,))]
+    sym = st.sampled_from(syms)
+    if draw(st.booleans()):
+        turns = {}
+        for w in windows:
+            turns.setdefault(w[:-1], draw(st.integers(min_value=0, max_value=len(syms) - 1)))
+        rule = {w: syms[(syms.index(w[-1]) + turns[w[:-1]]) % len(syms)] for w in windows}
+    else:
+        k = draw(st.integers(min_value=0, max_value=2 * radius))
+        rule = {w: w[k] if draw(st.booleans()) else draw(sym) for w in windows}
+    try:
+        return make_block_map(x, x, radius, rule)
+    except ValidationError:
+        assume(False)
+
+
 class TestSurjectivity:
     def _check(self, f):
         got, ref = an.surjectivity(f), _old_surjectivity_word(f)
@@ -711,8 +754,14 @@ class TestSurjectivity:
         assert got.witness == (None if ref is None else {"word": ref})
 
     @given(binary_maps() | sofic_maps())
+    @example(make_block_map(empty_shift(("0", "1")), FULL2, 0, {}))
     @settings(max_examples=150, deadline=None)
     def test_verdict_matches_the_difference_product(self, f):
+        self._check(f)
+
+    @given(endomorphisms())
+    @settings(max_examples=200, deadline=None)
+    def test_endomorphisms_match_the_difference_product(self, f):
         self._check(f)
 
     def test_census_maps_match_the_difference_product(self):
@@ -730,6 +779,47 @@ class TestSurjectivity:
         assert au.separating_word(a, *bs) == au.shortest_accepted(bad)
         if bs:  # the same reachable tuples, nested in pairs
             assert au.product_dfa(a, *bs).n == bad.n
+
+
+def _old_escaping_word(x, y, radius, rule):
+    """Reference: the shortlex-least word of the canonical image outside
+    the target, from their difference product."""
+    image = rule_image(x, radius, rule, y.alphabet)
+    return au.shortest_accepted(_old_product(image.dfa, y.dfa))
+
+
+@st.composite
+def validation_cases(draw):
+    """A radius-0 or radius-1 rule on a random sofic shift and a random
+    sofic target on the same two symbols, which half the time is joined
+    with the rule's image so that it holds it."""
+    x = presentation_from_edges(("0", "1"), *draw(random_graphs()))
+    radius = draw(st.integers(min_value=0, max_value=1))
+    windows = x.words(2 * radius + 1)
+    rule = dict(zip(windows, draw(st.lists(st.sampled_from("01"), min_size=len(windows),
+                                           max_size=len(windows)))))
+    y = presentation_from_edges(("0", "1"), *draw(random_graphs()))
+    if draw(st.booleans()):
+        y = an.union_presentation(rule_image(x, radius, rule, y.alphabet), y)
+    return x, y, radius, rule
+
+
+class TestImageValidation:
+    @given(validation_cases())
+    @settings(max_examples=200, deadline=None)
+    def test_validation_matches_the_image_check(self, case):
+        x, y, radius, rule = case
+        ref = _old_escaping_word(x, y, radius, rule)
+        try:
+            make_block_map(x, y, radius, rule)
+        except ValidationError as e:
+            # a shortest escaping word, not always the shortlex-least one
+            word = ast.literal_eval(str(e).split("word ", 1)[1])
+            assert ref is not None and len(word) == len(ref)
+            assert rule_image(x, radius, rule, y.alphabet).contains_word(word)
+            assert not y.contains_word(word)
+        else:
+            assert ref is None
 
 
 # ---------------------------------------------------------------------------
