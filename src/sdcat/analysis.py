@@ -11,15 +11,21 @@ work budget, is not kept.  Surjectivity is one such fact: every epic,
 bijectivity and cokernel test reads ``surjectivity(f)``, which builds no
 image.  Its YES is the Garden-of-Eden theorem for a preinjective
 endomorphism of a transitive SFT, and otherwise an exhausted search for a
-target word outside the image, whose first hit is the NO witness.  The
-injectivity family, preinjectivity and resolvingness all read one
-diagonal view per kernel, ``_diagonal_view``.
+target word outside the image, whose first hit is the NO witness.
+
+The injectivity family, preinjectivity and resolvingness ask whether the
+kernel pair has a bi-infinite path with a given label pattern, so they
+read ``BlockMap.kernel_graph``, the trimmed fiber graph, through one
+diagonal view per map, ``_diagonal_view``, and build no canonical kernel.
+Their NO witnesses, two distinct eventually periodic points with equal
+images, are read off a path of that graph.  Constituents of the kernel,
+kernel pairs and other questions about its language read ``f.kernel``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cache, reduce
 
 from . import automata as au
@@ -32,7 +38,6 @@ from .core import (
     Presentation,
     apply_map,
     center_of,
-    diagonal_relation,
     fiber_presentation,
     full_shift,
     image_graph,
@@ -46,7 +51,7 @@ from .core import (
     window_graph,
     _per_object,
 )
-from .errors import BudgetExceeded, DomainMismatch, ValidationError, check_budget
+from .errors import BudgetExceeded, DomainMismatch, InternalError, ValidationError, check_budget
 
 image = image_presentation
 
@@ -553,63 +558,91 @@ def surjectivity(f: BlockMap) -> v.Verdict:
 
 @dataclass(frozen=True)
 class InjectivityFamily:
+    """Injectivity on all points, on periodic points and on uniform points.
+    ``pair`` is two distinct eventually periodic points with equal images
+    when ``f`` is not injective; equality does not see it."""
+
     injective: bool
     injective_on_periodic: bool
     injective_on_uniform: bool
+    pair: tuple | None = field(default=None, compare=False)
 
 
 @dataclass(frozen=True)
 class _DiagonalView:
-    """How a relation presentation sits against the diagonal.
+    """How the kernel graph of a map sits against the diagonal.
 
-    ``pairs`` holds each pair token parsed, ``off`` the off-diagonal ones.
-    ``diag[q]`` lists the diagonal ``(token, state)`` edges out of ``q`` in
-    ``live_trans`` order, which is sorted token order.  ``cycles`` are the
-    diagonal SCCs that carry a cycle, in the order Tarjan's search over
-    those lists finds them.  ``backward`` holds the states with an infinite
-    diagonal past (reachable from a diagonal cycle along diagonal edges),
-    ``forward`` those with an infinite diagonal future.
+    ``out[q]`` lists the edges ``(token, node)`` out of node ``q`` of
+    ``BlockMap.kernel_graph`` in edge order; several may carry the same
+    token.  ``pairs`` holds each pair token parsed, and ``off_edges``
+    every off-diagonal edge ``(q, token, p)`` in the same order.
+    ``backward`` holds the nodes with an infinite diagonal past (reachable
+    from a diagonal cycle along diagonal edges), ``forward`` those with an
+    infinite diagonal future.
     """
 
     pairs: dict[str, tuple[str, str]]
-    off: frozenset[str]
-    diag: tuple[tuple[tuple[str, int], ...], ...]
-    cycles: tuple[list[int], ...]
+    out: tuple[tuple[tuple[str, int], ...], ...]
+    off_edges: tuple[tuple[int, str, int], ...]
     backward: frozenset[int]
     forward: frozenset[int]
 
 
 @_per_object
-def _diagonal_view(rel: Presentation) -> _DiagonalView:
-    """The diagonal structure of ``rel``, built once per presentation."""
-    pairs = {t: split_pair(t) for t in rel.alphabet}
+def _diagonal_view(f: BlockMap) -> _DiagonalView:
+    """The diagonal structure of ``f.kernel_graph``, built once per map."""
+    alphabet, n, edges = f.kernel_graph
+    pairs = {t: split_pair(t) for t in alphabet}
     off = frozenset(t for t, (a, b) in pairs.items() if a != b)
-    n = rel.n_live()
-    diag = tuple(tuple((t, p) for t, p in row.items() if t not in off) for row in rel.live_trans)
-    succ = [[p for _, p in row] for row in diag]
-    pred: list[list[int]] = [[] for _ in range(n)]
-    for q in range(n):
-        for p in succ[q]:
+    out: list[list[tuple[str, int]]] = [[] for _ in range(n)]
+    for q, t, p in edges:
+        out[q].append((t, p))
+    off_edges = tuple((q, t, p) for q, row in enumerate(out) for t, p in row if t in off)
+    succ = [[p for t, p in row if t not in off] for row in out]
+    return _DiagonalView(pairs, tuple(map(tuple, out)), off_edges,
+                         _infinite_past(succ), _infinite_past(_predecessors(succ)))
+
+
+def _predecessors(succ) -> list[list[int]]:
+    pred: list[list[int]] = [[] for _ in succ]
+    for q, row in enumerate(succ):
+        for p in row:
             pred[p].append(q)
-    cycles = _cycle_sccs(n, succ.__getitem__)
-    on_cycle = [q for comp in cycles for q in comp]
-    backward = au.closure(on_cycle, succ.__getitem__)
-    forward = au.closure(on_cycle, pred.__getitem__)
-    return _DiagonalView(pairs, off, diag, tuple(cycles), frozenset(backward), frozenset(forward))
+    return pred
+
+
+def _infinite_past(succ) -> frozenset[int]:
+    """The nodes with an infinite path into them along the lists ``succ``,
+    that is the nodes reachable from a cycle.  A worklist drops every node
+    whose in-degree from the kept nodes reaches zero, so the cost is linear
+    in nodes plus edges."""
+    deg = [0] * len(succ)
+    for row in succ:
+        for p in row:
+            deg[p] += 1
+    stack = [q for q, d in enumerate(deg) if not d]
+    while stack:
+        for p in succ[stack.pop()]:
+            deg[p] -= 1
+            if not deg[p]:
+                stack.append(p)
+    return frozenset(q for q, d in enumerate(deg) if d)
 
 
 @_per_object
 def injectivity_family(f: BlockMap) -> InjectivityFamily:
-    ker = f.kernel
-    off = _diagonal_view(ker).off
-    inj = not any(t in off for row in ker.live_trans for t in row)
-    ipp = True
+    """Decided on the kernel graph: ``f`` is injective when no edge is off
+    the diagonal, and injective on periodic points when no off-diagonal
+    edge lies inside a strongly connected component, that is on a cycle.
+    The NO pair is read off the first off-diagonal edge."""
+    view = _diagonal_view(f)
+    inj, ipp, pair = not view.off_edges, True, None
     if not inj:
-        # an off-diagonal edge inside a cycle component joins two periodic points
-        for comp in _cycle_sccs(ker.n_live(), lambda i: ker.live_trans[i].values()):
-            cs = set(comp)
-            if any(j in cs and t in off for i in comp for t, j in ker.live_trans[i].items()):
-                ipp = False
+        sccs = au.strongly_connected_components(range(len(view.out)),
+                                                lambda q: [p for _, p in view.out[q]])
+        comp = {q: k for k, c in enumerate(sccs) for q in c}
+        ipp = not any(comp[q] == comp[p] for q, _, p in view.off_edges)
+        pair = _pair_witness(view, *view.off_edges[0], diamond=False)
     uni = True
     ups = f.source.uniform_points()
     images = {}
@@ -618,92 +651,105 @@ def injectivity_family(f: BlockMap) -> InjectivityFamily:
         if img in images:
             uni = False
         images[img] = a
-    return InjectivityFamily(inj, ipp, uni)
+    return InjectivityFamily(inj, ipp, uni, pair)
 
 
 @_per_object
 def is_preinjective(f: BlockMap) -> v.Verdict:
     """No two distinct finitely-differing points share an image.
 
-    Decided on the kernel presentation: a violation is a path from an
-    infinite diagonal history through an off-diagonal edge to an infinite
-    diagonal future.
+    Decided on the kernel graph: a violation, a diamond, is a path from an
+    infinite diagonal past through an off-diagonal edge to an infinite
+    diagonal future, and the NO witness is read off one.
+
+    On a transitive SFT source a YES notes that the diagonal Δ is a
+    constituent of Ker f, which preinjectivity implies, so no constituent
+    is computed.  Ker f is an SFT, since the source is one.  If a transitive
+    Z satisfied Δ ⊊ Z ⊆ Ker f, a word of Z with an off-diagonal symbol,
+    joined inside Z to long diagonal words on either side, could be glued
+    onto diagonal rays: a diamond.  So the SCC subshift holding Δ is Δ,
+    and no SCC subshift holds more.  On the empty source Δ is empty and is
+    no constituent.
     """
-    rel = f.kernel
-    view = _diagonal_view(rel)
-    n = rel.n_live()
-    reach = au.closure(view.backward, lambda q: rel.live_trans[q].values())
-    pred: list[list[int]] = [[] for _ in range(n)]
-    for i in range(n):
-        for j in rel.live_trans[i].values():
-            pred[j].append(i)
-    coreach = au.closure(view.forward, pred.__getitem__)
-    for i in range(n):
-        if i in reach:
-            for t, j in rel.live_trans[i].items():
-                if j in coreach and t in view.off:
-                    return v.no(witness={"pair": _diamond_witness(rel, i, t, j)})
+    view = _diagonal_view(f)
+    succ = [[p for _, p in row] for row in view.out]
+    reach = au.closure(view.backward, succ.__getitem__)
+    coreach = au.closure(view.forward, _predecessors(succ).__getitem__)
+    for i, t, j in view.off_edges:
+        if i in reach and j in coreach:
+            return v.no(witness={"pair": _pair_witness(view, i, t, j, diamond=True)})
     note = None
-    if is_transitive(f.source):
-        sft = is_sft(f.source)
-        if sft.yes:
-            diag = diagonal_relation(f.source)
-            consts = constituents(rel)
-            ok = any(c.language_equal(diag) for c in consts)
-            note = f"diagonal is a constituent: {ok}"
+    x = f.source
+    if is_transitive(x) and is_sft(x).yes:
+        note = f"diagonal is a constituent: {not x.is_empty()}"
     return v.yes(note=note)
 
 
-def _bfs_tree(roots, succ) -> dict:
-    """Breadth-first tree from ``roots``, in order, over the ``(token,
-    state)`` edges ``succ(q)``, in order: each reached state, in the order
-    reached, maps to ``(parent, token)``, a root to None."""
-    tree = dict.fromkeys(roots)
-    order = list(tree)
+def _bfs_path(start: int, succ, stop) -> tuple[Word, int]:
+    """The token word of a shortest path from ``start`` along the ``(token,
+    node)`` edges ``succ(q)``, searched in order, to the first node for
+    which ``stop`` holds, ``start`` included; and that node."""
+    parent = {start: None}
+    order = [start]
     for q in order:
+        if stop(q):
+            end, word = q, []
+            while parent[q] is not None:
+                q, t = parent[q]
+                word.append(t)
+            return tuple(reversed(word)), end
         for t, p in succ(q):
-            if p not in tree:
-                tree[p] = (q, t)
+            if p not in parent:
+                parent[p] = (q, t)
                 order.append(p)
-    return tree
+    raise InternalError("witness search found no path to a stopping node")
 
 
-def _tree_path(tree: dict, q: int) -> tuple[Word, int]:
-    """The token word of the tree path into ``q``, and the root it starts at."""
-    parts = []
-    while tree[q] is not None:
-        q, t = tree[q]
-        parts.append(t)
-    return tuple(reversed(parts)), q
+def _walk_to_cycle(q: int, step) -> tuple[Word, Word]:
+    """Follow the ``(token, node)`` edge ``step(q)`` from ``q`` until a
+    node repeats: the tokens up to the first node of the cycle so closed,
+    and the tokens of the cycle."""
+    seen: dict[int, int] = {}
+    tokens: list[str] = []
+    while q not in seen:
+        seen[q] = len(tokens)
+        t, q = step(q)
+        tokens.append(t)
+    return tuple(tokens[:seen[q]]), tuple(tokens[seen[q]:])
 
 
-def _diagonal_cycle_seeds(view: _DiagonalView) -> dict[int, Word]:
-    """The first state of each diagonal cycle SCC, with the first cycle word
-    back to it that a breadth-first tree inside the SCC meets."""
-    seeds = {}
-    for comp in view.cycles:
-        s, cs = comp[0], set(comp)
-        tree = _bfs_tree([s], lambda q: [(t, p) for t, p in view.diag[q] if p in cs])
-        q, t = next((q, t) for q in tree for t, p in view.diag[q] if p == s)
-        seeds[s] = _tree_path(tree, q)[0] + (t,)
-    return seeds
+def _pair_witness(view: _DiagonalView, i: int, tok: str, j: int, diamond: bool):
+    """Two distinct eventually periodic points with equal images, read off
+    a bi-infinite path of the kernel graph through the off-diagonal edge
+    ``(i, tok, j)``.
 
-
-def _diamond_witness(rel: Presentation, i: int, tok: str, j: int):
-    """Eventually periodic pair witnessing a diamond through the
-    off-diagonal edge (i, tok, j): diagonal tails, finite difference.
-
-    ``i`` has an infinite diagonal past and ``j`` an infinite diagonal
-    future, so a tree out of the cycle seeds reaches ``i`` and a tree out
-    of ``j`` reaches a seed; the closest seed, first in seed order on ties,
-    gives the right tail.
+    Left of the edge: a shortest path back from ``i`` to a node with the
+    wanted past, then a walk back along edges that come from such nodes
+    until a node repeats and closes a cycle; right of it, the same
+    forward.  For a
+    diamond the wanted past and future are the infinite diagonal ones,
+    which ``i`` and ``j`` reach, and the walks take diagonal edges, so the
+    points differ at finitely many places.  Otherwise every node of the
+    graph has an infinite past and future, and the walks take any edge.
     """
-    view = _diagonal_view(rel)
-    seeds = _diagonal_cycle_seeds(view)
-    mid1, left = _tree_path(_bfs_tree(sorted(seeds), lambda q: rel.live_trans[q].items()), i)
-    out = _bfs_tree([j], lambda q: rel.live_trans[q].items())
-    right = min((s for s in seeds if s in out), key=lambda s: len(_tree_path(out, s)[0]))
-    words = (seeds[left], mid1 + (tok,) + _tree_path(out, right)[0], seeds[right])
+    n = len(view.out)
+    into: list[list[tuple[str, int]]] = [[] for _ in range(n)]
+    for q, row in enumerate(view.out):
+        for t, p in row:
+            into[p].append((t, q))
+    past, future = (view.backward, view.forward) if diamond else (range(n), range(n))
+
+    def kept(t):
+        a, b = view.pairs[t]
+        return a == b or not diamond
+
+    back, b = _bfs_path(i, into.__getitem__, past.__contains__)
+    lead, cycle = _walk_to_cycle(b, lambda q: next(
+        (t, p) for t, p in into[q] if p in past and kept(t)))
+    ahead, e = _bfs_path(j, view.out.__getitem__, future.__contains__)
+    trail, cycle2 = _walk_to_cycle(e, lambda q: next(
+        (t, p) for t, p in view.out[q] if p in future and kept(t)))
+    words = (cycle[::-1], lead[::-1] + back[::-1] + (tok,) + ahead + trail, cycle2)
     return tuple(
         EventuallyPeriodicPoint(*(tuple(view.pairs[t][k] for t in w) for w in words))
         for k in (0, 1)
@@ -717,12 +763,12 @@ class Resolvingness:
 
 
 def resolvingness(f: BlockMap) -> Resolvingness:
-    rel = f.kernel
-    view = _diagonal_view(rel)
-    off_edges = [(i, j) for i, row in enumerate(rel.live_trans)
-                 for t, j in row.items() if t in view.off]
-    return Resolvingness(not any(i in view.backward for i, _ in off_edges),
-                         not any(j in view.forward for _, j in off_edges))
+    """Read off the kernel graph: no off-diagonal edge leaves a node with an
+    infinite diagonal past (right), or enters one with an infinite diagonal
+    future (left)."""
+    view = _diagonal_view(f)
+    return Resolvingness(not any(i in view.backward for i, _, _ in view.off_edges),
+                         not any(j in view.forward for _, _, j in view.off_edges))
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,7 @@ from .core import (
     reduce_radius,
     _per_object,
 )
-from .errors import BudgetExceeded, InternalError, ValidationError, check_budget
+from .errors import BudgetExceeded, InternalError, ValidationError, budget, check_budget
 from .limits import CategoryTag
 
 DEFAULT_P_CAP = 6
@@ -58,7 +58,7 @@ def is_monic(f: BlockMap, cat: CategoryTag) -> v.Verdict:
     fam = an.injectivity_family(f)
     r, lvl = cat.restriction, cat.level
     if (r, lvl) in (("K", 2), ("K", 3), ("T", 2)):
-        return v.yes() if fam.injective else v.no(note="not injective")
+        return v.yes() if fam.injective else v.no(witness={"pair": fam.pair}, note="not injective")
     if (r, lvl) == ("T", 3):
         return v.yes() if fam.injective_on_periodic else v.no(note="not injective on periodic points")
     if r == "P":
@@ -336,12 +336,18 @@ def strong_condition(f: BlockMap, p: int) -> StrongConditionReport:
 # Section and retraction searches
 
 
-def _csp_solutions(domains, follows, allowed, limit):
+def _csp_solutions(domains, follows, allowed, limit, what: str = "constraint search"):
     """DFS over assignments to the variables ``range(len(domains))``,
     smallest domain first.  The values of a pair ``(i, j)`` in ``follows``,
     ``i != j``, must form a pair in ``allowed``; each new value is checked
     against its assigned neighbours only.  Yields at most ``limit``
-    complete assignments, as dicts."""
+    complete assignments, as dicts, in depth-first order.
+
+    The search keeps an explicit stack of value iterators, one per
+    assigned depth, so its depth is not bounded by the interpreter's
+    recursion limit; each value tried counts against the work budget
+    under ``what``.
+    """
     order = sorted(range(len(domains)), key=lambda i: len(domains[i]))
     depth = {i: k for k, i in enumerate(order)}
     # (earlier successors, earlier predecessors) of the variable at each depth
@@ -352,29 +358,39 @@ def _csp_solutions(domains, follows, allowed, limit):
             outs[depth[i]].append(j)
         elif depth[i] < depth[j]:
             ins[depth[j]].append(i)
+    if limit <= 0:
+        return
+    if not order:
+        yield {}
+        return
+    # a value left in ``assign`` at or below the current depth is never
+    # read, and the keys keep their order of first assignment, depth order
     assign: dict[int, object] = {}
-    produced = 0
-
-    def rec(k: int):
-        nonlocal produced
-        if produced >= limit:
-            return
-        if k == len(order):
-            produced += 1
-            yield dict(assign)
-            return
-        i = order[k]
-        for val in domains[i]:
+    produced = tried = 0
+    cap = budget()  # read once: check_budget is called only to raise past it
+    # values[k] holds the untried values of the variable at depth k
+    values = [iter(domains[order[0]])]
+    while values:
+        k = len(values) - 1
+        for val in values[k]:
+            tried += 1
+            if tried > cap:
+                check_budget(tried, what)
             if all((val, assign[j]) in allowed for j in outs[k]) and all(
                 (assign[j], val) in allowed for j in ins[k]
             ):
-                assign[i] = val
-                yield from rec(k + 1)
-                del assign[i]
-                if produced >= limit:
-                    return
-
-    yield from rec(0)
+                break
+        else:
+            values.pop()
+            continue
+        assign[order[k]] = val
+        if k + 1 < len(order):
+            values.append(iter(domains[order[k + 1]]))
+            continue
+        produced += 1
+        yield dict(assign)
+        if produced >= limit:
+            return
 
 
 def find_section(f: BlockMap, radius_cap: int = DEFAULT_RADIUS_CAP, pointed: bool = False):
@@ -401,7 +417,7 @@ def find_section(f: BlockMap, radius_cap: int = DEFAULT_RADIUS_CAP, pointed: boo
             a, b = w[:-1], w[1:]
             if a in wpos and b in wpos:
                 follows.append((wpos[a], wpos[b]))
-        for sol in _csp_solutions(domains, follows, b2, SEARCH_LIMIT):
+        for sol in _csp_solutions(domains, follows, b2, SEARCH_LIMIT, "section search"):
             rule = {windows[i]: t for i, t in sol.items()}
             try:
                 gb = make_block_map(y, xb, rho, rule)
@@ -464,7 +480,7 @@ def find_retraction(f: BlockMap, radius_cap: int = DEFAULT_RADIUS_CAP, pointed: 
             domains.append(tuple(dom))
         wpos = {w: i for i, w in enumerate(free)}
         adj = [(wpos[a], wpos[b]) for a, b in follows if a in wpos and b in wpos]
-        for sol in _csp_solutions(domains, adj, b2x, SEARCH_LIMIT):
+        for sol in _csp_solutions(domains, adj, b2x, SEARCH_LIMIT, "retraction search"):
             rule = dict(forced)
             for i, t in sol.items():
                 rule[free[i]] = t
@@ -549,7 +565,7 @@ def is_split_monic(
     if cat.level == 1 and cat.restriction in ("T", "M", "P"):
         return _isomorphism_rule(f, "split monos of this category", "retraction")
     if not fam.injective:
-        return v.no(note="not injective")
+        return v.no(witness={"pair": fam.pair}, note="not injective")
     if cat.level == 2 and cat.restriction in ("M", "P"):
         peric = an.retraction_peric(f.source, f.target)
         if peric.no:
@@ -602,7 +618,7 @@ def is_regular_monic(
     if cat.level == 1 and cat.restriction in ("T", "M", "P"):
         return _isomorphism_rule(f, "regular monos of this category")
     if not fam.injective:
-        return v.no(note="not injective")
+        return v.no(witness={"pair": fam.pair}, note="not injective")
     img = an.image(f)
     if cat.level == 2 or (cat.restriction, cat.level) == ("K", 3):
         sub = an.is_subsft_of(img, f.target)
@@ -665,7 +681,7 @@ def classify(
         "split_monic": is_split_monic(f, cat, radius_cap=radius_cap),
         "regular_epic": is_regular_epic(f, cat),
         "regular_monic": is_regular_monic(f, cat),
-        "injective": v.yes() if fam.injective else v.no(),
+        "injective": v.yes() if fam.injective else v.no(witness={"pair": fam.pair}),
         "injective_on_periodic": v.yes() if fam.injective_on_periodic else v.no(),
         "injective_on_uniform": v.yes() if fam.injective_on_uniform else v.no(),
         "preinjective": an.is_preinjective(f),

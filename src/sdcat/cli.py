@@ -104,7 +104,7 @@ def _cmd_check(args) -> int:
             fam = an.injectivity_family(f)
             from . import verdicts as v
 
-            verdict = v.yes() if fam.injective else v.no()
+            verdict = v.yes() if fam.injective else v.no(witness={"pair": fam.pair})
         elif args.property == "peric":
             li.check_morphism(cat, f)
             verdict = an.is_peric(f)

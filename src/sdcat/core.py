@@ -11,6 +11,13 @@ Every presentation comes out of :func:`presentation_from_nfa`; the derived
 ones describe their shift as a labeled graph whose states are all initial
 and accepting and hand its edges to :func:`presentation_from_edges`.
 
+Questions that only ask whether some bi-infinite path exists need no
+canonical form.  :func:`image_graph` and :func:`fiber_graph` are labeled
+graphs trimmed to their essential nodes; surjectivity reads the image
+graph, and injectivity, preinjectivity and resolvingness read
+``BlockMap.kernel_graph``.  ``BlockMap.image`` and ``BlockMap.kernel``
+canonicalize those graphs only when a question about their language asks.
+
 Words are tuples of symbol tokens.  Everything is immutable after
 construction and safe to share.
 """
@@ -20,6 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from types import MappingProxyType
 
 from . import automata as au
 from . import verdicts as v
@@ -150,6 +158,10 @@ class Presentation:
 
     def count_words(self, n: int) -> int:
         return au.count_words(self.dfa, n)
+
+    @cached_property
+    def _window_graphs(self) -> dict[int, tuple]:
+        return {}
 
     def word_action(self, word) -> tuple[int, ...]:
         """Partial transition function of ``word`` on the essential states."""
@@ -449,7 +461,8 @@ def sft_approximation(x: Presentation, m: int) -> Presentation:
 
 
 def window_graph(x: Presentation, w: int):
-    """Nodes and deterministic window transitions for width-``w`` readings.
+    """Nodes and deterministic window transitions for width-``w`` readings,
+    built once per presentation and width.
 
     A node is ``(state, u)`` with ``u`` a word of length ``w - 1`` readable
     from ``state`` inside the essential part.  The transition on the full
@@ -458,9 +471,18 @@ def window_graph(x: Presentation, w: int):
     window at position ``i`` covers coordinates ``[i - r, i + r]`` when
     ``w = 2r + 1``.
 
-    Returns ``(nodes, trans)`` where ``trans[k]`` maps a full window word to
-    the successor node index.
+    Returns ``(nodes, trans)``, both tuples, where ``trans[k]`` is a
+    read-only mapping from a full window word to the successor node index.
     """
+    graph = x._window_graphs.get(w)
+    if graph is None:
+        graph = x._window_graphs[w] = _window_graph(x, w)
+    else:
+        check_budget(len(graph[0]), "window graph")
+    return graph
+
+
+def _window_graph(x: Presentation, w: int):
     nodes: list[tuple[int, Word]] = []
     index: dict[tuple[int, Word], int] = {}
     for i in range(x.n_live()):
@@ -482,7 +504,7 @@ def window_graph(x: Presentation, w: int):
                 tgt = (x.estep(i, u[0]), u[1:] + (a,))
             if tgt in index:
                 trans[k][window] = index[tgt]
-    return nodes, trans
+    return tuple(nodes), tuple(MappingProxyType(row) for row in trans)
 
 
 def _readable_words(x: Presentation, i: int, n: int):
@@ -606,9 +628,17 @@ class BlockMap:
         return rule_image(self.source, self.radius, self.rule_dict, self.target.alphabet)
 
     @cached_property
+    def kernel_graph(self):
+        """The fiber graph of the map with itself, which presents its
+        kernel pair; the kernel questions of ``analysis`` read it."""
+        return fiber_graph(self, self)
+
+    @cached_property
     def kernel(self) -> Presentation:
-        """Pairs of source points with equal image, over the pair alphabet."""
-        return fiber_presentation(self, self)
+        """Pairs of source points with equal image, over the pair alphabet:
+        the canonical form of ``kernel_graph``, built only when a question
+        about its language asks for it."""
+        return presentation_from_edges(*self.kernel_graph)
 
     def width(self) -> int:
         return 2 * self.radius + 1
@@ -650,8 +680,11 @@ def rule_image(source: Presentation, radius: int, rule: dict[Word, str], alphabe
     return presentation_from_nfa(alphabet, image_graph(source, radius, rule, alphabet))
 
 
-def fiber_presentation(f: BlockMap, g: BlockMap) -> Presentation:
-    """{(x, y) : f(x) = g(y)} over the pair alphabet of the two sources.
+def fiber_graph(f: BlockMap, g: BlockMap):
+    """{(x, y) : f(x) = g(y)} as a labeled graph ``(alphabet, n, edges)``:
+    ``(src, token, dst)`` edges over the pair alphabet of the two sources,
+    on the nodes ``range(n)``, each of which lies on a bi-infinite path.
+    Several edges out of one node may carry the same token.
 
     The window edges of ``g`` are bucketed by output symbol, so each window
     edge of ``f`` meets only the edges of ``g`` with the same output.
@@ -676,7 +709,15 @@ def fiber_presentation(f: BlockMap, g: BlockMap) -> Presentation:
             a = center_of(w1)
             for k2, b, t2 in buckets.get(fr[w1], ()):
                 edges.append((k1 * n2 + k2, pair_symbol(a, b), t1 * n2 + t2))
-    return presentation_from_edges(alphabet, n1 * n2, edges)
+    index = {q: i for i, q in enumerate(sorted(_live_nodes(n1 * n2, edges)))}
+    edges = tuple((index[q], t, index[p]) for q, t, p in edges if q in index and p in index)
+    return alphabet, len(index), edges
+
+
+def fiber_presentation(f: BlockMap, g: BlockMap) -> Presentation:
+    """{(x, y) : f(x) = g(y)} over the pair alphabet of the two sources,
+    canonically presented."""
+    return presentation_from_edges(*fiber_graph(f, g))
 
 
 def make_block_map(

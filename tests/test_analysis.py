@@ -342,8 +342,9 @@ class TestFactsDecidedOnce:
         # a fresh map, so no kernel fact is kept from another test
         f = make_block_map(full2, full2, 1, and_rule.rule_dict)
         sccs, parsed = [], []
-        real_sccs, real_split = an._cycle_sccs, an.split_pair
-        monkeypatch.setattr(an, "_cycle_sccs", lambda n, succ: sccs.append(n) or real_sccs(n, succ))
+        real_sccs, real_split = an.au.strongly_connected_components, an.split_pair
+        monkeypatch.setattr(an.au, "strongly_connected_components",
+                            lambda nodes, succ: sccs.append(nodes) or real_sccs(nodes, succ))
         monkeypatch.setattr(an, "split_pair", lambda t: parsed.append(t) or real_split(t))
         for _ in range(2):
             fam = an.injectivity_family(f)
@@ -353,10 +354,10 @@ class TestFactsDecidedOnce:
         p1, p2 = pre.witness["pair"]
         assert not p1.same_point(p2)
         assert core.apply_map_ep(f, p1).same_point(core.apply_map_ep(f, p2))
-        # the kernel's cycle components, then its diagonal ones; every pair
-        # token is parsed once, where the view is built
-        assert len(sccs) == 2
-        assert sorted(parsed) == sorted(f.kernel.alphabet)
+        # one component pass, for injectivity on periodic points; every
+        # pair token is parsed once, where the view is built
+        assert len(sccs) == 1
+        assert sorted(parsed) == sorted(f.kernel_graph[0])
 
         built = []
         real = core.presentation_from_nfa
@@ -397,6 +398,27 @@ class TestFactsDecidedOnce:
             dy.is_reversible(f)
             assert row["epic"].yes == onto
             assert "image" not in vars(f)
+
+    def test_kernel_questions_build_no_canonical_kernel(self):
+        from sdcat import classify as cl
+        from sdcat.core import full_shift
+        from sdcat.limits import CategoryTag
+
+        # fresh ladder-size maps: a permutive rule, onto and preinjective,
+        # whose YES note used to ask for the kernel's constituents, and a
+        # rule that is neither
+        x = full_shift(("0", "1", "2"))
+        windows = x.words(3)
+        for rule, pre in [({w: str(sum(map(int, w)) % 3) for w in windows}, True),
+                          ({w: max(w) for w in windows}, False)]:
+            f = make_block_map(x, x, 1, rule)
+            row = cl.classify(f, CategoryTag.parse("K2"))
+            fam = an.injectivity_family(f)
+            v = an.is_preinjective(f)
+            an.resolvingness(f)
+            assert row["epic"].yes == pre and v.yes == pre and not fam.injective
+            assert v.note == ("diagonal is a constituent: True" if pre else None)
+            assert "kernel" not in vars(f)
 
     def test_non_surjective_verdicts_carry_the_missing_word(self, and_rule):
         from sdcat import classify as cl

@@ -63,6 +63,19 @@ class TestMonic:
     def test_xor2_not_monic_k2(self, xor2):
         assert cl.is_monic(xor2, K2).no
 
+    def test_not_injective_verdicts_carry_a_pair(self, xor2, t3_monic_map):
+        from sdcat.core import apply_map_ep
+
+        for f, cats in ((xor2, (K2, K3, CategoryTag.parse("T2"))), (t3_monic_map, (K3,))):
+            verdicts = [cl.is_monic(f, cat) for cat in cats]
+            verdicts += [cl.classify(f, cats[0])["injective"], cl.is_split_monic(f, cats[0]),
+                         cl.is_regular_monic(f, cats[0])]
+            for v in verdicts:
+                assert v.no
+                p1, p2 = v.witness["pair"]
+                assert not p1.same_point(p2)
+                assert apply_map_ep(f, p1).same_point(apply_map_ep(f, p2))
+
     def test_t3_periodic_injectivity_suffices(self, t3_monic_map):
         assert cl.is_monic(t3_monic_map, T3).yes
         assert an.is_preinjective(t3_monic_map).no
@@ -217,6 +230,47 @@ class TestSplitMonic:
     def test_m1_bijectivity(self, flip, xor2):
         assert cl.is_split_monic(flip, M1).yes
         assert cl.is_split_monic(xor2, M1).no
+
+    def test_deep_retraction_search_ends_on_the_budget(self, even_shift):
+        import time
+
+        from sdcat.errors import BudgetExceeded, set_budget
+
+        # injective, so K3 asks for a retraction full3 -> even shift, which
+        # has thousands of windows to assign at radius 3
+        full3 = full_shift(["0", "1", "2"])
+        f = make_block_map(even_shift, full3, 1, dict(zip(even_shift.words(3), "1001212")))
+        start = time.perf_counter()
+        set_budget(3000)
+        try:
+            with pytest.raises(BudgetExceeded, match="retraction search"):
+                cl.classify(f, K3)
+        finally:
+            set_budget(None)
+        assert time.perf_counter() - start < 20
+
+
+class TestConstraintSearch:
+    def test_depth_is_not_bounded_by_the_recursion_limit(self):
+        import sys
+
+        # a chain of one-value variables, far deeper than the recursion limit
+        n = 3 * sys.getrecursionlimit()
+        chain = [(i, i + 1) for i in range(n - 1)]
+        sols = list(cl._csp_solutions([("a",)] * n, chain, {("a", "a")}, 5))
+        assert sols == [dict.fromkeys(range(n), "a")]
+
+    def test_each_value_tried_counts_against_the_budget(self):
+        from sdcat.errors import BudgetExceeded, set_budget
+
+        # ten free variables with two values: 2 + 4 + ... values tried before
+        # the 1000th of the 1024 solutions
+        set_budget(100)
+        try:
+            with pytest.raises(BudgetExceeded, match="section search"):
+                list(cl._csp_solutions([("a", "b")] * 10, [], set(), 1000, "section search"))
+        finally:
+            set_budget(None)
 
 
 class TestRegularEpic:

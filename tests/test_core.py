@@ -264,6 +264,28 @@ class TestDerivedObjects:
         g = make_block_map(full2, golden, 1, rule, validate_image=False)
         assert f == g and hash(f) == hash(g)
 
+    def test_each_window_graph_is_built_once_per_shift_and_width(self, monkeypatch):
+        from collections import Counter
+
+        from sdcat import classify as cl
+        from sdcat import core
+        from sdcat.limits import CategoryTag
+
+        built = Counter()
+        real = core._window_graph
+        monkeypatch.setattr(core, "_window_graph",
+                            lambda x, w: built.update([(id(x), w)]) or real(x, w))
+        # a fresh shift, so no graph is kept from another test
+        x = full_shift(("0", "1"))
+        for bits in (30, 90, 232):
+            rule = {w: str(bits >> i & 1) for i, w in enumerate(x.words(3))}
+            cl.classify(make_block_map(x, x, 1, rule), CategoryTag.parse("K2"))
+        assert built[(id(x), 3)] == 1 and set(built.values()) == {1}
+        nodes, trans = core.window_graph(x, 3)
+        assert core.window_graph(x, 3)[1] is trans
+        with pytest.raises(TypeError):
+            trans[0][("0", "0", "0")] = 0
+
     def test_full_shift_targets_build_no_image_to_validate(self, full2, golden, monkeypatch):
         from sdcat import core
 

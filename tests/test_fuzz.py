@@ -8,9 +8,10 @@ equality, the shift period, and transitivity, mixing and constituents.
 The constructions built on ``automata.explore`` and ``automata.closure``, the
 section search's constraint solver, the surjectivity verdict (on
 endomorphisms of transitive SFTs too, where the Garden-of-Eden theorem
-answers YES), the image validation of ``make_block_map``, the many-sided
-difference product and the verdicts read off a kernel's diagonal view are
-checked against the loops they replaced.
+answers YES), the image validation of ``make_block_map`` and the
+many-sided difference product are checked against the loops they
+replaced.  The verdicts read off a map's kernel graph are checked against
+the loops on its canonical kernel, and their witnesses re-verified.
 """
 
 import ast
@@ -24,11 +25,11 @@ from hypothesis import assume, example, given, settings, strategies as st
 from sdcat import analysis as an
 from sdcat import automata as au
 from sdcat.core import (
-    EventuallyPeriodicPoint,
     PeriodicPoint,
     _cast_alphabet,
     _peel,
     apply_map,
+    apply_map_ep,
     center_of,
     diagonal_relation,
     empty_shift,
@@ -878,82 +879,9 @@ def _old_diag_tail_states(rel):
     return closure_on_cycles(diag_succ), closure_on_cycles(diag_pred)
 
 
-def _old_diagonal_cycle_seeds(rel):
-    n = rel.n_live()
-    diag_succ = [[(p, t) for t, p in rel.live_trans[i].items() if not _old_off_diagonal(t)]
-                 for i in range(n)]
-    seeds = {}
-    for comp in _old_cycle_sccs(n, lambda q: [p for p, _ in diag_succ[q]]):
-        cs = set(comp)
-        s = comp[0]
-        prev = {s: None}
-        queue = [s]
-        word = None
-        while queue and word is None:
-            q = queue.pop(0)
-            for p, t in diag_succ[q]:
-                if p == s:
-                    parts = [t]
-                    back = q
-                    while back != s:
-                        back, t2 = prev[back]
-                        parts.append(t2)
-                    word = tuple(reversed(parts))
-                    break
-                if p not in prev and p in cs:
-                    prev[p] = (q, t)
-                    queue.append(p)
-        if word:
-            for q in comp:
-                seeds.setdefault(q, None)
-            seeds[s] = word
-    return {q: w for q, w in seeds.items() if w is not None}
-
-
-def _old_path_word(rel, sources, target):
-    sources = sorted(sources)
-    prev = {s: None for s in sources}
-    queue = list(sources)
-    while queue:
-        q = queue.pop(0)
-        if q == target:
-            parts = []
-            back = q
-            while prev[back] is not None:
-                back, t = prev[back]
-                parts.append(t)
-            return tuple(reversed(parts)), back
-        for t, p in sorted(rel.live_trans[q].items()):
-            if p not in prev:
-                prev[p] = (q, t)
-                queue.append(p)
-    return None
-
-
-def _old_diamond_witness(rel, i, tok, j):
-    seeds = _old_diagonal_cycle_seeds(rel)
-    if not seeds:
-        return None
-    hit = _old_path_word(rel, set(seeds), i)
-    if hit is None:
-        return None
-    mid1, origin = hit
-    best = None
-    for s2, rword in seeds.items():
-        found = _old_path_word(rel, {j}, s2)
-        if found is not None and (best is None or len(found[0]) < len(best[0])):
-            best = (found[0], rword)
-    if best is None:
-        return None
-    mid2, rword = best
-    words = (seeds[origin], mid1 + (tok,) + mid2, rword)
-    pairs = [[split_pair(t) for t in w] for w in words]
-    return tuple(EventuallyPeriodicPoint(*(tuple(p[k] for p in ps) for ps in pairs)) for k in (0, 1))
-
-
 def _old_is_preinjective(f):
-    """Reference: (answer, witness, note) from the separate tail, seed and
-    path loops."""
+    """Reference: (answer, note) from the separate tail and path loops on
+    the canonical kernel, and the note from its constituents."""
     rel = f.kernel
     n = rel.n_live()
     backward, forward = _old_diag_tail_states(rel)
@@ -967,13 +895,12 @@ def _old_is_preinjective(f):
         if i in reach:
             for t, j in rel.live_trans[i].items():
                 if j in coreach and _old_off_diagonal(t):
-                    witness = _old_diamond_witness(rel, i, t, j)
-                    return "NO", ({"pair": witness} if witness else None), None
+                    return "NO", None
     note = None
     if an.is_transitive(f.source) and an.is_sft(f.source).yes:
         diag = diagonal_relation(f.source)
         note = f"diagonal is a constituent: {any(c.language_equal(diag) for c in an.constituents(rel))}"
-    return "YES", None, note
+    return "YES", note
 
 
 def _old_resolvingness(f):
@@ -1035,11 +962,36 @@ def small_sofic_maps(draw):
     return f
 
 
+def _check_pair(f, pair, diamond):
+    """Re-verify a NO witness through ``core`` alone: two distinct points
+    of the source with equal images and, for a diamond, equal tails."""
+    p1, p2 = pair
+    assert p1.in_shift(f.source) and p2.in_shift(f.source)
+    assert not p1.same_point(p2)
+    assert apply_map_ep(f, p1).same_point(apply_map_ep(f, p2))
+    if diamond:
+        lo, hi = min(p1.start, p2.start), max(p1.mid_end(), p2.mid_end())
+        ll = math.lcm(len(p1.left), len(p2.left))
+        lr = math.lcm(len(p1.right), len(p2.right))
+        assert p1.segment(lo - ll, lo) == p2.segment(lo - ll, lo)
+        assert p1.segment(hi, hi + lr) == p2.segment(hi, hi + lr)
+
+
 class TestDiagonalView:
+    """The verdicts read off the kernel graph against the loops on the
+    canonical kernel; the witnesses come from another graph, so they are
+    re-verified rather than compared."""
+
     def _check(self, f):
         pre = an.is_preinjective(f)
-        assert (pre.answer, pre.witness, pre.note) == _old_is_preinjective(f)
-        assert an.injectivity_family(f) == _old_injectivity_family(f)
+        assert (pre.answer, pre.note) == _old_is_preinjective(f)
+        if pre.no:
+            _check_pair(f, pre.witness["pair"], diamond=True)
+        fam = an.injectivity_family(f)
+        assert fam == _old_injectivity_family(f)
+        assert (fam.pair is None) == fam.injective
+        if fam.pair is not None:
+            _check_pair(f, fam.pair, diamond=False)
         assert an.resolvingness(f) == _old_resolvingness(f)
 
     @given(sft_maps() | small_sofic_maps() | sofic_maps(sft_maps() | small_sofic_maps()))
