@@ -49,6 +49,7 @@ from .core import (
     sft_approximation,
     split_pair,
     window_graph,
+    _live_nodes,
     _per_object,
 )
 from .errors import BudgetExceeded, DomainMismatch, InternalError, ValidationError, check_budget
@@ -392,9 +393,15 @@ def is_subsft_of(inner: Presentation, outer: Presentation) -> v.Verdict:
         except BudgetExceeded:
             exhausted = True
             break
-    wit = _non_subsft_witness(inner, outer)
+    # in a full shift the follower sets decide SFT-ness: an SFT has no
+    # witness to search for, and a shift that is none has no window to try
+    sft = _has_finite_memory(inner) if outer_is_full else None
+    wit = None if sft else _non_subsft_witness(inner, outer)
     if wit is not None:
         return v.no(witness=wit, bound_used=bound)
+    if sft is False:
+        note = "no SFT by its follower sets, but no pumpable witness found"
+        return v.undecided(bound_used=bound, note=note)
     if not exhausted:
         for m in range(5, bound + 1):
             try:
@@ -409,13 +416,63 @@ def is_subsft_of(inner: Presentation, outer: Presentation) -> v.Verdict:
     return v.undecided(bound_used=bound, note=note)
 
 
+def _has_finite_memory(x: Presentation) -> bool:
+    """Whether ``x`` is an SFT, read off its factor-language automaton.
+
+    The states are the follower sets F(u), so X is an M-step SFT exactly
+    when F(uv) = F(v) for every word v of length M or more (Lind & Marcus,
+    Theorem 2.1.8): every state that can read v ends where the initial
+    state does.  Some M works exactly when no cycle is reachable, in the
+    graph of pairs of distinct states stepped by a common symbol, from the
+    pairs that hold the initial state.
+    """
+    rows = [dict(row) for row in x.dfa.trans]
+    init = x.dfa.init
+
+    def succ(pair):
+        i, j = pair
+        for a, p in rows[i].items():
+            q = rows[j].get(a)
+            if q is not None and q != p:
+                yield a, (min(p, q), max(p, q))
+
+    roots = [(min(q, init), max(q, init)) for q in range(x.dfa.n) if q != init]
+    pairs = list(au.closure(roots, lambda s: [p for _, p in succ(s)]))
+    index = {s: k for k, s in enumerate(pairs)}
+    edges = [(index[s], a, index[p]) for s in pairs for a, p in succ(s)]
+    return not _live_nodes(len(pairs), edges)
+
+
 def _non_subsft_witness(inner: Presentation, outer: Presentation):
     """Search for (u, w, v) with: the w-tailed points around u and around v
     lie in ``inner``, and the w-tailed point around u w^n v lies in
-    ``outer`` but outside ``inner`` for arbitrarily large n."""
+    ``outer`` but outside ``inner`` for arbitrarily large n.
+
+    Whether (u, v) is a witness depends only on the state sets that u
+    reaches from the w-tails and on the actions of v, in both shifts.  So
+    each class of u and of v is tried once, at its first word in search
+    order, which is the pair that trying every pair of words would return.
+    """
     n_live = inner.n_live()
     max_w = max(2, n_live)
     max_uv = n_live + 2
+    shifts = (inner, outer)
+    # the action of each word read so far on each shift, for every w
+    memos = tuple({(): x.word_action(()), **{(a,): x.word_action((a,)) for a in inner.alphabet}}
+                  for x in shifts)
+
+    def acts(word):
+        out = []
+        for memo in memos:
+            i = len(word)
+            while word[:i] not in memo:
+                i -= 1
+            act = memo[word[:i]]
+            for j in range(i, len(word)):
+                act = memo[word[:j + 1]] = au.compose_pfn(act, memo[word[j:j + 1]])
+            out.append(act)
+        return tuple(out)
+
     for w in _short_cyclic_words(inner, max_w):
         fw = inner.word_action(w)
         ei = au.eventual_image(fw)
@@ -425,11 +482,22 @@ def _non_subsft_witness(inner: Presentation, outer: Presentation):
         us = _ep_mid_words(inner, ei, fd, max_uv)
         if not us:
             continue
+        fws = acts(w)
+        tails = [(au.eventual_image(f), au.forever_defined(f)) for f in fws]
+        vs: dict = {}
+        for vv in us:
+            vs.setdefault(acts(vv), vv)
+        seen = set()
         for u in us:
-            for vv in us:
-                wit = _check_uv_witness(inner, outer, u, w, vv)
+            starts = tuple(_image(act, e) for act, (e, _) in zip(acts(u), tails))
+            if starts in seen:
+                continue
+            seen.add(starts)
+            runs = [_ep_state_sets(s, f) for s, f in zip(starts, fws)]
+            for v_acts, vv in vs.items():
+                wit = _check_uv_witness(runs, [f for _, f in tails], v_acts)
                 if wit is not None:
-                    return wit
+                    return {"u": u, "w": w, "v": vv, **wit}
     return None
 
 
@@ -475,41 +543,38 @@ def _ep_mid_words(x: Presentation, ei: set, fd: frozenset, max_len: int, cap: in
     return out
 
 
-def _ep_membership_pattern(x: Presentation, u: Word, w: Word, vv: Word):
-    """Membership of the point ...w w . u w^n vv w w... in x, for n = 0..;
-    returns (preperiod, period, flags)."""
-    fw = x.word_action(w)
-    ei = au.eventual_image(fw)
-    fd = au.forever_defined(fw)
+def _image(act, states) -> frozenset[int]:
+    """The states that the partial function ``act`` takes ``states`` to."""
+    return frozenset(act[q] for q in states) - {au.UNDEF}
 
-    def read(states, word):
-        cur = set(states)
-        for a in word:
-            cur = {x.estep(q, a) for q in cur} - {None}
-            if not cur:
-                return frozenset()
-        return frozenset(cur)
 
-    def accept(states):
-        return bool(read(states, vv) & fd)
-
-    states = read(ei, u)
+def _ep_state_sets(start: frozenset[int], fw):
+    """The state sets that w^n takes ``start`` to, w acting as ``fw``, for
+    n = 0.. up to the first repeat; returns (preperiod, period, sets)."""
+    states = start
     seen = {states: 0}
-    flags = [accept(states)]
+    sets = [states]
     n = 0
     while True:
         n += 1
         check_budget(n, "membership pattern")
-        states = read(states, w)
+        states = _image(fw, states)
         if states in seen:
-            return seen[states], n - seen[states], flags
+            return seen[states], n - seen[states], sets
         seen[states] = n
-        flags.append(accept(states))
+        sets.append(states)
 
 
-def _check_uv_witness(inner: Presentation, outer: Presentation, u: Word, w: Word, vv: Word):
-    pre_i, per_i, flags_i = _ep_membership_pattern(inner, u, w, vv)
-    pre_o, per_o, flags_o = _ep_membership_pattern(outer, u, w, vv)
+def _check_uv_witness(runs, fds, acts):
+    """``n`` and ``step`` of a witness, or None, from the state sets
+    ``runs`` of u w^n after the w-tails in the inner and outer shift, the
+    states ``fds`` on which w is forever defined there and the actions
+    ``acts`` of v: the point ...w w . u w^n v w w... lies in a shift when v
+    takes its set at n into its ``fd``."""
+    (pre_i, per_i, flags_i), (pre_o, per_o, flags_o) = (
+        (pre, per, [any(act[q] in fd for q in s) for s in sets])
+        for (pre, per, sets), fd, act in zip(runs, fds, acts)
+    )
 
     def mem(flags, pre, per, n):
         if n < len(flags):
@@ -522,7 +587,7 @@ def _check_uv_witness(inner: Presentation, outer: Presentation, u: Word, w: Word
             # recurs along the eventual period
             n2 = n + math.lcm(per_i, per_o)
             if mem(flags_o, pre_o, per_o, n2) and not mem(flags_i, pre_i, per_i, n2):
-                return {"u": u, "w": w, "v": vv, "n": n, "step": math.lcm(per_i, per_o)}
+                return {"n": n, "step": math.lcm(per_i, per_o)}
     return None
 
 

@@ -189,6 +189,33 @@ class TestIsSft:
         assert EventuallyPeriodicPoint(w, u, w).in_shift(even_shift)
         assert EventuallyPeriodicPoint(w, vv, w).in_shift(even_shift)
 
+    def test_sft_past_the_small_windows_needs_no_witness_search(self, monkeypatch):
+        from sdcat.core import presentation_from_edges
+
+        # no window below five describes this SFT; trying every (u, w, v)
+        # of the witness search on it took minutes
+        edges = [(0, "0", 1), (0, "1", 0), (1, "0", 2), (1, "1", 3), (2, "1", 3),
+                 (3, "0", 1), (3, "1", 4), (4, "0", 2), (4, "1", 5), (5, "1", 0)]
+        x = presentation_from_edges(("0", "1"), 6, edges)
+        monkeypatch.setattr(an, "_non_subsft_witness",
+                            lambda *a: pytest.fail("searched for a witness"))
+        v = an.is_sft(x)
+        assert v.yes and v.certificate == {"window": 5}
+
+    def test_shift_without_finite_memory_tries_no_large_window(self, monkeypatch):
+        from sdcat.core import presentation_from_edges, sft_approximation
+
+        # no SFT, and the witness search finds no pumpable family for it
+        edges = [(0, "0", 0), (1, "0", 1), (1, "1", 3), (1, "1", 4), (2, "0", 0),
+                 (2, "1", 2), (2, "1", 3), (2, "1", 4), (3, "1", 3), (4, "1", 4)]
+        x = presentation_from_edges(("0", "1"), 5, edges)
+        windows = []
+        monkeypatch.setattr(an, "sft_approximation",
+                            lambda y, m: windows.append(m) or sft_approximation(y, m))
+        v = an.is_sft(x)
+        assert v.undecided and "follower sets" in v.note
+        assert windows == [1, 2, 3, 4]
+
     def test_relative_subsft(self, golden, full2):
         assert an.is_subsft_of(golden, full2).yes
         # a shift is always a width-1 subSFT of itself

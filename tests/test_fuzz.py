@@ -8,10 +8,11 @@ equality, the shift period, and transitivity, mixing and constituents.
 The constructions built on ``automata.explore`` and ``automata.closure``, the
 section search's constraint solver, the surjectivity verdict (on
 endomorphisms of transitive SFTs too, where the Garden-of-Eden theorem
-answers YES), the image validation of ``make_block_map`` and the
-many-sided difference product are checked against the loops they
-replaced.  The verdicts read off a map's kernel graph are checked against
-the loops on its canonical kernel, and their witnesses re-verified.
+answers YES), the image validation of ``make_block_map``, the
+many-sided difference product and the non-SFT witness search are checked
+against the loops they replaced.  The verdicts read off a map's kernel
+graph are checked against the loops on its canonical kernel, and their
+witnesses re-verified.
 """
 
 import ast
@@ -411,6 +412,77 @@ class TestComponents:
         assert list(an.constituents(x)) == consts
         assert an.is_transitive(x) == transitive
         assert an.is_mixing(x) == mixing
+
+
+# ---------------------------------------------------------------------------
+# SFT-ness: the witness search by classes against the search over all pairs
+
+
+def _old_membership_pattern(x, u, w, vv):
+    """Reference: membership of ...w w . u w^n vv w w... in x for n = 0..,
+    read symbol by symbol; (preperiod, period, flags)."""
+    fw = x.word_action(w)
+    ei, fd = au.eventual_image(fw), au.forever_defined(fw)
+
+    def read(states, word):
+        cur = set(states)
+        for a in word:
+            cur = {x.estep(q, a) for q in cur} - {None}
+        return frozenset(cur)
+
+    states = read(ei, u)
+    seen = {states: 0}
+    flags = [bool(read(states, vv) & fd)]
+    while True:
+        states = read(states, w)
+        if states in seen:
+            return seen[states], len(flags) - seen[states], flags
+        seen[states] = len(flags)
+        flags.append(bool(read(states, vv) & fd))
+
+
+def _old_non_subsft_witness(inner, outer):
+    """Reference: every pair (u, v) of words tried in turn."""
+    n_live = inner.n_live()
+    for w in an._short_cyclic_words(inner, max(2, n_live)):
+        fw = inner.word_action(w)
+        ei, fd = au.eventual_image(fw), au.forever_defined(fw)
+        if not ei:
+            continue
+        us = an._ep_mid_words(inner, ei, fd, n_live + 2)
+        for u in us:
+            for vv in us:
+                pre_i, per_i, flags_i = _old_membership_pattern(inner, u, w, vv)
+                pre_o, per_o, flags_o = _old_membership_pattern(outer, u, w, vv)
+                step = math.lcm(per_i, per_o)
+
+                def leaves(n):
+                    def mem(flags, pre, per):
+                        return flags[n] if n < len(flags) else flags[pre + (n - pre) % per]
+                    return mem(flags_o, pre_o, per_o) and not mem(flags_i, pre_i, per_i)
+
+                lim = max(pre_i + per_i, pre_o + per_o) + per_i * per_o
+                for n in range(max(pre_i, pre_o), lim + 1):
+                    if leaves(n) and leaves(n + step):
+                        return {"u": u, "w": w, "v": vv, "n": n, "step": step}
+    return None
+
+
+class TestSftWitness:
+    @given(random_graphs(max_nodes=2), random_graphs(max_nodes=2), st.booleans())
+    @example((2, [(0, "0", 1), (0, "1", 0), (1, "0", 0)]), (1, []), True)  # the even shift
+    @settings(max_examples=60, deadline=None)
+    def test_classes_match_the_all_pairs_search(self, inner, other, full):
+        x = presentation_from_edges(("0", "1"), *inner)
+        y = presentation_from_edges(("0", "1"), *other)
+        outer = FULL2 if full else an.union_presentation(x, y)
+        assert an._non_subsft_witness(x, outer) == _old_non_subsft_witness(x, outer)
+
+    @given(random_graphs())
+    @settings(max_examples=100, deadline=None)
+    def test_finite_memory_is_the_verdict(self, graph):
+        x = presentation_from_edges(("0", "1"), *graph)
+        assert an._has_finite_memory(x) == an.is_sft(x).yes
 
 
 # ---------------------------------------------------------------------------
