@@ -47,6 +47,7 @@ from .core import (
     presentation_from_edges,
     product_alphabet,
     sft_approximation,
+    side_by_side,
     split_pair,
     window_graph,
     _live_nodes,
@@ -82,24 +83,18 @@ def graph_relation(f: BlockMap) -> SubshiftRelation:
     """The relation {(x, f(x))} inside source x target."""
     x = f.source
     alphabet = product_alphabet(x.alphabet, f.target.alphabet)
-    nodes, trans = window_graph(x, f.width())
-    edges = []
-    for k in range(len(nodes)):
-        for w, t in trans[k].items():
-            edges.append((k, pair_symbol(center_of(w), f.local(w)), t))
+    nodes, edges = window_graph(x, f.width())
+    edges = [(k, pair_symbol(center_of(w), f.local(w)), t) for k, w, t in edges]
     return SubshiftRelation(presentation_from_edges(alphabet, len(nodes), edges), x, f.target)
 
 
 def swap_relation(r: SubshiftRelation) -> SubshiftRelation:
     pres = r.presentation
-    n = pres.n_live()
     alphabet = product_alphabet(r.right.alphabet, r.left.alphabet)
-    edges = []
-    for i in range(n):
-        for t, j in pres.live_trans[i].items():
-            a, b = split_pair(t)
-            edges.append((i, pair_symbol(b, a), j))
-    return SubshiftRelation(presentation_from_edges(alphabet, n, edges), r.right, r.left)
+    swapped = {t: pair_symbol(b, a) for t, (a, b) in r.alphabet_pairs().items()}
+    edges = [(i, swapped[t], j) for i, t, j in pres.edges]
+    return SubshiftRelation(presentation_from_edges(alphabet, pres.n_live(), edges),
+                            r.right, r.left)
 
 
 def relation_projections(r: SubshiftRelation):
@@ -123,12 +118,8 @@ def equalizer_set(f: BlockMap, g: BlockMap) -> Presentation:
     r = max(f.radius, g.radius)
     fr = f.padded_rule(r)
     gr = g.padded_rule(r)
-    nodes, trans = window_graph(x, 2 * r + 1)
-    edges = []
-    for k in range(len(nodes)):
-        for w, t in trans[k].items():
-            if fr[w] == gr[w]:
-                edges.append((k, center_of(w), t))
+    nodes, edges = window_graph(x, 2 * r + 1)
+    edges = [(k, center_of(w), t) for k, w, t in edges if fr[w] == gr[w]]
     return presentation_from_edges(x.alphabet, len(nodes), edges)
 
 
@@ -156,12 +147,8 @@ def union_presentation(x: Presentation, y: Presentation) -> Presentation:
     """The union subshift (language union of factor languages)."""
     if set(x.alphabet) != set(y.alphabet):
         raise ValidationError("union needs a common alphabet")
-    nx = x.n_live()
-    edges = [(i, a, j) for i in range(nx) for a, j in x.live_trans[i].items()]
-    for i in range(y.n_live()):
-        for a, j in y.live_trans[i].items():
-            edges.append((nx + i, a, nx + j))
-    return presentation_from_edges(x.alphabet, nx + y.n_live(), edges)
+    same = {a: a for a in x.alphabet}
+    return side_by_side(x, y, same, same)
 
 
 # ---------------------------------------------------------------------------
@@ -180,13 +167,8 @@ def _cycle_sccs(n: int, succ) -> list[list[int]]:
 
 
 def scc_subshift(x: Presentation, comp: list[int]) -> Presentation:
-    cs = set(comp)
     idx = {q: i for i, q in enumerate(comp)}
-    edges = []
-    for q in comp:
-        for a, p in x.live_trans[q].items():
-            if p in cs:
-                edges.append((idx[q], a, idx[p]))
+    edges = [(idx[q], a, idx[p]) for q, a, p in x.edges if q in idx and p in idx]
     return presentation_from_edges(x.alphabet, len(comp), edges)
 
 

@@ -260,8 +260,8 @@ def product_dfa(a: Dfa, *bs: Dfa) -> Dfa:
 
 
 def included(a: Dfa, b: Dfa) -> bool:
-    """L(a) subseteq L(b)."""
-    return not product_dfa(a, b).accepting
+    """L(a) subseteq L(b): no word separates them."""
+    return separating_word(a, b) is None
 
 
 def separating_word(a: Dfa, *bs: Dfa) -> Word | None:
@@ -365,36 +365,38 @@ def count_words(dfa: Dfa, n: int) -> int:
 # Strongly connected components (iterative Tarjan)
 
 
-def strongly_connected_components(nodes, succ) -> list[list]:
-    """SCCs of the graph given by ``succ`` in reverse topological order."""
-    index: dict = {}
-    low: dict = {}
-    on_stack: set = set()
-    stack: list = []
-    result: list[list] = []
-    counter = [0]
+def strongly_connected_components(nodes, succ) -> list[list[int]]:
+    """SCCs of the graph given by ``succ`` on ``nodes``, which is
+    ``range(n)``, in reverse topological order."""
+    n = len(nodes)
+    index = [-1] * n
+    low = [0] * n
+    on_stack = [False] * n
+    stack: list[int] = []
+    result: list[list[int]] = []
+    counter = 0
 
     for root in nodes:
-        if root in index:
+        if index[root] >= 0:
             continue
         work = [(root, iter(succ(root)))]
-        index[root] = low[root] = counter[0]
-        counter[0] += 1
+        index[root] = low[root] = counter
+        counter += 1
         stack.append(root)
-        on_stack.add(root)
+        on_stack[root] = True
         while work:
             node, it = work[-1]
             advanced = False
             for nxt in it:
-                if nxt not in index:
-                    index[nxt] = low[nxt] = counter[0]
-                    counter[0] += 1
+                if index[nxt] < 0:
+                    index[nxt] = low[nxt] = counter
+                    counter += 1
                     stack.append(nxt)
-                    on_stack.add(nxt)
+                    on_stack[nxt] = True
                     work.append((nxt, iter(succ(nxt))))
                     advanced = True
                     break
-                elif nxt in on_stack:
+                elif on_stack[nxt]:
                     low[node] = min(low[node], index[nxt])
             if advanced:
                 continue
@@ -406,7 +408,7 @@ def strongly_connected_components(nodes, succ) -> list[list]:
                 comp = []
                 while True:
                     w = stack.pop()
-                    on_stack.discard(w)
+                    on_stack[w] = False
                     comp.append(w)
                     if w == node:
                         break
@@ -532,7 +534,7 @@ def word_action(step, states: int, word) -> tuple[int, ...]:
     return None."""
     fn = list(range(states))
     for a in word:
-        fn = [UNDEF if q == UNDEF else (UNDEF if step(q, a) is None else step(q, a)) for q in fn]
+        fn = [UNDEF if q == UNDEF or (p := step(q, a)) is None else p for q in fn]
     return tuple(fn)
 
 

@@ -190,11 +190,9 @@ class _StrongConditionEngine:
         y = self.y = f.target
         f0, _, self.pre_syms = _symbol_recoding(f)
         xb = self.xb = f0.source
-        # the two labelled graphs; each (u, a, v, b) check sets only their ends
-        self.good_edges = [(q, f0.local((t,)), q2)
-                           for q, row in enumerate(xb.live_trans) for t, q2 in row.items()]
-        self.allw_edges = [(q, sym, q2)
-                           for q, row in enumerate(y.live_trans) for sym, q2 in row.items()]
+        # the recoded source relabelled by f0, and the target's own y.edges:
+        # each (u, a, v, b) check sets only the ends of these two graphs
+        self.good_edges = [(q, f0.local((t,)), q2) for q, t, q2 in xb.edges]
         self.memo: dict = {}
 
     def once(self, key, make):
@@ -241,7 +239,7 @@ class _StrongConditionEngine:
         ei = au.eventual_image(y.word_action(u))
         fwd = au.forever_defined(y.word_action(vv))
         return self.once(("allw", ei, fwd), lambda: au.determinize(
-            Nfa(y.alphabet, max(1, y.n_live()), self.allw_edges, ei, fwd)))
+            Nfa(y.alphabet, max(1, y.n_live()), y.edges, ei, fwd)))
 
     def missed(self, u: Word, a: Word, vv: Word, b: Word) -> Word | None:
         """The shortlex-least w for which (u, vv, w) has no (a, b) preimage."""
@@ -426,10 +424,8 @@ def find_section(f: BlockMap, radius_cap: int = DEFAULT_RADIUS_CAP, pointed: boo
             g = reduce_radius(compose(from_blocks, gb))
             if not maps_equal(compose(f, g), idy):
                 continue
-            if pointed and y.point is not None and f.source.point is not None:
-                img = apply_map(g, PeriodicPoint((y.point,)))
-                if not img.same_point(PeriodicPoint((f.source.point,))):
-                    continue
+            if pointed and not li.keeps_points(g):
+                continue
             return g
     return None
 
@@ -448,17 +444,8 @@ def find_retraction(f: BlockMap, radius_cap: int = DEFAULT_RADIUS_CAP, pointed: 
     b2x = set(map(tuple, x.words(2)))
     xsyms = tuple(a for a in x.alphabet if x.contains_word((a,)))
     for rho in range(0, radius_cap + 1):
-        forced: dict[Word, str] = {}
-        ok = True
-        big = rho + f.radius
-        for xi in x.words(2 * big + 1):
-            imgw = tuple(f.local(xi[i : i + f.width()]) for i in range(2 * rho + 1))
-            c = xi[big]
-            if forced.get(imgw, c) != c:
-                ok = False
-                break
-            forced[imgw] = c
-        if not ok:
+        forced = li.forced_values(f, idx, rho)
+        if forced is None:
             continue
         windows = y.words(2 * rho + 1)
         check_budget(len(windows), "retraction search")
@@ -490,10 +477,8 @@ def find_retraction(f: BlockMap, radius_cap: int = DEFAULT_RADIUS_CAP, pointed: 
                 continue
             if not maps_equal(compose(h, f), idx):
                 continue
-            if pointed and y.point is not None and x.point is not None:
-                img = apply_map(h, PeriodicPoint((y.point,)))
-                if not img.same_point(PeriodicPoint((x.point,))):
-                    continue
+            if pointed and not li.keeps_points(h):
+                continue
             return reduce_radius(h)
     return None
 

@@ -11,6 +11,11 @@ Every presentation comes out of :func:`presentation_from_nfa`; the derived
 ones describe their shift as a labeled graph whose states are all initial
 and accepting and hand its edges to :func:`presentation_from_edges`.
 
+A graph is one kept tuple of ``(src, symbol, dst)`` edges:
+``Presentation.edges`` for the essential part, :func:`window_graph` for
+the windows of a width.  Every derived shift relabels, filters or
+reverses the edges of one such tuple.
+
 Questions that only ask whether some bi-infinite path exists need no
 canonical form.  :func:`image_graph` and :func:`fiber_graph` are labeled
 graphs trimmed to their essential nodes; surjectivity reads the image
@@ -27,7 +32,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from types import MappingProxyType
 
 from . import automata as au
 from . import verdicts as v
@@ -131,6 +135,12 @@ class Presentation:
             )
         return tuple(out)
 
+    @cached_property
+    def edges(self) -> tuple[tuple[int, str, int], ...]:
+        """The ``(src, symbol, dst)`` edges of the essential part, in
+        ``live_trans`` order."""
+        return tuple((i, a, j) for i, row in enumerate(self.live_trans) for a, j in row.items())
+
     def is_empty(self) -> bool:
         return not self.live
 
@@ -229,7 +239,7 @@ def presentation_from_nfa(alphabet, nfa: Nfa, point=None) -> Presentation:
     edges = [(q, a, p) for q, a, p in nfa.edges() if q in alive and p in alive]
     trimmed = Nfa(alphabet, nfa.n, edges, alive, alive)
     dfa = au.determinize_minimize(trimmed)
-    live = _essential_states(dfa)
+    live = _live_nodes(dfa.n, ((q, a, p) for q, row in enumerate(dfa.trans) for a, p in row))
     pres = Presentation(alphabet, dfa, live, None)
     if point is not None:
         pres = pres.with_point(point)
@@ -279,15 +289,6 @@ def _peel(n: int, succs, preds) -> frozenset[int]:
                     alive[p] = False
                     stack.append(p)
     return frozenset(q for q in range(n) if alive[q])
-
-
-def _essential_states(dfa: Dfa) -> frozenset[int]:
-    succs = [[p for _, p in row] for row in dfa.trans]
-    preds: list[list[int]] = [[] for _ in range(dfa.n)]
-    for q, row in enumerate(succs):
-        for p in row:
-            preds[p].append(q)
-    return _peel(dfa.n, succs, preds)
 
 
 def _find_forbidden_factor(word: Word, forbidden: list[Word]) -> bool:
@@ -377,12 +378,8 @@ def golden_mean() -> Presentation:
 
 
 def mirror_presentation(x: Presentation) -> Presentation:
-    n = x.n_live()
-    rev = []
-    for i in range(n):
-        for a, j in x.live_trans[i].items():
-            rev.append((j, a, i))
-    return presentation_from_edges(x.alphabet, n, rev, x.point)
+    return presentation_from_edges(x.alphabet, x.n_live(), [(j, a, i) for i, a, j in x.edges],
+                                   x.point)
 
 
 def product_presentation(x: Presentation, y: Presentation) -> Presentation:
@@ -390,12 +387,8 @@ def product_presentation(x: Presentation, y: Presentation) -> Presentation:
     alphabet = product_alphabet(x.alphabet, y.alphabet)
     nx, ny = x.n_live(), y.n_live()
     check_budget(max(1, nx) * max(1, ny), "product presentation")
-    edges = []
-    for i in range(nx):
-        for a, i2 in x.live_trans[i].items():
-            for j in range(ny):
-                for b, j2 in y.live_trans[j].items():
-                    edges.append((i * ny + j, pair_symbol(a, b), i2 * ny + j2))
+    edges = [(i * ny + j, pair_symbol(a, b), i2 * ny + j2)
+             for i, a, i2 in x.edges for j, b, j2 in y.edges]
     point = None
     if x.point is not None and y.point is not None:
         point = pair_symbol(x.point, y.point)
@@ -407,12 +400,8 @@ def diagonal_relation(x: Presentation) -> Presentation:
     """The diagonal of ``x`` inside the product alphabet of ``x`` with itself,
     built once per shift."""
     alphabet = product_alphabet(x.alphabet, x.alphabet)
-    n = x.n_live()
-    edges = []
-    for i in range(n):
-        for a, j in x.live_trans[i].items():
-            edges.append((i, pair_symbol(a, a), j))
-    return presentation_from_edges(alphabet, n, edges)
+    return presentation_from_edges(alphabet, x.n_live(),
+                                   [(i, pair_symbol(a, a), j) for i, a, j in x.edges])
 
 
 def disjoint_union(x: Presentation, y: Presentation):
@@ -421,13 +410,17 @@ def disjoint_union(x: Presentation, y: Presentation):
     collision = set(x.alphabet) & set(y.alphabet)
     lmap = {a: (f"L:{a}" if collision else a) for a in x.alphabet}
     rmap = {b: (f"R:{b}" if collision else b) for b in y.alphabet}
-    alphabet = tuple(lmap[a] for a in x.alphabet) + tuple(rmap[b] for b in y.alphabet)
+    return side_by_side(x, y, lmap, rmap), lmap, rmap
+
+
+def side_by_side(x: Presentation, y: Presentation, lmap, rmap) -> Presentation:
+    """The graphs of ``x`` and ``y`` next to each other, their symbols renamed
+    by ``lmap`` and ``rmap``, over the renamed symbols, ``x``'s first."""
+    alphabet = tuple(dict.fromkeys([*lmap.values(), *rmap.values()]))
     nx = x.n_live()
-    edges = [(i, lmap[a], j) for i in range(nx) for a, j in x.live_trans[i].items()]
-    for i in range(y.n_live()):
-        for b, j in y.live_trans[i].items():
-            edges.append((nx + i, rmap[b], nx + j))
-    return presentation_from_edges(alphabet, nx + y.n_live(), edges), lmap, rmap
+    edges = [(i, lmap[a], j) for i, a, j in x.edges] + [
+        (nx + i, rmap[a], nx + j) for i, a, j in y.edges]
+    return presentation_from_edges(alphabet, nx + y.n_live(), edges)
 
 
 def presentation_from_allowed_words(alphabet, words_m) -> Presentation:
@@ -461,18 +454,19 @@ def sft_approximation(x: Presentation, m: int) -> Presentation:
 
 
 def window_graph(x: Presentation, w: int):
-    """Nodes and deterministic window transitions for width-``w`` readings,
+    """Nodes and deterministic window edges for width-``w`` readings,
     built once per presentation and width.
 
     A node is ``(state, u)`` with ``u`` a word of length ``w - 1`` readable
-    from ``state`` inside the essential part.  The transition on the full
-    window ``u + (a,)`` moves to ``(estep(state, u[0]), u[1:] + (a,))``.
+    from ``state`` inside the essential part.  The edge on the full window
+    ``u + (a,)`` moves to ``(estep(state, window[0]), window[1:])``.
     Bi-infinite node paths correspond exactly to points of ``x``; the
     window at position ``i`` covers coordinates ``[i - r, i + r]`` when
     ``w = 2r + 1``.
 
-    Returns ``(nodes, trans)``, both tuples, where ``trans[k]`` is a
-    read-only mapping from a full window word to the successor node index.
+    Returns ``(nodes, edges)``, both tuples, with ``edges`` the ``(k,
+    window, t)`` edges from node ``k`` to node ``t``, by ``k`` and then by
+    the window's last symbol.
     """
     graph = x._window_graphs.get(w)
     if graph is None:
@@ -491,20 +485,17 @@ def _window_graph(x: Presentation, w: int):
             index[node] = len(nodes)
             nodes.append(node)
             check_budget(len(nodes), "window graph")
-    trans: list[dict[Word, int]] = [{} for _ in nodes]
+    edges: list[tuple[int, Word, int]] = []
     for k, (i, u) in enumerate(nodes):
         end = i
         for a in u:
             end = x.estep(end, a)
-        for a, _ in sorted(x.live_trans[end].items()):
+        for a in sorted(x.live_trans[end]):
             window = u + (a,)
-            if w == 1:
-                tgt = (x.estep(i, a), ())
-            else:
-                tgt = (x.estep(i, u[0]), u[1:] + (a,))
+            tgt = (x.estep(i, window[0]), window[1:])
             if tgt in index:
-                trans[k][window] = index[tgt]
-    return tuple(nodes), tuple(MappingProxyType(row) for row in trans)
+                edges.append((k, window, index[tgt]))
+    return tuple(nodes), tuple(edges)
 
 
 def _readable_words(x: Presentation, i: int, n: int):
@@ -666,9 +657,9 @@ def image_graph(source: Presentation, radius: int, rule: dict[Word, str], alphab
     """The window graph of ``source`` with each edge labelled by its rule
     output, trimmed to the nodes on bi-infinite paths, which are all
     initial and accepting: the paths of this graph read the image words."""
-    nodes, trans = window_graph(source, 2 * radius + 1)
+    nodes, edges = window_graph(source, 2 * radius + 1)
     n = len(nodes)
-    edges = [(k, rule[window], tgt) for k in range(n) for window, tgt in trans[k].items()]
+    edges = [(k, rule[window], t) for k, window, t in edges]
     alive = _live_nodes(n, edges)
     edges = [(q, a, p) for q, a, p in edges if q in alive and p in alive]
     return Nfa(alphabet, n, edges, alive, alive)
@@ -695,20 +686,15 @@ def fiber_graph(f: BlockMap, g: BlockMap):
     alphabet = product_alphabet(x.alphabet, y.alphabet)
     r = max(f.radius, g.radius)
     fr, gr = f.padded_rule(r), g.padded_rule(r)
-    nodes1, trans1 = window_graph(x, 2 * r + 1)
-    nodes2, trans2 = (nodes1, trans1) if y == x else window_graph(y, 2 * r + 1)
+    nodes1, edges1 = window_graph(x, 2 * r + 1)
+    nodes2, edges2 = (nodes1, edges1) if y == x else window_graph(y, 2 * r + 1)
     n1, n2 = len(nodes1), len(nodes2)
     check_budget(max(1, n1) * max(1, n2), "fiber product")
     buckets: dict[str, list[tuple[int, str, int]]] = {}
-    for k2 in range(n2):
-        for w2, t2 in trans2[k2].items():
-            buckets.setdefault(gr[w2], []).append((k2, center_of(w2), t2))
-    edges = []
-    for k1 in range(n1):
-        for w1, t1 in trans1[k1].items():
-            a = center_of(w1)
-            for k2, b, t2 in buckets.get(fr[w1], ()):
-                edges.append((k1 * n2 + k2, pair_symbol(a, b), t1 * n2 + t2))
+    for k2, w2, t2 in edges2:
+        buckets.setdefault(gr[w2], []).append((k2, center_of(w2), t2))
+    edges = [(k1 * n2 + k2, pair_symbol(center_of(w1), b), t1 * n2 + t2)
+             for k1, w1, t1 in edges1 for k2, b, t2 in buckets.get(fr[w1], ())]
     index = {q: i for i, q in enumerate(sorted(_live_nodes(n1 * n2, edges)))}
     edges = tuple((index[q], t, index[p]) for q, t, p in edges if q in index and p in index)
     return alphabet, len(index), edges
@@ -865,13 +851,10 @@ def mirror_map(f: BlockMap) -> BlockMap:
 
 def higher_block_presentation(x: Presentation, w: int):
     """The width-``w`` higher block shift and its token alphabet."""
-    nodes, trans = window_graph(x, w)
-    tokens = sorted({block_symbol(win) for k in range(len(nodes)) for win in trans[k]})
-    edges = []
-    for k in range(len(nodes)):
-        for window, tgt in trans[k].items():
-            edges.append((k, block_symbol(window), tgt))
-    return presentation_from_edges(tuple(tokens), len(nodes), edges)
+    nodes, edges = window_graph(x, w)
+    edges = [(k, block_symbol(window), t) for k, window, t in edges]
+    tokens = tuple(sorted({token for _, token, _ in edges}))
+    return presentation_from_edges(tokens, len(nodes), edges)
 
 
 def recode_to_symbol_map(f: BlockMap):

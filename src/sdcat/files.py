@@ -120,12 +120,10 @@ def load_shift(path: str) -> Presentation:
 
 def format_shift(x: Presentation) -> str:
     out = [f"alphabet: {' '.join(x.alphabet)}", "kind: graph"]
-    names = {i: f"s{i}" for i in range(x.n_live())}
     if x.n_live():
-        out.append("node: " + " ".join(names[i] for i in range(x.n_live())))
-    for i in range(x.n_live()):
-        for a, j in sorted(x.live_trans[i].items()):
-            out.append(f"edge: {names[i]} {names[j]} {a}")
+        out.append("node: " + " ".join(f"s{i}" for i in range(x.n_live())))
+    # the rows of a canonical automaton are sorted by symbol
+    out += [f"edge: s{i} s{j} {a}" for i, a, j in x.edges]
     if x.point is not None:
         out.append(f"point: {x.point}")
     return "\n".join(out) + "\n"

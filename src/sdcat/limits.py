@@ -89,13 +89,18 @@ def morphism_problems(cat: CategoryTag, f: BlockMap) -> list[str]:
     problems = object_problems(cat, f.source) + object_problems(cat, f.target)
     if cat.level == 1 and not f.source.language_equal(f.target):
         problems.append("level-1 morphisms must be endomorphisms")
-    if cat.pointed:
-        px, py = f.source.point, f.target.point
-        if px is not None and py is not None:
-            img = apply_map(f, PeriodicPoint((px,)))
-            if not img.same_point(PeriodicPoint((py,))):
-                problems.append("map does not preserve the designated points")
+    if cat.pointed and not keeps_points(f):
+        problems.append("map does not preserve the designated points")
     return problems
+
+
+def keeps_points(f: BlockMap) -> bool:
+    """Whether ``f`` sends the designated point of its source to that of its
+    target; true when either has none."""
+    px, py = f.source.point, f.target.point
+    if px is None or py is None:
+        return True
+    return apply_map(f, PeriodicPoint((px,))).same_point(PeriodicPoint((py,)))
 
 
 def check_morphism(cat: CategoryTag, f: BlockMap) -> None:
@@ -308,22 +313,8 @@ def connecting_map(f: BlockMap, g: BlockMap, radius_cap: int = 8) -> BlockMap | 
     if f.source.is_empty():
         return make_block_map(img_f, img_g, 0, {}, validate_image=False)
     for rho in range(0, radius_cap + 1):
-        big = max(rho + f.radius, g.radius)
-        gr = g.padded_rule(big)
-        margin = big - f.radius - rho
-        values: dict = {}
-        ok = True
-        for xi in f.source.words(2 * big + 1):
-            imgw = tuple(
-                f.local(xi[i : i + f.width()]) for i in range(2 * (big - f.radius) + 1)
-            )
-            window = imgw[margin : margin + 2 * rho + 1]
-            val = gr[xi]
-            if window in values and values[window] != val:
-                ok = False
-                break
-            values[window] = val
-        if not ok:
+        values = forced_values(f, g, rho)
+        if values is None:
             continue
         rule = {w: values[w] for w in img_f.words(2 * rho + 1) if w in values}
         if set(rule) != set(img_f.words(2 * rho + 1)):
@@ -335,6 +326,22 @@ def connecting_map(f: BlockMap, g: BlockMap, radius_cap: int = 8) -> BlockMap | 
         if maps_equal(compose(u, f_cor), g_cor):
             return u
     raise BudgetExceeded("connecting map radius cap exceeded")
+
+
+def forced_values(f: BlockMap, g: BlockMap, rho: int) -> dict | None:
+    """The value that u . f = g forces on each width-(2 rho + 1) window of
+    the image of ``f``, for a map u of radius ``rho``; None when two source
+    windows with the same image window need different values."""
+    big = max(rho + f.radius, g.radius)
+    margin = big - f.radius - rho
+    pad = big - g.radius
+    values: dict = {}
+    for xi in f.source.words(2 * big + 1):
+        imgw = tuple(f.local(xi[i : i + f.width()]) for i in range(margin, margin + 2 * rho + 1))
+        val = g.local(xi[pad : pad + g.width()])
+        if values.setdefault(imgw, val) != val:
+            return None
+    return values
 
 
 def image_factorization(f: BlockMap, cat: CategoryTag):

@@ -281,10 +281,18 @@ class TestDerivedObjects:
             rule = {w: str(bits >> i & 1) for i, w in enumerate(x.words(3))}
             cl.classify(make_block_map(x, x, 1, rule), CategoryTag.parse("K2"))
         assert built[(id(x), 3)] == 1 and set(built.values()) == {1}
-        nodes, trans = core.window_graph(x, 3)
-        assert core.window_graph(x, 3)[1] is trans
-        with pytest.raises(TypeError):
-            trans[0][("0", "0", "0")] = 0
+
+    def test_window_edges_are_kept_tuples_per_width(self):
+        from sdcat import core
+
+        x = core.golden_mean()
+        for w in (1, 2, 3):
+            nodes, edges = core.window_graph(x, w)
+            assert core.window_graph(x, w)[1] is edges
+            assert isinstance(edges, tuple)
+            assert all(isinstance(e, tuple) and len(e) == 3 and len(e[1]) == w for e in edges)
+            assert {k for k, _, _ in edges} <= set(range(len(nodes)))
+        assert core.window_graph(x, 1)[1] is not core.window_graph(x, 3)[1]
 
     def test_full_shift_targets_build_no_image_to_validate(self, full2, golden, monkeypatch):
         from sdcat import core

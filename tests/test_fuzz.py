@@ -12,7 +12,10 @@ answers YES), the image validation of ``make_block_map``, the
 many-sided difference product and the non-SFT witness search are checked
 against the loops they replaced.  The verdicts read off a map's kernel
 graph are checked against the loops on its canonical kernel, and their
-witnesses re-verified.
+witnesses re-verified.  Every builder that reads the kept edge tuples
+(``Presentation.edges`` and ``window_graph``) is checked against its loop
+over dict rows, and the list-based strongly connected components against
+the dict-based loop.
 """
 
 import ast
@@ -25,17 +28,24 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from sdcat import analysis as an
 from sdcat import automata as au
+from sdcat import classify as cl
 from sdcat.core import (
     PeriodicPoint,
     _cast_alphabet,
+    _live_nodes,
     _peel,
     apply_map,
     apply_map_ep,
+    block_symbol,
     center_of,
     diagonal_relation,
+    disjoint_union,
     empty_shift,
+    fiber_graph,
     fiber_presentation,
     full_shift,
+    higher_block_presentation,
+    image_graph,
     make_block_map,
     make_presentation,
     mirror_presentation,
@@ -50,6 +60,7 @@ from sdcat.core import (
 )
 from sdcat.automata import Nfa
 from sdcat.errors import ValidationError
+from sdcat.files import format_shift
 
 
 @st.composite
@@ -238,18 +249,16 @@ def _pairwise_fiber(f, g):
     alphabet = product_alphabet(x.alphabet, y.alphabet)
     r = max(f.radius, g.radius)
     fr, gr = f.padded_rule(r), g.padded_rule(r)
-    nodes1, trans1 = window_graph(x, 2 * r + 1)
-    nodes2, trans2 = window_graph(y, 2 * r + 1)
+    nodes1, edges1 = window_graph(x, 2 * r + 1)
+    nodes2, edges2 = window_graph(y, 2 * r + 1)
     n1, n2 = len(nodes1), len(nodes2)
     edges = []
-    for k1 in range(n1):
-        for w1, t1 in trans1[k1].items():
-            for k2 in range(n2):
-                for w2, t2 in trans2[k2].items():
-                    if fr[w1] == gr[w2]:
-                        edges.append(
-                            (k1 * n2 + k2, pair_symbol(center_of(w1), center_of(w2)), t1 * n2 + t2)
-                        )
+    for k1, w1, t1 in edges1:
+        for k2, w2, t2 in edges2:
+            if fr[w1] == gr[w2]:
+                edges.append(
+                    (k1 * n2 + k2, pair_symbol(center_of(w1), center_of(w2)), t1 * n2 + t2)
+                )
     n = max(1, n1 * n2)
     return presentation_from_nfa(alphabet, Nfa(alphabet, n, edges, range(n), range(n)))
 
@@ -1079,3 +1088,286 @@ class TestDiagonalView:
     def test_ladder_maps_match_the_separate_loops(self):
         for f in _ladder_pool():
             self._check(f)
+
+
+# ---------------------------------------------------------------------------
+# Builders over the kept edge tuples, against the loops over dict rows
+
+
+def _old_window_rows(x, w):
+    """Reference: the width-``w`` window graph as one dict per node, from
+    each full window to the successor node."""
+    nodes = window_graph(x, w)[0]
+    index = {node: k for k, node in enumerate(nodes)}
+    rows = [{} for _ in nodes]
+    for k, (i, u) in enumerate(nodes):
+        end = i
+        for a in u:
+            end = x.estep(end, a)
+        for a, _ in sorted(x.live_trans[end].items()):
+            tgt = (x.estep(i, a), ()) if w == 1 else (x.estep(i, u[0]), u[1:] + (a,))
+            if tgt in index:
+                rows[k][u + (a,)] = index[tgt]
+    return nodes, rows
+
+
+def _old_mirror(x):
+    rev = []
+    for i in range(x.n_live()):
+        for a, j in x.live_trans[i].items():
+            rev.append((j, a, i))
+    return presentation_from_edges(x.alphabet, x.n_live(), rev, x.point)
+
+
+def _old_product_presentation(x, y):
+    alphabet = product_alphabet(x.alphabet, y.alphabet)
+    nx, ny = x.n_live(), y.n_live()
+    edges = []
+    for i in range(nx):
+        for a, i2 in x.live_trans[i].items():
+            for j in range(ny):
+                for b, j2 in y.live_trans[j].items():
+                    edges.append((i * ny + j, pair_symbol(a, b), i2 * ny + j2))
+    point = None
+    if x.point is not None and y.point is not None:
+        point = pair_symbol(x.point, y.point)
+    return presentation_from_edges(alphabet, nx * ny, edges, point)
+
+
+def _old_diagonal(x):
+    edges = []
+    for i in range(x.n_live()):
+        for a, j in x.live_trans[i].items():
+            edges.append((i, pair_symbol(a, a), j))
+    return presentation_from_edges(product_alphabet(x.alphabet, x.alphabet), x.n_live(), edges)
+
+
+def _old_swap(r):
+    pres = r.presentation
+    edges = []
+    for i in range(pres.n_live()):
+        for t, j in pres.live_trans[i].items():
+            a, b = split_pair(t)
+            edges.append((i, pair_symbol(b, a), j))
+    alphabet = product_alphabet(r.right.alphabet, r.left.alphabet)
+    return presentation_from_edges(alphabet, pres.n_live(), edges)
+
+
+def _old_disjoint_union(x, y):
+    collision = set(x.alphabet) & set(y.alphabet)
+    lmap = {a: (f"L:{a}" if collision else a) for a in x.alphabet}
+    rmap = {b: (f"R:{b}" if collision else b) for b in y.alphabet}
+    alphabet = tuple(lmap[a] for a in x.alphabet) + tuple(rmap[b] for b in y.alphabet)
+    nx = x.n_live()
+    edges = [(i, lmap[a], j) for i in range(nx) for a, j in x.live_trans[i].items()]
+    for i in range(y.n_live()):
+        for b, j in y.live_trans[i].items():
+            edges.append((nx + i, rmap[b], nx + j))
+    return presentation_from_edges(alphabet, nx + y.n_live(), edges), lmap, rmap
+
+
+def _old_union(x, y):
+    nx = x.n_live()
+    edges = [(i, a, j) for i in range(nx) for a, j in x.live_trans[i].items()]
+    for i in range(y.n_live()):
+        for a, j in y.live_trans[i].items():
+            edges.append((nx + i, a, nx + j))
+    return presentation_from_edges(x.alphabet, nx + y.n_live(), edges)
+
+
+def _old_scc_subshift(x, comp):
+    cs = set(comp)
+    idx = {q: i for i, q in enumerate(comp)}
+    edges = []
+    for q in comp:
+        for a, p in x.live_trans[q].items():
+            if p in cs:
+                edges.append((idx[q], a, idx[p]))
+    return presentation_from_edges(x.alphabet, len(comp), edges)
+
+
+def _old_graph_relation(f):
+    x = f.source
+    nodes, rows = _old_window_rows(x, f.width())
+    edges = []
+    for k in range(len(nodes)):
+        for w, t in rows[k].items():
+            edges.append((k, pair_symbol(center_of(w), f.local(w)), t))
+    alphabet = product_alphabet(x.alphabet, f.target.alphabet)
+    return presentation_from_edges(alphabet, len(nodes), edges)
+
+
+def _old_equalizer_set(f, g):
+    x = f.source
+    if x.is_empty():
+        return x
+    r = max(f.radius, g.radius)
+    fr, gr = f.padded_rule(r), g.padded_rule(r)
+    nodes, rows = _old_window_rows(x, 2 * r + 1)
+    edges = []
+    for k in range(len(nodes)):
+        for w, t in rows[k].items():
+            if fr[w] == gr[w]:
+                edges.append((k, center_of(w), t))
+    return presentation_from_edges(x.alphabet, len(nodes), edges)
+
+
+def _old_image_graph(source, radius, rule, alphabet):
+    nodes, rows = _old_window_rows(source, 2 * radius + 1)
+    n = len(nodes)
+    edges = [(k, rule[window], tgt) for k in range(n) for window, tgt in rows[k].items()]
+    alive = _live_nodes(n, edges)
+    edges = [(q, a, p) for q, a, p in edges if q in alive and p in alive]
+    return Nfa(alphabet, n, edges, alive, alive)
+
+
+def _old_fiber_graph(f, g):
+    x, y = f.source, g.source
+    alphabet = product_alphabet(x.alphabet, y.alphabet)
+    r = max(f.radius, g.radius)
+    fr, gr = f.padded_rule(r), g.padded_rule(r)
+    nodes1, rows1 = _old_window_rows(x, 2 * r + 1)
+    nodes2, rows2 = _old_window_rows(y, 2 * r + 1)
+    n1, n2 = len(nodes1), len(nodes2)
+    buckets = {}
+    for k2 in range(n2):
+        for w2, t2 in rows2[k2].items():
+            buckets.setdefault(gr[w2], []).append((k2, center_of(w2), t2))
+    edges = []
+    for k1 in range(n1):
+        for w1, t1 in rows1[k1].items():
+            a = center_of(w1)
+            for k2, b, t2 in buckets.get(fr[w1], ()):
+                edges.append((k1 * n2 + k2, pair_symbol(a, b), t1 * n2 + t2))
+    index = {q: i for i, q in enumerate(sorted(_live_nodes(n1 * n2, edges)))}
+    edges = tuple((index[q], t, index[p]) for q, t, p in edges if q in index and p in index)
+    return alphabet, len(index), edges
+
+
+def _old_higher_block(x, w):
+    nodes, rows = _old_window_rows(x, w)
+    tokens = sorted({block_symbol(win) for k in range(len(nodes)) for win in rows[k]})
+    edges = []
+    for k in range(len(nodes)):
+        for window, tgt in rows[k].items():
+            edges.append((k, block_symbol(window), tgt))
+    return presentation_from_edges(tuple(tokens), len(nodes), edges)
+
+
+def _old_format_shift(x):
+    out = [f"alphabet: {' '.join(x.alphabet)}", "kind: graph"]
+    names = {i: f"s{i}" for i in range(x.n_live())}
+    if x.n_live():
+        out.append("node: " + " ".join(names[i] for i in range(x.n_live())))
+    for i in range(x.n_live()):
+        for a, j in sorted(x.live_trans[i].items()):
+            out.append(f"edge: {names[i]} {names[j]} {a}")
+    if x.point is not None:
+        out.append(f"point: {x.point}")
+    return "\n".join(out) + "\n"
+
+
+def _old_engine_edges(f):
+    """The strong-condition engine's two labelled graphs, from the rows."""
+    f0 = cl._symbol_recoding(f)[0]
+    xb, y = f0.source, f.target
+    good = [(q, f0.local((t,)), q2) for q, row in enumerate(xb.live_trans) for t, q2 in row.items()]
+    allw = [(q, sym, q2) for q, row in enumerate(y.live_trans) for sym, q2 in row.items()]
+    return good, allw
+
+
+def _nfa_form(nfa):
+    return nfa.alphabet, nfa.n, list(nfa.edges()), nfa.initial, nfa.accepting
+
+
+class TestKeptEdges:
+    @given(random_graphs(), random_graphs(), st.booleans(), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_builders_match_the_row_loops(self, g1, g2, pointed, data):
+        x = presentation_from_edges(("0", "1"), *g1)
+        y = presentation_from_edges(("0", "1"), *g2)
+        if pointed and x.uniform_points():
+            x = x.with_point(x.uniform_points()[0])
+        rows = tuple((i, a, j) for i in range(x.n_live()) for a, j in x.live_trans[i].items())
+        assert x.edges == rows and x.edges is x.edges
+        assert mirror_presentation(x) == _old_mirror(x)
+        assert product_presentation(x, y) == _old_product_presentation(x, y)
+        assert diagonal_relation(x) == _old_diagonal(x)
+        rel = an.SubshiftRelation(product_presentation(x, y), x, y)
+        assert an.swap_relation(rel).presentation == _old_swap(rel)
+        ab = presentation_from_edges(("a", "b"), g2[0], [(q, "ab"[int(s)], p) for q, s, p in g2[1]])
+        for z in (y, ab):
+            assert disjoint_union(x, z) == _old_disjoint_union(x, z)
+        assert an.union_presentation(x, y) == _old_union(x, y)
+        for comp in au.strongly_connected_components(range(x.n_live()),
+                                                     lambda i: x.live_trans[i].values()):
+            assert an.scc_subshift(x, comp) == _old_scc_subshift(x, comp)
+        for w in (1, 2, 3):
+            assert higher_block_presentation(x, w) == _old_higher_block(x, w)
+        assert format_shift(x) == _old_format_shift(x)
+        f, g, h = _rule_map(data.draw, x), _rule_map(data.draw, x), _rule_map(data.draw, y)
+        assert an.graph_relation(f).presentation == _old_graph_relation(f)
+        assert an.equalizer_set(f, g) == _old_equalizer_set(f, g)
+        for m in (f, h):
+            args = (m.source, m.radius, m.rule_dict, m.target.alphabet)
+            assert _nfa_form(image_graph(*args)) == _nfa_form(_old_image_graph(*args))
+        assert fiber_graph(f, h) == _old_fiber_graph(f, h)
+        assert fiber_graph(f, f) == _old_fiber_graph(f, f)
+        engine = cl._StrongConditionEngine(f)
+        assert (engine.good_edges, list(engine.y.edges)) == _old_engine_edges(f)
+
+
+def _old_strongly_connected_components(nodes, succ):
+    """Reference: Tarjan's algorithm with its state in dicts and a set."""
+    index, low, on_stack, stack, result, counter = {}, {}, set(), [], [], [0]
+    for root in nodes:
+        if root in index:
+            continue
+        work = [(root, iter(succ(root)))]
+        index[root] = low[root] = counter[0]
+        counter[0] += 1
+        stack.append(root)
+        on_stack.add(root)
+        while work:
+            node, it = work[-1]
+            advanced = False
+            for nxt in it:
+                if nxt not in index:
+                    index[nxt] = low[nxt] = counter[0]
+                    counter[0] += 1
+                    stack.append(nxt)
+                    on_stack.add(nxt)
+                    work.append((nxt, iter(succ(nxt))))
+                    advanced = True
+                    break
+                elif nxt in on_stack:
+                    low[node] = min(low[node], index[nxt])
+            if advanced:
+                continue
+            work.pop()
+            if work:
+                parent = work[-1][0]
+                low[parent] = min(low[parent], low[node])
+            if low[node] == index[node]:
+                comp = []
+                while True:
+                    w = stack.pop()
+                    on_stack.discard(w)
+                    comp.append(w)
+                    if w == node:
+                        break
+                result.append(comp)
+    return result
+
+
+class TestStronglyConnectedComponents:
+    @given(plain_graphs())
+    @example((3, [(0, 1), (1, 0), (1, 2), (2, 2)]))
+    @settings(max_examples=300, deadline=None)
+    def test_lists_match_the_dict_loop(self, graph):
+        n, edges = graph
+        succs = [[] for _ in range(n)]
+        for q, p in edges:
+            succs[q].append(p)
+        assert (au.strongly_connected_components(range(n), succs.__getitem__)
+                == _old_strongly_connected_components(range(n), succs.__getitem__))

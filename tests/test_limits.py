@@ -219,6 +219,39 @@ class TestConnectingMap:
         assert count == 1
 
 
+def _old_retraction_forced(f, rho):
+    """Reference: the forced values of a retraction on image windows, as
+    the retraction search computed them."""
+    forced = {}
+    big = rho + f.radius
+    for xi in f.source.words(2 * big + 1):
+        imgw = tuple(f.local(xi[i : i + f.width()]) for i in range(2 * rho + 1))
+        c = xi[big]
+        if forced.get(imgw, c) != c:
+            return None
+        forced[imgw] = c
+    return forced
+
+
+class TestForcedValues:
+    def test_identity_matches_the_retraction_loop_on_the_census(self, full2):
+        ident = identity_map(full2)
+        windows = full2.words(3)
+        for bits in range(256):
+            f = make_block_map(full2, full2, 1, {w: str(bits >> i & 1) for i, w in enumerate(windows)})
+            for rho in range(3):
+                got, want = li.forced_values(f, ident, rho), _old_retraction_forced(f, rho)
+                assert got == want
+                assert got is None or list(got) == list(want)
+
+    def test_points_are_kept_only_when_both_ends_are_pointed(self, full2, full2p, xor2):
+        flip = make_block_map(full2p, full2p, 0, {("0",): "1", ("1",): "0"})
+        assert not li.keeps_points(flip)
+        assert li.keeps_points(xor2)
+        assert li.keeps_points(make_block_map(full2p, full2, 0, {("0",): "1", ("1",): "0"}))
+        assert li.keeps_points(identity_map(full2p))
+
+
 class TestImageFactorization:
     def test_k3_always_factors(self, xor2_no000111):
         res = li.image_factorization(xor2_no000111, K3)
