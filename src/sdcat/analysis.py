@@ -18,8 +18,11 @@ kernel pair has a bi-infinite path with a given label pattern, so they
 read ``BlockMap.kernel_graph``, the trimmed fiber graph, through one
 diagonal view per map, ``_diagonal_view``, and build no canonical kernel.
 Their NO witnesses, two distinct eventually periodic points with equal
-images, are read off a path of that graph.  Constituents of the kernel,
-kernel pairs and other questions about its language read ``f.kernel``.
+images, are read off a path of that graph.  One SCC pass of the graph per
+map, ``off_diagonal_components``, answers injectivity on periodic points,
+and with the components' graph periods it yields the mixing petals that
+decide monicness in M2.  Constituents of the kernel, kernel pairs and
+other questions about its language read ``f.kernel``.
 """
 
 from __future__ import annotations
@@ -607,12 +610,15 @@ def surjectivity(f: BlockMap) -> v.Verdict:
 class InjectivityFamily:
     """Injectivity on all points, on periodic points and on uniform points.
     ``pair`` is two distinct eventually periodic points with equal images
-    when ``f`` is not injective; equality does not see it."""
+    when ``f`` is not injective, and ``periodic_pair`` two distinct
+    periodic points with equal images when ``f`` is not injective on
+    periodic points; equality sees neither."""
 
     injective: bool
     injective_on_periodic: bool
     injective_on_uniform: bool
     pair: tuple | None = field(default=None, compare=False)
+    periodic_pair: tuple | None = field(default=None, compare=False)
 
 
 @dataclass(frozen=True)
@@ -677,19 +683,99 @@ def _infinite_past(succ) -> frozenset[int]:
 
 
 @_per_object
+def off_diagonal_components(f: BlockMap) -> tuple[tuple[tuple[int, str, int], tuple[int, ...]], ...]:
+    """The strongly connected components of ``f.kernel_graph`` with an
+    off-diagonal edge inside them, in the order of their first such edge
+    in ``off_edges``: that edge ``(q, token, p)`` and the nodes of the
+    component.  One SCC pass per map, made only when some edge is off the
+    diagonal; injectivity on periodic points and monicness in M2 and M3
+    read it."""
+    view = _diagonal_view(f)
+    if not view.off_edges:
+        return ()
+    sccs = au.strongly_connected_components(range(len(view.out)),
+                                            lambda q: [p for _, p in view.out[q]])
+    comp = [0] * len(view.out)
+    for k, c in enumerate(sccs):
+        for q in c:
+            comp[q] = k
+    out: dict[int, tuple[tuple[int, str, int], tuple[int, ...]]] = {}
+    for q, t, p in view.off_edges:
+        k = comp[q]
+        if k == comp[p] and k not in out:
+            out[k] = ((q, t, p), tuple(sccs[k]))
+    return tuple(out.values())
+
+
+@_per_object
+def off_diagonal_periods(f: BlockMap) -> tuple[int, ...]:
+    """The graph period of each of ``off_diagonal_components(f)``, in
+    order; asked for only by monicness in M2 and M3."""
+    out = _diagonal_view(f).out
+    periods = []
+    for _, nodes in off_diagonal_components(f):
+        inside = set(nodes)
+        periods.append(au.graph_period(nodes, lambda q: [p for _, p in out[q] if p in inside]))
+    return tuple(periods)
+
+
+def _cycle_through(view: _DiagonalView, edge: tuple[int, str, int]) -> Word:
+    """The tokens of a shortest cycle that starts with ``edge``: the edge,
+    then a shortest path from its end back to its start."""
+    q, t, p = edge
+    back, _ = _bfs_path(p, view.out.__getitem__, q.__eq__)
+    return (t, *back)
+
+
+def _coordinates(view: _DiagonalView, word: Word) -> tuple[Word, Word]:
+    """The two source words that a word of pair tokens reads."""
+    return tuple(tuple(view.pairs[t][k] for t in word) for k in (0, 1))
+
+
+def mixing_petals(f: BlockMap) -> tuple[Word, Word] | None:
+    """Two closed walks ``(w1, w2)`` of ``f.kernel_graph`` from one node,
+    of coprime lengths, the first starting with an off-diagonal edge; None
+    when every component with an off-diagonal edge inside it has graph
+    period 2 or more.
+
+    The edge is the first of the first component of period 1, ``w1`` a
+    shortest cycle through it and ``w2`` a shortest closed walk from its
+    start whose length is coprime to ``len(w1)``, found by a breadth-first
+    search over pairs (node, length mod ``len(w1)``); period 1 makes such
+    lengths occur.  The flower graph with petals ``w1`` and ``w2`` is then
+    an irreducible graph of period 1, so its edge shift is a mixing SFT,
+    and its two coordinate projections are distinct maps into the source
+    that ``f`` makes equal.
+    """
+    for (edge, _), period in zip(off_diagonal_components(f), off_diagonal_periods(f)):
+        if period == 1:
+            view = _diagonal_view(f)
+            w1 = _cycle_through(view, edge)
+            q, n = edge[0], len(w1)
+            # lengths mod n are kept as 1..n, so the start (q, 0) stops nothing
+            w2, _ = _bfs_path(
+                (q, 0), lambda s: [(t, (p, s[1] % n + 1)) for t, p in view.out[s[0]]],
+                lambda s: s[0] == q and s[1] > 0 and math.gcd(s[1], n) == 1)
+            return w1, w2
+    return None
+
+
+@_per_object
 def injectivity_family(f: BlockMap) -> InjectivityFamily:
     """Decided on the kernel graph: ``f`` is injective when no edge is off
     the diagonal, and injective on periodic points when no off-diagonal
     edge lies inside a strongly connected component, that is on a cycle.
-    The NO pair is read off the first off-diagonal edge."""
+    The NO pair is read off the first off-diagonal edge, and the periodic
+    NO pair off a shortest cycle through the first one inside a
+    component."""
     view = _diagonal_view(f)
-    inj, ipp, pair = not view.off_edges, True, None
-    if not inj:
-        sccs = au.strongly_connected_components(range(len(view.out)),
-                                                lambda q: [p for _, p in view.out[q]])
-        comp = {q: k for k, c in enumerate(sccs) for q in c}
-        ipp = not any(comp[q] == comp[p] for q, _, p in view.off_edges)
-        pair = _pair_witness(view, *view.off_edges[0], diamond=False)
+    inj = not view.off_edges
+    pair = None if inj else _pair_witness(view, *view.off_edges[0], diamond=False)
+    comps = off_diagonal_components(f)
+    periodic_pair = None
+    if comps:
+        cycle = _cycle_through(view, comps[0][0])
+        periodic_pair = tuple(map(PeriodicPoint, _coordinates(view, cycle)))
     uni = True
     ups = f.source.uniform_points()
     images = {}
@@ -698,7 +784,7 @@ def injectivity_family(f: BlockMap) -> InjectivityFamily:
         if img in images:
             uni = False
         images[img] = a
-    return InjectivityFamily(inj, ipp, uni, pair)
+    return InjectivityFamily(inj, not comps, uni, pair, periodic_pair)
 
 
 @_per_object
@@ -797,10 +883,8 @@ def _pair_witness(view: _DiagonalView, i: int, tok: str, j: int, diamond: bool):
     trail, cycle2 = _walk_to_cycle(e, lambda q: next(
         (t, p) for t, p in view.out[q] if p in future and kept(t)))
     words = (cycle[::-1], lead[::-1] + back[::-1] + (tok,) + ahead + trail, cycle2)
-    return tuple(
-        EventuallyPeriodicPoint(*(tuple(view.pairs[t][k] for t in w) for w in words))
-        for k in (0, 1)
-    )
+    return tuple(EventuallyPeriodicPoint(*ws)
+                 for ws in zip(*(_coordinates(view, w) for w in words)))
 
 
 @dataclass(frozen=True)

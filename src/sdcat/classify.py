@@ -60,7 +60,9 @@ def is_monic(f: BlockMap, cat: CategoryTag) -> v.Verdict:
     if (r, lvl) in (("K", 2), ("K", 3), ("T", 2)):
         return v.yes() if fam.injective else v.no(witness={"pair": fam.pair}, note="not injective")
     if (r, lvl) == ("T", 3):
-        return v.yes() if fam.injective_on_periodic else v.no(note="not injective on periodic points")
+        if fam.injective_on_periodic:
+            return v.yes()
+        return v.no(witness={"pair": fam.periodic_pair}, note="not injective on periodic points")
     if r == "P":
         pre = an.is_preinjective(f)
         if pre.yes:
@@ -84,17 +86,47 @@ def is_monic(f: BlockMap, cat: CategoryTag) -> v.Verdict:
 
 
 def _monic_m2(f: BlockMap) -> v.Verdict:
-    ker = f.kernel
-    diag = diagonal_relation(f.source)
-    consts = an.constituents(ker)
-    mixing_off = [c for c in consts if an.is_mixing(c) and not c.language_equal(diag)]
-    if mixing_off:
+    """Monic in M2 exactly when Ker f has no mixing constituent other than
+    the diagonal Δ, decided on ``f.kernel_graph``: NO exactly when some
+    strongly connected component has an off-diagonal edge inside it and
+    graph period 1.
+
+    The source is an SFT, so its canonical presentation has finite memory
+    (Lind & Marcus, Theorem 3.4.17): the last few symbols of a point fix
+    its state, so its labels fix its window-graph path, and the kernel
+    graph's edge shift is conjugate to Ker f by its labels.  Hence:
+
+    - the constituents of Ker f are the edge shifts of the components that
+      carry an edge, each with shift period equal to its graph period
+      (Lind & Marcus, Section 4.5);
+    - a component with only diagonal edges presents Δ itself: Δ is
+      transitive, so it lies in the edge shift of one component, and a
+      subshift of Δ presented by another would have paths in both;
+    - any other component presents a constituent other than Δ.
+
+    A NO carries the petals of ``analysis.mixing_petals``: the flower edge
+    shift they span is a mixing SFT whose two coordinate projections are
+    distinct maps that ``f`` makes equal.  A YES lists the graph period of
+    each component with an off-diagonal edge inside it, each 2 or more.
+    """
+    petals = an.mixing_petals(f)
+    if petals is not None:
         return v.no(note="kernel has a mixing constituent besides the diagonal",
-                    witness={"constituents": len(consts)})
-    return v.yes(certificate={"constituents": len(consts)})
+                    witness={"petals": petals})
+    return v.yes(certificate={"off_diagonal_periods": list(an.off_diagonal_periods(f))})
 
 
 def _monic_m3(f: BlockMap, fam) -> v.Verdict:
+    """The graph test of :func:`_monic_m2` first.  On a sofic source its
+    petals still span a mixing SFT whose two projections ``f`` makes
+    equal, so a NO is sound.  But labels need not fix paths there, and a
+    component of period 2 or more can present a mixing sofic subshift off
+    the diagonal, so when the test finds nothing the canonical kernel
+    decides."""
+    petals = an.mixing_petals(f)
+    if petals is not None:
+        return v.no(note="kernel graph has a mixing component off the diagonal",
+                    witness={"petals": petals})
     if fam.injective:
         return v.yes(note="injective")
     if fam.injective_on_periodic:
@@ -667,7 +699,8 @@ def classify(
         "regular_epic": is_regular_epic(f, cat),
         "regular_monic": is_regular_monic(f, cat),
         "injective": v.yes() if fam.injective else v.no(witness={"pair": fam.pair}),
-        "injective_on_periodic": v.yes() if fam.injective_on_periodic else v.no(),
+        "injective_on_periodic": v.yes() if fam.injective_on_periodic else v.no(
+            witness={"pair": fam.periodic_pair}),
         "injective_on_uniform": v.yes() if fam.injective_on_uniform else v.no(),
         "preinjective": an.is_preinjective(f),
         "peric": an.is_peric(f),

@@ -39,7 +39,7 @@ def is_reversible(f: BlockMap, inverse_radius_cap: int = 8) -> v.Verdict:
     _require_endo(f)
     fam = an.injectivity_family(f)
     if not fam.injective:
-        return v.no(note="not injective")
+        return v.no(witness={"pair": fam.pair}, note="not injective")
     surj = an.surjectivity(f)
     if surj.no:
         return v.no(witness=surj.witness, note="not surjective")

@@ -1,20 +1,55 @@
 import itertools
+import math
 
 import pytest
 
 from sdcat.core import (
+    compose,
     full_shift,
     golden_mean,
     make_block_map,
     make_presentation,
+    maps_equal,
     pair_symbol,
     presentation_from_allowed_words,
     product_presentation,
+    sft_approximation,
     shift_power,
+    split_pair,
     trivial_shift,
     constant_map,
 )
 from sdcat import analysis as an
+
+
+def recheck_petals(f, petals):
+    """Re-verify a petal witness of non-monicness in M2 or M3 through
+    ``core`` alone.
+
+    The petals are two closed walks of pair tokens from one node of the
+    kernel graph.  The flower graph with one edge per token read, named
+    apart, is built as a shift; its two radius-0 coordinate projections g
+    and h must be maps into the source that differ while f∘g = f∘h.  The
+    flower is an SFT, since it equals its 2-block approximation, and
+    mixing, since it is one irreducible graph whose cycle lengths through
+    its centre have gcd 1.
+    """
+    w1, w2 = petals
+    assert w1 and w2 and math.gcd(len(w1), len(w2)) == 1
+    nodes, edges, tokens = ["c"], [], {}
+    for k, word in enumerate(petals):
+        path = ["c"] + [f"{k}.{i}" for i in range(1, len(word))] + ["c"]
+        nodes += path[1:-1]
+        for i, token in enumerate(word):
+            name = f"e{k}.{i}"
+            tokens[name] = split_pair(token)
+            edges.append((path[i], path[i + 1], name))
+    flower = make_presentation(list(tokens), "graph", (nodes, edges))
+    assert sft_approximation(flower, 2).language_equal(flower)
+    g, h = (make_block_map(flower, f.source, 0, {(name,): pair[k] for name, pair in tokens.items()})
+            for k in (0, 1))
+    assert not maps_equal(g, h)
+    assert maps_equal(compose(f, g), compose(f, h))
 
 
 @pytest.fixture(scope="session")

@@ -15,6 +15,8 @@ from sdcat.core import (
 )
 from sdcat.limits import CategoryTag
 
+from conftest import recheck_petals
+
 K1, K2, K3 = (CategoryTag.parse(t) for t in ("K1", "K2", "K3"))
 T1, T3 = CategoryTag.parse("T1"), CategoryTag.parse("T3")
 M1, M2, M3 = (CategoryTag.parse(t) for t in ("M1", "M2", "M3"))
@@ -58,23 +60,37 @@ class TestMonic:
         assert v.yes
 
     def test_xor2_on_no000111_not_monic_m2(self, xor2_no000111):
-        assert cl.is_monic(xor2_no000111, M2).no
+        v = cl.is_monic(xor2_no000111, M2)
+        assert v.no
+        recheck_petals(xor2_no000111, v.witness["petals"])
 
     def test_xor2_not_monic_k2(self, xor2):
         assert cl.is_monic(xor2, K2).no
 
     def test_not_injective_verdicts_carry_a_pair(self, xor2, t3_monic_map):
+        from sdcat import dynamics as dy
         from sdcat.core import apply_map_ep
 
         for f, cats in ((xor2, (K2, K3, CategoryTag.parse("T2"))), (t3_monic_map, (K3,))):
             verdicts = [cl.is_monic(f, cat) for cat in cats]
             verdicts += [cl.classify(f, cats[0])["injective"], cl.is_split_monic(f, cats[0]),
                          cl.is_regular_monic(f, cats[0])]
+            if f.source.language_equal(f.target):
+                verdicts.append(dy.is_reversible(f))
             for v in verdicts:
                 assert v.no
                 p1, p2 = v.witness["pair"]
                 assert not p1.same_point(p2)
                 assert apply_map_ep(f, p1).same_point(apply_map_ep(f, p2))
+
+    def test_not_injective_on_periodic_points_carries_a_periodic_pair(self, xor2):
+        from sdcat.core import apply_map
+
+        for v in (cl.is_monic(xor2, T3), cl.classify(xor2, K2)["injective_on_periodic"]):
+            assert v.no
+            p1, p2 = v.witness["pair"]
+            assert not p1.same_point(p2)
+            assert apply_map(xor2, p1).same_point(apply_map(xor2, p2))
 
     def test_t3_periodic_injectivity_suffices(self, t3_monic_map):
         assert cl.is_monic(t3_monic_map, T3).yes

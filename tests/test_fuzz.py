@@ -61,6 +61,9 @@ from sdcat.core import (
 from sdcat.automata import Nfa
 from sdcat.errors import ValidationError
 from sdcat.files import format_shift
+from sdcat.limits import CategoryTag
+
+from conftest import recheck_petals
 
 
 @st.composite
@@ -222,6 +225,13 @@ class TestPeel:
 
 
 FULL2 = full_shift(("0", "1"))
+
+
+def _census_maps():
+    """The 256 radius-1 endomorphisms of the binary full shift, fresh."""
+    windows = FULL2.words(3)
+    return [make_block_map(FULL2, FULL2, 1, {w: str(bits >> i & 1) for i, w in enumerate(windows)})
+            for bits in range(256)]
 
 
 @st.composite
@@ -847,9 +857,8 @@ class TestSurjectivity:
         self._check(f)
 
     def test_census_maps_match_the_difference_product(self):
-        windows = FULL2.words(3)
-        for bits in range(256):
-            self._check(make_block_map(FULL2, FULL2, 1, {w: str(bits >> i & 1) for i, w in enumerate(windows)}))
+        for f in _census_maps():
+            self._check(f)
 
     @given(random_dfas(), st.lists(st.sampled_from([("0", "1"), ("1", "0")]).flatmap(random_dfas),
                                    max_size=3))
@@ -1073,6 +1082,11 @@ class TestDiagonalView:
         assert (fam.pair is None) == fam.injective
         if fam.pair is not None:
             _check_pair(f, fam.pair, diamond=False)
+        assert (fam.periodic_pair is None) == fam.injective_on_periodic
+        if fam.periodic_pair is not None:
+            p1, p2 = fam.periodic_pair
+            assert not p1.same_point(p2)
+            assert apply_map(f, p1).same_point(apply_map(f, p2))
         assert an.resolvingness(f) == _old_resolvingness(f)
 
     @given(sft_maps() | small_sofic_maps() | sofic_maps(sft_maps() | small_sofic_maps()))
@@ -1081,13 +1095,104 @@ class TestDiagonalView:
         self._check(f)
 
     def test_census_maps_match_the_separate_loops(self):
-        windows = FULL2.words(3)
-        for bits in range(256):
-            self._check(make_block_map(FULL2, FULL2, 1, {w: str(bits >> i & 1) for i, w in enumerate(windows)}))
+        for f in _census_maps():
+            self._check(f)
 
     def test_ladder_maps_match_the_separate_loops(self):
         for f in _ladder_pool():
             self._check(f)
+
+
+# ---------------------------------------------------------------------------
+# Monicness in M2 and M3 on the kernel graph
+
+
+M2, M3, K2 = (CategoryTag.parse(t) for t in ("M2", "M3", "K2"))
+
+
+def _old_monic_m2(f):
+    """Reference: a mixing constituent of the canonical kernel other than
+    the diagonal."""
+    diag = diagonal_relation(f.source)
+    consts = an.constituents(f.kernel)
+    return "NO" if any(an.is_mixing(c) and not c.language_equal(diag) for c in consts) else "YES"
+
+
+def _old_monic_m3(f):
+    """Reference: the M3 verdict from the injectivity family and the
+    canonical kernel alone."""
+    fam = an.injectivity_family(f)
+    if fam.injective or fam.injective_on_periodic:
+        return "YES"
+    ker = f.kernel
+    diag = diagonal_relation(f.source)
+    for _, s in an.cycle_components(ker):
+        if not s.included_in(diag) and an.is_mixing(s) and not s.is_empty():
+            return "NO"
+    for c in an.constituents(ker):
+        if c.included_in(diag):
+            continue
+        grows_diag = diag.included_in(c) and not c.language_equal(diag)
+        if grows_diag or an.is_mixing(c) or an.periods(c).is_cofinite():
+            return "UNDECIDED"
+    return "YES"
+
+
+class TestMonicOnTheKernelGraph:
+    """The M2 graph test against the constituent test on the canonical
+    kernel, and M3 against its kernel-only verdict, which the graph test
+    may turn from UNDECIDED into NO but never between YES and NO.  Every
+    petal witness is re-verified through ``core``."""
+
+    def _check_m2(self, f):
+        got = cl.is_monic(f, M2)
+        assert got.answer == _old_monic_m2(f)
+        if got.no:
+            recheck_petals(f, got.witness["petals"])
+        else:
+            assert all(p >= 2 for p in got.certificate["off_diagonal_periods"])
+
+    def _check_m3(self, f):
+        got, ref = cl.is_monic(f, M3), _old_monic_m3(f)
+        assert got.answer == ref or (ref, got.answer) == ("UNDECIDED", "NO")
+        if got.no and got.witness is None:
+            # only a sofic source can need the canonical kernel to say NO
+            assert not an.is_sft(f.source).yes
+        elif got.no:
+            recheck_petals(f, got.witness["petals"])
+
+    def test_census_maps_match_the_constituent_test(self):
+        for f in _census_maps():
+            self._check_m2(f)
+            self._check_m3(f)
+
+    def test_full_shift_ladder_maps_match_the_constituent_test(self):
+        for f in _ladder_pool():
+            if f.source.is_full():
+                self._check_m2(f)
+
+    @given(sft_maps().filter(lambda f: an.is_mixing(f.source)))
+    @settings(max_examples=150, deadline=None)
+    def test_mixing_sft_maps_match_the_constituent_test(self, f):
+        self._check_m2(f)
+        self._check_m3(f)
+
+    @given(small_sofic_maps().filter(lambda f: an.is_mixing(f.source)))
+    @settings(max_examples=100, deadline=None)
+    def test_mixing_sofic_maps_keep_their_m3_verdicts(self, f):
+        self._check_m3(f)
+
+    def test_census_pass_builds_no_canonical_kernel(self, monkeypatch):
+        # the source's own facts are kept on it; the maps are fresh
+        an.is_mixing(FULL2)
+        built = []
+        real = an.scc_subshift
+        monkeypatch.setattr(an, "scc_subshift", lambda x, comp: built.append(comp) or real(x, comp))
+        for f in _census_maps():
+            cl.classify(f, K2)
+            cl.is_monic(f, M2)
+            assert "kernel" not in vars(f)
+        assert not built
 
 
 # ---------------------------------------------------------------------------
