@@ -323,20 +323,16 @@ def periods(x: Presentation) -> PeriodSet:
 def is_peric(f: BlockMap) -> v.Verdict:
     """Whether every shift-power fixed point of the source is matched in the
     target: Per(source) included in Per(target)."""
-    ps, pt = periods(f.source), periods(f.target)
-    bad = ps.first_not_in(pt)
-    if bad is None:
-        return v.yes(certificate={"source_periods_upto": ps.upto(12)})
-    return v.no(witness={"period": bad})
+    return period_inclusion(f.source, f.target)
 
 
-def retraction_peric(source: Presentation, target: Presentation) -> v.Verdict:
-    """Period condition for a map target -> source to exist: Per(target)
-    included in Per(source)."""
-    ps, pt = periods(source), periods(target)
-    bad = pt.first_not_in(ps)
+def period_inclusion(x: Presentation, y: Presentation) -> v.Verdict:
+    """Per(x) included in Per(y), the period condition for a map x -> y:
+    a NO carries the least period of x missing from y."""
+    px = periods(x)
+    bad = px.first_not_in(periods(y))
     if bad is None:
-        return v.yes()
+        return v.yes(certificate={"source_periods_upto": px.upto(12)})
     return v.no(witness={"period": bad})
 
 
@@ -458,7 +454,14 @@ def _non_subsft_witness(inner: Presentation, outer: Presentation):
             out.append(act)
         return tuple(out)
 
-    for w in _short_cyclic_words(inner, max_w):
+    pool = []
+    for n in range(1, max_w + 1):
+        try:
+            check_budget(len(inner.alphabet) ** n, "witness word pool")
+        except BudgetExceeded:
+            break
+        pool += inner.periodic_words(n)
+    for w in pool:
         fw = inner.word_action(w)
         ei = au.eventual_image(fw)
         fd = au.forever_defined(fw)
@@ -484,23 +487,6 @@ def _non_subsft_witness(inner: Presentation, outer: Presentation):
                 if wit is not None:
                     return {"u": u, "w": w, "v": vv, **wit}
     return None
-
-
-def _short_cyclic_words(x: Presentation, max_len: int):
-    out = []
-    seen = set()
-    for n in range(1, max_len + 1):
-        try:
-            check_budget(len(x.alphabet) ** n, "witness word pool")
-        except BudgetExceeded:
-            break
-        for w in x.words(n):
-            if w in seen:
-                continue
-            if au.pfn_has_cycle(x.word_action(w)):
-                seen.add(w)
-                out.append(w)
-    return out
 
 
 def _ep_mid_words(x: Presentation, ei: set, fd: frozenset, max_len: int, cap: int = 4000):

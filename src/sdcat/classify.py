@@ -122,7 +122,10 @@ def _monic_m3(f: BlockMap, fam) -> v.Verdict:
     equal, so a NO is sound.  But labels need not fix paths there, and a
     component of period 2 or more can present a mixing sofic subshift off
     the diagonal, so when the test finds nothing the canonical kernel
-    decides."""
+    decides: NO when one of its maximal mixing subshifts leaves the
+    diagonal, YES when every mixing subshift lies in one of them.  The
+    source is mixing, so a constituent that contains the diagonal has a
+    cofinite period set and makes the candidates not exhaustive."""
     petals = an.mixing_petals(f)
     if petals is not None:
         return v.no(note="kernel graph has a mixing component off the diagonal",
@@ -131,26 +134,11 @@ def _monic_m3(f: BlockMap, fam) -> v.Verdict:
         return v.yes(note="injective")
     if fam.injective_on_periodic:
         return v.yes(note="injective on periodic points")
-    ker = f.kernel
+    cands, exhaustive = li._maximal_mixing_candidates(f.kernel)
     diag = diagonal_relation(f.source)
-    for _, s in an.cycle_components(ker):
-        if not s.included_in(diag) and an.is_mixing(s) and not s.is_empty():
-            return v.no(note="kernel contains a mixing sofic subshift off the diagonal")
-    consts = an.constituents(ker)
-    safe = True
-    for c in consts:
-        if c.included_in(diag):
-            continue
-        if diag.included_in(c) and not c.language_equal(diag):
-            safe = False
-            break
-        if an.is_mixing(c):
-            safe = False  # handled above unless inside diag; be conservative
-            break
-        if an.periods(c).is_cofinite():
-            safe = False
-            break
-    if safe:
+    if any(not c.included_in(diag) for c in cands):
+        return v.no(note="kernel contains a mixing sofic subshift off the diagonal")
+    if exhaustive:
         return v.yes(note="all off-diagonal constituents have sparse period sets")
     return v.undecided(note="no witness among the implemented classes")
 
@@ -173,25 +161,10 @@ class StrongConditionReport:
         return self.failures[0] if self.failures else None
 
 
-def _periodic_words_upto(y: Presentation, p: int) -> list[Word]:
-    out = []
-    for n in range(1, p + 1):
-        for w in y.words(n):
-            if y.contains_periodic(w):
-                out.append(w)
-    return out
-
-
 def _aligned_periodic_preimages(f: BlockMap, u: Word) -> list[Word]:
     """Words a with the a-periodic point mapping onto the u-periodic point,
     phase aligned."""
-    out = []
-    for a in f.source.words(len(u)):
-        if not f.source.contains_periodic(a):
-            continue
-        if apply_map(f, PeriodicPoint(a)).word == u:
-            out.append(a)
-    return out
+    return [a for a in f.source.periodic_words(len(u)) if apply_map(f, PeriodicPoint(a)).word == u]
 
 
 @_per_object
@@ -284,6 +257,18 @@ def _strong_engine(f: BlockMap) -> _StrongConditionEngine:
     return _StrongConditionEngine(f)
 
 
+class _Consistent:
+    """The pairs ``((u, a), (v, b))`` of preimage choices with no missed
+    word in either direction, as the ``allowed`` of :func:`_csp_solutions`."""
+
+    def __init__(self, engine: _StrongConditionEngine):
+        self.engine = engine
+
+    def __contains__(self, pair) -> bool:
+        (u, a), (vv, b) = pair
+        return self.engine.missed(u, a, vv, b) is None and self.engine.missed(vv, b, u, a) is None
+
+
 def strong_condition(f: BlockMap, p: int) -> StrongConditionReport:
     """Decide the strong p-periodic point condition exactly.
 
@@ -291,7 +276,7 @@ def strong_condition(f: BlockMap, p: int) -> StrongConditionReport:
     for u and b for v, the point repeating u, reading w, then repeating v
     has no conforming preimage.
     """
-    words = _periodic_words_upto(f.target, p)
+    words = [u for n in range(1, p + 1) for u in f.target.periodic_words(n)]
     if not words:
         return StrongConditionReport(p, True)
     engine = _strong_engine(f)
@@ -329,31 +314,12 @@ def strong_condition(f: BlockMap, p: int) -> StrongConditionReport:
                     p, False, failures=tuples, pointwise={"u": u, "v": vv, "w": w}
                 )
 
-    # backtracking over consistent assignments
-    order = sorted(words, key=lambda u: (len(cands[u]), u))
-    assign: dict[Word, Word] = {}
-
-    def consistent(u, a) -> bool:
-        # (u, a) itself passed the unary pruning
-        return all(engine.missed(u, a, vv, b) is None and engine.missed(vv, b, u, a) is None
-                   for vv, b in assign.items())
-
-    def solve(i: int) -> bool:
-        if i == len(order):
-            return True
-        u = order[i]
-        for a in cands[u]:
-            if consistent(u, a):
-                assign[u] = a
-                if solve(i + 1):
-                    return True
-                del assign[u]
-        return False
-
-    if solve(0):
-        return StrongConditionReport(
-            p, True, assignment=tuple(sorted(assign.items()))
-        )
+    # one value (u, a) per word, every two of them consistent; the smallest
+    # domain first over sorted words is the (len(cands[u]), u) order
+    domains = [tuple((u, a) for a in cands[u]) for u in sorted(words)]
+    follows = [(i, j) for j in range(len(words)) for i in range(j)]
+    for sol in _csp_solutions(domains, follows, _Consistent(engine), 1, "strong condition search"):
+        return StrongConditionReport(p, True, assignment=tuple(sorted(sol.values())))
     return StrongConditionReport(
         p,
         False,
@@ -369,7 +335,8 @@ def strong_condition(f: BlockMap, p: int) -> StrongConditionReport:
 def _csp_solutions(domains, follows, allowed, limit, what: str = "constraint search"):
     """DFS over assignments to the variables ``range(len(domains))``,
     smallest domain first.  The values of a pair ``(i, j)`` in ``follows``,
-    ``i != j``, must form a pair in ``allowed``; each new value is checked
+    ``i != j``, must form a pair in ``allowed``, a set or any container
+    that answers ``in``; each new value is checked
     against its assigned neighbours only.  Yields at most ``limit``
     complete assignments, as dicts, in depth-first order.
 
@@ -584,7 +551,7 @@ def is_split_monic(
     if not fam.injective:
         return v.no(witness={"pair": fam.pair}, note="not injective")
     if cat.level == 2 and cat.restriction in ("M", "P"):
-        peric = an.retraction_peric(f.source, f.target)
+        peric = an.period_inclusion(f.target, f.source)
         if peric.no:
             return v.no(witness=peric.witness,
                         note="a target period has no matching source period")
@@ -723,12 +690,10 @@ def exists_morphism(z: Presentation, y: Presentation) -> v.Verdict:
     """Existence of a block map z -> y (existence only, no construction)."""
     if z.is_empty():
         return v.yes(note="empty source; the empty map works")
-    pz, py = an.periods(z), an.periods(y)
-    bad = pz.first_not_in(py)
-    mixing_sft = an.is_mixing(y) and an.is_sft(y).yes
-    if bad is not None:
-        return v.no(witness={"period": bad})
-    if mixing_sft:
+    per = an.period_inclusion(z, y)
+    if per.no:
+        return v.no(witness=per.witness)
+    if an.is_mixing(y) and an.is_sft(y).yes:
         return v.yes(note="period condition holds and target is a mixing SFT")
     return v.undecided(note="period condition holds; target is not a mixing SFT,"
                        " so only the necessary direction applies")

@@ -127,16 +127,15 @@ def relation_checks(r: SubshiftRelation, period_bound: int = 4) -> dict:
     symmetric = an.swap_relation(r).presentation.language_equal(r.presentation)
     transitive = True
     for p in range(1, period_bound + 1):
+        periodic = set(r.presentation.periodic_words(p))
         by_left: dict[Word, list[Word]] = {}
-        for t in r.presentation.words(p):
-            if not r.presentation.contains_periodic(t):
-                continue
+        for t in periodic:
             u, w = _unzip_pair_word(t)
             by_left.setdefault(u, []).append(w)
         for u, mids in by_left.items():
             for m in mids:
                 for w in by_left.get(m, ()):
-                    if not r.presentation.contains_periodic(_zip_pair_word(u, w)):
+                    if _zip_pair_word(u, w) not in periodic:
                         transitive = False
     return {"reflexive": reflexive, "symmetric": symmetric,
             "transitive_on_periodic": transitive}

@@ -166,6 +166,21 @@ class Presentation:
             check_budget(len(words), "word enumeration")
         return list(words)
 
+    @cached_property
+    def _periodic_words(self) -> dict[int, tuple[Word, ...]]:
+        return {}
+
+    def periodic_words(self, n: int) -> tuple[Word, ...]:
+        """The words of length ``n`` whose repetition is a point, in
+        :meth:`words` order, listed once per presentation."""
+        words = self._periodic_words.get(n)
+        if words is None:
+            words = self._periodic_words[n] = tuple(
+                w for w in self.words(n) if self.contains_periodic(w))
+        else:
+            check_budget(len(words), "word enumeration")
+        return words
+
     def count_words(self, n: int) -> int:
         return au.count_words(self.dfa, n)
 

@@ -101,14 +101,7 @@ def is_visibly_eventually_periodic(f: BlockMap, ep: EventualPeriodicity) -> v.Ve
         fkq = power(f, ep.preperiod + q)
         e = an.equalizer_set(fk, fkq)
         if not e.is_empty():
-            word = None
-            for n in range(1, e.dfa.n + 2):
-                for w in e.words(n):
-                    if e.contains_periodic(w):
-                        word = w
-                        break
-                if word:
-                    break
+            word = next((w for n in range(1, e.dfa.n + 2) for w in e.periodic_words(n)), None)
             return v.no(witness={"divisor": q, "periodic_word": word})
     return v.yes()
 

@@ -16,7 +16,7 @@ from .core import (
     make_block_map,
     make_presentation,
 )
-from .errors import ParseError, ValidationError
+from .errors import ParseError
 
 Word = tuple[str, ...]
 
@@ -103,14 +103,9 @@ def parse_shift(text: str) -> Presentation:
         raise ParseError(".shift file needs an alphabet: line")
     if kind is None:
         kind = "graph" if (nodes or edges) else "sft"
-    try:
-        if kind == "sft":
-            return make_presentation(alphabet, "sft", forbidden, point)
-        return make_presentation(alphabet, "graph", (nodes, edges), point)
-    except ValidationError:
-        raise
-    except ParseError:
-        raise
+    if kind == "sft":
+        return make_presentation(alphabet, "sft", forbidden, point)
+    return make_presentation(alphabet, "graph", (nodes, edges), point)
 
 
 def load_shift(path: str) -> Presentation:

@@ -380,21 +380,15 @@ def image_factorization(f: BlockMap, cat: CategoryTag):
 def _decreasing_sft_chain(y: Presentation, img: Presentation, count: int):
     """Strictly decreasing SFT approximations of the image inside y."""
     chain = []
-    m = 1
-    guard = 0
-    while len(chain) < count and guard < 40:
-        guard += 1
+    for m in range(1, 41):
+        if len(chain) == count:
+            break
         try:
             approx = an.intersection_presentation(y, an.sft_approximation(img, m))
         except BudgetExceeded:
             break
-        if not chain or not chain[-1].included_in(approx):
-            if not chain or not approx.language_equal(chain[-1]):
-                chain.append(approx)
-        else:
-            if not approx.language_equal(chain[-1]):
-                chain.append(approx)
-        m += 1
+        if not chain or not approx.language_equal(chain[-1]):
+            chain.append(approx)
     return chain
 
 

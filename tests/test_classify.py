@@ -130,6 +130,31 @@ class TestStrongCondition:
             # oracle confirmation: no conforming preimage with these tails
             assert orc.ep_preimage_search(compress_map, t, pad=8) is None
 
+    def test_assignment_search_is_not_bounded_by_the_recursion_limit(self, full2):
+        import inspect
+        import sys
+
+        # 62 periodic words of length at most 5, one search variable each
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(len(inspect.stack()) + 40)
+        try:
+            rep = cl.strong_condition(identity_map(full2), 5)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert rep.holds and len(rep.assignment) == 62
+        assert all(u == a for u, a in rep.assignment)
+
+    def test_budget_stops_the_assignment_search(self, full2):
+        from sdcat.errors import BudgetExceeded, set_budget
+
+        # 14 search variables; no word list or automaton is larger than 8
+        set_budget(10)
+        try:
+            with pytest.raises(BudgetExceeded, match="strong condition search"):
+                cl.strong_condition(identity_map(full2), 3)
+        finally:
+            set_budget(None)
+
     def test_each_automaton_is_made_once_across_p(self, xor3, compress_map, shrink_map,
                                                   monkeypatch):
         from sdcat import automata as au

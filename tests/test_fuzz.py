@@ -14,8 +14,9 @@ against the loops they replaced.  The verdicts read off a map's kernel
 graph are checked against the loops on its canonical kernel, and their
 witnesses re-verified.  Every builder that reads the kept edge tuples
 (``Presentation.edges`` and ``window_graph``) is checked against its loop
-over dict rows, and the list-based strongly connected components against
-the dict-based loop.
+over dict rows, the list-based strongly connected components against
+the dict-based loop, and the strong condition's assignment search against
+the recursive backtrack it replaced.
 """
 
 import ast
@@ -463,7 +464,9 @@ def _old_membership_pattern(x, u, w, vv):
 def _old_non_subsft_witness(inner, outer):
     """Reference: every pair (u, v) of words tried in turn."""
     n_live = inner.n_live()
-    for w in an._short_cyclic_words(inner, max(2, n_live)):
+    pool = [w for n in range(1, max(2, n_live) + 1) for w in inner.words(n)
+            if _brute_periodic(inner, w)]
+    for w in pool:
         fw = inner.word_action(w)
         ei, fd = au.eventual_image(fw), au.forever_defined(fw)
         if not ei:
@@ -1193,6 +1196,77 @@ class TestMonicOnTheKernelGraph:
             cl.is_monic(f, M2)
             assert "kernel" not in vars(f)
         assert not built
+
+
+# ---------------------------------------------------------------------------
+# The strong condition's assignment search against the recursive backtrack
+
+
+def _old_strong_condition(f, p):
+    """Reference: the strong condition with its own periodic word loops and
+    a recursive backtrack over consistent assignments, on the map's engine."""
+    words = [u for n in range(1, p + 1) for u in f.target.words(n) if f.target.contains_periodic(u)]
+    if not words:
+        return cl.StrongConditionReport(p, True)
+    engine = cl._strong_engine(f)
+    cands = {u: [a for a in f.source.words(len(u))
+                 if f.source.contains_periodic(a) and apply_map(f, PeriodicPoint(a)).word == u]
+             for u in words}
+    failures = [{"u": u, "reason": "no aligned periodic preimage of the same length"}
+                for u in words if not cands[u]]
+    if failures:
+        return cl.StrongConditionReport(p, False, failures=tuple(failures))
+    for u in words:
+        missed = [(a, engine.missed(u, a, u, a)) for a in cands[u]]
+        cands[u] = [a for a, w in missed if w is None]
+        failures += [{"u": u, "v": u, "w": w, "a": a, "b": a} for a, w in missed if w is not None]
+        if not cands[u]:
+            return cl.StrongConditionReport(p, False, failures=tuple(failures))
+    for u in words:
+        for vv in words:
+            pairs = ([(a, a) for a in cands[u]] if u == vv
+                     else [(a, b) for a in cands[u] for b in cands[vv]])
+            w = engine.once(("pointwise", u, vv), lambda: au.separating_word(
+                engine.allw_dfa(u, vv), *[engine.good_dfa(u, a, vv, b) for a, b in pairs]))
+            if w is not None:
+                tuples = tuple({"u": u, "v": vv, "w": w, "a": a, "b": b} for a, b in pairs)
+                return cl.StrongConditionReport(p, False, failures=tuples,
+                                                pointwise={"u": u, "v": vv, "w": w})
+    order = sorted(words, key=lambda u: (len(cands[u]), u))
+    assign = {}
+
+    def consistent(u, a):
+        return all(engine.missed(u, a, vv, b) is None and engine.missed(vv, b, u, a) is None
+                   for vv, b in assign.items())
+
+    def solve(i):
+        if i == len(order):
+            return True
+        u = order[i]
+        for a in cands[u]:
+            if consistent(u, a):
+                assign[u] = a
+                if solve(i + 1):
+                    return True
+                del assign[u]
+        return False
+
+    if solve(0):
+        return cl.StrongConditionReport(p, True, assignment=tuple(sorted(assign.items())))
+    return cl.StrongConditionReport(
+        p, False, failures=tuple(failures) + ({"reason": "no globally consistent preimage assignment"},))
+
+
+class TestStrongConditionSearch:
+    def test_census_reports_match_the_recursive_backtrack(self):
+        for f in _census_maps():
+            for p in range(1, 5):
+                assert cl.strong_condition(f, p) == _old_strong_condition(f, p)
+
+    def test_named_maps_match_the_recursive_backtrack(self, xor3, compress_map, shrink_map):
+        for f in (xor3, compress_map, shrink_map):
+            for p in range(1, 7):
+                assert cl.strong_condition(f, p) == _old_strong_condition(f, p)
 
 
 # ---------------------------------------------------------------------------
