@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cache, reduce
+from functools import reduce
 
 from . import automata as au
 from . import verdicts as v
@@ -135,15 +135,13 @@ def intersection_presentation(x: Presentation, y: Presentation) -> Presentation:
     """The subshift intersection (synchronized product on a shared alphabet)."""
     if set(x.alphabet) != set(y.alphabet):
         raise ValidationError("intersection needs a common alphabet")
-    nx, ny = x.n_live(), y.n_live()
-    edges = []
-    for i in range(nx):
-        for a, i2 in x.live_trans[i].items():
-            for j in range(ny):
-                j2 = y.live_trans[j].get(a)
-                if j2 is not None:
-                    edges.append((i * ny + j, a, i2 * ny + j2))
-    return presentation_from_edges(x.alphabet, nx * ny, edges)
+    ny = y.n_live()
+    by_symbol: dict[str, list[tuple[int, int]]] = {}
+    for j, a, j2 in y.edges:
+        by_symbol.setdefault(a, []).append((j, j2))
+    edges = [(i * ny + j, a, i2 * ny + j2)
+             for i, a, i2 in x.edges for j, j2 in by_symbol.get(a, ())]
+    return presentation_from_edges(x.alphabet, x.n_live() * ny, edges)
 
 
 def union_presentation(x: Presentation, y: Presentation) -> Presentation:
@@ -340,12 +338,6 @@ def period_inclusion(x: Presentation, y: Presentation) -> v.Verdict:
 # SFT-ness
 
 
-@cache
-def _full_shift(alphabet: tuple[str, ...]) -> Presentation:
-    """One full shift per alphabet, shared by the SFT tests."""
-    return full_shift(alphabet)
-
-
 def is_subsft_of(inner: Presentation, outer: Presentation) -> v.Verdict:
     """Whether ``inner`` equals ``outer`` intersected with an SFT.
 
@@ -407,7 +399,7 @@ def _has_finite_memory(x: Presentation) -> bool:
     graph of pairs of distinct states stepped by a common symbol, from the
     pairs that hold the initial state.
     """
-    rows = [dict(row) for row in x.dfa.trans]
+    rows = x.dfa.rows
     init = x.dfa.init
 
     def succ(pair):
@@ -565,7 +557,7 @@ def _check_uv_witness(runs, fds, acts):
 @_per_object
 def is_sft(x: Presentation) -> v.Verdict:
     """Whether ``x`` is a shift of finite type, as in :func:`is_subsft_of`."""
-    return is_subsft_of(x, _full_shift(x.alphabet))
+    return is_subsft_of(x, full_shift(x.alphabet))
 
 
 # ---------------------------------------------------------------------------

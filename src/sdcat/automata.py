@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import ValidationError, check_budget
 
@@ -40,13 +41,15 @@ class Dfa:
     init: int
     accepting: frozenset[int]
 
+    @cached_property
+    def rows(self) -> tuple[dict[str, int], ...]:
+        """``trans`` as one dict per state, from symbol to successor."""
+        return tuple(map(dict, self.trans))
+
     def step(self, q: int | None, sym: str) -> int | None:
         if q is None:
             return None
-        for a, p in self.trans[q]:
-            if a == sym:
-                return p
-        return None
+        return self.rows[q].get(sym)
 
     def run(self, word) -> int | None:
         q: int | None = self.init
@@ -170,10 +173,7 @@ def minimize(dfa: Dfa) -> Dfa:
     remap = {q: i for i, q in enumerate(keep)}
     syms = sorted(set(dfa.alphabet))
     # successors in symbol order; index n is the virtual sink, alone in class 0
-    nxt = []
-    for q in keep:
-        row = dict(dfa.trans[q])
-        nxt.append([remap.get(row.get(a), n) for a in syms])
+    nxt = [[remap.get(dfa.rows[q].get(a), n) for a in syms] for q in keep]
     cls = [1 if q in dfa.accepting else 2 for q in keep] + [0]
     count = len(set(cls))
     while True:
@@ -236,7 +236,7 @@ def _product_successors(a: Dfa, bs):
     if any(set(a.alphabet) != set(b.alphabet) for b in bs):
         raise ValidationError("alphabet mismatch in product")
     # row -1, the empty one, is where a component that has left stays
-    b_rows = [[*map(dict, b.trans), {}] for b in bs]
+    b_rows = [[*b.rows, {}] for b in bs]
 
     def successors(state):
         rows = [table[y] for table, y in zip(b_rows, state[1:])]
@@ -320,7 +320,7 @@ def escaping_word(graph: Nfa, dfa: Dfa) -> Word | None:
     ``dfa``) from every initial state; ``dfa`` is deterministic, so there
     is no subset construction.
     """
-    rows = [dict(row) for row in dfa.trans]
+    rows = dfa.rows
 
     def successors(pair):
         s, q = pair
@@ -343,7 +343,7 @@ def words_of_length(dfa: Dfa, n: int):
             if q in dfa.accepting:
                 out.append(word)
             return
-        for a, p in sorted(dfa.trans[q]):
+        for a, p in dfa.trans[q]:
             rec(p, word + (a,))
 
     rec(dfa.init, ())

@@ -10,6 +10,7 @@ Blank cells of the classification table surface as UNDECIDED.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 
 from . import analysis as an
 from . import automata as au
@@ -21,7 +22,6 @@ from .core import (
     PeriodicPoint,
     Presentation,
     apply_map,
-    block_symbol,
     compose,
     diagonal_relation,
     identity_map,
@@ -161,112 +161,116 @@ class StrongConditionReport:
         return self.failures[0] if self.failures else None
 
 
-def _aligned_periodic_preimages(f: BlockMap, u: Word) -> list[Word]:
-    """Words a with the a-periodic point mapping onto the u-periodic point,
-    phase aligned."""
-    return [a for a in f.source.periodic_words(len(u)) if apply_map(f, PeriodicPoint(a)).word == u]
+@_per_object
+def _aligned_periodic_preimages(f: BlockMap, n: int) -> dict[Word, list[Word]]:
+    """For each word u of length ``n``, the words a with the a-periodic
+    point mapping onto the u-periodic point, phase aligned, in
+    ``periodic_words`` order."""
+    out: dict[Word, list[Word]] = {}
+    for a in f.source.periodic_words(n):
+        out.setdefault(apply_map(f, PeriodicPoint(a)).word, []).append(a)
+    return out
 
 
 @_per_object
 def _symbol_recoding(f: BlockMap):
-    """``(f0, from_blocks, pre)``: ``f`` recoded as the radius-0 map ``f0`` on
-    its higher block presentation, and the live block symbols over each
-    target symbol."""
-    f0, _, from_blocks = recode_to_symbol_map(f)
+    """``(f0, to_blocks, from_blocks, pre)``: ``f`` recoded as the radius-0
+    map ``f0`` on its higher block presentation, with the conjugacy pair of
+    ``recode_to_symbol_map``, and the live block symbols over each target
+    symbol."""
+    f0, to_blocks, from_blocks = recode_to_symbol_map(f)
     xb = f0.source
     pre: dict[str, list[str]] = {}
     for t in xb.alphabet:
         if xb.contains_word((t,)):
             pre.setdefault(f0.local((t,)), []).append(t)
-    return f0, from_blocks, pre
-
-
-class _StrongConditionEngine:
-    """Automaton plumbing shared across the (u, v) pair checks.
-
-    One engine is kept per map, so every p reuses the candidates, automata
-    and missing words that a smaller p has made: ``once`` keeps each under
-    a tagged key, and an automaton under the ends of its graph.
-    """
-
-    def __init__(self, f: BlockMap):
-        # no reference to f: the engine is kept on it
-        self.radius = f.radius
-        y = self.y = f.target
-        f0, _, self.pre_syms = _symbol_recoding(f)
-        xb = self.xb = f0.source
-        # the recoded source relabelled by f0, and the target's own y.edges:
-        # each (u, a, v, b) check sets only the ends of these two graphs
-        self.good_edges = [(q, f0.local((t,)), q2) for q, t, q2 in xb.edges]
-        self.memo: dict = {}
-
-    def once(self, key, make):
-        if key not in self.memo:
-            self.memo[key] = make()
-        return self.memo[key]
-
-    def block_word(self, a: Word) -> Word:
-        """The higher-block reading of the a-periodic point at phase 0."""
-        r = self.radius
-        p = PeriodicPoint(a)
-        if r == 0:
-            return a
-        return tuple(block_symbol(p.segment(j - r, j + r + 1)) for j in range(len(a)))
-
-    def _read_pre(self, q: int, word: Word) -> set:
-        """States reached from ``q`` along preimage paths of ``word``."""
-        states = {q}
-        for sym in word:
-            rows = [self.xb.live_trans[q1] for q1 in states]
-            states = {row[t] for row in rows for t in self.pre_syms.get(sym, ()) if t in row}
-        return states
-
-    def _back(self, vv: Word) -> list[list[int]]:
-        """For each state, the states with a preimage path of ``vv`` into it."""
-        back: list[list[int]] = [[] for _ in range(self.xb.n_live())]
-        for q in range(self.xb.n_live()):
-            for p in self._read_pre(q, vv):
-                back[p].append(q)
-        return back
-
-    def good_dfa(self, u: Word, a: Word, vv: Word, b: Word):
-        xb = self.xb
-        s0 = self.once(("starts", u, a), lambda: frozenset(au.closure(
-            au.eventual_image(xb.word_action(self.block_word(a))), lambda q: self._read_pre(q, u))))
-        back = self.once(("back", vv), lambda: self._back(vv))
-        acc = self.once(("accepts", vv, b), lambda: frozenset(au.closure(
-            au.forever_defined(xb.word_action(self.block_word(b))), back.__getitem__)))
-        return self.once(("good", s0, acc), lambda: au.determinize(
-            Nfa(self.y.alphabet, max(1, xb.n_live()), self.good_edges, s0, acc)))
-
-    def allw_dfa(self, u: Word, vv: Word):
-        y = self.y
-        ei = au.eventual_image(y.word_action(u))
-        fwd = au.forever_defined(y.word_action(vv))
-        return self.once(("allw", ei, fwd), lambda: au.determinize(
-            Nfa(y.alphabet, max(1, y.n_live()), y.edges, ei, fwd)))
-
-    def missed(self, u: Word, a: Word, vv: Word, b: Word) -> Word | None:
-        """The shortlex-least w for which (u, vv, w) has no (a, b) preimage."""
-        return self.once(("missed", u, a, vv, b), lambda: au.separating_word(
-            self.allw_dfa(u, vv), self.good_dfa(u, a, vv, b)))
+    return f0, to_blocks, from_blocks, pre
 
 
 @_per_object
-def _strong_engine(f: BlockMap) -> _StrongConditionEngine:
-    return _StrongConditionEngine(f)
+def _tails(y: Presentation, u: Word) -> tuple[frozenset[int], frozenset[int]]:
+    """The states of ``y`` where a left tail repeating ``u`` ends, and those
+    where a right tail repeating ``u`` starts."""
+    act = y.word_action(u)
+    return au.eventual_image(act), au.forever_defined(act)
+
+
+@_per_object
+def _bridges(y: Presentation, left: frozenset[int], right: frozenset[int]):
+    """The words that ``y`` reads from a state in ``left`` to one in
+    ``right``, kept on the target for every map into it."""
+    return au.determinize(Nfa(y.alphabet, max(1, y.n_live()), y.edges, left, right))
+
+
+@_per_object
+def _good_edges(f: BlockMap) -> tuple[tuple[int, str, int], ...]:
+    """The edges of the recoded source, each labelled by its image symbol."""
+    f0 = _symbol_recoding(f)[0]
+    return tuple((q, f0.local((t,)), q2) for q, t, q2 in f0.source.edges)
+
+
+def _read_pre(f: BlockMap, q: int, word: Word) -> set:
+    """States of the recoded source reached from ``q`` along preimage paths
+    of ``word``."""
+    f0, _, _, pre = _symbol_recoding(f)
+    rows = f0.source.live_trans
+    states = {q}
+    for sym in word:
+        states = {rows[q1][t] for q1 in states for t in pre.get(sym, ()) if t in rows[q1]}
+    return states
+
+
+@_per_object
+def _back(f: BlockMap, v: Word) -> list[list[int]]:
+    """For each state, the states with a preimage path of ``v`` into it."""
+    n = _symbol_recoding(f)[0].source.n_live()
+    back: list[list[int]] = [[] for _ in range(n)]
+    for q in range(n):
+        for p in _read_pre(f, q, v):
+            back[p].append(q)
+    return back
+
+
+@_per_object
+def _preimage_tails(f: BlockMap, u: Word, a: Word) -> tuple[frozenset[int], frozenset[int]]:
+    """The states of the recoded source where a preimage path can be after
+    a left tail repeating ``a`` and preimages of any power of ``u``, and
+    those from which preimages of a power of ``u`` and then a right tail
+    repeating ``a`` can follow."""
+    f0, to_blocks, _, _ = _symbol_recoding(f)
+    act = f0.source.word_action(apply_map(to_blocks, PeriodicPoint(a)).word)
+    return (frozenset(au.closure(au.eventual_image(act), lambda q: _read_pre(f, q, u))),
+            frozenset(au.closure(au.forever_defined(act), _back(f, u).__getitem__)))
+
+
+@_per_object
+def _good_dfa(f: BlockMap, starts: frozenset[int], accepts: frozenset[int]):
+    """The words read in preimage from a state in ``starts`` to one in
+    ``accepts``."""
+    n = max(1, _symbol_recoding(f)[0].source.n_live())
+    return au.determinize(Nfa(f.target.alphabet, n, _good_edges(f), starts, accepts))
+
+
+@_per_object
+def _missed(f: BlockMap, left: frozenset[int], right: frozenset[int], goods: frozenset):
+    """The shortlex-least word that the target reads from ``left`` to
+    ``right`` and no ``_good_dfa`` of a pair in ``goods`` accepts, or None.
+    The word depends on the languages only, so each pair counts once."""
+    return au.separating_word(_bridges(f.target, left, right),
+                              *[_good_dfa(f, s, a) for s, a in goods])
 
 
 class _Consistent:
     """The pairs ``((u, a), (v, b))`` of preimage choices with no missed
     word in either direction, as the ``allowed`` of :func:`_csp_solutions`."""
 
-    def __init__(self, engine: _StrongConditionEngine):
-        self.engine = engine
+    def __init__(self, missed, sides):
+        self.missed, self.sides = missed, sides
 
     def __contains__(self, pair) -> bool:
         (u, a), (vv, b) = pair
-        return self.engine.missed(u, a, vv, b) is None and self.engine.missed(vv, b, u, a) is None
+        (s1, a1), (s2, a2) = self.sides[u, a], self.sides[vv, b]
+        return self.missed(u, vv, [(s1, a2)]) is None and self.missed(vv, u, [(s2, a1)]) is None
 
 
 def strong_condition(f: BlockMap, p: int) -> StrongConditionReport:
@@ -276,37 +280,43 @@ def strong_condition(f: BlockMap, p: int) -> StrongConditionReport:
     for u and b for v, the point repeating u, reading w, then repeating v
     has no conforming preimage.
     """
-    words = [u for n in range(1, p + 1) for u in f.target.periodic_words(n)]
+    y = f.target
+    words = [u for n in range(1, p + 1) for u in y.periodic_words(n)]
     if not words:
         return StrongConditionReport(p, True)
-    engine = _strong_engine(f)
-    cands = {u: engine.once(("aligned", u), lambda: _aligned_periodic_preimages(f, u))
-             for u in words}
+    cands = {u: _aligned_periodic_preimages(f, len(u)).get(u, ()) for u in words}
     failures = [{"u": u, "reason": "no aligned periodic preimage of the same length"}
                 for u in words if not cands[u]]
     if failures:
         return StrongConditionReport(p, False, failures=tuple(failures))
+    tails = {u: _tails(y, u) for u in words}
+    sides = {(u, a): _preimage_tails(f, u, a) for u in words for a in cands[u]}
+
+    def missed(u: Word, vv: Word, goods) -> Word | None:
+        """The shortlex-least w for which (u, vv, w) has no preimage with
+        (start, accept) ends in ``goods``."""
+        return _missed(f, tails[u][0], tails[vv][1], frozenset(goods))
 
     # unary pruning on the diagonal
     for u in words:
-        missed = [(a, engine.missed(u, a, u, a)) for a in cands[u]]
-        cands[u] = [a for a, w in missed if w is None]
-        failures += [{"u": u, "v": u, "w": w, "a": a, "b": a} for a, w in missed if w is not None]
+        pruned = [(a, missed(u, u, [sides[u, a]])) for a in cands[u]]
+        cands[u] = [a for a, w in pruned if w is None]
+        failures += [{"u": u, "v": u, "w": w, "a": a, "b": a} for a, w in pruned if w is not None]
         if not cands[u]:
             return StrongConditionReport(p, False, failures=tuple(failures))
 
-    # pointwise failing tuple: some (u, v, w) bad for every candidate pair
+    # pointwise failing tuple: some (u, v, w) bad for every candidate pair;
+    # off the diagonal the pairs end at every start of u and accept of v
+    starts = {u: {sides[u, a][0] for a in cands[u]} for u in words}
+    accepts = {u: {sides[u, a][1] for a in cands[u]} for u in words}
     for u in words:
         for vv in words:
-            pairs = (
-                [(a, a) for a in cands[u]]
-                if u == vv
-                else [(a, b) for a in cands[u] for b in cands[vv]]
-            )
-            # the pruned candidates, and so the pairs, are the same for every p
-            w = engine.once(("pointwise", u, vv), lambda: au.separating_word(
-                engine.allw_dfa(u, vv), *[engine.good_dfa(u, a, vv, b) for a, b in pairs]))
+            goods = ([sides[u, a] for a in cands[u]] if u == vv
+                     else product(starts[u], accepts[vv]))
+            w = missed(u, vv, goods)
             if w is not None:
+                pairs = ([(a, a) for a in cands[u]] if u == vv
+                         else list(product(cands[u], cands[vv])))
                 tuples = tuple(
                     {"u": u, "v": vv, "w": w, "a": a, "b": b} for a, b in pairs
                 )
@@ -318,7 +328,7 @@ def strong_condition(f: BlockMap, p: int) -> StrongConditionReport:
     # domain first over sorted words is the (len(cands[u]), u) order
     domains = [tuple((u, a) for a in cands[u]) for u in sorted(words)]
     follows = [(i, j) for j in range(len(words)) for i in range(j)]
-    for sol in _csp_solutions(domains, follows, _Consistent(engine), 1, "strong condition search"):
+    for sol in _csp_solutions(domains, follows, _Consistent(missed, sides), 1, "strong condition search"):
         return StrongConditionReport(p, True, assignment=tuple(sorted(sol.values())))
     return StrongConditionReport(
         p,
@@ -396,7 +406,7 @@ def find_section(f: BlockMap, radius_cap: int = DEFAULT_RADIUS_CAP, pointed: boo
     y = f.target
     if y.is_empty():
         return make_block_map(y, f.source, 0, {}, validate_image=False)
-    f0, from_blocks, pre = _symbol_recoding(f)
+    f0, _, from_blocks, pre = _symbol_recoding(f)
     xb = f0.source
     if any(y.contains_word((c,)) and c not in pre for c in y.alphabet):
         return None

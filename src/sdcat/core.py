@@ -40,18 +40,22 @@ from .errors import ValidationError, DomainMismatch, check_budget
 
 
 def _per_object(fn):
-    """Keep ``fn(obj)`` in ``obj.__dict__``, which equality and hashing of
-    the frozen dataclasses do not see, under the wrapper's ``key``; an
-    UNDECIDED verdict is not kept."""
+    """Keep ``fn(obj, *args)`` in ``obj.__dict__``, which equality and
+    hashing of the frozen dataclasses do not see: under the wrapper's
+    ``key``, or under ``args`` in a dict kept there; an UNDECIDED verdict
+    is not kept."""
     key = f"{fn.__module__}.{fn.__name__}"
 
-    def once(obj):
+    def once(obj, *args):
         memo = obj.__dict__
-        if key in memo:
-            return memo[key]
-        out = fn(obj)
+        if args:
+            memo = memo.get(key) or memo.setdefault(key, {})
+        slot = args or key
+        if slot in memo:
+            return memo[slot]
+        out = fn(obj, *args)
         if not (isinstance(out, v.Verdict) and out.undecided):
-            memo[key] = out
+            memo[slot] = out
         return out
 
     # not functools.wraps: ``__wrapped__`` marks the bindings that the
@@ -119,21 +123,10 @@ class Presentation:
     point: str | None = None
 
     @cached_property
-    def live_list(self) -> tuple[int, ...]:
-        return tuple(sorted(self.live))
-
-    @cached_property
-    def live_index(self) -> dict[int, int]:
-        return {q: i for i, q in enumerate(self.live_list)}
-
-    @cached_property
     def live_trans(self) -> tuple[dict[str, int], ...]:
-        out = []
-        for q in self.live_list:
-            out.append(
-                {a: self.live_index[p] for a, p in self.dfa.trans[q] if p in self.live}
-            )
-        return tuple(out)
+        """The rows of the essential part, its states numbered in order."""
+        index = {q: i for i, q in enumerate(sorted(self.live))}
+        return tuple({a: index[p] for a, p in self.dfa.trans[q] if p in index} for q in index)
 
     @cached_property
     def edges(self) -> tuple[tuple[int, str, int], ...]:
@@ -148,45 +141,26 @@ class Presentation:
         return self.live_trans[i].get(sym)
 
     def n_live(self) -> int:
-        return len(self.live_list)
+        return len(self.live)
 
     def contains_word(self, word) -> bool:
         return self.dfa.accepts(tuple(word))
 
-    @cached_property
-    def _words(self) -> dict[int, tuple[Word, ...]]:
-        return {}
-
     def words(self, n: int) -> list[Word]:
         """The words of length ``n``, enumerated once per presentation."""
-        words = self._words.get(n)
-        if words is None:
-            words = self._words[n] = tuple(au.words_of_length(self.dfa, n))
-        else:
-            check_budget(len(words), "word enumeration")
+        words = _word_list(self, n)
+        check_budget(len(words), "word enumeration")
         return list(words)
-
-    @cached_property
-    def _periodic_words(self) -> dict[int, tuple[Word, ...]]:
-        return {}
 
     def periodic_words(self, n: int) -> tuple[Word, ...]:
         """The words of length ``n`` whose repetition is a point, in
         :meth:`words` order, listed once per presentation."""
-        words = self._periodic_words.get(n)
-        if words is None:
-            words = self._periodic_words[n] = tuple(
-                w for w in self.words(n) if self.contains_periodic(w))
-        else:
-            check_budget(len(words), "word enumeration")
+        words = _periodic_word_list(self, n)
+        check_budget(len(words), "word enumeration")
         return words
 
     def count_words(self, n: int) -> int:
         return au.count_words(self.dfa, n)
-
-    @cached_property
-    def _window_graphs(self) -> dict[int, tuple]:
-        return {}
 
     def word_action(self, word) -> tuple[int, ...]:
         """Partial transition function of ``word`` on the essential states."""
@@ -230,6 +204,16 @@ class Presentation:
 
     def __hash__(self):
         return hash((self.alphabet, self.dfa, self.point))
+
+
+@_per_object
+def _word_list(x: Presentation, n: int) -> tuple[Word, ...]:
+    return tuple(au.words_of_length(x.dfa, n))
+
+
+@_per_object
+def _periodic_word_list(x: Presentation, n: int) -> tuple[Word, ...]:
+    return tuple(w for w in x.words(n) if x.contains_periodic(w))
 
 
 def _cast_alphabet(x: Presentation, alphabet) -> Presentation:
@@ -483,14 +467,12 @@ def window_graph(x: Presentation, w: int):
     window, t)`` edges from node ``k`` to node ``t``, by ``k`` and then by
     the window's last symbol.
     """
-    graph = x._window_graphs.get(w)
-    if graph is None:
-        graph = x._window_graphs[w] = _window_graph(x, w)
-    else:
-        check_budget(len(graph[0]), "window graph")
+    graph = _window_graph(x, w)
+    check_budget(len(graph[0]), "window graph")
     return graph
 
 
+@_per_object
 def _window_graph(x: Presentation, w: int):
     nodes: list[tuple[int, Word]] = []
     index: dict[tuple[int, Word], int] = {}

@@ -15,7 +15,9 @@ from . import verdicts as v
 from .automata import Word
 from .core import (
     BlockMap,
+    PeriodicPoint,
     Presentation,
+    apply_map,
     compose,
     fiber_presentation,
     identity_map,
@@ -23,6 +25,7 @@ from .core import (
     maps_equal,
     reduce_radius,
     rule_image,
+    _per_object,
 )
 from .errors import BudgetExceeded, InternalError, ValidationError, check_budget
 from .limits import connecting_map
@@ -59,31 +62,29 @@ class EventualPeriodicity:
     cap: int | None = None
 
 
+@_per_object
 def power(f: BlockMap, k: int) -> BlockMap:
+    """f^k at its smallest radius, f after f^(k-1), composed once per k."""
     _require_endo(f)
-    out = identity_map(f.source)
-    for _ in range(k):
-        out = reduce_radius(compose(f, out))
-    return out
+    if k == 0:
+        return identity_map(f.source)
+    return reduce_radius(compose(f, power(f, k - 1)))
 
 
 def eventual_periodicity(f: BlockMap, cap: int = 12) -> EventualPeriodicity:
-    """Smallest (k, p) with f^k = f^(k+p), scanning compositions up to cap.
+    """Smallest (k, p) with f^k = f^(k+p), scanning powers up to cap.
 
     Powers are canonicalized by radius reduction before comparison.
     """
     _require_endo(f)
-    powers = [identity_map(f.source)]
-    current = powers[0]
     for n in range(1, cap + 1):
         try:
-            current = reduce_radius(compose(f, current))
+            current = power(f, n)
         except BudgetExceeded:
             return EventualPeriodicity("not-found-below-cap", cap=n - 1)
-        for k in range(len(powers)):
-            if powers[k].radius == current.radius and maps_equal(powers[k], current):
+        for k in range(n):
+            if power(f, k).radius == current.radius and maps_equal(power(f, k), current):
                 return EventualPeriodicity("found", preperiod=k, period=n - k)
-        powers.append(current)
     return EventualPeriodicity("not-found-below-cap", cap=cap)
 
 
@@ -210,22 +211,36 @@ def spreading_state(f: BlockMap) -> str | None:
 
 
 def nilpotency_index(f: BlockMap, cap: int = 8) -> int | None:
-    """Smallest n with f^n(X) a single uniform point, if within cap."""
+    """Smallest n with f^n(X) a single uniform point, if within cap.
+
+    A nilpotent map sends every periodic point to its one uniform limit.
+    So f is applied to the period-n points, n up to cap, until their set
+    stops shrinking: two or more left are permuted by f, which refutes
+    nilpotency with no power composed.  Past the budget the powers decide.
+    """
     _require_endo(f)
-    current = f.source
-    fr = f
     for n in range(1, cap + 1):
-        img = an.image(fr)
+        try:
+            words, image = None, set(f.source.periodic_words(n))
+        except BudgetExceeded:
+            break
+        while image != words:
+            words, image = image, {apply_map(f, PeriodicPoint(w)).word for w in image}
+        if len(words) > 1:
+            return None
+    current = f.source
+    for n in range(1, cap + 1):
+        try:
+            fn = power(f, n)
+        except BudgetExceeded:
+            return None
+        img = an.image(fn)
         if img.n_live() == 1 and len([a for a in img.alphabet if img.contains_word((a,))]) == 1 \
                 and img.count_words(2) == 1:
             return n
         if img.language_equal(current):
             return None
         current = img
-        try:
-            fr = reduce_radius(compose(f, fr))
-        except BudgetExceeded:
-            return None
     return None
 
 
@@ -277,9 +292,8 @@ def _blocking_leak(f: BlockMap, wset, ell: int, depth: int, label: str):
     images on the positions just right of it, for each iterate up to depth.
     """
     x = f.source
-    g = identity_map(x)
     for n in range(1, depth + 1):
-        g = reduce_radius(compose(f, g))
+        g = power(f, n)
         rn = g.radius
         if rn == 0:
             continue

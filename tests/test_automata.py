@@ -57,6 +57,17 @@ class TestDeterminizeMinimize:
             assert au.count_words(once, n) == au.count_words(even_shift.dfa, n)
 
 
+    def test_rows_are_the_transitions_by_symbol(self, even_shift):
+        dfa = au.determinize(Nfa(("0", "1"), 3, [(0, "1", 1), (1, "0", 2), (2, "1", 0), (0, "0", 0)],
+                                 [0], [2]))
+        for d in (dfa, even_shift.dfa):
+            assert d.rows is d.rows and d.rows == tuple(dict(row) for row in d.trans)
+            for q in range(d.n):
+                for a in ("0", "1"):
+                    assert d.step(q, a) == next((p for b, p in d.trans[q] if b == a), None)
+        assert dfa.step(None, "0") is None
+
+
 class TestLanguageOps:
     def test_intersection_with_complement_is_empty(self, golden):
         # the difference product accepts L(a) intersected with the complement of L(b)

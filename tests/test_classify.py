@@ -6,6 +6,7 @@ from sdcat import analysis as an
 from sdcat import classify as cl
 from sdcat import oracle as orc
 from sdcat.core import (
+    Presentation,
     compose,
     full_shift,
     identity_map,
@@ -170,8 +171,8 @@ class TestStrongCondition:
 
         monkeypatch.setattr(au, "determinize", counting)
         for g in (xor3, compress_map, shrink_map):
-            # fresh maps: the engine of f is kept across p, a new map per p
-            # starts from nothing
+            # fresh maps: the facts of f are kept across p, a new map per p
+            # starts from nothing but what its target keeps
             f = make_block_map(g.source, g.target, g.radius, g.rule_dict)
             made.clear()
             reports = [cl.strong_condition(f, p) for p in range(1, 7)]
@@ -179,6 +180,42 @@ class TestStrongCondition:
             for p, rep in enumerate(reports, 1):
                 assert rep == cl.strong_condition(make_block_map(g.source, g.target, g.radius,
                                                                  g.rule_dict), p)
+
+
+    def test_target_automata_are_made_once_across_maps(self, compress_map, monkeypatch):
+        import sys
+
+        from sdcat import automata as au
+
+        real = au.determinize
+        made = []
+
+        def counting(nfa):
+            if sys._getframe(1).f_code.co_name == "_bridges":
+                made.append((frozenset(nfa.initial), frozenset(nfa.accepting)))
+            return real(nfa)
+
+        monkeypatch.setattr(au, "determinize", counting)
+        # a census pass on a fresh full shift, so no automaton is kept from
+        # another test
+        x = full_shift(("0", "1"))
+        windows = x.words(3)
+        for bits in range(256):
+            f = make_block_map(x, x, 1, {w: str(bits >> i & 1) for i, w in enumerate(windows)})
+            cl.classify(f, K2)
+        assert made and len(set(made)) == len(made)
+        # two copies of a map into a fresh copy of a target with two states
+        # share its automata
+        g = compress_map
+        y = Presentation(g.target.alphabet, g.target.dfa, g.target.live)
+        counts, reports = [], []
+        for _ in range(2):
+            made.clear()
+            f = make_block_map(g.source, y, g.radius, g.rule_dict)
+            reports.append([cl.strong_condition(f, p) for p in range(1, 5)])
+            counts.append(len(made))
+            assert len(set(made)) == len(made)
+        assert counts[0] > 0 and counts[1] == 0 and reports[0] == reports[1]
 
 
 class TestSplitEpic:

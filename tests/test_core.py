@@ -265,22 +265,25 @@ class TestDerivedObjects:
         assert f == g and hash(f) == hash(g)
 
     def test_each_window_graph_is_built_once_per_shift_and_width(self, monkeypatch):
-        from collections import Counter
+        from collections import defaultdict
 
         from sdcat import classify as cl
         from sdcat import core
         from sdcat.limits import CategoryTag
 
-        built = Counter()
+        # every graph handed out, by shift and width: a graph built again
+        # would be a second object in its list
+        handed = defaultdict(list)
         real = core._window_graph
         monkeypatch.setattr(core, "_window_graph",
-                            lambda x, w: built.update([(id(x), w)]) or real(x, w))
+                            lambda x, w: handed[id(x), w].append(real(x, w)) or handed[id(x), w][-1])
         # a fresh shift, so no graph is kept from another test
         x = full_shift(("0", "1"))
         for bits in (30, 90, 232):
             rule = {w: str(bits >> i & 1) for i, w in enumerate(x.words(3))}
             cl.classify(make_block_map(x, x, 1, rule), CategoryTag.parse("K2"))
-        assert built[(id(x), 3)] == 1 and set(built.values()) == {1}
+        assert len(handed[id(x), 3]) > 1
+        assert all(g is graphs[0] for graphs in handed.values() for g in graphs)
 
     def test_window_edges_are_kept_tuples_per_width(self):
         from sdcat import core

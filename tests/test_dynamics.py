@@ -12,9 +12,10 @@ from sdcat.core import (
     maps_equal,
     pair_symbol,
     product_presentation,
+    reduce_radius,
     split_pair,
 )
-from sdcat.errors import ValidationError
+from sdcat.errors import BudgetExceeded, ValidationError
 
 
 @pytest.fixture(scope="module")
@@ -165,6 +166,16 @@ class TestSpreadingNilpotent:
         rule8 = make_block_map(full2, full2, 1, {w: "1" if w == ("0", "1", "1") else "0" for w in full2.words(3)})
         assert dy.nilpotency_index(rule8) == 2
 
+    def test_periodic_refutation_matches_the_composition_loop(self, full2):
+        windows = full2.words(3)
+        for bits in range(256):
+            f = make_block_map(full2, full2, 1, {w: str(bits >> i & 1) for i, w in enumerate(windows)})
+            assert dy.nilpotency_index(f, cap=2) == _old_nilpotency_index(f, 2), bits
+        # the nilpotent radius-1 rules, which no period refutes
+        for bits in (0, 8, 64, 239, 253, 255):
+            f = make_block_map(full2, full2, 1, {w: str(bits >> i & 1) for i, w in enumerate(windows)})
+            assert dy.nilpotency_index(f, cap=4) == _old_nilpotency_index(f, 4) is not None, bits
+
     def test_invariant_maps_of_spreading_are_constant(self, and_rule, full2, full3):
         # every radius-1 map into a 3-symbol target that absorbs the AND rule
         # is constant
@@ -176,6 +187,44 @@ class TestSpreadingNilpotent:
                 found += 1
                 assert len(set(h.rule_dict.values())) == 1
         assert found == 3
+
+
+def _old_nilpotency_index(f, cap):
+    """Reference: the loop over the images of the powers alone, each power
+    composed from the last."""
+    current = f.source
+    fr = f
+    for n in range(1, cap + 1):
+        img = an.image(fr)
+        if img.n_live() == 1 and len([a for a in img.alphabet if img.contains_word((a,))]) == 1 \
+                and img.count_words(2) == 1:
+            return n
+        if img.language_equal(current):
+            return None
+        current = img
+        try:
+            fr = reduce_radius(compose(f, fr))
+        except BudgetExceeded:
+            return None
+    return None
+
+
+class TestPowers:
+    @pytest.mark.parametrize("rule", [
+        lambda w: "1" if w == ("0", "1", "1") else "0",  # nilpotent at 2: f^2 = f^3
+        lambda w: str(1 - int(w[1])),  # the flip: f^0 = f^2
+    ])
+    def test_each_power_is_composed_once(self, full2, monkeypatch, rule):
+        composed = []
+        real = dy.compose
+        monkeypatch.setattr(dy, "compose", lambda g, h: composed.append(h) or real(g, h))
+        # a fresh map, so no power is kept from another test
+        f = make_block_map(full2, full2, 1, {w: rule(w) for w in full2.words(3)})
+        ep = dy.eventual_periodicity(f, cap=6)
+        dy.nilpotency_index(f, cap=4)
+        assert dy.is_visibly_eventually_periodic(f, ep).yes
+        dy.eventual_periodicity(f, cap=6)
+        assert composed and all(h is dy.power(f, k) for k, h in enumerate(composed))
 
 
 class TestVisiblyBlocking:

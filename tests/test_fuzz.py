@@ -15,8 +15,9 @@ graph are checked against the loops on its canonical kernel, and their
 witnesses re-verified.  Every builder that reads the kept edge tuples
 (``Presentation.edges`` and ``window_graph``) is checked against its loop
 over dict rows, the list-based strongly connected components against
-the dict-based loop, and the strong condition's assignment search against
-the recursive backtrack it replaced.
+the dict-based loop, and the strong condition's kept facts and assignment
+search against the word-keyed engine and the recursive backtrack they
+replaced.
 """
 
 import ast
@@ -1202,13 +1203,79 @@ class TestMonicOnTheKernelGraph:
 # The strong condition's assignment search against the recursive backtrack
 
 
+class _OldStrongConditionEngine:
+    """Reference: the per-map engine that kept every strong-condition fact
+    in one memo keyed by words, not by the state sets they determine."""
+
+    def __init__(self, f):
+        self.radius = f.radius
+        self.y = f.target
+        f0, _, _, self.pre_syms = cl._symbol_recoding(f)
+        self.xb = f0.source
+        self.good_edges = [(q, f0.local((t,)), q2) for q, t, q2 in self.xb.edges]
+        self.memo = {}
+
+    def once(self, key, make):
+        if key not in self.memo:
+            self.memo[key] = make()
+        return self.memo[key]
+
+    def block_word(self, a):
+        r = self.radius
+        p = PeriodicPoint(a)
+        if r == 0:
+            return a
+        return tuple(block_symbol(p.segment(j - r, j + r + 1)) for j in range(len(a)))
+
+    def _read_pre(self, q, word):
+        states = {q}
+        for sym in word:
+            rows = [self.xb.live_trans[q1] for q1 in states]
+            states = {row[t] for row in rows for t in self.pre_syms.get(sym, ()) if t in row}
+        return states
+
+    def _back(self, vv):
+        back = [[] for _ in range(self.xb.n_live())]
+        for q in range(self.xb.n_live()):
+            for p in self._read_pre(q, vv):
+                back[p].append(q)
+        return back
+
+    def good_dfa(self, u, a, vv, b):
+        xb = self.xb
+        s0 = self.once(("starts", u, a), lambda: frozenset(au.closure(
+            au.eventual_image(xb.word_action(self.block_word(a))), lambda q: self._read_pre(q, u))))
+        back = self.once(("back", vv), lambda: self._back(vv))
+        acc = self.once(("accepts", vv, b), lambda: frozenset(au.closure(
+            au.forever_defined(xb.word_action(self.block_word(b))), back.__getitem__)))
+        return self.once(("good", s0, acc), lambda: au.determinize(
+            Nfa(self.y.alphabet, max(1, xb.n_live()), self.good_edges, s0, acc)))
+
+    def allw_dfa(self, u, vv):
+        y = self.y
+        ei = au.eventual_image(y.word_action(u))
+        fwd = au.forever_defined(y.word_action(vv))
+        return self.once(("allw", ei, fwd), lambda: au.determinize(
+            Nfa(y.alphabet, max(1, y.n_live()), y.edges, ei, fwd)))
+
+    def missed(self, u, a, vv, b):
+        return self.once(("missed", u, a, vv, b), lambda: au.separating_word(
+            self.allw_dfa(u, vv), self.good_dfa(u, a, vv, b)))
+
+
+@functools.cache
+def _old_engine(f):
+    return _OldStrongConditionEngine(f)
+
+
 def _old_strong_condition(f, p):
     """Reference: the strong condition with its own periodic word loops and
-    a recursive backtrack over consistent assignments, on the map's engine."""
+    a recursive backtrack over consistent assignments, on the map's engine
+    of word-keyed facts."""
     words = [u for n in range(1, p + 1) for u in f.target.words(n) if f.target.contains_periodic(u)]
     if not words:
         return cl.StrongConditionReport(p, True)
-    engine = cl._strong_engine(f)
+    engine = _old_engine(f)
     cands = {u: [a for a in f.source.words(len(u))
                  if f.source.contains_periodic(a) and apply_map(f, PeriodicPoint(a)).word == u]
              for u in words}
@@ -1267,6 +1334,14 @@ class TestStrongConditionSearch:
         for f in (xor3, compress_map, shrink_map):
             for p in range(1, 7):
                 assert cl.strong_condition(f, p) == _old_strong_condition(f, p)
+
+    def test_a_map_with_many_preimages_matches_the_recursive_backtrack(self):
+        # full4 -> full3 sending 3 to 2: every word with k 2s has 2^k
+        # aligned preimages, and all of them share one pair of ends
+        full4, full3 = full_shift(("0", "1", "2", "3")), full_shift(("0", "1", "2"))
+        f = make_block_map(full4, full3, 0, {("0",): "0", ("1",): "1", ("2",): "2", ("3",): "2"})
+        for p in range(1, 5):
+            assert cl.strong_condition(f, p) == _old_strong_condition(f, p)
 
 
 # ---------------------------------------------------------------------------
@@ -1446,6 +1521,18 @@ def _old_format_shift(x):
     return "\n".join(out) + "\n"
 
 
+def _old_intersection(x, y):
+    nx, ny = x.n_live(), y.n_live()
+    edges = []
+    for i in range(nx):
+        for a, i2 in x.live_trans[i].items():
+            for j in range(ny):
+                j2 = y.live_trans[j].get(a)
+                if j2 is not None:
+                    edges.append((i * ny + j, a, i2 * ny + j2))
+    return presentation_from_edges(x.alphabet, nx * ny, edges)
+
+
 def _old_engine_edges(f):
     """The strong-condition engine's two labelled graphs, from the rows."""
     f0 = cl._symbol_recoding(f)[0]
@@ -1492,8 +1579,8 @@ class TestKeptEdges:
             assert _nfa_form(image_graph(*args)) == _nfa_form(_old_image_graph(*args))
         assert fiber_graph(f, h) == _old_fiber_graph(f, h)
         assert fiber_graph(f, f) == _old_fiber_graph(f, f)
-        engine = cl._StrongConditionEngine(f)
-        assert (engine.good_edges, list(engine.y.edges)) == _old_engine_edges(f)
+        assert (list(cl._good_edges(f)), list(f.target.edges)) == _old_engine_edges(f)
+        assert an.intersection_presentation(x, y) == _old_intersection(x, y)
 
 
 def _old_strongly_connected_components(nodes, succ):

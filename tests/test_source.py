@@ -32,3 +32,37 @@ def test_every_private_module_level_definition_is_used():
     unused = [f"{mod}:{node.name}" for mod, node in defs
               if not any(node.name in names for other, names in uses if other is not node)]
     assert not unused, f"defined but never referenced in src/: {unused}"
+
+
+def _is_empty_container(node):
+    """A literal with no items, or a call that makes an empty container to
+    fill later."""
+    if isinstance(node, ast.Dict):
+        return not node.keys
+    if isinstance(node, (ast.List, ast.Set)):
+        return not node.elts
+    if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+        if node.func.id == "defaultdict":
+            return len(node.args) <= 1 and not node.keywords
+        return node.func.id in ("dict", "list", "set") and not node.args and not node.keywords
+    return False
+
+
+def test_derived_facts_are_kept_by_the_one_memo():
+    # a fact kept on its object goes through ``core._per_object``, keyed by
+    # the object and the arguments: no process-wide cache and no cached
+    # container filled by hand
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            where = f"{path.name}:{getattr(node, 'lineno', '?')}"
+            if isinstance(node, ast.ImportFrom) and node.module == "functools":
+                found += [where for a in node.names if a.name in ("cache", "lru_cache")]
+            elif (isinstance(node, ast.Attribute) and node.attr in ("cache", "lru_cache")
+                  and isinstance(node.value, ast.Name) and node.value.id == "functools"):
+                found.append(where)
+            elif isinstance(node, ast.FunctionDef) and "cached_property" in set().union(
+                    *map(_names, node.decorator_list)):
+                returns = [r for r in ast.walk(node) if isinstance(r, ast.Return) and r.value]
+                found += [where for r in returns if _is_empty_container(r.value)]
+    assert not found, f"ad-hoc caches in src/: {found}"
