@@ -342,6 +342,49 @@ def strong_condition(f: BlockMap, p: int) -> StrongConditionReport:
 # Section and retraction searches
 
 
+def _arc_consistent(domains, follows, allowed, what: str):
+    """``domains`` pruned to arc consistency under the set of pairs
+    ``allowed`` (AC-3; Mackworth, "Consistency in networks of relations",
+    1977): a value of ``i`` stays while, for each pair ``(i, j)`` or
+    ``(j, i)`` in ``follows`` with ``j != i``, it forms a pair in
+    ``allowed`` with some value left to ``j``.  A removed value is in no
+    solution, and each domain keeps its order.
+
+    Returns the pruned domains, or None when one of them empties, and the
+    number of values checked, each counted against the work budget under
+    ``what``."""
+    nexts: dict = {}
+    prevs: dict = {}
+    for a, b in allowed:
+        nexts.setdefault(a, set()).add(b)
+        prevs.setdefault(b, set()).add(a)
+    # watch[j]: each variable i whose values need a support in j, with the
+    # supports of a value of i
+    watch: list[list] = [[] for _ in domains]
+    for i, j in set(follows):
+        if i != j:
+            watch[j].append((i, nexts))
+            watch[i].append((j, prevs))
+    doms = [list(d) for d in domains]
+    live = [set(d) for d in domains]
+    # the variables whose watchers are still to be revised against them
+    pending = set(range(len(doms)))
+    work, cap, no_support = 0, budget(), frozenset()
+    while pending:
+        j = pending.pop()
+        for i, supports in watch[j]:
+            work += len(doms[i])
+            if work > cap:
+                check_budget(work, what)
+            keep = [a for a in doms[i] if not supports.get(a, no_support).isdisjoint(live[j])]
+            if len(keep) < len(doms[i]):
+                if not keep:
+                    return None, work
+                doms[i], live[i] = keep, set(keep)
+                pending.add(i)
+    return doms, work
+
+
 def _csp_solutions(domains, follows, allowed, limit, what: str = "constraint search"):
     """DFS over assignments to the variables ``range(len(domains))``,
     smallest domain first.  The values of a pair ``(i, j)`` in ``follows``,
@@ -350,10 +393,19 @@ def _csp_solutions(domains, follows, allowed, limit, what: str = "constraint sea
     against its assigned neighbours only.  Yields at most ``limit``
     complete assignments, as dicts, in depth-first order.
 
+    When ``allowed`` is a set or frozenset of pairs (the section and
+    retraction searches), the domains are first pruned by
+    :func:`_arc_consistent`, after the variable order is fixed from the
+    given domain sizes.  A pruned value is in no solution and the kept
+    values keep their order, so the search yields the same assignments in
+    the same order; it only tries fewer values.  Any other container (the
+    strong condition's lazily evaluated relation over every pair of
+    variables) is searched as given.
+
     The search keeps an explicit stack of value iterators, one per
     assigned depth, so its depth is not bounded by the interpreter's
-    recursion limit; each value tried counts against the work budget
-    under ``what``.
+    recursion limit; each value tried, and each value the pruning checks,
+    counts against the work budget under ``what``.
     """
     order = sorted(range(len(domains)), key=lambda i: len(domains[i]))
     depth = {i: k for k, i in enumerate(order)}
@@ -370,10 +422,15 @@ def _csp_solutions(domains, follows, allowed, limit, what: str = "constraint sea
     if not order:
         yield {}
         return
+    tried = 0
+    if isinstance(allowed, (set, frozenset)):
+        domains, tried = _arc_consistent(domains, follows, allowed, what)
+        if domains is None:
+            return
     # a value left in ``assign`` at or below the current depth is never
     # read, and the keys keep their order of first assignment, depth order
     assign: dict[int, object] = {}
-    produced = tried = 0
+    produced = 0
     cap = budget()  # read once: check_budget is called only to raise past it
     # values[k] holds the untried values of the variable at depth k
     values = [iter(domains[order[0]])]
@@ -406,36 +463,49 @@ def find_section(f: BlockMap, radius_cap: int = DEFAULT_RADIUS_CAP, pointed: boo
     y = f.target
     if y.is_empty():
         return make_block_map(y, f.source, 0, {}, validate_image=False)
-    f0, _, from_blocks, pre = _symbol_recoding(f)
-    xb = f0.source
+    pre = _symbol_recoding(f)[3]
     if any(y.contains_word((c,)) and c not in pre for c in y.alphabet):
         return None
+    for rho in range(0, radius_cap + 1):
+        g = _section_at(f, rho, pointed)
+        if g is not None:
+            return g
+    return None
+
+
+@_per_object
+def _section_at(f: BlockMap, rho: int, pointed: bool):
+    """The first section that the search at block-level radius ``rho``
+    finds, or None; kept per map, so a larger radius cap searches only the
+    radii it adds."""
+    y = f.target
+    f0, _, from_blocks, pre = _symbol_recoding(f)
+    xb = f0.source
+    windows = y.words(2 * rho + 1)
+    check_budget(len(windows), "section search")
+    domains = [tuple(pre.get(w[rho], ())) for w in windows]
+    if any(not d for d in domains):
+        return None
+    wpos = {w: i for i, w in enumerate(windows)}
+    follows = []
+    for w in y.words(2 * rho + 2):
+        a, b = w[:-1], w[1:]
+        if a in wpos and b in wpos:
+            follows.append((wpos[a], wpos[b]))
     b2 = set(map(tuple, xb.words(2)))
     idy = identity_map(y)
-    for rho in range(0, radius_cap + 1):
-        windows = y.words(2 * rho + 1)
-        check_budget(len(windows), "section search")
-        domains = [tuple(pre.get(w[rho], ())) for w in windows]
-        if any(not d for d in domains):
+    for sol in _csp_solutions(domains, follows, b2, SEARCH_LIMIT, "section search"):
+        rule = {windows[i]: t for i, t in sol.items()}
+        try:
+            gb = make_block_map(y, xb, rho, rule)
+        except ValidationError:
             continue
-        wpos = {w: i for i, w in enumerate(windows)}
-        follows = []
-        for w in y.words(2 * rho + 2):
-            a, b = w[:-1], w[1:]
-            if a in wpos and b in wpos:
-                follows.append((wpos[a], wpos[b]))
-        for sol in _csp_solutions(domains, follows, b2, SEARCH_LIMIT, "section search"):
-            rule = {windows[i]: t for i, t in sol.items()}
-            try:
-                gb = make_block_map(y, xb, rho, rule)
-            except ValidationError:
-                continue
-            g = reduce_radius(compose(from_blocks, gb))
-            if not maps_equal(compose(f, g), idy):
-                continue
-            if pointed and not li.keeps_points(g):
-                continue
-            return g
+        g = reduce_radius(compose(from_blocks, gb))
+        if not maps_equal(compose(f, g), idy):
+            continue
+        if pointed and not li.keeps_points(g):
+            continue
+        return g
     return None
 
 

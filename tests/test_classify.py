@@ -350,6 +350,58 @@ class TestConstraintSearch:
         finally:
             set_budget(None)
 
+    def test_pruned_section_search_fits_a_small_budget(self, full2):
+        from sdcat.errors import BudgetExceeded, set_budget
+
+        # rule 240, f(x)_i = x_{i-1}: its section needs block radius 2, and
+        # the unpruned search tried more than 8,000 values on the way
+        f = _census_map(full2, 240)
+        set_budget(100)
+        try:
+            with pytest.raises(BudgetExceeded, match="section search"):
+                cl.find_section(f, radius_cap=2)
+            set_budget(1000)
+            got = cl.find_section(_census_map(full2, 240), radius_cap=2)
+        finally:
+            set_budget(None)
+        # the budget exit was not kept on the map
+        want = cl.find_section(f, radius_cap=2)
+        assert want is not None and got is not None
+        assert (got.radius, got.rule_dict) == (want.radius, want.rule_dict)
+
+    def test_each_section_radius_is_searched_once_per_map(self, full2, monkeypatch):
+        real = cl._csp_solutions
+        sizes = []
+
+        def counting(domains, follows, allowed, limit, what="constraint search"):
+            if what == "section search":
+                sizes.append(len(domains))
+            return real(domains, follows, allowed, limit, what)
+
+        monkeypatch.setattr(cl, "_csp_solutions", counting)
+        assert cl.is_split_epic(_census_map(full2, 240), K2).yes
+        # one search per radius: 2, 8 and 32 windows of the full 2-shift
+        assert sizes == [2, 8, 32]
+
+    def test_strong_condition_search_is_not_pruned(self):
+        from sdcat.errors import DEFAULT_BUDGET, set_budget
+
+        # its relation is evaluated lazily over every pair of words: a
+        # pruning pass over all pairs ends this case on the default budget
+        full4, full3 = full_shift(("0", "1", "2", "3")), full_shift(("0", "1", "2"))
+        f = make_block_map(full4, full3, 0, {("0",): "0", ("1",): "1", ("2",): "2", ("3",): "2"})
+        set_budget(DEFAULT_BUDGET)
+        try:
+            assert cl.strong_condition(f, 5).holds
+        finally:
+            set_budget(None)
+
+
+def _census_map(full2, bits):
+    """Rule ``bits`` of the radius-1 binary census, a fresh map."""
+    windows = full2.words(3)
+    return make_block_map(full2, full2, 1, {w: str(bits >> i & 1) for i, w in enumerate(windows)})
+
 
 class TestRegularEpic:
     def test_k_levels_reduce_to_surjectivity(self, xor3, golden_inclusion):

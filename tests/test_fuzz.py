@@ -782,6 +782,35 @@ class TestCspSolutions:
         # items, not dicts: the assignment order is part of the answer
         assert [list(sol.items()) for sol in got] == [list(sol.items()) for sol in ref]
 
+    @given(csp_instances())
+    @example(([("a", "b"), ("a", "b")], [(0, 1), (1, 0)], {("a", "b"), ("b", "a")}, 1))
+    @example(([("a", "b"), ("a",), ()], [(0, 1), (1, 2)], {("a", "a"), ("b", "a")}, 1))
+    # the last domain prunes the middle one, which must then prune the first
+    @example(([("a", "b"), ("a", "b"), ("a",)], [(0, 1), (1, 2)], {("a", "a"), ("b", "b")}, 1))
+    @settings(max_examples=300, deadline=None)
+    def test_pruning_keeps_every_value_of_a_solution(self, instance):
+        from sdcat.classify import _arc_consistent
+
+        domains, follows, allowed, _ = instance
+        arcs = {(i, j) for i, j in follows if i != j}
+
+        def pair_ok(i, vi, j, vj):
+            return ((i, j) not in arcs or (vi, vj) in allowed) and (
+                (j, i) not in arcs or (vj, vi) in allowed)
+
+        # every solution: at most three values for each of five variables
+        sols = list(_old_csp_solutions(domains, domains, pair_ok, 3 ** 5 + 1))
+        pruned, _ = _arc_consistent(domains, follows, allowed, "constraint search")
+        if pruned is None:
+            assert not sols
+            return
+        for i, dom in enumerate(pruned):
+            assert {sol[i] for sol in sols} <= set(dom)
+            assert list(dom) == [a for a in domains[i] if a in dom]
+        for i, j in arcs:
+            assert all(any((a, b) in allowed for b in pruned[j]) for a in pruned[i])
+            assert all(any((a, b) in allowed for a in pruned[i]) for b in pruned[j])
+
 
 # ---------------------------------------------------------------------------
 # Surjectivity and the many-sided difference product
