@@ -53,8 +53,10 @@ from .core import (
     side_by_side,
     split_pair,
     window_graph,
+    _infinite_past,
     _live_nodes,
     _per_object,
+    _predecessors,
 )
 from .errors import BudgetExceeded, DomainMismatch, InternalError, ValidationError, check_budget
 
@@ -632,32 +634,6 @@ def _diagonal_view(f: BlockMap) -> _DiagonalView:
     succ = [[p for t, p in row if t not in off] for row in out]
     return _DiagonalView(pairs, tuple(map(tuple, out)), off_edges,
                          _infinite_past(succ), _infinite_past(_predecessors(succ)))
-
-
-def _predecessors(succ) -> list[list[int]]:
-    pred: list[list[int]] = [[] for _ in succ]
-    for q, row in enumerate(succ):
-        for p in row:
-            pred[p].append(q)
-    return pred
-
-
-def _infinite_past(succ) -> frozenset[int]:
-    """The nodes with an infinite path into them along the lists ``succ``,
-    that is the nodes reachable from a cycle.  A worklist drops every node
-    whose in-degree from the kept nodes reaches zero, so the cost is linear
-    in nodes plus edges."""
-    deg = [0] * len(succ)
-    for row in succ:
-        for p in row:
-            deg[p] += 1
-    stack = [q for q, d in enumerate(deg) if not d]
-    while stack:
-        for p in succ[stack.pop()]:
-            deg[p] -= 1
-            if not deg[p]:
-                stack.append(p)
-    return frozenset(q for q, d in enumerate(deg) if d)
 
 
 @_per_object

@@ -26,7 +26,6 @@ from .core import (
     diagonal_relation,
     identity_map,
     make_block_map,
-    maps_equal,
     recode_to_symbol_map,
     reduce_radius,
     _per_object,
@@ -457,6 +456,24 @@ def _csp_solutions(domains, follows, allowed, limit, what: str = "constraint sea
             return
 
 
+def _extensions(y: Presentation, x: Presentation, rho: int, values, pairs, what: str):
+    """The block maps y -> x of radius ``rho`` that the constraint search
+    finds, in its order: one variable per window of ``y``, with the values
+    ``values(window)``, and the values of two overlapping windows forming
+    a pair in ``pairs``.  Each candidate must pass ``make_block_map``'s
+    validation; at most ``SEARCH_LIMIT`` candidates are tried."""
+    windows = y.words(2 * rho + 1)
+    check_budget(len(windows), what)
+    wpos = {w: i for i, w in enumerate(windows)}
+    follows = [(wpos[w[:-1]], wpos[w[1:]]) for w in y.words(2 * rho + 2)]
+    domains = [tuple(values(w)) for w in windows]
+    for sol in _csp_solutions(domains, follows, pairs, SEARCH_LIMIT, what):
+        try:
+            yield make_block_map(y, x, rho, {windows[i]: t for i, t in sol.items()})
+        except ValidationError:
+            continue
+
+
 def find_section(f: BlockMap, radius_cap: int = DEFAULT_RADIUS_CAP, pointed: bool = False):
     """Search for g with f . g = identity on the target, at block-level
     radii 0..radius_cap.  Returns g or None."""
@@ -477,43 +494,28 @@ def find_section(f: BlockMap, radius_cap: int = DEFAULT_RADIUS_CAP, pointed: boo
 def _section_at(f: BlockMap, rho: int, pointed: bool):
     """The first section that the search at block-level radius ``rho``
     finds, or None; kept per map, so a larger radius cap searches only the
-    radii it adds."""
-    y = f.target
+    radii it adds.
+
+    Each window of the target takes a symbol of the recoded source that
+    ``f`` sends to the window's center, so every candidate is a section by
+    construction: f . g = identity."""
     f0, _, from_blocks, pre = _symbol_recoding(f)
     xb = f0.source
-    windows = y.words(2 * rho + 1)
-    check_budget(len(windows), "section search")
-    domains = [tuple(pre.get(w[rho], ())) for w in windows]
-    if any(not d for d in domains):
-        return None
-    wpos = {w: i for i, w in enumerate(windows)}
-    follows = []
-    for w in y.words(2 * rho + 2):
-        a, b = w[:-1], w[1:]
-        if a in wpos and b in wpos:
-            follows.append((wpos[a], wpos[b]))
     b2 = set(map(tuple, xb.words(2)))
-    idy = identity_map(y)
-    for sol in _csp_solutions(domains, follows, b2, SEARCH_LIMIT, "section search"):
-        rule = {windows[i]: t for i, t in sol.items()}
-        try:
-            gb = make_block_map(y, xb, rho, rule)
-        except ValidationError:
-            continue
+    for gb in _extensions(f.target, xb, rho, lambda w: pre.get(w[rho], ()), b2, "section search"):
         g = reduce_radius(compose(from_blocks, gb))
-        if not maps_equal(compose(f, g), idy):
-            continue
-        if pointed and not li.keeps_points(g):
-            continue
-        return g
+        if not pointed or li.keeps_points(g):
+            return g
     return None
 
 
 def find_retraction(f: BlockMap, radius_cap: int = DEFAULT_RADIUS_CAP, pointed: bool = False):
     """Search for h with h . f = identity on the source.
 
-    Values on image windows are forced; the rest is a small constraint
-    search with adjacency pruning."""
+    The windows of the image of ``f`` take the values that h . f =
+    identity forces, each as a one-value domain; the rest is the shared
+    constraint search, whose pruning carries the forced values to their
+    neighbours.  Every candidate is a retraction by construction."""
     x, y = f.source, f.target
     if x.is_empty():
         if y.is_empty():
@@ -526,39 +528,11 @@ def find_retraction(f: BlockMap, radius_cap: int = DEFAULT_RADIUS_CAP, pointed: 
         forced = li.forced_values(f, idx, rho)
         if forced is None:
             continue
-        windows = y.words(2 * rho + 1)
-        check_budget(len(windows), "retraction search")
-        free = [w for w in windows if w not in forced]
-        follows = [(w[:-1], w[1:]) for w in y.words(2 * rho + 2)]
-        nexts: dict[Word, list[Word]] = {}
-        prevs: dict[Word, list[Word]] = {}
-        for a, b in follows:
-            nexts.setdefault(a, []).append(b)
-            prevs.setdefault(b, []).append(a)
-        domains = []
-        for w in free:
-            dom = [
-                t
-                for t in xsyms
-                if all((t, forced[n]) in b2x for n in nexts.get(w, ()) if n in forced)
-                and all((forced[pr], t) in b2x for pr in prevs.get(w, ()) if pr in forced)
-            ]
-            domains.append(tuple(dom))
-        wpos = {w: i for i, w in enumerate(free)}
-        adj = [(wpos[a], wpos[b]) for a, b in follows if a in wpos and b in wpos]
-        for sol in _csp_solutions(domains, adj, b2x, SEARCH_LIMIT, "retraction search"):
-            rule = dict(forced)
-            for i, t in sol.items():
-                rule[free[i]] = t
-            try:
-                h = make_block_map(y, x, rho, rule)
-            except ValidationError:
-                continue
-            if not maps_equal(compose(h, f), idx):
-                continue
-            if pointed and not li.keeps_points(h):
-                continue
-            return reduce_radius(h)
+        cands = _extensions(y, x, rho, lambda w: (forced[w],) if w in forced else xsyms,
+                            b2x, "retraction search")
+        for h in cands:
+            if not pointed or li.keeps_points(h):
+                return reduce_radius(h)
     return None
 
 

@@ -18,6 +18,7 @@ from . import colimits as co
 from . import dynamics as dy
 from . import limits as li
 from . import oracle as orc
+from . import verdicts as v
 from .errors import SdcatError
 from .files import load_bmap, load_shift, save_bmap, save_shift
 from .limits import CategoryTag
@@ -102,8 +103,6 @@ def _cmd_check(args) -> int:
         elif args.property == "injective":
             li.check_morphism(cat, f)
             fam = an.injectivity_family(f)
-            from . import verdicts as v
-
             verdict = v.yes() if fam.injective else v.no(witness={"pair": fam.pair})
         elif args.property == "peric":
             li.check_morphism(cat, f)

@@ -34,12 +34,14 @@ from .core import (
     shift_power,
     split_pair,
     trivial_shift,
+    zero_map,
 )
 from .errors import BudgetExceeded, ValidationError
 from .limits import (
     CategoryTag,
     LimitResult,
     check_morphism,
+    equalizer,
     exists,
     not_exists,
     object_problems,
@@ -54,12 +56,6 @@ class LocalEquivalence:
     window: int
     classes: tuple[tuple[Word, ...], ...]
     relation: Presentation
-
-    def pairs(self):
-        for cls in self.classes:
-            for u in cls:
-                for w in cls:
-                    yield (u, w)
 
 
 def _equivalence_closure(words, pairs):
@@ -91,7 +87,7 @@ def _unzip_pair_word(t: Word) -> tuple[Word, Word]:
     return tuple(a for a, _ in pairs), tuple(b for _, b in pairs)
 
 
-def relation_from_classes(x: Presentation, window: int, classes) -> Presentation:
+def relation_from_classes(x: Presentation, classes) -> Presentation:
     """The subshift relation induced by a word equivalence: the square of x
     constrained to windows whose aligned pairs are equivalent."""
     allowed = []
@@ -115,7 +111,7 @@ def local_closure(generator: Presentation, x: Presentation, window: int) -> Loca
         pairs.append((u, w))
         pairs.append((w, u))
     classes = _equivalence_closure(words, pairs)
-    rel = relation_from_classes(x, window, classes)
+    rel = relation_from_classes(x, classes)
     return LocalEquivalence(window, classes, rel)
 
 
@@ -155,7 +151,7 @@ def is_local_equivalence(r: SubshiftRelation, max_window: int = 6) -> v.Verdict:
             u, w = _unzip_pair_word(t)
             pairs.append((u, w))
         classes = _equivalence_closure(x.words(n), pairs)
-        induced = relation_from_classes(x, n, classes)
+        induced = relation_from_classes(x, classes)
         if induced.language_equal(r.presentation):
             return v.yes(certificate={"window": n, "classes": classes})
     square = product_presentation(x, x)
@@ -323,18 +319,13 @@ def _quotient_map(x: Presentation, loc: LocalEquivalence) -> BlockMap | None:
 def kernel_p(f: BlockMap, cat: CategoryTag) -> LimitResult:
     if not cat.pointed:
         raise ValidationError("kernels need a pointed category")
-    from . import limits as li
-    from .core import zero_map
-
     check_morphism(cat, f)
-    return li.equalizer(f, zero_map(f.source, f.target), cat)
+    return equalizer(f, zero_map(f.source, f.target), cat)
 
 
 def cokernel_p(f: BlockMap, cat: CategoryTag) -> LimitResult:
     if not cat.pointed:
         raise ValidationError("cokernels need a pointed category")
-    from .core import zero_map
-
     check_morphism(cat, f)
     y = f.target
     if maps_equal(f, zero_map(f.source, y)):

@@ -18,9 +18,10 @@ reverses the edges of one such tuple.
 
 Questions that only ask whether some bi-infinite path exists need no
 canonical form.  :func:`image_graph` and :func:`fiber_graph` are labeled
-graphs trimmed to their essential nodes; surjectivity reads the image
-graph, and injectivity, preinjectivity and resolvingness read
-``BlockMap.kernel_graph``.  ``BlockMap.image`` and ``BlockMap.kernel``
+graphs whose every node lies on a bi-infinite path: the image graph
+relabels a window graph, which has no other node, and the fiber graph is
+trimmed to them.  Surjectivity reads the image graph, and injectivity,
+preinjectivity and resolvingness read ``BlockMap.kernel_graph``.  ``BlockMap.image`` and ``BlockMap.kernel``
 canonicalize those graphs only when a question about their language asks.
 
 Words are tuples of symbol tokens.  Everything is immutable after
@@ -253,41 +254,38 @@ def presentation_from_edges(alphabet, n: int, edges, point=None) -> Presentation
 
 def _live_nodes(n: int, edges) -> frozenset[int]:
     """The nodes on bi-infinite paths of the graph on ``range(n)`` with the
-    given ``(src, symbol, dst)`` edges."""
-    succs: list[list[int]] = [[] for _ in range(n)]
-    preds: list[list[int]] = [[] for _ in range(n)]
+    given ``(src, symbol, dst)`` edges: those with an infinite past and an
+    infinite future."""
+    succ: list[list[int]] = [[] for _ in range(n)]
     for q, _, p in edges:
-        succs[q].append(p)
-        preds[p].append(q)
-    return _peel(n, succs, preds)
+        succ[q].append(p)
+    return _infinite_past(succ) & _infinite_past(_predecessors(succ))
 
 
-def _peel(n: int, succs, preds) -> frozenset[int]:
-    """The states on bi-infinite paths of a graph on ``range(n)``.
+def _predecessors(succ) -> list[list[int]]:
+    pred: list[list[int]] = [[] for _ in succ]
+    for q, row in enumerate(succ):
+        for p in row:
+            pred[p].append(q)
+    return pred
 
-    ``succs[q]`` and ``preds[q]`` list the edge ends at ``q``, one entry per
-    edge.  A worklist drops every state whose live in-degree or out-degree
-    reaches zero, so the cost is linear in states plus edges.
-    """
-    out_deg = [len(s) for s in succs]
-    in_deg = [len(p) for p in preds]
-    alive = [bool(out_deg[q] and in_deg[q]) for q in range(n)]
-    stack = [q for q in range(n) if not alive[q]]
+
+def _infinite_past(succ) -> frozenset[int]:
+    """The nodes with an infinite path into them along the lists ``succ``,
+    that is the nodes reachable from a cycle.  A worklist drops every node
+    whose in-degree from the kept nodes reaches zero, so the cost is linear
+    in nodes plus edges."""
+    deg = [0] * len(succ)
+    for row in succ:
+        for p in row:
+            deg[p] += 1
+    stack = [q for q, d in enumerate(deg) if not d]
     while stack:
-        q = stack.pop()
-        for p in succs[q]:
-            if alive[p]:
-                in_deg[p] -= 1
-                if not in_deg[p]:
-                    alive[p] = False
-                    stack.append(p)
-        for p in preds[q]:
-            if alive[p]:
-                out_deg[p] -= 1
-                if not out_deg[p]:
-                    alive[p] = False
-                    stack.append(p)
-    return frozenset(q for q in range(n) if alive[q])
+        for p in succ[stack.pop()]:
+            deg[p] -= 1
+            if not deg[p]:
+                stack.append(p)
+    return frozenset(q for q, d in enumerate(deg) if d)
 
 
 def _find_forbidden_factor(word: Word, forbidden: list[Word]) -> bool:
@@ -458,7 +456,9 @@ def window_graph(x: Presentation, w: int):
 
     A node is ``(state, u)`` with ``u`` a word of length ``w - 1`` readable
     from ``state`` inside the essential part.  The edge on the full window
-    ``u + (a,)`` moves to ``(estep(state, window[0]), window[1:])``.
+    ``u + (a,)`` moves to ``(estep(state, window[0]), window[1:])``.  Every
+    essential state has an edge in and an edge out, so every node has too:
+    each lies on a bi-infinite path, and each edge's target is a node.
     Bi-infinite node paths correspond exactly to points of ``x``; the
     window at position ``i`` covers coordinates ``[i - r, i + r]`` when
     ``w = 2r + 1``.
@@ -489,9 +489,7 @@ def _window_graph(x: Presentation, w: int):
             end = x.estep(end, a)
         for a in sorted(x.live_trans[end]):
             window = u + (a,)
-            tgt = (x.estep(i, window[0]), window[1:])
-            if tgt in index:
-                edges.append((k, window, index[tgt]))
+            edges.append((k, window, index[x.estep(i, window[0]), window[1:]]))
     return tuple(nodes), tuple(edges)
 
 
@@ -652,14 +650,12 @@ class BlockMap:
 
 def image_graph(source: Presentation, radius: int, rule: dict[Word, str], alphabet) -> Nfa:
     """The window graph of ``source`` with each edge labelled by its rule
-    output, trimmed to the nodes on bi-infinite paths, which are all
-    initial and accepting: the paths of this graph read the image words."""
+    output, every node initial and accepting: the paths of this graph read
+    the image words.  Every node of a window graph lies on a bi-infinite
+    path, so there is nothing to trim."""
     nodes, edges = window_graph(source, 2 * radius + 1)
     n = len(nodes)
-    edges = [(k, rule[window], t) for k, window, t in edges]
-    alive = _live_nodes(n, edges)
-    edges = [(q, a, p) for q, a, p in edges if q in alive and p in alive]
-    return Nfa(alphabet, n, edges, alive, alive)
+    return Nfa(alphabet, n, [(k, rule[window], t) for k, window, t in edges], range(n), range(n))
 
 
 def rule_image(source: Presentation, radius: int, rule: dict[Word, str], alphabet) -> Presentation:

@@ -23,6 +23,7 @@ from .core import (
     identity_map,
     make_block_map,
     maps_equal,
+    mirror_map,
     reduce_radius,
     rule_image,
     _per_object,
@@ -275,8 +276,6 @@ def visibly_blocking(f: BlockMap, words: list[Word], depth: int = 3) -> v.Verdic
     side = _blocking_leak(f, wset, ell, depth, "right")
     if side is not None:
         return v.no(witness=side)
-    from .core import mirror_map
-
     fm = mirror_map(f)
     wm = {tuple(reversed(w)) for w in wset}
     side = _blocking_leak(fm, wm, ell, depth, "left")

@@ -3,10 +3,13 @@ import math
 
 import pytest
 
+from sdcat import classify as cl
+from sdcat import limits as li
 from sdcat.core import (
     compose,
     full_shift,
     golden_mean,
+    identity_map,
     make_block_map,
     make_presentation,
     maps_equal,
@@ -20,6 +23,7 @@ from sdcat.core import (
     constant_map,
 )
 from sdcat import analysis as an
+from sdcat.errors import BudgetExceeded
 
 
 def recheck_petals(f, petals):
@@ -50,6 +54,38 @@ def recheck_petals(f, petals):
             for k in (0, 1))
     assert not maps_equal(g, h)
     assert maps_equal(compose(f, g), compose(f, h))
+
+
+def _revalidate(m, **kwargs):
+    """``m`` rebuilt through ``make_block_map``'s validation."""
+    return make_block_map(m.source, m.target, m.radius, m.rule_dict, **kwargs)
+
+
+def recheck_certificates(f, radius_cap=2):
+    """Re-verify through ``core`` every certificate that the searches
+    build for ``f`` and that they trust by construction: a section g of
+    ``find_section``, a retraction h of ``find_retraction``, and the
+    connecting map u of ``connecting_map(f, k)`` for k = f, the shift after
+    f, and the identity of the source.  Returns ``(g, h, us)``, with None
+    where no certificate was found."""
+    g = cl.find_section(f, radius_cap=radius_cap)
+    if g is not None:
+        assert maps_equal(compose(f, g), identity_map(f.target))
+        _revalidate(g)
+    h = cl.find_retraction(f, radius_cap=radius_cap)
+    if h is not None:
+        assert maps_equal(compose(h, f), identity_map(f.source))
+    us = []
+    for k in (f, compose(shift_power(f.target, 1), f), identity_map(f.source)):
+        try:
+            u = li.connecting_map(f, k)
+        except BudgetExceeded:
+            u = None
+        if u is not None:
+            assert maps_equal(compose(u, li.corestrict(f)), li.corestrict(k))
+            _revalidate(u, validate_image=True)
+        us.append(u)
+    return g, h, us
 
 
 @pytest.fixture(scope="session")

@@ -17,7 +17,8 @@ witnesses re-verified.  Every builder that reads the kept edge tuples
 over dict rows, the list-based strongly connected components against
 the dict-based loop, and the strong condition's kept facts and assignment
 search against the word-keyed engine and the recursive backtrack they
-replaced.
+replaced.  The sections, retractions and connecting maps that the searches
+trust by construction are re-verified through ``core``.
 """
 
 import ast
@@ -35,7 +36,6 @@ from sdcat.core import (
     PeriodicPoint,
     _cast_alphabet,
     _live_nodes,
-    _peel,
     apply_map,
     apply_map_ep,
     block_symbol,
@@ -65,7 +65,7 @@ from sdcat.errors import ValidationError
 from sdcat.files import format_shift
 from sdcat.limits import CategoryTag
 
-from conftest import recheck_petals
+from conftest import recheck_certificates, recheck_petals
 
 
 @st.composite
@@ -215,11 +215,25 @@ class TestPeel:
         for q, p in edges:
             succs[q].append(p)
             preds[p].append(q)
-        assert _peel(n, succs, preds) == _fixed_point_trim(n, succs, preds)
+        assert _live_nodes(n, [(q, "0", p) for q, p in edges]) == _fixed_point_trim(n, succs, preds)
 
     def test_peel_keeps_a_lone_self_loop_and_drops_its_tail(self):
         # 0 -> 0, 0 -> 1, 2 isolated
-        assert _peel(3, [[0, 1], [], []], [[0], [0], []]) == {0}
+        assert _live_nodes(3, [(0, "0", 0), (0, "0", 1)]) == {0}
+
+    @given(random_graphs(), st.integers(min_value=1, max_value=4))
+    @settings(max_examples=150, deadline=None)
+    def test_every_window_graph_node_lies_on_a_bi_infinite_path(self, graph, w):
+        # image_graph relabels the window graph untrimmed
+        n, edges = graph
+        x = presentation_from_nfa(("0", "1"), Nfa(("0", "1"), n, edges, range(n), range(n)))
+        nodes, wedges = window_graph(x, w)
+        succs = [[] for _ in nodes]
+        preds = [[] for _ in nodes]
+        for k, _, t in wedges:
+            succs[k].append(t)
+            preds[t].append(k)
+        assert _fixed_point_trim(len(nodes), succs, preds) == set(range(len(nodes)))
 
 
 # ---------------------------------------------------------------------------
@@ -1169,6 +1183,27 @@ def _old_monic_m3(f):
         if grows_diag or an.is_mixing(c) or an.periods(c).is_cofinite():
             return "UNDECIDED"
     return "YES"
+
+
+class TestCertificateRecheck:
+    """The sections, retractions and connecting maps that the searches
+    trust by construction, re-verified through ``core``."""
+
+    def test_census_certificates_recheck(self):
+        found = [recheck_certificates(f) for f in _census_maps()]
+        # the six bijections: identity, shifts, and their complements
+        assert sum(g is not None for g, _, _ in found) == 6
+        assert sum(h is not None for _, h, _ in found) == 6
+        assert all(us[0] is not None and us[1] is not None for _, _, us in found)
+
+    def test_ladder_certificates_recheck(self):
+        for f in _ladder_pool():
+            recheck_certificates(f)
+
+    @given(sft_maps() | sofic_maps(sft_maps() | small_sofic_maps()))
+    @settings(max_examples=150, deadline=None)
+    def test_sampled_certificates_recheck(self, f):
+        recheck_certificates(f)
 
 
 class TestMonicOnTheKernelGraph:
