@@ -56,11 +56,6 @@ def recheck_petals(f, petals):
     assert maps_equal(compose(f, g), compose(f, h))
 
 
-def _revalidate(m, **kwargs):
-    """``m`` rebuilt through ``make_block_map``'s validation."""
-    return make_block_map(m.source, m.target, m.radius, m.rule_dict, **kwargs)
-
-
 def recheck_certificates(f, radius_cap=2):
     """Re-verify through ``core`` every certificate that the searches
     build for ``f`` and that they trust by construction: a section g of
@@ -71,7 +66,7 @@ def recheck_certificates(f, radius_cap=2):
     g = cl.find_section(f, radius_cap=radius_cap)
     if g is not None:
         assert maps_equal(compose(f, g), identity_map(f.target))
-        _revalidate(g)
+        make_block_map(g.source, g.target, g.radius, g.rule_dict)
     h = cl.find_retraction(f, radius_cap=radius_cap)
     if h is not None:
         assert maps_equal(compose(h, f), identity_map(f.source))
@@ -83,7 +78,7 @@ def recheck_certificates(f, radius_cap=2):
             u = None
         if u is not None:
             assert maps_equal(compose(u, li.corestrict(f)), li.corestrict(k))
-            _revalidate(u, validate_image=True)
+            make_block_map(u.source, u.target, u.radius, u.rule_dict, validate_image=True)
         us.append(u)
     return g, h, us
 
