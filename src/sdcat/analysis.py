@@ -56,7 +56,6 @@ from .core import (
     _infinite_past,
     _live_nodes,
     _per_object,
-    _predecessors,
 )
 from .errors import BudgetExceeded, DomainMismatch, InternalError, ValidationError, check_budget
 
@@ -607,15 +606,21 @@ class _DiagonalView:
 
     ``out[q]`` lists the edges ``(token, node)`` out of node ``q`` of
     ``BlockMap.kernel_graph`` in edge order; several may carry the same
-    token.  ``pairs`` holds each pair token parsed, and ``off_edges``
-    every off-diagonal edge ``(q, token, p)`` in the same order.
-    ``backward`` holds the nodes with an infinite diagonal past (reachable
-    from a diagonal cycle along diagonal edges), ``forward`` those with an
+    token.  ``succ[q]`` lists their end nodes, ``into[p]`` the edges
+    ``(token, node)`` into ``p`` back to their start nodes, and ``pred[p]``
+    those start nodes, in node order and then in edge order.  ``pairs``
+    holds each pair token parsed, and ``off_edges`` every off-diagonal edge
+    ``(q, token, p)`` in node order and then in edge order.  ``backward``
+    holds the nodes with an infinite diagonal past (reachable from a
+    diagonal cycle along diagonal edges), ``forward`` those with an
     infinite diagonal future.
     """
 
     pairs: dict[str, tuple[str, str]]
     out: tuple[tuple[tuple[str, int], ...], ...]
+    succ: list[list[int]]
+    pred: list[list[int]]
+    into: list[list[tuple[str, int]]]
     off_edges: tuple[tuple[int, str, int], ...]
     backward: frozenset[int]
     forward: frozenset[int]
@@ -630,10 +635,24 @@ def _diagonal_view(f: BlockMap) -> _DiagonalView:
     out: list[list[tuple[str, int]]] = [[] for _ in range(n)]
     for q, t, p in edges:
         out[q].append((t, p))
-    off_edges = tuple((q, t, p) for q, row in enumerate(out) for t, p in row if t in off)
-    succ = [[p for t, p in row if t not in off] for row in out]
-    return _DiagonalView(pairs, tuple(map(tuple, out)), off_edges,
-                         _infinite_past(succ), _infinite_past(_predecessors(succ)))
+    succ: list[list[int]] = [[] for _ in range(n)]
+    pred: list[list[int]] = [[] for _ in range(n)]
+    into: list[list[tuple[str, int]]] = [[] for _ in range(n)]
+    dsucc: list[list[int]] = [[] for _ in range(n)]
+    dpred: list[list[int]] = [[] for _ in range(n)]
+    off_edges = []
+    for q, row in enumerate(out):
+        for t, p in row:
+            succ[q].append(p)
+            pred[p].append(q)
+            into[p].append((t, q))
+            if t in off:
+                off_edges.append((q, t, p))
+            else:
+                dsucc[q].append(p)
+                dpred[p].append(q)
+    return _DiagonalView(pairs, tuple(map(tuple, out)), succ, pred, into, tuple(off_edges),
+                         _infinite_past(dsucc, dpred), _infinite_past(dpred, dsucc))
 
 
 @_per_object
@@ -647,8 +666,7 @@ def off_diagonal_components(f: BlockMap) -> tuple[tuple[tuple[int, str, int], tu
     view = _diagonal_view(f)
     if not view.off_edges:
         return ()
-    sccs = au.strongly_connected_components(range(len(view.out)),
-                                            lambda q: [p for _, p in view.out[q]])
+    sccs = au.strongly_connected_components(range(len(view.out)), view.succ.__getitem__)
     comp = [0] * len(view.out)
     for k, c in enumerate(sccs):
         for q in c:
@@ -759,9 +777,8 @@ def is_preinjective(f: BlockMap) -> v.Verdict:
     no constituent.
     """
     view = _diagonal_view(f)
-    succ = [[p for _, p in row] for row in view.out]
-    reach = au.closure(view.backward, succ.__getitem__)
-    coreach = au.closure(view.forward, _predecessors(succ).__getitem__)
+    reach = au.closure(view.backward, view.succ.__getitem__)
+    coreach = au.closure(view.forward, view.pred.__getitem__)
     for i, t, j in view.off_edges:
         if i in reach and j in coreach:
             return v.no(witness={"pair": _pair_witness(view, i, t, j, diamond=True)})
@@ -819,11 +836,7 @@ def _pair_witness(view: _DiagonalView, i: int, tok: str, j: int, diamond: bool):
     points differ at finitely many places.  Otherwise every node of the
     graph has an infinite past and future, and the walks take any edge.
     """
-    n = len(view.out)
-    into: list[list[tuple[str, int]]] = [[] for _ in range(n)]
-    for q, row in enumerate(view.out):
-        for t, p in row:
-            into[p].append((t, q))
+    n, into = len(view.out), view.into
     past, future = (view.backward, view.forward) if diamond else (range(n), range(n))
 
     def kept(t):

@@ -33,6 +33,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import compress
 
 from . import automata as au
 from . import verdicts as v
@@ -213,6 +214,12 @@ def _word_list(x: Presentation, n: int) -> tuple[Word, ...]:
 
 
 @_per_object
+def _window_set(x: Presentation, n: int) -> frozenset[Word]:
+    """The words of length ``n`` as a set, kept per presentation."""
+    return frozenset(_word_list(x, n))
+
+
+@_per_object
 def _periodic_word_list(x: Presentation, n: int) -> tuple[Word, ...]:
     return tuple(w for w in x.words(n) if x.contains_periodic(w))
 
@@ -257,35 +264,32 @@ def _live_nodes(n: int, edges) -> frozenset[int]:
     given ``(src, symbol, dst)`` edges: those with an infinite past and an
     infinite future."""
     succ: list[list[int]] = [[] for _ in range(n)]
+    pred: list[list[int]] = [[] for _ in range(n)]
     for q, _, p in edges:
         succ[q].append(p)
-    return _infinite_past(succ) & _infinite_past(_predecessors(succ))
+        pred[p].append(q)
+    return _live_lists(succ, pred)
 
 
-def _predecessors(succ) -> list[list[int]]:
-    pred: list[list[int]] = [[] for _ in succ]
-    for q, row in enumerate(succ):
-        for p in row:
-            pred[p].append(q)
-    return pred
+def _live_lists(succ, pred) -> frozenset[int]:
+    """The nodes on bi-infinite paths of the graph with successor lists
+    ``succ`` and predecessor lists ``pred``."""
+    return _infinite_past(succ, pred) & _infinite_past(pred, succ)
 
 
-def _infinite_past(succ) -> frozenset[int]:
+def _infinite_past(succ, pred) -> frozenset[int]:
     """The nodes with an infinite path into them along the lists ``succ``,
-    that is the nodes reachable from a cycle.  A worklist drops every node
-    whose in-degree from the kept nodes reaches zero, so the cost is linear
-    in nodes plus edges."""
-    deg = [0] * len(succ)
-    for row in succ:
-        for p in row:
-            deg[p] += 1
+    whose reverse is ``pred``: the nodes reachable from a cycle.  A
+    worklist drops every node whose in-degree from the kept nodes reaches
+    zero, so the cost is linear in nodes plus edges."""
+    deg = list(map(len, pred))
     stack = [q for q, d in enumerate(deg) if not d]
     while stack:
         for p in succ[stack.pop()]:
             deg[p] -= 1
             if not deg[p]:
                 stack.append(p)
-    return frozenset(q for q, d in enumerate(deg) if d)
+    return frozenset(compress(range(len(deg)), deg))
 
 
 def _find_forbidden_factor(word: Word, forbidden: list[Word]) -> bool:
@@ -671,7 +675,8 @@ def fiber_graph(f: BlockMap, g: BlockMap):
     Several edges out of one node may carry the same token.
 
     The window edges of ``g`` are bucketed by output symbol, so each window
-    edge of ``f`` meets only the edges of ``g`` with the same output.
+    edge of ``f`` meets only the edges of ``g`` with the same output; each
+    bucket is labelled once per center of ``f``'s window.
     """
     if f is not g and not f.target.language_equal(g.target):
         raise DomainMismatch("fiber product needs a common target")
@@ -685,12 +690,27 @@ def fiber_graph(f: BlockMap, g: BlockMap):
     check_budget(max(1, n1) * max(1, n2), "fiber product")
     buckets: dict[str, list[tuple[int, str, int]]] = {}
     for k2, w2, t2 in edges2:
-        buckets.setdefault(gr[w2], []).append((k2, center_of(w2), t2))
-    edges = [(k1 * n2 + k2, pair_symbol(center_of(w1), b), t1 * n2 + t2)
-             for k1, w1, t1 in edges1 for k2, b, t2 in buckets.get(fr[w1], ())]
-    index = {q: i for i, q in enumerate(sorted(_live_nodes(n1 * n2, edges)))}
-    edges = tuple((index[q], t, index[p]) for q, t, p in edges if q in index and p in index)
-    return alphabet, len(index), edges
+        buckets.setdefault(gr[w2], []).append((k2, w2[r], t2))
+    labelled: dict[tuple[str, str], list[tuple[int, str, int]]] = {}
+    succ: list[list[int]] = [[] for _ in range(n1 * n2)]
+    pred: list[list[int]] = [[] for _ in range(n1 * n2)]
+    edges = []
+    for k1, w1, t1 in edges1:
+        key = fr[w1], w1[r]
+        if key not in labelled:
+            labelled[key] = [(k2, pair_symbol(w1[r], b), t2) for k2, b, t2 in buckets.get(fr[w1], ())]
+        for k2, t, t2 in labelled[key]:
+            q, p = k1 * n2 + k2, t1 * n2 + t2
+            edges.append((q, t, p))
+            succ[q].append(p)
+            pred[p].append(q)
+    live = sorted(_live_lists(succ, pred))
+    index: list[int | None] = [None] * (n1 * n2)
+    for i, q in enumerate(live):
+        index[q] = i
+    edges = tuple((index[q], t, index[p]) for q, t, p in edges
+                  if index[q] is not None and index[p] is not None)
+    return alphabet, len(live), edges
 
 
 def fiber_presentation(f: BlockMap, g: BlockMap) -> Presentation:
@@ -717,21 +737,24 @@ def make_block_map(
     full-shift target holds every image over its alphabet, so it is not
     searched.
     """
-    rule = {tuple(w): v for w, v in (rule.items() if hasattr(rule, "items") else rule)}
-    needed = set(source.words(2 * radius + 1))
-    extra = set(rule) - needed
-    if extra:
-        raise ValidationError(f"rule defined on words outside the source language: {sorted(extra)[:3]}")
-    missing = needed - set(rule)
-    if missing:
-        if default is None:
-            raise ValidationError(f"rule is missing {len(missing)} source windows")
-        for w in missing:
-            rule[w] = default
-    bad = {v for v in rule.values() if v not in target.alphabet}
+    words = source.words(2 * radius + 1)
+    windows = _window_set(source, 2 * radius + 1)
+    if not (isinstance(rule, dict) and rule.keys() == windows):
+        rule = {tuple(w): v for w, v in (rule.items() if hasattr(rule, "items") else rule)}
+        extra = rule.keys() - windows
+        if extra:
+            raise ValidationError(f"rule defined on words outside the source language: {sorted(extra)[:3]}")
+        missing = windows - rule.keys()
+        if missing:
+            if default is None:
+                raise ValidationError(f"rule is missing {len(missing)} source windows")
+            for w in missing:
+                rule[w] = default
+    bad = set(rule.values()).difference(target.alphabet)
     if bad:
         raise ValidationError(f"rule produces symbols outside the target alphabet: {sorted(bad)}")
-    f = BlockMap(source, target, radius, tuple(sorted(rule.items())))
+    # the words come in sorted order, so the rule is sorted by window
+    f = BlockMap(source, target, radius, tuple(zip(words, map(rule.__getitem__, words))))
     if validate_image and not target.is_full():
         w = au.escaping_word(image_graph(source, radius, rule, target.alphabet), target.dfa)
         if w is not None:
@@ -800,22 +823,33 @@ def compose(g: BlockMap, f: BlockMap) -> BlockMap:
     """g after f."""
     if not f.target.language_equal(g.source):
         raise DomainMismatch("compose: target of f differs from source of g")
-    r = f.radius + g.radius
-    wf, wg = f.width(), g.width()
-    rule = {}
-    for w in f.source.words(2 * r + 1):
-        mid = tuple(f.local(w[i : i + wf]) for i in range(wg))
-        rule[w] = g.local(mid)
-    return make_block_map(f.source, g.target, r, rule, validate_image=False)
+    local = g.rule_dict
+    rule = {w: local[mid] for w, mid in _window_table(f, g.width())}
+    return make_block_map(f.source, g.target, f.radius + g.radius, rule, validate_image=False)
+
+
+@_per_object
+def _window_table(f: BlockMap, w: int) -> tuple[tuple[Word, Word], ...]:
+    """Each source word of length ``f.width() + w - 1``, in words order,
+    paired with the ``w`` symbols that ``f`` writes under it: what a map of
+    width ``w`` after ``f`` reads.  Built once per map and width."""
+    wf, local = f.width(), f.rule_dict
+    return tuple((u, tuple(local[u[i : i + wf]] for i in range(w)))
+                 for u in f.source.words(wf + w - 1))
 
 
 def maps_equal(f: BlockMap, g: BlockMap) -> bool:
+    """Whether two maps between the same shifts agree: equal rules at
+    equal radii, else each window of the wider map against the narrower
+    map's value on its central sub-window."""
     if not f.source.language_equal(g.source) or not f.target.language_equal(g.target):
         raise DomainMismatch("maps_equal: presentations differ")
-    r = max(f.radius, g.radius)
-    fr = f.padded_rule(r)
-    gr = g.padded_rule(r)
-    return fr == gr
+    if f.radius == g.radius:
+        return f.rule == g.rule
+    if f.radius > g.radius:
+        f, g = g, f
+    pad, wf, local = g.radius - f.radius, f.width(), f.rule_dict
+    return all(local[w[pad : pad + wf]] == b for w, b in g.rule)
 
 
 def reduce_radius(f: BlockMap) -> BlockMap:

@@ -314,6 +314,42 @@ class TestDerivedObjects:
         with pytest.raises(ValidationError):
             make_block_map(full2, golden, 0, {("0",): "1", ("1",): "1"})
 
+    def test_an_inner_map_builds_its_window_table_once(self, monkeypatch):
+        from collections import defaultdict
+
+        from sdcat import core
+
+        # every table handed out, by inner map and width: a table built
+        # again would be a second object in its list
+        handed = defaultdict(list)
+        real = core._window_table
+        monkeypatch.setattr(core, "_window_table",
+                            lambda f, w: handed[id(f), w].append(real(f, w)) or handed[id(f), w][-1])
+        x = full_shift(("0", "1"))
+        windows = x.words(3)
+        inner = make_block_map(x, x, 1, {w: str(int(w == ("1", "1", "1"))) for w in windows})
+        for bits in range(50):
+            outer = make_block_map(x, x, 1, {w: str(bits >> i & 1) for i, w in enumerate(windows)})
+            assert compose(outer, inner).rule_dict == {
+                w: outer.local(tuple(inner.local(w[i : i + 3]) for i in range(3))) for w in x.words(5)}
+        assert list(handed) == [(id(inner), 3)]
+        tables = handed[id(inner), 3]
+        assert len(tables) == 50 and all(t is tables[0] for t in tables)
+
+    def test_maps_equal_pads_no_rule(self, full2, monkeypatch):
+        from sdcat import core
+
+        def refuse(self, radius):
+            raise AssertionError("padded_rule called")
+
+        monkeypatch.setattr(core.BlockMap, "padded_rule", refuse)
+        flip = make_block_map(full2, full2, 0, {("0",): "1", ("1",): "0"})
+        wide = make_block_map(full2, full2, 1, {w: "10"[int(w[1])] for w in full2.words(3)})
+        left = make_block_map(full2, full2, 1, {w: "10"[int(w[0])] for w in full2.words(3)})
+        assert maps_equal(flip, wide) and maps_equal(wide, flip) and maps_equal(flip, flip)
+        assert not maps_equal(flip, left) and not maps_equal(left, flip)
+        assert not maps_equal(wide, left)
+
     def test_radius3_binary_map_builds(self, full2):
         # a random radius-3 rule: its image automaton has tens of thousands
         # of states, so a quadratic trim does not finish

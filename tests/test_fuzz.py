@@ -17,7 +17,9 @@ witnesses re-verified.  Every builder that reads the kept edge tuples
 over dict rows, the list-based strongly connected components against
 the dict-based loop, and the strong condition's kept facts and assignment
 search against the word-keyed engine and the recursive backtrack they
-replaced.  The sections, retractions and connecting maps that the searches
+replaced.  ``compose``, ``maps_equal`` and ``make_block_map``, which read
+kept window tables, are checked against their former loops, errors
+included.  The sections, retractions and connecting maps that the searches
 trust by construction are re-verified through ``core``.
 """
 
@@ -33,6 +35,7 @@ from sdcat import analysis as an
 from sdcat import automata as au
 from sdcat import classify as cl
 from sdcat.core import (
+    BlockMap,
     PeriodicPoint,
     _cast_alphabet,
     _live_nodes,
@@ -40,6 +43,7 @@ from sdcat.core import (
     apply_map_ep,
     block_symbol,
     center_of,
+    compose,
     diagonal_relation,
     disjoint_union,
     empty_shift,
@@ -50,6 +54,7 @@ from sdcat.core import (
     image_graph,
     make_block_map,
     make_presentation,
+    maps_equal,
     mirror_presentation,
     pair_symbol,
     presentation_from_edges,
@@ -61,7 +66,7 @@ from sdcat.core import (
     window_graph,
 )
 from sdcat.automata import Nfa
-from sdcat.errors import ValidationError
+from sdcat.errors import DomainMismatch, ValidationError
 from sdcat.files import format_shift
 from sdcat.limits import CategoryTag
 
@@ -1148,6 +1153,183 @@ class TestDiagonalView:
     def test_ladder_maps_match_the_separate_loops(self):
         for f in _ladder_pool():
             self._check(f)
+
+
+# ---------------------------------------------------------------------------
+# The block-map algebra on kept window tables
+
+
+def _old_make_block_map(source, target, radius, rule, default=None, validate_image=True):
+    """Reference: the rule normalized, checked and sorted on every call."""
+    rule = {tuple(w): v for w, v in (rule.items() if hasattr(rule, "items") else rule)}
+    needed = set(source.words(2 * radius + 1))
+    extra = set(rule) - needed
+    if extra:
+        raise ValidationError(f"rule defined on words outside the source language: {sorted(extra)[:3]}")
+    missing = needed - set(rule)
+    if missing:
+        if default is None:
+            raise ValidationError(f"rule is missing {len(missing)} source windows")
+        for w in missing:
+            rule[w] = default
+    bad = {v for v in rule.values() if v not in target.alphabet}
+    if bad:
+        raise ValidationError(f"rule produces symbols outside the target alphabet: {sorted(bad)}")
+    f = BlockMap(source, target, radius, tuple(sorted(rule.items())))
+    if validate_image and not target.is_full():
+        w = au.escaping_word(image_graph(source, radius, rule, target.alphabet), target.dfa)
+        if w is not None:
+            raise ValidationError(f"image is not contained in the target: word {w}")
+    return f
+
+
+def _old_compose(g, f):
+    """Reference: every window of the inner map looked up on every call."""
+    if not f.target.language_equal(g.source):
+        raise DomainMismatch("compose: target of f differs from source of g")
+    r = f.radius + g.radius
+    wf, wg = f.width(), g.width()
+    rule = {}
+    for w in f.source.words(2 * r + 1):
+        mid = tuple(f.local(w[i : i + wf]) for i in range(wg))
+        rule[w] = g.local(mid)
+    return _old_make_block_map(f.source, g.target, r, rule, validate_image=False)
+
+
+def _old_maps_equal(f, g):
+    """Reference: both rules padded to the larger radius."""
+    if not f.source.language_equal(g.source) or not f.target.language_equal(g.target):
+        raise DomainMismatch("maps_equal: presentations differ")
+    r = max(f.radius, g.radius)
+    return f.padded_rule(r) == g.padded_rule(r)
+
+
+def _outcome(fn, *args, **kwargs):
+    """The result, or the type and message of the ``ValidationError``."""
+    try:
+        out = fn(*args, **kwargs)
+    except ValidationError as e:
+        return type(e), str(e)
+    if isinstance(out, BlockMap):
+        assert out.rule == tuple(sorted(out.rule_dict.items()))
+    return out
+
+
+def _same(fn, old, *args, **kwargs):
+    assert _outcome(fn, *args, **kwargs) == _outcome(old, *args, **kwargs)
+
+
+FULL3 = full_shift(("a", "10", "9"))
+
+
+def _any_map(draw, x, y, radius):
+    """A map of the given radius from ``x`` with outputs drawn from ``y``'s
+    symbols; its image is not checked against ``y``."""
+    windows = x.words(2 * radius + 1)
+    outs = draw(st.lists(st.sampled_from(y.alphabet), min_size=len(windows), max_size=len(windows)))
+    return make_block_map(x, y, radius, dict(zip(windows, outs)), validate_image=False)
+
+
+def _padded(f, pad):
+    """``f`` at radius ``f.radius + pad``: the same map."""
+    wf = f.width()
+    rule = {w: f.local(w[pad : pad + wf]) for w in f.source.words(wf + 2 * pad)}
+    return make_block_map(f.source, f.target, f.radius + pad, rule, validate_image=False)
+
+
+def _changed(draw, f):
+    """``f`` with one window sent elsewhere, or ``f`` when it has no window."""
+    rule = f.rule_dict.copy()
+    if rule:
+        w = draw(st.sampled_from(sorted(rule)))
+        rule[w] = draw(st.sampled_from([a for a in f.target.alphabet if a != rule[w]] or [rule[w]]))
+    return make_block_map(f.source, f.target, f.radius, rule, validate_image=False)
+
+
+def _check_algebra(draw, f, g, h):
+    """``compose`` and ``maps_equal`` against the references: ``g`` reads
+    ``f``'s target and ``h`` shares ``f``'s source."""
+    for outer, inner in ((g, f), (f, g), (h, f), (f, h), (g, h)):
+        _same(compose, _old_compose, outer, inner)
+    for k in (1, 2):
+        for m in (f, h):
+            if m.radius + k <= 2:
+                p = _padded(m, k)
+                for a, b in ((m, p), (p, m), (_changed(draw, m), p), (p, _changed(draw, m))):
+                    _same(maps_equal, _old_maps_equal, a, b)
+    for a, b in ((f, h), (h, f), (f, f), (g, f), (f, _changed(draw, f)), (g, _changed(draw, g))):
+        _same(maps_equal, _old_maps_equal, a, b)
+
+
+@st.composite
+def rule_cases(draw):
+    """A source, a target, a radius, and a rule that is total, partial
+    (with or without a default), has an extra window, string keys or a
+    symbol outside the target, or is given as pairs."""
+    f = draw(sft_maps() | sofic_maps())
+    x, y = draw(st.sampled_from([(f.source, f.target), (FULL3, FULL3), (FULL3, FULL2)]))
+    radius = draw(st.integers(min_value=0, max_value=2))
+    windows = x.words(2 * radius + 1)
+    rule = dict(zip(windows, draw(st.lists(st.sampled_from(y.alphabet), min_size=len(windows),
+                                           max_size=len(windows)))))
+    kind = draw(st.sampled_from(["total", "partial", "default", "extra", "string", "bad", "pairs"]))
+    default = None
+    if kind in ("partial", "default"):
+        for w in draw(st.lists(st.sampled_from(windows), max_size=3)) if windows else ():
+            rule.pop(w, None)
+        if kind == "default":
+            default = draw(st.sampled_from(y.alphabet + ("z",)))
+    elif kind == "extra":
+        length = 2 * radius + 1 + draw(st.integers(min_value=0, max_value=1))
+        rule[tuple(draw(st.lists(st.sampled_from(x.alphabet), min_size=length,
+                                 max_size=length)))] = y.alphabet[0]
+    elif kind == "string":
+        rule = {"".join(w): v for w, v in rule.items()}
+    elif kind == "bad" and windows:
+        rule[draw(st.sampled_from(windows))] = "z"
+    elif kind == "pairs":
+        rule = list(rule.items())
+    return x, y, radius, rule, default, draw(st.booleans())
+
+
+class TestBlockMapAlgebra:
+    """``compose``, ``maps_equal`` and ``make_block_map`` give the results
+    and errors of the loops they replaced."""
+
+    @given(sft_maps() | sofic_maps(), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_sofic_maps_match_the_parent_loops(self, f, data):
+        draw = data.draw
+        g = _any_map(draw, f.target, FULL2, draw(st.integers(min_value=0, max_value=2)))
+        h = _any_map(draw, f.source, FULL2, draw(st.integers(min_value=0, max_value=2)))
+        _check_algebra(draw, f, g, h)
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_full_shift_maps_match_the_parent_loops(self, data):
+        # "10" < "9" < "a": the words' order is the string order, not the alphabet's
+        draw = data.draw
+        radii = draw(st.lists(st.integers(min_value=0, max_value=2), min_size=3, max_size=3))
+        assume(radii[0] + radii[1] <= 3)
+        f = _any_map(draw, FULL3, FULL3, radii[0])
+        g = _any_map(draw, FULL3, draw(st.sampled_from([FULL3, FULL2])), radii[1])
+        h = _any_map(draw, FULL3, FULL3, radii[2])
+        _check_algebra(draw, f, g, h)
+
+    @given(rule_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_rules_and_errors_match_the_parent_loop(self, case):
+        x, y, radius, rule, default, validate = case
+        _same(make_block_map, _old_make_block_map, x, y, radius, rule, default, validate)
+
+    def test_census_maps_match_the_parent_loops(self):
+        maps = _census_maps()
+        and_rule = maps[128]  # the window 111 alone goes to 1
+        for f in maps:
+            assert f.rule == tuple(sorted(f.rule_dict.items()))
+            _same(compose, _old_compose, f, and_rule)
+            _same(compose, _old_compose, and_rule, f)
+            _same(maps_equal, _old_maps_equal, compose(f, and_rule), f)
 
 
 # ---------------------------------------------------------------------------
