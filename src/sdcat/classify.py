@@ -235,11 +235,13 @@ def _preimage_tails(f: BlockMap, u: Word, a: Word) -> tuple[frozenset[int], froz
     """The states of the recoded source where a preimage path can be after
     a left tail repeating ``a`` and preimages of any power of ``u``, and
     those from which preimages of a power of ``u`` and then a right tail
-    repeating ``a`` can follow."""
+    repeating ``a`` can follow.  The ends of ``a`` alone are the
+    :func:`_tails` of its block word, kept on the recoded source, which
+    every map of this width from the source shares."""
     f0, to_blocks, _, _ = _symbol_recoding(f)
-    act = f0.source.word_action(apply_map(to_blocks, PeriodicPoint(a)).word)
-    return (frozenset(au.closure(au.eventual_image(act), lambda q: _read_pre(f, q, u))),
-            frozenset(au.closure(au.forever_defined(act), _back(f, u).__getitem__)))
+    left, right = _tails(f0.source, apply_map(to_blocks, PeriodicPoint(a)).word)
+    return (frozenset(au.closure(left, lambda q: _read_pre(f, q, u))),
+            frozenset(au.closure(right, _back(f, u).__getitem__)))
 
 
 @_per_object
@@ -259,17 +261,10 @@ def _missed(f: BlockMap, left: frozenset[int], right: frozenset[int], goods: fro
                               *[_good_dfa(f, s, a) for s, a in goods])
 
 
-class _Consistent:
-    """The pairs ``((u, a), (v, b))`` of preimage choices with no missed
-    word in either direction, as the ``allowed`` of :func:`_csp_solutions`."""
-
-    def __init__(self, missed, sides):
-        self.missed, self.sides = missed, sides
-
-    def __contains__(self, pair) -> bool:
-        (u, a), (vv, b) = pair
-        (s1, a1), (s2, a2) = self.sides[u, a], self.sides[vv, b]
-        return self.missed(u, vv, [(s1, a2)]) is None and self.missed(vv, u, [(s2, a1)]) is None
+def _missed_between(f: BlockMap, c, d) -> Word | None:
+    """The missed word from the left end and start of the class ``c`` of a
+    choice to the right end and accept of the class ``d``."""
+    return _missed(f, c[0], d[1], frozenset([(c[2], d[3])]))
 
 
 def strong_condition(f: BlockMap, p: int) -> StrongConditionReport:
@@ -278,6 +273,12 @@ def strong_condition(f: BlockMap, p: int) -> StrongConditionReport:
     A failing report carries tuples (u, v, w, a, b): with preimage tails a
     for u and b for v, the point repeating u, reading w, then repeating v
     has no conforming preimage.
+
+    A choice (u, a) enters every check only through its class, the ends
+    ``_tails(y, u) + _preimage_tails(f, u, a)``, and a word pair off the
+    diagonal only through u's left end and starts and v's right end and
+    accepts: each key pair that can fail is checked once, in word-pair
+    order, and the global search runs on sets of classes.
     """
     y = f.target
     words = [u for n in range(1, p + 1) for u in y.periodic_words(n)]
@@ -288,53 +289,80 @@ def strong_condition(f: BlockMap, p: int) -> StrongConditionReport:
                 for u in words if not cands[u]]
     if failures:
         return StrongConditionReport(p, False, failures=tuple(failures))
-    tails = {u: _tails(y, u) for u in words}
-    sides = {(u, a): _preimage_tails(f, u, a) for u in words for a in cands[u]}
-
-    def missed(u: Word, vv: Word, goods) -> Word | None:
-        """The shortlex-least w for which (u, vv, w) has no preimage with
-        (start, accept) ends in ``goods``."""
-        return _missed(f, tails[u][0], tails[vv][1], frozenset(goods))
+    cls = {(u, a): _tails(y, u) + _preimage_tails(f, u, a) for u in words for a in cands[u]}
 
     # unary pruning on the diagonal
     for u in words:
-        pruned = [(a, missed(u, u, [sides[u, a]])) for a in cands[u]]
+        pruned = [(a, _missed_between(f, cls[u, a], cls[u, a])) for a in cands[u]]
         cands[u] = [a for a, w in pruned if w is None]
         failures += [{"u": u, "v": u, "w": w, "a": a, "b": a} for a, w in pruned if w is not None]
         if not cands[u]:
             return StrongConditionReport(p, False, failures=tuple(failures))
 
-    # pointwise failing tuple: some (u, v, w) bad for every candidate pair;
-    # off the diagonal the pairs end at every start of u and accept of v
-    starts = {u: {sides[u, a][0] for a in cands[u]} for u in words}
-    accepts = {u: {sides[u, a][1] for a in cands[u]} for u in words}
+    # pointwise failing tuple: some (u, v, w) bad for every candidate pair,
+    # which end at every start of u and accept of v.  Each candidate alone
+    # reads every word from u's tails to u's, so no pair fails whose v has
+    # u's right key, and row u needs only the first word of each other key
+    left = {u: (cls[u, cands[u][0]][0], frozenset(cls[u, a][2] for a in cands[u])) for u in words}
+    right = {u: (cls[u, cands[u][0]][1], frozenset(cls[u, a][3] for a in cands[u])) for u in words}
+    firsts: dict = {}
+    for vv in words:
+        firsts.setdefault(right[vv], vv)
+    passed = set()
     for u in words:
-        for vv in words:
-            goods = ([sides[u, a] for a in cands[u]] if u == vv
-                     else product(starts[u], accepts[vv]))
-            w = missed(u, vv, goods)
-            if w is not None:
-                pairs = ([(a, a) for a in cands[u]] if u == vv
-                         else list(product(cands[u], cands[vv])))
-                tuples = tuple(
-                    {"u": u, "v": vv, "w": w, "a": a, "b": b} for a, b in pairs
-                )
-                return StrongConditionReport(
-                    p, False, failures=tuples, pointwise={"u": u, "v": vv, "w": w}
-                )
+        for key, vv in firsts.items():
+            if key != right[u] and (left[u], key) not in passed:
+                passed.add((left[u], key))
+                w = _missed(f, left[u][0], key[0], frozenset(product(left[u][1], key[1])))
+                if w is not None:
+                    tuples = tuple({"u": u, "v": vv, "w": w, "a": a, "b": b}
+                                   for a, b in product(cands[u], cands[vv]))
+                    return StrongConditionReport(p, False, failures=tuples,
+                                                 pointwise={"u": u, "v": vv, "w": w})
 
-    # one value (u, a) per word, every two of them consistent; the smallest
-    # domain first over sorted words is the (len(cands[u]), u) order
-    domains = [tuple((u, a) for a in cands[u]) for u in sorted(words)]
-    follows = [(i, j) for j in range(len(words)) for i in range(j)]
-    for sol in _csp_solutions(domains, follows, _Consistent(missed, sides), 1, "strong condition search"):
-        return StrongConditionReport(p, True, assignment=tuple(sorted(sol.values())))
-    return StrongConditionReport(
-        p,
-        False,
-        failures=tuple(failures)
-        + ({"reason": "no globally consistent preimage assignment"},),
-    )
+    # one preimage per word, every two of them consistent: the smallest
+    # domain first, over sorted words
+    order = sorted(words, key=lambda u: (len(cands[u]), u))
+    chosen = _consistent_choice(f, [[(a, cls[u, a]) for a in cands[u]] for u in order])
+    if chosen is not None:
+        return StrongConditionReport(p, True, assignment=tuple(sorted(zip(order, chosen))))
+    failures.append({"reason": "no globally consistent preimage assignment"})
+    return StrongConditionReport(p, False, failures=tuple(failures))
+
+
+def _consistent_choice(f: BlockMap, domains) -> list | None:
+    """The first choice, depth first, of one value from each of
+    ``domains`` (lists of ``(value, class)``) whose classes are pairwise
+    consistent: no word is missed between two of them either way.  Each
+    class left after the unary pruning is consistent with itself, so a
+    value is checked against the set of classes chosen so far, and a
+    (depth, class set) whose subtree failed is not searched again.  Each
+    value tried counts against the budget as "strong condition search"."""
+    failed, chosen = set(), []
+    # sets[k]: the classes chosen above depth k; values[k]: its untried values
+    sets, values = [frozenset()], [iter(domains[0])]
+    tried, cap = 0, budget()
+    while values:
+        k = len(values) - 1
+        for val, c in values[k]:
+            tried += 1
+            if tried > cap:
+                check_budget(tried, "strong condition search")
+            have = sets[k] | {c}
+            if (k + 1, have) not in failed and all(
+                    _missed_between(f, c, d) is None and _missed_between(f, d, c) is None
+                    for d in sets[k]):
+                break
+        else:
+            failed.add((k, sets.pop()))
+            values.pop()
+            continue
+        chosen[k:] = [val]
+        if k + 1 == len(domains):
+            return chosen
+        sets.append(have)
+        values.append(iter(domains[k + 1]))
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -387,19 +415,15 @@ def _arc_consistent(domains, follows, allowed, what: str):
 def _csp_solutions(domains, follows, allowed, limit, what: str = "constraint search"):
     """DFS over assignments to the variables ``range(len(domains))``,
     smallest domain first.  The values of a pair ``(i, j)`` in ``follows``,
-    ``i != j``, must form a pair in ``allowed``, a set or any container
-    that answers ``in``; each new value is checked
-    against its assigned neighbours only.  Yields at most ``limit``
-    complete assignments, as dicts, in depth-first order.
+    ``i != j``, must form a pair in the set ``allowed``; each new value is
+    checked against its assigned neighbours only.  Yields at most
+    ``limit`` complete assignments, as dicts, in depth-first order.
 
-    When ``allowed`` is a set or frozenset of pairs (the section and
-    retraction searches), the domains are first pruned by
-    :func:`_arc_consistent`, after the variable order is fixed from the
-    given domain sizes.  A pruned value is in no solution and the kept
-    values keep their order, so the search yields the same assignments in
-    the same order; it only tries fewer values.  Any other container (the
-    strong condition's lazily evaluated relation over every pair of
-    variables) is searched as given.
+    The domains are first pruned by :func:`_arc_consistent`, after the
+    variable order is fixed from the given domain sizes.  A pruned value
+    is in no solution and the kept values keep their order, so the search
+    yields the same assignments in the same order; it only tries fewer
+    values.
 
     The search keeps an explicit stack of value iterators, one per
     assigned depth, so its depth is not bounded by the interpreter's
@@ -421,11 +445,9 @@ def _csp_solutions(domains, follows, allowed, limit, what: str = "constraint sea
     if not order:
         yield {}
         return
-    tried = 0
-    if isinstance(allowed, (set, frozenset)):
-        domains, tried = _arc_consistent(domains, follows, allowed, what)
-        if domains is None:
-            return
+    domains, tried = _arc_consistent(domains, follows, allowed, what)
+    if domains is None:
+        return
     # a value left in ``assign`` at or below the current depth is never
     # read, and the keys keep their order of first assignment, depth order
     assign: dict[int, object] = {}

@@ -229,7 +229,7 @@ def coequalizer_id(
             target, q = dy.orbit_subshift(f, ep.preperiod, ep.period)
         except BudgetExceeded:
             return undecided_limit("orbit quotient construction exceeded its window cap")
-        if object_problems(cat, target):
+        if object_problems(target, cat):
             return undecided_limit(
                 f"orbit quotient is not an object of {cat}; no verdict in this category"
             )
@@ -279,7 +279,7 @@ def _closure_search(f: BlockMap, cat: CategoryTag, window_cap: int) -> LimitResu
                 continue
             if not maps_equal(compose(q, f), q):
                 return None
-            if object_problems(cat, q.target):
+            if object_problems(q.target, cat):
                 return undecided_limit(
                     f"closure quotient is not an object of {cat}"
                 )

@@ -737,7 +737,8 @@ def make_block_map(
     full-shift target holds every image over its alphabet, so it is not
     searched.
     """
-    words = source.words(2 * radius + 1)
+    words = _word_list(source, 2 * radius + 1)
+    check_budget(len(words), "word enumeration")
     windows = _window_set(source, 2 * radius + 1)
     if not (isinstance(rule, dict) and rule.keys() == windows):
         rule = {tuple(w): v for w, v in (rule.items() if hasattr(rule, "items") else rule)}
@@ -823,9 +824,11 @@ def compose(g: BlockMap, f: BlockMap) -> BlockMap:
     """g after f."""
     if not f.target.language_equal(g.source):
         raise DomainMismatch("compose: target of f differs from source of g")
-    local = g.rule_dict
-    rule = {w: local[mid] for w, mid in _window_table(f, g.width())}
-    return make_block_map(f.source, g.target, f.radius + g.radius, rule, validate_image=False)
+    local, table = g.rule_dict, _window_table(f, g.width())
+    check_budget(len(table), "word enumeration")
+    # the table keys are the source words in words order: the rule is valid
+    return BlockMap(f.source, g.target, f.radius + g.radius,
+                    tuple((w, local[mid]) for w, mid in table))
 
 
 @_per_object
@@ -876,40 +879,42 @@ def mirror_map(f: BlockMap) -> BlockMap:
     return make_block_map(src, tgt, f.radius, rule, validate_image=False)
 
 
-def higher_block_presentation(x: Presentation, w: int):
-    """The width-``w`` higher block shift and its token alphabet."""
+@_per_object
+def higher_block_presentation(x: Presentation, w: int) -> Presentation:
+    """The width-``w`` higher block shift, built once per presentation and width."""
     nodes, edges = window_graph(x, w)
     edges = [(k, block_symbol(window), t) for k, window, t in edges]
     tokens = tuple(sorted({token for _, token, _ in edges}))
     return presentation_from_edges(tokens, len(nodes), edges)
 
 
+@_per_object
+def _block_conjugacy(x: Presentation, w: int) -> tuple[BlockMap, BlockMap]:
+    """``(to_blocks, from_blocks)``: the conjugacy pair between ``x`` and its
+    width-``w`` higher block shift, built once per presentation and width."""
+    xb = higher_block_presentation(x, w)
+    to_blocks = make_block_map(x, xb, w // 2, {win: block_symbol(win) for win in x.words(w)},
+                               validate_image=False)
+    from_blocks = make_block_map(
+        xb, x, 0, {(t,): _block_center(t) for t in xb.alphabet if xb.contains_word((t,))},
+        validate_image=False)
+    return to_blocks, from_blocks
+
+
 def recode_to_symbol_map(f: BlockMap):
     """Recode ``f`` as a radius-0 map on the higher block presentation.
 
     Returns ``(f0, to_blocks, from_blocks)`` with ``f0 . to_blocks = f``
-    and ``to_blocks``/``from_blocks`` a conjugacy pair.
+    and ``to_blocks``/``from_blocks`` a conjugacy pair, which every map of
+    the same width from the same source shares; only ``f0`` is built here.
     """
     if f.radius == 0:
         ident = identity_map(f.source)
         return f, ident, ident
-    w = f.width()
-    xb = higher_block_presentation(f.source, w)
-    to_blocks = make_block_map(
-        f.source, xb, f.radius,
-        {win: block_symbol(win) for win in f.source.words(w)},
-        validate_image=False,
-    )
-    from_blocks = make_block_map(
-        xb, f.source, 0,
-        {(t,): _block_center(t) for t in xb.alphabet if xb.contains_word((t,))},
-        validate_image=False,
-    )
-    f0 = make_block_map(
-        xb, f.target, 0,
-        {(t,): f.local(_block_word(t)) for t in xb.alphabet if xb.contains_word((t,))},
-        validate_image=False,
-    )
+    to_blocks, from_blocks = _block_conjugacy(f.source, f.width())
+    f0 = make_block_map(to_blocks.target, f.target, 0,
+                        {w: f.local(_block_word(w[0])) for w, _ in from_blocks.rule},
+                        validate_image=False)
     return f0, to_blocks, from_blocks
 
 

@@ -23,6 +23,7 @@ from .core import (
     pair_symbol,
     product_presentation,
     trivial_shift,
+    _per_object,
 )
 from .errors import BudgetExceeded, DomainMismatch, ValidationError
 
@@ -54,8 +55,9 @@ class CategoryTag:
         return self.restriction == "P"
 
 
-def object_problems(cat: CategoryTag, x: Presentation) -> list[str]:
-    """Hard legality violations of ``x`` as an object of ``cat``."""
+@_per_object
+def object_problems(x: Presentation, cat: CategoryTag) -> tuple[str, ...]:
+    """Hard legality violations of ``x`` as an object of ``cat``, kept."""
     problems = []
     if cat.level in (1, 2) and not an.is_sft(x).yes:
         problems.append("object is not an SFT")
@@ -68,7 +70,7 @@ def object_problems(cat: CategoryTag, x: Presentation) -> list[str]:
         problems.append("object is not mixing")
     if cat.restriction == "P" and x.point is None:
         problems.append("object has no designated uniform point")
-    return problems
+    return tuple(problems)
 
 
 def object_warnings(cat: CategoryTag, x: Presentation) -> list[str]:
@@ -79,18 +81,20 @@ def object_warnings(cat: CategoryTag, x: Presentation) -> list[str]:
 
 
 def check_object(cat: CategoryTag, x: Presentation) -> None:
-    problems = object_problems(cat, x)
+    problems = object_problems(x, cat)
     if problems:
         raise ValidationError(f"not an object of {cat}: " + "; ".join(problems))
 
 
-def morphism_problems(cat: CategoryTag, f: BlockMap) -> list[str]:
-    problems = object_problems(cat, f.source) + object_problems(cat, f.target)
+@_per_object
+def morphism_problems(f: BlockMap, cat: CategoryTag) -> tuple[str, ...]:
+    """Hard legality violations of ``f`` as a morphism of ``cat``, kept."""
+    problems = [*object_problems(f.source, cat), *object_problems(f.target, cat)]
     if cat.level == 1 and not f.source.language_equal(f.target):
         problems.append("level-1 morphisms must be endomorphisms")
     if cat.pointed and not keeps_points(f):
         problems.append("map does not preserve the designated points")
-    return problems
+    return tuple(problems)
 
 
 def keeps_points(f: BlockMap) -> bool:
@@ -103,7 +107,7 @@ def keeps_points(f: BlockMap) -> bool:
 
 
 def check_morphism(cat: CategoryTag, f: BlockMap) -> None:
-    problems = morphism_problems(cat, f)
+    problems = morphism_problems(f, cat)
     if problems:
         raise ValidationError(f"not a morphism of {cat}: " + "; ".join(problems))
 

@@ -383,11 +383,12 @@ class TestConstraintSearch:
         # one search per radius: 2, 8 and 32 windows of the full 2-shift
         assert sizes == [2, 8, 32]
 
-    def test_strong_condition_search_is_not_pruned(self):
+    def test_strong_condition_search_fits_the_default_budget(self):
         from sdcat.errors import DEFAULT_BUDGET, set_budget
 
-        # its relation is evaluated lazily over every pair of words: a
-        # pruning pass over all pairs ends this case on the default budget
+        # every pair of its 363 words is constrained: a pruning pass over
+        # all pairs of words and candidates ends this case on the default
+        # budget, while the search on class sets tries one value per word
         full4, full3 = full_shift(("0", "1", "2", "3")), full_shift(("0", "1", "2"))
         f = make_block_map(full4, full3, 0, {("0",): "0", ("1",): "1", ("2",): "2", ("3",): "2"})
         set_budget(DEFAULT_BUDGET)

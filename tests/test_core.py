@@ -285,6 +285,36 @@ class TestDerivedObjects:
         assert len(handed[id(x), 3]) > 1
         assert all(g is graphs[0] for graphs in handed.values() for g in graphs)
 
+    def test_census_maps_share_one_higher_block_recoding(self, monkeypatch):
+        from sdcat import classify as cl
+        from sdcat import core
+        from sdcat.limits import CategoryTag
+
+        built = []
+        real = core.presentation_from_nfa
+
+        def counting(alphabet, nfa, *rest):
+            if all(a.startswith("[") for a in alphabet):
+                built.append(alphabet)
+            return real(alphabet, nfa, *rest)
+
+        monkeypatch.setattr(core, "presentation_from_nfa", counting)
+        # a fresh shift, so no recoding is kept from another test
+        x = full_shift(("0", "1"))
+        windows = x.words(3)
+        pairs = set()
+        for bits in range(256):
+            f = make_block_map(x, x, 1, {w: str(bits >> i & 1) for i, w in enumerate(windows)})
+            cl.classify(f, CategoryTag.parse("K2"))
+            if cl._symbol_recoding.key in vars(f):
+                pairs.add(tuple(map(id, cl._symbol_recoding(f)[1:3])))
+        # the width-3 higher block shift is built once, and every map that
+        # recodes reads the one conjugacy pair kept with it
+        assert len(built) == 1 and len(pairs) == 1
+        to_blocks, from_blocks = core._block_conjugacy(x, 3)
+        assert pairs == {(id(to_blocks), id(from_blocks))}
+        assert to_blocks.target is core.higher_block_presentation(x, 3) is from_blocks.source
+
     def test_window_edges_are_kept_tuples_per_width(self):
         from sdcat import core
 

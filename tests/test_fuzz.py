@@ -1570,7 +1570,65 @@ def _old_strong_condition(f, p):
         p, False, failures=tuple(failures) + ({"reason": "no globally consistent preimage assignment"},))
 
 
+def _all_pairs_choice(domains, consistent):
+    """Reference: the first choice of one value per depth, each new class
+    checked against the class of every value chosen before it."""
+    chosen = []
+
+    def rec(k):
+        if k == len(domains):
+            return True
+        for val, c in domains[k]:
+            if all(consistent(c, d) for _, d in chosen):
+                chosen.append((val, c))
+                if rec(k + 1):
+                    return True
+                chosen.pop()
+        return False
+
+    return [val for val, _ in chosen] if rec(0) else None
+
+
+@st.composite
+def class_choice_instances(draw):
+    """Up to seven depths of (value, class) lists over four classes, and a
+    symmetric consistency relation in which each class is consistent with
+    itself, as after the unary pruning."""
+    n = draw(st.integers(min_value=1, max_value=7))
+    domains = [[((k, i), c) for i, c in enumerate(draw(st.lists(
+        st.integers(min_value=0, max_value=3), min_size=1, max_size=4)))] for k in range(n)]
+    pairs = draw(st.sets(st.tuples(st.integers(0, 3), st.integers(0, 3))))
+    ok = {(c, d) for c, d in pairs if (d, c) in pairs} | {(c, c) for c in range(4)}
+    return domains, ok
+
+
 class TestStrongConditionSearch:
+    @given(class_choice_instances())
+    @settings(max_examples=300, deadline=None)
+    def test_class_search_matches_the_all_pairs_backtrack(self, instance):
+        from unittest import mock
+
+        domains, ok = instance
+        with mock.patch.object(cl, "_missed_between",
+                               lambda f, c, d: None if (c, d) in ok else ("0",)):
+            got = cl._consistent_choice(None, domains)
+        assert got == _all_pairs_choice(domains, lambda c, d: (c, d) in ok)
+
+    def test_a_failed_class_set_is_not_searched_again(self, monkeypatch):
+        from sdcat.errors import set_budget
+
+        # 30 depths offering classes 0 and 1, which admit each other, then a
+        # depth that neither admits: a search over assignments would try
+        # about 2^31 values, the search over class sets a few hundred
+        domains = [[("a", 0), ("b", 1)]] * 30 + [[("c", 2)]]
+        ok = {(0, 0), (1, 1), (2, 2), (0, 1), (1, 0)}
+        monkeypatch.setattr(cl, "_missed_between", lambda f, c, d: None if (c, d) in ok else ("0",))
+        set_budget(1000)
+        try:
+            assert cl._consistent_choice(None, domains) is None
+        finally:
+            set_budget(None)
+
     def test_census_reports_match_the_recursive_backtrack(self):
         for f in _census_maps():
             for p in range(1, 5):
@@ -1581,6 +1639,17 @@ class TestStrongConditionSearch:
             for p in range(1, 7):
                 assert cl.strong_condition(f, p) == _old_strong_condition(f, p)
 
+    def test_a_map_failing_pointwise_matches_the_recursive_backtrack(self, full2):
+        # radius 1, full3 -> full2, outputs in words(3) order: from p = 2 on
+        # the first failing pair is (0, 1), and 1 shares its right key with
+        # 11, 111 and 1111
+        full3 = full_shift(("0", "1", "2"))
+        f = make_block_map(full3, full2, 1, dict(zip(full3.words(3), "101100011100110010001001110")))
+        for p in range(1, 5):
+            rep = cl.strong_condition(f, p)
+            assert rep == _old_strong_condition(f, p)
+            assert p == 1 or rep.pointwise == {"u": ("0",), "v": ("1",), "w": ()}
+
     def test_a_map_with_many_preimages_matches_the_recursive_backtrack(self):
         # full4 -> full3 sending 3 to 2: every word with k 2s has 2^k
         # aligned preimages, and all of them share one pair of ends
@@ -1588,6 +1657,23 @@ class TestStrongConditionSearch:
         f = make_block_map(full4, full3, 0, {("0",): "0", ("1",): "1", ("2",): "2", ("3",): "2"})
         for p in range(1, 5):
             assert cl.strong_condition(f, p) == _old_strong_condition(f, p)
+
+    def test_a_map_with_many_preimages_keeps_each_word_at_p5_and_p6(self):
+        # the recursive backtrack gives this report here too, but it visits
+        # every pair of the 1,364 and 5,460 candidates, for 37 s at p = 5
+        # and 6 min at p = 6: every candidate has the same class, so each
+        # word takes its first aligned preimage, itself
+        full4, full3 = full_shift(("0", "1", "2", "3")), full_shift(("0", "1", "2"))
+        f = make_block_map(full4, full3, 0, {("0",): "0", ("1",): "1", ("2",): "2", ("3",): "2"})
+        for p in (5, 6):
+            words = sorted(u for n in range(1, p + 1) for u in full3.words(n))
+            assert cl.strong_condition(f, p) == cl.StrongConditionReport(
+                p, True, assignment=tuple((u, u) for u in words))
+
+    def test_ladder_reports_match_the_recursive_backtrack(self):
+        for f in _ladder_pool():
+            for p in range(1, 5):
+                assert cl.strong_condition(f, p) == _old_strong_condition(f, p)
 
 
 # ---------------------------------------------------------------------------
