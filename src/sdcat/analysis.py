@@ -28,7 +28,6 @@ other questions about its language read ``f.kernel``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from functools import reduce
 
 from . import automata as au
@@ -58,6 +57,7 @@ from .core import (
     _per_object,
 )
 from .errors import BudgetExceeded, DomainMismatch, InternalError, ValidationError, check_budget
+from .records import record, uncompared
 
 image = image_presentation
 
@@ -66,7 +66,7 @@ image = image_presentation
 # Subshift relations
 
 
-@dataclass(frozen=True)
+@record
 class SubshiftRelation:
     """A subshift of the product of two shifts, over the pair alphabet."""
 
@@ -245,7 +245,7 @@ def is_mixing(x: Presentation) -> bool:
 # Period sets
 
 
-@dataclass(frozen=True)
+@record
 class PeriodSet:
     """The set {n >= 1 : some point is fixed by the n-th shift power},
     stored as an explicit part below ``threshold`` and a periodic pattern
@@ -585,7 +585,7 @@ def surjectivity(f: BlockMap) -> v.Verdict:
     return v.yes() if word is None else v.no(witness={"word": word})
 
 
-@dataclass(frozen=True)
+@record
 class InjectivityFamily:
     """Injectivity on all points, on periodic points and on uniform points.
     ``pair`` is two distinct eventually periodic points with equal images
@@ -596,11 +596,11 @@ class InjectivityFamily:
     injective: bool
     injective_on_periodic: bool
     injective_on_uniform: bool
-    pair: tuple | None = field(default=None, compare=False)
-    periodic_pair: tuple | None = field(default=None, compare=False)
+    pair: tuple | None = uncompared(None)
+    periodic_pair: tuple | None = uncompared(None)
 
 
-@dataclass(frozen=True)
+@record
 class _DiagonalView:
     """How the kernel graph of a map sits against the diagonal.
 
@@ -854,7 +854,7 @@ def _pair_witness(view: _DiagonalView, i: int, tok: str, j: int, diamond: bool):
                  for ws in zip(*(_coordinates(view, w) for w in words)))
 
 
-@dataclass(frozen=True)
+@record
 class Resolvingness:
     right_resolving: bool
     left_resolving: bool

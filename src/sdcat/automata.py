@@ -18,15 +18,15 @@ search for a word stops early in one ``first_word``.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import ValidationError, check_budget
+from .records import record
 
 Word = tuple[str, ...]
 
 
-@dataclass(frozen=True)
+@record
 class Dfa:
     """Partial DFA.  ``trans[q]`` maps a symbol to the successor of ``q``.
 
@@ -443,7 +443,7 @@ def graph_period(nodes, succ) -> int:
 # Finite monoids
 
 
-@dataclass(frozen=True)
+@record
 class FiniteMonoid:
     """A finite monoid given by its multiplication table.
 

@@ -9,7 +9,6 @@ Blank cells of the classification table surface as UNDECIDED.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 
 from . import analysis as an
@@ -32,6 +31,7 @@ from .core import (
 )
 from .errors import BudgetExceeded, InternalError, ValidationError, budget, check_budget
 from .limits import CategoryTag
+from .records import record
 
 DEFAULT_P_CAP = 6
 DEFAULT_RADIUS_CAP = 3
@@ -146,7 +146,7 @@ def _monic_m3(f: BlockMap, fam) -> v.Verdict:
 # The strong periodic point condition
 
 
-@dataclass(frozen=True)
+@record
 class StrongConditionReport:
     p: int
     holds: bool

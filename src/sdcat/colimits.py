@@ -10,8 +10,6 @@ coequalizer existence is not decidable in general.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import analysis as an
 from . import dynamics as dy
 from . import verdicts as v
@@ -47,9 +45,10 @@ from .limits import (
     object_problems,
     undecided_limit,
 )
+from .records import record
 
 
-@dataclass(frozen=True)
+@record
 class LocalEquivalence:
     """A window-n equivalence on allowed words and the relation it induces."""
 

@@ -31,7 +31,6 @@ construction and safe to share.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress
 
@@ -39,11 +38,12 @@ from . import automata as au
 from . import verdicts as v
 from .automata import Dfa, Nfa, Word
 from .errors import ValidationError, DomainMismatch, check_budget
+from .records import record
 
 
 def _per_object(fn):
     """Keep ``fn(obj, *args)`` in ``obj.__dict__``, which equality and
-    hashing of the frozen dataclasses do not see: under the wrapper's
+    hashing of the frozen records do not see: under the wrapper's
     ``key``, or under ``args`` in a dict kept there; an UNDECIDED verdict
     is not kept."""
     key = f"{fn.__module__}.{fn.__name__}"
@@ -108,7 +108,7 @@ def product_alphabet(left, right) -> tuple[str, ...]:
 # Presentations
 
 
-@dataclass(frozen=True)
+@record
 class Presentation:
     """A sofic shift, canonically presented.
 
@@ -514,7 +514,7 @@ def center_of(window: Word) -> str:
 # Points
 
 
-@dataclass(frozen=True)
+@record
 class PeriodicPoint:
     """The two-sided repetition of ``word``, shifted so that coordinate
     ``i`` reads ``word[(i + phase) % len(word)]``."""
@@ -531,7 +531,11 @@ class PeriodicPoint:
         return self.word[(i + self.phase) % len(self.word)]
 
     def segment(self, lo: int, hi: int) -> Word:
-        return tuple(self.at(i) for i in range(lo, hi))
+        """Coordinates ``lo`` to ``hi - 1``: the word rotated to start at
+        ``lo``, repeated far enough and cut."""
+        word, n = tuple(self.word), len(self.word)
+        s = (lo + self.phase) % n
+        return ((word[s:] + word[:s]) * -(-(hi - lo) // n))[: hi - lo]
 
     def least_period(self) -> int:
         n = len(self.word)
@@ -548,7 +552,7 @@ class PeriodicPoint:
         return x.contains_periodic(self.segment(0, len(self.word)))
 
 
-@dataclass(frozen=True)
+@record
 class EventuallyPeriodicPoint:
     """The point that repeats ``left`` up to coordinate ``start``, reads
     ``mid`` on ``[start, start + len(mid))``, and repeats ``right`` after."""
@@ -573,7 +577,10 @@ class EventuallyPeriodicPoint:
         return self.right[(i - self.mid_end()) % len(self.right)]
 
     def segment(self, lo: int, hi: int) -> Word:
-        return tuple(self.at(i) for i in range(lo, hi))
+        s, e = self.start, self.mid_end()
+        return (PeriodicPoint(self.left, -s).segment(lo, min(hi, s))
+                + tuple(self.mid[max(lo, s) - s : max(min(hi, e) - s, 0)])
+                + PeriodicPoint(self.right, -e).segment(max(lo, e), hi))
 
     def same_point(self, other: "EventuallyPeriodicPoint") -> bool:
         ll = math.lcm(len(self.left), len(other.left))
@@ -599,7 +606,7 @@ class EventuallyPeriodicPoint:
 # Block maps
 
 
-@dataclass(frozen=True)
+@record
 class BlockMap:
     """A sliding block code with a total local rule on source windows."""
 
@@ -795,29 +802,24 @@ def image_presentation(f: BlockMap) -> Presentation:
 def apply_map(f: BlockMap, x: PeriodicPoint) -> PeriodicPoint:
     if not x.in_shift(f.source):
         raise ValidationError("point is not in the source of the map")
-    n = len(x.word)
-    r = f.radius
-    out = tuple(f.local(x.segment(i - r, i + r + 1)) for i in range(n))
-    return PeriodicPoint(out, 0)
+    n, r, w, local = len(x.word), f.radius, f.width(), f.rule_dict
+    line = x.segment(-r, n + r)
+    return PeriodicPoint(tuple(local[line[i : i + w]] for i in range(n)), 0)
 
 
 def apply_map_ep(f: BlockMap, x: EventuallyPeriodicPoint) -> EventuallyPeriodicPoint:
     if not x.in_shift(f.source):
         raise ValidationError("point is not in the source of the map")
-    r = f.radius
+    r, w, local = f.radius, f.width(), f.rule_dict
     L, R = len(x.left), len(x.right)
     pad_l = ((r + L - 1) // L) * L if r else 0
     pad_r = ((r + R - 1) // R) * R if r else 0
     start = x.start - pad_l
     end = x.mid_end() + pad_r
-
-    def val(i):
-        return f.local(x.segment(i - r, i + r + 1))
-
-    left = tuple(val(i) for i in range(start - L, start))
-    mid = tuple(val(i) for i in range(start, end))
-    right = tuple(val(i) for i in range(end, end + R))
-    return EventuallyPeriodicPoint(left, mid, right, start)
+    # the windows at coordinates start - L to end + R - 1
+    line = x.segment(start - L - r, end + R + r)
+    out = tuple(local[line[i : i + w]] for i in range(end + R - start + L))
+    return EventuallyPeriodicPoint(out[:L], out[L : L + end - start], out[L + end - start :], start)
 
 
 def compose(g: BlockMap, f: BlockMap) -> BlockMap:

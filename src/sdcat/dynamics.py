@@ -8,8 +8,6 @@ combinatorial replacement for the hyperspace quotient.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import analysis as an
 from . import verdicts as v
 from .automata import Word
@@ -30,6 +28,7 @@ from .core import (
 )
 from .errors import BudgetExceeded, InternalError, ValidationError, check_budget
 from .limits import connecting_map
+from .records import record
 
 
 def _require_endo(f: BlockMap) -> None:
@@ -55,7 +54,7 @@ def is_reversible(f: BlockMap, inverse_radius_cap: int = 8) -> v.Verdict:
     return v.yes(certificate=inv)
 
 
-@dataclass(frozen=True)
+@record
 class EventualPeriodicity:
     status: str  # "found" | "not-found-below-cap"
     preperiod: int = 0
@@ -185,7 +184,7 @@ def chain_transitive_upto(f: BlockMap, cap: int) -> int:
     return cap
 
 
-@dataclass(frozen=True)
+@record
 class SpreadingReport:
     spreading_state: str | None
     nilpotent_at: int | None

@@ -8,8 +8,6 @@ participating objects and morphisms is checked up front.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import analysis as an
 from .core import (
     BlockMap,
@@ -26,12 +24,13 @@ from .core import (
     _per_object,
 )
 from .errors import BudgetExceeded, DomainMismatch, ValidationError
+from .records import record
 
 RESTRICTIONS = ("K", "T", "M", "P")
 LEVELS = (1, 2, 3)
 
 
-@dataclass(frozen=True)
+@record
 class CategoryTag:
     restriction: str
     level: int
@@ -116,7 +115,7 @@ def check_morphism(cat: CategoryTag, f: BlockMap) -> None:
 # Limit results
 
 
-@dataclass(frozen=True)
+@record
 class LimitResult:
     status: str  # "exists" | "not-exists" | "undecided"
     object: Presentation | None = None

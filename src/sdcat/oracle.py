@@ -9,11 +9,11 @@ so these deliberately avoid the canonical-automaton machinery.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product as iproduct
 
 from .core import BlockMap, PeriodicPoint, Presentation, make_block_map
 from .errors import ValidationError, check_budget
+from .records import record
 
 # numpy is imported inside the functions that use it, so that importing the
 # CLI, which imports this module, does not load it.
@@ -21,7 +21,7 @@ from .errors import ValidationError, check_budget
 Word = tuple[str, ...]
 
 
-@dataclass(frozen=True)
+@record
 class EnumerationSpec:
     source: Presentation
     target: Presentation

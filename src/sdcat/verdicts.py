@@ -2,14 +2,14 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from .records import record
 
 YES = "YES"
 NO = "NO"
 UNDECIDED = "UNDECIDED"
 
 
-@dataclass(frozen=True)
+@record
 class Verdict:
     answer: str
     certificate: object = None

@@ -11,6 +11,7 @@ from sdcat.core import (
     EventuallyPeriodicPoint,
     PeriodicPoint,
     apply_map,
+    apply_map_ep,
     compose,
     full_shift,
     identity_map,
@@ -122,6 +123,26 @@ class TestApplyMap:
                 left = apply_map(xor3, shifted)
                 right = apply_map(xor3, p)
                 assert left.segment(0, 8) == tuple(right.at(i + 1) for i in range(8))
+
+    def test_windows_read_the_coordinates_one_by_one(self, full2):
+        # segments and the images of both point kinds, against a reference
+        # that reads every coordinate of every window through at()
+        rnd = random.Random(3)
+
+        def word(k):
+            return tuple(rnd.choice("01") for _ in range(k))
+
+        for r in (0, 1, 2):
+            f = make_block_map(full2, full2, r, {w: rnd.choice("01") for w in full2.words(2 * r + 1)})
+            for _ in range(100):
+                p = PeriodicPoint(word(rnd.randint(1, 5)), rnd.randint(-9, 9))
+                e = EventuallyPeriodicPoint(word(rnd.randint(1, 4)), word(rnd.randint(0, 4)),
+                                            word(rnd.randint(1, 4)), rnd.randint(-5, 5))
+                lo, hi = rnd.randint(-12, 12), rnd.randint(-12, 14)
+                for x, image in ((p, apply_map(f, p)), (e, apply_map_ep(f, e))):
+                    assert x.segment(lo, hi) == tuple(x.at(i) for i in range(lo, hi))
+                    assert image.segment(-15, 15) == tuple(
+                        f.local(tuple(x.at(i + k) for k in range(-r, r + 1))) for i in range(-15, 15))
 
 
 class TestCompose:

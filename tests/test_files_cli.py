@@ -293,12 +293,14 @@ class TestCli:
         assert out[0] == "rule_bits,injective"
         assert len(out) == 257
 
-    def test_cli_import_does_not_load_numpy(self):
+    def test_cli_import_loads_neither_numpy_nor_dataclasses(self):
         # numpy serves only the brute-force oracle; the CLI still imports
-        # sdcat.oracle, which the traced benchmark run looks up
-        code = "import sys, sdcat.cli; print('sdcat.oracle' in sys.modules, 'numpy' in sys.modules)"
+        # sdcat.oracle, which the traced benchmark run looks up.  The records
+        # do without dataclasses, which would also load inspect
+        code = ("import sys, sdcat.cli; print('sdcat.oracle' in sys.modules, "
+                "*(m in sys.modules for m in ('numpy', 'dataclasses', 'inspect')))")
         env = dict(os.environ, PYTHONPATH=str(pathlib.Path(sdcat.__file__).parents[1]))
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                              env=env, timeout=60)
         assert out.returncode == 0, out.stderr
-        assert out.stdout.split() == ["True", "False"]
+        assert out.stdout.split() == ["True", "False", "False", "False"]

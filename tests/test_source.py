@@ -66,3 +66,19 @@ def test_derived_facts_are_kept_by_the_one_memo():
                 returns = [r for r in ast.walk(node) if isinstance(r, ast.Return) and r.value]
                 found += [where for r in returns if _is_empty_container(r.value)]
     assert not found, f"ad-hoc caches in src/: {found}"
+
+
+def test_no_module_imports_dataclasses():
+    # the records of sdcat.records stand in: importing dataclasses would
+    # load inspect and generate six methods per class in every process
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                mods = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                mods = [node.module or ""]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno}" for m in mods if m.split(".")[0] == "dataclasses"]
+    assert not found, f"dataclasses imported in src/: {found}"
