@@ -3,7 +3,7 @@ regular epic, regular monic, per category.
 
 Split epicness follows the two-sided strategy: the strong periodic point
 condition is checked for p = 1..p_cap (a NO at any p is final), and a
-bounded search looks for an actual section (a YES always carries one).
+radius-capped search looks for an actual section (a YES always carries one).
 Blank cells of the classification table surface as UNDECIDED.
 """
 
@@ -18,24 +18,23 @@ from . import verdicts as v
 from .automata import Nfa, Word
 from .core import (
     BlockMap,
-    PeriodicPoint,
     Presentation,
-    apply_map,
     compose,
     diagonal_relation,
     identity_map,
+    image_word,
     make_block_map,
     recode_to_symbol_map,
     reduce_radius,
+    window_graph,
     _per_object,
 )
-from .errors import BudgetExceeded, InternalError, ValidationError, budget, check_budget
+from .errors import BudgetExceeded, InternalError, budget, check_budget
 from .limits import CategoryTag
 from .records import record
 
 DEFAULT_P_CAP = 6
 DEFAULT_RADIUS_CAP = 3
-SEARCH_LIMIT = 4000
 
 
 # ---------------------------------------------------------------------------
@@ -167,7 +166,7 @@ def _aligned_periodic_preimages(f: BlockMap, n: int) -> dict[Word, list[Word]]:
     ``periodic_words`` order."""
     out: dict[Word, list[Word]] = {}
     for a in f.source.periodic_words(n):
-        out.setdefault(apply_map(f, PeriodicPoint(a)).word, []).append(a)
+        out.setdefault(image_word(f, a), []).append(a)
     return out
 
 
@@ -239,7 +238,7 @@ def _preimage_tails(f: BlockMap, u: Word, a: Word) -> tuple[frozenset[int], froz
     :func:`_tails` of its block word, kept on the recoded source, which
     every map of this width from the source shares."""
     f0, to_blocks, _, _ = _symbol_recoding(f)
-    left, right = _tails(f0.source, apply_map(to_blocks, PeriodicPoint(a)).word)
+    left, right = _tails(f0.source, image_word(to_blocks, a))
     return (frozenset(au.closure(left, lambda q: _read_pre(f, q, u))),
             frozenset(au.closure(right, _back(f, u).__getitem__)))
 
@@ -369,131 +368,135 @@ def _consistent_choice(f: BlockMap, domains) -> list | None:
 # Section and retraction searches
 
 
-def _arc_consistent(domains, follows, allowed, what: str):
-    """``domains`` pruned to arc consistency under the set of pairs
-    ``allowed`` (AC-3; Mackworth, "Consistency in networks of relations",
-    1977): a value of ``i`` stays while, for each pair ``(i, j)`` or
-    ``(j, i)`` in ``follows`` with ``j != i``, it forms a pair in
-    ``allowed`` with some value left to ``j``.  A removed value is in no
-    solution, and each domain keeps its order.
-
-    Returns the pruned domains, or None when one of them empties, and the
-    number of values checked, each counted against the work budget under
-    ``what``."""
+def _watchers(n: int, follows, allowed) -> list[list]:
+    """For each variable j, each ``(i, supports)`` with ``(i, j)`` or
+    ``(j, i)`` in ``follows``, ``i != j``: ``supports[a]`` holds the values
+    of j that the value a of i pairs with in ``allowed``."""
     nexts: dict = {}
     prevs: dict = {}
     for a, b in allowed:
         nexts.setdefault(a, set()).add(b)
         prevs.setdefault(b, set()).add(a)
-    # watch[j]: each variable i whose values need a support in j, with the
-    # supports of a value of i
-    watch: list[list] = [[] for _ in domains]
+    watch: list[list] = [[] for _ in range(n)]
     for i, j in set(follows):
         if i != j:
             watch[j].append((i, nexts))
             watch[i].append((j, prevs))
-    doms = [list(d) for d in domains]
-    live = [set(d) for d in domains]
-    # the variables whose watchers are still to be revised against them
-    pending = set(range(len(doms)))
-    work, cap, no_support = 0, budget(), frozenset()
+    return watch
+
+
+def _revise(doms: list, watch, pending: set, trail: list, work: int, what: str):
+    """Prune ``doms`` in place to arc consistency (AC-3; Mackworth, 1977):
+    each watcher of a variable in ``pending`` keeps, in order, the values
+    with a support left in it, and logs each domain it replaces in
+    ``trail`` as ``(doms, i, old)``.  Returns whether no domain emptied,
+    and ``work`` plus the values checked, counted against the budget."""
+    cap, no_support = budget(), frozenset()
     while pending:
         j = pending.pop()
         for i, supports in watch[j]:
             work += len(doms[i])
             if work > cap:
                 check_budget(work, what)
-            keep = [a for a in doms[i] if not supports.get(a, no_support).isdisjoint(live[j])]
+            keep = tuple(a for a in doms[i] if not supports.get(a, no_support).isdisjoint(doms[j]))
             if len(keep) < len(doms[i]):
                 if not keep:
-                    return None, work
-                doms[i], live[i] = keep, set(keep)
+                    return False, work
+                trail.append((doms, i, doms[i]))
+                doms[i] = keep
                 pending.add(i)
-    return doms, work
+    return True, work
 
 
-def _csp_solutions(domains, follows, allowed, limit, what: str = "constraint search"):
-    """DFS over assignments to the variables ``range(len(domains))``,
-    smallest domain first.  The values of a pair ``(i, j)`` in ``follows``,
-    ``i != j``, must form a pair in the set ``allowed``; each new value is
-    checked against its assigned neighbours only.  Yields at most
-    ``limit`` complete assignments, as dicts, in depth-first order.
+def _first_block_map(y: Presentation, x: Presentation, rho: int, values, what: str, point=None):
+    """The first block map y -> x of radius ``rho``, or None when there is
+    none: each window of ``y`` takes one of ``values(window)`` in order,
+    smallest domain first in an order fixed before any pruning, and the
+    window of ``y.point`` takes ``point`` when given.  Overlapping windows
+    take 2-blocks of ``x``, kept arc consistent after each assignment
+    (MAC; Sabin & Freuder, CP 1994).  Each node of ``window_graph(y, 2 rho
+    + 1)`` keeps the states of ``x.dfa`` that paths of assigned windows
+    reach (after Pesant's ``regular``, CP 2004); every node lies on a
+    bi-infinite path, so a missing transition refutes the branch, and a
+    full assignment is a block map.  Both drop only values in no block
+    map, so the map found is the first of the search without them.  Each
+    value tried or checked and each automaton step counts against the work
+    budget as ``what``; the stack is explicit, not the interpreter's."""
+    windows = y.words(2 * rho + 1)
+    wpos = {w: i for i, w in enumerate(windows)}
+    # at[i]: (source, target) of each edge of window i; out[k]: (window,
+    # target) of each edge out of node k
+    nodes, edges = window_graph(y, 2 * rho + 1)
+    at: list[list] = [[] for _ in windows]
+    out: list[list] = [[] for _ in nodes]
+    for k, w, t in edges:
+        at[wpos[w]].append((k, t))
+        out[k].append((wpos[w], t))
+    follows = {(i, j) for i, ends in enumerate(at) for _, t in ends for j, _ in out[t]}
+    check_budget(len(follows), what)
+    allowed = set(x.words(2))
+    doms = [tuple(values(w)) for w in windows]
+    order = sorted(range(len(doms)), key=lambda i: len(doms[i]))
+    for i in (i for i, j in follows if i == j):
+        doms[i] = tuple(a for a in doms[i] if (a, a) in allowed)
+    if point is not None and y.point is not None:
+        i = wpos[(y.point,) * (2 * rho + 1)]
+        doms[i] = tuple(a for a in doms[i] if a == point)
+    # a window open to every symbol of x supports every value: each has neighbours in x
+    syms = {a for pair in allowed for a in pair}
+    watch, trail = _watchers(len(doms), follows, allowed), []
+    ok, work = _revise(doms, watch, {i for i, d in enumerate(doms) if not syms.issubset(d)},
+                       trail, 0, what)
+    rows, cap = x.dfa.rows, budget()
+    reach, value = [frozenset([x.dfa.init])] * len(nodes), [None] * len(windows)
 
-    The domains are first pruned by :func:`_arc_consistent`, after the
-    variable order is fixed from the given domain sizes.  A pruned value
-    is in no solution and the kept values keep their order, so the search
-    yields the same assignments in the same order; it only tries fewer
-    values.
+    def assign(i, a) -> bool:
+        nonlocal work
+        trail.append((value, i, None))
+        value[i] = a
+        if len(doms[i]) > 1:
+            trail.append((doms, i, doms[i]))
+            doms[i] = (a,)
+            ok, work = _revise(doms, watch, {i}, trail, work, what)
+            if not ok:
+                return False
+        # (state, symbol, node): a state to read along an edge into the node
+        todo = [(q, a, t) for k, t in at[i] for q in reach[k]]
+        while todo:
+            q, b, t = todo.pop()
+            work += 1
+            if work > cap:
+                check_budget(work, what)
+            p = rows[q].get(b)
+            if p is None:
+                return False
+            if p not in reach[t]:
+                trail.append((reach, t, reach[t]))
+                reach[t] = reach[t] | {p}
+                todo += [(p, value[j], t2) for j, t2 in out[t] if value[j] is not None]
+        return True
 
-    The search keeps an explicit stack of value iterators, one per
-    assigned depth, so its depth is not bounded by the interpreter's
-    recursion limit; each value tried, and each value the pruning checks,
-    counts against the work budget under ``what``.
-    """
-    order = sorted(range(len(domains)), key=lambda i: len(domains[i]))
-    depth = {i: k for k, i in enumerate(order)}
-    # (earlier successors, earlier predecessors) of the variable at each depth
-    outs: list[list[int]] = [[] for _ in order]
-    ins: list[list[int]] = [[] for _ in order]
-    for i, j in set(follows):
-        if depth[j] < depth[i]:
-            outs[depth[i]].append(j)
-        elif depth[i] < depth[j]:
-            ins[depth[j]].append(i)
-    if limit <= 0:
-        return
-    if not order:
-        yield {}
-        return
-    domains, tried = _arc_consistent(domains, follows, allowed, what)
-    if domains is None:
-        return
-    # a value left in ``assign`` at or below the current depth is never
-    # read, and the keys keep their order of first assignment, depth order
-    assign: dict[int, object] = {}
-    produced = 0
-    cap = budget()  # read once: check_budget is called only to raise past it
-    # values[k] holds the untried values of the variable at depth k
-    values = [iter(domains[order[0]])]
-    while values:
-        k = len(values) - 1
-        for val in values[k]:
-            tried += 1
-            if tried > cap:
-                check_budget(tried, what)
-            if all((val, assign[j]) in allowed for j in outs[k]) and all(
-                (assign[j], val) in allowed for j in ins[k]
-            ):
+    # each depth's untried values and the trail when it was entered; none
+    # when the pruning emptied a domain
+    stack = [(iter(doms[order[0]]), len(trail))] if ok else []
+    while stack:
+        untried, mark = stack[-1]
+        for a in untried:
+            while len(trail) > mark:
+                store, i, old = trail.pop()
+                store[i] = old
+            work += 1
+            if work > cap:
+                check_budget(work, what)
+            if assign(order[len(stack) - 1], a):
                 break
         else:
-            values.pop()
+            stack.pop()
             continue
-        assign[order[k]] = val
-        if k + 1 < len(order):
-            values.append(iter(domains[order[k + 1]]))
-            continue
-        produced += 1
-        yield dict(assign)
-        if produced >= limit:
-            return
-
-
-def _extensions(y: Presentation, x: Presentation, rho: int, values, pairs, what: str):
-    """The block maps y -> x of radius ``rho`` that the constraint search
-    finds, in its order: one variable per window of ``y``, with the values
-    ``values(window)``, and the values of two overlapping windows forming
-    a pair in ``pairs``.  Each candidate must pass ``make_block_map``'s
-    validation; at most ``SEARCH_LIMIT`` candidates are tried."""
-    windows = y.words(2 * rho + 1)
-    check_budget(len(windows), what)
-    wpos = {w: i for i, w in enumerate(windows)}
-    follows = [(wpos[w[:-1]], wpos[w[1:]]) for w in y.words(2 * rho + 2)]
-    domains = [tuple(values(w)) for w in windows]
-    for sol in _csp_solutions(domains, follows, pairs, SEARCH_LIMIT, what):
-        try:
-            yield make_block_map(y, x, rho, {windows[i]: t for i, t in sol.items()})
-        except ValidationError:
-            continue
+        if len(stack) == len(order):
+            return make_block_map(y, x, rho, dict(zip(windows, value)), validate_image=False)
+        stack.append((iter(doms[order[len(stack)]]), len(trail)))
+    return None
 
 
 def find_section(f: BlockMap, radius_cap: int = DEFAULT_RADIUS_CAP, pointed: bool = False):
@@ -502,9 +505,6 @@ def find_section(f: BlockMap, radius_cap: int = DEFAULT_RADIUS_CAP, pointed: boo
     y = f.target
     if y.is_empty():
         return make_block_map(y, f.source, 0, {}, validate_image=False)
-    pre = _symbol_recoding(f)[3]
-    if any(y.contains_word((c,)) and c not in pre for c in y.alphabet):
-        return None
     for rho in range(0, radius_cap + 1):
         g = _section_at(f, rho, pointed)
         if g is not None:
@@ -519,16 +519,15 @@ def _section_at(f: BlockMap, rho: int, pointed: bool):
     radii it adds.
 
     Each window of the target takes a symbol of the recoded source that
-    ``f`` sends to the window's center, so every candidate is a section by
-    construction: f . g = identity."""
-    f0, _, from_blocks, pre = _symbol_recoding(f)
-    xb = f0.source
-    b2 = set(map(tuple, xb.words(2)))
-    for gb in _extensions(f.target, xb, rho, lambda w: pre.get(w[rho], ()), b2, "section search"):
-        g = reduce_radius(compose(from_blocks, gb))
-        if not pointed or li.keeps_points(g):
-            return g
-    return None
+    ``f`` sends to the window's center, so the map found is a section by
+    construction: f . g = identity.  When ``pointed``, the window of the
+    target's point takes the block symbol of the source's point."""
+    f0, to_blocks, from_blocks, pre = _symbol_recoding(f)
+    px = f.source.point
+    point = to_blocks.local((px,) * to_blocks.width()) if pointed and px is not None else None
+    gb = _first_block_map(f.target, f0.source, rho, lambda w: pre.get(w[rho], ()),
+                          "section search", point)
+    return None if gb is None else reduce_radius(compose(from_blocks, gb))
 
 
 def find_retraction(f: BlockMap, radius_cap: int = DEFAULT_RADIUS_CAP, pointed: bool = False):
@@ -536,25 +535,21 @@ def find_retraction(f: BlockMap, radius_cap: int = DEFAULT_RADIUS_CAP, pointed: 
 
     The windows of the image of ``f`` take the values that h . f =
     identity forces, each as a one-value domain; the rest is the shared
-    constraint search, whose pruning carries the forced values to their
-    neighbours.  Every candidate is a retraction by construction."""
+    window search, whose pruning carries the forced values to their
+    neighbours, so the map found is a retraction by construction.  When
+    ``pointed``, the target's point goes to the source's."""
     x, y = f.source, f.target
     if x.is_empty():
-        if y.is_empty():
-            return make_block_map(y, x, 0, {}, validate_image=False)
-        return None
-    idx = identity_map(x)
-    b2x = set(map(tuple, x.words(2)))
+        return make_block_map(y, x, 0, {}, validate_image=False) if y.is_empty() else None
     xsyms = tuple(a for a in x.alphabet if x.contains_word((a,)))
     for rho in range(0, radius_cap + 1):
-        forced = li.forced_values(f, idx, rho)
+        forced = li.forced_values(f, identity_map(x), rho)
         if forced is None:
             continue
-        cands = _extensions(y, x, rho, lambda w: (forced[w],) if w in forced else xsyms,
-                            b2x, "retraction search")
-        for h in cands:
-            if not pointed or li.keeps_points(h):
-                return reduce_radius(h)
+        h = _first_block_map(y, x, rho, lambda w: (forced[w],) if w in forced else xsyms,
+                             "retraction search", x.point if pointed else None)
+        if h is not None:
+            return reduce_radius(h)
     return None
 
 
@@ -606,7 +601,7 @@ def is_split_epic(
             g = find_section(f, radius_cap=k, pointed=pointed)
             if g is not None:
                 return v.yes(certificate=g, bound_used={"radius": g.radius})
-    note = "no section found"
+    note = f"no section at block radius <= {radius_cap}"
     if an.is_sft(f.source).yes and sc_pass >= p_cap:
         note = (
             f"strong periodic point condition holds up to p = {p_cap} on an SFT domain"
@@ -639,7 +634,7 @@ def is_split_monic(
     h = find_retraction(f, radius_cap=radius_cap, pointed=cat.pointed)
     if h is not None:
         return v.yes(certificate=h, bound_used={"radius": h.radius})
-    return v.undecided(bound_used={"radius_cap": radius_cap}, note="no retraction found")
+    return v.undecided(bound_used={"radius_cap": radius_cap}, note=f"no retraction of radius <= {radius_cap}")
 
 
 # ---------------------------------------------------------------------------

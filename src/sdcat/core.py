@@ -802,9 +802,14 @@ def image_presentation(f: BlockMap) -> Presentation:
 def apply_map(f: BlockMap, x: PeriodicPoint) -> PeriodicPoint:
     if not x.in_shift(f.source):
         raise ValidationError("point is not in the source of the map")
-    n, r, w, local = len(x.word), f.radius, f.width(), f.rule_dict
-    line = x.segment(-r, n + r)
-    return PeriodicPoint(tuple(local[line[i : i + w]] for i in range(n)), 0)
+    return PeriodicPoint(image_word(f, x.segment(0, len(x.word))), 0)
+
+
+def image_word(f: BlockMap, word: Word) -> Word:
+    """The image word of the repetition of ``word``, a point of the source (unchecked)."""
+    n, r, w, local = len(word), f.radius, f.width(), f.rule_dict
+    line = PeriodicPoint(word).segment(-r, n + r)
+    return tuple(local[line[i : i + w]] for i in range(n))
 
 
 def apply_map_ep(f: BlockMap, x: EventuallyPeriodicPoint) -> EventuallyPeriodicPoint:

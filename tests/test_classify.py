@@ -16,7 +16,7 @@ from sdcat.core import (
 )
 from sdcat.limits import CategoryTag
 
-from conftest import recheck_petals
+from conftest import recheck_certificates, recheck_petals
 
 K1, K2, K3 = (CategoryTag.parse(t) for t in ("K1", "K2", "K3"))
 T1, T3 = CategoryTag.parse("T1"), CategoryTag.parse("T3")
@@ -280,6 +280,21 @@ class TestSplitEpic:
                 g = verdict.certificate
                 assert maps_equal(compose(f, g), identity_map(full2))
 
+    def test_propagation_finds_a_section_where_a_static_search_thrashes(self, full3, full2):
+        from sdcat.errors import set_budget
+
+        # a search that checks each value against its assigned neighbours
+        # only, after one arc consistency pass, thrashes at block radius 2
+        # of this map past the default budget
+        f = make_block_map(full3, full2, 1, dict(zip(full3.words(3), "000011100000111000000111001")))
+        set_budget(20_000)
+        try:
+            g = cl.find_section(f, radius_cap=2)
+        finally:
+            set_budget(None)
+        assert g is not None and g.radius == 1
+        assert recheck_certificates(f)[0] == g
+
 
 class TestSplitMonic:
     def test_golden_inclusion_m2(self, golden_inclusion):
@@ -327,28 +342,58 @@ class TestSplitMonic:
             set_budget(None)
         assert time.perf_counter() - start < 20
 
+    def test_retraction_search_proves_none_up_to_the_radius_cap(self, even_shift):
+        from sdcat.errors import set_budget
+
+        # every radius up to the cap is searched to the end, so the note
+        # can say that no retraction of radius 3 or less exists
+        full3 = full_shift(["0", "1", "2"])
+        f = make_block_map(even_shift, full3, 1, dict(zip(even_shift.words(3), "1001212")))
+        set_budget(20_000)
+        try:
+            got = cl.classify(f, K3)["split_monic"]
+        finally:
+            set_budget(None)
+        assert got.undecided and got.note == "no retraction of radius <= 3"
+        assert got.bound_used == {"radius_cap": 3}
+
 
 class TestConstraintSearch:
-    def test_depth_is_not_bounded_by_the_recursion_limit(self):
+    def test_depth_is_not_bounded_by_the_recursion_limit(self, full2):
         import sys
 
-        # a chain of one-value variables, far deeper than the recursion limit
-        n = 3 * sys.getrecursionlimit()
-        chain = [(i, i + 1) for i in range(n - 1)]
-        sols = list(cl._csp_solutions([("a",)] * n, chain, {("a", "a")}, 5))
-        assert sols == [dict.fromkeys(range(n), "a")]
+        # one-value domains on the 8,192 windows of the full 2-shift at
+        # radius 6: a search far deeper than the recursion limit
+        assert len(full2.words(13)) > 3 * sys.getrecursionlimit()
+        g = cl._first_block_map(full2, full2, 6, lambda w: (w[6],), "section search")
+        assert maps_equal(g, identity_map(full2))
 
-    def test_each_value_tried_counts_against_the_budget(self):
+    def test_each_value_tried_counts_against_the_budget(self, full2, even_shift):
         from sdcat.errors import BudgetExceeded, set_budget
 
-        # ten free variables with two values: 2 + 4 + ... values tried before
-        # the 1000th of the 1024 solutions
+        # maps full2 -> even shift of radius 1 that fix both uniform points
+        # and try 1 before 0 elsewhere: none exists, and the search
+        # backtracks through 36 values over the 8 windows to learn it
+        def values(w):
+            return tuple(set(w)) if len(set(w)) == 1 else ("1", "0")
+
         set_budget(100)
         try:
             with pytest.raises(BudgetExceeded, match="section search"):
-                list(cl._csp_solutions([("a", "b")] * 10, [], set(), 1000, "section search"))
+                cl._first_block_map(full2, even_shift, 1, values, "section search")
         finally:
             set_budget(None)
+        assert cl._first_block_map(full2, even_shift, 1, values, "section search") is None
+
+    def test_the_order_is_fixed_before_the_unary_pruning(self, full2):
+        # maps full2 -> x, x forbidding 22 and 01, at radius 0: window 1
+        # has the smaller domain and goes first, taking 1, so window 0
+        # takes 1.  Ordered after the self-loop drops 2 from window 0, the
+        # search would take 0 for both windows
+        x = make_presentation(("0", "1", "2"), "sft", [("2", "2"), ("0", "1")])
+        doms = {("0",): ("2", "0", "1"), ("1",): ("1", "0")}
+        g = cl._first_block_map(full2, x, 0, doms.__getitem__, "section search")
+        assert g.rule_dict == {("0",): "1", ("1",): "1"}
 
     def test_pruned_section_search_fits_a_small_budget(self, full2):
         from sdcat.errors import BudgetExceeded, set_budget
@@ -370,15 +415,15 @@ class TestConstraintSearch:
         assert (got.radius, got.rule_dict) == (want.radius, want.rule_dict)
 
     def test_each_section_radius_is_searched_once_per_map(self, full2, monkeypatch):
-        real = cl._csp_solutions
+        real = cl._first_block_map
         sizes = []
 
-        def counting(domains, follows, allowed, limit, what="constraint search"):
+        def counting(y, x, rho, values, what, point=None):
             if what == "section search":
-                sizes.append(len(domains))
-            return real(domains, follows, allowed, limit, what)
+                sizes.append(len(y.words(2 * rho + 1)))
+            return real(y, x, rho, values, what, point)
 
-        monkeypatch.setattr(cl, "_csp_solutions", counting)
+        monkeypatch.setattr(cl, "_first_block_map", counting)
         assert cl.is_split_epic(_census_map(full2, 240), K2).yes
         # one search per radius: 2, 8 and 32 windows of the full 2-shift
         assert sizes == [2, 8, 32]

@@ -768,49 +768,95 @@ def _old_csp_solutions(variables, domains, pair_ok, limit):
     yield from rec(0)
 
 
+def _first_valid_solution(y, x, rho, values, point, limit):
+    """Reference: the first of at most ``limit`` solutions of the all-pairs
+    search on 2-block pairs that sends the window of ``y.point`` to
+    ``point``, when both are given, and that a validating
+    ``make_block_map`` accepts, and whether the solutions ran out first."""
+    windows = y.words(2 * rho + 1)
+    wpos = {w: i for i, w in enumerate(windows)}
+    follow_set = {(wpos[w[:-1]], wpos[w[1:]]) for w in y.words(2 * rho + 2)}
+    allowed = set(x.words(2))
+
+    def pair_ok(i, vi, j, vj):
+        if (i, j) in follow_set and (vi, vj) not in allowed:
+            return False
+        return (j, i) not in follow_set or (vj, vi) in allowed
+
+    domains = [values[w] for w in windows]
+    keep = {} if point is None or y.point is None else {(y.point,) * (2 * rho + 1): point}
+    seen = 0
+    for sol in _old_csp_solutions(domains, domains, pair_ok, limit):
+        seen += 1
+        rule = {windows[i]: a for i, a in sol.items()}
+        if any(rule[w] != a for w, a in keep.items()):
+            continue
+        try:
+            return make_block_map(y, x, rho, rule), True
+        except ValidationError:
+            continue
+    return None, seen < limit
+
+
+@st.composite
+def window_searches(draw):
+    """``(y, x, rho, values, point)``: shifts of random graphs of at most
+    three nodes, each of which may carry a designated uniform point, a
+    radius of 0 to 2, for each window of ``y`` some symbols of ``x`` in a
+    drawn order, and the point of ``x``."""
+    def shift():
+        n, edges = draw(random_graphs(max_nodes=3))
+        x = presentation_from_nfa(("0", "1"), Nfa(("0", "1"), n, edges, range(n), range(n)))
+        assume(not x.is_empty())
+        points = x.uniform_points()
+        if points and draw(st.booleans()):
+            x = x.with_point(draw(st.sampled_from(points)))
+        return x
+
+    y, x = shift(), shift()
+    rho = draw(st.integers(min_value=0, max_value=2))
+    syms = [a for a in x.alphabet if x.contains_word((a,))]
+    values = {w: tuple(draw(st.permutations(syms))[: draw(st.integers(min_value=1, max_value=len(syms)))])
+              for w in y.words(2 * rho + 1)}
+    return y, x, rho, values, x.point
+
+
 @st.composite
 def csp_instances(draw):
     """Domains over three values, follow graphs with self-loops and
-    2-cycles, an allowed-pair relation and a solution limit."""
+    2-cycles, and an allowed-pair relation."""
     n = draw(st.integers(min_value=0, max_value=5))
     var = st.integers(min_value=0, max_value=max(0, n - 1))
     val = st.sampled_from("abc")
     domains = [tuple(draw(st.lists(val, max_size=3, unique=True))) for _ in range(n)]
     follows = draw(st.lists(st.tuples(var, var), max_size=10)) if n else []
-    allowed = draw(st.sets(st.tuples(val, val)))
-    return domains, follows, allowed, draw(st.integers(min_value=1, max_value=20))
+    return domains, follows, draw(st.sets(st.tuples(val, val)))
 
 
 class TestCspSolutions:
-    @given(csp_instances())
-    @example(([("a", "b"), ("a", "b")], [(0, 0), (0, 1), (1, 0)], {("a", "b"), ("b", "a")}, 5))
+    @given(window_searches())
     @settings(max_examples=300, deadline=None)
-    def test_neighbour_checks_match_the_all_pairs_search(self, instance):
-        from sdcat.classify import _csp_solutions
-
-        domains, follows, allowed, limit = instance
-        follow_set = set(follows)
-
-        def pair_ok(i, vi, j, vj):
-            if (i, j) in follow_set and (vi, vj) not in allowed:
-                return False
-            return (j, i) not in follow_set or (vj, vi) in allowed
-
-        got = _csp_solutions(domains, follows, allowed, limit)
-        ref = _old_csp_solutions(domains, domains, pair_ok, limit)
-        # items, not dicts: the assignment order is part of the answer
-        assert [list(sol.items()) for sol in got] == [list(sol.items()) for sol in ref]
+    def test_neighbour_checks_match_the_all_pairs_search(self, case):
+        # the first map of the search with both constraints kept during it
+        # is the first valid solution of the all-pairs search, where that
+        # search decides within its limit
+        y, x, rho, values, point = case
+        got = cl._first_block_map(y, x, rho, values.__getitem__, "section search", point)
+        want, decided = _first_valid_solution(y, x, rho, values, point, 2000)
+        if decided:
+            assert got == want
+        elif got is not None:
+            make_block_map(y, x, rho, got.rule_dict)
+            assert point is None or y.point is None or got.local((y.point,) * (2 * rho + 1)) == point
 
     @given(csp_instances())
-    @example(([("a", "b"), ("a", "b")], [(0, 1), (1, 0)], {("a", "b"), ("b", "a")}, 1))
-    @example(([("a", "b"), ("a",), ()], [(0, 1), (1, 2)], {("a", "a"), ("b", "a")}, 1))
+    @example(([("a", "b"), ("a", "b")], [(0, 1), (1, 0)], {("a", "b"), ("b", "a")}))
+    @example(([("a", "b"), ("a",), ()], [(0, 1), (1, 2)], {("a", "a"), ("b", "a")}))
     # the last domain prunes the middle one, which must then prune the first
-    @example(([("a", "b"), ("a", "b"), ("a",)], [(0, 1), (1, 2)], {("a", "a"), ("b", "b")}, 1))
+    @example(([("a", "b"), ("a", "b"), ("a",)], [(0, 1), (1, 2)], {("a", "a"), ("b", "b")}))
     @settings(max_examples=300, deadline=None)
     def test_pruning_keeps_every_value_of_a_solution(self, instance):
-        from sdcat.classify import _arc_consistent
-
-        domains, follows, allowed, _ = instance
+        domains, follows, allowed = instance
         arcs = {(i, j) for i, j in follows if i != j}
 
         def pair_ok(i, vi, j, vj):
@@ -819,16 +865,18 @@ class TestCspSolutions:
 
         # every solution: at most three values for each of five variables
         sols = list(_old_csp_solutions(domains, domains, pair_ok, 3 ** 5 + 1))
-        pruned, _ = _arc_consistent(domains, follows, allowed, "constraint search")
-        if pruned is None:
+        doms = list(domains)
+        watch = cl._watchers(len(doms), follows, allowed)
+        ok, _ = cl._revise(doms, watch, set(range(len(doms))), [], 0, "constraint search")
+        if not ok:
             assert not sols
             return
-        for i, dom in enumerate(pruned):
+        for i, dom in enumerate(doms):
             assert {sol[i] for sol in sols} <= set(dom)
             assert list(dom) == [a for a in domains[i] if a in dom]
         for i, j in arcs:
-            assert all(any((a, b) in allowed for b in pruned[j]) for a in pruned[i])
-            assert all(any((a, b) in allowed for a in pruned[i]) for b in pruned[j])
+            assert all(any((a, b) in allowed for b in doms[j]) for a in doms[i])
+            assert all(any((a, b) in allowed for a in doms[i]) for b in doms[j])
 
 
 # ---------------------------------------------------------------------------

@@ -82,3 +82,16 @@ def test_no_module_imports_dataclasses():
                 continue
             found += [f"{path.name}:{node.lineno}" for m in mods if m.split(".")[0] == "dataclasses"]
     assert not found, f"dataclasses imported in src/: {found}"
+
+
+def test_no_classify_function_catches_a_validation_error():
+    # the section and retraction searches build their certificates valid
+    # by construction, so nothing in the classifier validates and retries
+    found = []
+    tree = ast.parse((SRC / "classify.py").read_text(encoding="utf-8"))
+    for fn in ast.walk(tree):
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            found += [f"{fn.name}:{h.lineno}" for h in ast.walk(fn)
+                      if isinstance(h, ast.ExceptHandler) and h.type is not None
+                      and "ValidationError" in _names(h.type)]
+    assert not found, f"ValidationError caught in classify.py: {found}"
