@@ -38,12 +38,12 @@ from .core import (
     EventuallyPeriodicPoint,
     PeriodicPoint,
     Presentation,
-    apply_map,
     center_of,
     fiber_presentation,
     full_shift,
     image_graph,
     image_presentation,
+    image_word,
     make_block_map,
     pair_symbol,
     presentation_from_edges,
@@ -55,6 +55,7 @@ from .core import (
     _infinite_past,
     _live_nodes,
     _per_object,
+    _tails,
 )
 from .errors import BudgetExceeded, DomainMismatch, InternalError, ValidationError, check_budget
 from .records import record, uncompared
@@ -455,16 +456,14 @@ def _non_subsft_witness(inner: Presentation, outer: Presentation):
             break
         pool += inner.periodic_words(n)
     for w in pool:
-        fw = inner.word_action(w)
-        ei = au.eventual_image(fw)
-        fd = au.forever_defined(fw)
+        ei, fd = _tails(inner, w)
         if not ei:
             continue
         us = _ep_mid_words(inner, ei, fd, max_uv)
         if not us:
             continue
         fws = acts(w)
-        tails = [(au.eventual_image(f), au.forever_defined(f)) for f in fws]
+        tails = [_tails(x, w) for x in shifts]
         vs: dict = {}
         for vv in us:
             vs.setdefault(acts(vv), vv)
@@ -752,7 +751,7 @@ def injectivity_family(f: BlockMap) -> InjectivityFamily:
     ups = f.source.uniform_points()
     images = {}
     for a in ups:
-        img = apply_map(f, PeriodicPoint((a,))).word
+        img = image_word(f, (a,))
         if img in images:
             uni = False
         images[img] = a
@@ -793,20 +792,12 @@ def _bfs_path(start: int, succ, stop) -> tuple[Word, int]:
     """The token word of a shortest path from ``start`` along the ``(token,
     node)`` edges ``succ(q)``, searched in order, to the first node for
     which ``stop`` holds, ``start`` included; and that node."""
-    parent = {start: None}
-    order = [start]
-    for q in order:
-        if stop(q):
-            end, word = q, []
-            while parent[q] is not None:
-                q, t = parent[q]
-                word.append(t)
-            return tuple(reversed(word)), end
-        for t, p in succ(q):
-            if p not in parent:
-                parent[p] = (q, t)
-                order.append(p)
-    raise InternalError("witness search found no path to a stopping node")
+    if stop(start):
+        return (), start
+    word, end = au.first_word([start], succ, stop, None)
+    if word is None:
+        raise InternalError("witness search found no path to a stopping node")
+    return word, end
 
 
 def _walk_to_cycle(q: int, step) -> tuple[Word, Word]:

@@ -20,7 +20,7 @@ from __future__ import annotations
 from collections import deque
 from functools import cached_property
 
-from .errors import ValidationError, check_budget
+from .errors import check_budget
 from .records import record
 
 Word = tuple[str, ...]
@@ -200,15 +200,16 @@ def determinize_minimize(nfa: Nfa) -> Dfa:
     return minimize(determinize(nfa))
 
 
-def first_word(starts, successors, stop, what: str | None) -> Word | None:
+def first_word(starts, successors, stop, what: str | None) -> tuple[Word | None, object]:
     """Breadth-first search from ``starts``, in order, with early exit.
 
     States are reached in ``explore``'s order.  Returns the word from a
     start to the first successor for which ``stop`` holds, tested before
-    the seen-check; the starts themselves are not tested.  Returns None
-    once every reachable state is seen.  With one start and successors in
-    sorted symbol order, the word is the shortlex-least one to a stopping
-    state.  Each new state counts against the work budget under ``what``.
+    the seen-check, and that successor; the starts themselves are not
+    tested.  Returns ``(None, None)`` once every reachable state is seen.
+    With one start and successors in sorted symbol order, the word is the
+    shortlex-least one to a stopping state.  Each new state counts against
+    the work budget under ``what``.
     """
     parent: dict = dict.fromkeys(starts)
     states = list(parent)
@@ -219,13 +220,13 @@ def first_word(starts, successors, stop, what: str | None) -> Word | None:
                 while parent[state] is not None:
                     state, sym = parent[state]
                     word.append(sym)
-                return tuple(reversed(word))
+                return tuple(reversed(word)), nxt
             if nxt not in parent:
                 parent[nxt] = (state, sym)
                 states.append(nxt)
                 if what is not None:
                     check_budget(len(states), what)
-    return None
+    return None, None
 
 
 def _product_successors(a: Dfa, bs):
@@ -233,8 +234,6 @@ def _product_successors(a: Dfa, bs):
     ``bs``, with ``-1`` for a ``b`` component that has left its partial
     automaton; a tuple whose ``a`` component has left accepts nothing, so
     it has none."""
-    if any(set(a.alphabet) != set(b.alphabet) for b in bs):
-        raise ValidationError("alphabet mismatch in product")
     # row -1, the empty one, is where a component that has left stays
     b_rows = [[*b.rows, {}] for b in bs]
 
@@ -278,7 +277,7 @@ def separating_word(a: Dfa, *bs: Dfa) -> Word | None:
     start = (a.init, *[b.init for b in bs])
     if accepting(start):
         return ()
-    return first_word([start], successors, accepting, "product automaton")
+    return first_word([start], successors, accepting, "product automaton")[0]
 
 
 def shortest_accepted(dfa: Dfa) -> Word | None:
@@ -287,7 +286,7 @@ def shortest_accepted(dfa: Dfa) -> Word | None:
         return ()
     if not dfa.accepting:
         return None
-    return first_word([dfa.init], dfa.trans.__getitem__, dfa.accepting.__contains__, None)
+    return first_word([dfa.init], dfa.trans.__getitem__, dfa.accepting.__contains__, None)[0]
 
 
 def missing_word(dfa: Dfa, graph: Nfa) -> Word | None:
@@ -309,7 +308,8 @@ def missing_word(dfa: Dfa, graph: Nfa) -> Word | None:
     def missed(pair):
         return not pair[1] and pair[0] in dfa.accepting
 
-    return first_word([(dfa.init, frozenset(graph.initial))], successors, missed, "determinization")
+    return first_word([(dfa.init, frozenset(graph.initial))], successors, missed,
+                      "determinization")[0]
 
 
 def escaping_word(graph: Nfa, dfa: Dfa) -> Word | None:
@@ -328,7 +328,7 @@ def escaping_word(graph: Nfa, dfa: Dfa) -> Word | None:
         return [(sym, (d, row.get(sym))) for sym, dsts in graph.trans[s].items() for d in dsts]
 
     starts = [(s, dfa.init) for s in sorted(graph.initial)]
-    return first_word(starts, successors, lambda pair: pair[1] is None, "image inclusion")
+    return first_word(starts, successors, lambda pair: pair[1] is None, "image inclusion")[0]
 
 
 def words_of_length(dfa: Dfa, n: int):

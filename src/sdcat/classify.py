@@ -28,6 +28,7 @@ from .core import (
     reduce_radius,
     window_graph,
     _per_object,
+    _tails,
 )
 from .errors import BudgetExceeded, InternalError, budget, check_budget
 from .limits import CategoryTag
@@ -183,14 +184,6 @@ def _symbol_recoding(f: BlockMap):
         if xb.contains_word((t,)):
             pre.setdefault(f0.local((t,)), []).append(t)
     return f0, to_blocks, from_blocks, pre
-
-
-@_per_object
-def _tails(y: Presentation, u: Word) -> tuple[frozenset[int], frozenset[int]]:
-    """The states of ``y`` where a left tail repeating ``u`` ends, and those
-    where a right tail repeating ``u`` starts."""
-    act = y.word_action(u)
-    return au.eventual_image(act), au.forever_defined(act)
 
 
 @_per_object
@@ -587,7 +580,6 @@ def is_split_epic(
     ]
     phases += [("sc", p) for p in range(4, p_cap + 1)]
     phases += [("sec", r) for r in range(4, radius_cap + 1)]
-    sc_pass = 0
     for kind, k in phases:
         if kind == "sc" and k <= p_cap:
             rep = strong_condition(f, k)
@@ -596,13 +588,13 @@ def is_split_epic(
                     witness={"p": k, "failures": list(rep.failures)},
                     note="strong periodic point condition fails",
                 )
-            sc_pass = max(sc_pass, k)
         elif kind == "sec" and k <= radius_cap:
             g = find_section(f, radius_cap=k, pointed=pointed)
             if g is not None:
                 return v.yes(certificate=g, bound_used={"radius": g.radius})
     note = f"no section at block radius <= {radius_cap}"
-    if an.is_sft(f.source).yes and sc_pass >= p_cap:
+    # every strong-condition phase up to p_cap has run and held
+    if an.is_sft(f.source).yes:
         note = (
             f"strong periodic point condition holds up to p = {p_cap} on an SFT domain"
             " (YES at bound); no explicit section within the radius cap"

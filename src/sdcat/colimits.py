@@ -26,7 +26,6 @@ from .core import (
     make_block_map,
     maps_equal,
     pair_symbol,
-    presentation_from_allowed_words,
     product_presentation,
     rule_image,
     shift_power,
@@ -50,11 +49,17 @@ from .records import record
 
 @record
 class LocalEquivalence:
-    """A window-n equivalence on allowed words and the relation it induces."""
+    """A window-n equivalence on allowed words and its quotient map, which
+    sends each window to the class of its window-n word."""
 
     window: int
     classes: tuple[tuple[Word, ...], ...]
-    relation: Presentation
+    quotient: BlockMap
+
+    @property
+    def relation(self) -> Presentation:
+        """The induced relation: the kernel of the quotient map."""
+        return self.quotient.kernel
 
 
 def _equivalence_closure(words, pairs):
@@ -86,20 +91,6 @@ def _unzip_pair_word(t: Word) -> tuple[Word, Word]:
     return tuple(a for a, _ in pairs), tuple(b for _, b in pairs)
 
 
-def relation_from_classes(x: Presentation, classes) -> Presentation:
-    """The subshift relation induced by a word equivalence: the square of x
-    constrained to windows whose aligned pairs are equivalent."""
-    allowed = []
-    for cls in classes:
-        for u in cls:
-            for w in cls:
-                allowed.append(_zip_pair_word(u, w))
-    sft = presentation_from_allowed_words(
-        tuple(pair_symbol(a, b) for a in x.alphabet for b in x.alphabet), allowed
-    )
-    return an.intersection_presentation(product_presentation(x, x), sft)
-
-
 def local_closure(generator: Presentation, x: Presentation, window: int) -> LocalEquivalence:
     """Smallest window-``window`` local equivalence on x containing the
     generator relation."""
@@ -110,8 +101,7 @@ def local_closure(generator: Presentation, x: Presentation, window: int) -> Loca
         pairs.append((u, w))
         pairs.append((w, u))
     classes = _equivalence_closure(words, pairs)
-    rel = relation_from_classes(x, classes)
-    return LocalEquivalence(window, classes, rel)
+    return LocalEquivalence(window, classes, _quotient_map(x, window, classes))
 
 
 def relation_checks(r: SubshiftRelation, period_bound: int = 4) -> dict:
@@ -150,8 +140,7 @@ def is_local_equivalence(r: SubshiftRelation, max_window: int = 6) -> v.Verdict:
             u, w = _unzip_pair_word(t)
             pairs.append((u, w))
         classes = _equivalence_closure(x.words(n), pairs)
-        induced = relation_from_classes(x, classes)
-        if induced.language_equal(r.presentation):
+        if _quotient_map(x, n, classes).kernel.language_equal(r.presentation):
             return v.yes(certificate={"window": n, "classes": classes})
     square = product_presentation(x, x)
     sub = an.is_subsft_of(r.presentation, square)
@@ -265,17 +254,11 @@ def _closure_search(f: BlockMap, cat: CategoryTag, window_cap: int) -> LimitResu
     for n in range(1, window_cap + 1):
         try:
             loc = local_closure(gen, x, n)
+            stable = prev is not None and prev.relation.language_equal(loc.relation)
         except BudgetExceeded:
             return None
-        if prev is not None and prev.relation.language_equal(loc.relation):
-            q = _quotient_map(x, prev)
-            if q is None:
-                prev = loc
-                continue
-            ker = q.kernel
-            if not ker.language_equal(prev.relation):
-                prev = loc
-                continue
+        if stable:
+            q = prev.quotient
             if not maps_equal(compose(q, f), q):
                 return None
             if object_problems(q.target, cat):
@@ -291,22 +274,13 @@ def _closure_search(f: BlockMap, cat: CategoryTag, window_cap: int) -> LimitResu
     return None
 
 
-def _quotient_map(x: Presentation, loc: LocalEquivalence) -> BlockMap | None:
-    """The symbol map onto word classes inducing the local relation."""
-    n = loc.window
+def _quotient_map(x: Presentation, n: int, classes) -> BlockMap:
+    """The map that sends each window of radius ``n // 2`` to the class of
+    its first ``n`` symbols, a word of ``x.words(n)``: its kernel is the
+    relation that the classes induce."""
     rho = n // 2
-    width = 2 * rho + 1
-    offset = (width - n) // 2
-    class_of: dict[Word, int] = {}
-    for i, cls in enumerate(loc.classes):
-        for w in cls:
-            class_of[w] = i
-    rule: dict[Word, str] = {}
-    for w in x.words(width):
-        mid = w[offset : offset + n]
-        if mid not in class_of:
-            return None
-        rule[w] = f"c{class_of[mid]}"
+    class_of = {w: f"c{i}" for i, cls in enumerate(classes) for w in cls}
+    rule = {w: class_of[w[:n]] for w in x.words(2 * rho + 1)}
     target = rule_image(x, rho, rule, sorted(set(rule.values())))
     return make_block_map(x, target, rho, rule, validate_image=False)
 

@@ -186,18 +186,17 @@ class Presentation:
     def language_equal(self, other: "Presentation") -> bool:
         # Every dfa comes from presentation_from_nfa, either minimized and
         # numbered in BFS order over sorted symbols or the fixed empty form,
-        # and _cast_alphabet and with_point keep it unchanged: equal
-        # languages have equal automata.
+        # and with_point keeps it unchanged: equal languages have equal
+        # automata.
         a, b = self.dfa, other.dfa
         return set(self.alphabet) == set(other.alphabet) and (
             (a.trans, a.init, a.accepting) == (b.trans, b.init, b.accepting)
         )
 
     def included_in(self, other: "Presentation") -> bool:
-        union = tuple(sorted(set(self.alphabet) | set(other.alphabet)))
-        return au.included(
-            _cast_alphabet(self, union).dfa, _cast_alphabet(other, union).dfa
-        )
+        # a symbol that ``other`` lacks takes the product search out of its
+        # automaton, so the alphabets need not agree
+        return au.included(self.dfa, other.dfa)
 
     def with_point(self, point: str | None) -> "Presentation":
         if point is not None and not self.contains_periodic((point,)):
@@ -224,14 +223,12 @@ def _periodic_word_list(x: Presentation, n: int) -> tuple[Word, ...]:
     return tuple(w for w in x.words(n) if x.contains_periodic(w))
 
 
-def _cast_alphabet(x: Presentation, alphabet) -> Presentation:
-    """View ``x`` over a possibly larger alphabet for language comparisons."""
-    if set(x.alphabet) == set(alphabet):
-        return x
-    if not set(x.alphabet) <= set(alphabet):
-        raise ValidationError("alphabet mismatch")
-    dfa = Dfa(tuple(alphabet), x.dfa.n, x.dfa.trans, x.dfa.init, x.dfa.accepting)
-    return Presentation(tuple(alphabet), dfa, x.live, x.point)
+@_per_object
+def _tails(y: Presentation, u: Word) -> tuple[frozenset[int], frozenset[int]]:
+    """The states of ``y`` where a left tail repeating ``u`` ends, and those
+    where a right tail repeating ``u`` starts."""
+    act = y.word_action(u)
+    return au.eventual_image(act), au.forever_defined(act)
 
 
 def presentation_from_nfa(alphabet, nfa: Nfa, point=None) -> Presentation:
@@ -592,14 +589,12 @@ class EventuallyPeriodicPoint:
     def in_shift(self, x: Presentation) -> bool:
         if x.is_empty():
             return False
-        states = au.eventual_image(x.word_action(self.left))
+        states = _tails(x, self.left)[0]
         for a in self.mid:
             states = {x.estep(q, a) for q in states} - {None}
             if not states:
                 return False
-        f_right = x.word_action(self.right)
-        good = au.forever_defined(f_right)
-        return bool(states & good)
+        return bool(states & _tails(x, self.right)[1])
 
 
 # ---------------------------------------------------------------------------
@@ -731,12 +726,11 @@ def make_block_map(
     target: Presentation,
     radius: int,
     rule,
-    default: str | None = None,
     validate_image: bool = True,
 ) -> BlockMap:
     """Validate and freeze a block map.
 
-    The rule may be partial if ``default`` is given; words outside the
+    The rule must be total on the source windows; words outside the
     source language are rejected.  Image inclusion in the target is checked
     exactly unless ``validate_image`` is disabled (used internally for
     constructions whose image is correct by design): the image graph is
@@ -754,10 +748,7 @@ def make_block_map(
             raise ValidationError(f"rule defined on words outside the source language: {sorted(extra)[:3]}")
         missing = windows - rule.keys()
         if missing:
-            if default is None:
-                raise ValidationError(f"rule is missing {len(missing)} source windows")
-            for w in missing:
-                rule[w] = default
+            raise ValidationError(f"rule is missing {len(missing)} source windows")
     bad = set(rule.values()).difference(target.alphabet)
     if bad:
         raise ValidationError(f"rule produces symbols outside the target alphabet: {sorted(bad)}")

@@ -13,12 +13,11 @@ from . import verdicts as v
 from .automata import Word
 from .core import (
     BlockMap,
-    PeriodicPoint,
     Presentation,
-    apply_map,
     compose,
     fiber_presentation,
     identity_map,
+    image_word,
     make_block_map,
     maps_equal,
     mirror_map,
@@ -141,10 +140,10 @@ def _orbit_quotient_map(x: Presentation, stages, n: int) -> BlockMap:
     r = max(s.radius for s in stages) + n
     rule: dict[Word, str] = {}
     tokens = set()
+    rules = [s.padded_rule(r - n) for s in stages]
     for w in x.words(2 * r + 1):
         words = []
-        for s in stages:
-            sr = s.padded_rule(r - n)
+        for sr in rules:
             img = tuple(
                 sr[w[i : i + 2 * (r - n) + 1]] for i in range(2 * n + 1)
             )
@@ -225,7 +224,7 @@ def nilpotency_index(f: BlockMap, cap: int = 8) -> int | None:
         except BudgetExceeded:
             break
         while image != words:
-            words, image = image, {apply_map(f, PeriodicPoint(w)).word for w in image}
+            words, image = image, {image_word(f, w) for w in image}
         if len(words) > 1:
             return None
     current = f.source

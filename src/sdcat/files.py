@@ -164,7 +164,9 @@ def parse_bmap(text: str, base_dir: str = ".", loader=None) -> BlockMap:
         if rhs not in target.alphabet:
             raise ParseError(f"rule output {rhs!r} not in the target alphabet")
         rule[word] = rhs
-    return make_block_map(source, target, radius, rule, default=default)
+    if default is not None:
+        rule = {**dict.fromkeys(source.words(2 * radius + 1), default), **rule}
+    return make_block_map(source, target, radius, rule)
 
 
 def load_bmap(path: str) -> BlockMap:

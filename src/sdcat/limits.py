@@ -12,11 +12,10 @@ from . import analysis as an
 from .core import (
     BlockMap,
     Presentation,
-    apply_map,
-    PeriodicPoint,
     disjoint_union,
     empty_shift,
     identity_map,
+    image_word,
     make_block_map,
     pair_symbol,
     product_presentation,
@@ -102,7 +101,7 @@ def keeps_points(f: BlockMap) -> bool:
     px, py = f.source.point, f.target.point
     if px is None or py is None:
         return True
-    return apply_map(f, PeriodicPoint((px,))).same_point(PeriodicPoint((py,)))
+    return image_word(f, (px,)) == (py,)
 
 
 def check_morphism(cat: CategoryTag, f: BlockMap) -> None:

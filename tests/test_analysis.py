@@ -340,7 +340,7 @@ class TestFactsDecidedOnce:
 
         # the step each fact's computation cannot skip
         steps = [(an, "is_subsft_of"), (an, "scc_subshift"), (au, "minimize"),
-                 (au, "compose_pfn"), (an, "apply_map"), (an, "_diagonal_view"),
+                 (au, "compose_pfn"), (an, "image_word"), (an, "_diagonal_view"),
                  (Presentation, "language_equal")]
         for owner, name in steps:
             count(owner, name)

@@ -19,7 +19,9 @@ the dict-based loop, and the strong condition's kept facts and assignment
 search against the word-keyed engine and the recursive backtrack they
 replaced.  ``compose``, ``maps_equal`` and ``make_block_map``, which read
 kept window tables, are checked against their former loops, errors
-included.  The sections, retractions and connecting maps that the searches
+included.  The relation of a local equivalence, the kernel of its
+quotient map, is checked against the constrained square it replaced, and
+inclusion across alphabets against the cast to their union.  The sections, retractions and connecting maps that the searches
 trust by construction are re-verified through ``core``.
 """
 
@@ -34,10 +36,10 @@ from hypothesis import assume, example, given, settings, strategies as st
 from sdcat import analysis as an
 from sdcat import automata as au
 from sdcat import classify as cl
+from sdcat import colimits as co
 from sdcat.core import (
     BlockMap,
     PeriodicPoint,
-    _cast_alphabet,
     _live_nodes,
     apply_map,
     apply_map_ep,
@@ -57,6 +59,7 @@ from sdcat.core import (
     maps_equal,
     mirror_presentation,
     pair_symbol,
+    presentation_from_allowed_words,
     presentation_from_edges,
     presentation_from_nfa,
     product_alphabet,
@@ -65,7 +68,7 @@ from sdcat.core import (
     split_pair,
     window_graph,
 )
-from sdcat.automata import Nfa
+from sdcat.automata import Dfa, Nfa
 from sdcat.errors import DomainMismatch, ValidationError
 from sdcat.files import format_shift
 from sdcat.limits import CategoryTag
@@ -74,9 +77,8 @@ from conftest import recheck_certificates, recheck_petals
 
 
 @st.composite
-def random_graphs(draw, max_nodes=4):
+def random_graphs(draw, max_nodes=4, syms=("0", "1")):
     n = draw(st.integers(min_value=1, max_value=max_nodes))
-    syms = ("0", "1")
     edges = []
     for src in range(n):
         for sym in syms:
@@ -333,10 +335,15 @@ def _graph_form(x, alphabet):
     return make_presentation(alphabet, "graph", (nodes, edges))
 
 
-def _mutually_included(x, y):
+def _old_included_in(x, y):
+    """Reference: both automata viewed over the union of the alphabets."""
     union = tuple(sorted(set(x.alphabet) | set(y.alphabet)))
-    a, b = _cast_alphabet(x, union).dfa, _cast_alphabet(y, union).dfa
-    return au.included(a, b) and au.included(b, a)
+    a, b = (Dfa(union, z.dfa.n, z.dfa.trans, z.dfa.init, z.dfa.accepting) for z in (x, y))
+    return au.included(a, b)
+
+
+def _mutually_included(x, y):
+    return _old_included_in(x, y) and _old_included_in(y, x)
 
 
 class TestStructuralEquality:
@@ -356,6 +363,23 @@ class TestStructuralEquality:
             assert _mutually_included(p, q)
         for p, q in [(x, y), (x, sft), (y, sft)]:
             assert p.language_equal(q) == _mutually_included(p, q)
+
+    @given(random_graphs(), random_graphs(max_nodes=3, syms=("0", "1", "2")))
+    @settings(max_examples=150, deadline=None)
+    def test_inclusion_across_alphabets_matches_the_cast(self, g1, g2):
+        x = presentation_from_edges(("0", "1"), *g1)
+        y = presentation_from_edges(("0", "1", "2"), *g2)
+        wide = _graph_form(x, ("0", "1", "2"))
+        assert x.included_in(wide) and wide.included_in(x)
+        for p, q in [(x, y), (y, x), (wide, y), (y, wide)]:
+            assert p.included_in(q) == _old_included_in(p, q)
+            # and against the words themselves: a separating word, or none short
+            w = au.separating_word(p.dfa, q.dfa)
+            assert (w is None) == p.included_in(q)
+            if w is None:
+                assert all(q.contains_word(u) for n in range(1, 6) for u in p.words(n))
+            else:
+                assert p.contains_word(w) and not q.contains_word(w)
 
 
 # ---------------------------------------------------------------------------
@@ -1368,7 +1392,12 @@ class TestBlockMapAlgebra:
     @settings(max_examples=300, deadline=None)
     def test_rules_and_errors_match_the_parent_loop(self, case):
         x, y, radius, rule, default, validate = case
-        _same(make_block_map, _old_make_block_map, x, y, radius, rule, default, validate)
+        filled = rule
+        if default is not None:
+            # as the ``.bmap`` loader fills its ``default:`` line
+            filled = {**dict.fromkeys(x.words(2 * radius + 1), default), **rule}
+        assert (_outcome(make_block_map, x, y, radius, filled, validate)
+                == _outcome(_old_make_block_map, x, y, radius, rule, default, validate))
 
     def test_census_maps_match_the_parent_loops(self):
         maps = _census_maps()
@@ -2017,3 +2046,38 @@ class TestStronglyConnectedComponents:
             succs[q].append(p)
         assert (au.strongly_connected_components(range(n), succs.__getitem__)
                 == _old_strongly_connected_components(range(n), succs.__getitem__))
+
+
+# ---------------------------------------------------------------------------
+# Local equivalences as quotient maps
+
+
+def _old_relation_from_classes(x, classes):
+    """Reference: the square of x constrained to the windows whose aligned
+    pairs are equivalent, an SFT over the pair alphabet."""
+    allowed = [tuple(map(pair_symbol, u, w)) for cls in classes for u in cls for w in cls]
+    sft = presentation_from_allowed_words(product_alphabet(x.alphabet, x.alphabet), allowed)
+    return an.intersection_presentation(product_presentation(x, x), sft)
+
+
+class TestLocalEquivalence:
+    @given(random_graphs(max_nodes=3), st.integers(min_value=1, max_value=3), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_quotient_kernel_is_the_constrained_square(self, g, window, data):
+        # generated by the relation of a random partition of the windows
+        x = presentation_from_edges(("0", "1"), *g)
+        words = x.words(window)
+        labels = data.draw(st.lists(st.integers(min_value=0, max_value=2),
+                                    min_size=len(words), max_size=len(words)))
+        drawn = {}
+        for w, label in zip(words, labels):
+            drawn.setdefault(label, []).append(w)
+        loc = co.local_closure(_old_relation_from_classes(x, drawn.values()), x, window)
+        assert loc.relation == _old_relation_from_classes(x, loc.classes)
+
+    @given(endomorphisms(), st.integers(min_value=1, max_value=3))
+    @settings(max_examples=60, deadline=None)
+    def test_closure_of_a_graph_is_the_constrained_square(self, f, window):
+        # generated by the graph of an endomorphism, as the coequalizer search does
+        loc = co.local_closure(an.graph_relation(f).presentation, f.source, window)
+        assert loc.relation == _old_relation_from_classes(f.source, loc.classes)

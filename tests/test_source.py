@@ -95,3 +95,25 @@ def test_no_classify_function_catches_a_validation_error():
                       if isinstance(h, ast.ExceptHandler) and h.type is not None
                       and "ValidationError" in _names(h.type)]
     assert not found, f"ValidationError caught in classify.py: {found}"
+
+
+def test_no_module_imports_a_name_it_never_reads():
+    # a deletion leaves its imports behind; the package re-exports what
+    # ``__all__`` lists, and ``from __future__`` imports are directives
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Assign) and any(
+                    isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+                read |= {e.value for e in node.value.elts}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                names = [a.asname or a.name for a in node.names]
+            elif isinstance(node, ast.Import):
+                names = [a.asname or a.name.split(".")[0] for a in node.names]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno}:{n}" for n in names if n not in read]
+    assert not found, f"imported but never read in src/: {found}"
