@@ -46,11 +46,11 @@ from .core import (
     image_word,
     make_block_map,
     pair_symbol,
+    pair_table,
     presentation_from_edges,
     product_alphabet,
     sft_approximation,
     side_by_side,
-    split_pair,
     window_graph,
     _infinite_past,
     _live_nodes,
@@ -76,7 +76,7 @@ class SubshiftRelation:
     right: Presentation
 
     def alphabet_pairs(self) -> dict[str, tuple[str, str]]:
-        return {t: split_pair(t) for t in self.presentation.alphabet}
+        return pair_table(self.left.alphabet, self.right.alphabet)
 
 
 def kernel_set(f: BlockMap) -> SubshiftRelation:
@@ -608,7 +608,7 @@ class _DiagonalView:
     token.  ``succ[q]`` lists their end nodes, ``into[p]`` the edges
     ``(token, node)`` into ``p`` back to their start nodes, and ``pred[p]``
     those start nodes, in node order and then in edge order.  ``pairs``
-    holds each pair token parsed, and ``off_edges`` every off-diagonal edge
+    maps each pair token to its pair, and ``off_edges`` every off-diagonal edge
     ``(q, token, p)`` in node order and then in edge order.  ``backward``
     holds the nodes with an infinite diagonal past (reachable from a
     diagonal cycle along diagonal edges), ``forward`` those with an
@@ -628,8 +628,8 @@ class _DiagonalView:
 @_per_object
 def _diagonal_view(f: BlockMap) -> _DiagonalView:
     """The diagonal structure of ``f.kernel_graph``, built once per map."""
-    alphabet, n, edges = f.kernel_graph
-    pairs = {t: split_pair(t) for t in alphabet}
+    _, n, edges = f.kernel_graph
+    pairs = pair_table(f.source.alphabet, f.source.alphabet)
     off = frozenset(t for t, (a, b) in pairs.items() if a != b)
     out: list[list[tuple[str, int]]] = [[] for _ in range(n)]
     for q, t, p in edges:

@@ -552,9 +552,14 @@ def find_retraction(f: BlockMap, radius_cap: int = DEFAULT_RADIUS_CAP, pointed: 
 
 def _isomorphism_rule(f: BlockMap, which: str, inverse: str | None = None) -> v.Verdict:
     """At level 1 of T, M and P the split and regular epis and monos are the
-    bijections; a YES with an ``inverse`` name carries the inverse map."""
-    if not (an.injectivity_family(f).injective and an.surjectivity(f).yes):
-        return v.no(note=f"{which} are the isomorphisms")
+    bijections.  A morphism there is an endomorphism of a transitive SFT, and
+    an injective one is onto: its image has full entropy, and no proper
+    subshift of an irreducible sofic shift does (Lind & Marcus, Corollary
+    4.4.9).  So a NO carries two points with equal images, and a YES with an
+    ``inverse`` name carries the inverse map."""
+    fam = an.injectivity_family(f)
+    if not fam.injective:
+        return v.no(witness={"pair": fam.pair}, note=f"{which} are the isomorphisms")
     if inverse is None:
         return v.yes(note="bijective")
     g = li.connecting_map(f, identity_map(f.source))

@@ -26,10 +26,10 @@ from .core import (
     make_block_map,
     maps_equal,
     pair_symbol,
+    pair_table,
     product_presentation,
     rule_image,
     shift_power,
-    split_pair,
     trivial_shift,
     zero_map,
 )
@@ -86,21 +86,16 @@ def _zip_pair_word(u: Word, w: Word) -> Word:
     return tuple(pair_symbol(a, b) for a, b in zip(u, w))
 
 
-def _unzip_pair_word(t: Word) -> tuple[Word, Word]:
-    pairs = [split_pair(s) for s in t]
-    return tuple(a for a, _ in pairs), tuple(b for _, b in pairs)
+def _unzip_pair_word(t: Word, pairs: dict[str, tuple[str, str]]) -> tuple[Word, Word]:
+    return tuple(pairs[s][0] for s in t), tuple(pairs[s][1] for s in t)
 
 
 def local_closure(generator: Presentation, x: Presentation, window: int) -> LocalEquivalence:
     """Smallest window-``window`` local equivalence on x containing the
     generator relation."""
-    words = x.words(window)
-    pairs = []
-    for t in generator.words(window):
-        u, w = _unzip_pair_word(t)
-        pairs.append((u, w))
-        pairs.append((w, u))
-    classes = _equivalence_closure(words, pairs)
+    table = pair_table(x.alphabet, x.alphabet)
+    pairs = [_unzip_pair_word(t, table) for t in generator.words(window)]
+    classes = _equivalence_closure(x.words(window), pairs)
     return LocalEquivalence(window, classes, _quotient_map(x, window, classes))
 
 
@@ -110,12 +105,12 @@ def relation_checks(r: SubshiftRelation, period_bound: int = 4) -> dict:
     diag = diagonal_relation(x)
     reflexive = diag.included_in(r.presentation)
     symmetric = an.swap_relation(r).presentation.language_equal(r.presentation)
-    transitive = True
+    transitive, table = True, r.alphabet_pairs()
     for p in range(1, period_bound + 1):
         periodic = set(r.presentation.periodic_words(p))
         by_left: dict[Word, list[Word]] = {}
         for t in periodic:
-            u, w = _unzip_pair_word(t)
+            u, w = _unzip_pair_word(t, table)
             by_left.setdefault(u, []).append(w)
         for u, mids in by_left.items():
             for m in mids:
@@ -133,12 +128,9 @@ def is_local_equivalence(r: SubshiftRelation, max_window: int = 6) -> v.Verdict:
     checks = relation_checks(r)
     if not checks["reflexive"] or not checks["symmetric"]:
         raise ValidationError(f"relation is not an equivalence: {checks}")
-    x = r.left
+    x, table = r.left, r.alphabet_pairs()
     for n in range(1, max_window + 1):
-        pairs = []
-        for t in r.presentation.words(n):
-            u, w = _unzip_pair_word(t)
-            pairs.append((u, w))
+        pairs = [_unzip_pair_word(t, table) for t in r.presentation.words(n)]
         classes = _equivalence_closure(x.words(n), pairs)
         if _quotient_map(x, n, classes).kernel.language_equal(r.presentation):
             return v.yes(certificate={"window": n, "classes": classes})
@@ -223,8 +215,10 @@ def coequalizer_id(
             )
         return exists(target, q, reason=f"visibly eventually periodic (k={ep.preperiod}, p={ep.period})")
 
-    rev = dy.is_reversible(f)
-    if rev.yes:
+    closure_result = _closure_search(f, cat, window_cap)
+    if closure_result is not None:
+        return closure_result
+    if dy.is_reversible(f).yes:
         level = dy.chain_transitive_upto(f, level_cap)
         if level < level_cap:
             note = f"reversible, not chain transitive at level {level + 1}; trivial map is not the coequalizer"
@@ -233,14 +227,7 @@ def coequalizer_id(
                 f"reversible and chain transitive up to level {level_cap};"
                 " leaning towards the trivial coequalizer but uncertified"
             )
-        closure_result = _closure_search(f, cat, window_cap)
-        if closure_result is not None:
-            return closure_result
         return undecided_limit(note, bound={"level_cap": level_cap})
-
-    closure_result = _closure_search(f, cat, window_cap)
-    if closure_result is not None:
-        return closure_result
     return undecided_limit(
         "no exact branch applied and the closure search did not stabilize",
         bound={"window_cap": window_cap, "ep_cap": ep_cap},

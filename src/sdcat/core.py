@@ -81,27 +81,21 @@ def pair_symbol(a: str, b: str) -> str:
     return f"({a},{b})"
 
 
-def split_pair(token: str) -> tuple[str, str]:
-    if not (token.startswith("(") and token.endswith(")")):
-        raise ValidationError(f"not a pair token: {token!r}")
-    body = token[1:-1]
-    depth = 0
-    for i, c in enumerate(body):
-        if c in "([":
-            depth += 1
-        elif c in ")]":
-            depth -= 1
-        elif c == "," and depth == 0:
-            return body[:i], body[i + 1 :]
-    raise ValidationError(f"not a pair token: {token!r}")
-
-
 def block_symbol(word: Word) -> str:
     return "[" + "|".join(word) + "]"
 
 
+def pair_table(left, right) -> dict[str, tuple[str, str]]:
+    """Each pair token of ``left`` by ``right`` and the pair it names: the
+    one way to read a pair token back."""
+    table = {pair_symbol(a, b): (a, b) for a in left for b in right}
+    if len(table) != len(left) * len(right):
+        raise ValidationError("pair tokens of these alphabets collide")
+    return table
+
+
 def product_alphabet(left, right) -> tuple[str, ...]:
-    return tuple(pair_symbol(a, b) for a in left for b in right)
+    return tuple(pair_table(left, right))
 
 
 # ---------------------------------------------------------------------------
@@ -881,9 +875,11 @@ def mirror_map(f: BlockMap) -> BlockMap:
 def higher_block_presentation(x: Presentation, w: int) -> Presentation:
     """The width-``w`` higher block shift, built once per presentation and width."""
     nodes, edges = window_graph(x, w)
-    edges = [(k, block_symbol(window), t) for k, window, t in edges]
-    tokens = tuple(sorted({token for _, token, _ in edges}))
-    return presentation_from_edges(tokens, len(nodes), edges)
+    blocks = {window: block_symbol(window) for _, window, _ in edges}
+    tokens = tuple(sorted(set(blocks.values())))
+    if len(tokens) != len(blocks):
+        raise ValidationError("block tokens of this alphabet collide")
+    return presentation_from_edges(tokens, len(nodes), [(k, blocks[wd], t) for k, wd, t in edges])
 
 
 @_per_object
@@ -894,8 +890,7 @@ def _block_conjugacy(x: Presentation, w: int) -> tuple[BlockMap, BlockMap]:
     to_blocks = make_block_map(x, xb, w // 2, {win: block_symbol(win) for win in x.words(w)},
                                validate_image=False)
     from_blocks = make_block_map(
-        xb, x, 0, {(t,): _block_center(t) for t in xb.alphabet if xb.contains_word((t,))},
-        validate_image=False)
+        xb, x, 0, {(t,): win[w // 2] for win, t in to_blocks.rule}, validate_image=False)
     return to_blocks, from_blocks
 
 
@@ -911,17 +906,7 @@ def recode_to_symbol_map(f: BlockMap):
         return f, ident, ident
     to_blocks, from_blocks = _block_conjugacy(f.source, f.width())
     f0 = make_block_map(to_blocks.target, f.target, 0,
-                        {w: f.local(_block_word(w[0])) for w, _ in from_blocks.rule},
+                        {(t,): f.local(win) for win, t in to_blocks.rule},
                         validate_image=False)
     return f0, to_blocks, from_blocks
 
-
-def _block_word(token: str) -> Word:
-    if not (token.startswith("[") and token.endswith("]")):
-        raise ValidationError(f"not a block token: {token!r}")
-    return tuple(token[1:-1].split("|"))
-
-
-def _block_center(token: str) -> str:
-    w = _block_word(token)
-    return w[len(w) // 2]

@@ -14,11 +14,11 @@ from sdcat.core import (
     make_presentation,
     maps_equal,
     pair_symbol,
+    pair_table,
     presentation_from_allowed_words,
     product_presentation,
     sft_approximation,
     shift_power,
-    split_pair,
     trivial_shift,
     constant_map,
 )
@@ -39,6 +39,7 @@ def recheck_petals(f, petals):
     its centre have gcd 1.
     """
     w1, w2 = petals
+    pairs = pair_table(f.source.alphabet, f.source.alphabet)
     assert w1 and w2 and math.gcd(len(w1), len(w2)) == 1
     nodes, edges, tokens = ["c"], [], {}
     for k, word in enumerate(petals):
@@ -46,7 +47,7 @@ def recheck_petals(f, petals):
         nodes += path[1:-1]
         for i, token in enumerate(word):
             name = f"e{k}.{i}"
-            tokens[name] = split_pair(token)
+            tokens[name] = pairs[token]
             edges.append((path[i], path[i + 1], name))
     flower = make_presentation(list(tokens), "graph", (nodes, edges))
     assert sft_approximation(flower, 2).language_equal(flower)

@@ -368,11 +368,11 @@ class TestFactsDecidedOnce:
 
         # a fresh map, so no kernel fact is kept from another test
         f = make_block_map(full2, full2, 1, and_rule.rule_dict)
-        sccs, parsed = [], []
-        real_sccs, real_split = an.au.strongly_connected_components, an.split_pair
+        sccs, tables = [], []
+        real_sccs, real_table = an.au.strongly_connected_components, an.pair_table
         monkeypatch.setattr(an.au, "strongly_connected_components",
                             lambda nodes, succ: sccs.append(nodes) or real_sccs(nodes, succ))
-        monkeypatch.setattr(an, "split_pair", lambda t: parsed.append(t) or real_split(t))
+        monkeypatch.setattr(an, "pair_table", lambda *ab: tables.append(ab) or real_table(*ab))
         for _ in range(2):
             fam = an.injectivity_family(f)
             pre = an.is_preinjective(f)
@@ -381,10 +381,10 @@ class TestFactsDecidedOnce:
         p1, p2 = pre.witness["pair"]
         assert not p1.same_point(p2)
         assert core.apply_map_ep(f, p1).same_point(core.apply_map_ep(f, p2))
-        # one component pass, for injectivity on periodic points; every
-        # pair token is parsed once, where the view is built
+        # one component pass, for injectivity on periodic points; the pair
+        # tokens are decoded through one table, made where the view is built
         assert len(sccs) == 1
-        assert sorted(parsed) == sorted(f.kernel_graph[0])
+        assert tables == [(full2.alphabet, full2.alphabet)]
 
         built = []
         real = core.presentation_from_nfa

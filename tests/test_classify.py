@@ -1,5 +1,8 @@
 """The morphism classifier across the twelve categories."""
 
+import contextlib
+import itertools
+
 import pytest
 
 from sdcat import analysis as an
@@ -7,6 +10,7 @@ from sdcat import classify as cl
 from sdcat import oracle as orc
 from sdcat.core import (
     Presentation,
+    apply_map_ep,
     compose,
     full_shift,
     identity_map,
@@ -14,6 +18,7 @@ from sdcat.core import (
     make_presentation,
     maps_equal,
 )
+from sdcat.errors import ValidationError
 from sdcat.limits import CategoryTag
 
 from conftest import recheck_certificates, recheck_petals
@@ -21,7 +26,7 @@ from conftest import recheck_certificates, recheck_petals
 K1, K2, K3 = (CategoryTag.parse(t) for t in ("K1", "K2", "K3"))
 T1, T3 = CategoryTag.parse("T1"), CategoryTag.parse("T3")
 M1, M2, M3 = (CategoryTag.parse(t) for t in ("M1", "M2", "M3"))
-P2 = CategoryTag.parse("P2")
+P1, P2 = CategoryTag.parse("P1"), CategoryTag.parse("P2")
 
 
 @pytest.fixture(scope="module")
@@ -294,6 +299,35 @@ class TestSplitEpic:
             set_budget(None)
         assert g is not None and g.radius == 1
         assert recheck_certificates(f)[0] == g
+
+
+class TestIsomorphismRule:
+    def test_bijections_and_rechecked_pairs(self, golden, full2p):
+        # at level 1 of T, M and P the split and regular epis and monos are
+        # the bijections: a YES is onto, and a NO names two points with
+        # equal images
+        census = [f for _, f, _ in orc.census_radius1_binary(checks=())]
+        pointed = [make_block_map(full2p, full2p, 1, f.rule_dict) for f in census
+                   if f.local(("0", "0", "0")) == "0"]
+        windows, endos = golden.words(3), []
+        for outs in itertools.product("01", repeat=len(windows)):
+            with contextlib.suppress(ValidationError):
+                endos.append(make_block_map(golden, golden, 1, dict(zip(windows, outs))))
+        verdicts = [(f, test(f, cat)) for f in census + endos
+                    for test, cat in ((cl.is_split_epic, T1), (cl.is_split_monic, M1),
+                                      (cl.is_regular_monic, T1))]
+        verdicts += [(f, cl.is_regular_epic(f, P1)) for f in pointed]
+        answers = set()
+        for f, verdict in verdicts:
+            answers.add(verdict.answer)
+            if verdict.yes:
+                assert an.surjectivity(f).yes
+                continue
+            p1, p2 = verdict.witness["pair"]
+            assert p1.in_shift(f.source) and p2.in_shift(f.source)
+            assert not p1.same_point(p2)
+            assert apply_map_ep(f, p1).same_point(apply_map_ep(f, p2))
+        assert answers == {"YES", "NO"}
 
 
 class TestSplitMonic:

@@ -154,6 +154,26 @@ class TestCoequalizerId:
         res = co.coequalizer_id(f, K2, window_cap=2, ep_cap=3)
         assert res.status in ("exists", "undecided", "not-exists")
 
+    def test_one_closure_search_and_dynamics_only_for_the_note(self, full2, flip, monkeypatch):
+        # the shift after the flip is reversible and no exact branch takes
+        # it; the closure search runs once, and the reversibility and chain
+        # checks run only to word an UNDECIDED
+        from sdcat import dynamics as dy
+
+        calls = []
+        for owner, name in ((co, "_closure_search"), (dy, "is_reversible"),
+                            (dy, "chain_transitive_upto")):
+            real = getattr(owner, name)
+            monkeypatch.setattr(owner, name, lambda *a, real=real, name=name, **k:
+                                calls.append(name) or real(*a, **k))
+        f = compose(shift_power(full2, 1), flip)
+        assert co.coequalizer_id(f, K3, window_cap=2).exists
+        assert calls == ["_closure_search"]
+        calls.clear()
+        res = co.coequalizer_id(f, K3, window_cap=1, level_cap=3)
+        assert res.status == "undecided" and res.reason.startswith("reversible and chain transitive")
+        assert calls == ["_closure_search", "is_reversible", "chain_transitive_upto"]
+
 
 class TestKernelCokernel:
     def test_kernel_of_zero_map_is_everything(self, full2p):

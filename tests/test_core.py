@@ -230,6 +230,59 @@ class TestRecode:
         assert image_presentation(f0).language_equal(golden)
 
 
+@pytest.fixture(scope="module")
+def flip_quotient(flip):
+    """The coequalizer of (identity, flip): its alphabet is the orbit
+    tokens ``{000,111}``, ``{001,110}``, ... that the engine derives."""
+    from sdcat import colimits as co
+    from sdcat.limits import CategoryTag
+
+    return co.coequalizer_id(flip, CategoryTag.parse("K3")).legs[0].target
+
+
+class TestDerivedTokens:
+    # symbols that hold commas, bars and brackets are read back through the
+    # table that made their derived tokens, never by splitting strings
+    def test_identity_on_orbit_tokens_is_injective(self, flip_quotient):
+        from sdcat import analysis as an
+        from sdcat import classify as cl
+        from sdcat.limits import CategoryTag
+
+        assert any("," in a for a in flip_quotient.alphabet)
+        ident = identity_map(flip_quotient)
+        assert an.injectivity_family(ident).injective
+        assert cl.is_monic(ident, CategoryTag.parse("K3")).yes
+
+    def test_product_and_kernel_pair_on_orbit_tokens(self, flip_quotient):
+        from sdcat import limits as li
+
+        pr = li.product(flip_quotient, flip_quotient)
+        assert pr.exists and len(pr.object.alphabet) == len(flip_quotient.alphabet) ** 2
+        ident = identity_map(flip_quotient)
+        diagonal = li.mediate_product(pr, ident, ident)
+        assert all(maps_equal(compose(leg, diagonal), ident) for leg in pr.legs)
+        assert li.kernel_pair(identity_map(flip_quotient)).exists
+
+    def test_classify_the_shift_on_nested_block_tokens(self, full2):
+        from sdcat import classify as cl
+        from sdcat.core import higher_block_presentation, shift_power
+        from sdcat.limits import CategoryTag
+
+        xb = higher_block_presentation(full2, 2)
+        row = cl.classify(shift_power(xb, 1), CategoryTag.parse("K2"))
+        assert row["epic"].yes and row["injective"].yes and row["split_epic"].yes
+
+    def test_colliding_tokens_are_rejected(self):
+        from sdcat.core import higher_block_presentation, product_alphabet
+
+        # (0,1,1) spells both pairs (0, 1,1) and (0,1, 1); [a|a|a] spells
+        # two windows of a and a|a
+        with pytest.raises(ValidationError, match="collide"):
+            product_alphabet(("0", "0,1"), ("1", "1,1"))
+        with pytest.raises(ValidationError, match="collide"):
+            higher_block_presentation(full_shift(["a", "a|a"]), 3)
+
+
 class TestPoints:
     def test_periodic_point_least_period(self):
         assert PeriodicPoint(("0", "1", "0", "1")).least_period() == 2

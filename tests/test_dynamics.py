@@ -11,9 +11,9 @@ from sdcat.core import (
     make_block_map,
     maps_equal,
     pair_symbol,
+    pair_table,
     product_presentation,
     reduce_radius,
-    split_pair,
 )
 from sdcat.errors import BudgetExceeded, ValidationError
 
@@ -22,12 +22,8 @@ from sdcat.errors import BudgetExceeded, ValidationError
 def mixed_track_map(full2):
     # flips track 1 exactly where track 2 reads 1
     pa = product_presentation(full2, full2)
-    rule = {}
-    for t in pa.alphabet:
-        if not pa.contains_word((t,)):
-            continue
-        a, b = split_pair(t)
-        rule[(t,)] = pair_symbol(str(1 - int(a)) if b == "1" else a, b)
+    rule = {(t,): pair_symbol(str(1 - int(a)) if b == "1" else a, b)
+            for t, (a, b) in pair_table(full2.alphabet, full2.alphabet).items()}
     return make_block_map(pa, pa, 0, rule)
 
 

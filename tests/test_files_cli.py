@@ -172,6 +172,23 @@ class TestCli:
         assert maps_equal(compose(q, f), q)
         capsys.readouterr()
 
+    def test_written_quotient_round_trips_its_orbit_tokens(self, workdir, capsys):
+        # the quotient's symbols hold commas; the identity on them is
+        # injective and their product exists
+        assert main(["coeq-id", str(workdir / "flip.bmap"), "--category", "K3",
+                     "-o", str(workdir / "q.bmap")]) == 0
+        quotient = workdir / "q.target.shift"
+        alphabet = load_shift(str(quotient)).alphabet
+        assert any("," in a for a in alphabet)
+        (workdir / "id.bmap").write_text(
+            f"source: {quotient.name}\ntarget: {quotient.name}\nradius: 0\n"
+            + "".join(f"rule: {a} -> {a}\n" for a in alphabet))
+        assert main(["check", "injective", str(workdir / "id.bmap"), "--category", "K3"]) == 0
+        assert main(["build", "product", str(quotient), str(quotient),
+                     "--category", "K3", "-o", str(workdir / "qq.shift")]) == 0
+        assert len(load_shift(str(workdir / "qq.shift")).alphabet) == len(alphabet) ** 2
+        capsys.readouterr()
+
     def test_build_product_roundtrip(self, workdir, capsys):
         out = workdir / "gg.shift"
         code = main([

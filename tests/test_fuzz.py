@@ -22,7 +22,9 @@ kept window tables, are checked against their former loops, errors
 included.  The relation of a local equivalence, the kernel of its
 quotient map, is checked against the constrained square it replaced, and
 inclusion across alphabets against the cast to their union.  The sections, retractions and connecting maps that the searches
-trust by construction are re-verified through ``core``.
+trust by construction are re-verified through ``core``.  Verdicts on a
+full shift whose symbols are spelled like the derived tokens are checked
+against the same map on plain symbols.
 """
 
 import ast
@@ -53,6 +55,7 @@ from sdcat.core import (
     fiber_presentation,
     full_shift,
     higher_block_presentation,
+    identity_map,
     image_graph,
     make_block_map,
     make_presentation,
@@ -64,8 +67,8 @@ from sdcat.core import (
     presentation_from_nfa,
     product_alphabet,
     product_presentation,
+    recode_to_symbol_map,
     rule_image,
-    split_pair,
     window_graph,
 )
 from sdcat.automata import Dfa, Nfa
@@ -1041,8 +1044,23 @@ class TestImageValidation:
 # The diagonal view of a kernel
 
 
+def _old_split_pair(token):
+    """The pair-token parser of the old loops below, kept with them as
+    their reference; their inputs use plain symbols."""
+    body = token[1:-1]
+    depth = 0
+    for i, c in enumerate(body):
+        if c in "([":
+            depth += 1
+        elif c in ")]":
+            depth -= 1
+        elif c == "," and depth == 0:
+            return body[:i], body[i + 1 :]
+    raise ValueError(f"not a pair token: {token!r}")
+
+
 def _old_off_diagonal(token):
-    a, b = split_pair(token)
+    a, b = _old_split_pair(token)
     return a != b
 
 
@@ -1810,7 +1828,7 @@ def _old_swap(r):
     edges = []
     for i in range(pres.n_live()):
         for t, j in pres.live_trans[i].items():
-            a, b = split_pair(t)
+            a, b = _old_split_pair(t)
             edges.append((i, pair_symbol(b, a), j))
     alphabet = product_alphabet(r.right.alphabet, r.left.alphabet)
     return presentation_from_edges(alphabet, pres.n_live(), edges)
@@ -2081,3 +2099,52 @@ class TestLocalEquivalence:
         # generated by the graph of an endomorphism, as the coequalizer search does
         loc = co.local_closure(an.graph_relation(f).presentation, f.source, window)
         assert loc.relation == _old_relation_from_classes(f.source, loc.classes)
+
+
+# ---------------------------------------------------------------------------
+# Verdicts do not see how symbols are spelled
+
+
+_leaves = st.text(alphabet="0123456789abcdefghijklmnopqrstuvwxyz", min_size=1, max_size=2)
+# balanced tokens in the shapes of the derived ones; the pair token of two
+# of them splits only at its one comma outside all brackets, so no two
+# pairs of them share a pair token
+_tokens = st.recursive(_leaves, lambda t: st.one_of(
+    st.tuples(t, t).map(lambda p: f"({p[0]},{p[1]})"),
+    st.tuples(t, t).map(lambda p: f"[{p[0]}|{p[1]}]"),
+    st.tuples(t, t).map(lambda p: "{" + f"{p[0]},{p[1]}" + "}"),
+    t.map(lambda s: f"L:{s}"),
+), max_leaves=4)
+
+
+@st.composite
+def renamed_endomorphisms(draw):
+    """A radius-0 or radius-1 endomorphism of the full shift on ``0``,
+    ``1`` (and ``2``), and the same map on 2-3 drawn derived-style tokens."""
+    names = draw(st.lists(_tokens, min_size=2, max_size=3, unique=True))
+    plain = tuple("012"[: len(names)])
+    radius = draw(st.integers(min_value=0, max_value=1))
+    windows = list(itertools.product(range(len(names)), repeat=2 * radius + 1))
+    outs = draw(st.lists(st.integers(min_value=0, max_value=len(names) - 1),
+                         min_size=len(windows), max_size=len(windows)))
+    maps = []
+    for symbols in (plain, names):
+        x = full_shift(symbols)
+        rule = {tuple(symbols[i] for i in w): symbols[o] for w, o in zip(windows, outs)}
+        maps.append(make_block_map(x, x, radius, rule))
+    return maps
+
+
+class TestRenamedSymbols:
+    @given(renamed_endomorphisms())
+    @settings(max_examples=60, deadline=None)
+    def test_verdicts_match_the_plain_symbols(self, maps):
+        def verdicts(f):
+            return (an.injectivity_family(f), an.is_preinjective(f).answer,
+                    an.surjectivity(f).answer, cl.find_section(f, radius_cap=1) is None)
+
+        plain, named = maps
+        assert verdicts(named) == verdicts(plain)
+        f0, to_blocks, from_blocks = recode_to_symbol_map(named)
+        assert maps_equal(compose(f0, to_blocks), named)
+        assert maps_equal(compose(from_blocks, to_blocks), identity_map(named.source))

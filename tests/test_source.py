@@ -117,3 +117,19 @@ def test_no_module_imports_a_name_it_never_reads():
                 continue
             found += [f"{path.name}:{node.lineno}:{n}" for n in names if n not in read]
     assert not found, f"imported but never read in src/: {found}"
+
+
+def test_only_the_input_readers_parse_strings():
+    # the engine's derived tokens (pair, block and orbit symbols, ``L:``/``R:``
+    # tags, ``c<i>`` classes) are read back by lookup in the table that made
+    # them; only the file and command-line readers parse outside input
+    parsing = {"split", "rsplit", "partition", "rpartition", "startswith", "endswith"}
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name in ("files.py", "cli.py"):
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr in parsing):
+                found.append(f"{path.name}:{node.lineno}:{node.func.attr}")
+    assert not found, f"string parsing outside the input readers: {found}"
