@@ -21,6 +21,7 @@ from .core import (
     compose,
     constant_map,
     diagonal_relation,
+    fiber_presentation,
     full_shift,
     identity_map,
     make_block_map,
@@ -33,7 +34,7 @@ from .core import (
     trivial_shift,
     zero_map,
 )
-from .errors import BudgetExceeded, ValidationError
+from .errors import BudgetExceeded, InternalError, ValidationError
 from .limits import (
     CategoryTag,
     LimitResult,
@@ -128,12 +129,11 @@ def is_local_equivalence(r: SubshiftRelation, max_window: int = 6) -> v.Verdict:
     checks = relation_checks(r)
     if not checks["reflexive"] or not checks["symmetric"]:
         raise ValidationError(f"relation is not an equivalence: {checks}")
-    x, table = r.left, r.alphabet_pairs()
+    x = r.left
     for n in range(1, max_window + 1):
-        pairs = [_unzip_pair_word(t, table) for t in r.presentation.words(n)]
-        classes = _equivalence_closure(x.words(n), pairs)
-        if _quotient_map(x, n, classes).kernel.language_equal(r.presentation):
-            return v.yes(certificate={"window": n, "classes": classes})
+        loc = local_closure(r.presentation, x, n)
+        if loc.relation.language_equal(r.presentation):
+            return v.yes(certificate={"window": n, "classes": loc.classes})
     square = product_presentation(x, x)
     sub = an.is_subsft_of(r.presentation, square)
     if sub.no:
@@ -197,23 +197,25 @@ def coequalizer_id(
                 reason=f"shift power {k} on a mixing shift is chain transitive",
             )
 
-    ep = dy.eventual_periodicity(f, cap=ep_cap)
-    if ep.status == "found" and mixing and an.is_sft(x).yes:
-        vep = dy.is_visibly_eventually_periodic(f, ep)
-        if vep.no:
-            return not_exists(
-                "eventually periodic but points have different eventual periods",
-                bound={"k": ep.preperiod, "p": ep.period, "witness": vep.witness},
-            )
-        try:
-            target, q = dy.orbit_subshift(f, ep.preperiod, ep.period)
-        except BudgetExceeded:
-            return undecided_limit("orbit quotient construction exceeded its window cap")
-        if object_problems(target, cat):
-            return undecided_limit(
-                f"orbit quotient is not an object of {cat}; no verdict in this category"
-            )
-        return exists(target, q, reason=f"visibly eventually periodic (k={ep.preperiod}, p={ep.period})")
+    if mixing and an.is_sft(x).yes:
+        ep = dy.eventual_periodicity(f, cap=ep_cap)
+        if ep.status == "found":
+            vep = dy.is_visibly_eventually_periodic(f, ep)
+            if vep.no:
+                return not_exists(
+                    "eventually periodic but points have different eventual periods",
+                    bound={"k": ep.preperiod, "p": ep.period, "witness": vep.witness},
+                )
+            try:
+                target, q = orbit_subshift(f, ep.preperiod, ep.period)
+            except BudgetExceeded:
+                return undecided_limit("orbit quotient construction exceeded its window cap")
+            if object_problems(target, cat):
+                return undecided_limit(
+                    f"orbit quotient is not an object of {cat}; no verdict in this category"
+                )
+            return exists(target, q,
+                          reason=f"visibly eventually periodic (k={ep.preperiod}, p={ep.period})")
 
     closure_result = _closure_search(f, cat, window_cap)
     if closure_result is not None:
@@ -232,6 +234,35 @@ def coequalizer_id(
         "no exact branch applied and the closure search did not stabilize",
         bound={"window_cap": window_cap, "ep_cap": ep_cap},
     )
+
+
+def orbit_subshift(f: BlockMap, k: int, p: int):
+    """The orbit quotient of an endomorphism with f^k = f^(k+p): the map
+    that identifies x with y exactly when f^k(y) = f^(k+j)(x) for some
+    j < p.  Returns (presentation, quotient).
+
+    That orbit relation is the equivalence the graph of f generates, so
+    when it is local at window n, the graph's local closure at window n
+    equals it.  The windows run up to 2(R + 4) + 1, R the largest radius
+    of f^k, ..., f^(k+p-1).
+    """
+    x = f.source
+    stages = [dy.power(f, k + j) for j in range(p)]
+    orbit_rel = None
+    for j in range(p):
+        # {(x, y) : f^k(y) = f^(k+j)(x)}
+        rel = fiber_presentation(stages[j], stages[0])
+        orbit_rel = rel if orbit_rel is None else an.union_presentation(orbit_rel, rel)
+    gen = an.graph_relation(f).presentation
+    bound = 2 * (max(s.radius for s in stages) + 4) + 1
+    for n in range(1, bound + 1):
+        loc = local_closure(gen, x, n)
+        if loc.relation.language_equal(orbit_rel):
+            q = loc.quotient
+            if not maps_equal(compose(q, f), q):
+                raise InternalError("orbit quotient failed to absorb the dynamics")
+            return q.target, q
+    raise BudgetExceeded(f"orbit relation is not local at any window <= {bound}")
 
 
 def _closure_search(f: BlockMap, cat: CategoryTag, window_cap: int) -> LimitResult | None:

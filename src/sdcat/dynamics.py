@@ -1,9 +1,9 @@
 """Dynamical analyses of endomorphisms: reversibility, eventual
-periodicity, orbit-set quotients, chain transitivity, spreading states,
+periodicity and its powers, chain transitivity, spreading states,
 nilpotency, and visibly blocking sets.
 
-These feed the coequalizer engine; the orbit-set construction is the
-combinatorial replacement for the hyperspace quotient.
+These feed the coequalizer engine, which builds the orbit quotient of an
+eventually periodic map as a local closure (``colimits.orbit_subshift``).
 """
 
 from __future__ import annotations
@@ -13,19 +13,15 @@ from . import verdicts as v
 from .automata import Word
 from .core import (
     BlockMap,
-    Presentation,
     compose,
-    fiber_presentation,
     identity_map,
     image_word,
-    make_block_map,
     maps_equal,
     mirror_map,
     reduce_radius,
-    rule_image,
     _per_object,
 )
-from .errors import BudgetExceeded, InternalError, ValidationError, check_budget
+from .errors import BudgetExceeded, ValidationError, check_budget
 from .limits import connecting_map
 from .records import record
 
@@ -104,55 +100,6 @@ def is_visibly_eventually_periodic(f: BlockMap, ep: EventualPeriodicity) -> v.Ve
             word = next((w for n in range(1, e.dfa.n + 2) for w in e.periodic_words(n)), None)
             return v.no(witness={"divisor": q, "periodic_word": word})
     return v.yes()
-
-
-def orbit_symbol(words: tuple[Word, ...]) -> str:
-    parts = sorted("".join(w) if all(len(s) == 1 for s in w) else "|".join(w) for w in set(words))
-    return "{" + ",".join(parts) + "}"
-
-
-def orbit_subshift(f: BlockMap, k: int, p: int, window_cap: int = 4):
-    """The orbit-set quotient: g identifying x with its forward orbit.
-
-    The symbol of g(x) at i collects the width-(2n+1) words of
-    f^k(x), ..., f^(k+p-1)(x) around i, with n grown until the kernel of g
-    equals the orbit relation exactly.  Returns (presentation, g).
-    """
-    _require_endo(f)
-    x = f.source
-    stages = [power(f, k + j) for j in range(p)]
-    orbit_rel = None
-    for j in range(p):
-        # {(x, y) : f^k(y) = f^(k+j)(x)}
-        rel = fiber_presentation(stages[j], stages[0])
-        orbit_rel = rel if orbit_rel is None else an.union_presentation(orbit_rel, rel)
-    for n in range(0, window_cap + 1):
-        g = _orbit_quotient_map(x, stages, n)
-        ker = g.kernel
-        if ker.language_equal(orbit_rel):
-            if not maps_equal(compose(g, f), g):
-                raise InternalError("orbit quotient failed to absorb the dynamics")
-            return g.target, g
-    raise BudgetExceeded("orbit quotient window cap exceeded")
-
-
-def _orbit_quotient_map(x: Presentation, stages, n: int) -> BlockMap:
-    r = max(s.radius for s in stages) + n
-    rule: dict[Word, str] = {}
-    tokens = set()
-    rules = [s.padded_rule(r - n) for s in stages]
-    for w in x.words(2 * r + 1):
-        words = []
-        for sr in rules:
-            img = tuple(
-                sr[w[i : i + 2 * (r - n) + 1]] for i in range(2 * n + 1)
-            )
-            words.append(img)
-        tok = orbit_symbol(tuple(words))
-        tokens.add(tok)
-        rule[w] = tok
-    target = rule_image(x, r, rule, sorted(tokens))
-    return make_block_map(x, target, r, rule, validate_image=False)
 
 
 def chain_transitive_level(f: BlockMap, n: int) -> bool:

@@ -9,8 +9,10 @@ from sdcat.core import (
     compose,
     constant_map,
     diagonal_relation,
+    full_shift,
     identity_map,
     make_block_map,
+    make_presentation,
     maps_equal,
     shift_power,
     zero_map,
@@ -119,6 +121,32 @@ class TestCoequalizerId:
         res = co.coequalizer_id(sigma, K3)
         assert res.exists
         assert "chain transitive" in res.reason
+
+    def test_orbit_quotient_keeps_symbols_with_bars_apart(self):
+        # orbit tokens joined from words would make {a|b,a} and {a,b|c}
+        # one symbol; the local closure names its classes c<i>
+        syms = ("a|b", "a", "c", "b|c")
+        x = full_shift(syms)
+        swap = dict(zip(syms, ("a", "a|b", "b|c", "c")))
+        f = make_block_map(x, x, 0, {(a,): swap[a] for a in syms})
+        res = co.coequalizer_id(f, K3)
+        assert res.exists and res.reason.startswith("visibly eventually periodic")
+        q = res.legs[0]
+        assert maps_equal(compose(q, f), q)
+        assert len(q.target.alphabet) == 8
+
+    def test_powers_only_on_mixing_sfts(self, monkeypatch):
+        # a strictly sofic mixing source never reaches the eventually
+        # periodic branch, so no power of f is composed for it
+        from sdcat import dynamics as dy
+
+        x = make_presentation(["0", "1", "2"], "graph", (["a", "b"], [
+            ("a", "a", "1"), ("a", "a", "2"), ("a", "b", "0"), ("b", "a", "0")]))
+        f = make_block_map(x, x, 0, {("0",): "0", ("1",): "2", ("2",): "1"})
+        calls = []
+        monkeypatch.setattr(dy, "eventual_periodicity", lambda *a, **k: calls.append(a))
+        co.coequalizer_id(f, K3, window_cap=2)
+        assert calls == []
 
     def test_mediating_audit_flip(self, flip, full2, full3):
         res = co.coequalizer_id(flip, K3)

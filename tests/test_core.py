@@ -231,13 +231,10 @@ class TestRecode:
 
 
 @pytest.fixture(scope="module")
-def flip_quotient(flip):
-    """The coequalizer of (identity, flip): its alphabet is the orbit
-    tokens ``{000,111}``, ``{001,110}``, ... that the engine derives."""
-    from sdcat import colimits as co
-    from sdcat.limits import CategoryTag
-
-    return co.coequalizer_id(flip, CategoryTag.parse("K3")).legs[0].target
+def flip_quotient():
+    """A shift over the orbit sets of flip on 3-words, ``{000,111}``,
+    ``{001,110}``, ...: symbols that hold commas and brackets."""
+    return full_shift(["{000,111}", "{001,110}", "{010,101}", "{011,100}"])
 
 
 class TestDerivedTokens:

@@ -3,6 +3,7 @@
 import pytest
 
 from sdcat import analysis as an
+from sdcat import colimits as co
 from sdcat import dynamics as dy
 from sdcat.core import (
     PeriodicPoint,
@@ -101,17 +102,17 @@ class TestVisiblyEventuallyPeriodic:
 
 class TestOrbitSubshift:
     def test_flip_quotient_matches_xor2_kernel(self, flip, xor2):
-        target, g = dy.orbit_subshift(flip, 0, 2)
+        target, g = co.orbit_subshift(flip, 0, 2)
         assert maps_equal(compose(g, flip), g)
         assert an.kernel_set(g).presentation.language_equal(an.kernel_set(xor2).presentation)
 
     def test_identity_is_its_own_quotient(self, full2):
-        target, g = dy.orbit_subshift(identity_map(full2), 0, 1)
+        target, g = co.orbit_subshift(identity_map(full2), 0, 1)
         assert an.injectivity_family(g).injective
 
     def test_rotation_kernel_is_orbit_relation(self, full3):
         rot = make_block_map(full3, full3, 0, {("0",): "1", ("1",): "2", ("2",): "0"})
-        target, g = dy.orbit_subshift(rot, 0, 3)
+        target, g = co.orbit_subshift(rot, 0, 3)
         assert maps_equal(compose(g, rot), g)
         ker = an.kernel_set(g).presentation
         # kernel identifies exactly the rotation orbit pairs on periodic points

@@ -11,13 +11,14 @@ import pytest
 import sdcat
 from sdcat import analysis as an
 from sdcat.cli import main
-from sdcat.core import maps_equal, product_presentation
+from sdcat.core import full_shift, maps_equal, product_presentation
 from sdcat.files import (
     format_shift,
     load_bmap,
     load_shift,
     parse_shift,
     save_bmap,
+    save_shift,
 )
 from sdcat.errors import ParseError
 
@@ -173,11 +174,14 @@ class TestCli:
         capsys.readouterr()
 
     def test_written_quotient_round_trips_its_orbit_tokens(self, workdir, capsys):
-        # the quotient's symbols hold commas; the identity on them is
-        # injective and their product exists
+        # a written shift whose symbols hold commas, the orbit sets of flip
+        # on 3-words: the identity on them is injective and their product
+        # exists
         assert main(["coeq-id", str(workdir / "flip.bmap"), "--category", "K3",
                      "-o", str(workdir / "q.bmap")]) == 0
-        quotient = workdir / "q.target.shift"
+        quotient = workdir / "orbits.shift"
+        save_shift(full_shift(["{000,111}", "{001,110}", "{010,101}", "{011,100}"]),
+                   str(quotient))
         alphabet = load_shift(str(quotient)).alphabet
         assert any("," in a for a in alphabet)
         (workdir / "id.bmap").write_text(

@@ -39,6 +39,7 @@ from sdcat import analysis as an
 from sdcat import automata as au
 from sdcat import classify as cl
 from sdcat import colimits as co
+from sdcat import dynamics as dy
 from sdcat.core import (
     BlockMap,
     PeriodicPoint,
@@ -72,7 +73,7 @@ from sdcat.core import (
     window_graph,
 )
 from sdcat.automata import Dfa, Nfa
-from sdcat.errors import DomainMismatch, ValidationError
+from sdcat.errors import BudgetExceeded, DomainMismatch, ValidationError
 from sdcat.files import format_shift
 from sdcat.limits import CategoryTag
 
@@ -940,15 +941,16 @@ def transitive_sfts(draw):
 
 
 @st.composite
-def endomorphisms(draw):
-    """A radius-0 or radius-1 endomorphism of a random transitive SFT.
+def endomorphisms(draw, min_radius=0):
+    """A radius-1 endomorphism of a random transitive SFT, or one of radius
+    0 when ``min_radius`` is 0.
 
     The rule is right-permutive, moving the last symbol of each window by a
     cyclic shift of the symbols that depends on the rest of the window, or
     it copies one coordinate on some windows and draws the others.  A rule
     whose image leaves the shift is rejected."""
     x = draw(transitive_sfts())
-    radius = draw(st.integers(min_value=0, max_value=1))
+    radius = draw(st.integers(min_value=min_radius, max_value=1))
     windows = x.words(2 * radius + 1)
     syms = [a for a in x.alphabet if x.contains_word((a,))]
     sym = st.sampled_from(syms)
@@ -2099,6 +2101,74 @@ class TestLocalEquivalence:
         # generated by the graph of an endomorphism, as the coequalizer search does
         loc = co.local_closure(an.graph_relation(f).presentation, f.source, window)
         assert loc.relation == _old_relation_from_classes(f.source, loc.classes)
+
+
+# ---------------------------------------------------------------------------
+# The orbit quotient is a local closure
+
+
+def _old_orbit_quotient(f, k, p):
+    """Reference: the orbit-set quotient of f with f^k = f^(k+p), and the
+    orbit relation.  The symbol at i joins the width-(2n+1) words of
+    f^k(x), ..., f^(k+p-1)(x) around i, n grown up to 4 until the kernel
+    is the orbit relation; None when no n up to 4 gives it."""
+    x = f.source
+    stages = [dy.power(f, k + j) for j in range(p)]
+    orbit_rel = fiber_presentation(stages[0], stages[0])
+    for stage in stages[1:]:
+        orbit_rel = an.union_presentation(orbit_rel, fiber_presentation(stage, stages[0]))
+    for n in range(5):
+        r = max(s.radius for s in stages) + n
+        rules = [s.padded_rule(r - n) for s in stages]
+        rule = {}
+        for w in x.words(2 * r + 1):
+            words = {tuple(sr[w[i : i + 2 * (r - n) + 1]] for i in range(2 * n + 1))
+                     for sr in rules}
+            rule[w] = "{" + ",".join(sorted(
+                "".join(u) if all(len(a) == 1 for a in u) else "|".join(u) for u in words)) + "}"
+        target = rule_image(x, r, rule, sorted(set(rule.values())))
+        g = make_block_map(x, target, r, rule, validate_image=False)
+        if g.kernel.language_equal(orbit_rel):
+            return g, orbit_rel
+    return None, orbit_rel
+
+
+def _check_orbit_quotient(f, k, p):
+    """Compares the quotient with the reference's, where the reference
+    finds one within the budget; returns whether it did."""
+    try:
+        old, orbit_rel = _old_orbit_quotient(f, k, p)
+    except BudgetExceeded:
+        return False
+    if old is None:
+        return False
+    target, q = co.orbit_subshift(f, k, p)
+    assert q.target is target
+    assert q.kernel.language_equal(old.kernel) and q.kernel.language_equal(orbit_rel)
+    assert maps_equal(compose(q, f), q)
+    assert q.radius <= old.radius
+    return True
+
+
+class TestOrbitQuotient:
+    def test_radius_zero_maps_match_the_orbit_sets(self):
+        compared = 0
+        for symbols in (("0", "1"), ("0", "1", "2")):
+            x = full_shift(symbols)
+            for outs in itertools.product(symbols, repeat=len(symbols)):
+                f = make_block_map(x, x, 0, {(a,): b for a, b in zip(symbols, outs)})
+                ep = dy.eventual_periodicity(f, cap=len(symbols) + 1)
+                compared += _check_orbit_quotient(f, ep.preperiod, ep.period)
+        # the three transpositions of full3 fix a symbol, so their orbit
+        # relations are local at no window
+        assert compared == 4 + 27 - 3
+
+    @given(endomorphisms(min_radius=1))
+    @settings(max_examples=40, deadline=None)
+    def test_radius_one_maps_match_the_orbit_sets(self, f):
+        ep = dy.eventual_periodicity(f, cap=4)
+        assume(ep.status == "found")
+        _check_orbit_quotient(f, ep.preperiod, ep.period)
 
 
 # ---------------------------------------------------------------------------
