@@ -34,7 +34,7 @@ from .core import (
     trivial_shift,
     zero_map,
 )
-from .errors import BudgetExceeded, InternalError, ValidationError
+from .errors import BudgetExceeded, InternalError, ValidationError, budget
 from .limits import (
     CategoryTag,
     LimitResult,
@@ -208,8 +208,8 @@ def coequalizer_id(
                 )
             try:
                 target, q = orbit_subshift(f, ep.preperiod, ep.period)
-            except BudgetExceeded:
-                return undecided_limit("orbit quotient construction exceeded its window cap")
+            except BudgetExceeded as e:
+                return undecided_limit(f"orbit quotient construction: {e}", bound={"budget": budget()})
             if object_problems(target, cat):
                 return undecided_limit(
                     f"orbit quotient is not an object of {cat}; no verdict in this category"

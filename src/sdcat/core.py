@@ -24,6 +24,10 @@ trimmed to them.  Surjectivity reads the image graph, and injectivity,
 preinjectivity and resolvingness read ``BlockMap.kernel_graph``.  ``BlockMap.image`` and ``BlockMap.kernel``
 canonicalize those graphs only when a question about their language asks.
 
+A block map's rule is ``values``, one symbol per source window in words
+order, frozen by :func:`_block_map` (composites by :func:`compose`).
+``compose`` and ``maps_equal`` read it through kept word-index tables.
+
 Words are tuples of symbol tokens.  Everything is immutable after
 construction and safe to share.
 """
@@ -183,7 +187,7 @@ class Presentation:
         # and with_point keeps it unchanged: equal languages have equal
         # automata.
         a, b = self.dfa, other.dfa
-        return set(self.alphabet) == set(other.alphabet) and (
+        return self is other or set(self.alphabet) == set(other.alphabet) and (
             (a.trans, a.init, a.accepting) == (b.trans, b.init, b.accepting)
         )
 
@@ -207,9 +211,19 @@ def _word_list(x: Presentation, n: int) -> tuple[Word, ...]:
 
 
 @_per_object
-def _window_set(x: Presentation, n: int) -> frozenset[Word]:
-    """The words of length ``n`` as a set, kept per presentation."""
-    return frozenset(_word_list(x, n))
+def _word_index(x: Presentation, n: int) -> dict[Word, int]:
+    """Each word of length ``n`` and its place in :func:`_word_list`, kept
+    per presentation."""
+    return {w: i for i, w in enumerate(_word_list(x, n))}
+
+
+@_per_object
+def _center_index(x: Presentation, n: int, pad: int) -> tuple[int, ...]:
+    """For each word of length ``n + 2 * pad``, in words order, the index of
+    its central sub-word of length ``n``: where a map of width ``n`` reads
+    at a radius larger by ``pad``.  Kept per presentation."""
+    index = _word_index(x, n)
+    return tuple(index[u[pad : pad + n]] for u in _word_list(x, n + 2 * pad))
 
 
 @_per_object
@@ -597,16 +611,18 @@ class EventuallyPeriodicPoint:
 
 @record
 class BlockMap:
-    """A sliding block code with a total local rule on source windows."""
+    """A sliding block code: ``values`` holds the output of each source
+    window, in ``source.words(width)`` order, and equality and hashing read
+    it; ``rule_dict`` is the same rule keyed by window."""
 
     source: Presentation
     target: Presentation
     radius: int
-    rule: tuple[tuple[Word, str], ...]
+    values: tuple[str, ...]
 
     @cached_property
     def rule_dict(self) -> dict[Word, str]:
-        return dict(self.rule)
+        return dict(zip(_word_list(self.source, self.width()), self.values))
 
     @cached_property
     def image(self) -> Presentation:
@@ -633,19 +649,20 @@ class BlockMap:
         return self.rule_dict[window]
 
     def padded_rule(self, radius: int) -> dict[Word, str]:
-        """The same map expressed at a larger radius."""
-        if radius == self.radius:
-            return dict(self.rule_dict)
+        """The same map expressed at a larger radius, as a new dict."""
         pad = radius - self.radius
         if pad < 0:
             raise ValidationError("cannot shrink a rule by padding")
-        out = {}
-        for w in self.source.words(2 * radius + 1):
-            out[w] = self.rule_dict[w[pad : pad + self.width()]]
-        return out
+        center = _center_index(self.source, self.width(), pad)
+        return dict(zip(self.source.words(2 * radius + 1), map(self.values.__getitem__, center)))
 
     def __hash__(self):
-        return hash((self.source, self.target, self.radius, self.rule))
+        return hash((self.source, self.target, self.radius, self.values))
+
+    def __repr__(self):
+        # the rule as (window, symbol) pairs, as certificates have always read
+        return (f"BlockMap(source={self.source!r}, target={self.target!r}, radius={self.radius!r}, "
+                f"rule={tuple(self.rule_dict.items())!r})")
 
 
 def image_graph(source: Presentation, radius: int, rule: dict[Word, str], alphabet) -> Nfa:
@@ -679,7 +696,7 @@ def fiber_graph(f: BlockMap, g: BlockMap):
     x, y = f.source, g.source
     alphabet = product_alphabet(x.alphabet, y.alphabet)
     r = max(f.radius, g.radius)
-    fr, gr = f.padded_rule(r), g.padded_rule(r)
+    fr, gr = (m.rule_dict if m.radius == r else m.padded_rule(r) for m in (f, g))
     nodes1, edges1 = window_graph(x, 2 * r + 1)
     nodes2, edges2 = (nodes1, edges1) if y == x else window_graph(y, 2 * r + 1)
     n1, n2 = len(nodes1), len(nodes2)
@@ -734,7 +751,7 @@ def make_block_map(
     """
     words = _word_list(source, 2 * radius + 1)
     check_budget(len(words), "word enumeration")
-    windows = _window_set(source, 2 * radius + 1)
+    windows = _word_index(source, 2 * radius + 1).keys()
     if not (isinstance(rule, dict) and rule.keys() == windows):
         rule = {tuple(w): v for w, v in (rule.items() if hasattr(rule, "items") else rule)}
         extra = rule.keys() - windows
@@ -743,13 +760,18 @@ def make_block_map(
         missing = windows - rule.keys()
         if missing:
             raise ValidationError(f"rule is missing {len(missing)} source windows")
-    bad = set(rule.values()).difference(target.alphabet)
+    return _block_map(source, target, radius, tuple(map(rule.__getitem__, words)), validate_image)
+
+
+def _block_map(source: Presentation, target: Presentation, radius: int, values: tuple[str, ...],
+               validate_image: bool = True) -> BlockMap:
+    """The map with these values, after ``make_block_map``'s symbol and image checks."""
+    bad = set(values).difference(target.alphabet)
     if bad:
         raise ValidationError(f"rule produces symbols outside the target alphabet: {sorted(bad)}")
-    # the words come in sorted order, so the rule is sorted by window
-    f = BlockMap(source, target, radius, tuple(zip(words, map(rule.__getitem__, words))))
+    f = BlockMap(source, target, radius, values)
     if validate_image and not target.is_full():
-        w = au.escaping_word(image_graph(source, radius, rule, target.alphabet), target.dfa)
+        w = au.escaping_word(image_graph(source, radius, f.rule_dict, target.alphabet), target.dfa)
         if w is not None:
             raise ValidationError(f"image is not contained in the target: word {w}")
     return f
@@ -816,50 +838,43 @@ def compose(g: BlockMap, f: BlockMap) -> BlockMap:
     """g after f."""
     if not f.target.language_equal(g.source):
         raise DomainMismatch("compose: target of f differs from source of g")
-    local, table = g.rule_dict, _window_table(f, g.width())
+    table = _window_table(f, g.width())
     check_budget(len(table), "word enumeration")
-    # the table keys are the source words in words order: the rule is valid
-    return BlockMap(f.source, g.target, f.radius + g.radius,
-                    tuple((w, local[mid]) for w, mid in table))
+    # one value of g per source word, in words order: g writes only target symbols
+    return BlockMap(f.source, g.target, f.radius + g.radius, tuple(map(g.values.__getitem__, table)))
 
 
 @_per_object
-def _window_table(f: BlockMap, w: int) -> tuple[tuple[Word, Word], ...]:
-    """Each source word of length ``f.width() + w - 1``, in words order,
-    paired with the ``w`` symbols that ``f`` writes under it: what a map of
-    width ``w`` after ``f`` reads.  Built once per map and width."""
-    wf, local = f.width(), f.rule_dict
-    return tuple((u, tuple(local[u[i : i + wf]] for i in range(w)))
+def _window_table(f: BlockMap, w: int) -> tuple[int, ...]:
+    """For each source word of length ``f.width() + w - 1``, in words order,
+    the index among ``f.target``'s words of length ``w`` of the word that
+    ``f`` writes under it: where a map of width ``w`` after ``f`` reads.
+    Built once per map and width."""
+    wf, local, index = f.width(), f.rule_dict, _word_index(f.target, w)
+    return tuple(index[tuple(local[u[i : i + wf]] for i in range(w))]
                  for u in f.source.words(wf + w - 1))
 
 
 def maps_equal(f: BlockMap, g: BlockMap) -> bool:
-    """Whether two maps between the same shifts agree: equal rules at
-    equal radii, else each window of the wider map against the narrower
-    map's value on its central sub-window."""
+    """Whether two maps between the same shifts agree: equal values at
+    equal radii, else the wider map's values against the narrower map's
+    values on the central sub-windows."""
     if not f.source.language_equal(g.source) or not f.target.language_equal(g.target):
         raise DomainMismatch("maps_equal: presentations differ")
     if f.radius == g.radius:
-        return f.rule == g.rule
+        return f.values == g.values
     if f.radius > g.radius:
         f, g = g, f
-    pad, wf, local = g.radius - f.radius, f.width(), f.rule_dict
-    return all(local[w[pad : pad + wf]] == b for w, b in g.rule)
+    center = _center_index(f.source, f.width(), g.radius - f.radius)
+    return tuple(map(f.values.__getitem__, center)) == g.values
 
 
 def reduce_radius(f: BlockMap) -> BlockMap:
     """Re-express the map at the smallest centered radius that suffices."""
-    for rho in range(0, f.radius):
-        pad = f.radius - rho
-        grouped: dict[Word, str] = {}
-        ok = True
-        for w, val in f.rule_dict.items():
-            mid = w[pad : pad + 2 * rho + 1]
-            if grouped.get(mid, val) != val:
-                ok = False
-                break
-            grouped[mid] = val
-        if ok:
+    words = _word_list(f.source, f.width())
+    for rho in range(f.radius):
+        pad, grouped = f.radius - rho, {}
+        if all(grouped.setdefault(w[pad:-pad], val) == val for w, val in zip(words, f.values)):
             return make_block_map(f.source, f.target, rho, grouped, validate_image=False)
     return f
 
@@ -890,7 +905,8 @@ def _block_conjugacy(x: Presentation, w: int) -> tuple[BlockMap, BlockMap]:
     to_blocks = make_block_map(x, xb, w // 2, {win: block_symbol(win) for win in x.words(w)},
                                validate_image=False)
     from_blocks = make_block_map(
-        xb, x, 0, {(t,): win[w // 2] for win, t in to_blocks.rule}, validate_image=False)
+        xb, x, 0, {(t,): win[w // 2] for win, t in to_blocks.rule_dict.items()},
+        validate_image=False)
     return to_blocks, from_blocks
 
 
@@ -906,7 +922,7 @@ def recode_to_symbol_map(f: BlockMap):
         return f, ident, ident
     to_blocks, from_blocks = _block_conjugacy(f.source, f.width())
     f0 = make_block_map(to_blocks.target, f.target, 0,
-                        {(t,): f.local(win) for win, t in to_blocks.rule},
+                        {(t,): f.local(win) for win, t in to_blocks.rule_dict.items()},
                         validate_image=False)
     return f0, to_blocks, from_blocks
 

@@ -20,6 +20,7 @@ from .core import (
     pair_symbol,
     product_presentation,
     trivial_shift,
+    _block_map,
     _per_object,
 )
 from .errors import BudgetExceeded, DomainMismatch, ValidationError
@@ -154,7 +155,7 @@ def corestrict(f: BlockMap, target: Presentation | None = None) -> BlockMap:
     tgt = target if target is not None else an.image(f)
     if f.target.point is not None and tgt.contains_periodic((f.target.point,)):
         tgt = tgt.with_point(f.target.point)
-    return make_block_map(f.source, tgt, f.radius, dict(f.rule_dict))
+    return _block_map(f.source, tgt, f.radius, f.values)
 
 
 def terminal(cat: CategoryTag) -> LimitResult:

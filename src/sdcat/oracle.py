@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from itertools import product as iproduct
 
-from .core import BlockMap, PeriodicPoint, Presentation, make_block_map
+from .core import BlockMap, PeriodicPoint, Presentation, _block_map, make_block_map
 from .errors import ValidationError, check_budget
 from .records import record
 
@@ -36,10 +36,10 @@ def enumerate_block_maps(spec: EnumerationSpec):
     windows = src.words(2 * r + 1)
     out_syms = sorted(a for a in tgt.alphabet if tgt.contains_word((a,)))
     check_budget(len(out_syms) ** len(windows), "block map enumeration")
+    # the values are listed in words order, so they need no rule dict
     for values in iproduct(out_syms, repeat=len(windows)):
-        rule = dict(zip(windows, values))
         try:
-            yield make_block_map(src, tgt, r, rule)
+            yield _block_map(src, tgt, r, values)
         except ValidationError:
             continue
 

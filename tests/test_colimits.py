@@ -135,6 +135,22 @@ class TestCoequalizerId:
         assert maps_equal(compose(q, f), q)
         assert len(q.target.alphabet) == 8
 
+    @pytest.mark.parametrize("stage", ["fiber_presentation", "local_closure"])
+    def test_orbit_quotient_budget_exit_names_its_stage(self, flip, stage, monkeypatch):
+        # the flip takes the eventually periodic branch; a budget exit in
+        # either stage of its orbit quotient is reported with its message
+        from sdcat.errors import budget, check_budget
+
+        def over(*args):
+            check_budget(budget() + 1, f"{stage} stage")
+
+        monkeypatch.setattr(co, stage, over)
+        res = co.coequalizer_id(flip, K3)
+        assert res.status == "undecided"
+        assert res.reason == (f"orbit quotient construction: {stage} stage: "
+                              f"size {budget() + 1} exceeds budget {budget()}")
+        assert res.bound_used == {"budget": budget()}
+
     def test_powers_only_on_mixing_sfts(self, monkeypatch):
         # a strictly sofic mixing source never reaches the eventually
         # periodic branch, so no power of f is composed for it

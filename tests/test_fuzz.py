@@ -33,6 +33,7 @@ import itertools
 import math
 from collections import deque
 
+import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from sdcat import analysis as an
@@ -40,6 +41,7 @@ from sdcat import automata as au
 from sdcat import classify as cl
 from sdcat import colimits as co
 from sdcat import dynamics as dy
+from sdcat import oracle as orc
 from sdcat.core import (
     BlockMap,
     PeriodicPoint,
@@ -55,6 +57,7 @@ from sdcat.core import (
     fiber_graph,
     fiber_presentation,
     full_shift,
+    golden_mean,
     higher_block_presentation,
     identity_map,
     image_graph,
@@ -1267,7 +1270,7 @@ def _old_make_block_map(source, target, radius, rule, default=None, validate_ima
     bad = {v for v in rule.values() if v not in target.alphabet}
     if bad:
         raise ValidationError(f"rule produces symbols outside the target alphabet: {sorted(bad)}")
-    f = BlockMap(source, target, radius, tuple(sorted(rule.items())))
+    f = BlockMap(source, target, radius, tuple(v for _, v in sorted(rule.items())))
     if validate_image and not target.is_full():
         w = au.escaping_word(image_graph(source, radius, rule, target.alphabet), target.dfa)
         if w is not None:
@@ -1288,6 +1291,46 @@ def _old_compose(g, f):
     return _old_make_block_map(f.source, g.target, r, rule, validate_image=False)
 
 
+def _old_padded_rule(f, radius):
+    """Reference: every window of the larger radius looked up in the rule."""
+    if radius == f.radius:
+        return dict(f.rule_dict)
+    pad = radius - f.radius
+    if pad < 0:
+        raise ValidationError("cannot shrink a rule by padding")
+    out = {}
+    for w in f.source.words(2 * radius + 1):
+        out[w] = f.rule_dict[w[pad : pad + f.width()]]
+    return out
+
+
+def _old_enumerate_block_maps(spec):
+    """Reference: each candidate rule built as a dict and frozen by the
+    reference ``make_block_map``."""
+    windows = spec.source.words(2 * spec.radius + 1)
+    out_syms = sorted(a for a in spec.target.alphabet if spec.target.contains_word((a,)))
+    for values in itertools.product(out_syms, repeat=len(windows)):
+        try:
+            yield _old_make_block_map(spec.source, spec.target, spec.radius, dict(zip(windows, values)))
+        except ValidationError:
+            continue
+
+
+def _pairs(f):
+    """The pair-tuple form of a map: what equality and hashing read before
+    maps kept value tuples."""
+    return f.source, f.target, f.radius, tuple(sorted(f.rule_dict.items()))
+
+
+def _check_representation(f):
+    """``values`` lists the rule in the source's words order; the repr,
+    which the CLI prints for certificates, still lists the pairs."""
+    assert list(f.rule_dict) == f.source.words(f.width())
+    assert f.values == tuple(v for _, v in sorted(f.rule_dict.items()))
+    source, target, radius, pairs = _pairs(f)
+    assert repr(f) == f"BlockMap(source={source!r}, target={target!r}, radius={radius!r}, rule={pairs!r})"
+
+
 def _old_maps_equal(f, g):
     """Reference: both rules padded to the larger radius."""
     if not f.source.language_equal(g.source) or not f.target.language_equal(g.target):
@@ -1303,7 +1346,9 @@ def _outcome(fn, *args, **kwargs):
     except ValidationError as e:
         return type(e), str(e)
     if isinstance(out, BlockMap):
-        assert out.rule == tuple(sorted(out.rule_dict.items()))
+        _check_representation(out)
+    elif isinstance(out, dict):
+        out = list(out.items())
     return out
 
 
@@ -1351,6 +1396,14 @@ def _check_algebra(draw, f, g, h):
                     _same(maps_equal, _old_maps_equal, a, b)
     for a, b in ((f, h), (h, f), (f, f), (g, f), (f, _changed(draw, f)), (g, _changed(draw, g))):
         _same(maps_equal, _old_maps_equal, a, b)
+    for m in (f, g, h):
+        for radius in range(max(0, m.radius - 1), 3):
+            _same(m.padded_rule, functools.partial(_old_padded_rule, m), radius)
+        same = make_block_map(m.source, m.target, m.radius, m.rule_dict.copy(), validate_image=False)
+        for a, b in ((m, same), (m, _changed(draw, m)), (m, _padded(m, 1)), (m, f), (m, g)):
+            assert (a == b) == (_pairs(a) == _pairs(b))
+            if a == b:
+                assert hash(a) == hash(b)
 
 
 @st.composite
@@ -1423,10 +1476,27 @@ class TestBlockMapAlgebra:
         maps = _census_maps()
         and_rule = maps[128]  # the window 111 alone goes to 1
         for f in maps:
-            assert f.rule == tuple(sorted(f.rule_dict.items()))
+            _check_representation(f)
             _same(compose, _old_compose, f, and_rule)
             _same(compose, _old_compose, and_rule, f)
             _same(maps_equal, _old_maps_equal, compose(f, and_rule), f)
+
+
+    @pytest.mark.parametrize("source, target", [
+        (FULL2, full_shift(("0", "1", "2"))),
+        (FULL2, golden_mean()),
+        (make_presentation(("0", "1"), "graph", (["a", "b"], [
+            ("a", "a", "1"), ("a", "b", "0"), ("b", "a", "0")])), FULL2),
+    ], ids=["full2-full3", "full2-golden", "even-full2"])
+    def test_enumeration_matches_the_dict_reference(self, source, target):
+        # the golden mean refuses maps on their image; the even shift has
+        # fewer windows than the full shift
+        spec = orc.EnumerationSpec(source, target, radius=1)
+        maps = list(orc.enumerate_block_maps(spec))
+        assert maps == list(_old_enumerate_block_maps(spec))
+        assert [_pairs(f) for f in maps] == [_pairs(f) for f in _old_enumerate_block_maps(spec)]
+        for f in maps:
+            _check_representation(f)
 
 
 # ---------------------------------------------------------------------------

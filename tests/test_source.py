@@ -133,3 +133,20 @@ def test_only_the_input_readers_parse_strings():
                     and node.func.attr in parsing):
                 found.append(f"{path.name}:{node.lineno}:{node.func.attr}")
     assert not found, f"string parsing outside the input readers: {found}"
+
+
+
+def test_block_maps_are_made_by_the_core_constructors():
+    # every map is frozen by ``core._block_map``, which checks its symbols
+    # and image, or by ``core.compose``, whose values are symbols of the
+    # outer map; no other code calls the class
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        allowed = set()
+        if path.name == "core.py":
+            allowed = {id(c) for fn in tree.body if isinstance(fn, ast.FunctionDef)
+                       and fn.name in ("_block_map", "compose") for c in ast.walk(fn)}
+        found += [f"{path.name}:{c.lineno}" for c in ast.walk(tree)
+                  if isinstance(c, ast.Call) and "BlockMap" in _names(c.func) and id(c) not in allowed]
+    assert not found, f"BlockMap called outside core._block_map and core.compose: {found}"
