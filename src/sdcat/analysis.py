@@ -121,7 +121,8 @@ def equalizer_set(f: BlockMap, g: BlockMap) -> Presentation:
     if x.is_empty():
         return x
     r = max(f.radius, g.radius)
-    fr, gr = (m.rule_dict if m.radius == r else m.padded_rule(r) for m in (f, g))
+    fr = f.padded_rule(r)
+    gr = g.padded_rule(r)
     nodes, edges = window_graph(x, 2 * r + 1)
     edges = [(k, center_of(w), t) for k, w, t in edges if fr[w] == gr[w]]
     return presentation_from_edges(x.alphabet, len(nodes), edges)

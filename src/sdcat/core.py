@@ -219,9 +219,8 @@ def _word_index(x: Presentation, n: int) -> dict[Word, int]:
 
 @_per_object
 def _center_index(x: Presentation, n: int, pad: int) -> tuple[int, ...]:
-    """For each word of length ``n + 2 * pad``, in words order, the index of
-    its central sub-word of length ``n``: where a map of width ``n`` reads
-    at a radius larger by ``pad``.  Kept per presentation."""
+    """For each word of length ``n + 2 * pad``, the index of its central
+    sub-word of length ``n``: where a width-``n`` map reads at ``pad`` more."""
     index = _word_index(x, n)
     return tuple(index[u[pad : pad + n]] for u in _word_list(x, n + 2 * pad))
 
@@ -649,8 +648,10 @@ class BlockMap:
         return self.rule_dict[window]
 
     def padded_rule(self, radius: int) -> dict[Word, str]:
-        """The same map expressed at a larger radius, as a new dict."""
+        """The same map at a radius no smaller; at its own, ``rule_dict`` itself."""
         pad = radius - self.radius
+        if not pad:
+            return self.rule_dict
         if pad < 0:
             raise ValidationError("cannot shrink a rule by padding")
         center = _center_index(self.source, self.width(), pad)
@@ -696,7 +697,7 @@ def fiber_graph(f: BlockMap, g: BlockMap):
     x, y = f.source, g.source
     alphabet = product_alphabet(x.alphabet, y.alphabet)
     r = max(f.radius, g.radius)
-    fr, gr = (m.rule_dict if m.radius == r else m.padded_rule(r) for m in (f, g))
+    fr, gr = f.padded_rule(r), g.padded_rule(r)
     nodes1, edges1 = window_graph(x, 2 * r + 1)
     nodes2, edges2 = (nodes1, edges1) if y == x else window_graph(y, 2 * r + 1)
     n1, n2 = len(nodes1), len(nodes2)
