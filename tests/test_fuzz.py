@@ -1481,7 +1481,6 @@ class TestBlockMapAlgebra:
             _same(compose, _old_compose, and_rule, f)
             _same(maps_equal, _old_maps_equal, compose(f, and_rule), f)
 
-
     @pytest.mark.parametrize("source, target", [
         (FULL2, full_shift(("0", "1", "2"))),
         (FULL2, golden_mean()),
@@ -1492,9 +1491,9 @@ class TestBlockMapAlgebra:
         # the golden mean refuses maps on their image; the even shift has
         # fewer windows than the full shift
         spec = orc.EnumerationSpec(source, target, radius=1)
-        maps = list(orc.enumerate_block_maps(spec))
-        assert maps == list(_old_enumerate_block_maps(spec))
-        assert [_pairs(f) for f in maps] == [_pairs(f) for f in _old_enumerate_block_maps(spec)]
+        maps, old = list(orc.enumerate_block_maps(spec)), list(_old_enumerate_block_maps(spec))
+        assert maps == old
+        assert list(map(_pairs, maps)) == list(map(_pairs, old))
         for f in maps:
             _check_representation(f)
 
