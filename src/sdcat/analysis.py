@@ -54,11 +54,14 @@ from .core import (
     window_graph,
     _infinite_past,
     _live_nodes,
+    _matched_edges,
     _per_object,
     _tails,
 )
 from .errors import BudgetExceeded, DomainMismatch, InternalError, ValidationError, check_budget
 from .records import record, uncompared
+
+EP_MID_WORD_CAP = 4000
 
 image = image_presentation
 
@@ -138,11 +141,8 @@ def intersection_presentation(x: Presentation, y: Presentation) -> Presentation:
     if set(x.alphabet) != set(y.alphabet):
         raise ValidationError("intersection needs a common alphabet")
     ny = y.n_live()
-    by_symbol: dict[str, list[tuple[int, int]]] = {}
-    for j, a, j2 in y.edges:
-        by_symbol.setdefault(a, []).append((j, j2))
-    edges = [(i * ny + j, a, i2 * ny + j2)
-             for i, a, i2 in x.edges for j, j2 in by_symbol.get(a, ())]
+    edges = _matched_edges([(i, a, a, j) for i, a, j in x.edges],
+                           [(i, a, a, j) for i, a, j in y.edges], ny, lambda a, _: a)
     return presentation_from_edges(x.alphabet, x.n_live() * ny, edges)
 
 
@@ -481,7 +481,7 @@ def _non_subsft_witness(inner: Presentation, outer: Presentation):
     return None
 
 
-def _ep_mid_words(x: Presentation, ei: set, fd: frozenset, max_len: int, cap: int = 4000):
+def _ep_mid_words(x: Presentation, ei: set, fd: frozenset, max_len: int):
     """Words u with the w-periodic tails around u giving a point of x."""
     out = []
     frontier = [((), frozenset(ei))]
@@ -490,7 +490,7 @@ def _ep_mid_words(x: Presentation, ei: set, fd: frozenset, max_len: int, cap: in
         for word, states in frontier:
             if states & fd:
                 out.append(word)
-            if len(out) >= cap:
+            if len(out) >= EP_MID_WORD_CAP:
                 return out
             if len(word) == max_len:
                 continue

@@ -36,6 +36,7 @@ from .records import record
 
 DEFAULT_P_CAP = 6
 DEFAULT_RADIUS_CAP = 3
+REGULAR_MONIC_WINDOW_CAP = 8
 
 
 # ---------------------------------------------------------------------------
@@ -662,9 +663,7 @@ def is_regular_epic(f: BlockMap, cat: CategoryTag, witness_endo: BlockMap | None
     return v.undecided(note="open in the classification table")
 
 
-def is_regular_monic(
-    f: BlockMap, cat: CategoryTag, window_cap: int = 8
-) -> v.Verdict:
+def is_regular_monic(f: BlockMap, cat: CategoryTag) -> v.Verdict:
     li.check_morphism(cat, f)
     fam = an.injectivity_family(f)
     if cat.level == 1 and cat.restriction in ("T", "M", "P"):
@@ -681,7 +680,7 @@ def is_regular_monic(
         return v.undecided(bound_used=sub.bound_used, note=sub.note)
     # (T/M/P)3: search for an enclosing subSFT whose maximal transitive or
     # mixing part is exactly the image
-    for m in range(1, window_cap + 1):
+    for m in range(1, REGULAR_MONIC_WINDOW_CAP + 1):
         try:
             z = an.intersection_presentation(f.target, an.sft_approximation(img, m))
         except BudgetExceeded:
@@ -702,7 +701,7 @@ def is_regular_monic(
             " maximal transitive or mixing part",
             witness=image_sft.witness,
         )
-    return v.undecided(bound_used={"window_cap": window_cap},
+    return v.undecided(bound_used={"window_cap": REGULAR_MONIC_WINDOW_CAP},
                        note="no enclosing subSFT found within the window cap")
 
 

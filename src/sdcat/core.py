@@ -14,7 +14,10 @@ and accepting and hand its edges to :func:`presentation_from_edges`.
 A graph is one kept tuple of ``(src, symbol, dst)`` edges:
 ``Presentation.edges`` for the essential part, :func:`window_graph` for
 the windows of a width.  Every derived shift relabels, filters or
-reverses the edges of one such tuple.
+reverses the edges of one such tuple, or matches those of two:
+:func:`_matched_edges` is the one product of two graphs, under the
+product, the fiber product and the intersection.  Every SFT is the graph
+of its allowed words, :func:`presentation_from_allowed_words`.
 
 Questions that only ask whether some bi-infinite path exists need no
 canonical form.  :func:`image_graph` and :func:`fiber_graph` are labeled
@@ -272,12 +275,6 @@ def _live_nodes(n: int, edges) -> frozenset[int]:
     for q, _, p in edges:
         succ[q].append(p)
         pred[p].append(q)
-    return _live_lists(succ, pred)
-
-
-def _live_lists(succ, pred) -> frozenset[int]:
-    """The nodes on bi-infinite paths of the graph with successor lists
-    ``succ`` and predecessor lists ``pred``."""
     return _infinite_past(succ, pred) & _infinite_past(pred, succ)
 
 
@@ -296,18 +293,6 @@ def _infinite_past(succ, pred) -> frozenset[int]:
     return frozenset(compress(range(len(deg)), deg))
 
 
-def _find_forbidden_factor(word: Word, forbidden: list[Word]) -> bool:
-    n = len(word)
-    for f in forbidden:
-        m = len(f)
-        if m == 0:
-            return True
-        for i in range(n - m + 1):
-            if word[i : i + m] == f:
-                return True
-    return False
-
-
 def make_presentation(alphabet, kind: str, payload, point=None) -> Presentation:
     """Build and canonicalize a presentation.
 
@@ -323,21 +308,13 @@ def make_presentation(alphabet, kind: str, payload, point=None) -> Presentation:
                     raise ValidationError(f"forbidden word uses unknown symbol {s!r}")
         m = max([1] + [len(w) for w in forbidden])
         check_budget(len(alphabet) ** max(0, m - 1), "SFT window graph")
-        nodes: list[Word] = []
-        for word in _all_words(alphabet, m - 1):
-            if not _find_forbidden_factor(word, forbidden):
-                nodes.append(word)
-        idx = {u: i for i, u in enumerate(nodes)}
-        edges = []
-        for u in nodes:
-            for a in alphabet:
-                w = u + (a,)
-                if _find_forbidden_factor(w, forbidden):
-                    continue
-                v = w[1:]
-                if v in idx:
-                    edges.append((idx[u], a, idx[v]))
-        return presentation_from_edges(alphabet, len(nodes), edges, point)
+        # the allowed m-words, each an allowed word and a symbol: only its
+        # suffixes can be new forbidden factors
+        banned, words = set(forbidden), [()]
+        for _ in range(m):
+            words = [w for u in words for w in (u + (a,) for a in alphabet)
+                     if not any(w[i:] in banned for i in range(len(w) + 1))]
+        return presentation_from_allowed_words(alphabet, words, point)
     elif kind == "graph":
         nodes, raw_edges = payload
         nodes = list(nodes)
@@ -353,15 +330,6 @@ def make_presentation(alphabet, kind: str, payload, point=None) -> Presentation:
     raise ValidationError(f"unknown presentation kind {kind!r}")
 
 
-def _all_words(alphabet, n: int):
-    if n == 0:
-        yield ()
-        return
-    for w in _all_words(alphabet, n - 1):
-        for a in alphabet:
-            yield w + (a,)
-
-
 def full_shift(alphabet, point=None) -> Presentation:
     return make_presentation(alphabet, "sft", [], point)
 
@@ -371,8 +339,7 @@ def trivial_shift(symbol: str = "0") -> Presentation:
 
 
 def empty_shift(alphabet) -> Presentation:
-    alphabet = make_alphabet(alphabet)
-    return make_presentation(alphabet, "sft", [(a,) for a in alphabet])
+    return presentation_from_allowed_words(make_alphabet(alphabet), [])
 
 
 def golden_mean() -> Presentation:
@@ -392,12 +359,32 @@ def product_presentation(x: Presentation, y: Presentation) -> Presentation:
     alphabet = product_alphabet(x.alphabet, y.alphabet)
     nx, ny = x.n_live(), y.n_live()
     check_budget(max(1, nx) * max(1, ny), "product presentation")
-    edges = [(i * ny + j, pair_symbol(a, b), i2 * ny + j2)
-             for i, a, i2 in x.edges for j, b, j2 in y.edges]
+    edges = _matched_edges([(i, None, a, j) for i, a, j in x.edges],
+                           [(i, None, a, j) for i, a, j in y.edges], ny, pair_symbol)
     point = None
     if x.point is not None and y.point is not None:
         point = pair_symbol(x.point, y.point)
     return presentation_from_edges(alphabet, nx * ny, edges, point)
+
+
+def _matched_edges(edges1, edges2, n2: int, token) -> list[tuple[int, str, int]]:
+    """The one product of two graphs, whose edges are ``(src, key, label,
+    dst)``: each edge of the first meets, in order, each edge of the second
+    with the same key, giving the edge ``(src1 * n2 + src2, token(label1,
+    label2), dst1 * n2 + dst2)``.  Each token is made once per (key, label)
+    pair."""
+    buckets: dict = {}
+    for k2, key, b, t2 in edges2:
+        buckets.setdefault(key, []).append((k2, b, t2))
+    labelled: dict = {}
+    edges = []
+    for k1, key, a, t1 in edges1:
+        row = labelled.get((key, a))
+        if row is None:
+            row = labelled[key, a] = [(k2, token(a, b), t2) for k2, b, t2 in buckets.get(key, ())]
+        q, p = k1 * n2, t1 * n2
+        edges += [(q + k2, t, p + t2) for k2, t, t2 in row]
+    return edges
 
 
 @_per_object
@@ -428,23 +415,19 @@ def side_by_side(x: Presentation, y: Presentation, lmap, rmap) -> Presentation:
     return presentation_from_edges(alphabet, nx + y.n_live(), edges)
 
 
-def presentation_from_allowed_words(alphabet, words_m) -> Presentation:
-    """The SFT whose windows of length m are exactly the given words."""
+def presentation_from_allowed_words(alphabet, words_m, point=None) -> Presentation:
+    """The SFT whose windows of length m are exactly the given words: the
+    graph on their (m - 1)-words, each word an edge from its prefix to its
+    suffix (Lind & Marcus, §2.3).  No words give no nodes, the empty shift."""
     alphabet = tuple(alphabet)
     words_m = [tuple(w) for w in words_m]
     check_budget(len(words_m) + 1, "allowed-word presentation")
-    if not words_m:
-        return empty_shift(alphabet)
-    m = len(words_m[0])
-    if m == 1:
-        return presentation_from_edges(alphabet, 1, [(0, w[0], 0) for w in words_m])
-    prefixes: dict[Word, int] = {}
+    nodes: dict[Word, int] = {}
     for w in words_m:
         for u in (w[:-1], w[1:]):
-            if u not in prefixes:
-                prefixes[u] = len(prefixes)
-    edges = [(prefixes[w[:-1]], w[-1], prefixes[w[1:]]) for w in words_m]
-    return presentation_from_edges(alphabet, len(prefixes), edges)
+            nodes.setdefault(u, len(nodes))
+    edges = [(nodes[w[:-1]], w[-1], nodes[w[1:]]) for w in words_m]
+    return presentation_from_edges(alphabet, len(nodes), edges, point)
 
 
 def sft_approximation(x: Presentation, m: int) -> Presentation:
@@ -688,9 +671,9 @@ def fiber_graph(f: BlockMap, g: BlockMap):
     on the nodes ``range(n)``, each of which lies on a bi-infinite path.
     Several edges out of one node may carry the same token.
 
-    The window edges of ``g`` are bucketed by output symbol, so each window
-    edge of ``f`` meets only the edges of ``g`` with the same output; each
-    bucket is labelled once per center of ``f``'s window.
+    The window edges of both maps are keyed by output symbol and labelled
+    by the center of their window for :func:`_matched_edges`, then trimmed
+    to the nodes on bi-infinite paths.
     """
     if f is not g and not f.target.language_equal(g.target):
         raise DomainMismatch("fiber product needs a common target")
@@ -702,29 +685,11 @@ def fiber_graph(f: BlockMap, g: BlockMap):
     nodes2, edges2 = (nodes1, edges1) if y == x else window_graph(y, 2 * r + 1)
     n1, n2 = len(nodes1), len(nodes2)
     check_budget(max(1, n1) * max(1, n2), "fiber product")
-    buckets: dict[str, list[tuple[int, str, int]]] = {}
-    for k2, w2, t2 in edges2:
-        buckets.setdefault(gr[w2], []).append((k2, w2[r], t2))
-    labelled: dict[tuple[str, str], list[tuple[int, str, int]]] = {}
-    succ: list[list[int]] = [[] for _ in range(n1 * n2)]
-    pred: list[list[int]] = [[] for _ in range(n1 * n2)]
-    edges = []
-    for k1, w1, t1 in edges1:
-        key = fr[w1], w1[r]
-        if key not in labelled:
-            labelled[key] = [(k2, pair_symbol(w1[r], b), t2) for k2, b, t2 in buckets.get(fr[w1], ())]
-        for k2, t, t2 in labelled[key]:
-            q, p = k1 * n2 + k2, t1 * n2 + t2
-            edges.append((q, t, p))
-            succ[q].append(p)
-            pred[p].append(q)
-    live = sorted(_live_lists(succ, pred))
-    index: list[int | None] = [None] * (n1 * n2)
-    for i, q in enumerate(live):
-        index[q] = i
-    edges = tuple((index[q], t, index[p]) for q, t, p in edges
-                  if index[q] is not None and index[p] is not None)
-    return alphabet, len(live), edges
+    edges = _matched_edges([(k, fr[w], w[r], t) for k, w, t in edges1],
+                           [(k, gr[w], w[r], t) for k, w, t in edges2], n2, pair_symbol)
+    index = {q: i for i, q in enumerate(sorted(_live_nodes(n1 * n2, edges)))}
+    edges = tuple((index[q], t, index[p]) for q, t, p in edges if q in index and p in index)
+    return alphabet, len(index), edges
 
 
 def fiber_presentation(f: BlockMap, g: BlockMap) -> Presentation:

@@ -19,10 +19,13 @@ from .core import (
     maps_equal,
     mirror_map,
     reduce_radius,
+    _center_index,
     _per_object,
+    _window_table,
+    _word_list,
 )
 from .errors import BudgetExceeded, ValidationError, check_budget
-from .limits import connecting_map
+from .limits import CONNECTING_RADIUS_CAP, connecting_map
 from .records import record
 
 
@@ -31,7 +34,7 @@ def _require_endo(f: BlockMap) -> None:
         raise ValidationError("this analysis needs an endomorphism")
 
 
-def is_reversible(f: BlockMap, inverse_radius_cap: int = 8) -> v.Verdict:
+def is_reversible(f: BlockMap) -> v.Verdict:
     """Injective and surjective; YES carries the inverse when the bounded
     radius search finds it."""
     _require_endo(f)
@@ -42,10 +45,10 @@ def is_reversible(f: BlockMap, inverse_radius_cap: int = 8) -> v.Verdict:
     if surj.no:
         return v.no(witness=surj.witness, note="not surjective")
     try:
-        inv = connecting_map(f, identity_map(f.source), radius_cap=inverse_radius_cap)
+        inv = connecting_map(f, identity_map(f.source))
     except BudgetExceeded:
         return v.yes(note="bijective; inverse radius exceeds the search cap",
-                     bound_used={"radius_cap": inverse_radius_cap})
+                     bound_used={"radius_cap": CONNECTING_RADIUS_CAP})
     return v.yes(certificate=inv)
 
 
@@ -108,15 +111,10 @@ def chain_transitive_level(f: BlockMap, n: int) -> bool:
     x = f.source
     if x.is_empty():
         return True
-    r = f.radius
     nodes = x.words(n)
-    idx = {w: i for i, w in enumerate(nodes)}
     succ: list[set[int]] = [set() for _ in nodes]
-    for w in x.words(n + 2 * r):
-        src = w[r : r + n]
-        img = tuple(f.local(w[i : i + f.width()]) for i in range(n))
-        if img in idx:
-            succ[idx[src]].add(idx[img])
+    for i, j in zip(_center_index(x, n, f.radius), _window_table(f, n)):
+        succ[i].add(j)
     comps = an.au.strongly_connected_components(range(len(nodes)), lambda i: succ[i])
     return len(comps) == 1
 
@@ -210,14 +208,10 @@ def visibly_blocking(f: BlockMap, words: list[Word], depth: int = 3) -> v.Verdic
     if any(len(w) != ell for w in words):
         raise ValidationError("blocking words must share a length")
     wset = set(words)
-    r = f.radius
-    for xi in x.words(ell + 2 * r):
-        mid = xi[r : r + ell]
-        if mid not in wset:
-            continue
-        img = tuple(f.local(xi[i : i + f.width()]) for i in range(ell))
-        if img not in wset:
-            return v.no(witness={"condition": 1, "window": mid, "image": img})
+    mids, imgs = _word_list(x, ell), _word_list(f.target, ell)
+    for i, j in zip(_center_index(x, ell, f.radius), _window_table(f, ell)):
+        if mids[i] in wset and imgs[j] not in wset:
+            return v.no(witness={"condition": 1, "window": mids[i], "image": imgs[j]})
     side = _blocking_leak(f, wset, ell, depth, "right")
     if side is not None:
         return v.no(witness=side)

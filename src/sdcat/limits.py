@@ -28,6 +28,7 @@ from .records import record
 
 RESTRICTIONS = ("K", "T", "M", "P")
 LEVELS = (1, 2, 3)
+CONNECTING_RADIUS_CAP = 8
 
 
 @record
@@ -299,7 +300,7 @@ def kernel_pair(f: BlockMap) -> LimitResult:
     return pullback(f, f)
 
 
-def connecting_map(f: BlockMap, g: BlockMap, radius_cap: int = 8) -> BlockMap | None:
+def connecting_map(f: BlockMap, g: BlockMap) -> BlockMap | None:
     """The unique u with u . f = g on images, when Ker f is contained in
     Ker g; None when the kernel inclusion fails.
 
@@ -315,7 +316,7 @@ def connecting_map(f: BlockMap, g: BlockMap, radius_cap: int = 8) -> BlockMap | 
     img_g = an.image(g)
     if f.source.is_empty():
         return make_block_map(img_f, img_g, 0, {}, validate_image=False)
-    for rho in range(0, radius_cap + 1):
+    for rho in range(0, CONNECTING_RADIUS_CAP + 1):
         values = forced_values(f, g, rho)
         if values is not None:
             return make_block_map(img_f, img_g, rho, values, validate_image=False)

@@ -26,8 +26,6 @@ class EnumerationSpec:
     source: Presentation
     target: Presentation
     radius: int = 1
-    period_bound: int = 8
-    word_bound: int = 8
 
 
 def enumerate_block_maps(spec: EnumerationSpec):
