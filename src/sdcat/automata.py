@@ -280,15 +280,6 @@ def separating_word(a: Dfa, *bs: Dfa) -> Word | None:
     return first_word([start], successors, accepting, "product automaton")[0]
 
 
-def shortest_accepted(dfa: Dfa) -> Word | None:
-    """Shortlex-least accepted word, or None."""
-    if dfa.init in dfa.accepting:
-        return ()
-    if not dfa.accepting:
-        return None
-    return first_word([dfa.init], dfa.trans.__getitem__, dfa.accepting.__contains__, None)[0]
-
-
 def missing_word(dfa: Dfa, graph: Nfa) -> Word | None:
     """Shortlex-least nonempty word of L(dfa) that labels no path of
     ``graph`` out of its initial states, or None.

@@ -29,7 +29,8 @@ canonicalize those graphs only when a question about their language asks.
 
 A block map's rule is ``values``, one symbol per source window in words
 order, frozen by :func:`_block_map` (composites by :func:`compose`).
-``compose`` and ``maps_equal`` read it through kept word-index tables.
+``compose``, ``maps_equal`` and ``padded_rule`` gather it through
+C-level gatherers kept beside their word-index tables (:func:`_gather`).
 
 Words are tuples of symbol tokens.  Everything is immutable after
 construction and safe to share.
@@ -40,6 +41,7 @@ from __future__ import annotations
 import math
 from functools import cached_property
 from itertools import compress
+from operator import itemgetter
 
 from . import automata as au
 from . import verdicts as v
@@ -130,6 +132,10 @@ class Presentation:
         """The rows of the essential part, its states numbered in order."""
         index = {q: i for i, q in enumerate(sorted(self.live))}
         return tuple({a: index[p] for a, p in self.dfa.trans[q] if p in index} for q in index)
+
+    @cached_property
+    def symbols(self) -> frozenset[str]:
+        return frozenset(self.alphabet)
 
     @cached_property
     def edges(self) -> tuple[tuple[int, str, int], ...]:
@@ -226,6 +232,26 @@ def _center_index(x: Presentation, n: int, pad: int) -> tuple[int, ...]:
     sub-word of length ``n``: where a width-``n`` map reads at ``pad`` more."""
     index = _word_index(x, n)
     return tuple(index[u[pad : pad + n]] for u in _word_list(x, n + 2 * pad))
+
+
+def _gather(keys):
+    """``seq -> tuple(seq[k] for k in keys)`` through a C-level ``itemgetter``,
+    for a tuple of keys.  ``itemgetter`` gives the bare item for one key and
+    refuses none, and the trivial shift has one word of each length, the
+    empty shift none: those two get their own."""
+    if len(keys) > 1:
+        return itemgetter(*keys)
+    if keys:
+        key, = keys
+        return lambda seq: (seq[key],)
+    return lambda seq: ()
+
+
+@_per_object
+def _kept_gather(obj, table, *args):
+    """The :func:`_gather` of the keys ``table(obj, *args)``, kept beside
+    that table."""
+    return _gather(table(obj, *args))
 
 
 @_per_object
@@ -595,7 +621,8 @@ class EventuallyPeriodicPoint:
 class BlockMap:
     """A sliding block code: ``values`` holds the output of each source
     window, in ``source.words(width)`` order, and equality and hashing read
-    it; ``rule_dict`` is the same rule keyed by window."""
+    it; ``rule_dict`` is the same rule keyed by window.  Composites and
+    comparisons gather ``values`` through kept C-level gatherers."""
 
     source: Presentation
     target: Presentation
@@ -637,8 +664,8 @@ class BlockMap:
             return self.rule_dict
         if pad < 0:
             raise ValidationError("cannot shrink a rule by padding")
-        center = _center_index(self.source, self.width(), pad)
-        return dict(zip(self.source.words(2 * radius + 1), map(self.values.__getitem__, center)))
+        center = _kept_gather(self.source, _center_index, self.width(), pad)
+        return dict(zip(self.source.words(2 * radius + 1), center(self.values)))
 
     def __hash__(self):
         return hash((self.source, self.target, self.radius, self.values))
@@ -726,14 +753,15 @@ def make_block_map(
         missing = windows - rule.keys()
         if missing:
             raise ValidationError(f"rule is missing {len(missing)} source windows")
-    return _block_map(source, target, radius, tuple(map(rule.__getitem__, words)), validate_image)
+    values = _kept_gather(source, _word_list, 2 * radius + 1)(rule)
+    return _block_map(source, target, radius, values, validate_image)
 
 
 def _block_map(source: Presentation, target: Presentation, radius: int, values: tuple[str, ...],
                validate_image: bool = True) -> BlockMap:
     """The map with these values, after ``make_block_map``'s symbol and image checks."""
-    bad = set(values).difference(target.alphabet)
-    if bad:
+    if not target.symbols.issuperset(values):
+        bad = set(values).difference(target.alphabet)
         raise ValidationError(f"rule produces symbols outside the target alphabet: {sorted(bad)}")
     f = BlockMap(source, target, radius, values)
     if validate_image and not target.is_full():
@@ -804,10 +832,10 @@ def compose(g: BlockMap, f: BlockMap) -> BlockMap:
     """g after f."""
     if not f.target.language_equal(g.source):
         raise DomainMismatch("compose: target of f differs from source of g")
-    table = _window_table(f, g.width())
-    check_budget(len(table), "word enumeration")
     # one value of g per source word, in words order: g writes only target symbols
-    return BlockMap(f.source, g.target, f.radius + g.radius, tuple(map(g.values.__getitem__, table)))
+    values = _kept_gather(f, _window_table, g.width())(g.values)
+    check_budget(len(values), "word enumeration")
+    return BlockMap(f.source, g.target, f.radius + g.radius, values)
 
 
 @_per_object
@@ -831,8 +859,7 @@ def maps_equal(f: BlockMap, g: BlockMap) -> bool:
         return f.values == g.values
     if f.radius > g.radius:
         f, g = g, f
-    center = _center_index(f.source, f.width(), g.radius - f.radius)
-    return tuple(map(f.values.__getitem__, center)) == g.values
+    return _kept_gather(f.source, _center_index, f.width(), g.radius - f.radius)(f.values) == g.values
 
 
 def reduce_radius(f: BlockMap) -> BlockMap:

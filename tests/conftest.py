@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from sdcat import automata as au
 from sdcat import classify as cl
 from sdcat import limits as li
 from sdcat.core import (
@@ -24,6 +25,15 @@ from sdcat.core import (
 )
 from sdcat import analysis as an
 from sdcat.errors import BudgetExceeded
+
+
+def shortest_accepted(dfa):
+    """Reference: the shortlex-least word that ``dfa`` accepts, or None."""
+    if dfa.init in dfa.accepting:
+        return ()
+    if not dfa.accepting:
+        return None
+    return au.first_word([dfa.init], dfa.trans.__getitem__, dfa.accepting.__contains__, None)[0]
 
 
 def recheck_petals(f, petals):

@@ -6,6 +6,8 @@ from sdcat import automata as au
 from sdcat.automata import Nfa
 from sdcat.core import empty_shift, golden_mean
 
+from conftest import shortest_accepted
+
 
 def brute_context_classes(x, max_len=4):
     """Myhill classes of words up to max_len by direct two-sided context
@@ -47,7 +49,7 @@ class TestDeterminizeMinimize:
     def test_empty_language(self):
         nfa = Nfa(("0",), 1, [], {0}, set())
         dfa = au.determinize_minimize(nfa)
-        assert au.shortest_accepted(dfa) is None
+        assert shortest_accepted(dfa) is None
 
     def test_idempotent_and_language_preserving(self, even_shift):
         once = au.minimize(even_shift.dfa)
@@ -71,7 +73,7 @@ class TestDeterminizeMinimize:
 class TestLanguageOps:
     def test_intersection_with_complement_is_empty(self, golden):
         # the difference product accepts L(a) intersected with the complement of L(b)
-        assert au.shortest_accepted(au.product_dfa(golden.dfa, golden.dfa)) is None
+        assert shortest_accepted(au.product_dfa(golden.dfa, golden.dfa)) is None
 
     def test_golden_inside_full(self, golden, full2):
         assert au.included(golden.dfa, full2.dfa)

@@ -13,6 +13,7 @@ from sdcat.core import (
     apply_map,
     apply_map_ep,
     compose,
+    empty_shift,
     full_shift,
     identity_map,
     make_block_map,
@@ -22,6 +23,7 @@ from sdcat.core import (
     mirror_presentation,
     recode_to_symbol_map,
     reduce_radius,
+    trivial_shift,
 )
 from sdcat.errors import BudgetExceeded, ValidationError, set_budget
 
@@ -188,6 +190,28 @@ class TestMapsEqual:
         g = make_block_map(golden, golden, 1, dict(base))
         assert maps_equal(f, g)
         assert maps_equal(f, identity_map(golden))
+
+
+class TestOneOrNoWords:
+    """The trivial shift has one word of each length and the empty shift
+    none; every rule is still a tuple of one symbol per word."""
+
+    @pytest.mark.parametrize("x", [trivial_shift("0"), empty_shift(["0", "1"])], ids=["trivial", "empty"])
+    def test_gathers_give_one_symbol_per_word(self, x):
+        def check(f):
+            assert isinstance(f.values, tuple) and len(f.values) == len(x.words(f.width()))
+            assert set(f.values) <= set(x.alphabet)
+            return f
+
+        narrow = check(make_block_map(x, x, 0, {w: w[0] for w in x.words(1)}))
+        wide = check(make_block_map(x, x, 1, {w: w[1] for w in x.words(3)}))
+        for g, f in itertools.product((narrow, wide), repeat=2):
+            composite = check(compose(g, f))
+            assert composite.radius == g.radius + f.radius
+            assert maps_equal(composite, narrow) and maps_equal(wide, composite)
+        assert maps_equal(narrow, wide) and maps_equal(wide, narrow) and maps_equal(wide, wide)
+        for f in (narrow, wide):
+            assert f.padded_rule(2) == {w: w[2] for w in x.words(5)}
 
 
 class TestMirror:
@@ -420,22 +444,25 @@ class TestDerivedObjects:
 
         from sdcat import core
 
-        # every table handed out, by inner map and width: a table built
-        # again would be a second object in its list
-        handed = defaultdict(list)
-        real = core._window_table
-        monkeypatch.setattr(core, "_window_table",
-                            lambda f, w: handed[id(f), w].append(real(f, w)) or handed[id(f), w][-1])
         x = full_shift(("0", "1"))
         windows = x.words(3)
         inner = make_block_map(x, x, 1, {w: str(int(w == ("1", "1", "1"))) for w in windows})
-        for bits in range(50):
-            outer = make_block_map(x, x, 1, {w: str(bits >> i & 1) for i, w in enumerate(windows)})
+        outers = [make_block_map(x, x, 1, {w: str(bits >> i & 1) for i, w in enumerate(windows)})
+                  for bits in range(50)]
+        # every table handed out, by inner map and width, and every gatherer
+        # built: a table or gatherer built again would be a second entry
+        handed, gathered = defaultdict(list), []
+        real_table, real_gather = core._window_table, core._gather
+        monkeypatch.setattr(core, "_window_table",
+                            lambda f, w: handed[id(f), w].append(real_table(f, w)) or handed[id(f), w][-1])
+        monkeypatch.setattr(core, "_gather", lambda keys: gathered.append(keys) or real_gather(keys))
+        for outer in outers:
             assert compose(outer, inner).rule_dict == {
                 w: outer.local(tuple(inner.local(w[i : i + 3]) for i in range(3))) for w in x.words(5)}
         assert list(handed) == [(id(inner), 3)]
         tables = handed[id(inner), 3]
-        assert len(tables) == 50 and all(t is tables[0] for t in tables)
+        assert len(tables) == 1 and tables[0] is real_table(inner, 3)
+        assert len(gathered) == 1 and gathered[0] is tables[0]
 
     def test_maps_equal_pads_no_rule(self, full2, monkeypatch):
         from sdcat import core

@@ -19,7 +19,8 @@ the dict-based loop, and the strong condition's kept facts and assignment
 search against the word-keyed engine and the recursive backtrack they
 replaced.  ``compose``, ``maps_equal`` and ``make_block_map``, which read
 kept window tables, are checked against their former loops, errors
-included.  SFTs from forbidden words are checked against the de Bruijn
+included, and their gathers through kept itemgetters against the
+Python-level gathers over the same index tables.  SFTs from forbidden words are checked against the de Bruijn
 graph they were built on, and chain graphs and blocking windows read off
 the kept window tables against the rule slid over every word.  The
 relation of a local equivalence, the kernel of its
@@ -48,7 +49,9 @@ from sdcat import oracle as orc
 from sdcat.core import (
     BlockMap,
     PeriodicPoint,
+    _center_index,
     _live_nodes,
+    _window_table,
     apply_map,
     apply_map_ep,
     block_symbol,
@@ -83,7 +86,7 @@ from sdcat.errors import BudgetExceeded, DomainMismatch, ValidationError
 from sdcat.files import format_shift
 from sdcat.limits import CategoryTag
 
-from conftest import recheck_certificates, recheck_petals
+from conftest import recheck_certificates, recheck_petals, shortest_accepted
 
 
 @st.composite
@@ -753,8 +756,8 @@ class TestExploreAndClosure:
     def test_product_matches_the_stepping_loop(self, a, b):
         got, ref = au.product_dfa(a, b), _old_product(a, b)
         assert got.n == ref.n
-        assert au.shortest_accepted(got) == au.shortest_accepted(ref)
-        assert au.included(a, b) == (au.shortest_accepted(ref) is None)
+        assert shortest_accepted(got) == shortest_accepted(ref)
+        assert au.included(a, b) == (shortest_accepted(ref) is None)
 
     @given(st.integers(min_value=1, max_value=3).flatmap(lambda n: st.lists(
         st.lists(st.integers(min_value=0, max_value=n - 1), min_size=n, max_size=n).map(tuple),
@@ -921,7 +924,7 @@ def _old_surjectivity_word(f):
     """Reference: the shortest target word outside the image, from the
     difference product of target and image (``separating_word(target,
     image)``)."""
-    return au.shortest_accepted(_old_product(f.target.dfa, f.image.dfa))
+    return shortest_accepted(_old_product(f.target.dfa, f.image.dfa))
 
 
 @st.composite
@@ -1002,7 +1005,7 @@ class TestSurjectivity:
         bad = a
         for b in bs:
             bad = _old_product(bad, b)
-        assert au.separating_word(a, *bs) == au.shortest_accepted(bad)
+        assert au.separating_word(a, *bs) == shortest_accepted(bad)
         if bs:  # the same reachable tuples, nested in pairs
             assert au.product_dfa(a, *bs).n == bad.n
 
@@ -1011,7 +1014,7 @@ def _old_escaping_word(x, y, radius, rule):
     """Reference: the shortlex-least word of the canonical image outside
     the target, from their difference product."""
     image = rule_image(x, radius, rule, y.alphabet)
-    return au.shortest_accepted(_old_product(image.dfa, y.dfa))
+    return shortest_accepted(_old_product(image.dfa, y.dfa))
 
 
 @st.composite
@@ -1499,6 +1502,79 @@ class TestBlockMapAlgebra:
         assert list(map(_pairs, maps)) == list(map(_pairs, old))
         for f in maps:
             _check_representation(f)
+
+
+# ---------------------------------------------------------------------------
+# The block-map gathers through kept itemgetters
+
+
+def _index_compose(g, f):
+    """Reference: one value of ``g`` per word of the window table, gathered
+    by a Python-level map on every call."""
+    if not f.target.language_equal(g.source):
+        raise DomainMismatch("compose: target of f differs from source of g")
+    table = _window_table(f, g.width())
+    return BlockMap(f.source, g.target, f.radius + g.radius, tuple(map(g.values.__getitem__, table)))
+
+
+def _index_maps_equal(f, g):
+    """Reference: the narrower map's values gathered on the central index."""
+    if not f.source.language_equal(g.source) or not f.target.language_equal(g.target):
+        raise DomainMismatch("maps_equal: presentations differ")
+    if f.radius == g.radius:
+        return f.values == g.values
+    if f.radius > g.radius:
+        f, g = g, f
+    center = _center_index(f.source, f.width(), g.radius - f.radius)
+    return tuple(map(f.values.__getitem__, center)) == g.values
+
+
+def _index_padded_rule(f, radius):
+    """Reference: the values gathered on the central index, keyed by word."""
+    pad = radius - f.radius
+    if pad < 0:
+        raise ValidationError("cannot shrink a rule by padding")
+    center = _center_index(f.source, f.width(), pad)
+    return dict(zip(f.source.words(2 * radius + 1), map(f.values.__getitem__, center)))
+
+
+def _check_gathers(draw, f, g, h):
+    """``compose``, ``maps_equal`` and ``padded_rule`` against the index
+    references: ``g`` reads ``f``'s target and ``h`` shares ``f``'s source."""
+    for outer, inner in ((g, f), (f, g), (h, f), (g, h)):
+        _same(compose, _index_compose, outer, inner)
+    gf = compose(g, f)
+    for m in (f, h, gf):
+        for a, b in ((m, _padded(m, 1)), (_changed(draw, m), _padded(m, 1)), (m, h), (m, gf)):
+            _same(maps_equal, _index_maps_equal, a, b)
+            _same(maps_equal, _index_maps_equal, b, a)
+    for m in (f, g, h):
+        for radius in range(m.radius - 1, 4):
+            _same(m.padded_rule, functools.partial(_index_padded_rule, m), radius)
+
+
+class TestKeptGathers:
+    """The gathers through kept itemgetters give the values of the
+    Python-level gathers over the same index tables."""
+
+    @given(sft_maps() | sofic_maps(), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_sofic_maps_match_the_index_loops(self, f, data):
+        draw = data.draw
+        g = _any_map(draw, f.target, FULL2, draw(st.integers(min_value=0, max_value=2)))
+        h = _any_map(draw, f.source, FULL2, draw(st.integers(min_value=0, max_value=2)))
+        _check_gathers(draw, f, g, h)
+
+    def test_census_maps_after_and_match_the_index_loops(self):
+        maps = _census_maps()
+        and_rule = maps[128]  # the window 111 alone goes to 1
+        for f in maps:
+            composite = compose(f, and_rule)
+            _same(compose, _index_compose, f, and_rule)
+            _same(compose, _index_compose, and_rule, f)
+            _same(maps_equal, _index_maps_equal, composite, f)
+            _same(maps_equal, _index_maps_equal, f, composite)
+            _same(f.padded_rule, functools.partial(_index_padded_rule, f), 2)
 
 
 # ---------------------------------------------------------------------------

@@ -150,3 +150,13 @@ def test_block_maps_are_made_by_the_core_constructors():
         found += [f"{path.name}:{c.lineno}" for c in ast.walk(tree)
                   if isinstance(c, ast.Call) and "BlockMap" in _names(c.func) and id(c) not in allowed]
     assert not found, f"BlockMap called outside core._block_map and core.compose: {found}"
+
+
+def test_core_gathers_only_through_kept_itemgetters():
+    # every index-table gather in ``core`` reads a gatherer that
+    # ``core._gather`` built once: no ``map(seq.__getitem__, table)`` left
+    tree = ast.parse((SRC / "core.py").read_text(encoding="utf-8"))
+    found = [c.lineno for c in ast.walk(tree)
+             if isinstance(c, ast.Call) and isinstance(c.func, ast.Name) and c.func.id == "map"
+             and c.args and isinstance(c.args[0], ast.Attribute) and c.args[0].attr == "__getitem__"]
+    assert not found, f"map(<expr>.__getitem__, ...) in core.py at lines {found}"
