@@ -45,8 +45,6 @@ from .core import (
     image_presentation,
     image_word,
     make_block_map,
-    pair_symbol,
-    pair_table,
     presentation_from_edges,
     product_alphabet,
     sft_approximation,
@@ -78,9 +76,6 @@ class SubshiftRelation:
     left: Presentation
     right: Presentation
 
-    def alphabet_pairs(self) -> dict[str, tuple[str, str]]:
-        return pair_table(self.left.alphabet, self.right.alphabet)
-
 
 def kernel_set(f: BlockMap) -> SubshiftRelation:
     """Pairs of source points with equal image."""
@@ -92,15 +87,14 @@ def graph_relation(f: BlockMap) -> SubshiftRelation:
     x = f.source
     alphabet = product_alphabet(x.alphabet, f.target.alphabet)
     nodes, edges = window_graph(x, f.width())
-    edges = [(k, pair_symbol(center_of(w), f.local(w)), t) for k, w, t in edges]
+    edges = [(k, (center_of(w), f.local(w)), t) for k, w, t in edges]
     return SubshiftRelation(presentation_from_edges(alphabet, len(nodes), edges), x, f.target)
 
 
 def swap_relation(r: SubshiftRelation) -> SubshiftRelation:
     pres = r.presentation
     alphabet = product_alphabet(r.right.alphabet, r.left.alphabet)
-    swapped = {t: pair_symbol(b, a) for t, (a, b) in r.alphabet_pairs().items()}
-    edges = [(i, swapped[t], j) for i, t, j in pres.edges]
+    edges = [(i, t[::-1], j) for i, t, j in pres.edges]
     return SubshiftRelation(presentation_from_edges(alphabet, pres.n_live(), edges),
                             r.right, r.left)
 
@@ -108,12 +102,9 @@ def swap_relation(r: SubshiftRelation) -> SubshiftRelation:
 def relation_projections(r: SubshiftRelation):
     """The two coordinate block maps out of the relation."""
     pres = r.presentation
-    pairs = r.alphabet_pairs()
-    rule1 = {(t,): pairs[t][0] for t in pres.alphabet if pres.contains_word((t,))}
-    rule2 = {(t,): pairs[t][1] for t in pres.alphabet if pres.contains_word((t,))}
-    p1 = make_block_map(pres, r.left, 0, rule1)
-    p2 = make_block_map(pres, r.right, 0, rule2)
-    return p1, p2
+    live = [t for t in pres.alphabet if pres.contains_word((t,))]
+    return (make_block_map(pres, r.left, 0, {(t,): t[0] for t in live}),
+            make_block_map(pres, r.right, 0, {(t,): t[1] for t in live}))
 
 
 def equalizer_set(f: BlockMap, g: BlockMap) -> Presentation:
@@ -587,16 +578,16 @@ def surjectivity(f: BlockMap) -> v.Verdict:
 @record
 class InjectivityFamily:
     """Injectivity on all points, on periodic points and on uniform points.
-    ``pair`` is two distinct eventually periodic points with equal images
-    when ``f`` is not injective, and ``periodic_pair`` two distinct
-    periodic points with equal images when ``f`` is not injective on
-    periodic points; equality sees neither."""
+    Where one fails, ``pair``, ``periodic_pair`` or ``uniform_pair`` holds
+    two distinct points with equal images, eventually periodic, periodic
+    or uniform; equality sees none of them."""
 
     injective: bool
     injective_on_periodic: bool
     injective_on_uniform: bool
     pair: tuple | None = uncompared(None)
     periodic_pair: tuple | None = uncompared(None)
+    uniform_pair: tuple | None = uncompared(None)
 
 
 @record
@@ -607,15 +598,14 @@ class _DiagonalView:
     ``BlockMap.kernel_graph`` in edge order; several may carry the same
     token.  ``succ[q]`` lists their end nodes, ``into[p]`` the edges
     ``(token, node)`` into ``p`` back to their start nodes, and ``pred[p]``
-    those start nodes, in node order and then in edge order.  ``pairs``
-    maps each pair token to its pair, and ``off_edges`` every off-diagonal edge
-    ``(q, token, p)`` in node order and then in edge order.  ``backward``
-    holds the nodes with an infinite diagonal past (reachable from a
-    diagonal cycle along diagonal edges), ``forward`` those with an
-    infinite diagonal future.
+    those start nodes, in node order and then in edge order, and
+    ``off_edges`` every edge ``(q, t, p)`` off the diagonal, ``t[0] !=
+    t[1]``, in node order and then in edge order.  ``backward`` holds the
+    nodes with an infinite diagonal past (reachable from a diagonal cycle
+    along diagonal edges), ``forward`` those with an infinite diagonal
+    future.
     """
 
-    pairs: dict[str, tuple[str, str]]
     out: tuple[tuple[tuple[str, int], ...], ...]
     succ: list[list[int]]
     pred: list[list[int]]
@@ -629,8 +619,6 @@ class _DiagonalView:
 def _diagonal_view(f: BlockMap) -> _DiagonalView:
     """The diagonal structure of ``f.kernel_graph``, built once per map."""
     _, n, edges = f.kernel_graph
-    pairs = pair_table(f.source.alphabet, f.source.alphabet)
-    off = frozenset(t for t, (a, b) in pairs.items() if a != b)
     out: list[list[tuple[str, int]]] = [[] for _ in range(n)]
     for q, t, p in edges:
         out[q].append((t, p))
@@ -645,12 +633,12 @@ def _diagonal_view(f: BlockMap) -> _DiagonalView:
             succ[q].append(p)
             pred[p].append(q)
             into[p].append((t, q))
-            if t in off:
+            if t[0] != t[1]:
                 off_edges.append((q, t, p))
             else:
                 dsucc[q].append(p)
                 dpred[p].append(q)
-    return _DiagonalView(pairs, tuple(map(tuple, out)), succ, pred, into, tuple(off_edges),
+    return _DiagonalView(tuple(map(tuple, out)), succ, pred, into, tuple(off_edges),
                          _infinite_past(dsucc, dpred), _infinite_past(dpred, dsucc))
 
 
@@ -698,11 +686,6 @@ def _cycle_through(view: _DiagonalView, edge: tuple[int, str, int]) -> Word:
     return (t, *back)
 
 
-def _coordinates(view: _DiagonalView, word: Word) -> tuple[Word, Word]:
-    """The two source words that a word of pair tokens reads."""
-    return tuple(tuple(view.pairs[t][k] for t in word) for k in (0, 1))
-
-
 def mixing_petals(f: BlockMap) -> tuple[Word, Word] | None:
     """Two closed walks ``(w1, w2)`` of ``f.kernel_graph`` from one node,
     of coprime lengths, the first starting with an off-diagonal edge; None
@@ -746,16 +729,14 @@ def injectivity_family(f: BlockMap) -> InjectivityFamily:
     periodic_pair = None
     if comps:
         cycle = _cycle_through(view, comps[0][0])
-        periodic_pair = tuple(map(PeriodicPoint, _coordinates(view, cycle)))
-    uni = True
-    ups = f.source.uniform_points()
-    images = {}
-    for a in ups:
-        img = image_word(f, (a,))
-        if img in images:
-            uni = False
-        images[img] = a
-    return InjectivityFamily(inj, not comps, uni, pair, periodic_pair)
+        periodic_pair = tuple(map(PeriodicPoint, zip(*cycle)))
+    uniform_pair, images = None, {}
+    for a in f.source.uniform_points():
+        b = images.setdefault(image_word(f, (a,)), a)
+        if b != a:
+            uniform_pair = (PeriodicPoint((b,)), PeriodicPoint((a,)))
+            break
+    return InjectivityFamily(inj, not comps, not uniform_pair, pair, periodic_pair, uniform_pair)
 
 
 @_per_object
@@ -831,8 +812,7 @@ def _pair_witness(view: _DiagonalView, i: int, tok: str, j: int, diamond: bool):
     past, future = (view.backward, view.forward) if diamond else (range(n), range(n))
 
     def kept(t):
-        a, b = view.pairs[t]
-        return a == b or not diamond
+        return t[0] == t[1] or not diamond
 
     back, b = _bfs_path(i, into.__getitem__, past.__contains__)
     lead, cycle = _walk_to_cycle(b, lambda q: next(
@@ -841,8 +821,8 @@ def _pair_witness(view: _DiagonalView, i: int, tok: str, j: int, diamond: bool):
     trail, cycle2 = _walk_to_cycle(e, lambda q: next(
         (t, p) for t, p in view.out[q] if p in future and kept(t)))
     words = (cycle[::-1], lead[::-1] + back[::-1] + (tok,) + ahead + trail, cycle2)
-    return tuple(EventuallyPeriodicPoint(*ws)
-                 for ws in zip(*(_coordinates(view, w) for w in words)))
+    # each word of pairs unzips into the words of the two points
+    return tuple(EventuallyPeriodicPoint(*ws) for ws in zip(*(zip(*w) for w in words)))
 
 
 @record

@@ -81,7 +81,7 @@ def is_monic(f: BlockMap, cat: CategoryTag) -> v.Verdict:
     if pre.no:
         return v.no(witness=pre.witness, note="not preinjective")
     if r == "M" and not fam.injective_on_uniform:
-        return v.no(note="not injective on uniform points")
+        return v.no(witness={"pair": fam.uniform_pair}, note="not injective on uniform points")
     return v.undecided(note="open in the classification table")
 
 
@@ -735,7 +735,8 @@ def classify(
         "injective": v.yes() if fam.injective else v.no(witness={"pair": fam.pair}),
         "injective_on_periodic": v.yes() if fam.injective_on_periodic else v.no(
             witness={"pair": fam.periodic_pair}),
-        "injective_on_uniform": v.yes() if fam.injective_on_uniform else v.no(),
+        "injective_on_uniform": v.yes() if fam.injective_on_uniform else v.no(
+            witness={"pair": fam.uniform_pair}),
         "preinjective": an.is_preinjective(f),
         "peric": an.is_peric(f),
     }

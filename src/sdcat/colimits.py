@@ -26,8 +26,6 @@ from .core import (
     identity_map,
     make_block_map,
     maps_equal,
-    pair_symbol,
-    pair_table,
     product_presentation,
     rule_image,
     shift_power,
@@ -83,20 +81,10 @@ def _equivalence_closure(words, pairs):
     return tuple(tuple(sorted(g)) for g in sorted(groups.values()))
 
 
-def _zip_pair_word(u: Word, w: Word) -> Word:
-    return tuple(pair_symbol(a, b) for a, b in zip(u, w))
-
-
-def _unzip_pair_word(t: Word, pairs: dict[str, tuple[str, str]]) -> tuple[Word, Word]:
-    return tuple(pairs[s][0] for s in t), tuple(pairs[s][1] for s in t)
-
-
 def local_closure(generator: Presentation, x: Presentation, window: int) -> LocalEquivalence:
     """Smallest window-``window`` local equivalence on x containing the
     generator relation."""
-    table = pair_table(x.alphabet, x.alphabet)
-    pairs = [_unzip_pair_word(t, table) for t in generator.words(window)]
-    classes = _equivalence_closure(x.words(window), pairs)
+    classes = _equivalence_closure(x.words(window), (zip(*t) for t in generator.words(window)))
     return LocalEquivalence(window, classes, _quotient_map(x, window, classes))
 
 
@@ -106,18 +94,16 @@ def relation_checks(r: SubshiftRelation, period_bound: int = 4) -> dict:
     diag = diagonal_relation(x)
     reflexive = diag.included_in(r.presentation)
     symmetric = an.swap_relation(r).presentation.language_equal(r.presentation)
-    transitive, table = True, r.alphabet_pairs()
+    transitive = True
     for p in range(1, period_bound + 1):
         periodic = set(r.presentation.periodic_words(p))
         by_left: dict[Word, list[Word]] = {}
         for t in periodic:
-            u, w = _unzip_pair_word(t, table)
+            u, w = zip(*t)
             by_left.setdefault(u, []).append(w)
-        for u, mids in by_left.items():
-            for m in mids:
-                for w in by_left.get(m, ()):
-                    if _zip_pair_word(u, w) not in periodic:
-                        transitive = False
+        transitive = transitive and all(
+            tuple(zip(u, w)) in periodic
+            for u, mids in by_left.items() for m in mids for w in by_left.get(m, ()))
     return {"reflexive": reflexive, "symmetric": symmetric,
             "transitive_on_periodic": transitive}
 

@@ -16,8 +16,8 @@ A graph is one kept tuple of ``(src, symbol, dst)`` edges:
 the windows of a width.  Every derived shift relabels, filters or
 reverses the edges of one such tuple, or matches those of two:
 :func:`_matched_edges` is the one product of two graphs, under the
-product, the fiber product and the intersection.  Every SFT is the graph
-of its allowed words, :func:`presentation_from_allowed_words`.
+product, the fiber product and the intersection.  An SFT is the graph of
+its avoidance automaton, an SFT approximation that of its allowed words.
 
 Questions that only ask whether some bi-infinite path exists need no
 canonical form.  :func:`image_graph` and :func:`fiber_graph` are labeled
@@ -32,8 +32,9 @@ order, frozen by :func:`_block_map` (composites by :func:`compose`).
 ``compose``, ``maps_equal`` and ``padded_rule`` gather it through
 C-level gatherers kept beside their word-index tables (:func:`_gather`).
 
-Words are tuples of symbol tokens.  Everything is immutable after
-construction and safe to share.
+Words are tuples of symbols: strings read from input, or derived values,
+a pair ``(a, b)`` or a higher block's window tuple.  Everything is
+immutable after construction and safe to share.
 """
 
 from __future__ import annotations
@@ -76,35 +77,32 @@ def _per_object(fn):
     return once
 
 
-def make_alphabet(symbols) -> tuple[str, ...]:
-    syms = tuple(str(s) for s in symbols)
+def make_alphabet(symbols) -> tuple:
+    syms = tuple(s if isinstance(s, tuple) else str(s) for s in symbols)
     if len(set(syms)) != len(syms):
         raise ValidationError("alphabet symbols must be distinct")
     for s in syms:
-        if not s or any(c.isspace() for c in s):
+        if not _valid_symbol(s):
             raise ValidationError(f"bad symbol token: {s!r}")
+    try:
+        sorted(syms)  # as canonical forms do
+    except TypeError:
+        raise ValidationError("alphabet mixes symbols that do not compare") from None
     return syms
 
 
-def pair_symbol(a: str, b: str) -> str:
-    return f"({a},{b})"
+def _valid_symbol(s) -> bool:
+    """A nonempty string with no space, or a nonempty tuple of symbols."""
+    return bool(s) and (all(map(_valid_symbol, s)) if isinstance(s, tuple)
+                        else isinstance(s, str) and not any(c.isspace() for c in s))
 
 
-def block_symbol(word: Word) -> str:
-    return "[" + "|".join(word) + "]"
+def pair_symbol(a, b) -> tuple:
+    return (a, b)
 
 
-def pair_table(left, right) -> dict[str, tuple[str, str]]:
-    """Each pair token of ``left`` by ``right`` and the pair it names: the
-    one way to read a pair token back."""
-    table = {pair_symbol(a, b): (a, b) for a in left for b in right}
-    if len(table) != len(left) * len(right):
-        raise ValidationError("pair tokens of these alphabets collide")
-    return table
-
-
-def product_alphabet(left, right) -> tuple[str, ...]:
-    return tuple(pair_table(left, right))
+def product_alphabet(left, right) -> tuple[tuple, ...]:
+    return tuple((a, b) for a in left for b in right)
 
 
 # ---------------------------------------------------------------------------
@@ -328,19 +326,27 @@ def make_presentation(alphabet, kind: str, payload, point=None) -> Presentation:
     alphabet = make_alphabet(alphabet)
     if kind == "sft":
         forbidden = [tuple(w) for w in payload]
+        unknown = [s for w in forbidden for s in w if s not in alphabet]
+        if unknown:
+            raise ValidationError(f"forbidden word uses unknown symbol {unknown[0]!r}")
+        # the avoidance automaton (Crochemore, Mignosi & Restivo 1998) on the
+        # proper prefixes of forbidden words: u reads a to the longest one
+        # that ends u + a, unless a forbidden word ends u + a; each state
+        # tests m + 1 suffixes per symbol, counted before its word is read
+        banned, m, states = set(forbidden), max(map(len, forbidden), default=0), {()}
         for w in forbidden:
-            for s in w:
-                if s not in alphabet:
-                    raise ValidationError(f"forbidden word uses unknown symbol {s!r}")
-        m = max([1] + [len(w) for w in forbidden])
-        check_budget(len(alphabet) ** max(0, m - 1), "SFT window graph")
-        # the allowed m-words, each an allowed word and a symbol: only its
-        # suffixes can be new forbidden factors
-        banned, words = set(forbidden), [()]
-        for _ in range(m):
-            words = [w for u in words for w in (u + (a,) for a in alphabet)
-                     if not any(w[i:] in banned for i in range(len(w) + 1))]
-        return presentation_from_allowed_words(alphabet, words, point)
+            check_budget((len(states) + len(w)) * len(alphabet) * (m + 1), "avoidance automaton")
+            states.update(w[:i] for i in range(1, len(w)))
+        index = {u: k for k, u in enumerate(sorted(states))}
+        edges = []
+        for u, k in index.items():
+            for a in alphabet:
+                v = u + (a,)
+                if not any(v[i:] in banned for i in range(len(v) + 1)):
+                    while v not in index:
+                        v = v[1:]
+                    edges.append((k, a, index[v]))
+        return presentation_from_edges(alphabet, len(index), edges, point)
     elif kind == "graph":
         nodes, raw_edges = payload
         nodes = list(nodes)
@@ -389,7 +395,7 @@ def product_presentation(x: Presentation, y: Presentation) -> Presentation:
                            [(i, None, a, j) for i, a, j in y.edges], ny, pair_symbol)
     point = None
     if x.point is not None and y.point is not None:
-        point = pair_symbol(x.point, y.point)
+        point = (x.point, y.point)
     return presentation_from_edges(alphabet, nx * ny, edges, point)
 
 
@@ -419,15 +425,18 @@ def diagonal_relation(x: Presentation) -> Presentation:
     built once per shift."""
     alphabet = product_alphabet(x.alphabet, x.alphabet)
     return presentation_from_edges(alphabet, x.n_live(),
-                                   [(i, pair_symbol(a, a), j) for i, a, j in x.edges])
+                                   [(i, (a, a), j) for i, a, j in x.edges])
 
 
 def disjoint_union(x: Presentation, y: Presentation):
     """Symbol-disjoint union.  Returns (presentation, left map, right map)
-    where the maps send each original symbol to its tagged copy."""
-    collision = set(x.alphabet) & set(y.alphabet)
-    lmap = {a: (f"L:{a}" if collision else a) for a in x.alphabet}
-    rmap = {b: (f"R:{b}" if collision else b) for b in y.alphabet}
+    where the maps send each original symbol to its tagged copy, the pair
+    ``("L", a)`` or ``("R", b)`` when either side holds a derived symbol."""
+    plain = all(isinstance(s, str) for s in x.alphabet + y.alphabet)
+    tag = (lambda side, s: f"{side}:{s}") if plain else (lambda side, s: (side, s))
+    collision = not plain or set(x.alphabet) & set(y.alphabet)
+    lmap = {a: (tag("L", a) if collision else a) for a in x.alphabet}
+    rmap = {b: (tag("R", b) if collision else b) for b in y.alphabet}
     return side_by_side(x, y, lmap, rmap), lmap, rmap
 
 
@@ -881,26 +890,19 @@ def mirror_map(f: BlockMap) -> BlockMap:
 
 @_per_object
 def higher_block_presentation(x: Presentation, w: int) -> Presentation:
-    """The width-``w`` higher block shift, built once per presentation and width."""
+    """The width-``w`` higher block shift, built once per presentation and
+    width: the window graph, each edge labelled by its window, a symbol."""
     nodes, edges = window_graph(x, w)
-    blocks = {window: block_symbol(window) for _, window, _ in edges}
-    tokens = tuple(sorted(set(blocks.values())))
-    if len(tokens) != len(blocks):
-        raise ValidationError("block tokens of this alphabet collide")
-    return presentation_from_edges(tokens, len(nodes), [(k, blocks[wd], t) for k, wd, t in edges])
+    return presentation_from_edges(tuple(sorted({wd for _, wd, _ in edges})), len(nodes), edges)
 
 
 @_per_object
 def _block_conjugacy(x: Presentation, w: int) -> tuple[BlockMap, BlockMap]:
     """``(to_blocks, from_blocks)``: the conjugacy pair between ``x`` and its
     width-``w`` higher block shift, built once per presentation and width."""
-    xb = higher_block_presentation(x, w)
-    to_blocks = make_block_map(x, xb, w // 2, {win: block_symbol(win) for win in x.words(w)},
-                               validate_image=False)
-    from_blocks = make_block_map(
-        xb, x, 0, {(t,): win[w // 2] for win, t in to_blocks.rule_dict.items()},
-        validate_image=False)
-    return to_blocks, from_blocks
+    xb, windows = higher_block_presentation(x, w), x.words(w)
+    return (make_block_map(x, xb, w // 2, {win: win for win in windows}, validate_image=False),
+            make_block_map(xb, x, 0, {(win,): win[w // 2] for win in windows}, validate_image=False))
 
 
 def recode_to_symbol_map(f: BlockMap):
@@ -915,7 +917,6 @@ def recode_to_symbol_map(f: BlockMap):
         return f, ident, ident
     to_blocks, from_blocks = _block_conjugacy(f.source, f.width())
     f0 = make_block_map(to_blocks.target, f.target, 0,
-                        {(t,): f.local(win) for win, t in to_blocks.rule_dict.items()},
-                        validate_image=False)
+                        {(win,): val for win, val in f.rule_dict.items()}, validate_image=False)
     return f0, to_blocks, from_blocks
 

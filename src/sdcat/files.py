@@ -1,9 +1,12 @@
 """The .shift and .bmap interchange formats.
 
-Both are line oriented with ``#`` comments.  Words are written as
-concatenated symbols when every alphabet symbol is a single character,
-and comma-separated otherwise.  Emitted presentations use a canonical
-state numbering so golden files are stable.
+Both are line oriented with ``#`` comments, and their symbols are
+strings.  A derived symbol, a tuple, is spelled only here, as its parts'
+spellings joined by commas in parentheses, ``((0,1),1)``; two that spell
+alike raise ``ValidationError``.  Words are written as concatenated
+spellings when each is a single character, and comma-separated otherwise.
+Emitted presentations use a canonical state numbering so golden files are
+stable.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from .core import (
     make_block_map,
     make_presentation,
 )
-from .errors import ParseError
+from .errors import ParseError, ValidationError
 
 Word = tuple[str, ...]
 
@@ -52,10 +55,22 @@ def _split_word(text: str, alphabet) -> Word:
     return parts
 
 
+def _spell(symbol) -> str:
+    return "(" + ",".join(map(_spell, symbol)) + ")" if isinstance(symbol, tuple) else symbol
+
+
+def _spellings(alphabet) -> dict:
+    """Each symbol of ``alphabet`` and how a file spells it."""
+    names = {a: _spell(a) for a in alphabet}
+    if len(set(names.values())) != len(names):
+        raise ValidationError("two symbols of this alphabet are spelled alike")
+    return names
+
+
 def format_word(word: Word, alphabet) -> str:
-    if all(len(a) == 1 for a in alphabet):
-        return "".join(word)
-    return ",".join(word)
+    names = _spellings(alphabet)
+    sep = "" if all(len(n) == 1 for n in names.values()) else ","
+    return sep.join(names[a] for a in word)
 
 
 def _lines(text: str):
@@ -114,19 +129,21 @@ def load_shift(path: str) -> Presentation:
 
 
 def format_shift(x: Presentation) -> str:
-    out = [f"alphabet: {' '.join(x.alphabet)}", "kind: graph"]
+    names = _spellings(x.alphabet)
+    out = [f"alphabet: {' '.join(names.values())}", "kind: graph"]
     if x.n_live():
         out.append("node: " + " ".join(f"s{i}" for i in range(x.n_live())))
     # the rows of a canonical automaton are sorted by symbol
-    out += [f"edge: s{i} s{j} {a}" for i, a, j in x.edges]
+    out += [f"edge: s{i} s{j} {names[a]}" for i, a, j in x.edges]
     if x.point is not None:
-        out.append(f"point: {x.point}")
+        out.append(f"point: {names[x.point]}")
     return "\n".join(out) + "\n"
 
 
 def save_shift(x: Presentation, path: str) -> None:
+    text = format_shift(x)  # before the file is opened, so a refusal leaves none
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(format_shift(x))
+        fh.write(text)
 
 
 def parse_bmap(text: str, base_dir: str = ".", loader=None) -> BlockMap:
@@ -187,7 +204,8 @@ def save_bmap(f: BlockMap, path: str) -> None:
         f"target: {os.path.basename(tgt_path)}",
         f"radius: {f.radius}",
     ]
+    names = _spellings(f.target.alphabet)
     for w, val in sorted(f.rule_dict.items()):
-        lines.append(f"rule: {format_word(w, f.source.alphabet)} -> {val}")
+        lines.append(f"rule: {format_word(w, f.source.alphabet)} -> {names[val]}")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")

@@ -17,7 +17,6 @@ from .core import (
     identity_map,
     image_word,
     make_block_map,
-    pair_symbol,
     product_presentation,
     trivial_shift,
     _block_map,
@@ -409,7 +408,7 @@ def pairing(h1: BlockMap, h2: BlockMap, target: Presentation) -> BlockMap:
     r = max(h1.radius, h2.radius)
     r1 = h1.padded_rule(r)
     r2 = h2.padded_rule(r)
-    rule = {w: pair_symbol(r1[w], r2[w]) for w in h1.source.words(2 * r + 1)}
+    rule = {w: (r1[w], r2[w]) for w in h1.source.words(2 * r + 1)}
     return make_block_map(h1.source, target, r, rule)
 
 

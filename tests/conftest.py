@@ -15,7 +15,6 @@ from sdcat.core import (
     make_presentation,
     maps_equal,
     pair_symbol,
-    pair_table,
     presentation_from_allowed_words,
     product_presentation,
     sft_approximation,
@@ -40,7 +39,7 @@ def recheck_petals(f, petals):
     """Re-verify a petal witness of non-monicness in M2 or M3 through
     ``core`` alone.
 
-    The petals are two closed walks of pair tokens from one node of the
+    The petals are two closed walks of pair symbols from one node of the
     kernel graph.  The flower graph with one edge per token read, named
     apart, is built as a shift; its two radius-0 coordinate projections g
     and h must be maps into the source that differ while f∘g = f∘h.  The
@@ -49,7 +48,6 @@ def recheck_petals(f, petals):
     its centre have gcd 1.
     """
     w1, w2 = petals
-    pairs = pair_table(f.source.alphabet, f.source.alphabet)
     assert w1 and w2 and math.gcd(len(w1), len(w2)) == 1
     nodes, edges, tokens = ["c"], [], {}
     for k, word in enumerate(petals):
@@ -57,7 +55,7 @@ def recheck_petals(f, petals):
         nodes += path[1:-1]
         for i, token in enumerate(word):
             name = f"e{k}.{i}"
-            tokens[name] = pairs[token]
+            tokens[name] = token
             edges.append((path[i], path[i + 1], name))
     flower = make_presentation(list(tokens), "graph", (nodes, edges))
     assert sft_approximation(flower, 2).language_equal(flower)

@@ -236,6 +236,32 @@ class TestInjectivityFamily:
             False, False, True,
         )
 
+    def test_uniform_no_carries_two_points_with_one_image(self, full2):
+        from sdcat import classify as cl
+        from sdcat.limits import CategoryTag
+
+        windows = full2.words(3)
+        nos = monic_nos = 0
+        for bits in range(256):
+            f = make_block_map(full2, full2, 1, {w: str(bits >> i & 1) for i, w in enumerate(windows)})
+            fam = an.injectivity_family(f)
+            assert (fam.uniform_pair is None) == fam.injective_on_uniform
+            if fam.injective_on_uniform:
+                continue
+            nos += 1
+            p, q = fam.uniform_pair
+            assert len(p.word) == len(q.word) == 1 and not p.same_point(q)
+            assert apply_map(f, p).same_point(apply_map(f, q))
+            row = cl.classify(f, CategoryTag.parse("K2"))
+            assert row["injective_on_uniform"].witness == {"pair": fam.uniform_pair}
+            monic = cl.is_monic(f, CategoryTag.parse("M1"))
+            if monic.note == "not injective on uniform points":
+                monic_nos += 1
+                assert monic.witness == {"pair": fam.uniform_pair}
+        # the maps with equal images of 000 and 111; among them the
+        # preinjective ones are refuted in M1 on uniform points
+        assert nos == 128 and monic_nos > 0
+
     def test_t3_example(self, t3_monic_map):
         fam = an.injectivity_family(t3_monic_map)
         assert not fam.injective
@@ -368,11 +394,10 @@ class TestFactsDecidedOnce:
 
         # a fresh map, so no kernel fact is kept from another test
         f = make_block_map(full2, full2, 1, and_rule.rule_dict)
-        sccs, tables = [], []
-        real_sccs, real_table = an.au.strongly_connected_components, an.pair_table
+        sccs = []
+        real_sccs = an.au.strongly_connected_components
         monkeypatch.setattr(an.au, "strongly_connected_components",
                             lambda nodes, succ: sccs.append(nodes) or real_sccs(nodes, succ))
-        monkeypatch.setattr(an, "pair_table", lambda *ab: tables.append(ab) or real_table(*ab))
         for _ in range(2):
             fam = an.injectivity_family(f)
             pre = an.is_preinjective(f)
@@ -381,10 +406,8 @@ class TestFactsDecidedOnce:
         p1, p2 = pre.witness["pair"]
         assert not p1.same_point(p2)
         assert core.apply_map_ep(f, p1).same_point(core.apply_map_ep(f, p2))
-        # one component pass, for injectivity on periodic points; the pair
-        # tokens are decoded through one table, made where the view is built
+        # one component pass, for injectivity on periodic points
         assert len(sccs) == 1
-        assert tables == [(full2.alphabet, full2.alphabet)]
 
         built = []
         real = core.presentation_from_nfa

@@ -265,13 +265,13 @@ class TestSplitEpic:
         from sdcat.core import PeriodicPoint, apply_map
 
         pr = li.product(full2p, full2p)
-        obj = pr.object.with_point("(0,0)")
+        obj = pr.object.with_point(("0", "0"))
         p1 = make_block_map(obj, full2p, 0, dict(pr.legs[0].rule_dict))
         v = cl.is_split_epic(p1, CategoryTag.parse("P2"))
         assert v.yes
         g = v.certificate
         img = apply_map(g, PeriodicPoint(("0",)))
-        assert img.same_point(PeriodicPoint(("(0,0)",)))
+        assert img.same_point(PeriodicPoint((("0", "0"),)))
 
     def test_engine_no_means_brute_finds_no_section(self, full2):
         windows = full2.words(3)

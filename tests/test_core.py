@@ -92,6 +92,14 @@ class TestMakePresentation:
         with pytest.raises(ValidationError):
             make_presentation(["0"], "graph", (["u"], [("u", "u", "9")]))
 
+    def test_tuple_symbols_are_checked_by_their_parts(self):
+        # a derived symbol stays a tuple; one that mixes with strings, or
+        # holds a part that is no symbol, is refused before any sorting
+        assert full_shift([("0", ("1", "2")), ("1", ("0", "0"))]).alphabet[0] == ("0", ("1", "2"))
+        for alphabet in ([("0", "1"), "2"], [("0", "1"), ("0", ("1", "1"))], [("0", 1)], [()]):
+            with pytest.raises(ValidationError):
+                full_shift(alphabet)
+
     def test_point_must_be_uniform(self, golden):
         with pytest.raises(ValidationError):
             golden.with_point("1")
@@ -293,15 +301,30 @@ class TestDerivedTokens:
         row = cl.classify(shift_power(xb, 1), CategoryTag.parse("K2"))
         assert row["epic"].yes and row["injective"].yes and row["split_epic"].yes
 
-    def test_colliding_tokens_are_rejected(self):
-        from sdcat.core import higher_block_presentation, product_alphabet
+    def test_colliding_spellings_get_answers(self):
+        from sdcat import classify as cl
+        from sdcat.core import product_presentation
+        from sdcat.limits import CategoryTag
 
-        # (0,1,1) spells both pairs (0, 1,1) and (0,1, 1); [a|a|a] spells
-        # two windows of a and a|a
-        with pytest.raises(ValidationError, match="collide"):
-            product_alphabet(("0", "0,1"), ("1", "1,1"))
-        with pytest.raises(ValidationError, match="collide"):
-            higher_block_presentation(full_shift(["a", "a|a"]), 3)
+        # (0,1,1) spells both pairs (0, 1,1) and (0,1, 1), and a|a|a two
+        # windows of a and a|a; as values they are distinct symbols
+        pr = product_presentation(full_shift(["0", "0,1"]), full_shift(["1", "1,1"]))
+        assert len(set(pr.alphabet)) == 4 and pr.is_full()
+        x = full_shift(["a", "a|a"])
+        ident = make_block_map(x, x, 1, {w: w[1] for w in x.words(3)})
+        row = cl.classify(ident, CategoryTag.parse("K2"))
+        assert row["injective"].yes and row["epic"].yes and row["split_epic"].yes
+
+    def test_disjoint_union_of_pair_and_plain_symbols(self):
+        from sdcat.core import disjoint_union, golden_mean, product_presentation
+
+        # pair symbols do not sort against strings, so both sides are tagged
+        g = golden_mean()
+        gg = product_presentation(g, g)
+        u, lmap, rmap = disjoint_union(gg, g)
+        assert set(u.alphabet) == {("L", t) for t in gg.alphabet} | {("R", a) for a in g.alphabet}
+        assert lmap[("0", "1")] == ("L", ("0", "1")) and rmap["1"] == ("R", "1")
+        assert u.count_words(2) == gg.count_words(2) + g.count_words(2)
 
 
 class TestPoints:
@@ -389,7 +412,8 @@ class TestDerivedObjects:
         real = core.presentation_from_nfa
 
         def counting(alphabet, nfa, *rest):
-            if all(a.startswith("[") for a in alphabet):
+            # width-3 blocks, where kernel pairs are 2-tuples
+            if all(isinstance(a, tuple) and len(a) == 3 for a in alphabet):
                 built.append(alphabet)
             return real(alphabet, nfa, *rest)
 

@@ -12,7 +12,6 @@ from sdcat.core import (
     make_block_map,
     maps_equal,
     pair_symbol,
-    pair_table,
     product_presentation,
     reduce_radius,
 )
@@ -23,8 +22,7 @@ from sdcat.errors import BudgetExceeded, ValidationError
 def mixed_track_map(full2):
     # flips track 1 exactly where track 2 reads 1
     pa = product_presentation(full2, full2)
-    rule = {(t,): pair_symbol(str(1 - int(a)) if b == "1" else a, b)
-            for t, (a, b) in pair_table(full2.alphabet, full2.alphabet).items()}
+    rule = {((a, b),): pair_symbol(str(1 - int(a)) if b == "1" else a, b) for a, b in pa.alphabet}
     return make_block_map(pa, pa, 0, rule)
 
 

@@ -45,6 +45,106 @@ edge: e e 1
 """
 
 
+# files that ``build`` writes, byte for byte: a pair symbol is spelled
+# (a,b), a nested one ((a,b),c)
+
+GG_SHIFT = """\
+alphabet: (0,0) (0,1) (1,0) (1,1)
+kind: graph
+node: s0 s1 s2 s3
+edge: s0 s0 (0,0)
+edge: s0 s1 (0,1)
+edge: s0 s2 (1,0)
+edge: s0 s3 (1,1)
+edge: s1 s0 (0,0)
+edge: s1 s2 (1,0)
+edge: s2 s0 (0,0)
+edge: s2 s1 (0,1)
+edge: s3 s0 (0,0)
+"""
+
+GG_LEG1 = """\
+source: gg.leg1.source.shift
+target: gg.leg1.target.shift
+radius: 0
+rule: (0,0) -> 0
+rule: (0,1) -> 0
+rule: (1,0) -> 1
+rule: (1,1) -> 1
+"""
+
+GG_LEG2 = """\
+source: gg.leg2.source.shift
+target: gg.leg2.target.shift
+radius: 0
+rule: (0,0) -> 0
+rule: (0,1) -> 1
+rule: (1,0) -> 0
+rule: (1,1) -> 1
+"""
+
+KER_SHIFT = """\
+alphabet: (0,0) (0,1) (1,0) (1,1)
+kind: graph
+node: s0 s1 s2 s3
+edge: s0 s0 (0,0)
+edge: s0 s0 (1,1)
+edge: s1 s3 (0,1)
+edge: s1 s3 (1,0)
+edge: s2 s1 (0,1)
+edge: s2 s1 (1,0)
+edge: s3 s2 (0,0)
+edge: s3 s2 (1,1)
+"""
+
+GGG_SHIFT = """\
+alphabet: ((0,0),0) ((0,0),1) ((0,1),0) ((0,1),1) ((1,0),0) ((1,0),1) ((1,1),0) ((1,1),1)
+kind: graph
+node: s0 s1 s2 s3 s4 s5 s6 s7
+edge: s0 s0 ((0,0),0)
+edge: s0 s1 ((0,0),1)
+edge: s0 s2 ((0,1),0)
+edge: s0 s3 ((0,1),1)
+edge: s0 s4 ((1,0),0)
+edge: s0 s5 ((1,0),1)
+edge: s0 s6 ((1,1),0)
+edge: s0 s7 ((1,1),1)
+edge: s1 s0 ((0,0),0)
+edge: s1 s2 ((0,1),0)
+edge: s1 s4 ((1,0),0)
+edge: s1 s6 ((1,1),0)
+edge: s2 s0 ((0,0),0)
+edge: s2 s1 ((0,0),1)
+edge: s2 s4 ((1,0),0)
+edge: s2 s5 ((1,0),1)
+edge: s3 s0 ((0,0),0)
+edge: s3 s4 ((1,0),0)
+edge: s4 s0 ((0,0),0)
+edge: s4 s1 ((0,0),1)
+edge: s4 s2 ((0,1),0)
+edge: s4 s3 ((0,1),1)
+edge: s5 s0 ((0,0),0)
+edge: s5 s2 ((0,1),0)
+edge: s6 s0 ((0,0),0)
+edge: s6 s1 ((0,0),1)
+edge: s7 s0 ((0,0),0)
+"""
+
+GGG_LEG1 = """\
+source: ggg.leg1.source.shift
+target: ggg.leg1.target.shift
+radius: 0
+rule: ((0,0),0) -> (0,0)
+rule: ((0,0),1) -> (0,0)
+rule: ((0,1),0) -> (0,1)
+rule: ((0,1),1) -> (0,1)
+rule: ((1,0),0) -> (1,0)
+rule: ((1,0),1) -> (1,0)
+rule: ((1,1),0) -> (1,1)
+rule: ((1,1),1) -> (1,1)
+"""
+
+
 @pytest.fixture()
 def workdir(tmp_path):
     (tmp_path / "golden.shift").write_text(GOLDEN_TEXT)
@@ -80,8 +180,17 @@ class TestShiftFormat:
             assert parse_shift(format_shift(x)).language_equal(x)
 
     def test_roundtrip_composite_symbols(self, golden):
+        from sdcat.core import presentation_from_edges
+
+        # a file holds the spellings of the pair symbols; read back and
+        # renamed to the pairs they spell, it is the product again
         p = product_presentation(golden, golden)
-        assert parse_shift(format_shift(p)).language_equal(p)
+        q = parse_shift(format_shift(p))
+        spelled = {f"({a},{b})": (a, b) for a, b in p.alphabet}
+        assert set(q.alphabet) == spelled.keys()
+        renamed = presentation_from_edges(p.alphabet, q.n_live(),
+                                          [(i, spelled[a], j) for i, a, j in q.edges])
+        assert renamed.language_equal(p)
 
     def test_parse_error(self):
         with pytest.raises(ParseError):
@@ -206,6 +315,35 @@ class TestCli:
         leg = load_bmap(str(workdir / "gg.leg1.bmap"))
         assert an.image(leg).language_equal(load_shift(str(workdir / "golden.shift")))
         capsys.readouterr()
+
+    def test_written_files_spell_pairs_as_before(self, workdir, capsys, golden):
+        def build(op, *inputs, out):
+            assert main(["build", op, *(str(workdir / a) for a in inputs), "--category", "K3",
+                         "-o", str(workdir / out)]) == 0
+            return lambda name: (workdir / name).read_text()
+
+        gg = build("product", "golden.shift", "golden.shift", out="gg.shift")
+        assert (gg("gg.shift"), gg("gg.leg1.bmap"), gg("gg.leg2.bmap")) == (GG_SHIFT, GG_LEG1, GG_LEG2)
+        ker = build("kernel-pair", "xor3.bmap", out="ker.shift")
+        assert (ker("ker.shift"), ker("ker.leg1.bmap"), ker("ker.leg2.bmap")) == (
+            KER_SHIFT, GG_LEG1.replace("gg.", "ker."), GG_LEG2.replace("gg.", "ker."))
+        ggg = build("product", "gg.shift", "golden.shift", out="ggg.shift")
+        assert (ggg("ggg.shift"), ggg("ggg.leg1.bmap"), ggg("ggg.leg1.target.shift")) == (
+            GGG_SHIFT, GGG_LEG1, GG_SHIFT)
+        # the same nesting built in the engine, pairs of a pair and a symbol
+        assert format_shift(product_presentation(product_presentation(golden, golden), golden)) == GGG_SHIFT
+        capsys.readouterr()
+
+    def test_colliding_spellings_fail_at_write_time(self, workdir, capsys):
+        # (0,1,1) spells both (0, 1,1) and (0,1, 1): the product exists,
+        # and only writing it fails
+        (workdir / "a.shift").write_text("alphabet: 0 0,1\nkind: sft\n")
+        (workdir / "b.shift").write_text("alphabet: 1 1,1\nkind: sft\n")
+        argv = ["build", "product", str(workdir / "a.shift"), str(workdir / "b.shift"), "--category", "K3"]
+        assert main(argv) == 0
+        assert main(argv + ["-o", str(workdir / "ab.shift")]) == 65
+        assert "spelled alike" in capsys.readouterr().err
+        assert not (workdir / "ab.shift").exists()
 
     def test_build_coproduct_category_gate(self, workdir, capsys):
         code = main([

@@ -54,7 +54,6 @@ from sdcat.core import (
     _window_table,
     apply_map,
     apply_map_ep,
-    block_symbol,
     center_of,
     compose,
     diagonal_relation,
@@ -1055,23 +1054,8 @@ class TestImageValidation:
 # The diagonal view of a kernel
 
 
-def _old_split_pair(token):
-    """The pair-token parser of the old loops below, kept with them as
-    their reference; their inputs use plain symbols."""
-    body = token[1:-1]
-    depth = 0
-    for i, c in enumerate(body):
-        if c in "([":
-            depth += 1
-        elif c in ")]":
-            depth -= 1
-        elif c == "," and depth == 0:
-            return body[:i], body[i + 1 :]
-    raise ValueError(f"not a pair token: {token!r}")
-
-
 def _old_off_diagonal(token):
-    a, b = _old_split_pair(token)
+    a, b = token
     return a != b
 
 
@@ -1085,7 +1069,8 @@ def _old_cycle_sccs(n, succ):
 
 
 def _old_injectivity_family(f):
-    """Reference: the injectivity family with a token parse per edge."""
+    """Reference: the injectivity family with the pair of each edge read
+    off the canonical kernel."""
     ker = f.kernel
     n = ker.n_live()
     inj = not any(_old_off_diagonal(t) for i in range(n) for t in ker.live_trans[i])
@@ -1716,7 +1701,7 @@ class _OldStrongConditionEngine:
         p = PeriodicPoint(a)
         if r == 0:
             return a
-        return tuple(block_symbol(p.segment(j - r, j + r + 1)) for j in range(len(a)))
+        return tuple(p.segment(j - r, j + r + 1) for j in range(len(a)))
 
     def _read_pre(self, q, word):
         states = {q}
@@ -1978,7 +1963,7 @@ def _old_swap(r):
     edges = []
     for i in range(pres.n_live()):
         for t, j in pres.live_trans[i].items():
-            a, b = _old_split_pair(t)
+            a, b = t
             edges.append((i, pair_symbol(b, a), j))
     alphabet = product_alphabet(r.right.alphabet, r.left.alphabet)
     return presentation_from_edges(alphabet, pres.n_live(), edges)
@@ -2077,11 +2062,11 @@ def _old_fiber_graph(f, g):
 
 def _old_higher_block(x, w):
     nodes, rows = _old_window_rows(x, w)
-    tokens = sorted({block_symbol(win) for k in range(len(nodes)) for win in rows[k]})
+    tokens = sorted({win for k in range(len(nodes)) for win in rows[k]})
     edges = []
     for k in range(len(nodes)):
         for window, tgt in rows[k].items():
-            edges.append((k, block_symbol(window), tgt))
+            edges.append((k, window, tgt))
     return presentation_from_edges(tuple(tokens), len(nodes), edges)
 
 
@@ -2256,6 +2241,15 @@ class TestAllowedWordSft:
         got = make_presentation(alphabet, "sft", forbidden, point)
         assert got == _old_sft_presentation(alphabet, forbidden, point)
 
+    def test_a_long_forbidden_word_gives_its_counting_graph(self):
+        # the words avoiding 0^20 under the default budget: the graph that
+        # counts the trailing zeros, 20 states, where the allowed 19-words
+        # number 2^19 - 1
+        got = make_presentation(("0", "1"), "sft", [("0",) * 20])
+        edges = [(k, "1", 0) for k in range(20)] + [(k, "0", k + 1) for k in range(19)]
+        assert got == presentation_from_edges(("0", "1"), 20, edges)
+        assert got.dfa.n == 20
+
     def test_no_allowed_words_give_the_empty_shift(self):
         for alphabet in (("0",), ("0", "1"), ("a", "b", "c")):
             assert presentation_from_allowed_words(alphabet, []) == empty_shift(alphabet)
@@ -2426,10 +2420,8 @@ class TestOrbitQuotient:
 # Verdicts do not see how symbols are spelled
 
 
-_leaves = st.text(alphabet="0123456789abcdefghijklmnopqrstuvwxyz", min_size=1, max_size=2)
-# balanced tokens in the shapes of the derived ones; the pair token of two
-# of them splits only at its one comma outside all brackets, so no two
-# pairs of them share a pair token
+_leaves = st.text(alphabet="01ab,|", min_size=1, max_size=2)
+# tokens in the shapes of the derived ones
 _tokens = st.recursive(_leaves, lambda t: st.one_of(
     st.tuples(t, t).map(lambda p: f"({p[0]},{p[1]})"),
     st.tuples(t, t).map(lambda p: f"[{p[0]}|{p[1]}]"),
@@ -2439,15 +2431,27 @@ _tokens = st.recursive(_leaves, lambda t: st.one_of(
 
 
 @st.composite
-def renamed_endomorphisms(draw):
-    """A radius-0 or radius-1 endomorphism of the full shift on ``0``,
-    ``1`` (and ``2``), and the same map on 2-3 drawn derived-style tokens."""
-    names = draw(st.lists(_tokens, min_size=2, max_size=3, unique=True))
-    plain = tuple("012"[: len(names)])
+def renamings(draw):
+    """2-3 drawn derived-style tokens, a radius of 0 or 1, and one output
+    index per window of that radius over as many symbols.  Half the time
+    the tokens are t and t,t or t and t|t, whose pairs or windows read
+    alike when joined: (t, t,t) and (t,t, t) both read t,t,t."""
+    names = draw(st.one_of(
+        st.lists(_tokens, min_size=2, max_size=3, unique=True),
+        st.tuples(_tokens, st.sampled_from(",|")).map(lambda p: [p[0], p[1].join((p[0], p[0]))]),
+    ))
     radius = draw(st.integers(min_value=0, max_value=1))
-    windows = list(itertools.product(range(len(names)), repeat=2 * radius + 1))
     outs = draw(st.lists(st.integers(min_value=0, max_value=len(names) - 1),
-                         min_size=len(windows), max_size=len(windows)))
+                         min_size=len(names) ** (2 * radius + 1),
+                         max_size=len(names) ** (2 * radius + 1)))
+    return names, radius, outs
+
+
+def _renamed_maps(names, radius, outs):
+    """An endomorphism of the full shift on ``0``, ``1`` (and ``2``), and
+    the same map on ``names``."""
+    plain = tuple("012"[: len(names)])
+    windows = list(itertools.product(range(len(names)), repeat=2 * radius + 1))
     maps = []
     for symbols in (plain, names):
         x = full_shift(symbols)
@@ -2457,14 +2461,20 @@ def renamed_endomorphisms(draw):
 
 
 class TestRenamedSymbols:
-    @given(renamed_endomorphisms())
+    @given(renamings())
+    # the shift on a, a|a and a,a: the pairs (a, a,a) and (a,a, a) both
+    # read a,a,a joined by a comma, and the windows (a, a, a|a) and
+    # (a|a, a, a) both read a|a|a|a joined by bars
+    @example((["a", "a|a", "a,a"], 1, [k % 3 for k in range(27)]))
+    @example(([",", ",,"], 1, [0, 1, 1, 0, 1, 0, 0, 1]))
     @settings(max_examples=60, deadline=None)
-    def test_verdicts_match_the_plain_symbols(self, maps):
+    def test_verdicts_match_the_plain_symbols(self, spec):
+        plain, named = _renamed_maps(*spec)
+
         def verdicts(f):
             return (an.injectivity_family(f), an.is_preinjective(f).answer,
                     an.surjectivity(f).answer, cl.find_section(f, radius_cap=1) is None)
 
-        plain, named = maps
         assert verdicts(named) == verdicts(plain)
         f0, to_blocks, from_blocks = recode_to_symbol_map(named)
         assert maps_equal(compose(f0, to_blocks), named)

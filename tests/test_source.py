@@ -120,9 +120,9 @@ def test_no_module_imports_a_name_it_never_reads():
 
 
 def test_only_the_input_readers_parse_strings():
-    # the engine's derived tokens (pair and block symbols, ``L:``/``R:`` tags,
-    # ``c<i>`` classes) are read back by lookup in the table that made them;
-    # only the file and command-line readers parse outside input
+    # the engine's derived symbols are values (pairs and windows are
+    # tuples) and its tags and class names are never read back; only the
+    # file and command-line readers parse outside input
     parsing = {"split", "rsplit", "partition", "rpartition", "startswith", "endswith"}
     found = []
     for path in sorted(SRC.glob("*.py")):
