@@ -28,7 +28,7 @@ other questions about its language read ``f.kernel``.
 from __future__ import annotations
 
 import math
-from functools import reduce
+from functools import partial, reduce
 
 from . import automata as au
 from . import verdicts as v
@@ -257,9 +257,6 @@ class PeriodSet:
 
     def upto(self, n: int) -> list[int]:
         return [k for k in range(1, n + 1) if self.contains(k)]
-
-    def is_empty_set(self) -> bool:
-        return not self.explicit and not any(self.eventual)
 
     def is_cofinite(self) -> bool:
         return all(self.eventual)
@@ -571,7 +568,8 @@ def surjectivity(f: BlockMap) -> v.Verdict:
     if (x.language_equal(f.target) and is_transitive(x) and is_sft(x).yes
             and is_preinjective(f).yes):
         return v.yes(note="Garden of Eden: a preinjective endomorphism of a transitive SFT is onto")
-    word = au.missing_word(f.target.dfa, image_graph(x, f.radius, f.rule_dict, f.target.alphabet))
+    g = image_graph(x, f.radius, f.rule_dict, f.target.alphabet)
+    word = au.missing_word(f.target.dfa, partial(au._subset_step, g.trans), g.initial, g.accepting)
     return v.yes() if word is None else v.no(witness={"word": word})
 
 

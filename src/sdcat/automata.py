@@ -12,7 +12,9 @@ are tuples of tokens.
 
 Every construction numbers its states through one breadth-first explorer,
 ``explore``, every reachability question is one ``closure``, and every
-search for a word stops early in one ``first_word``.
+search for a word stops early in one ``first_word``.  Whether a graph
+reads every word of a DFA is one lazy search, ``missing_word``, which
+steps sets of graph states and builds no subset automaton.
 """
 
 from __future__ import annotations
@@ -229,32 +231,24 @@ def first_word(starts, successors, stop, what: str | None) -> tuple[Word | None,
     return None, None
 
 
-def _product_successors(a: Dfa, bs):
-    """Successors of the tuples of the difference automaton of ``a`` and
-    ``bs``, with ``-1`` for a ``b`` component that has left its partial
-    automaton; a tuple whose ``a`` component has left accepts nothing, so
-    it has none."""
-    # row -1, the empty one, is where a component that has left stays
-    b_rows = [[*b.rows, {}] for b in bs]
+def _product_successors(a: Dfa, b: Dfa):
+    """Successors of the pairs of the difference automaton of ``a`` and
+    ``b``, with ``-1`` for a ``b`` state that has left its partial
+    automaton; a pair whose ``a`` state has left accepts nothing, so it has
+    none."""
+    b_rows = [*b.rows, {}]  # row -1, the empty one, is where a leaving b stays
 
     def successors(state):
-        rows = [table[y] for table, y in zip(b_rows, state[1:])]
-        return [(sym, (nx, *[row.get(sym, -1) for row in rows])) for sym, nx in a.trans[state[0]]]
-
-    def pair_successors(state):  # one b, the common case: no inner loop
-        row = b_rows[0][state[1]]
+        row = b_rows[state[1]]
         return [(sym, (nx, row.get(sym, -1))) for sym, nx in a.trans[state[0]]]
 
-    return pair_successors if len(bs) == 1 else successors
+    return successors
 
 
-def product_dfa(a: Dfa, *bs: Dfa) -> Dfa:
-    """The difference automaton: it accepts L(a) minus every L(b)."""
-    states, rows = explore((a.init, *[b.init for b in bs]), _product_successors(a, bs),
-                           "product automaton")
-    acc = [i for i, s in enumerate(states) if s[0] in a.accepting]
-    for j, b in enumerate(bs, 1):
-        acc = [i for i in acc if states[i][j] not in b.accepting]
+def product_dfa(a: Dfa, b: Dfa) -> Dfa:
+    """The difference automaton: it accepts L(a) minus L(b)."""
+    states, rows = explore((a.init, b.init), _product_successors(a, b), "product automaton")
+    acc = [i for i, (x, y) in enumerate(states) if x in a.accepting and y not in b.accepting]
     return make_dfa(a.alphabet, rows, 0, acc)
 
 
@@ -263,44 +257,44 @@ def included(a: Dfa, b: Dfa) -> bool:
     return separating_word(a, b) is None
 
 
-def separating_word(a: Dfa, *bs: Dfa) -> Word | None:
-    """Shortlex-least word in L(a) outside every L(b), or None.
+def separating_word(a: Dfa, b: Dfa) -> Word | None:
+    """Shortlex-least word in L(a) outside L(b), or None.
 
     The difference automaton is searched, not built: the search stops at
-    the first accepting tuple.
+    the first accepting pair.
     """
-    successors = _product_successors(a, bs)
-
     def accepting(state):
-        return state[0] in a.accepting and all(y not in b.accepting for y, b in zip(state[1:], bs))
+        return state[0] in a.accepting and state[1] not in b.accepting
 
-    start = (a.init, *[b.init for b in bs])
+    start = (a.init, b.init)
     if accepting(start):
         return ()
-    return first_word([start], successors, accepting, "product automaton")[0]
+    return first_word([start], _product_successors(a, b), accepting, "product automaton")[0]
 
 
-def missing_word(dfa: Dfa, graph: Nfa) -> Word | None:
-    """Shortlex-least nonempty word of L(dfa) that labels no path of
-    ``graph`` out of its initial states, or None.
+def missing_word(dfa: Dfa, step, start, accepting) -> Word | None:
+    """Shortlex-least nonempty word of L(dfa) that a graph reads from no
+    state of ``start`` into a state of ``accepting``, or None.
 
-    A breadth-first search over pairs (state of ``dfa``, set of states of
-    ``graph``) that stops at the first empty set under an accepting state;
-    no subset automaton is built or minimized.  The empty word labels the
-    empty path, so only successor sets are tested.
+    ``step(subset)`` maps each symbol to the graph states it leads to from
+    the frozenset ``subset``, as :func:`_subset_step` does.  A
+    breadth-first search over pairs (state of ``dfa``, set of graph
+    states) stops at the first set that holds no accepting state, under an
+    accepting state of ``dfa``; no subset automaton is built or minimized
+    (on-the-fly inclusion; De Wulf, Doyen, Henzinger & Raskin, CAV 2006).
+    Only successor sets are tested: in a graph whose states all accept the
+    empty word labels the empty path, and other callers test it
+    themselves.
     """
-    trans = graph.trans
-
     def successors(pair):
         q, subset = pair
-        succs = _subset_step(trans, subset)
+        succs = step(subset)
         return [(sym, (p, frozenset(succs.get(sym, ())))) for sym, p in dfa.trans[q]]
 
     def missed(pair):
-        return not pair[1] and pair[0] in dfa.accepting
+        return pair[0] in dfa.accepting and pair[1].isdisjoint(accepting)
 
-    return first_word([(dfa.init, frozenset(graph.initial))], successors, missed,
-                      "determinization")[0]
+    return first_word([(dfa.init, frozenset(start))], successors, missed, "determinization")[0]
 
 
 def escaping_word(graph: Nfa, dfa: Dfa) -> Word | None:
@@ -458,9 +452,6 @@ class FiniteMonoid:
         for a in word:
             e = self.mul(e, g[a])
         return e
-
-    def is_idempotent(self, x: int) -> bool:
-        return self.mul(x, x) == x
 
 
 def monoid_from_functions(alphabet, n_states, sym_functions) -> FiniteMonoid:

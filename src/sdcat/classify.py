@@ -4,11 +4,15 @@ regular epic, regular monic, per category.
 Split epicness follows the two-sided strategy: the strong periodic point
 condition is checked for p = 1..p_cap (a NO at any p is final), and a
 radius-capped search looks for an actual section (a YES always carries one).
-Blank cells of the classification table surface as UNDECIDED.
+Each word the strong condition asks for is one lazy search of
+``automata.missing_word``; the only automata it builds are the target's,
+one per pair of ends.  Blank cells of the classification table surface as
+UNDECIDED.
 """
 
 from __future__ import annotations
 
+from functools import partial
 from itertools import product
 
 from . import analysis as an
@@ -195,30 +199,44 @@ def _bridges(y: Presentation, left: frozenset[int], right: frozenset[int]):
 
 
 @_per_object
-def _good_edges(f: BlockMap) -> tuple[tuple[int, str, int], ...]:
-    """The edges of the recoded source, each labelled by its image symbol."""
+def _pre_rows(f: BlockMap) -> list[dict[str, set[int]]]:
+    """For each state of the recoded source, the states its edges lead to,
+    by the image symbol of the edge."""
     f0 = _symbol_recoding(f)[0]
-    return tuple((q, f0.local((t,)), q2) for q, t, q2 in f0.source.edges)
+    rows: list[dict[str, set[int]]] = [{} for _ in range(f0.source.n_live())]
+    for q, t, q2 in f0.source.edges:
+        rows[q].setdefault(f0.local((t,)), set()).add(q2)
+    return rows
 
 
-def _read_pre(f: BlockMap, q: int, word: Word) -> set:
-    """States of the recoded source reached from ``q`` along preimage paths
-    of ``word``."""
-    f0, _, _, pre = _symbol_recoding(f)
-    rows = f0.source.live_trans
-    states = {q}
-    for sym in word:
-        states = {rows[q1][t] for q1 in states for t in pre.get(sym, ()) if t in rows[q1]}
-    return states
+@_per_object
+def _pre_step(f: BlockMap, states: frozenset[int]) -> dict[str, frozenset[int]]:
+    """The states of the recoded source that preimage edges lead to from
+    ``states``, by image symbol."""
+    return {sym: frozenset(dsts) for sym, dsts in au._subset_step(_pre_rows(f), states).items()}
+
+
+@_per_object
+def _reads(f: BlockMap, word: Word) -> tuple[frozenset[int], ...]:
+    """For each state of the recoded source, the states that preimage paths
+    of ``word`` lead to from it."""
+    out = []
+    for q in range(len(_pre_rows(f))):
+        states = frozenset([q])
+        for sym in word:
+            states = _pre_step(f, states).get(sym, frozenset())
+        out.append(states)
+    return tuple(out)
 
 
 @_per_object
 def _back(f: BlockMap, v: Word) -> list[list[int]]:
-    """For each state, the states with a preimage path of ``v`` into it."""
-    n = _symbol_recoding(f)[0].source.n_live()
-    back: list[list[int]] = [[] for _ in range(n)]
-    for q in range(n):
-        for p in _read_pre(f, q, v):
+    """For each state, the states with a preimage path of ``v`` into it:
+    :func:`_reads` transposed."""
+    reads = _reads(f, v)
+    back: list[list[int]] = [[] for _ in reads]
+    for q, ends in enumerate(reads):
+        for p in ends:
             back[p].append(q)
     return back
 
@@ -233,31 +251,28 @@ def _preimage_tails(f: BlockMap, u: Word, a: Word) -> tuple[frozenset[int], froz
     every map of this width from the source shares."""
     f0, to_blocks, _, _ = _symbol_recoding(f)
     left, right = _tails(f0.source, image_word(to_blocks, a))
-    return (frozenset(au.closure(left, lambda q: _read_pre(f, q, u))),
+    return (frozenset(au.closure(left, _reads(f, u).__getitem__)),
             frozenset(au.closure(right, _back(f, u).__getitem__)))
 
 
 @_per_object
-def _good_dfa(f: BlockMap, starts: frozenset[int], accepts: frozenset[int]):
-    """The words read in preimage from a state in ``starts`` to one in
-    ``accepts``."""
-    n = max(1, _symbol_recoding(f)[0].source.n_live())
-    return au.determinize(Nfa(f.target.alphabet, n, _good_edges(f), starts, accepts))
-
-
-@_per_object
-def _missed(f: BlockMap, left: frozenset[int], right: frozenset[int], goods: frozenset):
+def _missed(f: BlockMap, left: frozenset[int], right: frozenset[int],
+            starts: frozenset[int], accepts: frozenset[int]) -> Word | None:
     """The shortlex-least word that the target reads from ``left`` to
-    ``right`` and no ``_good_dfa`` of a pair in ``goods`` accepts, or None.
-    The word depends on the languages only, so each pair counts once."""
-    return au.separating_word(_bridges(f.target, left, right),
-                              *[_good_dfa(f, s, a) for s, a in goods])
+    ``right`` and that no preimage path reads from ``starts`` to
+    ``accepts``, or None: the lazy search of ``automata.missing_word``
+    against the kept :func:`_bridges`, stepping the recoded source through
+    :func:`_pre_step`.  The search tests nonempty words only, so the empty
+    word is tested here."""
+    if not left.isdisjoint(right) and starts.isdisjoint(accepts):
+        return ()
+    return au.missing_word(_bridges(f.target, left, right), partial(_pre_step, f), starts, accepts)
 
 
 def _missed_between(f: BlockMap, c, d) -> Word | None:
     """The missed word from the left end and start of the class ``c`` of a
     choice to the right end and accept of the class ``d``."""
-    return _missed(f, c[0], d[1], frozenset([(c[2], d[3])]))
+    return _missed(f, c[0], d[1], c[2], d[3])
 
 
 def strong_condition(f: BlockMap, p: int) -> StrongConditionReport:
@@ -292,8 +307,10 @@ def strong_condition(f: BlockMap, p: int) -> StrongConditionReport:
         if not cands[u]:
             return StrongConditionReport(p, False, failures=tuple(failures))
 
-    # pointwise failing tuple: some (u, v, w) bad for every candidate pair,
-    # which end at every start of u and accept of v.  Each candidate alone
+    # pointwise failing tuple: some (u, v, w) bad for every candidate pair.
+    # The pairs run over every start of u and every accept of v, so one
+    # search from the union of the starts to that of the accepts stands
+    # for all of them.  Each candidate alone
     # reads every word from u's tails to u's, so no pair fails whose v has
     # u's right key, and row u needs only the first word of each other key
     left = {u: (cls[u, cands[u][0]][0], frozenset(cls[u, a][2] for a in cands[u])) for u in words}
@@ -306,7 +323,8 @@ def strong_condition(f: BlockMap, p: int) -> StrongConditionReport:
         for key, vv in firsts.items():
             if key != right[u] and (left[u], key) not in passed:
                 passed.add((left[u], key))
-                w = _missed(f, left[u][0], key[0], frozenset(product(left[u][1], key[1])))
+                w = _missed(f, left[u][0], key[0], frozenset().union(*left[u][1]),
+                            frozenset().union(*key[1]))
                 if w is not None:
                     tuples = tuple({"u": u, "v": vv, "w": w, "a": a, "b": b}
                                    for a, b in product(cands[u], cands[vv]))

@@ -559,13 +559,6 @@ class PeriodicPoint:
         s = (lo + self.phase) % n
         return ((word[s:] + word[:s]) * -(-(hi - lo) // n))[: hi - lo]
 
-    def least_period(self) -> int:
-        n = len(self.word)
-        for d in range(1, n + 1):
-            if n % d == 0 and all(self.at(i) == self.at(i + d) for i in range(n)):
-                return d
-        return n
-
     def same_point(self, other: "PeriodicPoint") -> bool:
         n = math.lcm(len(self.word), len(other.word))
         return self.segment(0, n) == other.segment(0, n)

@@ -72,13 +72,6 @@ def object_problems(x: Presentation, cat: CategoryTag) -> tuple[str, ...]:
     return tuple(problems)
 
 
-def object_warnings(cat: CategoryTag, x: Presentation) -> list[str]:
-    """Soft violations (reported, not enforced)."""
-    if cat.level == 1 and an.is_countable(x):
-        return ["level-1 objects are nominally of positive entropy"]
-    return []
-
-
 def check_object(cat: CategoryTag, x: Presentation) -> None:
     problems = object_problems(x, cat)
     if problems:

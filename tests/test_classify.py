@@ -163,25 +163,41 @@ class TestStrongCondition:
 
     def test_each_automaton_is_made_once_across_p(self, xor3, compress_map, shrink_map,
                                                   monkeypatch):
+        import sys
+
         from sdcat import automata as au
 
-        real = au.determinize
-        made = []
+        real_determinize, real_step = au.determinize, au._subset_step
+        made, callers, stepped = [], [], []
 
         def counting(nfa):
+            frame = sys._getframe(1)
+            callers.append((frame.f_globals["__name__"], frame.f_code.co_name))
             made.append((frozenset(nfa.initial), frozenset(nfa.accepting),
                          tuple(tuple(sorted((a, tuple(sorted(d))) for a, d in row.items()))
                                for row in nfa.trans)))
-            return real(nfa)
+            return real_determinize(nfa)
+
+        def stepping(trans, subset):
+            stepped.append((id(trans), frozenset(subset)))
+            return real_step(trans, subset)
 
         monkeypatch.setattr(au, "determinize", counting)
+        monkeypatch.setattr(au, "_subset_step", stepping)
         for g in (xor3, compress_map, shrink_map):
             # fresh maps: the facts of f are kept across p, a new map per p
             # starts from nothing but what its target keeps
             f = make_block_map(g.source, g.target, g.radius, g.rule_dict)
-            made.clear()
+            for seen in (made, callers, stepped):
+                seen.clear()
             reports = [cl.strong_condition(f, p) for p in range(1, 7)]
-            assert made and len(set(made)) == len(made)
+            # the classifier builds only the target automata, each once (the
+            # rest make presentations); the preimage graph is stepped
+            # lazily, each set of its states once
+            assert {name for mod, name in callers if mod == cl.__name__} <= {"_bridges"}
+            assert len(set(made)) == len(made)
+            pre = [s for rows, s in stepped if rows == id(cl._pre_rows(f))]
+            assert pre and len(set(pre)) == len(pre)
             for p, rep in enumerate(reports, 1):
                 assert rep == cl.strong_condition(make_block_map(g.source, g.target, g.radius,
                                                                  g.rule_dict), p)
@@ -227,6 +243,27 @@ class TestSplitEpic:
     def test_identity(self, full2):
         v = cl.is_split_epic(identity_map(full2), K2)
         assert v.yes
+
+    def test_radius2_ternary_onto_binary_map_classifies(self, full2):
+        # the twelfth of a seeded sample of radius-2 maps full3 -> full2:
+        # its strong condition holds up to p = 6 with many preimages per
+        # word, so building one preimage automaton per pair of ends does not
+        # finish in time
+        import random
+        import time
+
+        full3 = full_shift(["0", "1", "2"])
+        rng = random.Random(5)
+        for _ in range(12):
+            rule = {w: rng.choice("01") for w in full3.words(5)}
+        t0 = time.time()
+        row = cl.classify(make_block_map(full3, full2, 2, rule), K2)
+        assert time.time() - t0 < 60
+        assert row["split_epic"].undecided
+        assert "holds up to p = 6 on an SFT domain" in row["split_epic"].note
+        yes = {"epic", "regular_epic", "peric"}
+        assert all(row[k].yes for k in yes)
+        assert all(row[k].no for k in row.keys() - yes - {"split_epic"})
 
     def test_k1_shrink_example(self, shrink_map, x012):
         v = cl.is_split_epic(shrink_map, K1)

@@ -328,10 +328,6 @@ class TestDerivedTokens:
 
 
 class TestPoints:
-    def test_periodic_point_least_period(self):
-        assert PeriodicPoint(("0", "1", "0", "1")).least_period() == 2
-        assert PeriodicPoint(("0", "1", "1")).least_period() == 3
-
     def test_ep_point_membership(self, even_shift):
         assert EventuallyPeriodicPoint(("0",), ("1", "1"), ("0",)).in_shift(even_shift)
         assert not EventuallyPeriodicPoint(("1",), ("0",), ("1",)).in_shift(even_shift)

@@ -2,6 +2,7 @@
 
 import ast
 import pathlib
+from collections import Counter
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "sdcat"
 
@@ -160,3 +161,68 @@ def test_core_gathers_only_through_kept_itemgetters():
              if isinstance(c, ast.Call) and isinstance(c.func, ast.Name) and c.func.id == "map"
              and c.args and isinstance(c.args[0], ast.Attribute) and c.args[0].attr == "__getitem__"]
     assert not found, f"map(<expr>.__getitem__, ...) in core.py at lines {found}"
+
+
+# the paper-facing API, the budget setter and the oracle's preimage search
+# are called from outside src/ only
+_CALLED_FROM_OUTSIDE = {
+    ("colimits", "kernel_p"), ("colimits", "cokernel_p"), ("colimits", "is_local_equivalence"),
+    ("limits", "mediate_product"), ("limits", "mediate_equalizer"),
+    ("dynamics", "visibly_blocking"), ("analysis", "resolvingness"),
+    ("errors", "set_budget"), ("oracle", "ep_preimage_search"),
+}
+
+
+def _traced():
+    """``(module, name)`` of every function that the benchmark tracer
+    hooks, from ``bench/tracing.py`` loaded by path."""
+    import importlib.util
+
+    path = SRC.parents[1] / "bench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("bench_tracing", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return {(mod, name) for mod, name, _ in module.TRACED}
+
+
+def _counts(node):
+    """How often ``node`` reads, imports or looks up each identifier."""
+    out = Counter()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            out[sub.id] += 1
+        elif isinstance(sub, ast.Attribute):
+            out[sub.attr] += 1
+        elif isinstance(sub, ast.alias):
+            out[sub.name] += 1
+    return out
+
+
+def test_every_public_function_and_method_is_used():
+    # a public top-level function or method that nothing in src/ calls is
+    # dead code, unless it is called from outside: the allowlist above and
+    # the traced hooks
+    total, defs = Counter(), []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        total += _counts(tree)
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef):
+                defs.append((path.stem, node.name, node))
+            elif isinstance(node, ast.ClassDef):
+                defs += [(path.stem, f"{node.name}.{m.name}", m) for m in node.body
+                         if isinstance(m, ast.FunctionDef)]
+    allowed = _CALLED_FROM_OUTSIDE | _traced()
+    unused = [f"{mod}:{name}" for mod, name, node in defs
+              if not node.name.startswith("_") and (mod, name) not in allowed
+              and total[node.name] == _counts(node)[node.name]]
+    assert not unused, f"public but never referenced in src/: {unused}"
+
+
+def test_the_strong_condition_determinizes_only_the_target_bridges():
+    # every missed-word question is one lazy search of ``missing_word``
+    # against the target automaton that ``_bridges`` keeps
+    tree = ast.parse((SRC / "classify.py").read_text(encoding="utf-8"))
+    found = [c.lineno for top in tree.body if getattr(top, "name", None) != "_bridges"
+             for c in ast.walk(top) if isinstance(c, ast.Call) and "determinize" in _names(c.func)]
+    assert not found, f"determinize called outside classify._bridges at lines {found}"
