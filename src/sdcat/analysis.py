@@ -20,9 +20,9 @@ diagonal view per map, ``_diagonal_view``, and build no canonical kernel.
 Their NO witnesses, two distinct eventually periodic points with equal
 images, are read off a path of that graph.  One SCC pass of the graph per
 map, ``off_diagonal_components``, answers injectivity on periodic points,
-and with the components' graph periods it yields the mixing petals that
-decide monicness in M2.  Constituents of the kernel, kernel pairs and
-other questions about its language read ``f.kernel``.
+and the graph periods the same pass gives its components yield the mixing
+petals that decide monicness in M2.  Constituents of the kernel, kernel
+pairs and other questions about its language read ``f.kernel``.
 """
 
 from __future__ import annotations
@@ -149,17 +149,6 @@ def union_presentation(x: Presentation, y: Presentation) -> Presentation:
 # Constituents, transitivity, mixing
 
 
-def _cycle_sccs(n: int, succ) -> list[list[int]]:
-    """The strongly connected components of the graph ``succ`` on
-    ``range(n)`` that carry an internal edge, in the order they are found."""
-    out = []
-    for comp in au.strongly_connected_components(range(n), succ):
-        cs = set(comp)
-        if any(j in cs for i in comp for j in succ(i)):
-            out.append(comp)
-    return out
-
-
 def scc_subshift(x: Presentation, comp: list[int]) -> Presentation:
     idx = {q: i for i, q in enumerate(comp)}
     edges = [(idx[q], a, idx[p]) for q, a, p in x.edges if q in idx and p in idx]
@@ -169,21 +158,26 @@ def scc_subshift(x: Presentation, comp: list[int]) -> Presentation:
 @_per_object
 def cycle_components(x: Presentation) -> tuple[tuple[tuple[int, ...], Presentation], ...]:
     """(component, subshift) for each SCC of the essential graph that
-    carries an internal edge.
+    carries an internal edge, that is whose graph period is nonzero.
 
     Each subshift's ``shift_period`` is kept from its component: an
     irreducible right-resolving presentation minimizes to the unique
     follower-separated one (Lind & Marcus, Section 3.3), so minimizing the
     component as a partial DFA, all states accepting, gives the graph whose
     period ``shift_period`` would find on the subshift's own presentation.
+    That graph, a quotient of a strongly connected one, is one component.
     """
     out = []
-    for comp in _cycle_sccs(x.n_live(), lambda i: x.live_trans[i].values()):
+    sccs = au.strongly_connected_components(range(x.n_live()), lambda i: x.live_trans[i].values())
+    for comp, graph_period in sccs:
+        if not graph_period:
+            continue
         sub = scc_subshift(x, comp)
         idx = {q: i for i, q in enumerate(comp)}
         trans = [{a: idx[p] for a, p in x.live_trans[q].items() if p in idx} for q in comp]
         m = au.minimize(au.make_dfa(x.alphabet, trans, 0, range(len(comp))))
-        period = au.graph_period(range(m.n), lambda q: [p for _, p in m.trans[q]])
+        [(_, period)] = au.strongly_connected_components(
+            range(m.n), lambda q: [p for _, p in m.trans[q]])
         vars(sub)[shift_period.key] = period
         out.append((tuple(comp), sub))
     return tuple(out)
@@ -641,39 +635,28 @@ def _diagonal_view(f: BlockMap) -> _DiagonalView:
 
 
 @_per_object
-def off_diagonal_components(f: BlockMap) -> tuple[tuple[tuple[int, str, int], tuple[int, ...]], ...]:
+def off_diagonal_components(f: BlockMap) -> tuple[tuple[tuple, tuple[int, ...], int], ...]:
     """The strongly connected components of ``f.kernel_graph`` with an
     off-diagonal edge inside them, in the order of their first such edge
-    in ``off_edges``: that edge ``(q, token, p)`` and the nodes of the
-    component.  One SCC pass per map, made only when some edge is off the
-    diagonal; injectivity on periodic points and monicness in M2 and M3
-    read it."""
+    in ``off_edges``: that edge ``(q, token, p)``, the nodes of the
+    component and its graph period.  One SCC pass per map, made only when
+    some edge is off the diagonal; injectivity on periodic points and
+    monicness in M2 and M3 read it."""
     view = _diagonal_view(f)
     if not view.off_edges:
         return ()
     sccs = au.strongly_connected_components(range(len(view.out)), view.succ.__getitem__)
     comp = [0] * len(view.out)
-    for k, c in enumerate(sccs):
+    for k, (c, _) in enumerate(sccs):
         for q in c:
             comp[q] = k
-    out: dict[int, tuple[tuple[int, str, int], tuple[int, ...]]] = {}
+    out: dict[int, tuple[tuple, tuple[int, ...], int]] = {}
     for q, t, p in view.off_edges:
         k = comp[q]
         if k == comp[p] and k not in out:
-            out[k] = ((q, t, p), tuple(sccs[k]))
+            nodes, period = sccs[k]
+            out[k] = ((q, t, p), tuple(nodes), period)
     return tuple(out.values())
-
-
-@_per_object
-def off_diagonal_periods(f: BlockMap) -> tuple[int, ...]:
-    """The graph period of each of ``off_diagonal_components(f)``, in
-    order; asked for only by monicness in M2 and M3."""
-    out = _diagonal_view(f).out
-    periods = []
-    for _, nodes in off_diagonal_components(f):
-        inside = set(nodes)
-        periods.append(au.graph_period(nodes, lambda q: [p for _, p in out[q] if p in inside]))
-    return tuple(periods)
 
 
 def _cycle_through(view: _DiagonalView, edge: tuple[int, str, int]) -> Word:
@@ -699,7 +682,7 @@ def mixing_petals(f: BlockMap) -> tuple[Word, Word] | None:
     and its two coordinate projections are distinct maps into the source
     that ``f`` makes equal.
     """
-    for (edge, _), period in zip(off_diagonal_components(f), off_diagonal_periods(f)):
+    for edge, _, period in off_diagonal_components(f):
         if period == 1:
             view = _diagonal_view(f)
             w1 = _cycle_through(view, edge)

@@ -19,8 +19,8 @@ steps sets of graph states and builds no subset automaton.
 
 from __future__ import annotations
 
-from collections import deque
 from functools import cached_property
+from math import gcd
 
 from .errors import check_budget
 from .records import record
@@ -350,15 +350,23 @@ def count_words(dfa: Dfa, n: int) -> int:
 # Strongly connected components (iterative Tarjan)
 
 
-def strongly_connected_components(nodes, succ) -> list[list[int]]:
-    """SCCs of the graph given by ``succ`` on ``nodes``, which is
-    ``range(n)``, in reverse topological order."""
+def strongly_connected_components(nodes, succ) -> list[tuple[list[int], int]]:
+    """``(component, period)`` for each SCC of the graph given by ``succ``
+    on ``nodes``, which is ``range(n)``, in reverse topological order.
+
+    The period is the gcd of the component's cycle lengths, 0 when it has
+    no inner edge.  A component spans a subtree of the DFS forest, so its
+    period is the gcd of ``depth(q) + 1 - depth(p)`` over its inner edges
+    ``q -> p``: tree edges add 0, and every other inner edge ends at a node
+    that is still on the stack."""
     n = len(nodes)
     index = [-1] * n
     low = [0] * n
-    on_stack = [False] * n
+    depth = [0] * n
+    period = [0] * n
+    place = [-1] * n  # position on the stack, -1 when off it
     stack: list[int] = []
-    result: list[list[int]] = []
+    result: list[tuple[list[int], int]] = []
     counter = 0
 
     for root in nodes:
@@ -367,61 +375,39 @@ def strongly_connected_components(nodes, succ) -> list[list[int]]:
         work = [(root, iter(succ(root)))]
         index[root] = low[root] = counter
         counter += 1
+        place[root] = len(stack)
         stack.append(root)
-        on_stack[root] = True
         while work:
             node, it = work[-1]
-            advanced = False
             for nxt in it:
                 if index[nxt] < 0:
                     index[nxt] = low[nxt] = counter
                     counter += 1
+                    depth[nxt] = len(work)
+                    place[nxt] = len(stack)
                     stack.append(nxt)
-                    on_stack[nxt] = True
                     work.append((nxt, iter(succ(nxt))))
-                    advanced = True
                     break
-                elif on_stack[nxt]:
-                    low[node] = min(low[node], index[nxt])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[node])
-            if low[node] == index[node]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp.append(w)
-                    if w == node:
-                        break
-                result.append(comp)
+                if place[nxt] >= 0:
+                    if index[nxt] < low[node]:
+                        low[node] = index[nxt]
+                    period[node] = gcd(period[node], depth[node] + 1 - depth[nxt])
+            else:
+                work.pop()
+                if low[node] == index[node]:
+                    k = place[node]
+                    comp = stack[k:][::-1]
+                    del stack[k:]
+                    for w in comp:
+                        place[w] = -1
+                    result.append((comp, period[node]))
+                else:
+                    # not a root, so its parent is in its component
+                    parent = work[-1][0]
+                    if low[node] < low[parent]:
+                        low[parent] = low[node]
+                    period[parent] = gcd(period[parent], period[node])
     return result
-
-
-def graph_period(nodes, succ) -> int:
-    """gcd of cycle lengths of a strongly connected graph (0 if acyclic)."""
-    from math import gcd
-
-    nodes = list(nodes)
-    if not nodes:
-        return 0
-    level = {nodes[0]: 0}
-    queue = deque([nodes[0]])
-    g = 0
-    edges = []
-    while queue:
-        q = queue.popleft()
-        for p in succ(q):
-            edges.append((q, p))
-            if p not in level:
-                level[p] = level[q] + 1
-                queue.append(p)
-    for q, p in edges:
-        g = gcd(g, level[q] + 1 - level[p])
-    return abs(g)
 
 
 # ---------------------------------------------------------------------------

@@ -117,7 +117,8 @@ def _monic_m2(f: BlockMap) -> v.Verdict:
     if petals is not None:
         return v.no(note="kernel has a mixing constituent besides the diagonal",
                     witness={"petals": petals})
-    return v.yes(certificate={"off_diagonal_periods": list(an.off_diagonal_periods(f))})
+    periods = [period for _, _, period in an.off_diagonal_components(f)]
+    return v.yes(certificate={"off_diagonal_periods": periods})
 
 
 def _monic_m3(f: BlockMap, fam) -> v.Verdict:

@@ -220,8 +220,10 @@ def _cmd_oracle(args) -> int:
     if args.alphabet != 2 or args.radius != 1:
         raise SdcatError("the census covers radius 1 on the binary alphabet")
     checks = tuple(args.check.split(","))
+    # every row is decided first, so an unknown check fails with nothing written
+    rows = [(bits, row) for bits, _, row in orc.census_radius1_binary(checks=checks)]
     print("rule_bits," + ",".join(checks))
-    for bits, _, row in orc.census_radius1_binary(checks=checks):
+    for bits, row in rows:
         print(f"{bits}," + ",".join(str(int(row[c])) for c in checks))
     return 0
 

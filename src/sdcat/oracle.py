@@ -11,7 +11,9 @@ from __future__ import annotations
 
 from itertools import product as iproduct
 
-from .core import BlockMap, PeriodicPoint, Presentation, _block_map, make_block_map
+from .core import (BlockMap, EventuallyPeriodicPoint, PeriodicPoint, Presentation, _block_map,
+                   apply_map, apply_map_ep, compose, full_shift, identity_map, make_block_map,
+                   maps_equal)
 from .errors import ValidationError, check_budget
 from .records import record
 
@@ -222,8 +224,6 @@ def brute_injective(f: BlockMap, period_bound: int = 16) -> bool:
 
 def brute_split_epic(f: BlockMap, radius_bound: int = 1) -> bool:
     """Exhaustive section search over all rules up to the radius bound."""
-    from .core import compose, identity_map, maps_equal
-
     idy = identity_map(f.target)
     for r in range(radius_bound + 1):
         spec = EnumerationSpec(f.target, f.source, radius=r)
@@ -242,8 +242,6 @@ def ep_preimage_search(f: BlockMap, failing_tuple: dict, pad: int = 8):
     pruning prefixes whose induced image already disagrees with the point
     around w.  Returns a conforming preimage or None.
     """
-    from .core import EventuallyPeriodicPoint, apply_map_ep
-
     u, vv, w = failing_tuple["u"], failing_tuple["v"], failing_tuple["w"]
     a, b = failing_tuple["a"], failing_tuple["b"]
     x = f.source
@@ -296,8 +294,6 @@ def _image_prefix_ok(f, left_tail, prefix, start, y_point, r) -> bool:
 def brute_same_period_preimages(f: BlockMap, period_bound: int = 6) -> bool:
     """Every periodic point of the target has a phase-aligned preimage of
     the same length."""
-    from .core import apply_map
-
     for n in range(1, period_bound + 1):
         for u in f.target.words(n):
             if not f.target.contains_periodic(u):
@@ -340,8 +336,6 @@ def brute_decide(prop: str, f: BlockMap, bounds: dict | None = None) -> bool:
 def census_radius1_binary(checks=("epic", "injective", "monic_k2", "preinjective")):
     """All 256 radius-1 endomorphisms of the binary full shift, with brute
     verdicts per requested check.  Yields (rule_bits, {check: bool})."""
-    from .core import full_shift
-
     full = full_shift(["0", "1"])
     windows = full.words(3)
     for bits in range(256):

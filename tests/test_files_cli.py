@@ -452,6 +452,13 @@ class TestCli:
         assert out[0] == "rule_bits,injective"
         assert len(out) == 257
 
+    def test_oracle_census_unknown_check_writes_nothing(self, capsys):
+        code = main(["oracle", "census", "--check", "epic,bogus"])
+        captured = capsys.readouterr()
+        assert code == 65
+        assert captured.out == ""
+        assert "unknown brute property 'bogus'" in captured.err
+
     def test_cli_import_loads_neither_numpy_nor_dataclasses(self):
         # numpy serves only the brute-force oracle; the CLI still imports
         # sdcat.oracle, which the traced benchmark run looks up.  The records

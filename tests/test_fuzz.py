@@ -15,9 +15,9 @@ graph are checked against the loops on its canonical kernel, and their
 witnesses re-verified.  Every builder that reads the kept edge tuples
 (``Presentation.edges`` and ``window_graph``) is checked against its loop
 over dict rows, the list-based strongly connected components against
-the dict-based loop, and the strong condition's kept facts and assignment
-search against the word-keyed engine and the recursive backtrack they
-replaced.  ``compose``, ``maps_equal`` and ``make_block_map``, which read
+the dict-based loop and their periods against breadth-first levels, and
+the strong condition's kept facts and assignment search against the
+word-keyed engine and the recursive backtrack they replaced.  ``compose``, ``maps_equal`` and ``make_block_map``, which read
 kept window tables, are checked against their former loops, errors
 included, and their gathers through kept itemgetters against the
 Python-level gathers over the same index tables.  SFTs from forbidden words are checked against the de Bruijn
@@ -398,6 +398,28 @@ class TestStructuralEquality:
 # Shift period
 
 
+def _old_graph_period(nodes, succ):
+    """Reference: gcd of the cycle lengths of a strongly connected graph (0
+    if acyclic), from the breadth-first levels of its nodes."""
+    nodes = list(nodes)
+    if not nodes:
+        return 0
+    level = {nodes[0]: 0}
+    queue = deque([nodes[0]])
+    g = 0
+    edges = []
+    while queue:
+        q = queue.popleft()
+        for p in succ(q):
+            edges.append((q, p))
+            if p not in level:
+                level[p] = level[q] + 1
+                queue.append(p)
+    for q, p in edges:
+        g = math.gcd(g, level[q] + 1 - level[p])
+    return abs(g)
+
+
 def _moore_period(x, comp):
     """Reference: Moore refinement on one SCC, missing edges in class -1,
     then the period of the quotient graph."""
@@ -422,7 +444,7 @@ def _moore_period(x, comp):
     for i in range(len(comp)):
         for a, j in trans[i].items():
             out[pos[cls[i]]][a] = pos[cls[j]]
-    return au.graph_period(range(len(classes)), lambda i: out[i].values())
+    return _old_graph_period(range(len(classes)), lambda i: out[i].values())
 
 
 class TestShiftPeriod:
@@ -461,7 +483,7 @@ def _reference_components(x):
         return x.live_trans[i].values()
 
     comps = [
-        comp for comp in au.strongly_connected_components(range(x.n_live()), succ)
+        comp for comp, _ in au.strongly_connected_components(range(x.n_live()), succ)
         if any(j in comp for i in comp for j in succ(i))
     ]
     consts = []
@@ -1050,7 +1072,7 @@ def _old_off_diagonal(token):
 
 def _old_cycle_sccs(n, succ):
     out = []
-    for comp in au.strongly_connected_components(range(n), succ):
+    for comp, _ in au.strongly_connected_components(range(n), succ):
         cs = set(comp)
         if any(j in cs for i in comp for j in succ(i)):
             out.append(comp)
@@ -2170,8 +2192,8 @@ class TestKeptEdges:
         for z in (y, ab):
             assert disjoint_union(x, z) == _old_disjoint_union(x, z)
         assert an.union_presentation(x, y) == _old_union(x, y)
-        for comp in au.strongly_connected_components(range(x.n_live()),
-                                                     lambda i: x.live_trans[i].values()):
+        for comp, _ in au.strongly_connected_components(range(x.n_live()),
+                                                        lambda i: x.live_trans[i].values()):
             assert an.scc_subshift(x, comp) == _old_scc_subshift(x, comp)
         for w in (1, 2, 3):
             assert higher_block_presentation(x, w) == _old_higher_block(x, w)
@@ -2235,17 +2257,48 @@ def _old_strongly_connected_components(nodes, succ):
     return result
 
 
+def _inside(succs, nodes):
+    """The successor function of the subgraph on ``nodes``."""
+    inside = set(nodes)
+    return lambda q: [p for p in succs[q] if p in inside]
+
+
 class TestStronglyConnectedComponents:
     @given(plain_graphs())
     @example((3, [(0, 1), (1, 0), (1, 2), (2, 2)]))
+    @example((4, [(0, 1), (1, 2), (2, 0), (0, 3), (3, 2)]))
     @settings(max_examples=300, deadline=None)
     def test_lists_match_the_dict_loop(self, graph):
         n, edges = graph
         succs = [[] for _ in range(n)]
         for q, p in edges:
             succs[q].append(p)
-        assert (au.strongly_connected_components(range(n), succs.__getitem__)
-                == _old_strongly_connected_components(range(n), succs.__getitem__))
+        got = au.strongly_connected_components(range(n), succs.__getitem__)
+        want = _old_strongly_connected_components(range(n), succs.__getitem__)
+        assert [comp for comp, _ in got] == want
+        for comp, period in got:
+            assert period == _old_graph_period(comp, _inside(succs, comp))
+
+    def _check_off_diagonal_periods(self, f):
+        _, n, edges = f.kernel_graph
+        succs = [[] for _ in range(n)]
+        for q, _, p in edges:
+            succs[q].append(p)
+        for _, nodes, period in an.off_diagonal_components(f):
+            assert period == _old_graph_period(nodes, _inside(succs, nodes))
+
+    def test_census_off_diagonal_periods_match_the_breadth_first_levels(self):
+        for f in _census_maps():
+            self._check_off_diagonal_periods(f)
+
+    def test_ladder_off_diagonal_periods_match_the_breadth_first_levels(self):
+        for f in _ladder_pool():
+            self._check_off_diagonal_periods(f)
+
+    @given(sofic_maps())
+    @settings(max_examples=150, deadline=None)
+    def test_sampled_off_diagonal_periods_match_the_breadth_first_levels(self, f):
+        self._check_off_diagonal_periods(f)
 
 
 # ---------------------------------------------------------------------------

@@ -85,6 +85,28 @@ def test_no_module_imports_dataclasses():
     assert not found, f"dataclasses imported in src/: {found}"
 
 
+def test_imports_are_at_module_level():
+    # numpy stays lazy in ``oracle``, so that importing the CLI does not
+    # load it, and ``is_regular_epic`` breaks the classify -> colimits
+    # cycle; every other import is made once, at the top of its module
+    allowed = {("oracle.py", None, "numpy"), ("classify.py", "is_regular_epic", "colimits")}
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for node in ast.walk(fn):
+                if isinstance(node, ast.Import):
+                    mods = [a.name for a in node.names]
+                elif isinstance(node, ast.ImportFrom):
+                    mods = [node.module or a.name for a in node.names]
+                else:
+                    continue
+                found |= {(path.name, fn.name, node.lineno, m) for m in mods
+                          if not {(path.name, None, m), (path.name, fn.name, m)} & allowed}
+    assert not found, f"function-level imports in src/: {sorted(found)}"
+
+
 def test_no_classify_function_catches_a_validation_error():
     # the section and retraction searches build their certificates valid
     # by construction, so nothing in the classifier validates and retries
