@@ -1,9 +1,13 @@
 """The morphism classifier: epic, monic, split epic, split monic,
 regular epic, regular monic, per category.
 
-Split epicness follows the two-sided strategy: the strong periodic point
-condition is checked for p = 1..p_cap (a NO at any p is final), and a
-radius-capped search looks for an actual section (a YES always carries one).
+A bijection is an isomorphism, decided by its inverse
+(``limits.inverse``): that inverse is its section and its retraction, and
+nothing is searched.  For any other map, split epicness follows the
+two-sided strategy: the strong periodic point condition is checked for
+p = 1..p_cap (a NO at any p is final), and a radius-capped search looks
+for an actual section.  A split YES always carries its section or
+retraction.
 Each word the strong condition asks for is one lazy search of
 ``automata.missing_word``; the only automata it builds are the target's,
 one per pair of ends.  Blank cells of the classification table surface as
@@ -576,14 +580,35 @@ def _isomorphism_rule(f: BlockMap, which: str, inverse: str | None = None) -> v.
     an injective one is onto: its image has full entropy, and no proper
     subshift of an irreducible sofic shift does (Lind & Marcus, Corollary
     4.4.9).  So a NO carries two points with equal images, and a YES with an
-    ``inverse`` name carries the inverse map."""
+    ``inverse`` name carries the kept inverse map of ``limits.inverse``."""
     fam = an.injectivity_family(f)
     if not fam.injective:
         return v.no(witness={"pair": fam.pair}, note=f"{which} are the isomorphisms")
     if inverse is None:
         return v.yes(note="bijective")
-    g = li.connecting_map(f, identity_map(f.source))
-    return v.yes(certificate=g, note=f"bijective; inverse is the {inverse}")
+    return v.yes(certificate=li.inverse(f), note=f"bijective; inverse is the {inverse}")
+
+
+def _bijective(f: BlockMap) -> bool:
+    """Whether ``f`` is injective and onto; False when either question runs
+    out of budget, so that the caller's general path runs."""
+    try:
+        return an.injectivity_family(f).injective and an.surjectivity(f).yes
+    except BudgetExceeded:
+        return False
+
+
+def _kept_inverse(f: BlockMap) -> BlockMap | None:
+    """``limits.inverse(f)`` when ``f`` is bijective and its inverse lies
+    within the radius cap and the budget, else None: the inverse is then
+    both the section and the retraction, and where it is None the searches
+    run as for any map."""
+    if _bijective(f):
+        try:
+            return li.inverse(f)
+        except BudgetExceeded:
+            pass
+    return None
 
 
 def is_split_epic(
@@ -598,6 +623,9 @@ def is_split_epic(
     surj = an.surjectivity(f)
     if surj.no:
         return v.no(witness=surj.witness, note="not surjective")
+    g = _kept_inverse(f)
+    if g is not None:
+        return v.yes(certificate=g, bound_used={"radius": g.radius})
     pointed = cat.pointed
     phases = [
         ("sc", 1), ("sec", 0), ("sec", 1), ("sc", 2), ("sc", 3),
@@ -638,17 +666,21 @@ def is_split_monic(
         return _isomorphism_rule(f, "split monos of this category", "retraction")
     if not fam.injective:
         return v.no(witness={"pair": fam.pair}, note="not injective")
+    # a conjugacy is peric, and its inverse is its retraction
+    h = _kept_inverse(f)
     if cat.level == 2 and cat.restriction in ("M", "P"):
-        peric = an.period_inclusion(f.target, f.source)
-        if peric.no:
-            return v.no(witness=peric.witness,
-                        note="a target period has no matching source period")
-        h = find_retraction(f, radius_cap=radius_cap, pointed=cat.pointed)
+        if h is None:
+            peric = an.period_inclusion(f.target, f.source)
+            if peric.no:
+                return v.no(witness=peric.witness,
+                            note="a target period has no matching source period")
+            h = find_retraction(f, radius_cap=radius_cap, pointed=cat.pointed)
         return v.yes(
             certificate=h,
             note="injective and peric" + ("" if h else "; retraction exists but exceeds the search radius"),
         )
-    h = find_retraction(f, radius_cap=radius_cap, pointed=cat.pointed)
+    if h is None:
+        h = find_retraction(f, radius_cap=radius_cap, pointed=cat.pointed)
     if h is not None:
         return v.yes(certificate=h, bound_used={"radius": h.radius})
     return v.undecided(bound_used={"radius_cap": radius_cap}, note=f"no retraction of radius <= {radius_cap}")
@@ -679,6 +711,8 @@ def is_regular_epic(f: BlockMap, cat: CategoryTag, witness_endo: BlockMap | None
             kf = f.kernel
             if kq.language_equal(kf):
                 return v.yes(note="isomorphic to a verified coequalizer")
+    if _bijective(f):
+        return v.yes(note="bijective, so an isomorphism, and every isomorphism is a regular epi")
     return v.undecided(note="open in the classification table")
 
 

@@ -50,25 +50,38 @@ from .automata import Dfa, Nfa, Word
 from .errors import ValidationError, DomainMismatch, check_budget
 from .records import record
 
+_VARARGS = 0x04  # inspect.CO_VARARGS, whose module is slow to import
+
 
 def _per_object(fn):
     """Keep ``fn(obj, *args)`` in ``obj.__dict__``, which equality and
     hashing of the frozen records do not see: under the wrapper's
-    ``key``, or under ``args`` in a dict kept there; an UNDECIDED verdict
-    is not kept."""
+    ``key`` when ``fn`` takes ``obj`` alone, else under ``args`` in a dict
+    kept there; an UNDECIDED verdict is not kept.  ``fn``'s arity picks
+    the wrapper, so a hit is one ``try`` of one subscript chain."""
     key = f"{fn.__module__}.{fn.__name__}"
+    code = fn.__code__
 
-    def once(obj, *args):
-        memo = obj.__dict__
-        if args:
-            memo = memo.get(key) or memo.setdefault(key, {})
-        slot = args or key
-        if slot in memo:
-            return memo[slot]
-        out = fn(obj, *args)
-        if not (isinstance(out, v.Verdict) and out.undecided):
-            memo[slot] = out
-        return out
+    if code.co_argcount == 1 and not code.co_flags & _VARARGS:
+        def once(obj):
+            try:
+                return obj.__dict__[key]
+            except KeyError:
+                pass
+            out = fn(obj)
+            if not (isinstance(out, v.Verdict) and out.undecided):
+                obj.__dict__[key] = out
+            return out
+    else:
+        def once(obj, *args):
+            try:
+                return obj.__dict__[key][args]
+            except KeyError:
+                pass
+            out = fn(obj, *args)
+            if not (isinstance(out, v.Verdict) and out.undecided):
+                obj.__dict__.setdefault(key, {})[args] = out
+            return out
 
     # not functools.wraps: ``__wrapped__`` marks the bindings that the
     # benchmark tracer has wrapped

@@ -25,7 +25,7 @@ from .core import (
     _word_list,
 )
 from .errors import BudgetExceeded, ValidationError, check_budget
-from .limits import CONNECTING_RADIUS_CAP, connecting_map
+from .limits import CONNECTING_RADIUS_CAP, inverse
 from .records import record
 
 
@@ -35,8 +35,10 @@ def _require_endo(f: BlockMap) -> None:
 
 
 def is_reversible(f: BlockMap) -> v.Verdict:
-    """Injective and surjective; YES carries the inverse when the bounded
-    radius search finds it."""
+    """Injective and surjective.  A YES carries the kept inverse of
+    ``limits.inverse``, the same map that decides the bijection's split
+    verdicts in ``classify``, when its radius is within
+    ``CONNECTING_RADIUS_CAP``."""
     _require_endo(f)
     fam = an.injectivity_family(f)
     if not fam.injective:
@@ -45,7 +47,7 @@ def is_reversible(f: BlockMap) -> v.Verdict:
     if surj.no:
         return v.no(witness=surj.witness, note="not surjective")
     try:
-        inv = connecting_map(f, identity_map(f.source))
+        inv = inverse(f)
     except BudgetExceeded:
         return v.yes(note="bijective; inverse radius exceeds the search cap",
                      bound_used={"radius_cap": CONNECTING_RADIUS_CAP})

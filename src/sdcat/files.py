@@ -146,8 +146,7 @@ def save_shift(x: Presentation, path: str) -> None:
         fh.write(text)
 
 
-def parse_bmap(text: str, base_dir: str = ".", loader=None) -> BlockMap:
-    loader = loader or load_shift
+def parse_bmap(text: str, base_dir: str = ".") -> BlockMap:
     source = target = None
     radius: int | None = None
     rule_lines: list[tuple[str, str]] = []
@@ -157,9 +156,9 @@ def parse_bmap(text: str, base_dir: str = ".", loader=None) -> BlockMap:
         key = key.strip()
         rest = rest.strip()
         if key == "source":
-            source = loader(os.path.join(base_dir, rest))
+            source = load_shift(os.path.join(base_dir, rest))
         elif key == "target":
-            target = loader(os.path.join(base_dir, rest))
+            target = load_shift(os.path.join(base_dir, rest))
         elif key == "radius":
             radius = int(rest)
         elif key == "rule":

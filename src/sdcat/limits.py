@@ -9,6 +9,7 @@ participating objects and morphisms is checked up front.
 from __future__ import annotations
 
 from . import analysis as an
+from . import automata as au
 from .core import (
     BlockMap,
     Presentation,
@@ -22,7 +23,7 @@ from .core import (
     _block_map,
     _per_object,
 )
-from .errors import BudgetExceeded, DomainMismatch, ValidationError
+from .errors import BudgetExceeded, DomainMismatch, ValidationError, check_budget
 from .records import record
 
 RESTRICTIONS = ("K", "T", "M", "P")
@@ -315,19 +316,61 @@ def connecting_map(f: BlockMap, g: BlockMap) -> BlockMap | None:
     raise BudgetExceeded("connecting map radius cap exceeded")
 
 
+@_per_object
+def inverse(f: BlockMap) -> BlockMap:
+    """The inverse of a bijective ``f``, a map from ``f.target`` to
+    ``f.source``, kept per map.  A bijective block map is a conjugacy
+    whose inverse is a block map (Lind & Marcus, Theorem 1.5.14), so a
+    bijection is an isomorphism in all twelve categories, and this map is
+    the section and the retraction of its split verdicts, with no search.
+
+    It is read off :func:`forced_values` against the identity at the first
+    radius where they are consistent, so at its smallest radius.  Their
+    windows are those of the image, which is the whole target, so neither
+    the kernel inclusion nor the image is built; ``f`` must be injective
+    and surjective.  Raises ``BudgetExceeded`` past
+    ``CONNECTING_RADIUS_CAP``."""
+    ident = identity_map(f.source)
+    for rho in range(0, CONNECTING_RADIUS_CAP + 1):
+        values = forced_values(f, ident, rho)
+        if values is not None:
+            return make_block_map(f.target, f.source, rho, values, validate_image=False)
+    raise BudgetExceeded("inverse radius cap exceeded")
+
+
 def forced_values(f: BlockMap, g: BlockMap, rho: int) -> dict | None:
     """The value that u . f = g forces on each width-(2 rho + 1) window of
     the image of ``f``, for a map u of radius ``rho``; None when two source
-    windows with the same image window need different values."""
+    windows with the same image window need different values.
+
+    The source words of width 2 big + 1 are walked depth first on the
+    source automaton, in words order, and each extends its prefix's image
+    by one symbol, so every image symbol is read once per prefix and the
+    walk stops at the first conflict.  The words count against the budget
+    as "word enumeration"."""
     big = max(rho + f.radius, g.radius)
-    margin = big - f.radius - rho
-    pad = big - g.radius
+    n, fw, gw, pad = 2 * big + 1, f.width(), g.width(), big - g.radius
+    # the prefix lengths that complete the windows under u's window
+    first = big - f.radius - rho + fw
+    last = first + 2 * rho
+    local, glocal, dfa = f.rule_dict, g.rule_dict, f.source.dfa
+    check_budget(au.count_words(dfa, n), "word enumeration")
+    # each row reversed, so that the stack pops its first symbol first
+    rows = [row[::-1] for row in dfa.trans]
     values: dict = {}
-    for xi in f.source.words(2 * big + 1):
-        imgw = tuple(f.local(xi[i : i + f.width()]) for i in range(margin, margin + 2 * rho + 1))
-        val = g.local(xi[pad : pad + g.width()])
-        if values.setdefault(imgw, val) != val:
-            return None
+    stack = [((), (), dfa.init)]
+    while stack:
+        word, img, q = stack.pop()
+        k = len(word)
+        if first <= k <= last:
+            img += (local[word[-fw:]],)
+        if k < n:
+            for a, p in rows[q]:
+                stack.append((word + (a,), img, p))
+        elif q in dfa.accepting:
+            val = glocal[word[pad : pad + gw]]
+            if values.setdefault(img, val) != val:
+                return None
     return values
 
 

@@ -31,7 +31,7 @@ def _repr(self):
 def record(cls):
     """``dataclass(frozen=True)`` on ``cls``; methods it defines are kept."""
     names = tuple(cls.__dict__.get("__annotations__", ()))
-    params, compared, env = [], [], {"_set": object.__setattr__}
+    params, compared, env = [], [], {}
     for n in names:
         default = cls.__dict__.get(n)
         if isinstance(default, uncompared):
@@ -42,7 +42,11 @@ def record(cls):
         env[f"_d_{n}"] = default
         params.append(f"{n}=_d_{n}" if n in cls.__dict__ else n)
     mine, theirs = ("".join(f"{s}.{n}, " for n in compared) for s in ("self", "other"))
-    body = "".join(f"\n    _set(self, {n!r}, {n})" for n in names)
+    # fields go straight into the instance dict, past the frozen __setattr__
+    d = "_d"
+    while d in names:
+        d += "_"
+    body = f"\n    {d} = self.__dict__" + "".join(f"\n    {d}[{n!r}] = {n}" for n in names)
     post = "\n    self.__post_init__()" if hasattr(cls, "__post_init__") else ""
     exec(f"def __init__(self, {', '.join(params)}):{body}{post}\n"
          f"def __eq__(self, other):\n    if other.__class__ is self.__class__:\n"

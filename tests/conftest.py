@@ -68,10 +68,12 @@ def recheck_petals(f, petals):
 def recheck_certificates(f, radius_cap=2):
     """Re-verify through ``core`` every certificate that the searches
     build for ``f`` and that they trust by construction: a section g of
-    ``find_section``, a retraction h of ``find_retraction``, and the
+    ``find_section``, a retraction h of ``find_retraction``, the
     connecting map u of ``connecting_map(f, k)`` for k = f, the shift after
-    f, and the identity of the source.  Returns ``(g, h, us)``, with None
-    where no certificate was found."""
+    f, and the identity of the source, and for a bijective ``f`` the kept
+    inverse of ``limits.inverse``, which must compose to the identity both
+    ways.  Returns ``(g, h, us)``, with None where no certificate was
+    found."""
     g = cl.find_section(f, radius_cap=radius_cap)
     if g is not None:
         assert maps_equal(compose(f, g), identity_map(f.target))
@@ -89,6 +91,15 @@ def recheck_certificates(f, radius_cap=2):
             assert maps_equal(compose(u, li.corestrict(f)), li.corestrict(k))
             make_block_map(u.source, u.target, u.radius, u.rule_dict, validate_image=True)
         us.append(u)
+    if an.injectivity_family(f).injective and an.surjectivity(f).yes:
+        try:
+            inv = li.inverse(f)
+        except BudgetExceeded:
+            inv = None
+        if inv is not None:
+            assert maps_equal(compose(inv, f), identity_map(f.source))
+            assert maps_equal(compose(f, inv), identity_map(f.target))
+            make_block_map(inv.source, inv.target, inv.radius, inv.rule_dict, validate_image=True)
     return g, h, us
 
 

@@ -7,6 +7,7 @@ import pytest
 
 from sdcat import analysis as an
 from sdcat import classify as cl
+from sdcat import limits as li
 from sdcat import oracle as orc
 from sdcat.core import (
     Presentation,
@@ -17,6 +18,7 @@ from sdcat.core import (
     make_block_map,
     make_presentation,
     maps_equal,
+    shift_power,
 )
 from sdcat.errors import ValidationError
 from sdcat.limits import CategoryTag
@@ -24,7 +26,7 @@ from sdcat.limits import CategoryTag
 from conftest import recheck_certificates, recheck_petals
 
 K1, K2, K3 = (CategoryTag.parse(t) for t in ("K1", "K2", "K3"))
-T1, T3 = CategoryTag.parse("T1"), CategoryTag.parse("T3")
+T1, T2, T3 = (CategoryTag.parse(t) for t in ("T1", "T2", "T3"))
 M1, M2, M3 = (CategoryTag.parse(t) for t in ("M1", "M2", "M3"))
 P1, P2 = CategoryTag.parse("P1"), CategoryTag.parse("P2")
 
@@ -285,8 +287,6 @@ class TestSplitEpic:
         assert cl.is_split_epic(xor3, M1).no
 
     def test_track_projection_split_epic(self, full2):
-        from sdcat import limits as li
-
         pr = li.product(full2, full2)
         p1 = pr.legs[0]
         v = cl.is_split_epic(p1, M2)
@@ -298,7 +298,6 @@ class TestSplitEpic:
         assert an.is_mixing(img) and an.is_sft(img).yes
 
     def test_pointed_projection_section_preserves_points(self, full2p):
-        from sdcat import limits as li
         from sdcat.core import PeriodicPoint, apply_map
 
         pr = li.product(full2p, full2p)
@@ -336,6 +335,35 @@ class TestSplitEpic:
             set_budget(None)
         assert g is not None and g.radius == 1
         assert recheck_certificates(f)[0] == g
+
+
+class TestBijections:
+    def test_a_shift_by_four_splits_by_its_radius4_inverse(self, full2):
+        # the inverse, the shift back by four, has a radius past the cap of
+        # 3 that the section and retraction searches have
+        f = shift_power(full2, 4)
+        epic, monic = cl.is_split_epic(f, K2), cl.is_split_monic(f, K2)
+        assert epic.yes and monic.yes
+        g = epic.certificate
+        assert g == monic.certificate == li.inverse(f)
+        assert g.radius == 4 and epic.bound_used == monic.bound_used == {"radius": 4}
+        assert maps_equal(g, shift_power(full2, -4))
+
+    def test_census_automorphisms_are_regular_epis(self, full2):
+        # an isomorphism is a regular epi: where the table has a blank cell,
+        # a bijection is YES by that rule, and no other map is
+        for bits in range(256):
+            f = _census_map(full2, bits)
+            bijective = bits in (15, 51, 85, 170, 204, 240)
+            for cat in (K1, T1, T2, T3, M1, M2, M3):
+                row = cl.classify(f, cat)
+                got = row["regular_epic"]
+                if bijective:
+                    assert got.yes and "isomorphism" in got.note
+                    assert row["split_epic"].yes and row["split_monic"].yes
+                else:
+                    assert not got.yes or "isomorphism" not in (got.note or "")
+                assert not cl.implication_violations(row)
 
 
 class TestIsomorphismRule:
@@ -495,7 +523,12 @@ class TestConstraintSearch:
             return real(y, x, rho, values, what, point)
 
         monkeypatch.setattr(cl, "_first_block_map", counting)
-        assert cl.is_split_epic(_census_map(full2, 240), K2).yes
+        # the caps that the split epic phases give the search in turn; an
+        # automorphism such as rule 240 is decided by its inverse, with no
+        # search, so the search is driven directly
+        f = _census_map(full2, 240)
+        found = [cl.find_section(f, radius_cap=cap) for cap in (0, 1, 2, 3)]
+        assert found[:2] == [None, None] and found[2] == found[3] == li.inverse(f)
         # one search per radius: 2, 8 and 32 windows of the full 2-shift
         assert sizes == [2, 8, 32]
 

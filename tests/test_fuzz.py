@@ -25,8 +25,12 @@ graph they were built on, and chain graphs and blocking windows read off
 the kept window tables against the rule slid over every word.  The
 relation of a local equivalence, the kernel of its
 quotient map, is checked against the constrained square it replaced, and
-inclusion across alphabets against the cast to their union.  The sections, retractions and connecting maps that the searches
-trust by construction are re-verified through ``core``.  Verdicts on a
+inclusion across alphabets against the cast to their union.  The
+sections, retractions, connecting maps and inverses that the searches
+trust by construction are re-verified through ``core``, and a bijection's
+split certificates, its kept inverse, are checked against the maps that
+the section and retraction searches find.  The depth-first walk of the
+forced values is checked against the loop over the word list it replaced.  Verdicts on a
 full shift whose symbols are spelled like the derived tokens are checked
 against the same map on plain symbols.
 """
@@ -45,10 +49,12 @@ from sdcat import automata as au
 from sdcat import classify as cl
 from sdcat import colimits as co
 from sdcat import dynamics as dy
+from sdcat import limits as li
 from sdcat import oracle as orc
 from sdcat.core import (
     BlockMap,
     PeriodicPoint,
+    _block_conjugacy,
     _center_index,
     _live_nodes,
     _window_table,
@@ -78,6 +84,7 @@ from sdcat.core import (
     product_presentation,
     recode_to_symbol_map,
     rule_image,
+    shift_power,
     window_graph,
 )
 from sdcat.automata import Dfa, Nfa
@@ -1608,9 +1615,49 @@ def _old_monic_m3(f):
     return "YES"
 
 
+def _old_forced_values(f, g, rho):
+    """Reference: the forced values read off every source word of width
+    2 big + 1 in words order, each image window sliced out of it."""
+    big = max(rho + f.radius, g.radius)
+    margin = big - f.radius - rho
+    pad = big - g.radius
+    values = {}
+    for xi in f.source.words(2 * big + 1):
+        imgw = tuple(f.local(xi[i : i + f.width()]) for i in range(margin, margin + 2 * rho + 1))
+        val = g.local(xi[pad : pad + g.width()])
+        if values.setdefault(imgw, val) != val:
+            return None
+    return values
+
+
+def _check_forced_values(f):
+    for k in (f, compose(shift_power(f.target, 1), f), identity_map(f.source)):
+        for rho in range(3):
+            assert li.forced_values(f, k, rho) == _old_forced_values(f, k, rho)
+
+
+class TestForcedValues:
+    """The depth-first walk of ``limits.forced_values`` against the loop
+    over the source's word list that it replaced, for u . f = k with k
+    the map itself, the shift after it and the identity, at radii 0-2."""
+
+    def test_census_maps_match_the_word_loop(self):
+        for f in _census_maps():
+            _check_forced_values(f)
+
+    def test_ladder_maps_match_the_word_loop(self):
+        for f in _ladder_pool():
+            _check_forced_values(f)
+
+    @given(sft_maps() | sofic_maps(sft_maps() | small_sofic_maps()))
+    @settings(max_examples=150, deadline=None)
+    def test_sampled_maps_match_the_word_loop(self, f):
+        _check_forced_values(f)
+
+
 class TestCertificateRecheck:
-    """The sections, retractions and connecting maps that the searches
-    trust by construction, re-verified through ``core``."""
+    """The sections, retractions, connecting maps and inverses that the
+    searches trust by construction, re-verified through ``core``."""
 
     def test_census_certificates_recheck(self):
         found = [recheck_certificates(f) for f in _census_maps()]
@@ -1627,6 +1674,64 @@ class TestCertificateRecheck:
     @settings(max_examples=150, deadline=None)
     def test_sampled_certificates_recheck(self, f):
         recheck_certificates(f)
+
+
+def _bijections():
+    """Bijective maps: the census automorphisms, the radius-0 permutations
+    of full3 and full4, the shifts by up to 3 either way on full2 and
+    full3, the conjugacy pairs of full2, the golden mean and the even
+    shift with their higher block shifts of widths 3 and 5, and
+    composites of these."""
+    even = make_presentation(["0", "1"], "graph",
+                             (["e", "o"], [("e", "o", "0"), ("o", "e", "0"), ("e", "e", "1")]))
+    full3, full4 = full_shift("012"), full_shift("0123")
+    autos = [f for bits, f in enumerate(_census_maps()) if bits in (15, 51, 85, 170, 204, 240)]
+    perms3, perms4 = ([make_block_map(x, x, 0, {(a,): b for a, b in zip(x.alphabet, p)})
+                       for p in itertools.permutations(x.alphabet)] for x in (full3, full4))
+    shifts2, shifts3 = ([shift_power(x, k) for k in (1, 2, 3, -1, -2, -3)] for x in (FULL2, full3))
+    pairs = [_block_conjugacy(x, w) for x in (FULL2, golden_mean(), even) for w in (3, 5)]
+    composites = [compose(g, f) for f in autos for g in autos]
+    composites += [compose(p, s) for p in perms3 for s in (shifts3[0], shifts3[3])]
+    composites += [compose(s, p) for p in perms3[1:3] for s in shifts3[:2]]
+    composites += [compose(to, back) for to, back in pairs] + [compose(back, to) for to, back in pairs]
+    composites += [compose(pairs[0][0], f) for f in autos]
+    return (autos + perms3 + perms4 + shifts2 + shifts3 + [m for pair in pairs for m in pair]
+            + composites)
+
+
+class TestBijectionInverse:
+    """A bijection is split epic and split monic by its kept inverse, with
+    no search, and that inverse is record-equal to the section and the
+    retraction that the searches find within their radius cap of 3."""
+
+    def test_split_certificates_match_the_searches(self):
+        found, past_budget, maps = [0, 0], [], _bijections()
+        for f in maps:
+            cat = CategoryTag.parse("K2" if an.is_sft(f.source).yes else "K3")
+            try:
+                inv = li.inverse(f)
+            except BudgetExceeded:
+                # the verdicts search as for any map
+                past_budget.append(f)
+                continue
+            for verdict in (cl.is_split_epic(f, cat), cl.is_split_monic(f, cat)):
+                assert verdict.yes and verdict.certificate == inv
+                assert verdict.bound_used == {"radius": inv.radius}
+            for k, search in enumerate((cl.find_section, cl.find_retraction)):
+                try:
+                    g = search(f, radius_cap=3)
+                except BudgetExceeded:
+                    continue
+                if g is not None:
+                    assert g == inv
+                    found[k] += 1
+            recheck_certificates(f)
+        # the forced values of the inverse of a shift by 3 on full3 are read
+        # off 3^13 source words
+        assert past_budget == [shift_power(full_shift("012"), k) for k in (3, -3)]
+        # every retraction is found; the shifts by 2 and 3 need a block
+        # radius past the cap for a section
+        assert found[1] == len(maps) - len(past_budget) and found[0] >= 100, found
 
 
 class TestMonicOnTheKernelGraph:

@@ -189,7 +189,7 @@ def test_core_gathers_only_through_kept_itemgetters():
 # are called from outside src/ only
 _CALLED_FROM_OUTSIDE = {
     ("colimits", "kernel_p"), ("colimits", "cokernel_p"), ("colimits", "is_local_equivalence"),
-    ("limits", "mediate_product"), ("limits", "mediate_equalizer"),
+    ("limits", "mediate_product"), ("limits", "mediate_equalizer"), ("limits", "connecting_map"),
     ("dynamics", "visibly_blocking"), ("analysis", "resolvingness"),
     ("errors", "set_budget"), ("oracle", "ep_preimage_search"),
 }
