@@ -322,16 +322,14 @@ def words_of_length(dfa: Dfa, n: int):
     if count > 0:
         check_budget(count, "word enumeration")
     out: list[Word] = []
-
-    def rec(q: int, word: Word):
-        if len(word) == n:
-            if q in dfa.accepting:
-                out.append(word)
-            return
-        for a, p in dfa.trans[q]:
-            rec(p, word + (a,))
-
-    rec(dfa.init, ())
+    stack = [((), dfa.init)]
+    while stack:
+        word, q = stack.pop()
+        if len(word) < n:
+            # each row reversed, so that the stack pops its first symbol first
+            stack += [(word + (a,), p) for a, p in reversed(dfa.trans[q])]
+        elif q in dfa.accepting:
+            out.append(word)
     return out
 
 

@@ -19,7 +19,7 @@ from . import dynamics as dy
 from . import limits as li
 from . import oracle as orc
 from . import verdicts as v
-from .errors import SdcatError
+from .errors import ParseError, SdcatError
 from .files import load_bmap, load_shift, save_bmap, save_shift
 from .limits import CategoryTag
 
@@ -60,55 +60,66 @@ def _cmd_analyze(args) -> int:
     return 0
 
 
-CHECKS = (
-    "epic",
-    "monic",
-    "split-epic",
-    "split-monic",
-    "regular-epic",
-    "regular-monic",
-    "preinjective",
-    "injective",
-    "peric",
-    "exists-morphism",
-)
+SHIFT, BMAP = ".shift", ".bmap"
+
+
+def _injective(f) -> v.Verdict:
+    fam = an.injectivity_family(f)
+    return v.yes() if fam.injective else v.no(witness={"pair": fam.pair})
+
+
+def _union(i1, i2) -> li.LimitResult:
+    inc = li.subobject_union(i1, i2)
+    return li.exists(inc.source, inc)
+
+
+# Each check property and build operation: the files it reads, in order,
+# and its engine call on the category and the inputs (a check's call takes
+# the parsed arguments first).  The calls look their engine up when they
+# run, so a patched or traced engine function is the one called.
+CHECKS = {
+    "epic": ((BMAP,), lambda a, cat, f: cl.is_epic(f, cat)),
+    "monic": ((BMAP,), lambda a, cat, f: cl.is_monic(f, cat)),
+    "split-epic": ((BMAP,), lambda a, cat, f: cl.is_split_epic(
+        f, cat, p_cap=a.p_cap, radius_cap=a.radius_cap)),
+    "split-monic": ((BMAP,), lambda a, cat, f: cl.is_split_monic(f, cat, radius_cap=a.radius_cap)),
+    "regular-epic": ((BMAP,), lambda a, cat, f: cl.is_regular_epic(
+        f, cat, witness_endo=load_bmap(a.witness_endo) if a.witness_endo else None)),
+    "regular-monic": ((BMAP,), lambda a, cat, f: cl.is_regular_monic(f, cat)),
+    "preinjective": ((BMAP,), lambda a, cat, f: an.is_preinjective(f)),
+    "injective": ((BMAP,), lambda a, cat, f: _injective(f)),
+    "peric": ((BMAP,), lambda a, cat, f: an.is_peric(f)),
+    "exists-morphism": ((SHIFT, SHIFT), lambda a, cat, z, y: cl.exists_morphism(z, y)),
+}
+
+BUILDS = {
+    "product": ((SHIFT, SHIFT), lambda cat, x, y: li.product(x, y)),
+    "coproduct": ((SHIFT, SHIFT), lambda cat, x, y: li.coproduct(x, y, cat)),
+    "pullback": ((BMAP, BMAP), lambda cat, f, g: li.pullback(f, g)),
+    "equalizer": ((BMAP, BMAP), lambda cat, f, g: li.equalizer(f, g, cat)),
+    "kernel-pair": ((BMAP,), lambda cat, f: li.kernel_pair(f)),
+    "image": ((BMAP,), lambda cat, f: li.image_factorization(f, cat)),
+    "union": ((BMAP, BMAP), lambda cat, i1, i2: _union(i1, i2)),
+    "terminal": ((), lambda cat: li.terminal(cat)),
+    "initial": ((), lambda cat: li.initial(cat)),
+}
+
+
+def _load(command: str, kinds, paths) -> list:
+    """The input files of ``command``, counted before any is read."""
+    if len(paths) != len(kinds):
+        wanted = " ".join(kinds) or "no input file"
+        raise ParseError(f"{command} takes {wanted}, given {len(paths)} file(s)")
+    return [load_bmap(p) if kind == BMAP else load_shift(p) for kind, p in zip(kinds, paths)]
 
 
 def _cmd_check(args) -> int:
     cat = CategoryTag.parse(args.category)
-    if args.property == "exists-morphism":
-        if args.second is None:
-            raise SdcatError("exists-morphism takes two .shift files")
-        z = load_shift(args.map)
-        y = load_shift(args.second)
-        verdict = cl.exists_morphism(z, y)
-    else:
-        f = load_bmap(args.map)
-        if args.property == "epic":
-            verdict = cl.is_epic(f, cat)
-        elif args.property == "monic":
-            verdict = cl.is_monic(f, cat)
-        elif args.property == "split-epic":
-            verdict = cl.is_split_epic(f, cat, p_cap=args.p_cap, radius_cap=args.radius_cap)
-        elif args.property == "split-monic":
-            verdict = cl.is_split_monic(f, cat, radius_cap=args.radius_cap)
-        elif args.property == "regular-epic":
-            endo = load_bmap(args.witness_endo) if args.witness_endo else None
-            verdict = cl.is_regular_epic(f, cat, witness_endo=endo)
-        elif args.property == "regular-monic":
-            verdict = cl.is_regular_monic(f, cat)
-        elif args.property == "preinjective":
-            li.check_morphism(cat, f)
-            verdict = an.is_preinjective(f)
-        elif args.property == "injective":
-            li.check_morphism(cat, f)
-            fam = an.injectivity_family(f)
-            verdict = v.yes() if fam.injective else v.no(witness={"pair": fam.pair})
-        elif args.property == "peric":
-            li.check_morphism(cat, f)
-            verdict = an.is_peric(f)
-        else:
-            raise SdcatError(f"unknown property {args.property}")
+    kinds, call = CHECKS[args.property]
+    inputs = _load(f"check {args.property}", kinds, args.inputs)
+    if kinds == (BMAP,):
+        li.check_morphism(cat, *inputs)
+    verdict = call(args, cat, *inputs)
     report = {"command": f"check {args.property}", "category": str(cat)}
     report.update(verdict.brief())
     if args.cert_out and verdict.certificate is not None and hasattr(verdict.certificate, "rule_dict"):
@@ -120,38 +131,11 @@ def _cmd_check(args) -> int:
 
 def _cmd_build(args) -> int:
     cat = CategoryTag.parse(args.category)
-    op = args.operation
+    kinds, call = BUILDS[args.operation]
     t0 = time.time()
-    if op == "product":
-        x, y = load_shift(args.inputs[0]), load_shift(args.inputs[1])
-        res = li.product(x, y)
-    elif op == "coproduct":
-        x, y = load_shift(args.inputs[0]), load_shift(args.inputs[1])
-        res = li.coproduct(x, y, cat)
-    elif op == "pullback":
-        f, g = load_bmap(args.inputs[0]), load_bmap(args.inputs[1])
-        res = li.pullback(f, g)
-    elif op == "equalizer":
-        f, g = load_bmap(args.inputs[0]), load_bmap(args.inputs[1])
-        res = li.equalizer(f, g, cat)
-    elif op == "kernel-pair":
-        f = load_bmap(args.inputs[0])
-        res = li.kernel_pair(f)
-    elif op == "image":
-        f = load_bmap(args.inputs[0])
-        res = li.image_factorization(f, cat)
-    elif op == "union":
-        i1, i2 = load_bmap(args.inputs[0]), load_bmap(args.inputs[1])
-        inc = li.subobject_union(i1, i2)
-        res = li.exists(inc.source, inc)
-    elif op == "terminal":
-        res = li.terminal(cat)
-    elif op == "initial":
-        res = li.initial(cat)
-    else:
-        raise SdcatError(f"unknown build operation {op}")
+    res = call(cat, *_load(f"build {args.operation}", kinds, args.inputs))
     report = {
-        "command": f"build {op}",
+        "command": f"build {args.operation}",
         "category": str(cat),
         "status": res.status,
         "seconds": round(time.time() - t0, 3),
@@ -242,8 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="morphism property verdicts")
     p.add_argument("property", choices=CHECKS)
-    p.add_argument("map", help=".bmap file (or .shift for exists-morphism)")
-    p.add_argument("second", nargs="?", help="second .shift for exists-morphism")
+    p.add_argument("inputs", nargs="*", help="one .bmap (two .shift for exists-morphism)")
     p.add_argument("--category", required=True)
     p.add_argument("--p-cap", type=int, default=cl.DEFAULT_P_CAP)
     p.add_argument("--radius-cap", type=int, default=cl.DEFAULT_RADIUS_CAP)
@@ -253,13 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_check)
 
     p = sub.add_parser("build", help="limits and colimits")
-    p.add_argument(
-        "operation",
-        choices=[
-            "product", "coproduct", "pullback", "equalizer", "kernel-pair",
-            "image", "union", "terminal", "initial",
-        ],
-    )
+    p.add_argument("operation", choices=BUILDS)
     p.add_argument("inputs", nargs="*")
     p.add_argument("--category", required=True)
     p.add_argument("-o", "--out")

@@ -533,12 +533,14 @@ def _window_graph(x: Presentation, w: int):
 
 
 def _readable_words(x: Presentation, i: int, n: int):
-    if n == 0:
-        yield ()
-        return
-    for a, j in sorted(x.live_trans[i].items()):
-        for rest in _readable_words(x, j, n - 1):
-            yield (a,) + rest
+    """The words of length ``n`` readable from state ``i``, in symbol order."""
+    stack = [((), i)]
+    while stack:
+        word, j = stack.pop()
+        if len(word) == n:
+            yield word
+        else:
+            stack += [(word + (a,), k) for a, k in sorted(x.live_trans[j].items(), reverse=True)]
 
 
 def center_of(window: Word) -> str:
@@ -727,8 +729,9 @@ def fiber_graph(f: BlockMap, g: BlockMap):
     nodes2, edges2 = (nodes1, edges1) if y == x else window_graph(y, 2 * r + 1)
     n1, n2 = len(nodes1), len(nodes2)
     check_budget(max(1, n1) * max(1, n2), "fiber product")
-    edges = _matched_edges([(k, fr[w], w[r], t) for k, w, t in edges1],
-                           [(k, gr[w], w[r], t) for k, w, t in edges2], n2, pair_symbol)
+    labelled1 = [(k, fr[w], w[r], t) for k, w, t in edges1]
+    labelled2 = labelled1 if f is g else [(k, gr[w], w[r], t) for k, w, t in edges2]
+    edges = _matched_edges(labelled1, labelled2, n2, pair_symbol)
     index = {q: i for i, q in enumerate(sorted(_live_nodes(n1 * n2, edges)))}
     edges = tuple((index[q], t, index[p]) for q, t, p in edges if q in index and p in index)
     return alphabet, len(index), edges
@@ -757,6 +760,8 @@ def make_block_map(
     full-shift target holds every image over its alphabet, so it is not
     searched.
     """
+    if radius < 0:
+        raise ValidationError(f"radius {radius} is negative")
     words = _word_list(source, 2 * radius + 1)
     check_budget(len(words), "word enumeration")
     windows = _word_index(source, 2 * radius + 1).keys()

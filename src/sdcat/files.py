@@ -5,6 +5,8 @@ strings.  A derived symbol, a tuple, is spelled only here, as its parts'
 spellings joined by commas in parentheses, ``((0,1),1)``; two that spell
 alike raise ``ValidationError``.  Words are written as concatenated
 spellings when each is a single character, and comma-separated otherwise.
+A .bmap's ``radius:`` is a nonnegative integer in decimal digits, and
+each ``rule:`` word is ``2 * radius + 1`` symbols wide.
 Emitted presentations use a canonical state numbering so golden files are
 stable.
 """
@@ -160,6 +162,8 @@ def parse_bmap(text: str, base_dir: str = ".") -> BlockMap:
         elif key == "target":
             target = load_shift(os.path.join(base_dir, rest))
         elif key == "radius":
+            if not (rest.isascii() and rest.isdigit()):
+                raise ParseError(f"radius must be a nonnegative integer, not {rest!r}")
             radius = int(rest)
         elif key == "rule":
             if "->" not in rest:

@@ -290,7 +290,9 @@ def pullback(f: BlockMap, g: BlockMap) -> LimitResult:
 
 
 def kernel_pair(f: BlockMap) -> LimitResult:
-    return pullback(f, f)
+    """The pullback of ``f`` along itself, read from its kept kernel."""
+    rel = an.kernel_set(f)
+    return exists(rel.presentation, *an.relation_projections(rel))
 
 
 def connecting_map(f: BlockMap, g: BlockMap) -> BlockMap | None:

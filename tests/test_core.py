@@ -106,6 +106,17 @@ class TestMakePresentation:
         assert golden.with_point("0").point == "0"
 
 
+class TestLongWindows:
+    def test_words_of_a_long_length(self):
+        # the word walk keeps a stack: no recursion once per symbol
+        assert trivial_shift("0").words(1500) == [("0",) * 1500]
+
+    def test_negative_radius_rejected(self):
+        x = full_shift(["0", "1"])
+        with pytest.raises(ValidationError):
+            make_block_map(x, x, -1, {})
+
+
 class TestApplyMap:
     def test_xor3_on_0110(self, xor3):
         out = apply_map(xor3, PeriodicPoint(("0", "1", "1", "0")))

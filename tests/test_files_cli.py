@@ -360,6 +360,36 @@ class TestCli:
         assert out["spreading_state"] == "0"
         assert out["reversible"] == "NO"
 
+    @pytest.mark.parametrize("argv", [
+        ["build", "pullback", "xor3.bmap"],
+        ["build", "product", "golden.shift", "golden.shift", "full.shift"],
+        ["build", "terminal", "golden.shift"],
+        ["check", "epic", "xor3.bmap", "full.shift"],
+        ["check", "exists-morphism", "golden.shift"],
+        ["check", "epic", "word_radius.bmap"],
+        ["check", "epic", "negative_radius.bmap"],
+    ], ids=["pullback-of-one-map", "product-of-three", "terminal-of-a-file", "epic-of-two-files",
+            "exists-morphism-of-one-file", "radius-one", "radius-minus-1"])
+    def test_wrong_invocation_exits_64(self, workdir, capsys, argv):
+        for name, radius in (("word_radius", "one"), ("negative_radius", "-1")):
+            (workdir / f"{name}.bmap").write_text(
+                f"source: full.shift\ntarget: full.shift\nradius: {radius}\ndefault: 0\n")
+        code = main([*argv[:2], *(str(workdir / a) for a in argv[2:]), "--category", "K2"])
+        err = capsys.readouterr().err
+        assert code == 64
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+    def test_wide_window_gets_verdicts(self, tmp_path, capsys):
+        # radius 600 on the one-point shift: words of 1201 symbols, walked
+        # without recursion
+        (tmp_path / "one.shift").write_text("alphabet: 0\n")
+        wide = tmp_path / "wide.bmap"
+        wide.write_text("source: one.shift\ntarget: one.shift\nradius: 600\ndefault: 0\n")
+        for prop in ("epic", "split-epic", "monic", "split-monic", "regular-monic"):
+            assert main(["check", prop, str(wide), "--category", "K2"]) == 0
+        assert main(["dynamics", str(wide)]) == 0
+        capsys.readouterr()
+
     def test_parse_error_exit(self, workdir, capsys):
         (workdir / "broken.shift").write_text("nonsense line\n")
         assert main(["analyze", str(workdir / "broken.shift")]) == 64

@@ -248,3 +248,27 @@ def test_the_strong_condition_determinizes_only_the_target_bridges():
     found = [c.lineno for top in tree.body if getattr(top, "name", None) != "_bridges"
              for c in ast.walk(top) if isinstance(c, ast.Call) and "determinize" in _names(c.func)]
     assert not found, f"determinize called outside classify._bridges at lines {found}"
+
+
+# the functions of src/ that call themselves, each with why its depth
+# stays small
+_SELF_CALLING = {
+    ("analysis", "shift_period"): "recurses one level: the component subshift's period is kept",
+    ("dynamics", "power"): "kept per k, and eventual_periodicity builds the powers upward",
+    ("verdicts", "_render"): "recurses as deep as the witness nests",
+}
+
+
+def test_no_function_calls_itself():
+    # a recursion once per symbol ends in RecursionError on a long window,
+    # so word walks keep an explicit stack
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.FunctionDef) and any(
+                    isinstance(c, ast.Call) and isinstance(c.func, ast.Name) and c.func.id == node.name
+                    for c in ast.walk(node)):
+                found.add((path.stem, node.name))
+    assert found == _SELF_CALLING.keys(), (
+        f"new self-calls: {sorted(found - _SELF_CALLING.keys())}, "
+        f"listed but gone: {sorted(_SELF_CALLING.keys() - found)}")
