@@ -14,7 +14,8 @@ Every construction numbers its states through one breadth-first explorer,
 ``explore``, every reachability question is one ``closure``, and every
 search for a word stops early in one ``first_word``.  Whether a graph
 reads every word of a DFA is one lazy search, ``missing_word``, which
-steps sets of graph states and builds no subset automaton.
+steps sets of graph states and builds no subset automaton.  Every word
+list is one ``walk``, and ``minimize`` refines the rows the DFA has.
 """
 
 from __future__ import annotations
@@ -156,11 +157,16 @@ def determinize(nfa: Nfa) -> Dfa:
 
 
 def minimize(dfa: Dfa) -> Dfa:
-    """Canonical minimal partial DFA (Moore refinement with a virtual sink).
+    """Canonical minimal partial DFA (Moore refinement on the rows).
 
     States are renumbered in BFS order with symbols sorted, so two
     language-equal inputs minimize to structurally identical automata.
     Returns a one-state non-accepting DFA if the language is empty.
+
+    The first classes split states by acceptance and by the symbols they
+    read, so a round reads each edge once.  Classes are numbered in the
+    order of their first member in BFS order, which is the quotient's BFS
+    order: the members of a class have the same successor classes.
     """
     pred: list[list[int]] = [[] for _ in range(dfa.n)]
     for q, row in enumerate(dfa.trans):
@@ -170,32 +176,18 @@ def minimize(dfa: Dfa) -> Dfa:
     if dfa.init not in live:
         return make_dfa(dfa.alphabet, [{}], 0, [])
     # a state on a path from init to a live state is live itself
-    keep = list(closure([dfa.init], lambda q: [p for _, p in dfa.trans[q] if p in live]))
-    n = len(keep)
-    remap = {q: i for i, q in enumerate(keep)}
-    syms = sorted(set(dfa.alphabet))
-    # successors in symbol order; index n is the virtual sink, alone in class 0
-    nxt = [[remap.get(dfa.rows[q].get(a), n) for a in syms] for q in keep]
-    cls = [1 if q in dfa.accepting else 2 for q in keep] + [0]
-    count = len(set(cls))
-    while True:
-        sigs: dict[tuple, int] = {}
-        cls = [sigs.setdefault((cls[q], *map(cls.__getitem__, nxt[q])), len(sigs) + 1)
-               for q in range(n)] + [0]
-        if len(sigs) + 1 == count:
-            break
-        count = len(sigs) + 1
-
-    reps: dict[int, int] = {}
-    for q in range(n):
-        reps.setdefault(cls[q], q)
-
-    def successors(c):
-        return [(a, cls[p]) for a, p in zip(syms, nxt[reps[c]]) if p != n]
-
-    order, rows = explore(cls[remap[dfa.init]], successors, None)
-    acc = [i for i, c in enumerate(order) if keep[reps[c]] in dfa.accepting]
-    return make_dfa(dfa.alphabet, rows, 0, acc)
+    keep, rows = explore(dfa.init, lambda q: [(a, p) for a, p in dfa.trans[q] if p in live], None)
+    sigs: dict[tuple, int] = {}
+    cls = [sigs.setdefault((q in dfa.accepting, *row), len(sigs)) for q, row in zip(keep, rows)]
+    count = 0
+    while len(sigs) > count:
+        count, sigs = len(sigs), {}
+        cls = [sigs.setdefault((c, *map(cls.__getitem__, row.values())), len(sigs))
+               for c, row in zip(cls, rows)]
+    # one member of each class stands for it, the classes in their order
+    reps = dict(zip(cls, range(len(cls))))
+    out = [{a: cls[p] for a, p in rows[q].items()} for q in reps.values()]
+    return make_dfa(dfa.alphabet, out, 0, [c for c, q in reps.items() if keep[q] in dfa.accepting])
 
 
 def determinize_minimize(nfa: Nfa) -> Dfa:
@@ -316,21 +308,37 @@ def escaping_word(graph: Nfa, dfa: Dfa) -> Word | None:
     return first_word(starts, successors, lambda pair: pair[1] is None, "image inclusion")[0]
 
 
+def walk(rows, start, n: int):
+    """Each word of length ``n`` read from ``start``, with the state it
+    ends in, in the order of ``rows[q]``, the ``(symbol, successor)`` pairs
+    of state ``q`` (as in ``Dfa.trans``).  One path is extended in place,
+    so no prefix is copied; for ``n <= 0`` the empty word is the one word.
+    """
+    if n <= 0:
+        yield (), start
+        return
+    word = [None] * n
+    last = n - 1
+    stack = [iter(rows[start])]
+    while stack:
+        depth = len(stack) - 1
+        for a, p in stack[-1]:
+            word[depth] = a
+            if depth == last:
+                yield tuple(word), p
+            else:
+                stack.append(iter(rows[p]))
+                break
+        else:
+            stack.pop()
+
+
 def words_of_length(dfa: Dfa, n: int):
     """All accepted words of length exactly n, lexicographic in symbol order."""
     count = count_words(dfa, n)
     if count > 0:
         check_budget(count, "word enumeration")
-    out: list[Word] = []
-    stack = [((), dfa.init)]
-    while stack:
-        word, q = stack.pop()
-        if len(word) < n:
-            # each row reversed, so that the stack pops its first symbol first
-            stack += [(word + (a,), p) for a, p in reversed(dfa.trans[q])]
-        elif q in dfa.accepting:
-            out.append(word)
-    return out
+    return [word for word, q in walk(dfa.trans, dfa.init, n) if q in dfa.accepting]
 
 
 def count_words(dfa: Dfa, n: int) -> int:

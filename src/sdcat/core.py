@@ -513,34 +513,22 @@ def window_graph(x: Presentation, w: int):
 
 @_per_object
 def _window_graph(x: Presentation, w: int):
+    rows = [tuple(row.items()) for row in x.live_trans]
     nodes: list[tuple[int, Word]] = []
+    ends: list[int] = []
     index: dict[tuple[int, Word], int] = {}
     for i in range(x.n_live()):
-        for u in _readable_words(x, i, w - 1):
-            node = (i, u)
-            index[node] = len(nodes)
-            nodes.append(node)
+        for u, end in au.walk(rows, i, w - 1):
+            index[i, u] = len(nodes)
+            nodes.append((i, u))
+            ends.append(end)
             check_budget(len(nodes), "window graph")
     edges: list[tuple[int, Word, int]] = []
-    for k, (i, u) in enumerate(nodes):
-        end = i
-        for a in u:
-            end = x.estep(end, a)
-        for a in sorted(x.live_trans[end]):
+    for k, ((i, u), end) in enumerate(zip(nodes, ends)):
+        for a, _ in rows[end]:
             window = u + (a,)
             edges.append((k, window, index[x.estep(i, window[0]), window[1:]]))
     return tuple(nodes), tuple(edges)
-
-
-def _readable_words(x: Presentation, i: int, n: int):
-    """The words of length ``n`` readable from state ``i``, in symbol order."""
-    stack = [((), i)]
-    while stack:
-        word, j = stack.pop()
-        if len(word) == n:
-            yield word
-        else:
-            stack += [(word + (a,), k) for a, k in sorted(x.live_trans[j].items(), reverse=True)]
 
 
 def center_of(window: Word) -> str:

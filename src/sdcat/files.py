@@ -6,7 +6,8 @@ spellings joined by commas in parentheses, ``((0,1),1)``; two that spell
 alike raise ``ValidationError``.  Words are written as concatenated
 spellings when each is a single character, and comma-separated otherwise.
 A .bmap's ``radius:`` is a nonnegative integer in decimal digits, and
-each ``rule:`` word is ``2 * radius + 1`` symbols wide.
+each ``rule:`` word is ``2 * radius + 1`` symbols wide.  An undeclared name,
+a window with two outputs or a line of the other kind is a parse error.
 Emitted presentations use a canonical state numbering so golden files are
 stable.
 """
@@ -118,10 +119,21 @@ def parse_shift(text: str) -> Presentation:
             raise ParseError(f"unknown key {key!r} in .shift file")
     if alphabet is None:
         raise ParseError(".shift file needs an alphabet: line")
+    # for each kind, the lines of the other kind that the file holds
+    stray = {"sft": (nodes or edges) and "node: or edge:", "graph": forbidden and "forbidden:"}
     if kind is None:
-        kind = "graph" if (nodes or edges) else "sft"
+        kind = "graph" if stray["sft"] else "sft"
+    if stray[kind]:
+        raise ParseError(f"{stray[kind]} lines in a .shift file of kind {kind}")
+    if point is not None and point not in alphabet:
+        raise ParseError(f"point {point!r} not in the alphabet")
     if kind == "sft":
         return make_presentation(alphabet, "sft", forbidden, point)
+    declared = set(nodes)
+    for edge in edges:
+        for name, known in zip(edge, (declared, declared, alphabet)):
+            if name not in known:
+                raise ParseError(f"edge {' '.join(edge)} names {name!r}, which no line declares")
     return make_presentation(alphabet, "graph", (nodes, edges), point)
 
 
@@ -183,8 +195,11 @@ def parse_bmap(text: str, base_dir: str = ".") -> BlockMap:
             raise ParseError(f"rule word {lhs!r} has the wrong width for radius {radius}")
         if rhs not in target.alphabet:
             raise ParseError(f"rule output {rhs!r} not in the target alphabet")
-        rule[word] = rhs
+        if rule.setdefault(word, rhs) != rhs:
+            raise ParseError(f"rule window {lhs!r} given two outputs, {rule[word]!r} and {rhs!r}")
     if default is not None:
+        if default not in target.alphabet:
+            raise ParseError(f"default {default!r} not in the target alphabet")
         rule = {**dict.fromkeys(source.words(2 * radius + 1), default), **rule}
     return make_block_map(source, target, radius, rule)
 

@@ -345,33 +345,21 @@ def forced_values(f: BlockMap, g: BlockMap, rho: int) -> dict | None:
     the image of ``f``, for a map u of radius ``rho``; None when two source
     windows with the same image window need different values.
 
-    The source words of width 2 big + 1 are walked depth first on the
-    source automaton, in words order, and each extends its prefix's image
-    by one symbol, so every image symbol is read once per prefix and the
-    walk stops at the first conflict.  The words count against the budget
-    as "word enumeration"."""
+    The source words of width 2 big + 1 come from one ``automata.walk``
+    on the source automaton, in words order, and each word's image windows
+    are read off that word, so the walk stops at the first conflict.  The
+    words count against the budget as "word enumeration"."""
     big = max(rho + f.radius, g.radius)
     n, fw, gw, pad = 2 * big + 1, f.width(), g.width(), big - g.radius
-    # the prefix lengths that complete the windows under u's window
-    first = big - f.radius - rho + fw
-    last = first + 2 * rho
+    # the slices of a word that are the source windows under u's window
+    cuts = [slice(k, k + fw) for k in range(big - f.radius - rho, big - f.radius + rho + 1)]
     local, glocal, dfa = f.rule_dict, g.rule_dict, f.source.dfa
     check_budget(au.count_words(dfa, n), "word enumeration")
-    # each row reversed, so that the stack pops its first symbol first
-    rows = [row[::-1] for row in dfa.trans]
     values: dict = {}
-    stack = [((), (), dfa.init)]
-    while stack:
-        word, img, q = stack.pop()
-        k = len(word)
-        if first <= k <= last:
-            img += (local[word[-fw:]],)
-        if k < n:
-            for a, p in rows[q]:
-                stack.append((word + (a,), img, p))
-        elif q in dfa.accepting:
+    for word, q in au.walk(dfa.trans, dfa.init, n):
+        if q in dfa.accepting:
             val = glocal[word[pad : pad + gw]]
-            if values.setdefault(img, val) != val:
+            if values.setdefault(tuple([local[word[c]] for c in cuts]), val) != val:
                 return None
     return values
 

@@ -18,6 +18,7 @@ from sdcat.core import (
     apply_map_ep,
     compose,
     diagonal_relation,
+    higher_block_presentation,
     identity_map,
     make_block_map,
     maps_equal,
@@ -283,3 +284,27 @@ def test_criterion_12_spreading_coequalizer(and_rule, full2, full3):
             assert len(set(h.rule_dict.values())) == 1
     assert invariant == 3
     _report(12, t0, 120.0)
+
+
+def test_wide_one_point_map_checks(tmp_path, capsys):
+    # radius 24,000 on the one-point shift: one word of 48,001 symbols,
+    # walked once, not copied per prefix
+    t0 = time.time()
+    (tmp_path / "one.shift").write_text("alphabet: 0\nkind: sft\n")
+    wide = tmp_path / "wide.bmap"
+    wide.write_text(f"source: one.shift\ntarget: one.shift\nradius: 24000\n"
+                    f"rule: {'0' * 48001} -> 0\n")
+    for prop in ("epic", "monic", "split-epic", "split-monic", "regular-monic"):
+        assert main(["check", prop, str(wide), "--category", "K2"]) == 0
+    assert main(["dynamics", str(wide)]) == 0
+    capsys.readouterr()
+    _report("radius 24,000", t0, 10.0)
+
+
+def test_higher_block_presentation_of_full3_at_width_9(full3):
+    # 6,561 nodes on 19,683 block symbols: minimize refines the rows, not
+    # a states x alphabet table
+    t0 = time.time()
+    h = higher_block_presentation(full3, 9)
+    assert h.n_live() == 3 ** 8 and len(h.alphabet) == 3 ** 9
+    _report("full3 width 9", t0, 5.0)

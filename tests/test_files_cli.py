@@ -500,3 +500,36 @@ class TestCli:
                              env=env, timeout=60)
         assert out.returncode == 0, out.stderr
         assert out.stdout.split() == ["True", "False", "False", "False"]
+
+
+class TestFileFields:
+    """A name that no field declares, a window given two outputs, and a
+    .shift line of the kind the file does not declare exit 64, naming what
+    is wrong."""
+
+    @pytest.mark.parametrize("text, named", [
+        ("alphabet: 0 1\nnode: a\nedge: a a 0\nedge: a a 1\nforbidden: 11\n", "forbidden:"),
+        ("alphabet: 0 1\nkind: graph\nnode: a\nedge: a a 0\nforbidden: 11\n", "forbidden:"),
+        ("alphabet: 0 1\nkind: sft\nnode: a\nedge: a a 0\nedge: a a 1\n", "node:"),
+        ("alphabet: 0 1\nnode: a\nedge: a a 0\nedge: a a 2\n", "'2'"),
+        ("alphabet: 0 1\nnode: a\nedge: a a 0\nedge: a b 1\n", "'b'"),
+        ("alphabet: 0 1\npoint: 2\n", "'2'"),
+    ], ids=["both-kinds", "forbidden-in-graph", "graph-lines-in-sft", "edge-label",
+            "edge-endpoint", "point"])
+    def test_shift_field_exits_64(self, tmp_path, capsys, text, named):
+        (tmp_path / "x.shift").write_text(text)
+        assert main(["analyze", str(tmp_path / "x.shift")]) == 64
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and named in err
+
+    @pytest.mark.parametrize("rules, named", [
+        # a window repeated with its output is one rule; the third line conflicts
+        ("rule: 0 -> 1\nrule: 0 -> 1\nrule: 1 -> 1\nrule: 0 -> 0\n", "'0' given two outputs, '1' and '0'"),
+        ("rule: 0 -> 1\ndefault: 2\n", "'2'"),
+    ], ids=["window-with-two-outputs", "default"])
+    def test_bmap_field_exits_64(self, workdir, capsys, rules, named):
+        (workdir / "x.bmap").write_text(
+            "source: full.shift\ntarget: full.shift\nradius: 0\n" + rules)
+        assert main(["check", "epic", str(workdir / "x.bmap"), "--category", "K2"]) == 64
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and named in err

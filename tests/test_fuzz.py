@@ -29,8 +29,10 @@ inclusion across alphabets against the cast to their union.  The
 sections, retractions, connecting maps and inverses that the searches
 trust by construction are re-verified through ``core``, and a bijection's
 split certificates, its kept inverse, are checked against the maps that
-the section and retraction searches find.  The depth-first walk of the
-forced values is checked against the loop over the word list it replaced.  Verdicts on a
+the section and retraction searches find.  The forced values are checked
+against the loop over the word list they replaced, ``automata.walk``
+against the stack walks it replaced, and ``minimize``'s refinement on
+rows against the dense one on wider DFAs and on window graphs.  Verdicts on a
 full shift whose symbols are spelled like the derived tokens are checked
 against the same map on plain symbols.
 """
@@ -753,15 +755,57 @@ def random_nfas(draw):
 
 
 @st.composite
-def random_dfas(draw, alphabet=("0", "1")):
-    """Partial DFAs on one to four states, empty languages included."""
-    n = draw(st.integers(min_value=1, max_value=4))
+def random_dfas(draw, alphabet=("0", "1"), max_states=4):
+    """Partial DFAs on one to ``max_states`` states, empty languages
+    included."""
+    n = draw(st.integers(min_value=1, max_value=max_states))
     state = st.integers(min_value=0, max_value=n - 1)
     rows = []
     for _ in range(n):
         targets = [draw(st.none() | state) for _ in alphabet]
         rows.append({a: p for a, p in zip(alphabet, targets) if p is not None})
     return au.make_dfa(alphabet, rows, draw(state), draw(st.sets(state)))
+
+
+# three to five symbols in any order, on up to eight states
+wide_dfas = st.integers(min_value=3, max_value=5).flatmap(
+    lambda k: st.permutations("01234"[:k])).flatmap(lambda a: random_dfas(tuple(a), 8))
+
+
+def _old_words_of_length(dfa, n):
+    """Reference: ``words_of_length``'s former stack walk, a tuple per
+    prefix, with the state that each accepted word ends in."""
+    out, stack = [], [((), dfa.init)]
+    while stack:
+        word, q = stack.pop()
+        if len(word) < n:
+            stack += [(word + (a,), p) for a, p in reversed(dfa.trans[q])]
+        elif q in dfa.accepting:
+            out.append((word, q))
+    return out
+
+
+def _old_readable_words(x, i, n):
+    """Reference: the window graph's former stack walk from live state
+    ``i``, with the state that each word ends in; it never ends for
+    ``n < 0``."""
+    stack = [((), i)]
+    while stack:
+        word, j = stack.pop()
+        if len(word) == n:
+            yield word, j
+        else:
+            stack += [(word + (a,), k) for a, k in sorted(x.live_trans[j].items(), reverse=True)]
+
+
+def _window_dfa(x, w):
+    """The determinized width-``w`` window graph of ``x``, its edges
+    labelled by their windows: the automaton that a higher block
+    presentation minimizes."""
+    nodes, edges = window_graph(x, w)
+    windows = sorted({window for _, window, _ in edges})
+    n = len(nodes)
+    return au.determinize(Nfa(windows, n, edges, range(n), range(n)))
 
 
 class TestExploreAndClosure:
@@ -774,10 +818,41 @@ class TestExploreAndClosure:
         assert got.n == ref.n
         assert got == ref  # the same numbering, so the same language
 
-    @given(random_dfas() | random_nfas().map(au.determinize))
+    @given(random_dfas() | wide_dfas | random_nfas().map(au.determinize))
     @settings(max_examples=300, deadline=None)
     def test_minimize_is_structurally_the_old_minimize(self, dfa):
         assert au.minimize(dfa) == _old_minimize(dfa)
+
+    @pytest.mark.parametrize("shift, widest", [("full2", 9), ("golden", 7), ("even_shift", 7)])
+    def test_minimize_of_window_graphs_is_the_old_minimize(self, request, shift, widest):
+        x = request.getfixturevalue(shift)
+        for w in range(1, widest + 1):
+            dfa = _window_dfa(x, w)
+            assert au.minimize(dfa) == _old_minimize(dfa)
+
+    @given(random_graphs(max_nodes=5, syms=("0", "1", "2")))
+    @settings(max_examples=100, deadline=None)
+    def test_walk_is_the_stack_walks(self, graph):
+        n, edges = graph
+        x = presentation_from_edges(("0", "1", "2"), n, edges)
+        rows = [tuple(row.items()) for row in x.live_trans]
+        for i in range(x.n_live()):
+            assert list(au.walk(rows, i, -1)) == [((), i)]
+            for m in range(7):
+                assert list(au.walk(rows, i, m)) == list(_old_readable_words(x, i, m))
+        self._check_dfa_walk(x.dfa)
+
+    @given(random_dfas() | wide_dfas)
+    @settings(max_examples=150, deadline=None)
+    def test_walk_reads_partial_dfas_as_the_stack_walk(self, dfa):
+        self._check_dfa_walk(dfa)
+
+    @staticmethod
+    def _check_dfa_walk(dfa):
+        for m in range(-1, 7):
+            walked = [(w, q) for w, q in au.walk(dfa.trans, dfa.init, m) if q in dfa.accepting]
+            assert walked == _old_words_of_length(dfa, m)
+            assert au.words_of_length(dfa, m) == [w for w, _ in walked]
 
     @given(random_dfas(), st.sampled_from([("0", "1"), ("1", "0")]).flatmap(random_dfas))
     @settings(max_examples=300, deadline=None)

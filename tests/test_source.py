@@ -272,3 +272,26 @@ def test_no_function_calls_itself():
     assert found == _SELF_CALLING.keys(), (
         f"new self-calls: {sorted(found - _SELF_CALLING.keys())}, "
         f"listed but gone: {sorted(_SELF_CALLING.keys() - found)}")
+
+
+def test_one_word_walk():
+    # ``automata.walk`` extends one path in place and yields each word once;
+    # a loop that pops a stack of words and extends each by ``+ (symbol,)``
+    # copies every prefix.  The oracle's reference search keeps its own
+    # loop, bounded by its ``pad``
+    allowed = {("automata.py", "walk"), ("oracle.py", "ep_preimage_search")}
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    or (path.name, fn.name) in allowed):
+                continue
+            pops = extends = False
+            for node in ast.walk(fn):
+                if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+                    pops |= node.func.attr == "pop" and not node.args
+                elif isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Add):
+                    extends |= isinstance(getattr(node, "right", None) or node.value, ast.Tuple)
+            if pops and extends:
+                found.append(f"{path.name}:{fn.name}")
+    assert not found, f"word walks outside automata.walk: {found}"
