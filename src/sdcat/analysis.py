@@ -430,14 +430,17 @@ def _non_subsft_witness(inner: Presentation, outer: Presentation):
             out.append(act)
         return tuple(out)
 
-    pool = []
-    for n in range(1, max_w + 1):
-        try:
-            check_budget(len(inner.alphabet) ** n, "witness word pool")
-        except BudgetExceeded:
-            break
-        pool += inner.periodic_words(n)
-    for w in pool:
+    def pool():
+        # listed one length at a time as the search reaches it, so a
+        # witness among the short words lists no longer ones
+        for n in range(1, max_w + 1):
+            try:
+                check_budget(len(inner.alphabet) ** n, "witness word pool")
+            except BudgetExceeded:
+                return
+            yield from inner.periodic_words(n)
+
+    for w in pool():
         ei, fd = _tails(inner, w)
         if not ei:
             continue

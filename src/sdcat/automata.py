@@ -1,4 +1,4 @@
-"""Finite-automaton machinery and syntactic monoids.
+"""Finite-automaton machinery and the syntactic monoid size.
 
 Languages of presentations are factorial, so the canonical form used
 throughout is a *partial* DFA in which every state is accepting and a
@@ -417,84 +417,28 @@ def strongly_connected_components(nodes, succ) -> list[tuple[list[int], int]]:
 
 
 # ---------------------------------------------------------------------------
-# Finite monoids
+# Syntactic monoid
 
 
-@record
-class FiniteMonoid:
-    """A finite monoid given by its multiplication table.
-
-    ``gens`` maps each alphabet symbol to an element, and ``class_of``
-    extends this to words (the class of the empty word is the identity).
-    ``zero`` is the absorbing element if one exists.
-    """
-
-    size: int
-    table: tuple[tuple[int, ...], ...]
-    identity: int
-    gens: tuple[tuple[str, int], ...]
-    zero: int | None
-
-    def mul(self, x: int, y: int) -> int:
-        return self.table[x][y]
-
-    def class_of(self, word) -> int:
-        g = dict(self.gens)
-        e = self.identity
-        for a in word:
-            e = self.mul(e, g[a])
-        return e
-
-
-def monoid_from_functions(alphabet, n_states, sym_functions) -> FiniteMonoid:
-    """Transition monoid generated by total functions on ``range(n_states)``.
-
-    Functions are tuples ``f`` with ``f[q]`` the image of ``q``; composition
-    of the actions of words proceeds left to right.
-    """
-    fns = [sym_functions[a] for a in alphabet]
-
-    def successors(f):
-        return [(a, tuple(g[x] for x in f)) for a, g in zip(alphabet, fns)]
-
-    order, rows = explore(tuple(range(n_states)), successors, "transition monoid")
-    elems = {f: i for i, f in enumerate(order)}
-    gens = [(a, rows[0][a]) for a in alphabet]
-    size = len(order)
-    table = []
-    for f in order:
-        row = []
-        for g in order:
-            h = tuple(g[f[q]] for q in range(n_states))
-            row.append(elems[h])
-        table.append(tuple(row))
-    zero = None
-    for i in range(size):
-        if all(table[i][j] == i and table[j][i] == i for j in range(size)):
-            zero = i
-            break
-    return FiniteMonoid(size, tuple(table), 0, tuple(gens), zero)
-
-
-def syntactic_monoid_of_dfa(dfa: Dfa) -> FiniteMonoid:
-    """Syntactic monoid of L(dfa), via the completed minimal DFA.
+def syntactic_monoid_size(dfa: Dfa) -> int:
+    """Number of elements of the syntactic monoid of L(dfa): the transition
+    monoid of the completed minimal DFA, explored from the identity with
+    words composed left to right.
 
     The input must already be minimal (canonical); a sink state is adjoined
     only when some transition is missing.
     """
-    partial = any(len(dfa.trans[q]) < len(set(dfa.alphabet)) for q in range(dfa.n))
-    n = dfa.n + 1 if partial else dfa.n
-    sink = dfa.n
-    fns = {}
-    for a in set(dfa.alphabet):
-        f = []
-        for q in range(dfa.n):
-            p = dfa.step(q, a)
-            f.append(sink if p is None else p)
-        if partial:
-            f.append(sink)
-        fns[a] = tuple(f)
-    return monoid_from_functions(sorted(set(dfa.alphabet)), n, fns)
+    alphabet = sorted(set(dfa.alphabet))
+    partial = any(len(row) < len(alphabet) for row in dfa.rows)
+    # the sink is state ``dfa.n`` and maps to itself
+    sink = (dfa.n,) if partial else ()
+    fns = [tuple(row.get(a, dfa.n) for row in dfa.rows) + sink for a in alphabet]
+
+    def successors(f):
+        return [(a, tuple(g[x] for x in f)) for a, g in zip(alphabet, fns)]
+
+    order, _ = explore(tuple(range(dfa.n + len(sink))), successors, "transition monoid")
+    return len(order)
 
 
 # ---------------------------------------------------------------------------

@@ -164,11 +164,6 @@ class StrongConditionReport:
     failures: tuple[dict, ...] = ()
     pointwise: dict | None = None
 
-    def failing_tuple(self):
-        if self.pointwise is not None:
-            return self.pointwise
-        return self.failures[0] if self.failures else None
-
 
 @_per_object
 def _aligned_periodic_preimages(f: BlockMap, n: int) -> dict[Word, list[Word]]:

@@ -54,7 +54,7 @@ def _cmd_analyze(args) -> int:
             "modulus": ps.modulus,
             "residues": ps.residues(),
         },
-        "monoid_size": an.au.syntactic_monoid_of_dfa(x.dfa).size,
+        "monoid_size": an.au.syntactic_monoid_size(x.dfa),
     }
     _emit(report, args.json)
     return 0

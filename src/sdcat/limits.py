@@ -311,11 +311,7 @@ def connecting_map(f: BlockMap, g: BlockMap) -> BlockMap | None:
     img_g = an.image(g)
     if f.source.is_empty():
         return make_block_map(img_f, img_g, 0, {}, validate_image=False)
-    for rho in range(0, CONNECTING_RADIUS_CAP + 1):
-        values = forced_values(f, g, rho)
-        if values is not None:
-            return make_block_map(img_f, img_g, rho, values, validate_image=False)
-    raise BudgetExceeded("connecting map radius cap exceeded")
+    return _read_off(f, g, img_f, img_g, "connecting map")
 
 
 @_per_object
@@ -332,12 +328,19 @@ def inverse(f: BlockMap) -> BlockMap:
     the kernel inclusion nor the image is built; ``f`` must be injective
     and surjective.  Raises ``BudgetExceeded`` past
     ``CONNECTING_RADIUS_CAP``."""
-    ident = identity_map(f.source)
+    return _read_off(f, identity_map(f.source), f.target, f.source, "inverse")
+
+
+def _read_off(f: BlockMap, g: BlockMap, source: Presentation, target: Presentation,
+              what: str) -> BlockMap:
+    """The map ``source -> target`` with the :func:`forced_values` of
+    u . f = g at the first radius where they are consistent; raises
+    ``BudgetExceeded`` naming ``what`` past ``CONNECTING_RADIUS_CAP``."""
     for rho in range(0, CONNECTING_RADIUS_CAP + 1):
-        values = forced_values(f, ident, rho)
+        values = forced_values(f, g, rho)
         if values is not None:
-            return make_block_map(f.target, f.source, rho, values, validate_image=False)
-    raise BudgetExceeded("inverse radius cap exceeded")
+            return make_block_map(source, target, rho, values, validate_image=False)
+    raise BudgetExceeded(f"{what} radius cap exceeded")
 
 
 def forced_values(f: BlockMap, g: BlockMap, rho: int) -> dict | None:

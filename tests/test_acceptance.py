@@ -4,6 +4,7 @@ Each test prints one pass line with its runtime; the stated ceilings are
 asserted directly.  Run with ``pytest tests/test_acceptance.py -v -s``.
 """
 
+import json
 import time
 
 import pytest
@@ -308,3 +309,24 @@ def test_higher_block_presentation_of_full3_at_width_9(full3):
     h = higher_block_presentation(full3, 9)
     assert h.n_live() == 3 ** 8 and len(h.alphabet) == 3 ** 9
     _report("full3 width 9", t0, 5.0)
+
+
+def test_analyze_of_a_six_node_graph_shift(tmp_path, capsys):
+    # a syntactic monoid of 6,062 functions: analyze counts it and builds
+    # no multiplication table, and the non-SFT witness is the first word
+    # tried, so no longer word is listed
+    t0 = time.time()
+    edges = ["s0 s0 2", "s0 s2 0", "s0 s3 1", "s1 s0 0", "s1 s2 1", "s2 s3 2", "s2 s4 0",
+             "s2 s4 1", "s3 s1 0", "s3 s1 1", "s3 s4 2", "s4 s1 0", "s4 s5 1", "s4 s5 2",
+             "s5 s1 2", "s5 s4 1"]
+    path = tmp_path / "six.shift"
+    path.write_text("alphabet: 0 1 2\nkind: graph\nnode: s0 s1 s2 s3 s4 s5\n"
+                    + "".join(f"edge: {e}\n" for e in edges))
+    assert main(["analyze", str(path), "--json"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["states"] == 38 and out["sft"] == "NO"
+    assert out["transitive"] is True and out["mixing"] is True
+    assert out["finite"] is False and out["countable"] is False
+    assert out["period_residues"] == {"threshold": 31, "modulus": 4, "residues": [0, 1, 2, 3]}
+    assert out["monoid_size"] == 6062
+    _report("analyze six-node graph", t0, 10.0)

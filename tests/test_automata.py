@@ -1,12 +1,16 @@
-"""Automaton machinery and syntactic monoids."""
+"""Automaton machinery and the syntactic monoid size."""
 
 import itertools
+import pathlib
 
 from sdcat import automata as au
 from sdcat.automata import Nfa
 from sdcat.core import empty_shift, golden_mean
+from sdcat.files import load_shift
 
 from conftest import shortest_accepted
+
+CLI_DATA = pathlib.Path(__file__).resolve().parents[1] / "bench" / "data" / "cli"
 
 
 def brute_context_classes(x, max_len=4):
@@ -97,58 +101,17 @@ class TestLanguageOps:
 
 class TestSyntacticMonoid:
     def test_full_shift_is_trivial(self, full2):
-        m = au.syntactic_monoid_of_dfa(full2.dfa)
-        assert m.size == 1
+        assert au.syntactic_monoid_size(full2.dfa) == 1
 
-    def test_golden_mean_has_six_classes(self, golden):
-        m = au.syntactic_monoid_of_dfa(golden.dfa)
-        assert m.size == 6
-        assert m.zero is not None
-        assert m.class_of(("1", "1")) == m.zero
-        # matches the brute-force Myhill classes
-        brute = brute_context_classes(golden)
-        assert len(brute) == 6
+    def test_golden_mean_has_six_classes(self):
+        # the size matches the brute-force Myhill classes, on the golden
+        # mean and on the other shift files of the CLI benchmark
+        sizes = {"golden": 6, "even": 7, "x012": 8, "isolated": 6, "runs": 11, "full": 1}
+        for name, size in sizes.items():
+            x = load_shift(str(CLI_DATA / f"{name}.shift"))
+            assert au.syntactic_monoid_size(x.dfa) == size, name
+            assert len(brute_context_classes(x)) == size, name
 
     def test_empty_shift_identity_and_zero(self):
-        e = empty_shift(["0", "1"])
-        m = au.syntactic_monoid_of_dfa(e.dfa)
-        assert m.size == 2
-        assert m.class_of(("0",)) == m.zero != m.identity
-
-    def test_class_of_is_homomorphism(self, golden):
-        m = au.syntactic_monoid_of_dfa(golden.dfa)
-        words = [()]
-        for n in range(1, 5):
-            words.extend(itertools.product(golden.alphabet, repeat=n))
-        for u in words[:20]:
-            for v in words[:20]:
-                assert m.class_of(tuple(u) + tuple(v)) == m.mul(m.class_of(u), m.class_of(v))
-
-    def test_associativity_of_table(self, golden, even_shift):
-        for x in (golden, even_shift):
-            m = au.syntactic_monoid_of_dfa(x.dfa)
-            assert m.size <= 30
-            for a in range(m.size):
-                for b in range(m.size):
-                    for c in range(m.size):
-                        assert m.mul(m.mul(a, b), c) == m.mul(a, m.mul(b, c))
-
-
-class TestPumpable:
-    """A word pumps (all its powers behave alike) iff its syntactic class
-    is idempotent."""
-
-    def test_full_shift_everything_pumpable(self, full2):
-        m = au.syntactic_monoid_of_dfa(full2.dfa)
-        x = m.class_of(("0",))
-        assert m.mul(x, x) == x
-
-    def test_golden_01_pumpable(self, golden):
-        m = au.syntactic_monoid_of_dfa(golden.dfa)
-        x = m.class_of(("0", "1"))
-        assert m.mul(x, x) == x
-
-    def test_golden_1_not_pumpable(self, golden):
-        m = au.syntactic_monoid_of_dfa(golden.dfa)
-        x = m.class_of(("1",))
-        assert m.mul(x, x) != x
+        # the class of the empty word and that of every other word
+        assert au.syntactic_monoid_size(empty_shift(["0", "1"]).dfa) == 2

@@ -124,9 +124,10 @@ class TestStrongCondition:
         # the forced choice G(0) = 0 cannot absorb the point ..0 0 . 1 0 0..
         rep = cl.strong_condition(xor3, 1)
         assert not rep.holds
-        tup = rep.failing_tuple()
+        assert rep.pointwise is None
+        tup = rep.failures[0]
         assert tup["u"] == ("0",) and tup["w"] == ("1",)
-        assert orc.ep_preimage_search(xor3, rep.failures[0], pad=6) is None
+        assert orc.ep_preimage_search(xor3, tup, pad=6) is None
 
     def test_compress_fails_with_diagonal_tuples(self, compress_map):
         rep = cl.strong_condition(compress_map, 1)

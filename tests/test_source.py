@@ -220,24 +220,35 @@ def _counts(node):
     return out
 
 
+def _attributes(node):
+    """How often ``node`` looks up each attribute."""
+    return Counter(sub.attr for sub in ast.walk(node) if isinstance(sub, ast.Attribute))
+
+
 def test_every_public_function_and_method_is_used():
     # a public top-level function or method that nothing in src/ calls is
     # dead code, unless it is called from outside: the allowlist above and
-    # the traced hooks
-    total, defs = Counter(), []
+    # the traced hooks.  A method is called through an attribute, so only an
+    # attribute outside its own body counts: a parameter or local variable
+    # of the same name does not
+    names, attrs, defs = Counter(), Counter(), []
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
-        total += _counts(tree)
+        names += _counts(tree)
+        attrs += _attributes(tree)
         for node in tree.body:
             if isinstance(node, ast.FunctionDef):
-                defs.append((path.stem, node.name, node))
+                defs.append((path.stem, node.name, node, False))
             elif isinstance(node, ast.ClassDef):
-                defs += [(path.stem, f"{node.name}.{m.name}", m) for m in node.body
+                defs += [(path.stem, f"{node.name}.{m.name}", m, True) for m in node.body
                          if isinstance(m, ast.FunctionDef)]
     allowed = _CALLED_FROM_OUTSIDE | _traced()
-    unused = [f"{mod}:{name}" for mod, name, node in defs
-              if not node.name.startswith("_") and (mod, name) not in allowed
-              and total[node.name] == _counts(node)[node.name]]
+    unused = []
+    for mod, name, node, method in defs:
+        total, count = (attrs, _attributes) if method else (names, _counts)
+        if (not node.name.startswith("_") and (mod, name) not in allowed
+                and total[node.name] == count(node)[node.name]):
+            unused.append(f"{mod}:{name}")
     assert not unused, f"public but never referenced in src/: {unused}"
 
 
