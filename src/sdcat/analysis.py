@@ -13,6 +13,12 @@ image.  Its YES is the Garden-of-Eden theorem for a preinjective
 endomorphism of a transitive SFT, and otherwise an exhausted search for a
 target word outside the image, whose first hit is the NO witness.
 
+Each shift fact is one pass over a graph already built.  SFT-ness and the
+least window are read off the pairs of follower sets, ``_memory_window``,
+and only a shift that is none is searched for a witness.  The period set
+explores the transition monoid of the essential states once, and cycles
+are found by the peel of ``core._orbit_ends``.
+
 The injectivity family, preinjectivity and resolvingness ask whether the
 kernel pair has a bi-infinite path with a given label pattern, so they
 read ``BlockMap.kernel_graph``, the trimmed fiber graph, through one
@@ -53,6 +59,7 @@ from .core import (
     _infinite_past,
     _live_nodes,
     _matched_edges,
+    _orbit_ends,
     _per_object,
     _tails,
 )
@@ -268,38 +275,32 @@ class PeriodSet:
 
 @_per_object
 def periods(x: Presentation) -> PeriodSet:
-    """Exact sigma^n fixed-point period set, via the word-action recurrence."""
-    n_live = x.n_live()
-    if n_live == 0:
-        return PeriodSet(1, 1, frozenset(), (False,))
-    sym_fns = {}
-    for a in x.alphabet:
-        sym_fns[a] = tuple(
-            x.live_trans[i][a] if a in x.live_trans[i] else au.UNDEF
-            for i in range(n_live)
-        )
-    sets: list[frozenset] = []
-    seen: dict[frozenset, int] = {}
-    current = frozenset(sym_fns.values())
+    """Exact sigma^n fixed-point period set.  The transition monoid of the
+    word actions on the essential states is explored once, counted under
+    "transition monoid"; the sets of element numbers of the words of each
+    length follow one another through its rows until one repeats, and each
+    element is tested for a cycle at most once."""
+    fns = [x.word_action((a,)) for a in x.alphabet]
+    elements, rows = au.explore(x.word_action(()), lambda f: [
+        (k, au.compose_pfn(f, g)) for k, g in enumerate(fns)], "transition monoid")
+    cyclic: dict[int, bool] = {}
+
+    def has_cycle(k):
+        if k not in cyclic:
+            cyclic[k] = bool(_orbit_ends(elements[k])[0])
+        return cyclic[k]
+
+    seen: dict[frozenset[int], int] = {}
     flags: list[bool] = []
-    step_index = 1
+    current = frozenset(rows[0].values())
     while current not in seen:
-        seen[current] = step_index
-        sets.append(current)
-        flags.append(any(au.pfn_has_cycle(f) for f in current))
-        check_budget(len(sets), "period recurrence")
-        nxt = set()
-        for f in current:
-            for g in sym_fns.values():
-                nxt.add(au.compose_pfn(f, g))
-        current = frozenset(nxt)
-        step_index += 1
-    start = seen[current]
-    threshold = start
-    modulus = step_index - start
-    explicit = frozenset(n for n in range(1, threshold) if flags[n - 1])
-    eventual = tuple(flags[threshold - 1 + i] for i in range(modulus))
-    return PeriodSet(threshold, modulus, explicit, eventual)
+        seen[current] = len(flags)
+        flags.append(any(map(has_cycle, current)))
+        check_budget(len(flags), "period recurrence")
+        current = frozenset(p for k in current for p in rows[k].values())
+    t = seen[current]
+    return PeriodSet(t + 1, len(flags) - t, frozenset(n + 1 for n in range(t) if flags[n]),
+                     tuple(flags[t:]))
 
 
 def is_peric(f: BlockMap) -> v.Verdict:
@@ -327,77 +328,84 @@ def is_subsft_of(inner: Presentation, outer: Presentation) -> v.Verdict:
 
     YES carries the minimal window; NO carries a pumpable witness family
     (u, w, v) such that the points repeating w around u w^n v stay in the
-    window approximations but leave ``inner`` for arbitrarily large n.
+    window approximations but leave ``inner`` for arbitrarily large n.  In
+    a full shift this is :func:`is_sft`; elsewhere an SFT, a subSFT of
+    every shift that holds it, is searched for no witness.
     """
     if not inner.included_in(outer):
         raise ValidationError("is_subsft_of: inner must be contained in outer")
+    if outer.is_full():
+        return is_sft(inner)
     if inner.is_empty():
         return v.yes(certificate={"window": 1})
     bound = 2 * inner.dfa.n**2 + 2
-    outer_is_full = outer.is_full()
-    exhausted = False
 
-    def try_window(m):
-        approx = sft_approximation(inner, m)
-        cand = approx if outer_is_full else intersection_presentation(outer, approx)
-        return cand.included_in(inner)
+    def first_fit(windows):
+        # the first window whose approximation inside ``outer`` lies in
+        # ``inner``; None when none does, 0 when the budget stops the search
+        try:
+            return next((m for m in windows if intersection_presentation(
+                outer, sft_approximation(inner, m)).included_in(inner)), None)
+        except BudgetExceeded:
+            return 0
 
     # small windows first, then a witness search, then the remaining windows
-    for m in range(1, min(4, bound) + 1):
-        try:
-            if try_window(m):
-                return v.yes(certificate={"window": m})
-        except BudgetExceeded:
-            exhausted = True
-            break
-    # in a full shift the follower sets decide SFT-ness: an SFT has no
-    # witness to search for, and a shift that is none has no window to try
-    sft = _has_finite_memory(inner) if outer_is_full else None
-    wit = None if sft else _non_subsft_witness(inner, outer)
+    m = first_fit(range(1, 5))
+    if not m:
+        wit = _non_subsft_witness(inner, outer) if _memory_window(inner) is None else None
+        if wit is not None:
+            return v.no(witness=wit, bound_used=bound)
+        if m is None:
+            m = first_fit(range(5, bound + 1))
+    if m:
+        return v.yes(certificate={"window": m})
+    note = "window search exhausted without a pumpable witness"
+    return v.undecided(bound_used=bound, note=note + (" (budget)" if m == 0 else ""))
+
+
+@_per_object
+def is_sft(x: Presentation) -> v.Verdict:
+    """Whether ``x`` is a shift of finite type: YES carries the least
+    window, read off the follower sets; otherwise NO carries a pumpable
+    witness family, as in :func:`is_subsft_of`, or none is found."""
+    window = _memory_window(x)
+    if window is not None:
+        return v.yes(certificate={"window": window})
+    bound = 2 * x.dfa.n**2 + 2
+    wit = _non_subsft_witness(x, full_shift(x.alphabet))
     if wit is not None:
         return v.no(witness=wit, bound_used=bound)
-    if sft is False:
-        note = "no SFT by its follower sets, but no pumpable witness found"
-        return v.undecided(bound_used=bound, note=note)
-    if not exhausted:
-        for m in range(5, bound + 1):
-            try:
-                if try_window(m):
-                    return v.yes(certificate={"window": m})
-            except BudgetExceeded:
-                exhausted = True
-                break
-    note = "window search exhausted without a pumpable witness"
-    if exhausted:
-        note += " (budget)"
+    note = "no SFT by its follower sets, but no pumpable witness found"
     return v.undecided(bound_used=bound, note=note)
 
 
-def _has_finite_memory(x: Presentation) -> bool:
-    """Whether ``x`` is an SFT, read off its factor-language automaton.
+def _memory_window(x: Presentation) -> int | None:
+    """The least window of ``x`` as an SFT, None when it is none.
 
-    The states are the follower sets F(u), so X is an M-step SFT exactly
-    when F(uv) = F(v) for every word v of length M or more (Lind & Marcus,
-    Theorem 2.1.8): every state that can read v ends where the initial
-    state does.  Some M works exactly when no cycle is reachable, in the
-    graph of pairs of distinct states stepped by a common symbol, from the
-    pairs that hold the initial state.
+    The automaton's states are the follower sets, and X is an M-step SFT
+    exactly when F(uv) = F(v) for all words v of length M or more (Lind &
+    Marcus, Theorem 2.1.8).  So in the graph of pairs of distinct states
+    stepped by a common symbol, the words of length M lead from the pairs
+    that hold the initial state to the M-th frontier: X is an SFT when no
+    cycle is reachable from them, the least M is the number of nonempty
+    frontiers, and the window is M + 1.
     """
-    rows = x.dfa.rows
-    init = x.dfa.init
+    rows, init = x.dfa.rows, x.dfa.init
 
     def succ(pair):
         i, j = pair
-        for a, p in rows[i].items():
-            q = rows[j].get(a)
-            if q is not None and q != p:
-                yield a, (min(p, q), max(p, q))
+        return [(min(p, q), max(p, q)) for a, p in rows[i].items() if (q := rows[j].get(a, p)) != p]
 
-    roots = [(min(q, init), max(q, init)) for q in range(x.dfa.n) if q != init]
-    pairs = list(au.closure(roots, lambda s: [p for _, p in succ(s)]))
+    frontier = {(min(q, init), max(q, init)) for q in range(x.dfa.n) if q != init}
+    pairs = list(au.closure(frontier, succ))
     index = {s: k for k, s in enumerate(pairs)}
-    edges = [(index[s], a, index[p]) for s in pairs for a, p in succ(s)]
-    return not _live_nodes(len(pairs), edges)
+    if _live_nodes(len(pairs), [(index[s], None, index[p]) for s in pairs for p in succ(s)]):
+        return None
+    window = 1
+    while frontier:
+        window += 1
+        frontier = {p for s in frontier for p in succ(s)}
+    return window
 
 
 def _non_subsft_witness(inner: Presentation, outer: Presentation):
@@ -537,12 +545,6 @@ def _check_uv_witness(runs, fds, acts):
             if mem(flags_o, pre_o, per_o, n2) and not mem(flags_i, pre_i, per_i, n2):
                 return {"n": n, "step": math.lcm(per_i, per_o)}
     return None
-
-
-@_per_object
-def is_sft(x: Presentation) -> v.Verdict:
-    """Whether ``x`` is a shift of finite type, as in :func:`is_subsft_of`."""
-    return is_subsft_of(x, full_shift(x.alphabet))
 
 
 # ---------------------------------------------------------------------------

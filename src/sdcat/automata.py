@@ -16,6 +16,10 @@ search for a word stops early in one ``first_word``.  Whether a graph
 reads every word of a DFA is one lazy search, ``missing_word``, which
 steps sets of graph states and builds no subset automaton.  Every word
 list is one ``walk``, and ``minimize`` refines the rows the DFA has.
+
+A word acts on states as a partial function, a tuple with ``UNDEF`` where
+it is undefined; this module builds and composes them, and ``core`` reads
+their cycles and tails with the peel that trims every graph.
 """
 
 from __future__ import annotations
@@ -442,7 +446,7 @@ def syntactic_monoid_size(dfa: Dfa) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Partial transition functions (period machinery)
+# Partial transition functions
 
 UNDEF = -1
 
@@ -460,44 +464,3 @@ def compose_pfn(f, g):
     """Apply f, then g."""
     return tuple(UNDEF if x == UNDEF else g[x] for x in f)
 
-
-def pfn_has_cycle(f) -> bool:
-    n = len(f)
-    for q in range(n):
-        x = q
-        for _ in range(n):
-            x = f[x]
-            if x == UNDEF:
-                break
-            if x == q:
-                return True
-    return False
-
-
-def eventual_image(f) -> frozenset[int]:
-    """States with arbitrarily long backward chains under the partial fn."""
-    n = len(f)
-    current = frozenset(range(n))
-    for _ in range(n + 1):
-        nxt = frozenset(f[q] for q in current if f[q] != UNDEF)
-        if nxt == current:
-            break
-        current = nxt
-    return current
-
-
-def forever_defined(f) -> frozenset[int]:
-    """States q with f^k(q) defined for all k."""
-    n = len(f)
-    out = set()
-    for q in range(n):
-        x = q
-        ok = True
-        for _ in range(n + 1):
-            x = f[x]
-            if x == UNDEF:
-                ok = False
-                break
-        if ok:
-            out.add(q)
-    return frozenset(out)

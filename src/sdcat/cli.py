@@ -133,7 +133,10 @@ def _cmd_build(args) -> int:
     cat = CategoryTag.parse(args.category)
     kinds, call = BUILDS[args.operation]
     t0 = time.time()
-    res = call(cat, *_load(f"build {args.operation}", kinds, args.inputs))
+    inputs = _load(f"build {args.operation}", kinds, args.inputs)
+    for kind, obj in zip(kinds, inputs):
+        (li.check_morphism if kind == BMAP else li.check_object)(cat, obj)
+    res = call(cat, *inputs)
     report = {
         "command": f"build {args.operation}",
         "category": str(cat),

@@ -191,15 +191,17 @@ class Presentation:
         word = tuple(word)
         if not word or self.is_empty():
             return False
-        return au.pfn_has_cycle(self.word_action(word))
+        return bool(_orbit_ends(self.word_action(word))[0])
 
     def is_full(self) -> bool:
         """Whether this is the full shift on its alphabet: the canonical
         automaton is one state with a loop on every symbol."""
         return self.dfa.n == 1 and len(self.dfa.trans[0]) == len(self.alphabet)
 
-    def uniform_points(self) -> list[str]:
-        return [a for a in self.alphabet if self.contains_periodic((a,))]
+    @_per_object
+    def uniform_points(self) -> tuple[str, ...]:
+        """The symbols whose repetition is a point, listed once per presentation."""
+        return tuple(a for a in self.alphabet if self.contains_periodic((a,)))
 
     def language_equal(self, other: "Presentation") -> bool:
         # Every dfa comes from presentation_from_nfa, either minimized and
@@ -274,8 +276,20 @@ def _periodic_word_list(x: Presentation, n: int) -> tuple[Word, ...]:
 def _tails(y: Presentation, u: Word) -> tuple[frozenset[int], frozenset[int]]:
     """The states of ``y`` where a left tail repeating ``u`` ends, and those
     where a right tail repeating ``u`` starts."""
-    act = y.word_action(u)
-    return au.eventual_image(act), au.forever_defined(act)
+    return _orbit_ends(y.word_action(u))
+
+
+def _orbit_ends(act) -> tuple[frozenset[int], frozenset[int]]:
+    """The states on a cycle of the partial function ``act``, and those
+    where it is defined forever: one peel each of its graph, since a state
+    reachable from a cycle is on it, so the first are those with an
+    infinite past and the second those with an infinite future."""
+    succ = [[] if p == au.UNDEF else [p] for p in act]
+    pred: list[list[int]] = [[] for _ in act]
+    for q, p in enumerate(act):
+        if p != au.UNDEF:
+            pred[p].append(q)
+    return _infinite_past(succ, pred), _infinite_past(pred, succ)
 
 
 def presentation_from_nfa(alphabet, nfa: Nfa, point=None) -> Presentation:

@@ -161,7 +161,8 @@ def save_shift(x: Presentation, path: str) -> None:
 
 
 def parse_bmap(text: str, base_dir: str = ".") -> BlockMap:
-    source = target = None
+    ends: dict[str, Presentation] = {}
+    loaded: dict[str, Presentation] = {}  # by path, so a file named twice is one shift
     radius: int | None = None
     rule_lines: list[tuple[str, str]] = []
     default: str | None = None
@@ -169,10 +170,11 @@ def parse_bmap(text: str, base_dir: str = ".") -> BlockMap:
         key, _, rest = line.partition(":")
         key = key.strip()
         rest = rest.strip()
-        if key == "source":
-            source = load_shift(os.path.join(base_dir, rest))
-        elif key == "target":
-            target = load_shift(os.path.join(base_dir, rest))
+        if key in ("source", "target"):
+            path = os.path.join(base_dir, rest)
+            if path not in loaded:
+                loaded[path] = load_shift(path)
+            ends[key] = loaded[path]
         elif key == "radius":
             if not (rest.isascii() and rest.isdigit()):
                 raise ParseError(f"radius must be a nonnegative integer, not {rest!r}")
@@ -186,8 +188,9 @@ def parse_bmap(text: str, base_dir: str = ".") -> BlockMap:
             default = rest
         else:
             raise ParseError(f"unknown key {key!r} in .bmap file")
-    if source is None or target is None or radius is None:
+    if len(ends) < 2 or radius is None:
         raise ParseError(".bmap file needs source:, target:, and radius:")
+    source, target = ends["source"], ends["target"]
     rule = {}
     for lhs, rhs in rule_lines:
         word = _split_word(lhs, source.alphabet)

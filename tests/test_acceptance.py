@@ -22,6 +22,7 @@ from sdcat.core import (
     higher_block_presentation,
     identity_map,
     make_block_map,
+    make_presentation,
     maps_equal,
 )
 from sdcat.files import load_bmap
@@ -311,17 +312,19 @@ def test_higher_block_presentation_of_full3_at_width_9(full3):
     _report("full3 width 9", t0, 5.0)
 
 
+SIX_NODE_EDGES = ["s0 s0 2", "s0 s2 0", "s0 s3 1", "s1 s0 0", "s1 s2 1", "s2 s3 2", "s2 s4 0",
+                  "s2 s4 1", "s3 s1 0", "s3 s1 1", "s3 s4 2", "s4 s1 0", "s4 s5 1", "s4 s5 2",
+                  "s5 s1 2", "s5 s4 1"]
+
+
 def test_analyze_of_a_six_node_graph_shift(tmp_path, capsys):
     # a syntactic monoid of 6,062 functions: analyze counts it and builds
     # no multiplication table, and the non-SFT witness is the first word
     # tried, so no longer word is listed
     t0 = time.time()
-    edges = ["s0 s0 2", "s0 s2 0", "s0 s3 1", "s1 s0 0", "s1 s2 1", "s2 s3 2", "s2 s4 0",
-             "s2 s4 1", "s3 s1 0", "s3 s1 1", "s3 s4 2", "s4 s1 0", "s4 s5 1", "s4 s5 2",
-             "s5 s1 2", "s5 s4 1"]
     path = tmp_path / "six.shift"
     path.write_text("alphabet: 0 1 2\nkind: graph\nnode: s0 s1 s2 s3 s4 s5\n"
-                    + "".join(f"edge: {e}\n" for e in edges))
+                    + "".join(f"edge: {e}\n" for e in SIX_NODE_EDGES))
     assert main(["analyze", str(path), "--json"]) == 0
     out = json.loads(capsys.readouterr().out)
     assert out["states"] == 38 and out["sft"] == "NO"
@@ -330,3 +333,48 @@ def test_analyze_of_a_six_node_graph_shift(tmp_path, capsys):
     assert out["period_residues"] == {"threshold": 31, "modulus": 4, "residues": [0, 1, 2, 3]}
     assert out["monoid_size"] == 6062
     _report("analyze six-node graph", t0, 10.0)
+
+
+def _no_run_of_zeros(m):
+    return make_presentation(["0", "1"], "sft", [("0",) * m])
+
+
+@pytest.mark.parametrize("m", [19, 40])
+def test_sft_window_from_the_follower_sets(m):
+    # the window is read off the pair graph, with no SFT approximation
+    t0 = time.time()
+    v = an.is_sft(_no_run_of_zeros(m))
+    assert v.yes and v.certificate == {"window": m}
+    _report(f"no run of {m} 0s", t0, 5.0)
+
+
+def test_identity_on_a_long_window_sft_is_epic_in_k2(tmp_path, capsys):
+    t0 = time.time()
+    (tmp_path / "runs.shift").write_text(f"alphabet: 0 1\nkind: sft\nforbidden: {'0' * 19}\n")
+    (tmp_path / "id.bmap").write_text("source: runs.shift\ntarget: runs.shift\nradius: 0\n"
+                                      "rule: 0 -> 0\nrule: 1 -> 1\n")
+    assert main(["check", "epic", str(tmp_path / "id.bmap"), "--category", "K2"]) == 0
+    capsys.readouterr()
+    _report("identity of no 0^19 in K2", t0, 5.0)
+
+
+def test_inclusion_of_sfts_is_regular_monic_in_k2():
+    # an SFT is a subSFT of every shift that holds it: no witness search
+    t0 = time.time()
+    x, y = _no_run_of_zeros(10), _no_run_of_zeros(16)
+    f = make_block_map(x, y, 0, {("0",): "0", ("1",): "1"})
+    v = cl.is_regular_monic(f, K2)
+    assert v.yes and v.certificate == {"window": 10}
+    _report("no 0^10 into no 0^16", t0, 5.0)
+
+
+def test_periods_compose_each_monoid_element_once(monkeypatch):
+    # the six-node shift above: one composition per element and symbol
+    edges = [tuple(e.split()) for e in SIX_NODE_EDGES]
+    x = make_presentation(["0", "1", "2"], "graph", ([f"s{i}" for i in range(6)], edges))
+    calls = []
+    real = an.au.compose_pfn
+    monkeypatch.setattr(an.au, "compose_pfn", lambda f, g: calls.append(1) or real(f, g))
+    ps = an.periods(x)
+    assert (ps.threshold, ps.modulus, ps.residues()) == (31, 4, [0, 1, 2, 3])
+    assert len(calls) == 6062 * 3

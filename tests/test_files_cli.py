@@ -226,6 +226,15 @@ class TestBmapFormat:
         g = load_bmap(str(out))
         assert maps_equal(f, g)
 
+    def test_a_file_named_twice_is_one_shift(self, workdir):
+        f = load_bmap(str(workdir / "xor3.bmap"))
+        assert f.source is f.target
+        (workdir / "copy.shift").write_text(FULL_TEXT)
+        (workdir / "two.bmap").write_text("source: full.shift\ntarget: copy.shift\nradius: 0\n"
+                                          "rule: 0 -> 0\nrule: 1 -> 1\n")
+        g = load_bmap(str(workdir / "two.bmap"))
+        assert g.source is not g.target and g.source == g.target
+
     def test_rule_word_outside_language_rejected(self, tmp_path, workdir):
         (tmp_path / "g.shift").write_text(GOLDEN_TEXT)
         bad = "source: g.shift\ntarget: g.shift\nradius: 1\nrule: 111 -> 0\ndefault: 0\n"
@@ -352,6 +361,18 @@ class TestCli:
         ])
         assert code == 1
         capsys.readouterr()
+
+    @pytest.mark.parametrize("operation, inputs, cat, code", [
+        ("product", ("even.shift", "even.shift"), "K2", 65),  # the even shift is no SFT
+        ("product", ("even.shift", "even.shift"), "K3", 0),
+        ("product", ("golden.shift", "full.shift"), "M2", 0),
+        ("kernel-pair", ("xor3.bmap",), "K2", 0),
+        ("kernel-pair", ("xor3.bmap",), "P2", 65),  # full.shift has no designated point
+    ])
+    def test_build_checks_its_inputs(self, workdir, capsys, operation, inputs, cat, code):
+        argv = ["build", operation, *(str(workdir / p) for p in inputs), "--category", cat]
+        assert main(argv) == code
+        assert ("error: not a" in capsys.readouterr().err) == (code == 65)
 
     def test_dynamics_report(self, workdir, capsys):
         code = main(["dynamics", str(workdir / "and.bmap"), "--json"])

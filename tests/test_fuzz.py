@@ -9,8 +9,10 @@ The constructions built on ``automata.explore`` and ``automata.closure``, the
 section search's constraint solver, the surjectivity verdict (on
 endomorphisms of transitive SFTs too, where the Garden-of-Eden theorem
 answers YES), the image validation of ``make_block_map``, the
-many-sided difference product and the non-SFT witness search are checked
-against the loops they replaced.  The verdicts read off a map's kernel
+many-sided difference product, the non-SFT witness search, the SFT window
+read off the follower sets, the period set read off the explored monoid
+and the orbit peel of a partial function are checked against the loops
+they replaced.  The verdicts read off a map's kernel
 graph are checked against the loops on its canonical kernel, and their
 witnesses re-verified.  Every builder that reads the kept edge tuples
 (``Presentation.edges`` and ``window_graph``) is checked against its loop
@@ -59,6 +61,7 @@ from sdcat.core import (
     _block_conjugacy,
     _center_index,
     _live_nodes,
+    _orbit_ends,
     _window_table,
     apply_map,
     apply_map_ep,
@@ -86,11 +89,12 @@ from sdcat.core import (
     product_presentation,
     recode_to_symbol_map,
     rule_image,
+    sft_approximation,
     shift_power,
     window_graph,
 )
 from sdcat.automata import Dfa, Nfa
-from sdcat.errors import BudgetExceeded, DomainMismatch, ValidationError
+from sdcat.errors import BudgetExceeded, DomainMismatch, ValidationError, set_budget
 from sdcat.files import format_shift
 from sdcat.limits import CategoryTag
 
@@ -529,7 +533,7 @@ def _old_membership_pattern(x, u, w, vv):
     """Reference: membership of ...w w . u w^n vv w w... in x for n = 0..,
     read symbol by symbol; (preperiod, period, flags)."""
     fw = x.word_action(w)
-    ei, fd = au.eventual_image(fw), au.forever_defined(fw)
+    ei, fd = _orbit_ends(fw)
 
     def read(states, word):
         cur = set(states)
@@ -555,7 +559,7 @@ def _old_non_subsft_witness(inner, outer):
             if _brute_periodic(inner, w)]
     for w in pool:
         fw = inner.word_action(w)
-        ei, fd = au.eventual_image(fw), au.forever_defined(fw)
+        ei, fd = _orbit_ends(fw)
         if not ei:
             continue
         us = an._ep_mid_words(inner, ei, fd, n_live + 2)
@@ -588,10 +592,126 @@ class TestSftWitness:
         assert an._non_subsft_witness(x, outer) == _old_non_subsft_witness(x, outer)
 
     @given(random_graphs())
+    @example((1, [(0, "0", 0), (0, "1", 0)]))  # the full shift, window 1
+    @example((2, [(0, "0", 1), (0, "1", 0), (1, "0", 0)]))  # the even shift, none
     @settings(max_examples=100, deadline=None)
-    def test_finite_memory_is_the_verdict(self, graph):
+    def test_follower_set_window_is_the_least_window(self, graph):
         x = presentation_from_edges(("0", "1"), *graph)
-        assert an._has_finite_memory(x) == an.is_sft(x).yes
+        window, stop = _old_sft_window(x)
+        v = an.is_sft(x)
+        if stop is None:
+            assert v.yes == (window is not None)
+            assert not v.yes or v.certificate == {"window": window}
+        else:
+            # no window below ``stop`` fits, and the larger ones were not listed
+            assert not v.yes or v.certificate["window"] >= stop
+
+
+def _old_sft_window(x, budget=20_000):
+    """Reference: the least m <= 2n^2 + 2 whose SFT approximation lies in
+    ``x``, each window tried in turn; ``(m, None)``, or ``(None, None)``
+    when none fits, or ``(None, m)`` when the words of length m outgrow
+    ``budget``."""
+    if x.is_empty():
+        return 1, None
+    set_budget(budget)
+    try:
+        for m in range(1, 2 * x.dfa.n**2 + 3):
+            try:
+                if sft_approximation(x, m).included_in(x):
+                    return m, None
+            except BudgetExceeded:
+                return None, m
+    finally:
+        set_budget(None)
+    return None, None
+
+
+def _old_periods(x):
+    """Reference: the period recurrence on sets of word actions, each set
+    composed anew from the last and every action's cycle searched for by
+    following each state up to n steps."""
+    n_live = x.n_live()
+    if n_live == 0:
+        return an.PeriodSet(1, 1, frozenset(), (False,))
+    sym_fns = {a: x.word_action((a,)) for a in x.alphabet}
+    seen, flags, step = {}, [], 1
+    current = frozenset(sym_fns.values())
+    while current not in seen:
+        seen[current] = step
+        flags.append(any(_old_pfn_has_cycle(f) for f in current))
+        current = frozenset(au.compose_pfn(f, g) for f in current for g in sym_fns.values())
+        step += 1
+    threshold = seen[current]
+    return an.PeriodSet(threshold, step - threshold,
+                        frozenset(n for n in range(1, threshold) if flags[n - 1]),
+                        tuple(flags[threshold - 1 + i] for i in range(step - threshold)))
+
+
+def _old_pfn_has_cycle(f):
+    n = len(f)
+    for q in range(n):
+        x = q
+        for _ in range(n):
+            x = f[x]
+            if x == au.UNDEF:
+                break
+            if x == q:
+                return True
+    return False
+
+
+def _old_eventual_image(f):
+    n = len(f)
+    current = frozenset(range(n))
+    for _ in range(n + 1):
+        nxt = frozenset(f[q] for q in current if f[q] != au.UNDEF)
+        if nxt == current:
+            break
+        current = nxt
+    return current
+
+
+def _old_forever_defined(f):
+    n = len(f)
+    out = set()
+    for q in range(n):
+        x = q
+        ok = True
+        for _ in range(n + 1):
+            x = f[x]
+            if x == au.UNDEF:
+                ok = False
+                break
+        if ok:
+            out.add(q)
+    return frozenset(out)
+
+
+@st.composite
+def partial_functions(draw):
+    n = draw(st.integers(min_value=0, max_value=8))
+    return tuple(draw(st.lists(st.integers(min_value=au.UNDEF, max_value=n - 1),
+                               min_size=n, max_size=n)))
+
+
+class TestOrbitEnds:
+    @given(partial_functions())
+    @example((au.UNDEF,) * 5)
+    @example(tuple(range(6)))
+    @example((1, 2, 0, 2, au.UNDEF, 4))
+    @settings(max_examples=300, deadline=None)
+    def test_one_peel_against_the_loops(self, f):
+        cycle, forever = _orbit_ends(f)
+        assert cycle == _old_eventual_image(f)
+        assert forever == _old_forever_defined(f)
+        assert bool(cycle) == _old_pfn_has_cycle(f)
+
+    @given(random_graphs(syms=("0", "1", "2")))
+    @settings(max_examples=100, deadline=None)
+    def test_periods_against_the_recurrence(self, graph):
+        x = presentation_from_edges(("0", "1", "2"), *graph)
+        assert an.periods(x) == _old_periods(x)
 
 
 # ---------------------------------------------------------------------------
@@ -1908,17 +2028,17 @@ class _OldStrongConditionEngine:
     def good_dfa(self, u, a, vv, b):
         xb = self.xb
         s0 = self.once(("starts", u, a), lambda: frozenset(au.closure(
-            au.eventual_image(xb.word_action(self.block_word(a))), lambda q: self._read_pre(q, u))))
+            _orbit_ends(xb.word_action(self.block_word(a)))[0], lambda q: self._read_pre(q, u))))
         back = self.once(("back", vv), lambda: self._back(vv))
         acc = self.once(("accepts", vv, b), lambda: frozenset(au.closure(
-            au.forever_defined(xb.word_action(self.block_word(b))), back.__getitem__)))
+            _orbit_ends(xb.word_action(self.block_word(b)))[1], back.__getitem__)))
         return self.once(("good", s0, acc), lambda: au.determinize(
             Nfa(self.y.alphabet, max(1, xb.n_live()), self.good_edges, s0, acc)))
 
     def allw_dfa(self, u, vv):
         y = self.y
-        ei = au.eventual_image(y.word_action(u))
-        fwd = au.forever_defined(y.word_action(vv))
+        ei = _orbit_ends(y.word_action(u))[0]
+        fwd = _orbit_ends(y.word_action(vv))[1]
         return self.once(("allw", ei, fwd), lambda: au.determinize(
             Nfa(y.alphabet, max(1, y.n_live()), y.edges, ei, fwd)))
 
