@@ -329,8 +329,10 @@ def is_subsft_of(inner: Presentation, outer: Presentation) -> v.Verdict:
     YES carries the minimal window; NO carries a pumpable witness family
     (u, w, v) such that the points repeating w around u w^n v stay in the
     window approximations but leave ``inner`` for arbitrarily large n.  In
-    a full shift this is :func:`is_sft`; elsewhere an SFT, a subSFT of
-    every shift that holds it, is searched for no witness.
+    a full shift this is :func:`is_sft`.  An SFT is a subSFT of every shift
+    that holds it, and every window from its own window up fits, so only
+    the smaller windows are searched, and the budget stopping that search
+    leaves YES with its own window.
     """
     if not inner.included_in(outer):
         raise ValidationError("is_subsft_of: inner must be contained in outer")
@@ -349,10 +351,13 @@ def is_subsft_of(inner: Presentation, outer: Presentation) -> v.Verdict:
         except BudgetExceeded:
             return 0
 
+    window = _memory_window(inner)
+    if window is not None:
+        return v.yes(certificate={"window": first_fit(range(1, window)) or window})
     # small windows first, then a witness search, then the remaining windows
     m = first_fit(range(1, 5))
     if not m:
-        wit = _non_subsft_witness(inner, outer) if _memory_window(inner) is None else None
+        wit = _non_subsft_witness(inner, outer)
         if wit is not None:
             return v.no(witness=wit, bound_used=bound)
         if m is None:

@@ -2,26 +2,45 @@
 
 Exit codes: 0 = YES / exists, 1 = NO / not-exists, 2 = UNDECIDED,
 64 = parse error, 65 = validation error, 69 = budget exceeded,
-70 = internal error (a failed consistency check, not an answer).
+70 = internal error (a failed consistency check, not an answer),
+74 = output error (standard output closed before the report was written).
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
+import os
 import sys
 import time
 
-from . import analysis as an
-from . import classify as cl
-from . import colimits as co
-from . import dynamics as dy
-from . import limits as li
-from . import oracle as orc
 from . import verdicts as v
 from .errors import ParseError, SdcatError
 from .files import load_bmap, load_shift, save_bmap, save_shift
-from .limits import CategoryTag
+
+
+def _lazy(name: str):
+    """``sdcat.<name>``, put into ``sys.modules`` now and run on its first
+    attribute read (the ``importlib.util.LazyLoader`` recipe)."""
+    full = f"{__package__}.{name}"
+    if full in sys.modules:
+        return sys.modules[full]
+    spec = importlib.util.find_spec(full)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = sys.modules[full] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    setattr(sys.modules[__package__], name, module)
+    return module
+
+
+# Every call is a fresh process, so each command runs only the engines it
+# reads: analyze runs analysis alone, check adds limits and classify.  They
+# are registered rather than imported inside the commands because
+# bench/tracing.py imports this module and then looks every traced module
+# up in sys.modules; once it no longer does, plain local imports can
+# replace the registration.
+an, cl, co, dy, li, orc = map(_lazy, ("analysis", "classify", "colimits", "dynamics", "limits", "oracle"))
 
 
 def _emit(report: dict, as_json: bool) -> None:
@@ -68,6 +87,12 @@ def _injective(f) -> v.Verdict:
     return v.yes() if fam.injective else v.no(witness={"pair": fam.pair})
 
 
+def _given(args, *caps) -> dict:
+    """The ``caps`` set on the command line, so that classify's defaults
+    stand for the others and parsing reads no engine."""
+    return {k: getattr(args, k) for k in caps if getattr(args, k) is not None}
+
+
 def _union(i1, i2) -> li.LimitResult:
     inc = li.subobject_union(i1, i2)
     return li.exists(inc.source, inc)
@@ -80,9 +105,8 @@ def _union(i1, i2) -> li.LimitResult:
 CHECKS = {
     "epic": ((BMAP,), lambda a, cat, f: cl.is_epic(f, cat)),
     "monic": ((BMAP,), lambda a, cat, f: cl.is_monic(f, cat)),
-    "split-epic": ((BMAP,), lambda a, cat, f: cl.is_split_epic(
-        f, cat, p_cap=a.p_cap, radius_cap=a.radius_cap)),
-    "split-monic": ((BMAP,), lambda a, cat, f: cl.is_split_monic(f, cat, radius_cap=a.radius_cap)),
+    "split-epic": ((BMAP,), lambda a, cat, f: cl.is_split_epic(f, cat, **_given(a, "p_cap", "radius_cap"))),
+    "split-monic": ((BMAP,), lambda a, cat, f: cl.is_split_monic(f, cat, **_given(a, "radius_cap"))),
     "regular-epic": ((BMAP,), lambda a, cat, f: cl.is_regular_epic(
         f, cat, witness_endo=load_bmap(a.witness_endo) if a.witness_endo else None)),
     "regular-monic": ((BMAP,), lambda a, cat, f: cl.is_regular_monic(f, cat)),
@@ -114,7 +138,7 @@ def _load(command: str, kinds, paths) -> list:
 
 
 def _cmd_check(args) -> int:
-    cat = CategoryTag.parse(args.category)
+    cat = li.CategoryTag.parse(args.category)
     kinds, call = CHECKS[args.property]
     inputs = _load(f"check {args.property}", kinds, args.inputs)
     if kinds == (BMAP,):
@@ -130,7 +154,7 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_build(args) -> int:
-    cat = CategoryTag.parse(args.category)
+    cat = li.CategoryTag.parse(args.category)
     kinds, call = BUILDS[args.operation]
     t0 = time.time()
     inputs = _load(f"build {args.operation}", kinds, args.inputs)
@@ -157,7 +181,7 @@ def _cmd_build(args) -> int:
 
 
 def _cmd_coeq_id(args) -> int:
-    cat = CategoryTag.parse(args.category)
+    cat = li.CategoryTag.parse(args.category)
     f = load_bmap(args.map)
     res = co.coequalizer_id(
         f, cat, window_cap=args.window_cap, level_cap=args.level_cap
@@ -209,6 +233,10 @@ def _cmd_oracle(args) -> int:
     checks = tuple(args.check.split(","))
     # every row is decided first, so an unknown check fails with nothing written
     rows = [(bits, row) for bits, _, row in orc.census_radius1_binary(checks=checks)]
+    if args.json:
+        rows = [{"rule_bits": bits, **row} for bits, row in rows]
+        _emit({"command": "oracle census", "rows": rows}, True)
+        return 0
     print("rule_bits," + ",".join(checks))
     for bits, row in rows:
         print(f"{bits}," + ",".join(str(int(row[c])) for c in checks))
@@ -231,8 +259,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("property", choices=CHECKS)
     p.add_argument("inputs", nargs="*", help="one .bmap (two .shift for exists-morphism)")
     p.add_argument("--category", required=True)
-    p.add_argument("--p-cap", type=int, default=cl.DEFAULT_P_CAP)
-    p.add_argument("--radius-cap", type=int, default=cl.DEFAULT_RADIUS_CAP)
+    p.add_argument("--p-cap", type=int)
+    p.add_argument("--radius-cap", type=int)
     p.add_argument("--witness-endo", help="endomorphism .bmap for regular-epic certification")
     p.add_argument("--cert-out", help="write a certificate .bmap here")
     p.add_argument("--json", action="store_true")
@@ -267,6 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--radius", type=int, default=1)
     p.add_argument("--alphabet", type=int, default=2)
     p.add_argument("--check", default="epic,injective")
+    p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_oracle)
 
     return parser
@@ -279,13 +308,20 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 64 if exc.code not in (0, None) else 0
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
     except SdcatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 64
+    except BrokenPipeError:
+        # the reader is gone: point stdout at devnull so that the flush at
+        # interpreter exit does not raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 74
 
 
 if __name__ == "__main__":

@@ -12,6 +12,7 @@ import pytest
 from sdcat import analysis as an
 from sdcat import classify as cl
 from sdcat import colimits as co
+from sdcat import errors
 from sdcat import limits as li
 from sdcat import oracle as orc
 from sdcat.cli import main
@@ -366,6 +367,18 @@ def test_inclusion_of_sfts_is_regular_monic_in_k2():
     v = cl.is_regular_monic(f, K2)
     assert v.yes and v.certificate == {"window": 10}
     _report("no 0^10 into no 0^16", t0, 5.0)
+
+
+@pytest.mark.parametrize("m, n", [(13, 15), (19, 25)])
+def test_budget_below_the_sft_window_still_gives_yes(m, n):
+    # every window from the inner SFT's own up fits, so a budget that stops
+    # the search below it leaves YES with that window, not UNDECIDED
+    errors.set_budget(3000)
+    try:
+        v = an.is_subsft_of(_no_run_of_zeros(m), _no_run_of_zeros(n))
+    finally:
+        errors.set_budget(None)
+    assert v.yes and v.certificate == {"window": m}
 
 
 def test_periods_compose_each_monoid_element_once(monkeypatch):

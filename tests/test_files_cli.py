@@ -145,6 +145,10 @@ rule: ((1,1),1) -> (1,1)
 """
 
 
+def _child_env():
+    return dict(os.environ, PYTHONPATH=str(pathlib.Path(sdcat.__file__).parents[1]))
+
+
 @pytest.fixture()
 def workdir(tmp_path):
     (tmp_path / "golden.shift").write_text(GOLDEN_TEXT)
@@ -510,15 +514,60 @@ class TestCli:
         assert captured.out == ""
         assert "unknown brute property 'bogus'" in captured.err
 
+    def test_oracle_census_json(self, capsys):
+        code = main(["oracle", "census", "--check", "epic,injective", "--json"])
+        report = json.loads(capsys.readouterr().out)
+        assert code == 0
+        assert report["command"] == "oracle census"
+        assert len(report["rows"]) == 256
+        # rule 204 copies the middle symbol: the identity
+        assert report["rows"][204] == {"rule_bits": 204, "epic": True, "injective": True}
+        assert report["rows"][0] == {"rule_bits": 0, "epic": False, "injective": False}
+
+    def test_closed_stdout_exits_74_without_a_traceback(self, workdir):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            out = subprocess.run([sys.executable, "-m", "sdcat.cli", "analyze", "golden.shift"],
+                                 stdout=write_end, stderr=subprocess.PIPE, text=True,
+                                 cwd=workdir, env=_child_env(), timeout=60)
+        finally:
+            os.close(write_end)
+        assert out.returncode == 74
+        assert out.stderr == ""
+
+    @pytest.mark.parametrize("argv, ran, unrun", [
+        (["analyze", "golden.shift"], {"analysis"},
+         {"classify", "limits", "colimits", "dynamics", "oracle"}),
+        (["check", "epic", "xor3.bmap", "--category", "K2"], {"analysis", "classify", "limits"},
+         {"colimits", "dynamics", "oracle"}),
+    ], ids=["analyze", "check-epic"])
+    def test_a_command_runs_only_the_engines_it_calls(self, workdir, argv, ran, unrun):
+        # python -m sdcat.cli in a fresh process, as every call is; at exit
+        # an engine that never ran is still a lazy module, told apart by its
+        # type, so none of its attributes is read
+        code = ("import json, runpy, sys, types\n"
+                "try:\n"
+                "    runpy.run_module('sdcat.cli', run_name='__main__', alter_sys=True)\n"
+                "finally:\n"
+                "    print(json.dumps(sorted(k for k, m in sys.modules.items() if k.startswith('sdcat.')\n"
+                "                            and type(m) is types.ModuleType)), file=sys.stderr)\n")
+        out = subprocess.run([sys.executable, "-c", code, *argv, "--json"], capture_output=True,
+                             text=True, cwd=workdir, env=_child_env(), timeout=60)
+        assert out.returncode == 0, out.stderr
+        assert json.loads(out.stdout)["command"].startswith(argv[0])
+        modules = {m.removeprefix("sdcat.") for m in json.loads(out.stderr)}
+        assert ran <= modules and not unrun & modules, modules
+
     def test_cli_import_loads_neither_numpy_nor_dataclasses(self):
-        # numpy serves only the brute-force oracle; the CLI still imports
-        # sdcat.oracle, which the traced benchmark run looks up.  The records
-        # do without dataclasses, which would also load inspect
+        # numpy serves only the brute-force oracle; the CLI registers
+        # sdcat.oracle, which the traced benchmark run looks up, without
+        # running it.  The records do without dataclasses, which would also
+        # load inspect
         code = ("import sys, sdcat.cli; print('sdcat.oracle' in sys.modules, "
                 "*(m in sys.modules for m in ('numpy', 'dataclasses', 'inspect')))")
-        env = dict(os.environ, PYTHONPATH=str(pathlib.Path(sdcat.__file__).parents[1]))
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                             env=env, timeout=60)
+                             env=_child_env(), timeout=60)
         assert out.returncode == 0, out.stderr
         assert out.stdout.split() == ["True", "False", "False", "False"]
 
