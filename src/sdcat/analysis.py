@@ -16,8 +16,9 @@ target word outside the image, whose first hit is the NO witness.
 Each shift fact is one pass over a graph already built.  SFT-ness and the
 least window are read off the pairs of follower sets, ``_memory_window``,
 and only a shift that is none is searched for a witness.  The period set
-explores the transition monoid of the essential states once, and cycles
-are found by the peel of ``core._orbit_ends``.
+explores the syntactic monoid once, as partial word actions on the
+canonical automaton, and keeps its size; cycles are found by the peel of
+``core._orbit_ends``.
 
 The injectivity family, preinjectivity and resolvingness ask whether the
 kernel pair has a bi-infinite path with a given label pattern, so they
@@ -275,14 +276,22 @@ class PeriodSet:
 
 @_per_object
 def periods(x: Presentation) -> PeriodSet:
-    """Exact sigma^n fixed-point period set.  The transition monoid of the
-    word actions on the essential states is explored once, counted under
+    """Exact sigma^n fixed-point period set.  The monoid of the partial
+    word actions on the states of ``x.dfa`` is explored once, counted under
     "transition monoid"; the sets of element numbers of the words of each
     length follow one another through its rows until one repeats, and each
-    element is tested for a cycle at most once."""
-    fns = [x.word_action((a,)) for a in x.alphabet]
-    elements, rows = au.explore(x.word_action(()), lambda f: [
+    element is tested for a cycle at most once.
+
+    That monoid is the syntactic monoid of the language, whose size
+    :func:`monoid_size` keeps.  A state on a cycle of an action is
+    essential, and two words that act alike on the essential states act
+    alike on all (a transient state extends on the left to an essential
+    one, as the language is extendable), so the element sets and their
+    cycles are those of the actions on the essential states."""
+    fns = [tuple(row.get(a, au.UNDEF) for row in x.dfa.rows) for a in x.alphabet]
+    elements, rows = au.explore(tuple(range(x.dfa.n)), lambda f: [
         (k, au.compose_pfn(f, g)) for k, g in enumerate(fns)], "transition monoid")
+    vars(x)[monoid_size.key] = len(elements)
     cyclic: dict[int, bool] = {}
 
     def has_cycle(k):
@@ -301,6 +310,14 @@ def periods(x: Presentation) -> PeriodSet:
     t = seen[current]
     return PeriodSet(t + 1, len(flags) - t, frozenset(n + 1 for n in range(t) if flags[n]),
                      tuple(flags[t:]))
+
+
+@_per_object
+def monoid_size(x: Presentation) -> int:
+    """The number of elements of the syntactic monoid of the language of
+    ``x``, kept by :func:`periods`, which explores it."""
+    periods(x)
+    return vars(x)[monoid_size.key]
 
 
 def is_peric(f: BlockMap) -> v.Verdict:
@@ -333,13 +350,21 @@ def is_subsft_of(inner: Presentation, outer: Presentation) -> v.Verdict:
     that holds it, and every window from its own window up fits, so only
     the smaller windows are searched, and the budget stopping that search
     leaves YES with its own window.
+
+    A window m below the length of the shortest word of ``outer`` outside
+    ``inner`` cannot fit, and no smaller one can: the two shifts have the
+    same words of length m, so the approximation is ``outer``.  That length
+    is read off one product search, which lists no words, and the window
+    search starts there.
     """
     if not inner.included_in(outer):
         raise ValidationError("is_subsft_of: inner must be contained in outer")
     if outer.is_full():
         return is_sft(inner)
-    if inner.is_empty():
+    gap = au.separating_word(outer.dfa, inner.dfa)
+    if inner.is_empty() or gap is None:
         return v.yes(certificate={"window": 1})
+    lo = len(gap)
     bound = 2 * inner.dfa.n**2 + 2
 
     def first_fit(windows):
@@ -353,15 +378,15 @@ def is_subsft_of(inner: Presentation, outer: Presentation) -> v.Verdict:
 
     window = _memory_window(inner)
     if window is not None:
-        return v.yes(certificate={"window": first_fit(range(1, window)) or window})
+        return v.yes(certificate={"window": first_fit(range(lo, window)) or window})
     # small windows first, then a witness search, then the remaining windows
-    m = first_fit(range(1, 5))
+    m = first_fit(range(lo, 5))
     if not m:
         wit = _non_subsft_witness(inner, outer)
         if wit is not None:
             return v.no(witness=wit, bound_used=bound)
         if m is None:
-            m = first_fit(range(5, bound + 1))
+            m = first_fit(range(max(lo, 5), bound + 1))
     if m:
         return v.yes(certificate={"window": m})
     note = "window search exhausted without a pumpable witness"

@@ -1,4 +1,4 @@
-"""Finite-automaton machinery and the syntactic monoid size.
+"""Finite-automaton machinery.
 
 Languages of presentations are factorial, so the canonical form used
 throughout is a *partial* DFA in which every state is accepting and a
@@ -418,31 +418,6 @@ def strongly_connected_components(nodes, succ) -> list[tuple[list[int], int]]:
                         low[parent] = low[node]
                     period[parent] = gcd(period[parent], period[node])
     return result
-
-
-# ---------------------------------------------------------------------------
-# Syntactic monoid
-
-
-def syntactic_monoid_size(dfa: Dfa) -> int:
-    """Number of elements of the syntactic monoid of L(dfa): the transition
-    monoid of the completed minimal DFA, explored from the identity with
-    words composed left to right.
-
-    The input must already be minimal (canonical); a sink state is adjoined
-    only when some transition is missing.
-    """
-    alphabet = sorted(set(dfa.alphabet))
-    partial = any(len(row) < len(alphabet) for row in dfa.rows)
-    # the sink is state ``dfa.n`` and maps to itself
-    sink = (dfa.n,) if partial else ()
-    fns = [tuple(row.get(a, dfa.n) for row in dfa.rows) + sink for a in alphabet]
-
-    def successors(f):
-        return [(a, tuple(g[x] for x in f)) for a, g in zip(alphabet, fns)]
-
-    order, _ = explore(tuple(range(dfa.n + len(sink))), successors, "transition monoid")
-    return len(order)
 
 
 # ---------------------------------------------------------------------------

@@ -73,7 +73,7 @@ def _cmd_analyze(args) -> int:
             "modulus": ps.modulus,
             "residues": ps.residues(),
         },
-        "monoid_size": an.au.syntactic_monoid_size(x.dfa),
+        "monoid_size": an.monoid_size(x),
     }
     _emit(report, args.json)
     return 0
@@ -218,9 +218,8 @@ def _cmd_dynamics(args) -> int:
     for n in range(1, args.levels + 1):
         levels[n] = dy.chain_transitive_level(f, n)
     report["chain_transitive_levels"] = levels
-    rep = dy.spreading_nilpotent(f)
-    report["spreading_state"] = rep.spreading_state
-    report["nilpotent_at"] = rep.nilpotent_at
+    report["spreading_state"] = dy.spreading_state(f)
+    report["nilpotent_at"] = dy.nilpotency_index(f)
     _emit(report, args.json)
     return 0
 

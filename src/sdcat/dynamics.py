@@ -130,12 +130,6 @@ def chain_transitive_upto(f: BlockMap, cap: int) -> int:
     return cap
 
 
-@record
-class SpreadingReport:
-    spreading_state: str | None
-    nilpotent_at: int | None
-
-
 def spreading_state(f: BlockMap) -> str | None:
     """A symbol that infects an adjacent cell under the rule."""
     _require_endo(f)
@@ -188,10 +182,6 @@ def nilpotency_index(f: BlockMap, cap: int = 8) -> int | None:
             return None
         current = img
     return None
-
-
-def spreading_nilpotent(f: BlockMap, cap: int = 8) -> SpreadingReport:
-    return SpreadingReport(spreading_state(f), nilpotency_index(f, cap))
 
 
 def visibly_blocking(f: BlockMap, words: list[Word], depth: int = 3) -> v.Verdict:

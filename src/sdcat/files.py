@@ -7,7 +7,8 @@ alike raise ``ValidationError``.  Words are written as concatenated
 spellings when each is a single character, and comma-separated otherwise.
 A .bmap's ``radius:`` is a nonnegative integer in decimal digits, and
 each ``rule:`` word is ``2 * radius + 1`` symbols wide.  An undeclared name,
-a window with two outputs or a line of the other kind is a parse error.
+a node declared twice, a second line of a key that takes one value, a
+window with two outputs or a line of the other kind is a parse error.
 Emitted presentations use a canonical state numbering so golden files are
 stable.
 """
@@ -76,11 +77,23 @@ def format_word(word: Word, alphabet) -> str:
     return sep.join(names[a] for a in word)
 
 
-def _lines(text: str):
+def _fields(text: str, singles, ext: str):
+    """Each line, its ``#`` comment cut, with its key and value.  Every
+    line has a key, and a key in ``singles`` takes one line."""
+    seen = set()
     for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
-        if line:
-            yield line
+        if not line:
+            continue
+        key, sep, rest = line.partition(":")
+        key = key.strip()
+        if not sep:
+            raise ParseError(f"bad line in {ext} file: {line!r}")
+        if key in singles:
+            if key in seen:
+                raise ParseError(f"second {key}: line in {ext} file")
+            seen.add(key)
+        yield line, key, rest.strip()
 
 
 def parse_shift(text: str) -> Presentation:
@@ -90,12 +103,7 @@ def parse_shift(text: str) -> Presentation:
     nodes: list[str] = []
     edges: list[tuple[str, str, str]] = []
     point: str | None = None
-    for line in _lines(text):
-        if ":" not in line:
-            raise ParseError(f"bad line in .shift file: {line!r}")
-        key, _, rest = line.partition(":")
-        key = key.strip()
-        rest = rest.strip()
+    for line, key, rest in _fields(text, ("alphabet", "kind", "point"), ".shift"):
         if key == "alphabet":
             alphabet = rest.split()
         elif key == "kind":
@@ -129,7 +137,11 @@ def parse_shift(text: str) -> Presentation:
         raise ParseError(f"point {point!r} not in the alphabet")
     if kind == "sft":
         return make_presentation(alphabet, "sft", forbidden, point)
-    declared = set(nodes)
+    declared: set[str] = set()
+    for name in nodes:
+        if name in declared:
+            raise ParseError(f"node {name!r} declared twice")
+        declared.add(name)
     for edge in edges:
         for name, known in zip(edge, (declared, declared, alphabet)):
             if name not in known:
@@ -166,10 +178,7 @@ def parse_bmap(text: str, base_dir: str = ".") -> BlockMap:
     radius: int | None = None
     rule_lines: list[tuple[str, str]] = []
     default: str | None = None
-    for line in _lines(text):
-        key, _, rest = line.partition(":")
-        key = key.strip()
-        rest = rest.strip()
+    for line, key, rest in _fields(text, ("source", "target", "radius", "default"), ".bmap"):
         if key in ("source", "target"):
             path = os.path.join(base_dir, rest)
             if path not in loaded:

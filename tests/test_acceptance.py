@@ -381,6 +381,27 @@ def test_budget_below_the_sft_window_still_gives_yes(m, n):
     assert v.yes and v.certificate == {"window": m}
 
 
+def test_subsft_window_search_starts_at_the_first_difference():
+    # "no 0^19" and "no 0^25" have the same words up to length 18, so no
+    # window below 19 can fit and none is tried
+    t0 = time.time()
+    v = an.is_subsft_of(_no_run_of_zeros(19), _no_run_of_zeros(25))
+    assert v.yes and v.certificate == {"window": 19}
+    _report("no 0^19 in no 0^25", t0, 1.0)
+
+
+def test_budget_above_the_first_difference_still_gives_yes():
+    # "no 00, no 1^25" leaves "no 1^30" at length 2, and the windows tried
+    # from there run out of budget at 16: YES with the inner window
+    inner = make_presentation(["0", "1"], "sft", [("0", "0"), ("1",) * 25])
+    errors.set_budget(3000)
+    try:
+        v = an.is_subsft_of(inner, make_presentation(["0", "1"], "sft", [("1",) * 30]))
+    finally:
+        errors.set_budget(None)
+    assert v.yes and v.certificate == {"window": 25}
+
+
 def test_periods_compose_each_monoid_element_once(monkeypatch):
     # the six-node shift above: one composition per element and symbol
     edges = [tuple(e.split()) for e in SIX_NODE_EDGES]

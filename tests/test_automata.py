@@ -1,8 +1,10 @@
-"""Automaton machinery and the syntactic monoid size."""
+"""Automaton machinery and the syntactic monoid size that the period set
+keeps."""
 
 import itertools
 import pathlib
 
+from sdcat import analysis as an
 from sdcat import automata as au
 from sdcat.automata import Nfa
 from sdcat.core import empty_shift, golden_mean
@@ -101,7 +103,7 @@ class TestLanguageOps:
 
 class TestSyntacticMonoid:
     def test_full_shift_is_trivial(self, full2):
-        assert au.syntactic_monoid_size(full2.dfa) == 1
+        assert an.monoid_size(full2) == 1
 
     def test_golden_mean_has_six_classes(self):
         # the size matches the brute-force Myhill classes, on the golden
@@ -109,9 +111,9 @@ class TestSyntacticMonoid:
         sizes = {"golden": 6, "even": 7, "x012": 8, "isolated": 6, "runs": 11, "full": 1}
         for name, size in sizes.items():
             x = load_shift(str(CLI_DATA / f"{name}.shift"))
-            assert au.syntactic_monoid_size(x.dfa) == size, name
+            assert an.monoid_size(x) == size, name
             assert len(brute_context_classes(x)) == size, name
 
     def test_empty_shift_identity_and_zero(self):
         # the class of the empty word and that of every other word
-        assert au.syntactic_monoid_size(empty_shift(["0", "1"]).dfa) == 2
+        assert an.monoid_size(empty_shift(["0", "1"])) == 2

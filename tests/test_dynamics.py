@@ -150,8 +150,8 @@ class TestSpreadingNilpotent:
         assert dy.spreading_state(and_rule) == "0"
 
     def test_identity_neither(self, full2):
-        rep = dy.spreading_nilpotent(identity_map(full2))
-        assert rep.spreading_state is None and rep.nilpotent_at is None
+        f = identity_map(full2)
+        assert dy.spreading_state(f) is None and dy.nilpotency_index(f) is None
 
     def test_constant_nilpotent(self, const0):
         assert dy.nilpotency_index(const0) == 1

@@ -259,6 +259,17 @@ class TestCli:
         assert out["monoid_size"] == 6
         assert out["periods_upto"][:3] == [1, 2, 3]
 
+    def test_analyze_explores_the_monoid_once(self, workdir, capsys, monkeypatch):
+        # the period set and the monoid size read one exploration, here on
+        # a shift whose canonical automaton has a transient state
+        whats = []
+        real = an.au.explore
+        monkeypatch.setattr(an.au, "explore",
+                            lambda start, succ, what: whats.append(what) or real(start, succ, what))
+        assert main(["analyze", str(workdir / "even.shift"), "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["monoid_size"] == 7
+        assert whats.count("transition monoid") == 1
+
     def test_check_epic_exit_codes(self, workdir, capsys):
         assert main(["check", "epic", str(workdir / "xor3.bmap"), "--category", "K3"]) == 0
         capsys.readouterr()
@@ -573,9 +584,10 @@ class TestCli:
 
 
 class TestFileFields:
-    """A name that no field declares, a window given two outputs, and a
-    .shift line of the kind the file does not declare exit 64, naming what
-    is wrong."""
+    """A name that no field declares, a node declared twice, a second line
+    of a key that takes one value, a window given two outputs, and a .shift
+    line of the kind the file does not declare exit 64, naming what is
+    wrong."""
 
     @pytest.mark.parametrize("text, named", [
         ("alphabet: 0 1\nnode: a\nedge: a a 0\nedge: a a 1\nforbidden: 11\n", "forbidden:"),
@@ -584,8 +596,14 @@ class TestFileFields:
         ("alphabet: 0 1\nnode: a\nedge: a a 0\nedge: a a 2\n", "'2'"),
         ("alphabet: 0 1\nnode: a\nedge: a a 0\nedge: a b 1\n", "'b'"),
         ("alphabet: 0 1\npoint: 2\n", "'2'"),
+        # a key that takes one value takes one line, and a node one declaration
+        ("alphabet: 0 1\nalphabet: 0 1 2\n", "second alphabet:"),
+        ("alphabet: 0 1\nkind: graph\nkind: sft\n", "second kind:"),
+        ("alphabet: 0 1\npoint: 0\npoint: 1\n", "second point:"),
+        ("alphabet: 0 1\nnode: a a\nedge: a a 0\n", "'a' declared twice"),
     ], ids=["both-kinds", "forbidden-in-graph", "graph-lines-in-sft", "edge-label",
-            "edge-endpoint", "point"])
+            "edge-endpoint", "point", "alphabet-twice", "kind-twice", "point-twice",
+            "node-twice"])
     def test_shift_field_exits_64(self, tmp_path, capsys, text, named):
         (tmp_path / "x.shift").write_text(text)
         assert main(["analyze", str(tmp_path / "x.shift")]) == 64
@@ -596,7 +614,12 @@ class TestFileFields:
         # a window repeated with its output is one rule; the third line conflicts
         ("rule: 0 -> 1\nrule: 0 -> 1\nrule: 1 -> 1\nrule: 0 -> 0\n", "'0' given two outputs, '1' and '0'"),
         ("rule: 0 -> 1\ndefault: 2\n", "'2'"),
-    ], ids=["window-with-two-outputs", "default"])
+        ("source: full.shift\nrule: 0 -> 1\n", "second source:"),
+        ("target: full.shift\nrule: 0 -> 1\n", "second target:"),
+        ("radius: 1\nrule: 0 -> 1\n", "second radius:"),
+        ("default: 0\ndefault: 1\n", "second default:"),
+    ], ids=["window-with-two-outputs", "default", "source-twice", "target-twice",
+            "radius-twice", "default-twice"])
     def test_bmap_field_exits_64(self, workdir, capsys, rules, named):
         (workdir / "x.bmap").write_text(
             "source: full.shift\ntarget: full.shift\nradius: 0\n" + rules)

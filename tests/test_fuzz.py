@@ -12,7 +12,9 @@ answers YES), the image validation of ``make_block_map``, the
 many-sided difference product, the non-SFT witness search, the SFT window
 read off the follower sets, the period set read off the explored monoid
 and the orbit peel of a partial function are checked against the loops
-they replaced.  The verdicts read off a map's kernel
+they replaced, and the syntactic monoid that the period set explores
+against the sink-completed exploration and the essential-state loop it
+replaced.  The verdicts read off a map's kernel
 graph are checked against the loops on its canonical kernel, and their
 witnesses re-verified.  Every builder that reads the kept edge tuples
 (``Presentation.edges`` and ``window_graph``) is checked against its loop
@@ -714,6 +716,75 @@ class TestOrbitEnds:
         assert an.periods(x) == _old_periods(x)
 
 
+def _old_syntactic_monoid_size(dfa):
+    """Reference: the transition monoid of the minimal DFA completed by a
+    sink, explored from the identity with words composed left to right."""
+    alphabet = sorted(set(dfa.alphabet))
+    partial = any(len(row) < len(alphabet) for row in dfa.rows)
+    # the sink is state ``dfa.n`` and maps to itself
+    sink = (dfa.n,) if partial else ()
+    fns = [tuple(row.get(a, dfa.n) for row in dfa.rows) + sink for a in alphabet]
+
+    def successors(f):
+        return [(a, tuple(g[x] for x in f)) for a, g in zip(alphabet, fns)]
+
+    order, _ = au.explore(tuple(range(dfa.n + len(sink))), successors, None)
+    return len(order)
+
+
+def _old_essential_periods(x):
+    """Reference: the period recurrence through the monoid of the word
+    actions on the essential states alone; the period set and that
+    monoid's size."""
+    fns = [x.word_action((a,)) for a in x.alphabet]
+    elements, rows = au.explore(x.word_action(()), lambda f: [
+        (k, au.compose_pfn(f, g)) for k, g in enumerate(fns)], None)
+    seen, flags = {}, []
+    current = frozenset(rows[0].values())
+    while current not in seen:
+        seen[current] = len(flags)
+        flags.append(any(_orbit_ends(elements[k])[0] for k in current))
+        current = frozenset(p for k in current for p in rows[k].values())
+    t = seen[current]
+    return an.PeriodSet(t + 1, len(flags) - t, frozenset(n + 1 for n in range(t) if flags[n]),
+                        tuple(flags[t:])), len(elements)
+
+
+ORBIT_01 = (("0", "1"), "graph", (["a", "b"], [("a", "b", "0"), ("b", "a", "1")]))
+EVEN = (("0", "1"), "graph", (["a", "b"], [("a", "a", "1"), ("a", "b", "0"), ("b", "a", "0")]))
+
+
+def monoid_shifts():
+    """Graph shifts, images and kernels of maps, avoidance SFTs and width-2
+    higher block shifts, which have transient states or none."""
+    graphs = random_graphs(max_nodes=4, syms=("0", "1", "2"))
+    return st.one_of(
+        graphs.map(lambda g: presentation_from_edges(("0", "1", "2"), *g)),
+        binary_maps().map(lambda f: f.image),
+        binary_maps().map(lambda f: f.kernel),
+        forbidden_lists().map(lambda fs: make_presentation(("0", "1"), "sft", fs)),
+        random_graphs(max_nodes=3).map(
+            lambda g: higher_block_presentation(presentation_from_edges(("0", "1"), *g), 2)))
+
+
+class TestOneMonoidExploration:
+    @given(monoid_shifts())
+    @example(empty_shift(("0", "1")))
+    @example(make_presentation(*ORBIT_01))
+    @example(make_presentation(*EVEN))
+    @settings(max_examples=300, deadline=None)
+    def test_syntactic_monoid_and_periods_against_both_explorations(self, x):
+        # the actions on all states of the canonical automaton are the
+        # syntactic monoid, and restricted to the essential states they
+        # stay distinct, so the period recurrence is unchanged; the empty
+        # shift has one essential action and two syntactic classes, the
+        # empty word and the others, unless it has no symbol
+        ps, essential = _old_essential_periods(x)
+        assert an.periods(x) == ps
+        assert an.monoid_size(x) == _old_syntactic_monoid_size(x.dfa)
+        assert an.monoid_size(x) == (2 if x.is_empty() and x.alphabet else essential)
+
+
 # ---------------------------------------------------------------------------
 # One explorer, one closure: the constructions against their former loops
 
@@ -822,27 +893,6 @@ def _old_product(a, b):
             trans_dicts[index[pair]][sym] = index[tgt]
     acc = {i for i, (x, y) in enumerate(pairs) if x in a.accepting and y not in b.accepting}
     return au.make_dfa(a.alphabet, trans_dicts, 0, acc)
-
-
-def _old_monoid_size(alphabet, n_states, sym_functions):
-    """Reference: generators first, then a breadth-first loop over products."""
-    ident = tuple(range(n_states))
-    elems, order, queue = {ident: 0}, [ident], deque()
-    for a in alphabet:
-        f = sym_functions[a]
-        if f not in elems:
-            elems[f] = len(order)
-            order.append(f)
-            queue.append(f)
-    while queue:
-        f = queue.popleft()
-        for a in alphabet:
-            h = tuple(sym_functions[a][f[q]] for q in range(n_states))
-            if h not in elems:
-                elems[h] = len(order)
-                order.append(h)
-                queue.append(h)
-    return len(order)
 
 
 def _naive_closure(seeds, succ, n):
@@ -975,20 +1025,6 @@ class TestExploreAndClosure:
         assert got.n == ref.n
         assert shortest_accepted(got) == shortest_accepted(ref)
         assert au.included(a, b) == (shortest_accepted(ref) is None)
-
-    @given(st.integers(min_value=1, max_value=3).flatmap(lambda n: st.lists(
-        st.lists(st.integers(min_value=0, max_value=n - 1), min_size=n, max_size=n).map(tuple),
-        min_size=1, max_size=3)))
-    @example([(0,)])
-    @settings(max_examples=150, deadline=None)
-    def test_monoid_matches_the_generator_loop(self, fns):
-        alphabet = [str(i) for i in range(len(fns))]
-        sym_functions = dict(zip(alphabet, fns))
-        # total functions: the automaton they make is complete, so no sink
-        n = len(fns[0])
-        dfa = au.make_dfa(alphabet, [{a: f[q] for a, f in zip(alphabet, fns)} for q in range(n)],
-                          0, range(n))
-        assert au.syntactic_monoid_size(dfa) == _old_monoid_size(alphabet, n, sym_functions)
 
     @given(plain_graphs(), st.data())
     @settings(max_examples=200, deadline=None)

@@ -306,3 +306,18 @@ def test_one_word_walk():
             if pops and extends:
                 found.append(f"{path.name}:{fn.name}")
     assert not found, f"word walks outside automata.walk: {found}"
+
+
+def test_one_syntactic_monoid_exploration():
+    # the period set explores the syntactic monoid and keeps its size, so
+    # no second routine explores it for ``analyze``
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for fn in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(fn, ast.FunctionDef) and any(
+                    isinstance(c, ast.Call) and "explore" in _names(c.func)
+                    and any(isinstance(a, ast.Constant) and a.value == "transition monoid"
+                            for a in c.args)
+                    for c in ast.walk(fn)):
+                found.append(f"{path.name}:{fn.name}")
+    assert found == ["analysis.py:periods"], found
