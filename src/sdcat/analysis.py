@@ -22,13 +22,13 @@ canonical automaton, and keeps its size; cycles are found by the peel of
 
 The injectivity family, preinjectivity and resolvingness ask whether the
 kernel pair has a bi-infinite path with a given label pattern, so they
-read ``BlockMap.kernel_graph``, the trimmed fiber graph, through one
-diagonal view per map, ``_diagonal_view``, and build no canonical kernel.
-Their NO witnesses, two distinct eventually periodic points with equal
-images, are read off a path of that graph.  One SCC pass of the graph per
-map, ``off_diagonal_components``, answers injectivity on periodic points,
-and the graph periods the same pass gives its components yield the mixing
-petals that decide monicness in M2.  Constituents of the kernel, kernel
+read the kernel graph through one diagonal view per map, built in the
+pass that pairs the map's windows, ``_diagonal_view``, and build no
+canonical kernel.  Their NO witnesses, two distinct eventually periodic
+points with equal images, are read off a path of that graph.  One SCC
+pass of the graph per map, ``off_diagonal_components``, answers
+injectivity on periodic points, and the graph periods the same pass gives
+its components yield the mixing petals that decide monicness in M2.  Constituents of the kernel, kernel
 pairs and other questions about its language read ``f.kernel``.
 """
 
@@ -52,14 +52,17 @@ from .core import (
     image_presentation,
     image_word,
     make_block_map,
+    pair_symbol,
     presentation_from_edges,
     product_alphabet,
     sft_approximation,
     side_by_side,
     window_graph,
     _infinite_past,
+    _fiber_sides,
     _live_nodes,
     _matched_edges,
+    _matched_rows,
     _orbit_ends,
     _per_object,
     _tails,
@@ -326,9 +329,11 @@ def is_peric(f: BlockMap) -> v.Verdict:
     return period_inclusion(f.source, f.target)
 
 
+@_per_object
 def period_inclusion(x: Presentation, y: Presentation) -> v.Verdict:
-    """Per(x) included in Per(y), the period condition for a map x -> y:
-    a NO carries the least period of x missing from y."""
+    """Per(x) included in Per(y), the period condition for a map x -> y,
+    kept per pair of shifts: a NO carries the least period of x missing
+    from y."""
     px = periods(x)
     bad = px.first_not_in(periods(y))
     if bad is None:
@@ -621,12 +626,13 @@ class InjectivityFamily:
 class _DiagonalView:
     """How the kernel graph of a map sits against the diagonal.
 
-    ``out[q]`` lists the edges ``(token, node)`` out of node ``q`` of
-    ``BlockMap.kernel_graph`` in edge order; several may carry the same
-    token.  ``succ[q]`` lists their end nodes, ``into[p]`` the edges
-    ``(token, node)`` into ``p`` back to their start nodes, and ``pred[p]``
-    those start nodes, in node order and then in edge order, and
-    ``off_edges`` every edge ``(q, t, p)`` off the diagonal, ``t[0] !=
+    The kernel graph is ``core.fiber_graph(f, f)`` trimmed to its nodes on
+    bi-infinite paths, in product order.  ``out[q]`` lists the edges
+    ``(token, node)`` out of node ``q`` in edge order; several may carry
+    the same token.  ``succ[q]`` lists their end nodes, ``into[p]`` the
+    edges ``(token, node)`` into ``p`` back to their start nodes, and
+    ``pred[p]`` those start nodes, in node order and then in edge order,
+    and ``off_edges`` every edge ``(q, t, p)`` off the diagonal, ``t[0] !=
     t[1]``, in node order and then in edge order.  ``backward`` holds the
     nodes with an infinite diagonal past (reachable from a diagonal cycle
     along diagonal edges), ``forward`` those with an infinite diagonal
@@ -644,34 +650,44 @@ class _DiagonalView:
 
 @_per_object
 def _diagonal_view(f: BlockMap) -> _DiagonalView:
-    """The diagonal structure of ``f.kernel_graph``, built once per map."""
-    _, n, edges = f.kernel_graph
-    out: list[list[tuple[str, int]]] = [[] for _ in range(n)]
-    for q, t, p in edges:
-        out[q].append((t, p))
-    succ: list[list[int]] = [[] for _ in range(n)]
-    pred: list[list[int]] = [[] for _ in range(n)]
-    into: list[list[tuple[str, int]]] = [[] for _ in range(n)]
-    dsucc: list[list[int]] = [[] for _ in range(n)]
-    dpred: list[list[int]] = [[] for _ in range(n)]
-    off_edges = []
-    for q, row in enumerate(out):
-        for t, p in row:
-            succ[q].append(p)
-            pred[p].append(q)
-            into[p].append((t, q))
-            if t[0] != t[1]:
-                off_edges.append((q, t, p))
-            else:
-                dsucc[q].append(p)
-                dpred[p].append(q)
-    return _DiagonalView(tuple(map(tuple, out)), succ, pred, into, tuple(off_edges),
+    """The diagonal structure of the kernel graph, once per map: the pass
+    that pairs the window edges fills the product, two peels trim it, and
+    one pass over the live nodes renumbers it."""
+    n, _, labelled, _ = _fiber_sides(f, f)
+    toks, ends, starts = ([[] for _ in range(n * n)] for _ in range(3))
+    for q, row, p in _matched_rows(labelled, labelled, n, pair_symbol):
+        for k, t, j in row:
+            k += q
+            j += p
+            toks[k].append(t)
+            ends[k].append(j)
+            starts[j].append(k)
+    live = sorted(_infinite_past(ends, starts) & _infinite_past(starts, ends))
+    index = dict(zip(live, range(len(live))))
+    out, off_edges = [], []
+    succ, pred, into, dsucc, dpred = ([[] for _ in live] for _ in range(5))
+    for q, old in enumerate(live):
+        row = []
+        for t, p in zip(toks[old], ends[old]):
+            if p in index:
+                p = index[p]
+                row.append((t, p))
+                succ[q].append(p)
+                pred[p].append(q)
+                into[p].append((t, q))
+                if t[0] != t[1]:
+                    off_edges.append((q, t, p))
+                else:
+                    dsucc[q].append(p)
+                    dpred[p].append(q)
+        out.append(tuple(row))
+    return _DiagonalView(tuple(out), succ, pred, into, tuple(off_edges),
                          _infinite_past(dsucc, dpred), _infinite_past(dpred, dsucc))
 
 
 @_per_object
 def off_diagonal_components(f: BlockMap) -> tuple[tuple[tuple, tuple[int, ...], int], ...]:
-    """The strongly connected components of ``f.kernel_graph`` with an
+    """The strongly connected components of the kernel graph with an
     off-diagonal edge inside them, in the order of their first such edge
     in ``off_edges``: that edge ``(q, token, p)``, the nodes of the
     component and its graph period.  One SCC pass per map, made only when
@@ -703,7 +719,7 @@ def _cycle_through(view: _DiagonalView, edge: tuple[int, str, int]) -> Word:
 
 
 def mixing_petals(f: BlockMap) -> tuple[Word, Word] | None:
-    """Two closed walks ``(w1, w2)`` of ``f.kernel_graph`` from one node,
+    """Two closed walks ``(w1, w2)`` of the kernel graph from one node,
     of coprime lengths, the first starting with an off-diagonal edge; None
     when every component with an off-diagonal edge inside it has graph
     period 2 or more.

@@ -27,7 +27,7 @@ from __future__ import annotations
 from functools import cached_property
 from math import gcd
 
-from .errors import check_budget
+from .errors import budget, check_budget
 from .records import record
 
 Word = tuple[str, ...]
@@ -339,13 +339,16 @@ def walk(rows, start, n: int):
 
 def words_of_length(dfa: Dfa, n: int):
     """All accepted words of length exactly n, lexicographic in symbol order."""
-    count = count_words(dfa, n)
-    if count > 0:
-        check_budget(count, "word enumeration")
+    check_budget(count_words(dfa, n, budget()), "word enumeration")
     return [word for word, q in walk(dfa.trans, dfa.init, n) if q in dfa.accepting]
 
 
-def count_words(dfa: Dfa, n: int) -> int:
+def count_words(dfa: Dfa, n: int, cap: int | None = None) -> int:
+    """The number of accepted words of length n; with ``cap``, a number past
+    it once a walk to length n is seen to take more steps: n itself, before
+    any counting, or the paths of the first length that outnumber it."""
+    if cap is not None and n > cap:
+        return n
     vec = {dfa.init: 1}
     for _ in range(n):
         nxt: dict[int, int] = {}
@@ -353,6 +356,8 @@ def count_words(dfa: Dfa, n: int) -> int:
             for _, p in dfa.trans[q]:
                 nxt[p] = nxt.get(p, 0) + c
         vec = nxt
+        if cap is not None and sum(vec.values()) > cap:
+            return sum(vec.values())
     return sum(c for q, c in vec.items() if q in dfa.accepting)
 
 

@@ -95,7 +95,7 @@ def is_monic(f: BlockMap, cat: CategoryTag) -> v.Verdict:
 
 def _monic_m2(f: BlockMap) -> v.Verdict:
     """Monic in M2 exactly when Ker f has no mixing constituent other than
-    the diagonal Δ, decided on ``f.kernel_graph``: NO exactly when some
+    the diagonal Δ, decided on the kernel graph: NO exactly when some
     strongly connected component has an off-diagonal edge inside it and
     graph period 1.
 

@@ -313,14 +313,14 @@ def main(argv=None) -> int:
     except SdcatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 64
     except BrokenPipeError:
         # the reader is gone: point stdout at devnull so that the flush at
         # interpreter exit does not raise again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 74
+    except (OSError, UnicodeDecodeError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 64
 
 
 if __name__ == "__main__":

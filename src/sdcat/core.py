@@ -20,12 +20,12 @@ product, the fiber product and the intersection.  An SFT is the graph of
 its avoidance automaton, an SFT approximation that of its allowed words.
 
 Questions that only ask whether some bi-infinite path exists need no
-canonical form.  :func:`image_graph` and :func:`fiber_graph` are labeled
-graphs whose every node lies on a bi-infinite path: the image graph
-relabels a window graph, which has no other node, and the fiber graph is
-trimmed to them.  Surjectivity reads the image graph, and injectivity,
-preinjectivity and resolvingness read ``BlockMap.kernel_graph``.  ``BlockMap.image`` and ``BlockMap.kernel``
-canonicalize those graphs only when a question about their language asks.
+canonical form.  Surjectivity reads :func:`image_graph`, a relabelled
+window graph, whose every node lies on a bi-infinite path; injectivity,
+preinjectivity and resolvingness read ``analysis._diagonal_view``, which
+trims the pairs of :func:`_matched_rows` as it renumbers them.
+``BlockMap.image`` and ``BlockMap.kernel`` canonicalize only when a
+question about their language asks.
 
 A block map's rule is ``values``, one symbol per source window in words
 order, frozen by :func:`_block_map` (composites by :func:`compose`).
@@ -430,20 +430,26 @@ def _matched_edges(edges1, edges2, n2: int, token) -> list[tuple[int, str, int]]
     """The one product of two graphs, whose edges are ``(src, key, label,
     dst)``: each edge of the first meets, in order, each edge of the second
     with the same key, giving the edge ``(src1 * n2 + src2, token(label1,
-    label2), dst1 * n2 + dst2)``.  Each token is made once per (key, label)
+    label2), dst1 * n2 + dst2)``."""
+    return [(q + k2, t, p + t2) for q, row, p in _matched_rows(edges1, edges2, n2, token)
+            for k2, t, t2 in row]
+
+
+def _matched_rows(edges1, edges2, n2: int, token):
+    """The pairing under :func:`_matched_edges`: for each edge of the first
+    graph in order, ``(src1 * n2, row, dst1 * n2)`` with ``row`` the
+    ``(src2, token, dst2)`` of the edges of the second with its key, in
+    order.  Each row, and so each token, is made once per (key, label)
     pair."""
     buckets: dict = {}
     for k2, key, b, t2 in edges2:
         buckets.setdefault(key, []).append((k2, b, t2))
     labelled: dict = {}
-    edges = []
     for k1, key, a, t1 in edges1:
         row = labelled.get((key, a))
         if row is None:
             row = labelled[key, a] = [(k2, token(a, b), t2) for k2, b, t2 in buckets.get(key, ())]
-        q, p = k1 * n2, t1 * n2
-        edges += [(q + k2, t, p + t2) for k2, t, t2 in row]
-    return edges
+        yield k1 * n2, row, t1 * n2
 
 
 @_per_object
@@ -658,17 +664,11 @@ class BlockMap:
         return rule_image(self.source, self.radius, self.rule_dict, self.target.alphabet)
 
     @cached_property
-    def kernel_graph(self):
-        """The fiber graph of the map with itself, which presents its
-        kernel pair; the kernel questions of ``analysis`` read it."""
-        return fiber_graph(self, self)
-
-    @cached_property
     def kernel(self) -> Presentation:
         """Pairs of source points with equal image, over the pair alphabet:
-        the canonical form of ``kernel_graph``, built only when a question
-        about its language asks for it."""
-        return presentation_from_edges(*self.kernel_graph)
+        the canonical fiber product of the map with itself, built only when
+        a question about its language asks for it."""
+        return fiber_presentation(self, self)
 
     def width(self) -> int:
         return 2 * self.radius + 1
@@ -713,18 +713,21 @@ def rule_image(source: Presentation, radius: int, rule: dict[Word, str], alphabe
 
 def fiber_graph(f: BlockMap, g: BlockMap):
     """{(x, y) : f(x) = g(y)} as a labeled graph ``(alphabet, n, edges)``:
-    ``(src, token, dst)`` edges over the pair alphabet of the two sources,
-    on the nodes ``range(n)``, each of which lies on a bi-infinite path.
-    Several edges out of one node may carry the same token.
+    the :func:`_matched_edges` product of the two window graphs, with
+    ``(src, token, dst)`` edges over the pair alphabet of the two sources.
+    It is not trimmed, so a node may lie on no bi-infinite path."""
+    n1, n2, labelled1, labelled2 = _fiber_sides(f, g)
+    alphabet = product_alphabet(f.source.alphabet, g.source.alphabet)
+    return alphabet, n1 * n2, _matched_edges(labelled1, labelled2, n2, pair_symbol)
 
-    The window edges of both maps are keyed by output symbol and labelled
-    by the center of their window for :func:`_matched_edges`, then trimmed
-    to the nodes on bi-infinite paths.
-    """
+
+def _fiber_sides(f: BlockMap, g: BlockMap):
+    """The node counts of the two window graphs of the fiber product and
+    their edges ``(k, output, center, t)``, keyed by output symbol and
+    labelled by the center of their window for :func:`_matched_rows`."""
     if f is not g and not f.target.language_equal(g.target):
         raise DomainMismatch("fiber product needs a common target")
     x, y = f.source, g.source
-    alphabet = product_alphabet(x.alphabet, y.alphabet)
     r = max(f.radius, g.radius)
     fr, gr = f.padded_rule(r), g.padded_rule(r)
     nodes1, edges1 = window_graph(x, 2 * r + 1)
@@ -733,10 +736,7 @@ def fiber_graph(f: BlockMap, g: BlockMap):
     check_budget(max(1, n1) * max(1, n2), "fiber product")
     labelled1 = [(k, fr[w], w[r], t) for k, w, t in edges1]
     labelled2 = labelled1 if f is g else [(k, gr[w], w[r], t) for k, w, t in edges2]
-    edges = _matched_edges(labelled1, labelled2, n2, pair_symbol)
-    index = {q: i for i, q in enumerate(sorted(_live_nodes(n1 * n2, edges)))}
-    edges = tuple((index[q], t, index[p]) for q, t, p in edges if q in index and p in index)
-    return alphabet, len(index), edges
+    return n1, n2, labelled1, labelled2
 
 
 def fiber_presentation(f: BlockMap, g: BlockMap) -> Presentation:

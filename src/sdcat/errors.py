@@ -60,4 +60,6 @@ def set_budget(value: int | None) -> None:
 def check_budget(size: int, what: str) -> None:
     limit = budget()
     if size > limit:
-        raise BudgetExceeded(f"{what}: size {size} exceeds budget {limit}")
+        # Python refuses to print an int of more than 4300 digits
+        shown = size if size.bit_length() <= 64 else f"of {size.bit_length()} bits"
+        raise BudgetExceeded(f"{what}: size {shown} exceeds budget {limit}")

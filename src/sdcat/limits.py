@@ -23,7 +23,7 @@ from .core import (
     _block_map,
     _per_object,
 )
-from .errors import BudgetExceeded, DomainMismatch, ValidationError, check_budget
+from .errors import BudgetExceeded, DomainMismatch, ValidationError, budget, check_budget
 from .records import record
 
 RESTRICTIONS = ("K", "T", "M", "P")
@@ -357,7 +357,7 @@ def forced_values(f: BlockMap, g: BlockMap, rho: int) -> dict | None:
     # the slices of a word that are the source windows under u's window
     cuts = [slice(k, k + fw) for k in range(big - f.radius - rho, big - f.radius + rho + 1)]
     local, glocal, dfa = f.rule_dict, g.rule_dict, f.source.dfa
-    check_budget(au.count_words(dfa, n), "word enumeration")
+    check_budget(au.count_words(dfa, n, budget()), "word enumeration")
     values: dict = {}
     for word, q in au.walk(dfa.trans, dfa.init, n):
         if q in dfa.accepting:

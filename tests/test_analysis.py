@@ -157,6 +157,21 @@ class TestPeriods:
         # a map full -> orbit01 cannot exist; the period sets show why
         assert an.periods(full2).first_not_in(an.periods(orbit01)) == 1
 
+    def test_period_inclusion_is_kept_per_pair_of_shifts(self, monkeypatch):
+        # fresh shifts, so no inclusion is kept from another test
+        x = full_shift(["0", "1"])
+        y = full_shift(["0", "1", "2"])
+        calls = []
+        real = an.PeriodSet.first_not_in
+        monkeypatch.setattr(an.PeriodSet, "first_not_in",
+                            lambda self, other: calls.append(other) or real(self, other))
+        f = make_block_map(x, y, 0, {("0",): "0", ("1",): "1"})
+        g = make_block_map(x, y, 0, {("0",): "2", ("1",): "2"})
+        assert an.is_peric(f).yes and len(calls) == 1
+        assert an.is_peric(g) is an.is_peric(f)
+        assert len(calls) == 1
+        assert an.period_inclusion(y, x).yes and len(calls) == 2
+
     def test_peric_vacuous_on_empty_source(self, orbit01):
         from sdcat.core import empty_shift
 

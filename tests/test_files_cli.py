@@ -5,6 +5,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -451,6 +452,33 @@ class TestCli:
             errors.set_budget(None)
         assert code == 69
         capsys.readouterr()
+
+    @pytest.mark.parametrize("argv, text, code", [
+        (["analyze", "adir"], None, 64),
+        (["check", "epic", "in_dir.bmap"], "source: adir\ntarget: golden.shift\nradius: 1\n", 64),
+        (["analyze", "bytes.shift"], None, 64),
+        # golden-mean maps with no rules: the word count of width 2r + 1
+        # has some 41,800 digits at r = 100,000
+        (["check", "epic", "wide.bmap"], "radius: 100000", 69),
+        (["check", "epic", "wide.bmap"], "radius: 1000000", 69),
+        (["check", "epic", "wide.bmap"], "radius: 100000000000000000000", 69),
+    ], ids=["directory", "bmap-source-is-a-directory", "not-utf-8", "radius-1e5", "radius-1e6",
+            "radius-1e20"])
+    def test_bad_input_exits_at_once(self, workdir, capsys, argv, text, code):
+        (workdir / "adir").mkdir()
+        (workdir / "bytes.shift").write_bytes(b"\xff\xfe")
+        if argv[-1] == "wide.bmap":
+            text = f"source: golden.shift\ntarget: golden.shift\n{text}\n"
+        if text:
+            (workdir / argv[-1]).write_text(text)
+        category = ["--category", "K2"] if argv[0] == "check" else []
+        t0 = time.perf_counter()
+        got = main([*argv[:-1], str(workdir / argv[-1]), *category])
+        elapsed = time.perf_counter() - t0
+        err = capsys.readouterr().err
+        assert got == code
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert elapsed < 1.0
 
     def test_internal_error_exit(self, workdir, capsys, monkeypatch):
         from sdcat import classify as cl

@@ -62,6 +62,7 @@ from sdcat.core import (
     PeriodicPoint,
     _block_conjugacy,
     _center_index,
+    _infinite_past,
     _live_nodes,
     _orbit_ends,
     _window_table,
@@ -2458,6 +2459,62 @@ def _old_fiber_graph(f, g):
     return alphabet, len(index), edges
 
 
+def _trimmed(graph):
+    """A fiber graph trimmed to its nodes on bi-infinite paths and
+    renumbered in node order, as ``fiber_graph`` once returned it."""
+    alphabet, n, edges = graph
+    index = {q: i for i, q in enumerate(sorted(_live_nodes(n, edges)))}
+    return alphabet, len(index), tuple((index[q], t, index[p]) for q, t, p in edges
+                                       if q in index and p in index)
+
+
+def _old_diagonal_view(f):
+    """Reference: the diagonal view read off the trimmed fiber graph of
+    ``f`` with itself in a pass of its own."""
+    _, n, edges = _old_fiber_graph(f, f)
+    out = [[] for _ in range(n)]
+    for q, t, p in edges:
+        out[q].append((t, p))
+    succ, pred, into = [[] for _ in range(n)], [[] for _ in range(n)], [[] for _ in range(n)]
+    dsucc, dpred = [[] for _ in range(n)], [[] for _ in range(n)]
+    off_edges = []
+    for q, row in enumerate(out):
+        for t, p in row:
+            succ[q].append(p)
+            pred[p].append(q)
+            into[p].append((t, q))
+            if t[0] != t[1]:
+                off_edges.append((q, t, p))
+            else:
+                dsucc[q].append(p)
+                dpred[p].append(q)
+    return an._DiagonalView(tuple(map(tuple, out)), succ, pred, into, tuple(off_edges),
+                            _infinite_past(dsucc, dpred), _infinite_past(dpred, dsucc))
+
+
+def _check_diagonal_view(f):
+    """The view built in the pass that pairs the windows, field by field
+    against the reference."""
+    got, want = an._diagonal_view(f), _old_diagonal_view(f)
+    for name in ("out", "succ", "pred", "into", "off_edges", "backward", "forward"):
+        assert getattr(got, name) == getattr(want, name), name
+
+
+class TestOnePassDiagonalView:
+    def test_census_views_match_the_trimmed_fiber_graph(self):
+        for f in _census_maps():
+            _check_diagonal_view(f)
+
+    def test_ladder_views_match_the_trimmed_fiber_graph(self):
+        for f in _ladder_pool():
+            _check_diagonal_view(f)
+
+    @given(sofic_maps())
+    @settings(max_examples=150, deadline=None)
+    def test_sampled_views_match_the_trimmed_fiber_graph(self, f):
+        _check_diagonal_view(f)
+
+
 def _old_higher_block(x, w):
     nodes, rows = _old_window_rows(x, w)
     tokens = sorted({win for k in range(len(nodes)) for win in rows[k]})
@@ -2537,8 +2594,8 @@ class TestKeptEdges:
         for m in (f, h):
             args = (m.source, m.radius, m.rule_dict, m.target.alphabet)
             assert _nfa_form(image_graph(*args)) == _nfa_form(_old_image_graph(*args))
-        assert fiber_graph(f, h) == _old_fiber_graph(f, h)
-        assert fiber_graph(f, f) == _old_fiber_graph(f, f)
+        assert _trimmed(fiber_graph(f, h)) == _old_fiber_graph(f, h)
+        assert _trimmed(fiber_graph(f, f)) == _old_fiber_graph(f, f)
         good, allw = _old_engine_edges(f)
         rows = [{} for _ in range(cl._symbol_recoding(f)[0].source.n_live())]
         for q, sym, q2 in good:
@@ -2613,10 +2670,7 @@ class TestStronglyConnectedComponents:
             assert period == _old_graph_period(comp, _inside(succs, comp))
 
     def _check_off_diagonal_periods(self, f):
-        _, n, edges = f.kernel_graph
-        succs = [[] for _ in range(n)]
-        for q, _, p in edges:
-            succs[q].append(p)
+        succs = an._diagonal_view(f).succ
         for _, nodes, period in an.off_diagonal_components(f):
             assert period == _old_graph_period(nodes, _inside(succs, nodes))
 
