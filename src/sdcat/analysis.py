@@ -18,7 +18,12 @@ least window are read off the pairs of follower sets, ``_memory_window``,
 and only a shift that is none is searched for a witness.  The period set
 explores the syntactic monoid once, as partial word actions on the
 canonical automaton, and keeps its size; cycles are found by the peel of
-``core._orbit_ends``.
+``core._orbit_ends``.  Following a step until a value repeats is one
+routine, ``_orbit``, charged to the budget: the period set follows the
+element sets of each word length, and the witness search the state sets
+of u w^n, each membership pattern a ``PeriodSet``; the search also charges
+the mid words and class pairs it tries.  An SCC subshift's period is that
+of the sink component of its own automaton, the Fischer cover.
 
 The injectivity family, preinjectivity and resolvingness ask whether the
 kernel pair has a bi-infinite path with a given label pattern, so they
@@ -67,7 +72,7 @@ from .core import (
     _per_object,
     _tails,
 )
-from .errors import BudgetExceeded, DomainMismatch, InternalError, ValidationError, check_budget
+from .errors import BudgetExceeded, DomainMismatch, InternalError, ValidationError, budget, check_budget
 from .records import record, uncompared
 
 EP_MID_WORD_CAP = 4000
@@ -113,9 +118,8 @@ def swap_relation(r: SubshiftRelation) -> SubshiftRelation:
 def relation_projections(r: SubshiftRelation):
     """The two coordinate block maps out of the relation."""
     pres = r.presentation
-    live = [t for t in pres.alphabet if pres.contains_word((t,))]
-    return (make_block_map(pres, r.left, 0, {(t,): t[0] for t in live}),
-            make_block_map(pres, r.right, 0, {(t,): t[1] for t in live}))
+    return (make_block_map(pres, r.left, 0, {(t,): t[0] for t in pres.live_symbols}),
+            make_block_map(pres, r.right, 0, {(t,): t[1] for t in pres.live_symbols}))
 
 
 def equalizer_set(f: BlockMap, g: BlockMap) -> Presentation:
@@ -171,12 +175,13 @@ def cycle_components(x: Presentation) -> tuple[tuple[tuple[int, ...], Presentati
     """(component, subshift) for each SCC of the essential graph that
     carries an internal edge, that is whose graph period is nonzero.
 
-    Each subshift's ``shift_period`` is kept from its component: an
-    irreducible right-resolving presentation minimizes to the unique
-    follower-separated one (Lind & Marcus, Section 3.3), so minimizing the
-    component as a partial DFA, all states accepting, gives the graph whose
-    period ``shift_period`` would find on the subshift's own presentation.
-    That graph, a quotient of a strongly connected one, is one component.
+    Each subshift's ``shift_period`` is kept from its own canonical
+    automaton.  The subshift is irreducible, so the follower sets of its
+    synchronizing words are that automaton's one sink component, which
+    every state reaches: the Fischer cover, its unique follower-separated
+    irreducible right-resolving presentation (Lind & Marcus, Section
+    3.3).  Tarjan's pass emits a sink component first, and its graph
+    period is the one ``shift_period`` would find.
     """
     out = []
     sccs = au.strongly_connected_components(range(x.n_live()), lambda i: x.live_trans[i].values())
@@ -184,11 +189,8 @@ def cycle_components(x: Presentation) -> tuple[tuple[tuple[int, ...], Presentati
         if not graph_period:
             continue
         sub = scc_subshift(x, comp)
-        idx = {q: i for i, q in enumerate(comp)}
-        trans = [{a: idx[p] for a, p in x.live_trans[q].items() if p in idx} for q in comp]
-        m = au.minimize(au.make_dfa(x.alphabet, trans, 0, range(len(comp))))
-        [(_, period)] = au.strongly_connected_components(
-            range(m.n), lambda q: [p for _, p in m.trans[q]])
+        (_, period), *_ = au.strongly_connected_components(
+            range(sub.dfa.n), lambda q: [p for _, p in sub.dfa.trans[q]])
         vars(sub)[shift_period.key] = period
         out.append((tuple(comp), sub))
     return tuple(out)
@@ -269,6 +271,13 @@ class PeriodSet:
     def residues(self) -> list[int]:
         return sorted({(self.threshold + i) % self.modulus for i, f in enumerate(self.eventual) if f})
 
+    @classmethod
+    def of_orbit(cls, flags, t: int) -> "PeriodSet":
+        """The n >= 1 with ``flags[n - 1]``, the flags repeating from
+        index ``t`` on, as an :func:`_orbit` gives them."""
+        return cls(t + 1, len(flags) - t, frozenset(n + 1 for n in range(t) if flags[n]),
+                   tuple(flags[t:]))
+
     def first_not_in(self, other: "PeriodSet") -> int | None:
         bound = max(self.threshold, other.threshold) + math.lcm(self.modulus, other.modulus)
         for n in range(1, bound + 1):
@@ -302,17 +311,21 @@ def periods(x: Presentation) -> PeriodSet:
             cyclic[k] = bool(_orbit_ends(elements[k])[0])
         return cyclic[k]
 
-    seen: dict[frozenset[int], int] = {}
-    flags: list[bool] = []
-    current = frozenset(rows[0].values())
-    while current not in seen:
-        seen[current] = len(flags)
-        flags.append(any(map(has_cycle, current)))
-        check_budget(len(flags), "period recurrence")
-        current = frozenset(p for k in current for p in rows[k].values())
-    t = seen[current]
-    return PeriodSet(t + 1, len(flags) - t, frozenset(n + 1 for n in range(t) if flags[n]),
-                     tuple(flags[t:]))
+    sets, t = _orbit(frozenset(rows[0].values()), lambda ks: frozenset(
+        p for k in ks for p in rows[k].values()), "period recurrence")
+    return PeriodSet.of_orbit([any(map(has_cycle, ks)) for ks in sets], t)
+
+
+def _orbit(start, step, what: str) -> tuple[list, int]:
+    """``start``, ``step(start)``, ... up to the first value that repeats,
+    and the index where that value first stood; each value counts against
+    the work budget under ``what``."""
+    seen: dict = {}
+    while start not in seen:
+        seen[start] = len(seen)
+        check_budget(len(seen), what)
+        start = step(start)
+    return list(seen), seen[start]
 
 
 @_per_object
@@ -483,11 +496,14 @@ def _non_subsft_witness(inner: Presentation, outer: Presentation):
                 return
             yield from inner.periodic_words(n)
 
+    # the mid words listed and the class pairs tried, against the budget
+    work = 0
     for w in pool():
         ei, fd = _tails(inner, w)
         if not ei:
             continue
         us = _ep_mid_words(inner, ei, fd, max_uv)
+        work += len(us)
         if not us:
             continue
         fws = acts(w)
@@ -501,9 +517,17 @@ def _non_subsft_witness(inner: Presentation, outer: Presentation):
             if starts in seen:
                 continue
             seen.add(starts)
-            runs = [_ep_state_sets(s, f) for s, f in zip(starts, fws)]
+            runs = [_orbit(s, partial(_image, f), "membership pattern")
+                    for s, f in zip(starts, fws)]
             for v_acts, vv in vs.items():
-                wit = _check_uv_witness(runs, [f for _, f in tails], v_acts)
+                work += 1
+                if work > budget():
+                    return None
+                # n + 1 is in a shift's pattern when v takes the states of
+                # u w^n into those where w is forever defined there
+                wit = _check_uv_witness(*(
+                    PeriodSet.of_orbit([any(act[q] in fd for q in s) for s in sets], t)
+                    for (sets, t), (_, fd), act in zip(runs, tails, v_acts)))
                 if wit is not None:
                     return {"u": u, "w": w, "v": vv, **wit}
     return None
@@ -539,47 +563,16 @@ def _image(act, states) -> frozenset[int]:
     return frozenset(act[q] for q in states) - {au.UNDEF}
 
 
-def _ep_state_sets(start: frozenset[int], fw):
-    """The state sets that w^n takes ``start`` to, w acting as ``fw``, for
-    n = 0.. up to the first repeat; returns (preperiod, period, sets)."""
-    states = start
-    seen = {states: 0}
-    sets = [states]
-    n = 0
-    while True:
-        n += 1
-        check_budget(n, "membership pattern")
-        states = _image(fw, states)
-        if states in seen:
-            return seen[states], n - seen[states], sets
-        seen[states] = n
-        sets.append(states)
-
-
-def _check_uv_witness(runs, fds, acts):
-    """``n`` and ``step`` of a witness, or None, from the state sets
-    ``runs`` of u w^n after the w-tails in the inner and outer shift, the
-    states ``fds`` on which w is forever defined there and the actions
-    ``acts`` of v: the point ...w w . u w^n v w w... lies in a shift when v
-    takes its set at n into its ``fd``."""
-    (pre_i, per_i, flags_i), (pre_o, per_o, flags_o) = (
-        (pre, per, [any(act[q] in fd for q in s) for s in sets])
-        for (pre, per, sets), fd, act in zip(runs, fds, acts)
-    )
-
-    def mem(flags, pre, per, n):
-        if n < len(flags):
-            return flags[n]
-        return flags[pre + (n - pre) % per]
-
-    lim = max(pre_i + per_i, pre_o + per_o) + per_i * per_o
-    for n in range(max(pre_i, pre_o), lim + 1):
-        if mem(flags_o, pre_o, per_o, n) and not mem(flags_i, pre_i, per_i, n):
-            # recurs along the eventual period
-            n2 = n + math.lcm(per_i, per_o)
-            if mem(flags_o, pre_o, per_o, n2) and not mem(flags_i, pre_i, per_i, n2):
-                return {"n": n, "step": math.lcm(per_i, per_o)}
-    return None
+def _check_uv_witness(inner: PeriodSet, outer: PeriodSet):
+    """``n`` and ``step`` of a witness, or None, from the membership
+    patterns of u w^n v in the inner and outer shift, ``n + 1`` standing
+    for n.  Both are periodic past the larger threshold, with the lcm of
+    their moduli as a common period, so one such period holds the least n
+    that leaves ``inner`` for arbitrarily large n, if any does."""
+    lo = max(inner.threshold, outer.threshold)
+    step = math.lcm(inner.modulus, outer.modulus)
+    n = next((n for n in range(lo, lo + step) if outer.contains(n) and not inner.contains(n)), None)
+    return None if n is None else {"n": n - 1, "step": step}
 
 
 # ---------------------------------------------------------------------------
@@ -816,14 +809,11 @@ def _bfs_path(start: int, succ, stop) -> tuple[Word, int]:
 def _walk_to_cycle(q: int, step) -> tuple[Word, Word]:
     """Follow the ``(token, node)`` edge ``step(q)`` from ``q`` until a
     node repeats: the tokens up to the first node of the cycle so closed,
-    and the tokens of the cycle."""
-    seen: dict[int, int] = {}
-    tokens: list[str] = []
-    while q not in seen:
-        seen[q] = len(tokens)
-        t, q = step(q)
-        tokens.append(t)
-    return tuple(tokens[:seen[q]]), tuple(tokens[seen[q]:])
+    and the tokens of the cycle.  The walk is no longer than the kernel
+    graph, whose size the fiber product has charged."""
+    nodes, t = _orbit(q, lambda q: step(q)[1], "witness walk")
+    tokens = tuple(step(q)[0] for q in nodes)
+    return tokens[:t], tokens[t:]
 
 
 def _pair_witness(view: _DiagonalView, i: int, tok: str, j: int, diamond: bool):

@@ -185,9 +185,8 @@ def _symbol_recoding(f: BlockMap):
     f0, to_blocks, from_blocks = recode_to_symbol_map(f)
     xb = f0.source
     pre: dict[str, list[str]] = {}
-    for t in xb.alphabet:
-        if xb.contains_word((t,)):
-            pre.setdefault(f0.local((t,)), []).append(t)
+    for t in xb.live_symbols:
+        pre.setdefault(f0.local((t,)), []).append(t)
     return f0, to_blocks, from_blocks, pre
 
 
@@ -553,7 +552,7 @@ def find_retraction(f: BlockMap, radius_cap: int = DEFAULT_RADIUS_CAP, pointed: 
     x, y = f.source, f.target
     if x.is_empty():
         return make_block_map(y, x, 0, {}, validate_image=False) if y.is_empty() else None
-    xsyms = tuple(a for a in x.alphabet if x.contains_word((a,)))
+    xsyms = x.live_symbols
     for rho in range(0, radius_cap + 1):
         forced = li.forced_values(f, identity_map(x), rho)
         if forced is None:

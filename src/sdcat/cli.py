@@ -173,7 +173,7 @@ def _cmd_build(args) -> int:
         save_shift(res.object, args.out)
         report["object_file"] = args.out
         for i, leg in enumerate(res.legs, start=1):
-            leg_path = args.out.rsplit(".", 1)[0] + f".leg{i}.bmap"
+            leg_path = os.path.splitext(args.out)[0] + f".leg{i}.bmap"
             save_bmap(leg, leg_path)
             report.setdefault("legs", []).append(leg_path)
     _emit(report, args.json)
@@ -318,7 +318,7 @@ def main(argv=None) -> int:
         # interpreter exit does not raise again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 74
-    except (OSError, UnicodeDecodeError) as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 64
 

@@ -149,6 +149,11 @@ class Presentation:
         return frozenset(self.alphabet)
 
     @cached_property
+    def live_symbols(self) -> tuple[str, ...]:
+        """The symbols that some point reads, in alphabet order."""
+        return tuple(a for a in self.alphabet if self.contains_word((a,)))
+
+    @cached_property
     def edges(self) -> tuple[tuple[int, str, int], ...]:
         """The ``(src, symbol, dst)`` edges of the essential part, in
         ``live_trans`` order."""
@@ -794,14 +799,14 @@ def _block_map(source: Presentation, target: Presentation, radius: int, values: 
 
 
 def identity_map(x: Presentation) -> BlockMap:
-    return make_block_map(x, x, 0, {(a,): a for a in x.alphabet if x.contains_word((a,))},
+    return make_block_map(x, x, 0, {(a,): a for a in x.live_symbols},
                           validate_image=False)
 
 
 def constant_map(x: Presentation, y: Presentation, sym: str) -> BlockMap:
     if not y.contains_periodic((sym,)):
         raise ValidationError(f"constant {sym!r} is not a uniform point of the target")
-    return make_block_map(x, y, 0, {(a,): sym for a in x.alphabet if x.contains_word((a,))},
+    return make_block_map(x, y, 0, {(a,): sym for a in x.live_symbols},
                           validate_image=False)
 
 

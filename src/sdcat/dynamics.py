@@ -175,8 +175,7 @@ def nilpotency_index(f: BlockMap, cap: int = 8) -> int | None:
         except BudgetExceeded:
             return None
         img = an.image(fn)
-        if img.n_live() == 1 and len([a for a in img.alphabet if img.contains_word((a,))]) == 1 \
-                and img.count_words(2) == 1:
+        if img.n_live() == 1 and len(img.live_symbols) == 1 and img.count_words(2) == 1:
             return n
         if img.language_equal(current):
             return None

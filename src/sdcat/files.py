@@ -149,9 +149,18 @@ def parse_shift(text: str) -> Presentation:
     return make_presentation(alphabet, "graph", (nodes, edges), point)
 
 
+def _read(path: str) -> str:
+    """The text of an input file; a file that is not UTF-8, or a path with
+    a null byte (a ``.bmap`` line may hold one), is a parse error."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except ValueError as exc:  # UnicodeDecodeError is one
+        raise ParseError(f"{path!r}: {exc}") from None
+
+
 def load_shift(path: str) -> Presentation:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_shift(fh.read())
+    return parse_shift(_read(path))
 
 
 def format_shift(x: Presentation) -> str:
@@ -217,9 +226,7 @@ def parse_bmap(text: str, base_dir: str = ".") -> BlockMap:
 
 
 def load_bmap(path: str) -> BlockMap:
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    return parse_bmap(text, base_dir=os.path.dirname(os.path.abspath(path)))
+    return parse_bmap(_read(path), base_dir=os.path.dirname(os.path.abspath(path)))
 
 
 def save_bmap(f: BlockMap, path: str) -> None:

@@ -140,7 +140,7 @@ def undecided_limit(reason, bound=None) -> LimitResult:
 def inclusion_map(sub: Presentation, sup: Presentation) -> BlockMap:
     if not sub.included_in(sup):
         raise ValidationError("inclusion: not a subshift")
-    rule = {(a,): a for a in sub.alphabet if sub.contains_word((a,))}
+    rule = {(a,): a for a in sub.live_symbols}
     return make_block_map(sub, sup, 0, rule, validate_image=False)
 
 
@@ -194,8 +194,8 @@ def coproduct(x: Presentation, y: Presentation, cat: CategoryTag) -> LimitResult
             f"disjoint union of nonempty shifts is never transitive, so it is not an object of {cat}"
         )
     u, lmap, rmap = disjoint_union(x, y)
-    i1 = make_block_map(x, u, 0, {(a,): lmap[a] for a in x.alphabet if x.contains_word((a,))})
-    i2 = make_block_map(y, u, 0, {(b,): rmap[b] for b in y.alphabet if y.contains_word((b,))})
+    i1 = make_block_map(x, u, 0, {(a,): lmap[a] for a in x.live_symbols})
+    i2 = make_block_map(y, u, 0, {(b,): rmap[b] for b in y.live_symbols})
     return exists(u, i1, i2)
 
 

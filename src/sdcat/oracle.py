@@ -34,7 +34,7 @@ def enumerate_block_maps(spec: EnumerationSpec):
     """All block maps of the given radius, in deterministic rule order."""
     src, tgt, r = spec.source, spec.target, spec.radius
     windows = src.words(2 * r + 1)
-    out_syms = sorted(a for a in tgt.alphabet if tgt.contains_word((a,)))
+    out_syms = sorted(tgt.live_symbols)
     check_budget(len(out_syms) ** len(windows), "block map enumeration")
     # the values are listed in words order, so they need no rule dict
     for values in iproduct(out_syms, repeat=len(windows)):

@@ -1,5 +1,7 @@
+import contextlib
 import itertools
 import math
+import signal
 
 import pytest
 
@@ -24,6 +26,23 @@ from sdcat.core import (
 )
 from sdcat import analysis as an
 from sdcat.errors import BudgetExceeded
+
+
+@contextlib.contextmanager
+def ceiling(seconds, what):
+    """Fail the test, rather than hang it, when the block runs past
+    ``seconds``: the alarm raises pytest's failure, which no handler in
+    ``src/`` catches."""
+    def expire(*_):
+        pytest.fail(f"{what} ran past {seconds} s")
+
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
 
 
 def shortest_accepted(dfa):

@@ -232,6 +232,26 @@ class TestIsSft:
         assert v.undecided and "follower sets" in v.note
         assert windows == []
 
+    def test_witness_search_stops_on_the_budget(self):
+        from conftest import ceiling
+        from sdcat.core import presentation_from_edges
+        from sdcat.errors import set_budget
+
+        # the mid words and class pairs of the witness search count against
+        # the budget; uncounted, this inclusion ran for over ten minutes
+        x = presentation_from_edges(("0", "1", "2"), 4, [
+            (0, "0", 2), (0, "2", 0), (1, "0", 3), (1, "1", 3), (1, "2", 2), (2, "0", 2),
+            (2, "1", 1), (2, "2", 3), (3, "0", 1), (3, "1", 3), (3, "2", 0)])
+        y = presentation_from_edges(("0", "1", "2"), 4, [
+            (0, "0", 2), (0, "2", 1), (1, "1", 2), (2, "2", 1), (3, "0", 0), (3, "2", 3)])
+        set_budget(20_000)
+        try:
+            with ceiling(30, "is_subsft_of"):
+                v = an.is_subsft_of(x, an.union_presentation(x, y))
+        finally:
+            set_budget(None)
+        assert v.yes and v.certificate == {"window": 8}
+
     def test_relative_subsft(self, golden, full2):
         assert an.is_subsft_of(golden, full2).yes
         # a shift is always a width-1 subSFT of itself

@@ -1,13 +1,17 @@
 """Interchange formats and the command-line surface."""
 
+import io
 import json
 import os
 import pathlib
 import subprocess
 import sys
+import tempfile
 import time
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import sdcat
 from sdcat import analysis as an
@@ -22,6 +26,8 @@ from sdcat.files import (
     save_shift,
 )
 from sdcat.errors import ParseError
+
+from conftest import ceiling
 
 
 GOLDEN_TEXT = """
@@ -341,6 +347,22 @@ class TestCli:
         assert an.image(leg).language_equal(load_shift(str(workdir / "golden.shift")))
         capsys.readouterr()
 
+    def test_build_writes_legs_beside_the_object_file(self, workdir, capsys, monkeypatch):
+        # the legs take the output path less its extension, and a dot in a
+        # directory name is no extension
+        monkeypatch.chdir(workdir)
+        (workdir / "res.d").mkdir()
+        before = set(workdir.iterdir())
+        code = main(["build", "product", "golden.shift", "golden.shift", "--category", "K3",
+                     "-o", "res.d/prod", "--json"])
+        assert code == 0
+        assert json.loads(capsys.readouterr().out)["legs"] == [
+            "res.d/prod.leg1.bmap", "res.d/prod.leg2.bmap"]
+        assert set(workdir.iterdir()) == before
+        assert sorted(p.name for p in (workdir / "res.d").iterdir()) == [
+            "prod", *(f"prod.leg{i}.{end}" for i in (1, 2)
+                      for end in ("bmap", "source.shift", "target.shift"))]
+
     def test_written_files_spell_pairs_as_before(self, workdir, capsys, golden):
         def build(op, *inputs, out):
             assert main(["build", op, *(str(workdir / a) for a in inputs), "--category", "K3",
@@ -457,13 +479,14 @@ class TestCli:
         (["analyze", "adir"], None, 64),
         (["check", "epic", "in_dir.bmap"], "source: adir\ntarget: golden.shift\nradius: 1\n", 64),
         (["analyze", "bytes.shift"], None, 64),
+        (["check", "epic", "bytes_source.bmap"], "source: bytes.shift\ntarget: golden.shift\nradius: 0\n", 64),
         # golden-mean maps with no rules: the word count of width 2r + 1
         # has some 41,800 digits at r = 100,000
         (["check", "epic", "wide.bmap"], "radius: 100000", 69),
         (["check", "epic", "wide.bmap"], "radius: 1000000", 69),
         (["check", "epic", "wide.bmap"], "radius: 100000000000000000000", 69),
-    ], ids=["directory", "bmap-source-is-a-directory", "not-utf-8", "radius-1e5", "radius-1e6",
-            "radius-1e20"])
+    ], ids=["directory", "bmap-source-is-a-directory", "not-utf-8", "bmap-source-not-utf-8",
+            "radius-1e5", "radius-1e6", "radius-1e20"])
     def test_bad_input_exits_at_once(self, workdir, capsys, argv, text, code):
         (workdir / "adir").mkdir()
         (workdir / "bytes.shift").write_bytes(b"\xff\xfe")
@@ -479,6 +502,9 @@ class TestCli:
         assert got == code
         assert err.startswith("error: ") and len(err.splitlines()) == 1
         assert elapsed < 1.0
+        # a file that is not UTF-8 is named, not only the codec's complaint
+        if "bytes.shift" in (text or argv[-1]):
+            assert str(workdir / "bytes.shift") in err
 
     def test_internal_error_exit(self, workdir, capsys, monkeypatch):
         from sdcat import classify as cl
@@ -654,3 +680,115 @@ class TestFileFields:
         assert main(["check", "epic", str(workdir / "x.bmap"), "--category", "K2"]) == 64
         err = capsys.readouterr().err
         assert err.startswith("error: ") and named in err
+
+
+# ---------------------------------------------------------------------------
+# Input-file fuzz: grammar-shaped files, now and then mutated, through main
+
+_SYMBOLS = ("0", "1", "2")
+
+
+@st.composite
+def _shift_lines(draw):
+    alphabet = draw(st.lists(st.sampled_from(_SYMBOLS), min_size=1, max_size=3, unique=True))
+    lines = [f"alphabet: {' '.join(alphabet)}"]
+    if draw(st.booleans()):
+        lines.append("kind: sft")
+        words = draw(st.lists(st.text("".join(alphabet), min_size=1, max_size=3), max_size=3))
+        if words:
+            lines.append("forbidden: " + " ".join(words))
+    else:
+        n = draw(st.integers(1, 3))
+        lines += ["kind: graph", "node: " + " ".join(f"n{i}" for i in range(n))]
+        edges = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1),
+                                        st.sampled_from(alphabet)), max_size=7, unique=True))
+        lines += [f"edge: n{i} n{j} {a}" for i, j, a in edges]
+    if draw(st.integers(0, 3)) == 0:
+        lines.append(f"point: {draw(st.sampled_from(alphabet))}")
+    return alphabet, lines
+
+
+@st.composite
+def _bmap_lines(draw, source, target, target_name):
+    radius = draw(st.integers(0, 1))
+    windows = st.text("".join(source), min_size=2 * radius + 1, max_size=2 * radius + 1)
+    rules = draw(st.dictionaries(windows, st.sampled_from(target), max_size=6))
+    lines = ["source: a.shift", f"target: {target_name}", f"radius: {radius}"]
+    lines += [f"rule: {w} -> {t}" for w, t in rules.items()]
+    if draw(st.integers(0, 3)):
+        lines.append(f"default: {draw(st.sampled_from(target))}")
+    return lines
+
+
+@st.composite
+def _mutated(draw, lines):
+    """The file's bytes; one time in eight with one mutation: a line
+    dropped or repeated, two tokens swapped, or a stray byte."""
+    lines = list(lines)
+    how = draw(st.integers(0, 31))
+    k = draw(st.integers(0, len(lines) - 1))
+    if how == 1:
+        del lines[k]
+    elif how == 2:
+        lines.insert(k, lines[k])
+    elif how == 3:
+        tokens = [(i, j) for i, line in enumerate(lines) for j in range(len(line.split()))]
+        (i1, j1), (i2, j2) = draw(st.lists(st.sampled_from(tokens), min_size=2, max_size=2))
+        split = [line.split() for line in lines]
+        split[i1][j1], split[i2][j2] = split[i2][j2], split[i1][j1]
+        lines = [" ".join(words) for words in split]
+    data = ("\n".join(lines) + "\n").encode()
+    if how == 4:
+        at = draw(st.integers(0, len(data)))
+        stray = draw(st.sampled_from([b"\xff", b"\x00", b":", b"#", b",", b"(", b">", b" ", b"\n"]))
+        data = data[:at] + stray + data[at:]
+    return data
+
+
+@st.composite
+def _input_files(draw):
+    a_alphabet, a = draw(_shift_lines())
+    b_alphabet, b = draw(_shift_lines())
+    to_b = draw(st.booleans())
+    m = draw(_bmap_lines(a_alphabet, b_alphabet if to_b else a_alphabet,
+                         "b.shift" if to_b else "a.shift"))
+    return {name: draw(_mutated(lines)) for name, lines in
+            (("a.shift", a), ("b.shift", b), ("m.bmap", m))}
+
+
+_FUZZ_COMMANDS = [
+    ["analyze", "a.shift"],
+    ["check", "epic", "m.bmap", "--category", "K2"],
+    ["check", "monic", "m.bmap", "--category", "K3"],
+    ["check", "injective", "m.bmap", "--category", "K3"],
+    ["check", "preinjective", "m.bmap", "--category", "K2"],
+    ["check", "regular-monic", "m.bmap", "--category", "K3"],
+    ["check", "split-epic", "m.bmap", "--category", "K2"],
+    ["check", "exists-morphism", "a.shift", "b.shift", "--category", "K3"],
+    ["build", "product", "a.shift", "b.shift", "--category", "K3", "-o", "out.shift"],
+    ["build", "image", "m.bmap", "--category", "K2", "-o", "out.shift"],
+    ["coeq-id", "m.bmap", "--category", "K3"],
+    ["dynamics", "m.bmap"],
+]
+
+
+class TestInputFuzz:
+    @given(_input_files(), st.sampled_from(_FUZZ_COMMANDS))
+    @settings(max_examples=150, deadline=None)
+    def test_every_input_gets_an_answer_or_an_error(self, files, argv):
+        # exit 2 is UNDECIDED, an answer; 70 (a failed consistency check)
+        # and a traceback are not
+        from sdcat.errors import set_budget
+
+        with tempfile.TemporaryDirectory() as tmp:
+            for name, data in files.items():
+                pathlib.Path(tmp, name).write_bytes(data)
+            argv = [os.path.join(tmp, arg) if "." in arg else arg for arg in argv]
+            out, err = io.StringIO(), io.StringIO()
+            set_budget(20_000)
+            try:
+                with ceiling(20, " ".join(argv[:2])), redirect_stdout(out), redirect_stderr(err):
+                    code = main(argv)
+            finally:
+                set_budget(None)
+        assert code in (0, 1, 2, 64, 65, 69), (code, err.getvalue(), files)

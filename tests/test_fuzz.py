@@ -473,6 +473,10 @@ class TestShiftPeriod:
             assert an.shift_period(c) == _moore_period(c, comp)
 
     @given(random_graphs())
+    # the first component's subshift has a 6-state automaton whose sink,
+    # of period 1, is reached from a transient component of period 2
+    @example((5, [(0, "0", 2), (0, "1", 0), (1, "1", 3), (2, "1", 4), (3, "0", 4), (3, "1", 0),
+                  (4, "0", 4), (4, "1", 0)]))
     @settings(max_examples=150, deadline=None)
     def test_kept_period_matches_a_fresh_copy(self, graph):
         x = presentation_from_edges(("0", "1"), *graph)
@@ -587,6 +591,8 @@ def _old_non_subsft_witness(inner, outer):
 class TestSftWitness:
     @given(random_graphs(max_nodes=2), random_graphs(max_nodes=2), st.booleans())
     @example((2, [(0, "0", 1), (0, "1", 0), (1, "0", 0)]), (1, []), True)  # the even shift
+    # patterns of preperiods 1 and 0 and periods 2 and 1: u=0, w=01, v=1, n=1, step=2
+    @example((3, [(0, "0", 0), (0, "1", 1), (1, "0", 2), (2, "0", 0), (2, "1", 2)]), (1, []), True)
     @settings(max_examples=60, deadline=None)
     def test_classes_match_the_all_pairs_search(self, inner, other, full):
         x = presentation_from_edges(("0", "1"), *inner)

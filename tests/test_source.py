@@ -321,3 +321,32 @@ def test_one_syntactic_monoid_exploration():
                     for c in ast.walk(fn)):
                 found.append(f"{path.name}:{fn.name}")
     assert found == ["analysis.py:periods"], found
+
+
+def test_one_orbit_routine():
+    # following a step until a value repeats is ``analysis._orbit``: the
+    # period recurrence, the membership patterns of the SFT witness search
+    # and the kernel witness walks all run it, so one loop charges the
+    # budget.  Found here: a ``while x not in seen:`` loop whose body
+    # stores into ``seen``
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            for loop in ast.walk(fn):
+                test = getattr(loop, "test", None)
+                if not (isinstance(loop, ast.While) and isinstance(test, ast.Compare)
+                        and isinstance(test.ops[0], ast.NotIn)
+                        and isinstance(test.comparators[0], ast.Name)):
+                    continue
+                seen = test.comparators[0].id
+                stores = any(
+                    isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Store)
+                    and isinstance(node.value, ast.Name) and node.value.id == seen
+                    or isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and isinstance(node.func.value, ast.Name) and node.func.value.id == seen
+                    for stmt in loop.body for node in ast.walk(stmt))
+                if stores:
+                    found.append(f"{path.name}:{fn.name}")
+    assert found == ["analysis.py:_orbit"], found
