@@ -21,9 +21,11 @@ canonical automaton, and keeps its size; cycles are found by the peel of
 ``core._orbit_ends``.  Following a step until a value repeats is one
 routine, ``_orbit``, charged to the budget: the period set follows the
 element sets of each word length, and the witness search the state sets
-of u w^n, each membership pattern a ``PeriodSet``; the search also charges
-the mid words and class pairs it tries.  An SCC subshift's period is that
-of the sink component of its own automaton, the Fischer cover.
+of u w^n, each membership pattern a ``PeriodSet``.  The search lists no
+words: w, u and v each range over classes, one breadth-first search each,
+and it charges the u and v classes and the class pairs it tries.  An SCC
+subshift's period is that of the sink component of its own automaton, the
+Fischer cover.
 
 The injectivity family, preinjectivity and resolvingness ask whether the
 kernel pair has a bi-infinite path with a given label pattern, so they
@@ -70,12 +72,9 @@ from .core import (
     _matched_rows,
     _orbit_ends,
     _per_object,
-    _tails,
 )
-from .errors import BudgetExceeded, DomainMismatch, InternalError, ValidationError, budget, check_budget
+from .errors import BudgetExceeded, DomainMismatch, InternalError, ValidationError, check_budget
 from .records import record, uncompared
-
-EP_MID_WORD_CAP = 4000
 
 image = image_presentation
 
@@ -461,101 +460,87 @@ def _non_subsft_witness(inner: Presentation, outer: Presentation):
     lie in ``inner``, and the w-tailed point around u w^n v lies in
     ``outer`` but outside ``inner`` for arbitrarily large n.
 
-    Whether (u, v) is a witness depends only on the state sets that u
-    reaches from the w-tails and on the actions of v, in both shifts.  So
-    each class of u and of v is tried once, at its first word in search
-    order, which is the pair that trying every pair of words would return.
+    Whether it is a witness depends only on a class of each word, found by
+    a breadth-first search and tried once, at its first word: w by its
+    actions on both shifts, read in sorted order as ``periodic_words``
+    lists words; u by the state sets it reaches from the left w-tails; v by
+    the state sets from which it reaches the right w-tails, a search that
+    grows v on the left, so v is first in shortlex order of its reversal.
+    The u and v classes and the class pairs tried count against the budget,
+    and the search ends with None once they pass it.
     """
     n_live = inner.n_live()
     max_w = max(2, n_live)
     max_uv = n_live + 2
     shifts = (inner, outer)
-    # the action of each word read so far on each shift, for every w
-    memos = tuple({(): x.word_action(()), **{(a,): x.word_action((a,)) for a in inner.alphabet}}
-                  for x in shifts)
+    letters = {a: tuple(x.word_action((a,)) for x in shifts) for a in inner.alphabet}
+    work = 0
 
-    def acts(word):
-        out = []
-        for memo in memos:
-            i = len(word)
-            while word[:i] not in memo:
-                i -= 1
-            act = memo[word[:i]]
-            for j in range(i, len(word)):
-                act = memo[word[:j + 1]] = au.compose_pfn(act, memo[word[j:j + 1]])
-            out.append(act)
-        return tuple(out)
+    def charge():
+        nonlocal work
+        work += 1
+        check_budget(work, "witness search")
 
     def pool():
-        # listed one length at a time as the search reaches it, so a
-        # witness among the short words lists no longer ones
-        for n in range(1, max_w + 1):
-            try:
-                check_budget(len(inner.alphabet) ** n, "witness word pool")
-            except BudgetExceeded:
+        # the classes of nonempty words, one breadth-first level at a time;
+        # the empty word's class is not seen, since a nonempty word acting
+        # as the identity is a w of its own
+        level, seen = [((), tuple(x.word_action(()) for x in shifts))], set()
+        for _ in range(max_w):
+            nxt = []
+            for w, acts in level:
+                for a in sorted(inner.alphabet):
+                    new = tuple(map(au.compose_pfn, acts, letters[a]))
+                    if new not in seen and any(p != au.UNDEF for p in new[0]):
+                        seen.add(new)
+                        nxt.append((w + (a,), new))
+            check_budget(len(nxt), "witness word pool")
+            level = nxt
+            yield from level
+
+    def classes(start, step, keep):
+        # the pairs of state sets that ``step`` reaches from ``start`` in at
+        # most ``max_uv`` symbols, each with the symbols of its first path,
+        # kept where the inner set meets ``keep``
+        words = {start: ()}
+
+        def successors(sets):
+            if len(words[sets]) == max_uv:
                 return
-            yield from inner.periodic_words(n)
+            for a in inner.alphabet:
+                nxt = tuple(map(step, letters[a], sets))
+                if nxt[0]:
+                    if nxt not in words:
+                        words[nxt] = words[sets] + (a,)
+                        charge()
+                    yield a, nxt
 
-    # the mid words listed and the class pairs tried, against the budget
-    work = 0
-    for w in pool():
-        ei, fd = _tails(inner, w)
-        if not ei:
-            continue
-        us = _ep_mid_words(inner, ei, fd, max_uv)
-        work += len(us)
-        if not us:
-            continue
-        fws = acts(w)
-        tails = [_tails(x, w) for x in shifts]
-        vs: dict = {}
-        for vv in us:
-            vs.setdefault(acts(vv), vv)
-        seen = set()
-        for u in us:
-            starts = tuple(_image(act, e) for act, (e, _) in zip(acts(u), tails))
-            if starts in seen:
+        au.explore(start, successors, None)
+        return [(sets, word) for sets, word in words.items() if not keep.isdisjoint(sets[0])]
+
+    try:
+        for w, acts in pool():
+            (ei, fd), (eo, fdo) = map(_orbit_ends, acts)
+            if not ei:
                 continue
-            seen.add(starts)
-            runs = [_orbit(s, partial(_image, f), "membership pattern")
-                    for s, f in zip(starts, fws)]
-            for v_acts, vv in vs.items():
-                work += 1
-                if work > budget():
-                    return None
-                # n + 1 is in a shift's pattern when v takes the states of
-                # u w^n into those where w is forever defined there
-                wit = _check_uv_witness(*(
-                    PeriodSet.of_orbit([any(act[q] in fd for q in s) for s in sets], t)
-                    for (sets, t), (_, fd), act in zip(runs, tails, v_acts)))
-                if wit is not None:
-                    return {"u": u, "w": w, "v": vv, **wit}
+            us = classes((ei, eo), _image, fd)
+            vs = classes((fd, fdo), lambda act, states: frozenset(
+                q for q, p in enumerate(act) if p in states), ei) if us else ()
+            for starts, u in us:
+                runs = [_orbit(s, partial(_image, f), "membership pattern")
+                        for s, f in zip(starts, acts)]
+                for ends, v_path in vs:
+                    charge()
+                    # n + 1 is in a shift's pattern when the states of u w^n
+                    # meet those from which v reaches the right w-tails
+                    wit = _check_uv_witness(*(
+                        PeriodSet.of_orbit([not s.isdisjoint(e) for s in sets], t)
+                        for (sets, t), e in zip(runs, ends)))
+                    if wit is not None:
+                        return {"u": u, "w": w, "v": v_path[::-1], **wit}
+    except BudgetExceeded:
+        pass
     return None
-
-
-def _ep_mid_words(x: Presentation, ei: set, fd: frozenset, max_len: int):
-    """Words u with the w-periodic tails around u giving a point of x."""
-    out = []
-    frontier = [((), frozenset(ei))]
-    for _ in range(max_len + 1):
-        new = []
-        for word, states in frontier:
-            if states & fd:
-                out.append(word)
-            if len(out) >= EP_MID_WORD_CAP:
-                return out
-            if len(word) == max_len:
-                continue
-            for a in x.alphabet:
-                nxt = frozenset(
-                    s for s in (x.estep(q, a) for q in states) if s is not None
-                )
-                if nxt:
-                    new.append((word + (a,), nxt))
-        frontier = new
-        if not frontier:
-            break
-    return out
 
 
 def _image(act, states) -> frozenset[int]:

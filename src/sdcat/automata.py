@@ -102,7 +102,8 @@ def explore(start, successors, what: str | None):
     ``(states, trans)`` with ``states[0] == start`` and ``trans[i]`` mapping
     each symbol to the number of its successor.  Each new state counts
     against the work budget under ``what``; ``None`` is for renumberings
-    that cannot outgrow an automaton already counted.
+    that cannot outgrow an automaton already counted, or for callers that
+    count the states themselves.
     """
     index = {start: 0}
     states = [start]

@@ -9,6 +9,7 @@ from sdcat import automata as au
 from sdcat import classify as cl
 from sdcat import limits as li
 from sdcat.core import (
+    EventuallyPeriodicPoint,
     compose,
     full_shift,
     golden_mean,
@@ -82,6 +83,20 @@ def recheck_petals(f, petals):
             for k in (0, 1))
     assert not maps_equal(g, h)
     assert maps_equal(compose(f, g), compose(f, h))
+
+
+def recheck_pumpable(wit, inner, outer):
+    """Re-verify a pumpable witness (u, w, v, n, step) that ``inner`` is no
+    SFT inside ``outer`` through ``core`` alone: the w-tailed points around
+    u and around v lie in ``inner``, and for n = n0 + k * step, k = 0..3,
+    the w-tailed point around u w^n v lies in ``outer`` but not in
+    ``inner``."""
+    u, w, v = wit["u"], wit["w"], wit["v"]
+    assert EventuallyPeriodicPoint(w, u, w).in_shift(inner)
+    assert EventuallyPeriodicPoint(w, v, w).in_shift(inner)
+    for k in range(4):
+        p = EventuallyPeriodicPoint(w, u + w * (wit["n"] + k * wit["step"]) + v, w)
+        assert p.in_shift(outer) and not p.in_shift(inner)
 
 
 def recheck_certificates(f, radius_cap=2):

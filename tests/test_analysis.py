@@ -12,7 +12,17 @@ from sdcat.core import (
     full_shift,
     identity_map,
     make_block_map,
+    presentation_from_edges,
     product_presentation,
+)
+
+# x is no SFT but a subSFT of x | y, with window 8: no witness separates them
+FOUR_NODE_PAIR = (
+    presentation_from_edges(("0", "1", "2"), 4, [
+        (0, "0", 2), (0, "2", 0), (1, "0", 3), (1, "1", 3), (1, "2", 2), (2, "0", 2),
+        (2, "1", 1), (2, "2", 3), (3, "0", 1), (3, "1", 3), (3, "2", 0)]),
+    presentation_from_edges(("0", "1", "2"), 4, [
+        (0, "0", 2), (0, "2", 1), (1, "1", 2), (2, "2", 1), (3, "0", 0), (3, "2", 3)]),
 )
 
 
@@ -189,25 +199,14 @@ class TestIsSft:
         v = an.is_sft(full2)
         assert v.yes and v.certificate["window"] == 1
 
-    def test_even_shift_not_sft_with_witness(self, even_shift):
+    def test_even_shift_not_sft_with_witness(self, even_shift, full2):
+        from conftest import recheck_pumpable
+
         v = an.is_sft(even_shift)
         assert v.no
-        wit = v.witness
-        u, w, vv = wit["u"], wit["w"], wit["v"]
-        # re-verify the witness family: the u-w^n-v points flip membership
-        from sdcat.core import EventuallyPeriodicPoint
-
-        n0, step = wit["n"], wit["step"]
-        for k in range(3):
-            n = n0 + k * step
-            p = EventuallyPeriodicPoint(w, u + w * n + vv, w)
-            assert not p.in_shift(even_shift)
-        assert EventuallyPeriodicPoint(w, u, w).in_shift(even_shift)
-        assert EventuallyPeriodicPoint(w, vv, w).in_shift(even_shift)
+        recheck_pumpable(v.witness, even_shift, full2)
 
     def test_sft_past_the_small_windows_needs_no_witness_search(self, monkeypatch):
-        from sdcat.core import presentation_from_edges
-
         # no window below five describes this SFT; trying every (u, w, v)
         # of the witness search on it took minutes
         edges = [(0, "0", 1), (0, "1", 0), (1, "0", 2), (1, "1", 3), (2, "1", 3),
@@ -219,7 +218,7 @@ class TestIsSft:
         assert v.yes and v.certificate == {"window": 5}
 
     def test_shift_without_finite_memory_tries_no_large_window(self, monkeypatch):
-        from sdcat.core import presentation_from_edges, sft_approximation
+        from sdcat.core import sft_approximation
 
         # no SFT, and the witness search finds no pumpable family for it
         edges = [(0, "0", 0), (1, "0", 1), (1, "1", 3), (1, "1", 4), (2, "0", 0),
@@ -234,16 +233,11 @@ class TestIsSft:
 
     def test_witness_search_stops_on_the_budget(self):
         from conftest import ceiling
-        from sdcat.core import presentation_from_edges
         from sdcat.errors import set_budget
 
-        # the mid words and class pairs of the witness search count against
+        # the classes and class pairs of the witness search count against
         # the budget; uncounted, this inclusion ran for over ten minutes
-        x = presentation_from_edges(("0", "1", "2"), 4, [
-            (0, "0", 2), (0, "2", 0), (1, "0", 3), (1, "1", 3), (1, "2", 2), (2, "0", 2),
-            (2, "1", 1), (2, "2", 3), (3, "0", 1), (3, "1", 3), (3, "2", 0)])
-        y = presentation_from_edges(("0", "1", "2"), 4, [
-            (0, "0", 2), (0, "2", 1), (1, "1", 2), (2, "2", 1), (3, "0", 0), (3, "2", 3)])
+        x, y = FOUR_NODE_PAIR
         set_budget(20_000)
         try:
             with ceiling(30, "is_subsft_of"):
@@ -251,6 +245,38 @@ class TestIsSft:
         finally:
             set_budget(None)
         assert v.yes and v.certificate == {"window": 8}
+        # at the default budget the search tries every class within its
+        # length bounds
+        with ceiling(3, "is_subsft_of"):
+            v = an.is_subsft_of(x, an.union_presentation(x, y))
+        assert v.yes and v.certificate == {"window": 8}
+
+    def test_witness_budget_counts_classes_not_words(self):
+        from conftest import recheck_pumpable
+        from sdcat.errors import set_budget
+
+        # 15 live states: the words up to the length bounds outnumber a
+        # budget of 20,000, their classes do not
+        x = presentation_from_edges(("0", "1", "2"), 5, [
+            (0, "0", 0), (0, "1", 1), (0, "2", 1), (1, "0", 0), (1, "1", 4), (2, "0", 3),
+            (2, "1", 2), (2, "2", 2), (3, "2", 0), (4, "0", 2), (4, "2", 2)])
+        set_budget(20_000)
+        try:
+            v = an.is_sft(x)
+        finally:
+            set_budget(None)
+        assert v.no
+        recheck_pumpable(v.witness, x, full_shift(x.alphabet))
+
+    def test_witness_search_lists_no_words(self, monkeypatch, even_shift, full2):
+        from sdcat.core import Presentation
+
+        for name in ("words", "periodic_words"):
+            monkeypatch.setattr(Presentation, name,
+                                lambda *a, name=name: pytest.fail(f"listed {name}"))
+        assert an._non_subsft_witness(even_shift, full2) is not None
+        x, y = FOUR_NODE_PAIR
+        assert an._non_subsft_witness(x, an.union_presentation(x, y)) is None
 
     def test_relative_subsft(self, golden, full2):
         assert an.is_subsft_of(golden, full2).yes

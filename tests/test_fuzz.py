@@ -101,7 +101,7 @@ from sdcat.errors import BudgetExceeded, DomainMismatch, ValidationError, set_bu
 from sdcat.files import format_shift
 from sdcat.limits import CategoryTag
 
-from conftest import recheck_certificates, recheck_petals, shortest_accepted
+from conftest import recheck_certificates, recheck_petals, recheck_pumpable, shortest_accepted
 
 
 @st.composite
@@ -559,8 +559,36 @@ def _old_membership_pattern(x, u, w, vv):
         flags.append(bool(read(states, vv) & fd))
 
 
+def _old_ep_mid_words(x, ei, fd, max_len, cap=4000):
+    """Reference: the words u of at most ``max_len`` symbols, in shortlex
+    order and at most ``cap`` of them, with the w-periodic tails around u
+    giving a point of x."""
+    out = []
+    frontier = [((), frozenset(ei))]
+    for _ in range(max_len + 1):
+        new = []
+        for word, states in frontier:
+            if states & fd:
+                out.append(word)
+            if len(out) >= cap:
+                return out
+            if len(word) == max_len:
+                continue
+            for a in x.alphabet:
+                nxt = frozenset(
+                    s for s in (x.estep(q, a) for q in states) if s is not None
+                )
+                if nxt:
+                    new.append((word + (a,), nxt))
+        frontier = new
+        if not frontier:
+            break
+    return out
+
+
 def _old_non_subsft_witness(inner, outer):
-    """Reference: every pair (u, v) of words tried in turn."""
+    """Reference: every pair (u, v) of words tried in turn, u in shortlex
+    order and v in shortlex order of the reversed word."""
     n_live = inner.n_live()
     pool = [w for n in range(1, max(2, n_live) + 1) for w in inner.words(n)
             if _brute_periodic(inner, w)]
@@ -569,9 +597,10 @@ def _old_non_subsft_witness(inner, outer):
         ei, fd = _orbit_ends(fw)
         if not ei:
             continue
-        us = an._ep_mid_words(inner, ei, fd, n_live + 2)
+        us = _old_ep_mid_words(inner, ei, fd, n_live + 2)
+        rank = {a: k for k, a in enumerate(inner.alphabet)}
         for u in us:
-            for vv in us:
+            for vv in sorted(us, key=lambda v: (len(v), [rank[a] for a in v[::-1]])):
                 pre_i, per_i, flags_i = _old_membership_pattern(inner, u, w, vv)
                 pre_o, per_o, flags_o = _old_membership_pattern(outer, u, w, vv)
                 step = math.lcm(per_i, per_o)
@@ -598,7 +627,10 @@ class TestSftWitness:
         x = presentation_from_edges(("0", "1"), *inner)
         y = presentation_from_edges(("0", "1"), *other)
         outer = FULL2 if full else an.union_presentation(x, y)
-        assert an._non_subsft_witness(x, outer) == _old_non_subsft_witness(x, outer)
+        wit = an._non_subsft_witness(x, outer)
+        assert wit == _old_non_subsft_witness(x, outer)
+        if wit is not None:
+            recheck_pumpable(wit, x, outer)
 
     @given(random_graphs())
     @example((1, [(0, "0", 0), (0, "1", 0)]))  # the full shift, window 1
