@@ -143,7 +143,7 @@ def _monic_m3(f: BlockMap, fam) -> v.Verdict:
         return v.yes(note="injective")
     if fam.injective_on_periodic:
         return v.yes(note="injective on periodic points")
-    cands, exhaustive = li._maximal_mixing_candidates(f.kernel)
+    cands, exhaustive = li._maximal_parts(f.kernel, "M")
     diag = diagonal_relation(f.source)
     if any(not c.included_in(diag) for c in cands):
         return v.no(note="kernel contains a mixing sofic subshift off the diagonal")
@@ -732,14 +732,9 @@ def is_regular_monic(f: BlockMap, cat: CategoryTag) -> v.Verdict:
             z = an.intersection_presentation(f.target, an.sft_approximation(img, m))
         except BudgetExceeded:
             break
-        if cat.restriction == "T":
-            consts = an.constituents(z)
-            if len(consts) == 1 and consts[0].language_equal(img):
-                return v.yes(certificate={"window": m})
-        else:
-            cands, exhaustive = li._maximal_mixing_candidates(z)
-            if len(cands) == 1 and exhaustive and cands[0].language_equal(img):
-                return v.yes(certificate={"window": m})
+        parts, exhaustive = li._maximal_parts(z, cat.restriction)
+        if len(parts) == 1 and exhaustive and parts[0].language_equal(img):
+            return v.yes(certificate={"window": m})
     target_sft = an.is_sft(f.target)
     image_sft = an.is_sft(img)
     if target_sft.yes and image_sft.no:

@@ -132,17 +132,19 @@ def is_local_equivalence(r: SubshiftRelation, max_window: int = 6) -> v.Verdict:
 # Coequalizers of (identity, f)
 
 
-def _trivial_target_map(x: Presentation) -> BlockMap:
-    t = trivial_shift("0")
-    return constant_map(x, t, "0")
-
-
-def _detect_shift_power(f: BlockMap) -> int | None:
+def _trivial_reason(f: BlockMap) -> str | None:
+    """Why the map to one point coequalizes the identity and ``f``, an
+    endomorphism of a mixing shift, or None: a spreading state,
+    nilpotency, or ``f`` being a shift power, tried in that order."""
+    spread = dy.spreading_state(f)
+    if spread is not None:
+        return f"spreading state {spread!r}"
+    nil = dy.nilpotency_index(f, cap=5)
+    if nil is not None:
+        return f"nilpotent at power {nil}"
     for k in range(-f.radius, f.radius + 1):
-        if k == 0:
-            continue
-        if maps_equal(f, shift_power(f.source, k)):
-            return k
+        if k != 0 and maps_equal(f, shift_power(f.source, k)):
+            return f"shift power {k} on a mixing shift is chain transitive"
     return None
 
 
@@ -166,22 +168,10 @@ def coequalizer_id(
         return exists(x, identity_map(x), reason="f is the identity")
 
     mixing = an.is_mixing(x)
-    if mixing:
-        spread = dy.spreading_state(f)
-        if spread is not None:
-            return exists(trivial_shift("0"), _trivial_target_map(x),
-                          reason=f"spreading state {spread!r}")
-        nil = dy.nilpotency_index(f, cap=5)
-        if nil is not None:
-            return exists(trivial_shift("0"), _trivial_target_map(x),
-                          reason=f"nilpotent at power {nil}")
-        k = _detect_shift_power(f)
-        if k is not None:
-            return exists(
-                trivial_shift("0"),
-                _trivial_target_map(x),
-                reason=f"shift power {k} on a mixing shift is chain transitive",
-            )
+    reason = _trivial_reason(f) if mixing else None
+    if reason is not None:
+        t = trivial_shift("0")
+        return exists(t, constant_map(x, t, "0"), reason=reason)
 
     if mixing and an.is_sft(x).yes:
         ep = dy.eventual_periodicity(f, cap=ep_cap)

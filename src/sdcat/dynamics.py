@@ -24,7 +24,7 @@ from .core import (
     _window_table,
     _word_list,
 )
-from .errors import BudgetExceeded, ValidationError, check_budget
+from .errors import BudgetExceeded, ValidationError
 from .limits import CONNECTING_RADIUS_CAP, inverse
 from .records import record
 
@@ -227,7 +227,6 @@ def _blocking_leak(f: BlockMap, wset, ell: int, depth: int, label: str):
         if rn == 0:
             continue
         total = 3 * rn + ell
-        check_budget(max(1, len(x.alphabet)) ** min(total, 22), "visible blocking")
         groups: dict[Word, set] = {}
         for w in x.words(total):
             if w[rn : rn + ell] not in wset:

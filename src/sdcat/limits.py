@@ -3,10 +3,16 @@
 Category tags pair a restriction (K: none, T: transitive, M: mixing,
 P: mixing pointed) with a level (1: endomorphisms of SFTs, 2: SFTs,
 3: sofic shifts).  Verdict rules differ by category; legality of the
-participating objects and morphisms is checked up front.
+participating objects and morphisms is checked up front.  Equalizers
+are decided by restriction, not by level: K keeps the equalizer set, T
+its one constituent, M and P its one maximal mixing part
+(``_maximal_parts``); on an SFT this is the level-2 rule, by the three
+facts about SFTs that ``equalizer`` states.
 """
 
 from __future__ import annotations
+
+import itertools
 
 from . import analysis as an
 from . import automata as au
@@ -199,23 +205,35 @@ def coproduct(x: Presentation, y: Presentation, cat: CategoryTag) -> LimitResult
     return exists(u, i1, i2)
 
 
-def _maximal_mixing_candidates(e: Presentation):
-    """Inclusion-maximal mixing SCC subshifts, plus an exhaustiveness flag:
-    when True, every mixing subshift is contained in one of them."""
-    cands = an.inclusion_maximal(
-        s for _, s in an.cycle_components(e) if an.is_mixing(s) and not s.is_empty()
-    )
-    exhaustive = True
-    for c in an.constituents(e):
-        if any(c.included_in(k) for k in cands):
-            continue
-        if not an.periods(c).is_cofinite():
-            continue
-        exhaustive = False
-    return cands, exhaustive
+def _maximal_parts(e: Presentation, restriction: str):
+    """The inclusion-maximal transitive (T) or mixing (M, P) SCC subshifts
+    of ``e``, and whether every such subshift of ``e`` lies in one of them:
+    always for T, whose parts are the constituents; for M and P, unless a
+    constituent outside every part has a cofinite period set."""
+    consts = an.constituents(e)
+    if restriction == "T":
+        return consts, True
+    parts = an.inclusion_maximal(
+        s for _, s in an.cycle_components(e) if an.is_mixing(s) and not s.is_empty())
+    exhaustive = all(any(c.included_in(k) for k in parts) or not an.periods(c).is_cofinite()
+                     for c in consts)
+    return parts, exhaustive
 
 
 def equalizer(f: BlockMap, g: BlockMap, cat: CategoryTag) -> LimitResult:
+    """The equalizer of a parallel pair, by restriction: K keeps the
+    equalizer set e, T needs e nonempty with one constituent, and M and P
+    need an exhaustive list of at most one maximal mixing part (none gives
+    the empty map); two parts refute only when no constituent holds both.
+
+    No rule reads the level.  At level 2, e is the SFT source cut by window
+    constraints, so an SFT, and there (Lind & Marcus, §4.4 and §4.5) e is
+    transitive exactly when it has one constituent, since a point in none
+    runs between two SCCs of an M-block vertex presentation, whose
+    subshifts use disjoint M-blocks; its maximal mixing parts are its
+    mixing constituents, exhaustively, since a constituent of period p >= 2
+    has only periodic points whose period p divides; and distinct
+    constituents have disjoint hulls, so no answer there is UNDECIDED."""
     check_morphism(cat, f)
     check_morphism(cat, g)
     if not f.source.language_equal(g.source) or not f.target.language_equal(g.target):
@@ -224,62 +242,33 @@ def equalizer(f: BlockMap, g: BlockMap, cat: CategoryTag) -> LimitResult:
     e = an.equalizer_set(f, g)
     if cat.restriction == "K":
         return exists(e, inclusion_map(e, x))
+    parts, exhaustive = _maximal_parts(e, cat.restriction)
     if cat.restriction == "T":
         if e.is_empty():
             return not_exists("equalizer set is empty and T has no empty object")
-        if cat.level == 2:
-            if an.is_transitive(e):
-                return exists(e, inclusion_map(e, x))
-            return not_exists("equalizer set is not transitive")
-        consts = an.constituents(e)
-        if len(consts) == 1:
-            return exists(consts[0], inclusion_map(consts[0], x))
-        return not_exists(f"equalizer set has {len(consts)} constituents")
-    # M and P
-    if cat.level == 2:
-        consts = an.constituents(e)
-        mixing = [c for c in consts if an.is_mixing(c)]
-        if len(mixing) == 0:
-            emp = empty_shift(x.alphabet)
-            return exists(emp, make_block_map(emp, x, 0, {}, validate_image=False),
-                          reason="no mixing constituent; empty map")
-        if len(mixing) == 1:
-            obj = mixing[0]
-            if cat.pointed:
-                obj = obj.with_point(x.point)
-            return exists(obj, inclusion_map(obj, x))
-        return not_exists(f"equalizer set has {len(mixing)} mixing constituents")
-    cands, exhaustive = _maximal_mixing_candidates(e)
-    if len(cands) >= 2:
-        # two mixing parts refute uniqueness only when no constituent could
-        # hold both inside one larger mixing subshift
+        if len(parts) != 1:
+            return not_exists(f"equalizer set has {len(parts)} constituents")
+    elif len(parts) >= 2:
         consts = an.constituents(e)
         hulls = [
             frozenset(i for i, big in enumerate(consts) if c.included_in(big))
-            for c in cands
+            for c in parts
         ]
-        separated = any(
-            not (hulls[i] & hulls[j])
-            for i in range(len(cands))
-            for j in range(i + 1, len(cands))
-        )
-        if separated:
+        if any(not (h & k) for h, k in itertools.combinations(hulls, 2)):
             return not_exists("equalizer set has several maximal mixing sofic subshifts")
         return undecided_limit(
             "several mixing parts share a constituent; uniqueness of the"
             " maximal mixing subshift is unresolved"
         )
-    if not exhaustive:
+    elif not exhaustive:
         return undecided_limit(
             "maximal mixing subshift enumeration not visibly exhaustive"
         )
-    if len(cands) == 0:
+    elif not parts:
         emp = empty_shift(x.alphabet)
         return exists(emp, make_block_map(emp, x, 0, {}, validate_image=False),
                       reason="no mixing subshift; empty map")
-    obj = cands[0]
-    if cat.pointed:
-        obj = obj.with_point(x.point)
+    obj = parts[0].with_point(x.point) if cat.pointed else parts[0]
     return exists(obj, inclusion_map(obj, x))
 
 
@@ -391,11 +380,9 @@ def image_factorization(f: BlockMap, cat: CategoryTag):
         return exists(img, e, m)
     if sft.no:
         chain = _decreasing_sft_chain(f.target, img, 3)
-        return LimitResult(
-            "not-exists",
-            reason="image is properly sofic; no minimal SFT over-approximation",
-            legs=tuple(),
-            bound_used={"witness": sft.witness, "chain_sizes": [c.dfa.n for c in chain]},
+        return not_exists(
+            "image is properly sofic; no minimal SFT over-approximation",
+            bound={"witness": sft.witness, "chain_sizes": [c.dfa.n for c in chain]},
         )
     return undecided_limit("SFT-ness of the image undecided", bound=sft.bound_used)
 

@@ -14,6 +14,7 @@ from sdcat.core import (
     pair_symbol,
     product_presentation,
     reduce_radius,
+    shift_power,
 )
 from sdcat.errors import BudgetExceeded, ValidationError
 
@@ -241,3 +242,10 @@ class TestVisiblyBlocking:
     def test_xor2_crosses_despite_invariance(self, xor2):
         v = dy.visibly_blocking(xor2, [("0",), ("1",)], depth=2)
         assert v.no and v.witness["condition"] == 2
+
+    def test_words_are_charged_as_listed(self, golden):
+        # the 19-symbol windows of depth 6 are 10,946 golden-mean words,
+        # well inside the default budget, though 2^19 strings are not
+        v = dy.visibly_blocking(shift_power(golden, 1), [("0",), ("1",)], depth=6)
+        assert v.no and v.witness == {"condition": 2, "side": "left", "depth": 2,
+                                      "window": ("0",)}

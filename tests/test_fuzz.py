@@ -38,13 +38,17 @@ against the loop over the word list they replaced, ``automata.walk``
 against the stack walks it replaced, and ``minimize``'s refinement on
 rows against the dense one on wider DFAs and on window graphs.  Verdicts on a
 full shift whose symbols are spelled like the derived tokens are checked
-against the same map on plain symbols.
+against the same map on plain symbols.  The equalizer, one maximal-part
+rule per restriction at every level, is checked against the rule with
+level-2 branches it replaced.
 """
 
 import ast
 import functools
 import itertools
 import math
+import random
+import re
 from collections import deque
 
 import pytest
@@ -80,6 +84,7 @@ from sdcat.core import (
     higher_block_presentation,
     identity_map,
     image_graph,
+    image_word,
     make_block_map,
     make_presentation,
     maps_equal,
@@ -3004,3 +3009,159 @@ class TestRenamedSymbols:
         f0, to_blocks, from_blocks = recode_to_symbol_map(named)
         assert maps_equal(compose(f0, to_blocks), named)
         assert maps_equal(compose(from_blocks, to_blocks), identity_map(named.source))
+
+
+# ---------------------------------------------------------------------------
+# Equalizers by restriction against the rule with level-2 forks
+
+
+def _old_maximal_mixing_candidates(e):
+    """Reference: the parent's inclusion-maximal mixing SCC subshifts and
+    exhaustiveness flag."""
+    cands = an.inclusion_maximal(
+        s for _, s in an.cycle_components(e) if an.is_mixing(s) and not s.is_empty()
+    )
+    exhaustive = True
+    for c in an.constituents(e):
+        if any(c.included_in(k) for k in cands):
+            continue
+        if not an.periods(c).is_cofinite():
+            continue
+        exhaustive = False
+    return cands, exhaustive
+
+
+def _old_equalizer(f, g, cat):
+    """Reference: the equalizer rule with its level-2 branches for T and
+    for M/P, as it stood before one maximal-part rule served every level."""
+    li.check_morphism(cat, f)
+    li.check_morphism(cat, g)
+    if not f.source.language_equal(g.source) or not f.target.language_equal(g.target):
+        raise DomainMismatch("equalizer needs a parallel pair")
+    x = f.source
+    e = an.equalizer_set(f, g)
+    if cat.restriction == "K":
+        return li.exists(e, li.inclusion_map(e, x))
+    if cat.restriction == "T":
+        if e.is_empty():
+            return li.not_exists("equalizer set is empty and T has no empty object")
+        if cat.level == 2:
+            if an.is_transitive(e):
+                return li.exists(e, li.inclusion_map(e, x))
+            return li.not_exists("equalizer set is not transitive")
+        consts = an.constituents(e)
+        if len(consts) == 1:
+            return li.exists(consts[0], li.inclusion_map(consts[0], x))
+        return li.not_exists(f"equalizer set has {len(consts)} constituents")
+    if cat.level == 2:
+        consts = an.constituents(e)
+        mixing = [c for c in consts if an.is_mixing(c)]
+        if len(mixing) == 0:
+            emp = empty_shift(x.alphabet)
+            return li.exists(emp, make_block_map(emp, x, 0, {}, validate_image=False),
+                             reason="no mixing constituent; empty map")
+        if len(mixing) == 1:
+            obj = mixing[0]
+            if cat.pointed:
+                obj = obj.with_point(x.point)
+            return li.exists(obj, li.inclusion_map(obj, x))
+        return li.not_exists(f"equalizer set has {len(mixing)} mixing constituents")
+    cands, exhaustive = _old_maximal_mixing_candidates(e)
+    if len(cands) >= 2:
+        consts = an.constituents(e)
+        hulls = [
+            frozenset(i for i, big in enumerate(consts) if c.included_in(big))
+            for c in cands
+        ]
+        separated = any(
+            not (hulls[i] & hulls[j])
+            for i in range(len(cands))
+            for j in range(i + 1, len(cands))
+        )
+        if separated:
+            return li.not_exists("equalizer set has several maximal mixing sofic subshifts")
+        return li.undecided_limit(
+            "several mixing parts share a constituent; uniqueness of the"
+            " maximal mixing subshift is unresolved"
+        )
+    if not exhaustive:
+        return li.undecided_limit(
+            "maximal mixing subshift enumeration not visibly exhaustive"
+        )
+    if len(cands) == 0:
+        emp = empty_shift(x.alphabet)
+        return li.exists(emp, make_block_map(emp, x, 0, {}, validate_image=False),
+                         reason="no mixing subshift; empty map")
+    obj = cands[0]
+    if cat.pointed:
+        obj = obj.with_point(x.point)
+    return li.exists(obj, li.inclusion_map(obj, x))
+
+
+# the level-2 reasons that the level-3 wording replaced, old -> new
+_LEVEL_2_REASONS = {
+    "T": (r"equalizer set is not transitive", r"equalizer set has [2-9]\d* constituents"),
+    "M": (r"equalizer set has [2-9]\d* mixing constituents",
+          r"equalizer set has several maximal mixing sofic subshifts"),
+    "empty": (r"no mixing constituent; empty map", r"no mixing subshift; empty map"),
+}
+
+
+def _equalizer_sample():
+    """Parallel pairs of endomorphisms on four mixing SFTs: 3 radius-0 and
+    12 radius-1 rules each, drawn by ``random.Random(1)`` (an invalid rule
+    is drawn again), each ordered pair kept with probability 0.35."""
+    rng = random.Random(1)
+    shifts = (full_shift(["0", "1"]), full_shift(["0", "1", "2"]), golden_mean(),
+              make_presentation(["0", "1"], "sft", [("0", "0", "0"), ("1", "1", "1")]))
+    for x in shifts:
+        maps = []
+        syms = sorted(x.live_symbols)
+        for r, count in ((0, 3), (1, 12)):
+            made = 0
+            while made < count:
+                rule = {w: rng.choice(syms) for w in x.words(2 * r + 1)}
+                try:
+                    maps.append(make_block_map(x, x, r, rule))
+                except ValidationError:
+                    continue
+                made += 1
+        yield from ((f, g) for f in maps for g in maps if rng.random() < 0.35)
+
+
+def _pointed_pair(f, g):
+    """The pair on its source pointed at the first uniform point that both
+    maps fix, or None when there is none."""
+    x = f.source
+    fixed = [a for a in sorted(x.live_symbols) if x.contains_periodic((a,))
+             and image_word(f, (a,)) == (a,) == image_word(g, (a,))]
+    if not fixed:
+        return None
+    xp = x.with_point(fixed[0])
+    return tuple(make_block_map(xp, xp, h.radius, h.rule_dict, validate_image=False)
+                 for h in (f, g))
+
+
+class TestEqualizerByRestriction:
+    def test_one_rule_matches_the_level_forks(self):
+        cats = [CategoryTag.parse(c) for c in ("K2", "T2", "T3", "M2", "M3", "P2", "P3")]
+        rows, renamed = 0, set()
+        for f, g in _equalizer_sample():
+            pointed = _pointed_pair(f, g)
+            for cat in cats:
+                pair = pointed if cat.pointed else (f, g)
+                if pair is None:
+                    continue
+                old, new = _old_equalizer(*pair, cat), li.equalizer(*pair, cat)
+                rows += 1
+                assert (new.status, repr(new.object), new.bound_used) == (
+                    old.status, repr(old.object), old.bound_used)
+                assert [(h.radius, h.values) for h in new.legs] == [
+                    (h.radius, h.values) for h in old.legs]
+                if new.reason == old.reason:
+                    continue
+                assert cat.level == 2, (cat, old.reason, new.reason)
+                (kind,) = [k for k, (was, now) in _LEVEL_2_REASONS.items()
+                           if re.fullmatch(was, old.reason) and re.fullmatch(now, new.reason)]
+                renamed.add(kind)
+        assert rows > 1500 and renamed == set(_LEVEL_2_REASONS)

@@ -350,3 +350,13 @@ def test_one_orbit_routine():
                 if stores:
                     found.append(f"{path.name}:{fn.name}")
     assert found == ["analysis.py:_orbit"], found
+
+
+def test_equalizer_reads_no_level():
+    # one maximal-part rule per restriction serves every level: on an SFT
+    # it reads as the level-2 rule, so no level-2 fork comes back
+    tree = ast.parse((SRC / "limits.py").read_text(encoding="utf-8"))
+    (fn,) = [node for node in tree.body
+             if isinstance(node, ast.FunctionDef) and node.name == "equalizer"]
+    found = [a.lineno for a in ast.walk(fn) if isinstance(a, ast.Attribute) and a.attr == "level"]
+    assert not found, f"limits.equalizer reads a level at lines {found}"
