@@ -32,11 +32,14 @@ kernel pair has a bi-infinite path with a given label pattern, so they
 read the kernel graph through one diagonal view per map, built in the
 pass that pairs the map's windows, ``_diagonal_view``, and build no
 canonical kernel.  Their NO witnesses, two distinct eventually periodic
-points with equal images, are read off a path of that graph.  One SCC
-pass of the graph per map, ``off_diagonal_components``, answers
-injectivity on periodic points, and the graph periods the same pass gives
-its components yield the mixing petals that decide monicness in M2.  Constituents of the kernel, kernel
-pairs and other questions about its language read ``f.kernel``.
+points with equal images, are read off a path of that graph: a plain pair
+walks first edges from the ends of its off-diagonal edge, and each witness
+walk steps a node once, through ``_orbit``.  One SCC pass of the graph per
+map, ``off_diagonal_components``, answers injectivity on periodic points,
+and the graph periods the same pass gives its components yield the mixing
+petals, kept per map, that decide monicness in M2 and M3.  Constituents
+of the kernel, kernel pairs and other questions about its language read
+``f.kernel``.
 """
 
 from __future__ import annotations
@@ -696,6 +699,7 @@ def _cycle_through(view: _DiagonalView, edge: tuple[int, str, int]) -> Word:
     return (t, *back)
 
 
+@_per_object
 def mixing_petals(f: BlockMap) -> tuple[Word, Word] | None:
     """Two closed walks ``(w1, w2)`` of the kernel graph from one node,
     of coprime lengths, the first starting with an off-diagonal edge; None
@@ -794,10 +798,12 @@ def _bfs_path(start: int, succ, stop) -> tuple[Word, int]:
 def _walk_to_cycle(q: int, step) -> tuple[Word, Word]:
     """Follow the ``(token, node)`` edge ``step(q)`` from ``q`` until a
     node repeats: the tokens up to the first node of the cycle so closed,
-    and the tokens of the cycle.  The walk is no longer than the kernel
-    graph, whose size the fiber product has charged."""
-    nodes, t = _orbit(q, lambda q: step(q)[1], "witness walk")
-    tokens = tuple(step(q)[0] for q in nodes)
+    and the tokens of the cycle.  Each node is stepped once, and the tokens
+    are read from the edges so recorded.  The walk is no longer than the
+    kernel graph, whose size the fiber product has charged."""
+    edges = {}
+    _, t = _orbit(q, lambda q: edges.setdefault(q, step(q))[1], "witness walk")
+    tokens = tuple(tok for tok, _ in edges.values())
     return tokens[:t], tokens[t:]
 
 
@@ -806,27 +812,29 @@ def _pair_witness(view: _DiagonalView, i: int, tok: str, j: int, diamond: bool):
     a bi-infinite path of the kernel graph through the off-diagonal edge
     ``(i, tok, j)``.
 
-    Left of the edge: a shortest path back from ``i`` to a node with the
-    wanted past, then a walk back along edges that come from such nodes
-    until a node repeats and closes a cycle; right of it, the same
-    forward.  For a
+    Every node of the graph has an infinite past and future, so a plain
+    pair walks first edges from the ends of its edge: back from ``i`` along
+    the first edge into each node, and forward from ``j`` along the first
+    edge out of each, until a node repeats and closes a cycle.  For a
     diamond the wanted past and future are the infinite diagonal ones,
-    which ``i`` and ``j`` reach, and the walks take diagonal edges, so the
-    points differ at finitely many places.  Otherwise every node of the
-    graph has an infinite past and future, and the walks take any edge.
+    which ``i`` and ``j`` reach: a shortest path back from ``i`` to a node
+    with that past, then a walk back along diagonal edges that come from
+    such nodes, and the same forward from ``j``, so the points differ at
+    finitely many places.
     """
-    n, into = len(view.out), view.into
-    past, future = (view.backward, view.forward) if diamond else (range(n), range(n))
-
-    def kept(t):
-        return t[0] == t[1] or not diamond
-
-    back, b = _bfs_path(i, into.__getitem__, past.__contains__)
-    lead, cycle = _walk_to_cycle(b, lambda q: next(
-        (t, p) for t, p in into[q] if p in past and kept(t)))
-    ahead, e = _bfs_path(j, view.out.__getitem__, future.__contains__)
-    trail, cycle2 = _walk_to_cycle(e, lambda q: next(
-        (t, p) for t, p in view.out[q] if p in future and kept(t)))
+    into, out = view.into, view.out
+    back = ahead = ()
+    if not diamond:
+        lead, cycle = _walk_to_cycle(i, lambda q: into[q][0])
+        trail, cycle2 = _walk_to_cycle(j, lambda q: out[q][0])
+    else:
+        past, future = view.backward, view.forward
+        back, b = _bfs_path(i, into.__getitem__, past.__contains__)
+        lead, cycle = _walk_to_cycle(b, lambda q: next(
+            (t, p) for t, p in into[q] if p in past and t[0] == t[1]))
+        ahead, e = _bfs_path(j, out.__getitem__, future.__contains__)
+        trail, cycle2 = _walk_to_cycle(e, lambda q: next(
+            (t, p) for t, p in out[q] if p in future and t[0] == t[1]))
     words = (cycle[::-1], lead[::-1] + back[::-1] + (tok,) + ahead + trail, cycle2)
     # each word of pairs unzips into the words of the two points
     return tuple(EventuallyPeriodicPoint(*ws) for ws in zip(*(zip(*w) for w in words)))

@@ -188,7 +188,8 @@ def visibly_blocking(f: BlockMap, words: list[Word], depth: int = 3) -> v.Verdic
 
     Condition (1), forward invariance of the window, is exact; condition
     (2) is verified up to ``depth`` iterations and a matching window, so a
-    YES is only ever a bounded certificate.
+    YES is only ever a bounded certificate.  Each depth tries the right
+    side, then the mirrored left side, so a NO names the first leak by depth.
     """
     _require_endo(f)
     x = f.source
@@ -203,37 +204,35 @@ def visibly_blocking(f: BlockMap, words: list[Word], depth: int = 3) -> v.Verdic
     for i, j in zip(_center_index(x, ell, f.radius), _window_table(f, ell)):
         if mids[i] in wset and imgs[j] not in wset:
             return v.no(witness={"condition": 1, "window": mids[i], "image": imgs[j]})
-    side = _blocking_leak(f, wset, ell, depth, "right")
-    if side is not None:
-        return v.no(witness=side)
-    fm = mirror_map(f)
-    wm = {tuple(reversed(w)) for w in wset}
-    side = _blocking_leak(fm, wm, ell, depth, "left")
-    if side is not None:
-        return v.no(witness=side)
+    mirrored = None
+    for n in range(1, depth + 1):
+        side = _blocking_leak(f, wset, ell, n, "right")
+        if side is None:
+            mirrored = mirrored or (mirror_map(f), {w[::-1] for w in wset})
+            side = _blocking_leak(*mirrored, ell, n, "left")
+        if side is not None:
+            return v.no(witness=side)
     return v.yes(bound_used={"depth": depth}, note="condition (2) verified up to the depth bound")
 
 
-def _blocking_leak(f: BlockMap, wset, ell: int, depth: int, label: str):
-    """Does a difference behind a blocking window ever cross it?
+def _blocking_leak(f: BlockMap, wset, ell: int, n: int, label: str):
+    """Does a difference behind a blocking window cross it under ``f^n``?
 
     Enumerates word pairs differing only left of the window and compares
-    images on the positions just right of it, for each iterate up to depth.
+    images of the n-th iterate on the positions just right of it.
     """
-    x = f.source
-    for n in range(1, depth + 1):
-        g = power(f, n)
-        rn = g.radius
-        if rn == 0:
+    g = power(f, n)
+    rn = g.radius
+    if rn == 0:
+        return None
+    total = 3 * rn + ell
+    groups: dict[Word, set] = {}
+    for w in f.source.words(total):
+        if w[rn : rn + ell] not in wset:
             continue
-        total = 3 * rn + ell
-        groups: dict[Word, set] = {}
-        for w in x.words(total):
-            if w[rn : rn + ell] not in wset:
-                continue
-            img = tuple(g.local(w[p : p + 2 * rn + 1]) for p in range(ell, ell + rn))
-            groups.setdefault(w[rn:], set()).add(img)
-        for key, outs in groups.items():
-            if len(outs) > 1:
-                return {"condition": 2, "side": label, "depth": n, "window": key[:ell]}
+        img = tuple(g.local(w[p : p + 2 * rn + 1]) for p in range(ell, ell + rn))
+        groups.setdefault(w[rn:], set()).add(img)
+    for key, outs in groups.items():
+        if len(outs) > 1:
+            return {"condition": 2, "side": label, "depth": n, "window": key[:ell]}
     return None

@@ -324,6 +324,17 @@ class TestInjectivityFamily:
         # preinjective ones are refuted in M1 on uniform points
         assert nos == 128 and monic_nos > 0
 
+    def test_witness_walk_steps_each_node_once(self):
+        # the walk 0 -> 1 -> 2 -> 1 closes its cycle at node 1
+        stepped = []
+
+        def step(q):
+            stepped.append(q)
+            return str(q), (1, 2, 1)[q]
+
+        assert an._walk_to_cycle(0, step) == (("0",), ("1", "2"))
+        assert stepped == [0, 1, 2]
+
     def test_t3_example(self, t3_monic_map):
         fam = an.injectivity_family(t3_monic_map)
         assert not fam.injective
@@ -479,6 +490,27 @@ class TestFactsDecidedOnce:
         built.clear()
         assert diagonal_relation(x) is diagonal_relation(x)
         assert len(built) == 1
+
+    def test_mixing_petals_are_searched_once_per_map(self, and_rule, full2, monkeypatch):
+        from sdcat import classify as cl
+        from sdcat.limits import CategoryTag
+
+        # a fresh map, so no kernel fact is kept from another test
+        f = make_block_map(full2, full2, 1, and_rule.rule_dict)
+        searches = []
+        real = an._bfs_path
+
+        def counting(start, succ, stop):
+            # the petal search runs over (node, length) pairs
+            if isinstance(start, tuple):
+                searches.append(start)
+            return real(start, succ, stop)
+
+        monkeypatch.setattr(an, "_bfs_path", counting)
+        m2 = cl.is_monic(f, CategoryTag.parse("M2"))
+        m3 = cl.is_monic(f, CategoryTag.parse("M3"))
+        assert m2.no and m3.no and m2.witness == m3.witness
+        assert len(searches) == 1
 
     def test_mixing_of_kernel_constituents_builds_no_components(self, xor3, monkeypatch):
         from sdcat.core import full_shift

@@ -249,3 +249,10 @@ class TestVisiblyBlocking:
         v = dy.visibly_blocking(shift_power(golden, 1), [("0",), ("1",)], depth=6)
         assert v.no and v.witness == {"condition": 2, "side": "left", "depth": 2,
                                       "window": ("0",)}
+
+    def test_first_leak_by_depth_is_reported(self, golden):
+        # the left side leaks at depth 2, before the right side's words at
+        # depth 9 (514,229 of 28 symbols) would outgrow the budget
+        v = dy.visibly_blocking(shift_power(golden, 1), [("0",), ("1",)], depth=9)
+        assert v.no and v.witness == {"condition": 2, "side": "left", "depth": 2,
+                                      "window": ("0",)}

@@ -16,7 +16,8 @@ they replaced, and the syntactic monoid that the period set explores
 against the sink-completed exploration and the essential-state loop it
 replaced.  The verdicts read off a map's kernel
 graph are checked against the loops on its canonical kernel, and their
-witnesses re-verified.  Every builder that reads the kept edge tuples
+witnesses re-verified and compared with those of the searches and
+twice-stepped walks they replaced.  Every builder that reads the kept edge tuples
 (``Presentation.edges`` and ``window_graph``) is checked against its loop
 over dict rows, the list-based strongly connected components against
 the dict-based loop and their periods against breadth-first levels, and
@@ -63,6 +64,7 @@ from sdcat import limits as li
 from sdcat import oracle as orc
 from sdcat.core import (
     BlockMap,
+    EventuallyPeriodicPoint,
     PeriodicPoint,
     _block_conjugacy,
     _center_index,
@@ -1495,10 +1497,59 @@ def _check_pair(f, pair, diamond):
         assert p1.segment(hi, hi + lr) == p2.segment(hi, hi + lr)
 
 
+def _old_walk_to_cycle(q, step):
+    """Reference: the walk that steps each node twice, once to find the
+    cycle and once more for its token."""
+    nodes, t = an._orbit(q, lambda q: step(q)[1], "witness walk")
+    tokens = tuple(step(q)[0] for q in nodes)
+    return tokens[:t], tokens[t:]
+
+
+def _old_pair_witness(view, i, tok, j, diamond):
+    """Reference: the pair read off shortest paths to a node with the
+    wanted past and future, searched for a plain pair too, and filtered
+    walks from their ends."""
+    n, into = len(view.out), view.into
+    past, future = (view.backward, view.forward) if diamond else (range(n), range(n))
+
+    def kept(t):
+        return t[0] == t[1] or not diamond
+
+    back, b = an._bfs_path(i, into.__getitem__, past.__contains__)
+    lead, cycle = _old_walk_to_cycle(b, lambda q: next(
+        (t, p) for t, p in into[q] if p in past and kept(t)))
+    ahead, e = an._bfs_path(j, view.out.__getitem__, future.__contains__)
+    trail, cycle2 = _old_walk_to_cycle(e, lambda q: next(
+        (t, p) for t, p in view.out[q] if p in future and kept(t)))
+    words = (cycle[::-1], lead[::-1] + back[::-1] + (tok,) + ahead + trail, cycle2)
+    return tuple(EventuallyPeriodicPoint(*ws) for ws in zip(*(zip(*w) for w in words)))
+
+
+def _old_kernel_witnesses(f):
+    """Reference: the injectivity, periodic and diamond pairs as the
+    searches and walks above read them off the kernel graph."""
+    view = an._diagonal_view(f)
+    pair = periodic_pair = diamond = None
+    if view.off_edges:
+        pair = _old_pair_witness(view, *view.off_edges[0], diamond=False)
+    comps = an.off_diagonal_components(f)
+    if comps:
+        q, t, p = comps[0][0]
+        back, _ = an._bfs_path(p, view.out.__getitem__, q.__eq__)
+        periodic_pair = tuple(map(PeriodicPoint, zip(t, *back)))
+    reach = au.closure(view.backward, view.succ.__getitem__)
+    coreach = au.closure(view.forward, view.pred.__getitem__)
+    edge = next(((i, t, j) for i, t, j in view.off_edges if i in reach and j in coreach), None)
+    if edge is not None:
+        diamond = _old_pair_witness(view, *edge, diamond=True)
+    return pair, periodic_pair, diamond
+
+
 class TestDiagonalView:
     """The verdicts read off the kernel graph against the loops on the
     canonical kernel; the witnesses come from another graph, so they are
-    re-verified rather than compared."""
+    re-verified, and compared exactly with the pairs of the searches and
+    walks that the first-edge walks replaced."""
 
     def _check(self, f):
         pre = an.is_preinjective(f)
@@ -1515,6 +1566,8 @@ class TestDiagonalView:
             p1, p2 = fam.periodic_pair
             assert not p1.same_point(p2)
             assert apply_map(f, p1).same_point(apply_map(f, p2))
+        diamond = pre.witness["pair"] if pre.no else None
+        assert (fam.pair, fam.periodic_pair, diamond) == _old_kernel_witnesses(f)
         assert an.resolvingness(f) == _old_resolvingness(f)
 
     @given(sft_maps() | small_sofic_maps() | sofic_maps(sft_maps() | small_sofic_maps()))
@@ -1529,6 +1582,19 @@ class TestDiagonalView:
     def test_ladder_maps_match_the_separate_loops(self):
         for f in _ladder_pool():
             self._check(f)
+
+    def test_plain_pairs_search_no_path(self, monkeypatch):
+        # every node of the trimmed kernel graph has an infinite past and
+        # future, so a plain pair walks first edges from its edge's ends
+        views = [next(v for v in map(an._diagonal_view, pool) if v.off_edges)
+                 for pool in (_census_maps(), _ladder_pool())]
+        want = [_old_pair_witness(v, *v.off_edges[0], diamond=False) for v in views]
+
+        def no_search(*args):
+            raise AssertionError("a plain pair searched for a path")
+
+        monkeypatch.setattr(an, "_bfs_path", no_search)
+        assert [an._pair_witness(v, *v.off_edges[0], diamond=False) for v in views] == want
 
 
 # ---------------------------------------------------------------------------
