@@ -33,13 +33,13 @@ read the kernel graph through one diagonal view per map, built in the
 pass that pairs the map's windows, ``_diagonal_view``, and build no
 canonical kernel.  Their NO witnesses, two distinct eventually periodic
 points with equal images, are read off a path of that graph: a plain pair
-walks first edges from the ends of its off-diagonal edge, and each witness
-walk steps a node once, through ``_orbit``.  One SCC pass of the graph per
-map, ``off_diagonal_components``, answers injectivity on periodic points,
-and the graph periods the same pass gives its components yield the mixing
-petals, kept per map, that decide monicness in M2 and M3.  Constituents
-of the kernel, kernel pairs and other questions about its language read
-``f.kernel``.
+walks first edges from its edge's ends, and each witness walk steps a node
+once, through ``_orbit``.  Injectivity on periodic points, the mixing
+petals that decide monicness in M2 and M3, and preinjectivity first run
+their witness search on the first off-diagonal edge, and sweep the graph
+(one SCC pass, ``off_diagonal_components``, or two reach closures) only
+when it finds nothing.  Constituents of the kernel, kernel pairs and other
+questions about its language read ``f.kernel``.
 """
 
 from __future__ import annotations
@@ -672,8 +672,7 @@ def off_diagonal_components(f: BlockMap) -> tuple[tuple[tuple, tuple[int, ...], 
     off-diagonal edge inside them, in the order of their first such edge
     in ``off_edges``: that edge ``(q, token, p)``, the nodes of the
     component and its graph period.  One SCC pass per map, made only when
-    some edge is off the diagonal; injectivity on periodic points and
-    monicness in M2 and M3 read it."""
+    a witness search on the first off-diagonal edge finds nothing."""
     view = _diagonal_view(f)
     if not view.off_edges:
         return ()
@@ -691,12 +690,35 @@ def off_diagonal_components(f: BlockMap) -> tuple[tuple[tuple, tuple[int, ...], 
     return tuple(out.values())
 
 
-def _cycle_through(view: _DiagonalView, edge: tuple[int, str, int]) -> Word:
+def _search_first(edges, search, sweep):
+    """``(edge, search(edge))`` for the first of the off-diagonal ``edges``
+    if that search finds something, else for the first edge ``sweep()``
+    lists, whose search must; None if none.  So a kernel fact's witness
+    search decides, and the graph is swept only when it finds nothing."""
+    if edges and (found := search(edges[0])):
+        return edges[0], found
+    edge = next(iter(sweep()), None) if edges else None
+    found = edge and search(edge)
+    if edge and not found:
+        raise InternalError("witness search found no path to a stopping node")
+    return edge and (edge, found)
+
+
+def _cycle_through(view: _DiagonalView, edge: tuple[int, str, int]) -> Word | None:
     """The tokens of a shortest cycle that starts with ``edge``: the edge,
-    then a shortest path from its end back to its start."""
+    then a shortest path from its end back to its start; None if none."""
     q, t, p = edge
-    back, _ = _bfs_path(p, view.out.__getitem__, q.__eq__)
-    return (t, *back)
+    back = _bfs_path(p, view.out.__getitem__, q.__eq__)
+    return back and (t, *back[0])
+
+
+@_per_object
+def _first_cycle(f: BlockMap) -> tuple[tuple, Word] | None:
+    """``(edge, tokens)``: the first off-diagonal edge on a cycle (that of
+    the first off-diagonal component) and a shortest cycle from it, or None."""
+    view = _diagonal_view(f)
+    return _search_first(view.off_edges, partial(_cycle_through, view),
+                         lambda: [edge for edge, _, _ in off_diagonal_components(f)])
 
 
 @_per_object
@@ -708,49 +730,49 @@ def mixing_petals(f: BlockMap) -> tuple[Word, Word] | None:
 
     The edge is the first of the first component of period 1, ``w1`` a
     shortest cycle through it and ``w2`` a shortest closed walk from its
-    start whose length is coprime to ``len(w1)``, found by a breadth-first
-    search over pairs (node, length mod ``len(w1)``); period 1 makes such
-    lengths occur.  The flower graph with petals ``w1`` and ``w2`` is then
-    an irreducible graph of period 1, so its edge shift is a mixing SFT,
-    and its two coordinate projections are distinct maps into the source
-    that ``f`` makes equal.
+    start of length coprime to ``len(w1)``, by a breadth-first search over
+    pairs (node, length mod ``len(w1)``) charged to the budget; it succeeds
+    exactly on a component of period 1, so it runs first from the kept
+    cycle of :func:`_first_cycle`.  The flower with petals ``w1`` and
+    ``w2`` is irreducible of period 1: its edge shift is a mixing SFT, and
+    its two projections are distinct maps that ``f`` makes equal.
     """
-    for edge, _, period in off_diagonal_components(f):
-        if period == 1:
-            view = _diagonal_view(f)
-            w1 = _cycle_through(view, edge)
-            q, n = edge[0], len(w1)
-            # lengths mod n are kept as 1..n, so the start (q, 0) stops nothing
-            w2, _ = _bfs_path(
-                (q, 0), lambda s: [(t, (p, s[1] % n + 1)) for t, p in view.out[s[0]]],
-                lambda s: s[0] == q and s[1] > 0 and math.gcd(s[1], n) == 1)
-            return w1, w2
-    return None
+    view, first = _diagonal_view(f), _first_cycle(f)
+
+    def petals(edge):
+        w1 = first[1] if edge == first[0] else _cycle_through(view, edge)
+        q, n = edge[0], len(w1)
+        # lengths mod n are kept as 1..n, so the start (q, 0) stops nothing
+        w2 = _bfs_path(
+            (q, 0), lambda s: [(t, (p, s[1] % n + 1)) for t, p in view.out[s[0]]],
+            lambda s: s[0] == q and s[1] > 0 and math.gcd(s[1], n) == 1, "witness walk")
+        return w2 and (w1, w2[0])
+
+    found = first and _search_first([first[0]], petals, lambda: [
+        edge for edge, _, period in off_diagonal_components(f) if period == 1])
+    return found and found[1]
 
 
 @_per_object
 def injectivity_family(f: BlockMap) -> InjectivityFamily:
     """Decided on the kernel graph: ``f`` is injective when no edge is off
     the diagonal, and injective on periodic points when no off-diagonal
-    edge lies inside a strongly connected component, that is on a cycle.
-    The NO pair is read off the first off-diagonal edge, and the periodic
-    NO pair off a shortest cycle through the first one inside a
-    component."""
+    edge lies on a cycle, inside a strongly connected component.  The NO
+    pair is read off the first off-diagonal edge, and the periodic NO pair
+    off the kept cycle of :func:`_first_cycle`: the search back from that
+    edge's end decides, and the component pass runs only if it finds none."""
     view = _diagonal_view(f)
     inj = not view.off_edges
     pair = None if inj else _pair_witness(view, *view.off_edges[0], diamond=False)
-    comps = off_diagonal_components(f)
-    periodic_pair = None
-    if comps:
-        cycle = _cycle_through(view, comps[0][0])
-        periodic_pair = tuple(map(PeriodicPoint, zip(*cycle)))
+    first = _first_cycle(f)
+    periodic_pair = first and tuple(map(PeriodicPoint, zip(*first[1])))
     uniform_pair, images = None, {}
     for a in f.source.uniform_points():
         b = images.setdefault(image_word(f, (a,)), a)
         if b != a:
             uniform_pair = (PeriodicPoint((b,)), PeriodicPoint((a,)))
             break
-    return InjectivityFamily(inj, not comps, not uniform_pair, pair, periodic_pair, uniform_pair)
+    return InjectivityFamily(inj, not first, not uniform_pair, pair, periodic_pair, uniform_pair)
 
 
 @_per_object
@@ -759,7 +781,9 @@ def is_preinjective(f: BlockMap) -> v.Verdict:
 
     Decided on the kernel graph: a violation, a diamond, is a path from an
     infinite diagonal past through an off-diagonal edge to an infinite
-    diagonal future, and the NO witness is read off one.
+    diagonal future, and the NO witness is read off one: through the first
+    off-diagonal edge if it is one, else the first that the sweep of the
+    nodes reached from and reaching those diagonal tails finds.
 
     On a transitive SFT source a YES notes that the diagonal Δ is a
     constituent of Ker f, which preinjectivity implies, so no constituent
@@ -771,11 +795,15 @@ def is_preinjective(f: BlockMap) -> v.Verdict:
     no constituent.
     """
     view = _diagonal_view(f)
-    reach = au.closure(view.backward, view.succ.__getitem__)
-    coreach = au.closure(view.forward, view.pred.__getitem__)
-    for i, t, j in view.off_edges:
-        if i in reach and j in coreach:
-            return v.no(witness={"pair": _pair_witness(view, i, t, j, diamond=True)})
+
+    def diamonds():
+        reach = au.closure(view.backward, view.succ.__getitem__)
+        coreach = au.closure(view.forward, view.pred.__getitem__)
+        return [(i, t, j) for i, t, j in view.off_edges if i in reach and j in coreach]
+
+    found = _search_first(view.off_edges, lambda e: _pair_witness(view, *e, diamond=True), diamonds)
+    if found:
+        return v.no(witness={"pair": found[1]})
     note = None
     x = f.source
     if is_transitive(x) and is_sft(x).yes:
@@ -783,16 +811,15 @@ def is_preinjective(f: BlockMap) -> v.Verdict:
     return v.yes(note=note)
 
 
-def _bfs_path(start: int, succ, stop) -> tuple[Word, int]:
+def _bfs_path(start, succ, stop, what: str | None = None) -> tuple[Word, object] | None:
     """The token word of a shortest path from ``start`` along the ``(token,
     node)`` edges ``succ(q)``, searched in order, to the first node for
-    which ``stop`` holds, ``start`` included; and that node."""
+    which ``stop`` holds, ``start`` included, and that node; None when
+    there is none.  Each node reached counts against the budget as ``what``."""
     if stop(start):
         return (), start
-    word, end = au.first_word([start], succ, stop, None)
-    if word is None:
-        raise InternalError("witness search found no path to a stopping node")
-    return word, end
+    word, end = au.first_word([start], succ, stop, what)
+    return None if word is None else (word, end)
 
 
 def _walk_to_cycle(q: int, step) -> tuple[Word, Word]:
@@ -810,17 +837,16 @@ def _walk_to_cycle(q: int, step) -> tuple[Word, Word]:
 def _pair_witness(view: _DiagonalView, i: int, tok: str, j: int, diamond: bool):
     """Two distinct eventually periodic points with equal images, read off
     a bi-infinite path of the kernel graph through the off-diagonal edge
-    ``(i, tok, j)``.
+    ``(i, tok, j)``; for a diamond, None when the edge is on none.
 
     Every node of the graph has an infinite past and future, so a plain
     pair walks first edges from the ends of its edge: back from ``i`` along
     the first edge into each node, and forward from ``j`` along the first
     edge out of each, until a node repeats and closes a cycle.  For a
-    diamond the wanted past and future are the infinite diagonal ones,
-    which ``i`` and ``j`` reach: a shortest path back from ``i`` to a node
-    with that past, then a walk back along diagonal edges that come from
-    such nodes, and the same forward from ``j``, so the points differ at
-    finitely many places.
+    diamond the wanted past and future are the infinite diagonal ones: a
+    shortest path back from ``i`` to a node with that past, if any, then a
+    walk back along diagonal edges that come from such nodes, and the same
+    forward from ``j``, so the points differ at finitely many places.
     """
     into, out = view.into, view.out
     back = ahead = ()
@@ -829,10 +855,13 @@ def _pair_witness(view: _DiagonalView, i: int, tok: str, j: int, diamond: bool):
         trail, cycle2 = _walk_to_cycle(j, lambda q: out[q][0])
     else:
         past, future = view.backward, view.forward
-        back, b = _bfs_path(i, into.__getitem__, past.__contains__)
+        behind = _bfs_path(i, into.__getitem__, past.__contains__)
+        after = behind and _bfs_path(j, out.__getitem__, future.__contains__)
+        if not after:
+            return None
+        (back, b), (ahead, e) = behind, after
         lead, cycle = _walk_to_cycle(b, lambda q: next(
             (t, p) for t, p in into[q] if p in past and t[0] == t[1]))
-        ahead, e = _bfs_path(j, out.__getitem__, future.__contains__)
         trail, cycle2 = _walk_to_cycle(e, lambda q: next(
             (t, p) for t, p in out[q] if p in future and t[0] == t[1]))
     words = (cycle[::-1], lead[::-1] + back[::-1] + (tok,) + ahead + trail, cycle2)

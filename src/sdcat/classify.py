@@ -112,10 +112,10 @@ def _monic_m2(f: BlockMap) -> v.Verdict:
       subshift of Δ presented by another would have paths in both;
     - any other component presents a constituent other than Δ.
 
-    A NO carries the petals of ``analysis.mixing_petals``: the flower edge
-    shift they span is a mixing SFT whose two coordinate projections are
-    distinct maps that ``f`` makes equal.  A YES lists the graph period of
-    each component with an off-diagonal edge inside it, each 2 or more.
+    A NO carries the petals of ``analysis.mixing_petals``, searched before
+    any component pass: their flower is a mixing SFT with two distinct
+    projections that ``f`` makes equal.  A YES lists the component pass's
+    period of each component with an off-diagonal edge, each 2 or more.
     """
     petals = an.mixing_petals(f)
     if petals is not None:

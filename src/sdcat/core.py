@@ -899,6 +899,7 @@ def reduce_radius(f: BlockMap) -> BlockMap:
     return f
 
 
+@_per_object
 def mirror_map(f: BlockMap) -> BlockMap:
     src = mirror_presentation(f.source)
     tgt = mirror_presentation(f.target)

@@ -1,5 +1,7 @@
 """Shift-level and map-level predicates."""
 
+from collections import Counter
+
 import pytest
 
 from sdcat import analysis as an
@@ -419,8 +421,6 @@ class TestMixingSftImagePersistence:
 
 class TestFactsDecidedOnce:
     def test_facts_are_decided_once_per_object(self, monkeypatch):
-        from collections import Counter
-
         from sdcat import automata as au
         from sdcat.core import Presentation, golden_mean
 
@@ -479,8 +479,9 @@ class TestFactsDecidedOnce:
         p1, p2 = pre.witness["pair"]
         assert not p1.same_point(p2)
         assert core.apply_map_ep(f, p1).same_point(core.apply_map_ep(f, p2))
-        # one component pass, for injectivity on periodic points
-        assert len(sccs) == 1
+        # the witness searches on the first off-diagonal edge decide, so
+        # no component pass runs
+        assert len(sccs) == 0
 
         built = []
         real = core.presentation_from_nfa
@@ -500,17 +501,55 @@ class TestFactsDecidedOnce:
         searches = []
         real = an._bfs_path
 
-        def counting(start, succ, stop):
+        def counting(start, succ, stop, *what):
             # the petal search runs over (node, length) pairs
             if isinstance(start, tuple):
                 searches.append(start)
-            return real(start, succ, stop)
+            return real(start, succ, stop, *what)
 
         monkeypatch.setattr(an, "_bfs_path", counting)
         m2 = cl.is_monic(f, CategoryTag.parse("M2"))
         m3 = cl.is_monic(f, CategoryTag.parse("M3"))
         assert m2.no and m3.no and m2.witness == m3.witness
         assert len(searches) == 1
+
+    @staticmethod
+    def _count_sweeps(view, monkeypatch):
+        """The component passes and reach closures that read ``view``."""
+        sweeps = Counter()
+        for name in ("strongly_connected_components", "closure"):
+            def counting(nodes, succ, name=name, real=getattr(an.au, name)):
+                if any(getattr(succ, "__self__", None) is x for x in (view.succ, view.pred)):
+                    sweeps[name] += 1
+                return real(nodes, succ)
+
+            monkeypatch.setattr(an.au, name, counting)
+        return sweeps
+
+    def _kernel_facts(self, f):
+        from sdcat import classify as cl
+        from sdcat.limits import CategoryTag
+
+        return (an.injectivity_family(f), an.is_preinjective(f),
+                cl.is_monic(f, CategoryTag.parse("M2")), cl.is_monic(f, CategoryTag.parse("M3")))
+
+    def test_first_edge_searches_decide_without_a_sweep(self, and_rule, full2, monkeypatch):
+        # a fresh map, so no kernel fact is kept from another test
+        f = make_block_map(full2, full2, 1, and_rule.rule_dict)
+        sweeps = self._count_sweeps(an._diagonal_view(f), monkeypatch)
+        fam, pre, m2, m3 = self._kernel_facts(f)
+        assert not fam.injective_on_periodic and pre.no and m2.no and m3.no
+        assert not sweeps
+
+    def test_one_component_pass_when_the_first_component_is_periodic(self, full2, monkeypatch):
+        # census rule 81: the first off-diagonal component has period 2 or
+        # more and a later one period 1, and the first edge is no diamond
+        rule = {w: str(81 >> i & 1) for i, w in enumerate(full2.words(3))}
+        f = make_block_map(full2, full2, 1, rule)
+        sweeps = self._count_sweeps(an._diagonal_view(f), monkeypatch)
+        fam, pre, m2, m3 = self._kernel_facts(f)
+        assert not fam.injective_on_periodic and pre.no and m2.no and m3.no
+        assert sweeps == {"strongly_connected_components": 1, "closure": 2}
 
     def test_mixing_of_kernel_constituents_builds_no_components(self, xor3, monkeypatch):
         from sdcat.core import full_shift

@@ -250,6 +250,22 @@ class TestVisiblyBlocking:
         assert v.no and v.witness == {"condition": 2, "side": "left", "depth": 2,
                                       "window": ("0",)}
 
+    def test_mirror_and_its_powers_are_built_once_per_map(self, full2, monkeypatch):
+        # census rule 25 leaks on the left at depth 2, so the first call
+        # composes f and its mirror at depths 1 and 2; the mirror is kept
+        # on the map, and with it the powers kept on the mirror
+        rule = {w: str(25 >> i & 1) for i, w in enumerate(full2.words(3))}
+        f = make_block_map(full2, full2, 1, rule)
+        composed = []
+        monkeypatch.setattr(dy, "compose", lambda *maps: composed.append(maps) or compose(*maps))
+        counts, verdicts = [], []
+        for _ in range(3):
+            before = len(composed)
+            verdicts.append(dy.visibly_blocking(f, [("0",), ("1",)], depth=3))
+            counts.append(len(composed) - before)
+        assert counts == [4, 0, 0]
+        assert verdicts[0].no and all(v.witness == verdicts[0].witness for v in verdicts)
+
     def test_first_leak_by_depth_is_reported(self, golden):
         # the left side leaks at depth 2, before the right side's words at
         # depth 9 (514,229 of 28 symbols) would outgrow the budget

@@ -17,7 +17,9 @@ against the sink-completed exploration and the essential-state loop it
 replaced.  The verdicts read off a map's kernel
 graph are checked against the loops on its canonical kernel, and their
 witnesses re-verified and compared with those of the searches and
-twice-stepped walks they replaced.  Every builder that reads the kept edge tuples
+twice-stepped walks they replaced; the facts that search the first
+off-diagonal edge before they sweep the graph are compared exactly with
+the sweep-first facts they replaced.  Every builder that reads the kept edge tuples
 (``Presentation.edges`` and ``window_graph``) is checked against its loop
 over dict rows, the list-based strongly connected components against
 the dict-based loop and their periods against breadth-first levels, and
@@ -1545,6 +1547,67 @@ def _old_kernel_witnesses(f):
     return pair, periodic_pair, diamond
 
 
+def _sweep_first_cycle(view, edge):
+    """Reference: the tokens of a shortest cycle through ``edge``, which
+    lies inside a component."""
+    q, t, p = edge
+    back, _ = an._bfs_path(p, view.out.__getitem__, q.__eq__)
+    return (t, *back)
+
+
+def _sweep_first_injectivity_family(f):
+    """Reference: the injectivity family with the component pass run
+    before any search, the periodic pair read off a shortest cycle through
+    the first edge of the first component."""
+    view = an._diagonal_view(f)
+    inj = not view.off_edges
+    pair = None if inj else _old_pair_witness(view, *view.off_edges[0], diamond=False)
+    comps = an.off_diagonal_components(f)
+    periodic_pair = None
+    if comps:
+        periodic_pair = tuple(map(PeriodicPoint, zip(*_sweep_first_cycle(view, comps[0][0]))))
+    uniform_pair, images = None, {}
+    for a in f.source.uniform_points():
+        b = images.setdefault(image_word(f, (a,)), a)
+        if b != a:
+            uniform_pair = (PeriodicPoint((b,)), PeriodicPoint((a,)))
+            break
+    fam = an.InjectivityFamily(inj, not comps, not uniform_pair, pair, periodic_pair, uniform_pair)
+    return fam, fam.pair, fam.periodic_pair, fam.uniform_pair
+
+
+def _sweep_first_is_preinjective(f):
+    """Reference: (answer, note, witness) with the reach closures swept
+    before any search and the diamond read off the first edge between
+    them."""
+    view = an._diagonal_view(f)
+    reach = au.closure(view.backward, view.succ.__getitem__)
+    coreach = au.closure(view.forward, view.pred.__getitem__)
+    for i, t, j in view.off_edges:
+        if i in reach and j in coreach:
+            return "NO", None, {"pair": _old_pair_witness(view, i, t, j, diamond=True)}
+    note = None
+    if an.is_transitive(f.source) and an.is_sft(f.source).yes:
+        note = f"diagonal is a constituent: {not f.source.is_empty()}"
+    return "YES", note, None
+
+
+def _sweep_first_mixing_petals(f):
+    """Reference: the petals of the first component of period 1 that the
+    component pass lists, a shortest cycle through its first edge and a
+    shortest closed walk of coprime length from that edge's start."""
+    view = an._diagonal_view(f)
+    for edge, _, period in an.off_diagonal_components(f):
+        if period == 1:
+            w1 = _sweep_first_cycle(view, edge)
+            q, n = edge[0], len(w1)
+            w2, _ = an._bfs_path(
+                (q, 0), lambda s: [(t, (p, s[1] % n + 1)) for t, p in view.out[s[0]]],
+                lambda s: s[0] == q and s[1] > 0 and math.gcd(s[1], n) == 1)
+            return w1, w2
+    return None
+
+
 class TestDiagonalView:
     """The verdicts read off the kernel graph against the loops on the
     canonical kernel; the witnesses come from another graph, so they are
@@ -1595,6 +1658,66 @@ class TestDiagonalView:
 
         monkeypatch.setattr(an, "_bfs_path", no_search)
         assert [an._pair_witness(v, *v.off_edges[0], diamond=False) for v in views] == want
+
+
+class TestSearchBeforeSweep:
+    """Each kernel fact runs its witness search on the first off-diagonal
+    edge before it sweeps the kernel graph: its verdicts and witnesses are
+    compared exactly with the sweep-first references, and the census maps
+    that take each fallback are named, so that every fallback is run."""
+
+    def _check(self, f):
+        # the facts first, on a map that has kept nothing, then the
+        # references, which read the component pass the facts may skip
+        got = (an.injectivity_family(f), an.is_preinjective(f), an.mixing_petals(f))
+        fam, pre, petals = got
+        assert (fam, fam.pair, fam.periodic_pair, fam.uniform_pair) == \
+            _sweep_first_injectivity_family(f)
+        assert (pre.answer, pre.note, pre.witness) == _sweep_first_is_preinjective(f)
+        assert petals == _sweep_first_mixing_petals(f)
+
+    def test_census_maps_match_the_sweep_first_facts(self):
+        for f in _census_maps():
+            self._check(f)
+
+    def test_ladder_maps_match_the_sweep_first_facts(self):
+        for f in _ladder_pool():
+            self._check(f)
+
+    @given(sofic_maps(sft_maps() | small_sofic_maps()))
+    @settings(max_examples=150, deadline=None)
+    def test_sampled_maps_match_the_sweep_first_facts(self, f):
+        self._check(f)
+
+    def test_census_maps_take_each_fallback(self):
+        # rule numbers: window i of ``full2.words(3)`` maps to bit i
+        maps = _census_maps()
+        views = [an._diagonal_view(f) for f in maps]
+        periods = [[p for _, _, p in an.off_diagonal_components(f)] for f in maps]
+
+        def rules(test):
+            return [k for k, view in enumerate(views) if view.off_edges and test(k, view)]
+
+        def first_on_cycle(k, view):
+            return an._cycle_through(view, view.off_edges[0]) is not None
+
+        # the first off-diagonal edge lies on no cycle: the component pass
+        # names the periodic pair's edge
+        assert rules(lambda k, view: not first_on_cycle(k, view)) == [75, 89, 120, 135, 166, 180]
+        # the first component has period 2 or more and a later one period 1:
+        # the petals come from the loop over the components
+        assert rules(lambda k, _: periods[k][:1] != [1] and 1 in periods[k]) == \
+            [81, 83, 90, 165, 172, 174]
+        # no component of period 1 after a cycle on the first edge: M2 YES
+        assert rules(lambda k, view: first_on_cycle(k, view) and 1 not in periods[k]) == \
+            [45, 101, 105, 150, 154, 210]
+        # the first edge is no diamond, a later one is: the reach closures
+        # name it
+        assert rules(lambda k, view: an._pair_witness(view, *view.off_edges[0], diamond=True)
+                     is None and an.is_preinjective(maps[k]).no) == \
+            [18, 81, 83, 92, 163, 172, 174, 237]
+        # preinjective but not injective: the closures find no diamond
+        assert {30, 60, 86, 102} <= set(rules(lambda k, _: an.is_preinjective(maps[k]).yes))
 
 
 # ---------------------------------------------------------------------------

@@ -360,3 +360,28 @@ def test_equalizer_reads_no_level():
              if isinstance(node, ast.FunctionDef) and node.name == "equalizer"]
     found = [a.lineno for a in ast.walk(fn) if isinstance(a, ast.Attribute) and a.attr == "level"]
     assert not found, f"limits.equalizer reads a level at lines {found}"
+
+
+def test_kernel_facts_search_before_they_sweep():
+    # each kernel fact runs its witness search on the first off-diagonal
+    # edge and sweeps the kernel graph only when that search finds
+    # nothing, through the one component pass or preinjectivity's two
+    # reach closures.  Found here: a component pass or closure whose
+    # arguments read a field of the diagonal view
+    tree = ast.parse((SRC / "analysis.py").read_text(encoding="utf-8"))
+    (view,) = [node for node in tree.body
+               if isinstance(node, ast.ClassDef) and node.name == "_DiagonalView"]
+    fields = {node.target.id for node in view.body if isinstance(node, ast.AnnAssign)}
+    found = []
+    for fn in tree.body:
+        if not isinstance(fn, ast.FunctionDef):
+            continue
+        for call in ast.walk(fn):
+            if (isinstance(call, ast.Call) and isinstance(call.func, ast.Attribute)
+                    and isinstance(call.func.value, ast.Name) and call.func.value.id == "au"
+                    and call.func.attr in ("strongly_connected_components", "closure")
+                    and fields & {a.attr for arg in call.args for a in ast.walk(arg)
+                                  if isinstance(a, ast.Attribute)}):
+                found.append(f"{fn.name}:{call.func.attr}")
+    assert sorted(found) == ["is_preinjective:closure", "is_preinjective:closure",
+                             "off_diagonal_components:strongly_connected_components"], found
