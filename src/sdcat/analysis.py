@@ -29,23 +29,25 @@ Fischer cover.
 
 The injectivity family, preinjectivity and resolvingness ask whether the
 kernel pair has a bi-infinite path with a given label pattern, so they
-read the kernel graph through one diagonal view per map, built in the
-pass that pairs the map's windows, ``_diagonal_view``, and build no
-canonical kernel.  Their NO witnesses, two distinct eventually periodic
-points with equal images, are read off a path of that graph: a plain pair
-walks first edges from its edge's ends, and each witness walk steps a node
-once, through ``_orbit``.  Injectivity on periodic points, the mixing
-petals that decide monicness in M2 and M3, and preinjectivity first run
-their witness search on the first off-diagonal edge, and sweep the graph
-(one SCC pass, ``off_diagonal_components``, or two reach closures) only
-when it finds nothing.  Constituents of the kernel, kernel pairs and other
-questions about its language read ``f.kernel``.
+read the kernel graph through one diagonal view per map, built in the pass
+that pairs the map's windows, ``_diagonal_view``, and build no canonical
+kernel: each product edge is one tuple on both its ends' lists, which
+``core._infinite_past`` peels.  Their NO witnesses, two distinct
+eventually periodic points with equal images, are read off a path of that
+graph: a plain pair walks first edges from its edge's ends, and each
+witness walk steps a node once, through ``_orbit``.  Injectivity on
+periodic points, the mixing petals that decide monicness in M2 and M3, and
+preinjectivity first run their witness search on the first off-diagonal
+edge, and sweep the graph (one SCC pass, ``off_diagonal_components``, or
+two reach closures, over node lists built only then) only when it finds
+nothing.  Constituents of the kernel, kernel pairs and other questions
+about its language read ``f.kernel``.
 """
 
 from __future__ import annotations
 
 import math
-from functools import partial, reduce
+from functools import cached_property, partial, reduce
 
 from . import automata as au
 from . import verdicts as v
@@ -609,61 +611,66 @@ class _DiagonalView:
 
     The kernel graph is ``core.fiber_graph(f, f)`` trimmed to its nodes on
     bi-infinite paths, in product order.  ``out[q]`` lists the edges
-    ``(token, node)`` out of node ``q`` in edge order; several may carry
-    the same token.  ``succ[q]`` lists their end nodes, ``into[p]`` the
-    edges ``(token, node)`` into ``p`` back to their start nodes, and
-    ``pred[p]`` those start nodes, in node order and then in edge order,
-    and ``off_edges`` every edge ``(q, t, p)`` off the diagonal, ``t[0] !=
+    ``(token, node)`` out of node ``q`` in edge order; several may carry the
+    same token.  ``into[p]`` lists the edges ``(token, node)`` into ``p``
+    back to their start nodes, in node order and then in edge order, and
+    ``off_edges`` every edge ``(q, t, p)`` off the diagonal, ``t[0] !=
     t[1]``, in node order and then in edge order.  ``backward`` holds the
     nodes with an infinite diagonal past (reachable from a diagonal cycle
     along diagonal edges), ``forward`` those with an infinite diagonal
-    future.
+    future.  ``succ`` and ``pred`` hold the nodes of ``out`` and ``into``,
+    built when a sweep first asks.
     """
 
     out: tuple[tuple[tuple[str, int], ...], ...]
-    succ: list[list[int]]
-    pred: list[list[int]]
     into: list[list[tuple[str, int]]]
     off_edges: tuple[tuple[int, str, int], ...]
     backward: frozenset[int]
     forward: frozenset[int]
 
+    @cached_property
+    def succ(self) -> list[list[int]]:
+        return [[p for _, p in row] for row in self.out]
+
+    @cached_property
+    def pred(self) -> list[list[int]]:
+        return [[q for _, q in row] for row in self.into]
+
 
 @_per_object
 def _diagonal_view(f: BlockMap) -> _DiagonalView:
-    """The diagonal structure of the kernel graph, once per map: the pass
-    that pairs the window edges fills the product, two peels trim it, and
-    one pass over the live nodes renumbers it."""
+    """The diagonal structure of the kernel graph, once per map: pairing the
+    window edges puts each product edge, one tuple, on both its ends' lists,
+    the peel trims them, and one pass renumbers the live nodes by ``idx``."""
     n, _, labelled, _ = _fiber_sides(f, f)
-    toks, ends, starts = ([[] for _ in range(n * n)] for _ in range(3))
+    outs, ins = [[] for _ in range(n * n)], [[] for _ in range(n * n)]
     for q, row, p in _matched_rows(labelled, labelled, n, pair_symbol):
         for k, t, j in row:
             k += q
             j += p
-            toks[k].append(t)
-            ends[k].append(j)
-            starts[j].append(k)
-    live = sorted(_infinite_past(ends, starts) & _infinite_past(starts, ends))
-    index = dict(zip(live, range(len(live))))
+            outs[k].append(edge := (t, k, j))
+            ins[j].append(edge)
+    live = sorted(_infinite_past(outs, map(len, ins), 2) & _infinite_past(ins, map(len, outs), 1))
+    idx = [-1] * (n * n)
+    for q, old in enumerate(live):
+        idx[old] = q
     out, off_edges = [], []
-    succ, pred, into, dsucc, dpred = ([[] for _ in live] for _ in range(5))
+    into, dout, dinto = ([[] for _ in live] for _ in range(3))
     for q, old in enumerate(live):
         row = []
-        for t, p in zip(toks[old], ends[old]):
-            if p in index:
-                p = index[p]
-                row.append((t, p))
-                succ[q].append(p)
-                pred[p].append(q)
-                into[p].append((t, q))
+        for t, _, p in outs[old]:
+            p = idx[p]
+            if p >= 0:
+                row.append(edge := (t, p))
+                into[p].append(back := (t, q))
                 if t[0] != t[1]:
                     off_edges.append((q, t, p))
                 else:
-                    dsucc[q].append(p)
-                    dpred[p].append(q)
+                    dout[q].append(edge)
+                    dinto[p].append(back)
         out.append(tuple(row))
-    return _DiagonalView(tuple(out), succ, pred, into, tuple(off_edges),
-                         _infinite_past(dsucc, dpred), _infinite_past(dpred, dsucc))
+    return _DiagonalView(tuple(out), into, tuple(off_edges), _infinite_past(dout, map(len, dinto), 1),
+                         _infinite_past(dinto, map(len, dout), 1))
 
 
 @_per_object
@@ -875,6 +882,7 @@ class Resolvingness:
     left_resolving: bool
 
 
+@_per_object
 def resolvingness(f: BlockMap) -> Resolvingness:
     """Read off the kernel graph: no off-diagonal edge leaves a node with an
     infinite diagonal past (right), or enters one with an infinite diagonal

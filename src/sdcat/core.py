@@ -23,7 +23,8 @@ Questions that only ask whether some bi-infinite path exists need no
 canonical form.  Surjectivity reads :func:`image_graph`, a relabelled
 window graph, whose every node lies on a bi-infinite path; injectivity,
 preinjectivity and resolvingness read ``analysis._diagonal_view``, which
-trims the pairs of :func:`_matched_rows` as it renumbers them.
+writes each pair of :func:`_matched_rows` once, as an edge tuple that both
+its ends list, for the one peel, :func:`_infinite_past`.
 ``BlockMap.image`` and ``BlockMap.kernel`` canonicalize only when a
 question about their language asks.
 
@@ -289,12 +290,11 @@ def _orbit_ends(act) -> tuple[frozenset[int], frozenset[int]]:
     where it is defined forever: one peel each of its graph, since a state
     reachable from a cycle is on it, so the first are those with an
     infinite past and the second those with an infinite future."""
-    succ = [[] if p == au.UNDEF else [p] for p in act]
-    pred: list[list[int]] = [[] for _ in act]
-    for q, p in enumerate(act):
-        if p != au.UNDEF:
-            pred[p].append(q)
-    return _infinite_past(succ, pred), _infinite_past(pred, succ)
+    out = [[] if e[1] == au.UNDEF else [e] for e in enumerate(act)]
+    into: list[list[tuple[int, int]]] = [[] for _ in act]
+    for (e,) in filter(None, out):
+        into[e[1]].append(e)
+    return _infinite_past(out, map(len, into), 1), _infinite_past(into, map(len, out), 0)
 
 
 def presentation_from_nfa(alphabet, nfa: Nfa, point=None) -> Presentation:
@@ -326,23 +326,25 @@ def _live_nodes(n: int, edges) -> frozenset[int]:
     """The nodes on bi-infinite paths of the graph on ``range(n)`` with the
     given ``(src, symbol, dst)`` edges: those with an infinite past and an
     infinite future."""
-    succ: list[list[int]] = [[] for _ in range(n)]
-    pred: list[list[int]] = [[] for _ in range(n)]
-    for q, _, p in edges:
-        succ[q].append(p)
-        pred[p].append(q)
-    return _infinite_past(succ, pred) & _infinite_past(pred, succ)
+    out: list[list[tuple]] = [[] for _ in range(n)]
+    into: list[list[tuple]] = [[] for _ in range(n)]
+    for e in edges:
+        out[e[0]].append(e)
+        into[e[2]].append(e)
+    return _infinite_past(out, map(len, into), 2) & _infinite_past(into, map(len, out), 0)
 
 
-def _infinite_past(succ, pred) -> frozenset[int]:
-    """The nodes with an infinite path into them along the lists ``succ``,
-    whose reverse is ``pred``: the nodes reachable from a cycle.  A
-    worklist drops every node whose in-degree from the kept nodes reaches
-    zero, so the cost is linear in nodes plus edges."""
-    deg = list(map(len, pred))
+def _infinite_past(edges, deg, end: int) -> frozenset[int]:
+    """The one peel: the nodes with an infinite path into them, those
+    reachable from a cycle, where ``edges[q]`` lists the edge tuples ``e``
+    out of ``q``, into ``e[end]``, and ``deg`` the in-degrees; on in-lists
+    and out-degrees, those with an infinite future.  A worklist drops each
+    node whose in-degree from kept nodes reaches zero: linear in size."""
+    deg = list(deg)
     stack = [q for q, d in enumerate(deg) if not d]
     while stack:
-        for p in succ[stack.pop()]:
+        for e in edges[stack.pop()]:
+            p = e[end]
             deg[p] -= 1
             if not deg[p]:
                 stack.append(p)

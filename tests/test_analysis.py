@@ -1,6 +1,7 @@
 """Shift-level and map-level predicates."""
 
 from collections import Counter
+from functools import cached_property
 
 import pytest
 
@@ -446,7 +447,8 @@ class TestFactsDecidedOnce:
 
         def facts():
             return (an.is_sft(x), an.is_mixing(x), an.constituents(x), an.periods(x),
-                    an.injectivity_family(f), an.is_preinjective(f), an.surjectivity(f))
+                    an.injectivity_family(f), an.is_preinjective(f), an.surjectivity(f),
+                    an.resolvingness(f))
 
         first = facts()
         after_first = Counter(work)
@@ -550,6 +552,40 @@ class TestFactsDecidedOnce:
         fam, pre, m2, m3 = self._kernel_facts(f)
         assert not fam.injective_on_periodic and pre.no and m2.no and m3.no
         assert sweeps == {"strongly_connected_components": 1, "closure": 2}
+
+    @staticmethod
+    def _count_sweep_lists(monkeypatch):
+        """The builds of the view's node lists ``succ`` and ``pred``."""
+        built = Counter()
+        for name in ("succ", "pred"):
+            real = vars(an._DiagonalView)[name].func
+            prop = cached_property(lambda view, name=name, real=real: built.update([name]) or real(view))
+            prop.__set_name__(an._DiagonalView, name)
+            monkeypatch.setattr(an._DiagonalView, name, prop)
+        return built
+
+    def test_sweep_lists_are_built_only_when_a_sweep_runs(self, and_rule, full2, monkeypatch):
+        # a fresh map, so no kernel fact is kept from another test; its
+        # first off-diagonal edge decides every kernel fact
+        f = make_block_map(full2, full2, 1, and_rule.rule_dict)
+        built = self._count_sweep_lists(monkeypatch)
+        self._kernel_facts(f)
+        an.resolvingness(f)
+        view = an._diagonal_view(f)
+        assert "succ" not in vars(view) and "pred" not in vars(view)
+        assert not built
+
+        # census rule 81: the one component pass builds ``succ`` once, and
+        # a component pass run again on the same view builds nothing
+        rule = {w: str(81 >> i & 1) for i, w in enumerate(full2.words(3))}
+        f = make_block_map(full2, full2, 1, rule)
+        comps = an.off_diagonal_components(f)
+        assert comps and built == {"succ": 1}
+        del vars(f)[an.off_diagonal_components.key]
+        assert an.off_diagonal_components(f) == comps
+        assert built == {"succ": 1}
+        self._kernel_facts(f)
+        assert built == {"succ": 1, "pred": 1}
 
     def test_mixing_of_kernel_constituents_builds_no_components(self, xor3, monkeypatch):
         from sdcat.core import full_shift

@@ -2720,8 +2720,13 @@ def _old_diagonal_view(f):
             else:
                 dsucc[q].append(p)
                 dpred[p].append(q)
-    return an._DiagonalView(tuple(map(tuple, out)), succ, pred, into, tuple(off_edges),
-                            _infinite_past(dsucc, dpred), _infinite_past(dpred, dsucc))
+    view = an._DiagonalView(tuple(map(tuple, out)), into, tuple(off_edges),
+                            _fixed_point_trim(n, [[q] for q in range(n)], dpred),
+                            _fixed_point_trim(n, [[q] for q in range(n)], dsucc))
+    # the node lists built here, not read off ``out`` and ``into`` as the
+    # view's own properties would
+    vars(view).update(succ=succ, pred=pred)
+    return view
 
 
 def _check_diagonal_view(f):
@@ -2745,6 +2750,19 @@ class TestOnePassDiagonalView:
     @settings(max_examples=150, deadline=None)
     def test_sampled_views_match_the_trimmed_fiber_graph(self, f):
         _check_diagonal_view(f)
+
+    def test_seeded_sparse_views_match_the_trimmed_fiber_graph(self):
+        # wide windows on the even shift and the golden mean leave most
+        # product nodes dead (about 150 of 625 for a radius-2 even-shift
+        # kernel), so the trim and the renumbering do the most work here
+        rng = random.Random(44)
+        even = make_presentation(*EVEN)
+        sources = [(x, r) for x in (even, golden_mean()) for r in (2, 3)]
+        sources.append((full_shift("012"), 2))
+        for x, r in sources:
+            for _ in range(3):
+                rule = {w: rng.choice("01") for w in x.words(2 * r + 1)}
+                _check_diagonal_view(make_block_map(x, FULL2, r, rule))
 
 
 def _old_higher_block(x, w):

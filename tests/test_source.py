@@ -352,6 +352,30 @@ def test_one_orbit_routine():
     assert found == ["analysis.py:_orbit"], found
 
 
+def test_one_peel_routine():
+    # dropping the nodes with no infinite past is ``core._infinite_past``:
+    # the kernel view's two trims and two diagonal peels, ``_live_nodes``
+    # and ``_orbit_ends`` all run it over their own edge tuples, so no
+    # copy of the loop is left inline.  Found here: a loop that counts a
+    # subscripted counter down, ``deg[p] -= 1``
+    found, callers = [], set()
+    for path in sorted(SRC.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            if any(isinstance(node, ast.AugAssign) and isinstance(node.op, ast.Sub)
+                   and isinstance(node.target, ast.Subscript)
+                   for loop in ast.walk(fn) if isinstance(loop, (ast.For, ast.While))
+                   for stmt in loop.body for node in ast.walk(stmt)):
+                found.append(f"{path.name}:{fn.name}")
+            if any(isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
+                   and call.func.id == "_infinite_past" for call in ast.walk(fn)):
+                callers.add(f"{path.name}:{fn.name}")
+    assert found == ["core.py:_infinite_past"], found
+    assert callers == {"analysis.py:_diagonal_view", "core.py:_live_nodes",
+                       "core.py:_orbit_ends"}, callers
+
+
 def test_equalizer_reads_no_level():
     # one maximal-part rule per restriction serves every level: on an SFT
     # it reads as the level-2 rule, so no level-2 fork comes back
@@ -371,7 +395,9 @@ def test_kernel_facts_search_before_they_sweep():
     tree = ast.parse((SRC / "analysis.py").read_text(encoding="utf-8"))
     (view,) = [node for node in tree.body
                if isinstance(node, ast.ClassDef) and node.name == "_DiagonalView"]
-    fields = {node.target.id for node in view.body if isinstance(node, ast.AnnAssign)}
+    # the fields, and the node lists read off them when a sweep asks
+    fields = {node.target.id if isinstance(node, ast.AnnAssign) else node.name
+              for node in view.body if isinstance(node, (ast.AnnAssign, ast.FunctionDef))}
     found = []
     for fn in tree.body:
         if not isinstance(fn, ast.FunctionDef):
