@@ -70,7 +70,6 @@ from sdcat.core import (
     PeriodicPoint,
     _block_conjugacy,
     _center_index,
-    _infinite_past,
     _live_nodes,
     _orbit_ends,
     _window_table,
