@@ -35,13 +35,14 @@ kernel: each product edge is one tuple on both its ends' lists, which
 ``core._infinite_past`` peels.  Their NO witnesses, two distinct
 eventually periodic points with equal images, are read off a path of that
 graph: a plain pair walks first edges from its edge's ends, and each
-witness walk steps a node once, through ``_orbit``.  Injectivity on
-periodic points, the mixing petals that decide monicness in M2 and M3, and
-preinjectivity first run their witness search on the first off-diagonal
-edge, and sweep the graph (one SCC pass, ``off_diagonal_components``, or
-two reach closures, over node lists built only then) only when it finds
-nothing.  Constituents of the kernel, kernel pairs and other questions
-about its language read ``f.kernel``.
+witness walk steps a node once, through ``_orbit``.  A resolving map is
+preinjective with no search.  Injectivity on periodic points, the mixing
+petals that decide monicness in M2 and M3, and preinjectivity otherwise
+first run their witness search on the first off-diagonal edge, and sweep
+the graph (one SCC pass, ``off_diagonal_components``, or two reach
+closures, over node lists built only then) only when it finds nothing.
+Constituents of the kernel, kernel pairs and other questions about its
+language read ``f.kernel``.
 """
 
 from __future__ import annotations
@@ -788,9 +789,11 @@ def is_preinjective(f: BlockMap) -> v.Verdict:
 
     Decided on the kernel graph: a violation, a diamond, is a path from an
     infinite diagonal past through an off-diagonal edge to an infinite
-    diagonal future, and the NO witness is read off one: through the first
-    off-diagonal edge if it is one, else the first that the sweep of the
-    nodes reached from and reaching those diagonal tails finds.
+    diagonal future.  A resolving map has none, since then every edge out
+    of ``backward`` stays in it, or every edge into ``forward`` comes from
+    it: a YES before any search.  Otherwise the NO witness is read off the
+    first off-diagonal edge if it is a diamond, else the first that the
+    sweep of the nodes reached from and reaching those diagonal tails finds.
 
     On a transitive SFT source a YES notes that the diagonal Δ is a
     constituent of Ker f, which preinjectivity implies, so no constituent
@@ -808,7 +811,9 @@ def is_preinjective(f: BlockMap) -> v.Verdict:
         coreach = au.closure(view.forward, view.pred.__getitem__)
         return [(i, t, j) for i, t, j in view.off_edges if i in reach and j in coreach]
 
-    found = _search_first(view.off_edges, lambda e: _pair_witness(view, *e, diamond=True), diamonds)
+    res = resolvingness(f)
+    found = not (res.right_resolving or res.left_resolving) and _search_first(
+        view.off_edges, lambda e: _pair_witness(view, *e, diamond=True), diamonds)
     if found:
         return v.no(witness={"pair": found[1]})
     note = None

@@ -3,11 +3,13 @@ regular epic, regular monic, per category.
 
 A bijection is an isomorphism, decided by its inverse
 (``limits.inverse``): that inverse is its section and its retraction, and
-nothing is searched.  For any other map, split epicness follows the
-two-sided strategy: the strong periodic point condition is checked for
-p = 1..p_cap (a NO at any p is final), and a radius-capped search looks
-for an actual section.  A split YES always carries its section or
-retraction.
+nothing is searched.  Nor is it for an endomorphism of a transitive shift
+that is onto but not injective: a section would be an injective
+endomorphism, onto (Lind & Marcus, Corollary 4.4.9), with inverse f.  For
+any other map, split epicness follows the two-sided strategy: the strong
+periodic point condition is checked for p = 1..p_cap (a NO at any p is
+final), and a radius-capped search looks for an actual section.  A split
+YES always carries its section or retraction.
 Each word the strong condition asks for is one lazy search of
 ``automata.missing_word``; the only automata it builds are the target's,
 one per pair of ends.  Blank cells of the classification table surface as
@@ -611,12 +613,18 @@ def is_split_epic(
     p_cap: int = DEFAULT_P_CAP,
     radius_cap: int = DEFAULT_RADIUS_CAP,
 ) -> v.Verdict:
+    """Whether ``f`` has a section, by surjectivity, injectivity if ``f`` is a
+    transitive shift's endomorphism, a kept inverse, then the searches."""
     li.check_morphism(cat, f)
     if cat.level == 1 and cat.restriction in ("T", "M", "P"):
         return _isomorphism_rule(f, "split epis of this category", "section")
     surj = an.surjectivity(f)
     if surj.no:
         return v.no(witness=surj.witness, note="not surjective")
+    if (f.source.language_equal(f.target) and an.is_transitive(f.source)
+            and not (fam := an.injectivity_family(f)).injective):
+        return v.no(witness={"pair": fam.pair}, note="not injective, and a section of a transitive"
+                    " shift's endomorphism is an automorphism (Lind & Marcus, Corollary 4.4.9)")
     g = _kept_inverse(f)
     if g is not None:
         return v.yes(certificate=g, bound_used={"radius": g.radius})
@@ -711,13 +719,15 @@ def is_regular_epic(f: BlockMap, cat: CategoryTag, witness_endo: BlockMap | None
 
 
 def is_regular_monic(f: BlockMap, cat: CategoryTag) -> v.Verdict:
+    """Whether ``f`` is injective with an image of the form the category
+    asks for; a transitive shift's injective endomorphism is onto."""
     li.check_morphism(cat, f)
     fam = an.injectivity_family(f)
     if cat.level == 1 and cat.restriction in ("T", "M", "P"):
         return _isomorphism_rule(f, "regular monos of this category")
     if not fam.injective:
         return v.no(witness={"pair": fam.pair}, note="not injective")
-    img = an.image(f)
+    img = f.target if f.source.language_equal(f.target) and an.is_transitive(f.source) else an.image(f)
     if cat.level == 2 or (cat.restriction, cat.level) == ("K", 3):
         sub = an.is_subsft_of(img, f.target)
         if sub.yes:

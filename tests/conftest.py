@@ -1,6 +1,7 @@
 import contextlib
 import itertools
 import math
+import random
 import signal
 
 import pytest
@@ -10,6 +11,7 @@ from sdcat import classify as cl
 from sdcat import limits as li
 from sdcat.core import (
     EventuallyPeriodicPoint,
+    apply_map_ep,
     compose,
     full_shift,
     golden_mean,
@@ -83,6 +85,28 @@ def recheck_petals(f, petals):
             for k in (0, 1))
     assert not maps_equal(g, h)
     assert maps_equal(compose(f, g), compose(f, h))
+
+
+def recheck_pair(f, pair):
+    """Re-verify a pair witness of non-injectivity through ``core`` alone:
+    two distinct points of the source that ``apply_map_ep`` sends to the
+    same image."""
+    p1, p2 = pair
+    assert p1.in_shift(f.source) and p2.in_shift(f.source)
+    assert not p1.same_point(p2)
+    assert apply_map_ep(f, p1).same_point(apply_map_ep(f, p2))
+
+
+def seeded_onto_maps(x, y, count=12, seed=1):
+    """``count`` seeded radius-1 maps from ``x`` onto ``y``.  With ``y``
+    other than ``x`` none is an endomorphism, so their split epicness
+    reaches the strong condition, which no theorem settles first."""
+    rng, windows, maps = random.Random(seed), x.words(3), []
+    while len(maps) < count:
+        f = make_block_map(x, y, 1, {w: rng.choice(y.alphabet) for w in windows})
+        if an.surjectivity(f).yes:
+            maps.append(f)
+    return maps
 
 
 def recheck_pumpable(wit, inner, outer):

@@ -9,7 +9,6 @@ from sdcat import analysis as an
 from sdcat.core import (
     PeriodicPoint,
     apply_map,
-    apply_map_ep,
     compose,
     diagonal_relation,
     full_shift,
@@ -18,6 +17,8 @@ from sdcat.core import (
     presentation_from_edges,
     product_presentation,
 )
+
+from conftest import recheck_pair
 
 # x is no SFT but a subSFT of x | y, with window 8: no witness separates them
 FOUR_NODE_PAIR = (
@@ -373,10 +374,7 @@ class TestPreinjective:
         assert len(consts) == 1 and consts[0].language_equal(diag)
         v = an.is_preinjective(f)
         assert v.no
-        p1, p2 = v.witness["pair"]
-        assert not p1.same_point(p2)
-        assert p1.in_shift(f.source) and p2.in_shift(f.source)
-        assert apply_map_ep(f, p1).same_point(apply_map_ep(f, p2))
+        recheck_pair(f, v.witness["pair"])
 
 
 class TestResolvingness:
@@ -478,9 +476,7 @@ class TestFactsDecidedOnce:
             pre = an.is_preinjective(f)
             res = an.resolvingness(f)
         assert not fam.injective and pre.no and res == an.Resolvingness(False, False)
-        p1, p2 = pre.witness["pair"]
-        assert not p1.same_point(p2)
-        assert core.apply_map_ep(f, p1).same_point(core.apply_map_ep(f, p2))
+        recheck_pair(f, pre.witness["pair"])
         # the witness searches on the first off-diagonal edge decide, so
         # no component pass runs
         assert len(sccs) == 0

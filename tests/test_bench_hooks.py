@@ -34,14 +34,16 @@ def _binding(mod_name, attr):
     return vars(owner)[attr]
 
 
-def test_tracer_resolves_every_hook(full2):
+def test_tracer_resolves_every_hook(full2, golden):
     tracing = _load_tracing()
     tracer = tracing.Tracer()
     tracer.install()
     try:
         for mod_name, attr, _ in tracing.TRACED:
             assert hasattr(_binding(mod_name, attr), "__wrapped__"), f"{mod_name}.{attr}"
-        f = core.make_block_map(full2, full2, 0, {("0",): "1", ("1",): "0"})
+        # an inclusion, whose regular monicness builds its image; an
+        # automorphism of a transitive shift builds no presentation
+        f = core.make_block_map(golden, full2, 0, {("0",): "0", ("1",): "1"})
         cl.classify(f, CategoryTag.parse("M2"))
     finally:
         tracer.uninstall()

@@ -11,7 +11,6 @@ from sdcat import limits as li
 from sdcat import oracle as orc
 from sdcat.core import (
     Presentation,
-    apply_map_ep,
     compose,
     full_shift,
     identity_map,
@@ -23,7 +22,7 @@ from sdcat.core import (
 from sdcat.errors import ValidationError
 from sdcat.limits import CategoryTag
 
-from conftest import recheck_certificates, recheck_petals
+from conftest import recheck_certificates, recheck_pair, recheck_petals, seeded_onto_maps
 
 K1, K2, K3 = (CategoryTag.parse(t) for t in ("K1", "K2", "K3"))
 T1, T2, T3 = (CategoryTag.parse(t) for t in ("T1", "T2", "T3"))
@@ -77,7 +76,6 @@ class TestMonic:
 
     def test_not_injective_verdicts_carry_a_pair(self, xor2, t3_monic_map):
         from sdcat import dynamics as dy
-        from sdcat.core import apply_map_ep
 
         for f, cats in ((xor2, (K2, K3, CategoryTag.parse("T2"))), (t3_monic_map, (K3,))):
             verdicts = [cl.is_monic(f, cat) for cat in cats]
@@ -87,9 +85,7 @@ class TestMonic:
                 verdicts.append(dy.is_reversible(f))
             for v in verdicts:
                 assert v.no
-                p1, p2 = v.witness["pair"]
-                assert not p1.same_point(p2)
-                assert apply_map_ep(f, p1).same_point(apply_map_ep(f, p2))
+                recheck_pair(f, v.witness["pair"])
 
     def test_not_injective_on_periodic_points_carries_a_periodic_pair(self, xor2):
         from sdcat.core import apply_map
@@ -220,12 +216,10 @@ class TestStrongCondition:
             return real(nfa)
 
         monkeypatch.setattr(au, "determinize", counting)
-        # a census pass on a fresh full shift, so no automaton is kept from
-        # another test
-        x = full_shift(("0", "1"))
-        windows = x.words(3)
-        for bits in range(256):
-            f = make_block_map(x, x, 1, {w: str(bits >> i & 1) for i, w in enumerate(windows)})
+        # seeded maps onto a fresh full shift, so no automaton is kept from
+        # another test; onto maps of one transitive shift that are not
+        # injective settle split epicness before the strong condition
+        for f in seeded_onto_maps(full_shift(("0", "1", "2")), full_shift(("0", "1"))):
             cl.classify(f, K2)
         assert made and len(set(made)) == len(made)
         # two copies of a map into a fresh copy of a target with two states
@@ -389,11 +383,52 @@ class TestIsomorphismRule:
             if verdict.yes:
                 assert an.surjectivity(f).yes
                 continue
-            p1, p2 = verdict.witness["pair"]
-            assert p1.in_shift(f.source) and p2.in_shift(f.source)
-            assert not p1.same_point(p2)
-            assert apply_map_ep(f, p1).same_point(apply_map_ep(f, p2))
+            recheck_pair(f, verdict.witness["pair"])
         assert answers == {"YES", "NO"}
+
+
+# a radius-2 endomorphism of the even shift, onto and not injective: its
+# outputs on ``even_shift.words(5)`` in order
+EVEN_ONTO_RULE = "00101001110101011001"
+
+
+class TestNoSectionOfATransitiveEndomorphism:
+    """An onto endomorphism of a transitive shift that is not injective has
+    no section: a section would be an injective endomorphism, onto by Lind
+    & Marcus, Corollary 4.4.9, and so an automorphism with inverse f.  The
+    NO carries the injectivity pair, and neither the strong condition nor
+    the section search runs."""
+
+    def test_census_and_even_shift_maps_answer_with_a_pair(self, full2, even_shift, monkeypatch):
+        census = [_census_map(full2, bits) for bits in range(256)]
+        onto = [f for f in census if an.surjectivity(f).yes and not an.injectivity_family(f).injective]
+        even = make_block_map(even_shift, even_shift, 2, dict(zip(even_shift.words(5), EVEN_ONTO_RULE)))
+        assert len(onto) == 24 and an.is_transitive(even_shift) and not an.is_sft(even_shift).yes
+        calls = []
+        for name in ("strong_condition", "find_section"):
+            real = getattr(cl, name)
+            monkeypatch.setattr(cl, name, lambda *a, real=real, name=name, **k: calls.append(name)
+                                or real(*a, **k))
+        cases = [(f, K2) for f in onto] + [(f, M2) for f in onto[:3]] + [(even, K3)]
+        verdicts = [cl.is_split_epic(f, cat) for f, cat in cases]
+        assert calls == []
+        for (f, _), verdict in zip(cases, verdicts):
+            assert verdict.no and "Corollary 4.4.9" in verdict.note
+            assert verdict.witness["pair"] == an.injectivity_family(f).pair
+            recheck_pair(f, verdict.witness["pair"])
+        for f in onto + [even]:
+            assert not orc.brute_decide("split_epic", f, {"radius_bound": 1})
+
+    def test_shrink_on_an_intransitive_source_keeps_its_section(self):
+        import pathlib
+
+        from sdcat.files import load_bmap
+
+        f = load_bmap(str(pathlib.Path(__file__).parents[1] / "bench" / "data" / "cli" / "shrink.bmap"))
+        assert f.source.language_equal(f.target) and not an.is_transitive(f.source)
+        assert not an.injectivity_family(f).injective
+        v = cl.is_split_epic(f, K1)
+        assert v.yes and maps_equal(compose(f, v.certificate), identity_map(f.target))
 
 
 class TestSplitMonic:
@@ -586,6 +621,15 @@ class TestRegularMonic:
     def test_t3_and_m3_accept_subsft_images(self, golden_inclusion):
         assert cl.is_regular_monic(golden_inclusion, M3).yes
         assert cl.is_regular_monic(golden_inclusion, T3).yes
+
+    def test_census_automorphisms_read_the_target_as_image(self, full2, monkeypatch):
+        # an injective endomorphism of a transitive shift is onto, so no
+        # image is built, and the certificate is the one the image gives
+        maps = [_census_map(full2, bits) for bits in (15, 51, 85, 170, 204, 240)]
+        want = {an.is_subsft_of(an.image(f), f.target).certificate["window"] for f in maps}
+        monkeypatch.setattr(an, "image", lambda f: pytest.fail("an image was built"))
+        got = [cl.is_regular_monic(f, cat) for f in maps for cat in (K2, K3, T3, M3)]
+        assert all(v.yes for v in got) and {v.certificate["window"] for v in got} == want == {1}
 
     def test_marked_host_separates_k3_from_level3(self, odd_runs_in_marked_sofic):
         # regular monic in M3 and T3 through an enclosing subSFT, but the

@@ -27,6 +27,8 @@ from sdcat.core import (
 )
 from sdcat.errors import BudgetExceeded, ValidationError, set_budget
 
+from conftest import seeded_onto_maps
+
 
 def brute_sft_words(alphabet, forbidden, n, pad=6):
     """Independent enumeration of B_n for an SFT given by forbidden words:
@@ -410,7 +412,7 @@ class TestDerivedObjects:
         assert len(handed[id(x), 3]) > 1
         assert all(g is graphs[0] for graphs in handed.values() for g in graphs)
 
-    def test_census_maps_share_one_higher_block_recoding(self, monkeypatch):
+    def test_onto_maps_share_one_higher_block_recoding(self, monkeypatch):
         from sdcat import classify as cl
         from sdcat import core
         from sdcat.limits import CategoryTag
@@ -425,12 +427,12 @@ class TestDerivedObjects:
             return real(alphabet, nfa, *rest)
 
         monkeypatch.setattr(core, "presentation_from_nfa", counting)
-        # a fresh shift, so no recoding is kept from another test
-        x = full_shift(("0", "1"))
-        windows = x.words(3)
+        # seeded maps out of a fresh shift, so no recoding is kept from
+        # another test; they are onto another shift, so the strong
+        # condition recodes them
+        x = full_shift(("0", "1", "2"))
         pairs = set()
-        for bits in range(256):
-            f = make_block_map(x, x, 1, {w: str(bits >> i & 1) for i, w in enumerate(windows)})
+        for f in seeded_onto_maps(x, full_shift(("0", "1"))):
             cl.classify(f, CategoryTag.parse("K2"))
             if cl._symbol_recoding.key in vars(f):
                 pairs.add(tuple(map(id, cl._symbol_recoding(f)[1:3])))

@@ -74,7 +74,6 @@ from sdcat.core import (
     _orbit_ends,
     _window_table,
     apply_map,
-    apply_map_ep,
     center_of,
     compose,
     diagonal_relation,
@@ -109,7 +108,7 @@ from sdcat.errors import BudgetExceeded, DomainMismatch, ValidationError, set_bu
 from sdcat.files import format_shift
 from sdcat.limits import CategoryTag
 
-from conftest import recheck_certificates, recheck_petals, recheck_pumpable, shortest_accepted
+from conftest import recheck_certificates, recheck_pair, recheck_petals, recheck_pumpable, shortest_accepted
 
 
 @st.composite
@@ -1486,10 +1485,8 @@ def small_sofic_maps(draw):
 def _check_pair(f, pair, diamond):
     """Re-verify a NO witness through ``core`` alone: two distinct points
     of the source with equal images and, for a diamond, equal tails."""
+    recheck_pair(f, pair)
     p1, p2 = pair
-    assert p1.in_shift(f.source) and p2.in_shift(f.source)
-    assert not p1.same_point(p2)
-    assert apply_map_ep(f, p1).same_point(apply_map_ep(f, p2))
     if diamond:
         lo, hi = min(p1.start, p2.start), max(p1.mid_end(), p2.mid_end())
         ll = math.lcm(len(p1.left), len(p2.left))
@@ -1717,6 +1714,69 @@ class TestSearchBeforeSweep:
             [18, 81, 83, 92, 163, 172, 174, 237]
         # preinjective but not injective: the closures find no diamond
         assert {30, 60, 86, 102} <= set(rules(lambda k, _: an.is_preinjective(maps[k]).yes))
+
+
+def _old_search_first_is_preinjective(f):
+    """Reference: (answer, note, witness) as the routine gave them before a
+    resolving map was answered first, by the witness search on the first
+    off-diagonal edge and then the reach closures."""
+    view = an._diagonal_view(f)
+
+    def diamonds():
+        reach = au.closure(view.backward, view.succ.__getitem__)
+        coreach = au.closure(view.forward, view.pred.__getitem__)
+        return [(i, t, j) for i, t, j in view.off_edges if i in reach and j in coreach]
+
+    found = an._search_first(view.off_edges, lambda e: an._pair_witness(view, *e, diamond=True),
+                             diamonds)
+    if found:
+        return "NO", None, {"pair": found[1]}
+    note = None
+    if an.is_transitive(f.source) and an.is_sft(f.source).yes:
+        note = f"diagonal is a constituent: {not f.source.is_empty()}"
+    return "YES", note, None
+
+
+class TestResolvingBeforeSearch:
+    """A resolving map is preinjective with no search: no off-diagonal edge
+    leaves the nodes with an infinite diagonal past, so no path from them
+    reaches one (and mirror-wise for the future).  The verdicts equal the
+    routine that searched, and on resolving maps neither the witness search
+    nor the reach closures run."""
+
+    def _check(self, f):
+        pre = an.is_preinjective(f)
+        assert (pre.answer, pre.note, pre.witness) == _old_search_first_is_preinjective(f)
+
+    def test_census_maps_match_the_searching_routine(self):
+        for f in _census_maps():
+            self._check(f)
+
+    def test_ladder_maps_match_the_searching_routine(self):
+        for f in _ladder_pool():
+            self._check(f)
+
+    @given(sofic_maps(sft_maps() | small_sofic_maps()))
+    @settings(max_examples=150, deadline=None)
+    def test_sampled_maps_match_the_searching_routine(self, f):
+        self._check(f)
+
+    @pytest.mark.parametrize("pool, count", [(_census_maps, 30), (_ladder_pool, 6)])
+    def test_resolving_maps_search_nothing(self, pool, count, monkeypatch):
+        maps = [f for f in pool() if an.resolvingness(f) != an.Resolvingness(False, False)]
+        assert len(maps) == count
+        for f in maps:
+            # the source facts of the YES note are kept first: their own
+            # passes take closures
+            an.is_transitive(f.source)
+            an.is_sft(f.source)
+        calls = []
+        for module, name in ((an, "_pair_witness"), (au, "closure")):
+            real = getattr(module, name)
+            monkeypatch.setattr(module, name, lambda *a, real=real, name=name, **k: calls.append(name)
+                                or real(*a, **k))
+        assert all(an.is_preinjective(f).yes for f in maps)
+        assert calls == []
 
 
 # ---------------------------------------------------------------------------

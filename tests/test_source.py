@@ -190,7 +190,7 @@ def test_core_gathers_only_through_kept_itemgetters():
 _CALLED_FROM_OUTSIDE = {
     ("colimits", "kernel_p"), ("colimits", "cokernel_p"), ("colimits", "is_local_equivalence"),
     ("limits", "mediate_product"), ("limits", "mediate_equalizer"), ("limits", "connecting_map"),
-    ("dynamics", "visibly_blocking"), ("analysis", "resolvingness"),
+    ("dynamics", "visibly_blocking"),
     ("errors", "set_budget"), ("oracle", "ep_preimage_search"),
 }
 
