@@ -8,8 +8,8 @@ exact except where a verdict explicitly says otherwise.
 Facts about one shift or one map are decided once per object and kept on
 it, as ``BlockMap.image`` is; an UNDECIDED verdict, which depends on the
 work budget, is not kept.  Surjectivity is one such fact: every epic,
-bijectivity and cokernel test reads ``surjectivity(f)``, which builds no
-image.  Its YES is the Garden-of-Eden theorem for a preinjective
+bijectivity, regular-monic and cokernel test reads ``surjectivity(f)``,
+which builds no image.  Its YES is the Garden-of-Eden theorem for a preinjective
 endomorphism of a transitive SFT, and otherwise an exhausted search for a
 target word outside the image, whose first hit is the NO witness.
 

@@ -1,15 +1,15 @@
 """The morphism classifier: epic, monic, split epic, split monic,
 regular epic, regular monic, per category.
 
-A bijection is an isomorphism, decided by its inverse
-(``limits.inverse``): that inverse is its section and its retraction, and
-nothing is searched.  Nor is it for an endomorphism of a transitive shift
-that is onto but not injective: a section would be an injective
+A bijection is an isomorphism, decided by ``limits.bijectivity``: its
+inverse is its section and its retraction, and nothing is searched, even
+past the inverse's cap.  Nor is it for an endomorphism of a transitive
+shift that is onto but not injective: a section would be an injective
 endomorphism, onto (Lind & Marcus, Corollary 4.4.9), with inverse f.  For
 any other map, split epicness follows the two-sided strategy: the strong
 periodic point condition is checked for p = 1..p_cap (a NO at any p is
 final), and a radius-capped search looks for an actual section.  A split
-YES always carries its section or retraction.
+YES carries its section or retraction, or names the bound past that cap.
 Each word the strong condition asks for is one lazy search of
 ``automata.missing_word``; the only automata it builds are the target's,
 one per pair of ends.  Blank cells of the classification table surface as
@@ -576,35 +576,29 @@ def _isomorphism_rule(f: BlockMap, which: str, inverse: str | None = None) -> v.
     an injective one is onto: its image has full entropy, and no proper
     subshift of an irreducible sofic shift does (Lind & Marcus, Corollary
     4.4.9).  So a NO carries two points with equal images, and a YES with an
-    ``inverse`` name carries the kept inverse map of ``limits.inverse``."""
+    ``inverse`` name carries the inverse of ``limits.bijectivity``."""
     fam = an.injectivity_family(f)
     if not fam.injective:
         return v.no(witness={"pair": fam.pair}, note=f"{which} are the isomorphisms")
     if inverse is None:
         return v.yes(note="bijective")
-    return v.yes(certificate=li.inverse(f), note=f"bijective; inverse is the {inverse}")
+    bij = li.bijectivity(f)
+    if bij.certificate is None:
+        return bij
+    return v.yes(certificate=bij.certificate, note=f"bijective; inverse is the {inverse}")
 
 
-def _bijective(f: BlockMap) -> bool:
-    """Whether ``f`` is injective and onto; False when either question runs
-    out of budget, so that the caller's general path runs."""
+def _bijection(f: BlockMap) -> v.Verdict | None:
+    """A bijection's split verdict: YES with its inverse and the inverse's
+    radius, or the past-cap YES of ``limits.bijectivity``; None when ``f``
+    is no bijection or a question ran out of budget."""
     try:
-        return an.injectivity_family(f).injective and an.surjectivity(f).yes
+        bij = li.bijectivity(f)
     except BudgetExceeded:
-        return False
-
-
-def _kept_inverse(f: BlockMap) -> BlockMap | None:
-    """``limits.inverse(f)`` when ``f`` is bijective and its inverse lies
-    within the radius cap and the budget, else None: the inverse is then
-    both the section and the retraction, and where it is None the searches
-    run as for any map."""
-    if _bijective(f):
-        try:
-            return li.inverse(f)
-        except BudgetExceeded:
-            pass
-    return None
+        return None
+    if bij.yes and bij.certificate is not None:
+        return v.yes(certificate=bij.certificate, bound_used={"radius": bij.certificate.radius})
+    return bij if bij.yes else None
 
 
 def is_split_epic(
@@ -614,7 +608,7 @@ def is_split_epic(
     radius_cap: int = DEFAULT_RADIUS_CAP,
 ) -> v.Verdict:
     """Whether ``f`` has a section, by surjectivity, injectivity if ``f`` is a
-    transitive shift's endomorphism, a kept inverse, then the searches."""
+    transitive shift's endomorphism, :func:`_bijection`, then the searches."""
     li.check_morphism(cat, f)
     if cat.level == 1 and cat.restriction in ("T", "M", "P"):
         return _isomorphism_rule(f, "split epis of this category", "section")
@@ -625,26 +619,22 @@ def is_split_epic(
             and not (fam := an.injectivity_family(f)).injective):
         return v.no(witness={"pair": fam.pair}, note="not injective, and a section of a transitive"
                     " shift's endomorphism is an automorphism (Lind & Marcus, Corollary 4.4.9)")
-    g = _kept_inverse(f)
-    if g is not None:
-        return v.yes(certificate=g, bound_used={"radius": g.radius})
-    pointed = cat.pointed
-    phases = [
-        ("sc", 1), ("sec", 0), ("sec", 1), ("sc", 2), ("sc", 3),
-        ("sec", 2), ("sec", 3),
-    ]
+    if (split := _bijection(f)) is not None:
+        return split
+    first = (("sc", 1), ("sec", 0), ("sec", 1), ("sc", 2), ("sc", 3), ("sec", 2), ("sec", 3))
+    phases = [(kind, k) for kind, k in first if k <= (p_cap if kind == "sc" else radius_cap)]
     phases += [("sc", p) for p in range(4, p_cap + 1)]
     phases += [("sec", r) for r in range(4, radius_cap + 1)]
     for kind, k in phases:
-        if kind == "sc" and k <= p_cap:
+        if kind == "sc":
             rep = strong_condition(f, k)
             if not rep.holds:
                 return v.no(
                     witness={"p": k, "failures": list(rep.failures)},
                     note="strong periodic point condition fails",
                 )
-        elif kind == "sec" and k <= radius_cap:
-            g = find_section(f, radius_cap=k, pointed=pointed)
+        else:
+            g = find_section(f, radius_cap=k, pointed=cat.pointed)
             if g is not None:
                 return v.yes(certificate=g, bound_used={"radius": g.radius})
     note = f"no section at block radius <= {radius_cap}"
@@ -662,27 +652,26 @@ def is_split_monic(
     cat: CategoryTag,
     radius_cap: int = DEFAULT_RADIUS_CAP,
 ) -> v.Verdict:
+    """Whether ``f`` has a retraction.  One sends a point of period n to one
+    of period dividing n, so the period rule's NO holds at every level; its
+    YES for an injective map (the Extension Lemma) is M2/P2-only."""
     li.check_morphism(cat, f)
-    fam = an.injectivity_family(f)
     if cat.level == 1 and cat.restriction in ("T", "M", "P"):
         return _isomorphism_rule(f, "split monos of this category", "retraction")
+    fam = an.injectivity_family(f)
     if not fam.injective:
         return v.no(witness={"pair": fam.pair}, note="not injective")
-    # a conjugacy is peric, and its inverse is its retraction
-    h = _kept_inverse(f)
+    if (split := _bijection(f)) is not None:
+        return split
+    peric = an.period_inclusion(f.target, f.source)
+    if peric.no:
+        return v.no(witness=peric.witness, note="a target period has no matching source period")
+    h = find_retraction(f, radius_cap=radius_cap, pointed=cat.pointed)
     if cat.level == 2 and cat.restriction in ("M", "P"):
-        if h is None:
-            peric = an.period_inclusion(f.target, f.source)
-            if peric.no:
-                return v.no(witness=peric.witness,
-                            note="a target period has no matching source period")
-            h = find_retraction(f, radius_cap=radius_cap, pointed=cat.pointed)
         return v.yes(
             certificate=h,
             note="injective and peric" + ("" if h else "; retraction exists but exceeds the search radius"),
         )
-    if h is None:
-        h = find_retraction(f, radius_cap=radius_cap, pointed=cat.pointed)
     if h is not None:
         return v.yes(certificate=h, bound_used={"radius": h.radius})
     return v.undecided(bound_used={"radius_cap": radius_cap}, note=f"no retraction of radius <= {radius_cap}")
@@ -713,21 +702,21 @@ def is_regular_epic(f: BlockMap, cat: CategoryTag, witness_endo: BlockMap | None
             kf = f.kernel
             if kq.language_equal(kf):
                 return v.yes(note="isomorphic to a verified coequalizer")
-    if _bijective(f):
+    if _bijection(f) is not None:
         return v.yes(note="bijective, so an isomorphism, and every isomorphism is a regular epi")
     return v.undecided(note="open in the classification table")
 
 
 def is_regular_monic(f: BlockMap, cat: CategoryTag) -> v.Verdict:
     """Whether ``f`` is injective with an image of the form the category
-    asks for; a transitive shift's injective endomorphism is onto."""
+    asks for; an onto map's image is its target, and is not built."""
     li.check_morphism(cat, f)
     fam = an.injectivity_family(f)
     if cat.level == 1 and cat.restriction in ("T", "M", "P"):
         return _isomorphism_rule(f, "regular monos of this category")
     if not fam.injective:
         return v.no(witness={"pair": fam.pair}, note="not injective")
-    img = f.target if f.source.language_equal(f.target) and an.is_transitive(f.source) else an.image(f)
+    img = f.target if an.surjectivity(f).yes else an.image(f)
     if cat.level == 2 or (cat.restriction, cat.level) == ("K", 3):
         sub = an.is_subsft_of(img, f.target)
         if sub.yes:
@@ -766,6 +755,9 @@ IMPLICATIONS = [
     ("regular_epic", "epic"),
     ("split_monic", "monic"),
     ("regular_monic", "monic"),
+    # with section s, f is the coequalizer of (id, s . f); dually for monos
+    ("split_epic", "regular_epic"),
+    ("split_monic", "regular_monic"),
 ]
 
 

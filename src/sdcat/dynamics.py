@@ -9,6 +9,7 @@ eventually periodic map as a local closure (``colimits.orbit_subshift``).
 from __future__ import annotations
 
 from . import analysis as an
+from . import automata as au
 from . import verdicts as v
 from .automata import Word
 from .core import (
@@ -25,7 +26,7 @@ from .core import (
     _word_list,
 )
 from .errors import BudgetExceeded, ValidationError
-from .limits import CONNECTING_RADIUS_CAP, inverse
+from .limits import bijectivity
 from .records import record
 
 
@@ -35,23 +36,11 @@ def _require_endo(f: BlockMap) -> None:
 
 
 def is_reversible(f: BlockMap) -> v.Verdict:
-    """Injective and surjective.  A YES carries the kept inverse of
-    ``limits.inverse``, the same map that decides the bijection's split
-    verdicts in ``classify``, when its radius is within
-    ``CONNECTING_RADIUS_CAP``."""
+    """Injective and surjective: ``limits.bijectivity``, whose YES carries
+    the inverse that decides the split verdicts in ``classify``, or names
+    the bound that stopped its read-off."""
     _require_endo(f)
-    fam = an.injectivity_family(f)
-    if not fam.injective:
-        return v.no(witness={"pair": fam.pair}, note="not injective")
-    surj = an.surjectivity(f)
-    if surj.no:
-        return v.no(witness=surj.witness, note="not surjective")
-    try:
-        inv = inverse(f)
-    except BudgetExceeded:
-        return v.yes(note="bijective; inverse radius exceeds the search cap",
-                     bound_used={"radius_cap": CONNECTING_RADIUS_CAP})
-    return v.yes(certificate=inv)
+    return bijectivity(f)
 
 
 @record
@@ -117,7 +106,7 @@ def chain_transitive_level(f: BlockMap, n: int) -> bool:
     succ: list[set[int]] = [set() for _ in nodes]
     for i, j in zip(_center_index(x, n, f.radius), _window_table(f, n)):
         succ[i].add(j)
-    comps = an.au.strongly_connected_components(range(len(nodes)), lambda i: succ[i])
+    comps = au.strongly_connected_components(range(len(nodes)), lambda i: succ[i])
     return len(comps) == 1
 
 

@@ -16,6 +16,7 @@ import itertools
 
 from . import analysis as an
 from . import automata as au
+from . import verdicts as v
 from .core import (
     BlockMap,
     Presentation,
@@ -303,20 +304,36 @@ def connecting_map(f: BlockMap, g: BlockMap) -> BlockMap | None:
     return _read_off(f, g, img_f, img_g, "connecting map")
 
 
+def bijectivity(f: BlockMap) -> v.Verdict:
+    """Injective and onto: NO with the injectivity pair or the missed word;
+    YES with the kept :func:`inverse` (Lind & Marcus, Theorem 1.5.14), or,
+    past the radius cap or the budget, quoting the bound that stopped it.
+    Not kept: it reads kept facts, and its past-cap YES depends on the budget."""
+    fam = an.injectivity_family(f)
+    if not fam.injective:
+        return v.no(witness={"pair": fam.pair}, note="not injective")
+    surj = an.surjectivity(f)
+    if surj.no:
+        return v.no(witness=surj.witness, note="not surjective")
+    try:
+        return v.yes(certificate=inverse(f))
+    except BudgetExceeded as exc:
+        return v.yes(note=f"bijective; inverse not read off: {exc}",
+                     bound_used={"radius_cap": CONNECTING_RADIUS_CAP, "budget": budget()})
+
+
 @_per_object
 def inverse(f: BlockMap) -> BlockMap:
     """The inverse of a bijective ``f``, a map from ``f.target`` to
-    ``f.source``, kept per map.  A bijective block map is a conjugacy
-    whose inverse is a block map (Lind & Marcus, Theorem 1.5.14), so a
-    bijection is an isomorphism in all twelve categories, and this map is
-    the section and the retraction of its split verdicts, with no search.
+    ``f.source``, kept per map: the section and the retraction of its
+    split verdicts, with no search.  Only :func:`bijectivity` asks for it.
 
     It is read off :func:`forced_values` against the identity at the first
     radius where they are consistent, so at its smallest radius.  Their
     windows are those of the image, which is the whole target, so neither
     the kernel inclusion nor the image is built; ``f`` must be injective
     and surjective.  Raises ``BudgetExceeded`` past
-    ``CONNECTING_RADIUS_CAP``."""
+    ``CONNECTING_RADIUS_CAP`` or the budget."""
     return _read_off(f, identity_map(f.source), f.target, f.source, "inverse")
 
 

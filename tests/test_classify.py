@@ -12,6 +12,7 @@ from sdcat import oracle as orc
 from sdcat.core import (
     Presentation,
     compose,
+    empty_shift,
     full_shift,
     identity_map,
     make_block_map,
@@ -19,7 +20,7 @@ from sdcat.core import (
     maps_equal,
     shift_power,
 )
-from sdcat.errors import ValidationError
+from sdcat.errors import ValidationError, set_budget
 from sdcat.limits import CategoryTag
 
 from conftest import recheck_certificates, recheck_pair, recheck_petals, seeded_onto_maps
@@ -344,6 +345,26 @@ class TestBijections:
         assert g.radius == 4 and epic.bound_used == monic.bound_used == {"radius": 4}
         assert maps_equal(g, shift_power(full2, -4))
 
+    def test_a_bijection_past_the_budget_splits_with_the_bound_named(self, full2, monkeypatch):
+        # the inverse of the shift by three is read off 2^13 source words,
+        # past a budget of 5000; the map is still an isomorphism, and no
+        # search runs for it
+        f = shift_power(full2, 3)
+        calls = []
+        for name in ("strong_condition", "find_section", "find_retraction"):
+            monkeypatch.setattr(cl, name, lambda *a, name=name, **k: calls.append(name))
+        set_budget(5000)
+        try:
+            verdicts = [test(f, cat) for cat in (M1, K2, M2, K3)
+                        for test in (cl.is_split_epic, cl.is_split_monic)]
+        finally:
+            set_budget(None)
+        assert calls == []
+        for verdict in verdicts:
+            assert verdict.yes and verdict.certificate is None
+            assert verdict.bound_used == {"radius_cap": li.CONNECTING_RADIUS_CAP, "budget": 5000}
+            assert "word enumeration: size 8192 exceeds budget 5000" in verdict.note
+
     def test_census_automorphisms_are_regular_epis(self, full2):
         # an isomorphism is a regular epi: where the table has a blank cell,
         # a bijection is YES by that rule, and no other map is
@@ -442,18 +463,26 @@ class TestSplitMonic:
     def test_xor2_not_split_monic(self, xor2):
         assert cl.is_split_monic(xor2, M2).no
 
-    def test_period_obstruction(self):
+    def test_period_obstruction(self, full2):
         # mixing SFT without fixed points: no symbol repeats
         y = make_presentation(["0", "1", "2"], "sft", [("0", "0"), ("1", "1"), ("2", "2")])
         assert an.is_mixing(y) and an.is_sft(y).yes
         assert not an.periods(y).contains(1)
         assert an.periods(y).contains(2)
         # an injection of the no-repeat shift into the full shift cannot
-        # split: the full shift has a fixed point, the source does not
+        # split: a retraction sends a fixed point to a fixed point, and the
+        # full shift has one, the source none; this holds at every level
         full3 = full_shift(["0", "1", "2"])
         inc = make_block_map(y, full3, 0, {(a,): a for a in y.alphabet})
-        v = cl.is_split_monic(inc, M2)
-        assert v.no and v.witness["period"] == 1
+        for cat in (K2, K3, T2, T3, M2, M3):
+            v = cl.is_split_monic(inc, cat)
+            assert v.no and v.witness == {"period": 1}, cat
+        # nor does the map out of the empty shift, for the same reason
+        empty = empty_shift(["0", "1"])
+        out = make_block_map(empty, full2, 0, {}, validate_image=False)
+        for cat in (K2, K3):
+            v = cl.is_split_monic(out, cat)
+            assert v.no and v.witness == {"period": 1}, cat
 
     def test_m1_bijectivity(self, flip, xor2):
         assert cl.is_split_monic(flip, M1).yes
@@ -671,6 +700,15 @@ class TestClassifyRow:
             row = cl.classify(f, cat)
             assert not cl.implication_violations(row)
 
+
+    def test_a_split_epi_is_a_regular_epi(self):
+        # a split epi with section s is the coequalizer of (id, s . f)
+        from sdcat import verdicts as v
+
+        assert cl.implication_violations({"split_epic": v.yes(), "regular_epic": v.no()}) == [
+            ("split_epic", "regular_epic")]
+        assert cl.implication_violations({"split_monic": v.yes(), "regular_monic": v.no()}) == [
+            ("split_monic", "regular_monic")]
 
     def test_lattice_violation_is_an_internal_error(self, xor3, monkeypatch):
         from sdcat import verdicts as v

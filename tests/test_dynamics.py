@@ -16,7 +16,7 @@ from sdcat.core import (
     reduce_radius,
     shift_power,
 )
-from sdcat.errors import BudgetExceeded, ValidationError
+from sdcat.errors import BudgetExceeded, ValidationError, set_budget
 
 
 @pytest.fixture(scope="module")
@@ -41,6 +41,18 @@ class TestReversible:
 
     def test_xor2_two_to_one(self, xor2):
         assert dy.is_reversible(xor2).no
+
+    def test_an_inverse_past_the_budget_names_the_bound(self, full2):
+        # the inverse of the shift by three is read off 2^13 source words
+        f = shift_power(full2, 3)
+        set_budget(5000)
+        try:
+            v = dy.is_reversible(f)
+        finally:
+            set_budget(None)
+        assert v.yes and v.certificate is None
+        assert v.bound_used == {"radius_cap": 8, "budget": 5000}
+        assert v.note == "bijective; inverse not read off: word enumeration: size 8192 exceeds budget 5000"
 
     def test_non_endomorphism_rejected(self, xor2_no000111):
         with pytest.raises(ValidationError):

@@ -411,3 +411,15 @@ def test_kernel_facts_search_before_they_sweep():
                 found.append(f"{fn.name}:{call.func.attr}")
     assert sorted(found) == ["is_preinjective:closure", "is_preinjective:closure",
                              "off_diagonal_components:strongly_connected_components"], found
+
+
+def test_only_bijectivity_reads_the_inverse():
+    # ``limits.bijectivity`` is the one place that decides injective and
+    # onto and reads the inverse; every isomorphism question asks it
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                found += [(path.name, fn.name) for call in ast.walk(fn) if isinstance(call, ast.Call)
+                          and getattr(call.func, "id", getattr(call.func, "attr", None)) == "inverse"]
+    assert found == [("limits.py", "bijectivity")], found
