@@ -1,10 +1,11 @@
 """The morphism classifier: epic, monic, split epic, split monic,
 regular epic, regular monic, per category.
 
-A bijection is an isomorphism, decided by ``limits.bijectivity``: its
+The split and regular-mono rules read premises, never the level.  A
+bijection is an isomorphism, decided by ``limits.bijectivity``: its
 inverse is its section and its retraction, and nothing is searched, even
 past the inverse's cap.  Nor is it for an endomorphism of a transitive
-shift that is onto but not injective: a section would be an injective
+shift that is not injective: a section would be an injective
 endomorphism, onto (Lind & Marcus, Corollary 4.4.9), with inverse f.  For
 any other map, split epicness follows the two-sided strategy: the strong
 periodic point condition is checked for p = 1..p_cap (a NO at any p is
@@ -13,7 +14,7 @@ YES carries its section or retraction, or names the bound past that cap.
 Each word the strong condition asks for is one lazy search of
 ``automata.missing_word``; the only automata it builds are the target's,
 one per pair of ends.  Blank cells of the classification table surface as
-UNDECIDED.
+UNDECIDED, unless a stronger cell of the row is YES.
 """
 
 from __future__ import annotations
@@ -570,24 +571,6 @@ def find_retraction(f: BlockMap, radius_cap: int = DEFAULT_RADIUS_CAP, pointed: 
 # Split epic / split monic
 
 
-def _isomorphism_rule(f: BlockMap, which: str, inverse: str | None = None) -> v.Verdict:
-    """At level 1 of T, M and P the split and regular epis and monos are the
-    bijections.  A morphism there is an endomorphism of a transitive SFT, and
-    an injective one is onto: its image has full entropy, and no proper
-    subshift of an irreducible sofic shift does (Lind & Marcus, Corollary
-    4.4.9).  So a NO carries two points with equal images, and a YES with an
-    ``inverse`` name carries the inverse of ``limits.bijectivity``."""
-    fam = an.injectivity_family(f)
-    if not fam.injective:
-        return v.no(witness={"pair": fam.pair}, note=f"{which} are the isomorphisms")
-    if inverse is None:
-        return v.yes(note="bijective")
-    bij = li.bijectivity(f)
-    if bij.certificate is None:
-        return bij
-    return v.yes(certificate=bij.certificate, note=f"bijective; inverse is the {inverse}")
-
-
 def _bijection(f: BlockMap) -> v.Verdict | None:
     """A bijection's split verdict: YES with its inverse and the inverse's
     radius, or the past-cap YES of ``limits.bijectivity``; None when ``f``
@@ -607,18 +590,17 @@ def is_split_epic(
     p_cap: int = DEFAULT_P_CAP,
     radius_cap: int = DEFAULT_RADIUS_CAP,
 ) -> v.Verdict:
-    """Whether ``f`` has a section, by surjectivity, injectivity if ``f`` is a
-    transitive shift's endomorphism, :func:`_bijection`, then the searches."""
+    """Whether ``f`` has a section, by injectivity if ``f`` is a transitive
+    shift's endomorphism (every map at level 1 of T, M and P is one),
+    surjectivity, :func:`_bijection`, then the searches."""
     li.check_morphism(cat, f)
-    if cat.level == 1 and cat.restriction in ("T", "M", "P"):
-        return _isomorphism_rule(f, "split epis of this category", "section")
-    surj = an.surjectivity(f)
-    if surj.no:
-        return v.no(witness=surj.witness, note="not surjective")
     if (f.source.language_equal(f.target) and an.is_transitive(f.source)
             and not (fam := an.injectivity_family(f)).injective):
         return v.no(witness={"pair": fam.pair}, note="not injective, and a section of a transitive"
                     " shift's endomorphism is an automorphism (Lind & Marcus, Corollary 4.4.9)")
+    surj = an.surjectivity(f)
+    if surj.no:
+        return v.no(witness=surj.witness, note="not surjective")
     if (split := _bijection(f)) is not None:
         return split
     first = (("sc", 1), ("sec", 0), ("sec", 1), ("sc", 2), ("sc", 3), ("sec", 2), ("sec", 3))
@@ -652,12 +634,20 @@ def is_split_monic(
     cat: CategoryTag,
     radius_cap: int = DEFAULT_RADIUS_CAP,
 ) -> v.Verdict:
-    """Whether ``f`` has a retraction.  One sends a point of period n to one
-    of period dividing n, so the period rule's NO holds at every level; its
-    YES for an injective map (the Extension Lemma) is M2/P2-only."""
+    """Whether ``f`` has a retraction h: NO if ``f`` is not injective, the
+    inverse for a bijection, and NO by the period rule, as h sends a point
+    of period n to one of period dividing n.  Then the retraction search,
+    and if it finds none, YES for a mixing SFT source by the Extension
+    Lemma (Boyle 1983; Lind & Marcus, Lemma 10.1.8): for shift spaces X ⊆
+    Y and a mixing SFT Z with P(Y) ↘ P(Z), every sliding block code X → Z
+    extends to Y.  Here Y is the target, X the image, Z the source and the
+    code the inverse of ``f`` on X.  ``period_inclusion(target, source)``
+    says σ^n fixes a point of Z wherever it fixes one of Y, so a point of
+    least period n in Y has one in Z of least period dividing n: P(Y) ↘
+    P(Z).  In P the target's point lies in X, so the extension keeps it.
+    Else NO where ``is_regular_monic`` is NO, since a split mono is regular
+    (the equalizer of id and f . h).  No rule reads the level."""
     li.check_morphism(cat, f)
-    if cat.level == 1 and cat.restriction in ("T", "M", "P"):
-        return _isomorphism_rule(f, "split monos of this category", "retraction")
     fam = an.injectivity_family(f)
     if not fam.injective:
         return v.no(witness={"pair": fam.pair}, note="not injective")
@@ -667,14 +657,15 @@ def is_split_monic(
     if peric.no:
         return v.no(witness=peric.witness, note="a target period has no matching source period")
     h = find_retraction(f, radius_cap=radius_cap, pointed=cat.pointed)
-    if cat.level == 2 and cat.restriction in ("M", "P"):
-        return v.yes(
-            certificate=h,
-            note="injective and peric" + ("" if h else "; retraction exists but exceeds the search radius"),
-        )
     if h is not None:
         return v.yes(certificate=h, bound_used={"radius": h.radius})
-    return v.undecided(bound_used={"radius_cap": radius_cap}, note=f"no retraction of radius <= {radius_cap}")
+    searched = f"no retraction of radius <= {radius_cap}"
+    if an.is_mixing(f.source) and an.is_sft(f.source).yes:
+        return v.yes(note=f"{searched}, but one exists by the Extension Lemma"
+                     " (Lind & Marcus, Lemma 10.1.8)")
+    if (reg := is_regular_monic(f, cat)).no:
+        return v.no(witness=reg.witness, note="not regular monic, and a split mono is regular")
+    return v.undecided(bound_used={"radius_cap": radius_cap}, note=searched)
 
 
 # ---------------------------------------------------------------------------
@@ -682,9 +673,11 @@ def is_split_monic(
 
 
 def is_regular_epic(f: BlockMap, cat: CategoryTag, witness_endo: BlockMap | None = None) -> v.Verdict:
+    """Whether ``f`` is a coequalizer.  Every epi of K2 and K3 is, and in P1
+    only the isomorphisms are, so a map that is not injective is NO there."""
     li.check_morphism(cat, f)
-    if (cat.restriction, cat.level) == ("P", 1):
-        return _isomorphism_rule(f, "regular epis of P1")
+    if (cat.restriction, cat.level) == ("P", 1) and not (fam := an.injectivity_family(f)).injective:
+        return v.no(witness={"pair": fam.pair}, note="regular epis of P1 are the isomorphisms")
     surj = an.surjectivity(f)
     if cat.restriction == "K" and cat.level in (2, 3):
         if surj.yes:
@@ -709,23 +702,23 @@ def is_regular_epic(f: BlockMap, cat: CategoryTag, witness_endo: BlockMap | None
 
 def is_regular_monic(f: BlockMap, cat: CategoryTag) -> v.Verdict:
     """Whether ``f`` is injective with an image of the form the category
-    asks for; an onto map's image is its target, and is not built."""
+    asks for; an onto map's image is its target, and is not built.  In K
+    that form is a subSFT of the target, as an equalizer set is.  An SFT
+    source's image is one, its own maximal part in T, M and P too; for any
+    other image, these search for an enclosing subSFT whose maximal part
+    is the image.  No rule reads the level."""
     li.check_morphism(cat, f)
     fam = an.injectivity_family(f)
-    if cat.level == 1 and cat.restriction in ("T", "M", "P"):
-        return _isomorphism_rule(f, "regular monos of this category")
     if not fam.injective:
         return v.no(witness={"pair": fam.pair}, note="not injective")
     img = f.target if an.surjectivity(f).yes else an.image(f)
-    if cat.level == 2 or (cat.restriction, cat.level) == ("K", 3):
+    if cat.restriction == "K" or an.is_sft(f.source).yes:
         sub = an.is_subsft_of(img, f.target)
         if sub.yes:
             return v.yes(certificate=sub.certificate)
         if sub.no:
             return v.no(witness=sub.witness, note="image is not a subSFT of the target")
         return v.undecided(bound_used=sub.bound_used, note=sub.note)
-    # (T/M/P)3: search for an enclosing subSFT whose maximal transitive or
-    # mixing part is exactly the image
     for m in range(1, REGULAR_MONIC_WINDOW_CAP + 1):
         try:
             z = an.intersection_presentation(f.target, an.sft_approximation(img, m))
@@ -784,6 +777,10 @@ def classify(
         "preinjective": an.is_preinjective(f),
         "peric": an.is_peric(f),
     }
+    # a YES settles each weaker cell that its own rule left open
+    for strong, weak in IMPLICATIONS:
+        if row[strong].yes and row[weak].undecided:
+            row[weak] = v.yes(note=f"{strong} implies {weak}")
     violations = implication_violations(row)
     if violations:
         raise InternalError(f"classification violates the implication lattice: {violations}")

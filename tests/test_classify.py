@@ -23,7 +23,8 @@ from sdcat.core import (
 from sdcat.errors import ValidationError, set_budget
 from sdcat.limits import CategoryTag
 
-from conftest import recheck_certificates, recheck_pair, recheck_petals, seeded_onto_maps
+from conftest import (recheck_certificates, recheck_pair, recheck_petals, recheck_pumpable,
+                      seeded_onto_maps)
 
 K1, K2, K3 = (CategoryTag.parse(t) for t in ("K1", "K2", "K3"))
 T1, T2, T3 = (CategoryTag.parse(t) for t in ("T1", "T2", "T3"))
@@ -509,17 +510,68 @@ class TestSplitMonic:
     def test_retraction_search_proves_none_up_to_the_radius_cap(self, even_shift):
         from sdcat.errors import set_budget
 
-        # every radius up to the cap is searched to the end, so the note
-        # can say that no retraction of radius 3 or less exists
+        # every radius up to the cap is searched to the end, and none has a
+        # retraction; the image, the even shift again, is no subSFT of
+        # full3, so the map is no regular mono and hence no split mono
         full3 = full_shift(["0", "1", "2"])
         f = make_block_map(even_shift, full3, 1, dict(zip(even_shift.words(3), "1001212")))
         set_budget(20_000)
         try:
+            assert cl.find_retraction(f, radius_cap=3) is None
             got = cl.classify(f, K3)["split_monic"]
         finally:
             set_budget(None)
-        assert got.undecided and got.note == "no retraction of radius <= 3"
-        assert got.bound_used == {"radius_cap": 3}
+        assert got.no and got.witness == cl.is_regular_monic(f, K3).witness
+        recheck_pumpable(got.witness, an.image(f), full3)
+
+    def test_even_inclusion_is_no_regular_mono_so_no_split_mono(self, even_inclusion,
+                                                                even_shift, full2):
+        for cat in (K3, T3, M3):
+            got = cl.is_split_monic(even_inclusion, cat)
+            assert got.no and "a split mono is regular" in got.note, cat
+            recheck_pumpable(got.witness, even_shift, full2)
+
+    def test_golden_map_splits_by_the_extension_lemma(self, golden, full2):
+        # injective, and the golden mean is a mixing SFT with every period
+        # of full2, so a retraction exists, though none of radius 3 or less
+        f = make_block_map(golden, full2, 2, dict(zip(golden.words(5), "1010101110100")))
+        assert an.injectivity_family(f).injective and cl.find_retraction(f) is None
+        for cat in (K2, K3, T3, M3):
+            got = cl.is_split_monic(f, cat)
+            assert got.yes and "Extension Lemma" in got.note and "radius <= 3" in got.note, cat
+        h = cl.find_retraction(f, radius_cap=6)
+        assert h is not None and h.radius == 6
+        assert maps_equal(recheck_certificates(f, radius_cap=6)[1], h)
+
+    def test_brute_retractions_agree_on_injective_maps(self, full2, full3, golden, even_shift):
+        # every retraction of radius <= 1 of a map into full2 or the golden
+        # mean, and of radius 0 of a map into full3, listed by the oracle:
+        # none exists where the verdict is NO, and the verdict is YES
+        # wherever one does
+        import random
+
+        per2 = make_presentation(["0", "1"], "sft", [("0", "0"), ("1", "1")])
+        rng, seen = random.Random(7), []
+        sources, targets = (full2, golden, even_shift, per2), ((full2, 1), (golden, 1), (full3, 0))
+        while len(seen) < 120:
+            x, (y, cap) = rng.choice(sources), rng.choice(targets)
+            r = rng.randrange(2)
+            try:
+                f = make_block_map(x, y, r, {w: rng.choice(y.alphabet) for w in x.words(2 * r + 1)})
+            except ValidationError:
+                continue
+            if not an.injectivity_family(f).injective:
+                continue
+            ident = identity_map(x)
+            found = any(maps_equal(compose(h, f), ident) for rho in range(cap + 1)
+                        for h in orc.enumerate_block_maps(orc.EnumerationSpec(y, x, rho)))
+            got = cl.is_split_monic(f, K3)
+            assert got.yes if found else not got.undecided
+            if got.certificate is not None:
+                assert maps_equal(compose(got.certificate, f), ident)
+            seen.append((found, got.answer))
+        assert set(seen) == {
+            (True, "YES"), (False, "YES"), (False, "NO")}
 
 
 class TestConstraintSearch:
@@ -660,6 +712,14 @@ class TestRegularMonic:
         got = [cl.is_regular_monic(f, cat) for f in maps for cat in (K2, K3, T3, M3)]
         assert all(v.yes for v in got) and {v.certificate["window"] for v in got} == want == {1}
 
+    def test_an_sft_image_is_regular_at_level_1_of_k(self):
+        # the image of an SFT source is a subSFT of any shift that holds it:
+        # the shift of the period-2 SFT, whose image has no single mixing
+        # part, is regular monic in K1 by that test
+        per2 = make_presentation(["0", "1"], "sft", [("0", "0"), ("1", "1")])
+        got = cl.is_regular_monic(shift_power(per2, 1), K1)
+        assert got.yes and got.certificate == {"window": 1}
+
     def test_marked_host_separates_k3_from_level3(self, odd_runs_in_marked_sofic):
         # regular monic in M3 and T3 through an enclosing subSFT, but the
         # image is not a subSFT of the host, so not regular monic in K3
@@ -700,6 +760,16 @@ class TestClassifyRow:
             row = cl.classify(f, cat)
             assert not cl.implication_violations(row)
 
+
+    def test_a_yes_fills_the_weaker_cells_its_rules_leave_open(self, full2, full3):
+        # 0 -> 0, 1 -> 1, 2 -> 1 has a section, and no rule of its own
+        # decides its regular epicness outside K2 and K3
+        f = make_block_map(full3, full2, 0, {("0",): "0", ("1",): "1", ("2",): "1"})
+        for cat in (T2, T3, M2, M3):
+            row = cl.classify(f, cat)
+            assert row["split_epic"].yes and cl.is_regular_epic(f, cat).undecided
+            assert row["regular_epic"].yes and row["regular_epic"].note == (
+                "split_epic implies regular_epic")
 
     def test_a_split_epi_is_a_regular_epi(self):
         # a split epi with section s is the coequalizer of (id, s . f)

@@ -3191,6 +3191,37 @@ def _check_orbit_quotient(f, k, p):
     return True
 
 
+@functools.cache
+def _eventually_periodic_endomorphisms():
+    """60 radius-1 endomorphisms of seeded transitive SFTs, drawn as
+    :func:`endomorphisms` draws them, each with its eventual periodicity
+    found within four powers.  About one draw in seven has one, so the
+    pool is found once, not filtered per example."""
+    rng, pool = random.Random(47), []
+    while len(pool) < 60:
+        alphabet = rng.choice([("0", "1"), ("0", "1", "2")])
+        forbidden = [tuple(rng.choice(alphabet) for _ in range(rng.randint(1, 3)))
+                     for _ in range(rng.randint(0, 3))]
+        x = make_presentation(alphabet, "sft", forbidden)
+        if x.is_empty() or not an.is_transitive(x):
+            continue
+        windows, syms = x.words(3), [a for a in x.alphabet if x.contains_word((a,))]
+        if rng.random() < 0.5:
+            turns = {w[:-1]: rng.randrange(len(syms)) for w in windows}
+            rule = {w: syms[(syms.index(w[-1]) + turns[w[:-1]]) % len(syms)] for w in windows}
+        else:
+            k = rng.randrange(3)
+            rule = {w: w[k] if rng.random() < 0.5 else rng.choice(syms) for w in windows}
+        try:
+            f = make_block_map(x, x, 1, rule)
+        except ValidationError:
+            continue
+        ep = dy.eventual_periodicity(f, cap=4)
+        if ep.status == "found":
+            pool.append((f, ep))
+    return pool
+
+
 class TestOrbitQuotient:
     def test_radius_zero_maps_match_the_orbit_sets(self):
         compared = 0
@@ -3204,11 +3235,10 @@ class TestOrbitQuotient:
         # relations are local at no window
         assert compared == 4 + 27 - 3
 
-    @given(endomorphisms(min_radius=1))
+    @given(st.deferred(lambda: st.sampled_from(_eventually_periodic_endomorphisms())))
     @settings(max_examples=40, deadline=None)
-    def test_radius_one_maps_match_the_orbit_sets(self, f):
-        ep = dy.eventual_periodicity(f, cap=4)
-        assume(ep.status == "found")
+    def test_radius_one_maps_match_the_orbit_sets(self, drawn):
+        f, ep = drawn
         _check_orbit_quotient(f, ep.preperiod, ep.period)
 
 

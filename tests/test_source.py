@@ -120,6 +120,17 @@ def test_no_classify_function_catches_a_validation_error():
     assert not found, f"ValidationError caught in classify.py: {found}"
 
 
+def test_split_and_regular_mono_rules_read_premises_not_levels():
+    # each cell reads a fact about the map and its shifts; no second
+    # level-1 bijection path stands beside ``_bijection``
+    tree = ast.parse((SRC / "classify.py").read_text(encoding="utf-8"))
+    fns = {fn.name: fn for fn in tree.body if isinstance(fn, ast.FunctionDef)}
+    assert "_isomorphism_rule" not in fns
+    found = [f"{name}:{node.lineno}" for name in ("is_split_epic", "is_split_monic", "is_regular_monic")
+             for node in ast.walk(fns[name]) if isinstance(node, ast.Attribute) and node.attr == "level"]
+    assert not found, f".level read in classify.py: {found}"
+
+
 def test_no_module_imports_a_name_it_never_reads():
     # a deletion leaves its imports behind; the package re-exports what
     # ``__all__`` lists, and ``from __future__`` imports are directives
