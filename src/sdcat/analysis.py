@@ -9,9 +9,10 @@ Facts about one shift or one map are decided once per object and kept on
 it, as ``BlockMap.image`` is; an UNDECIDED verdict, which depends on the
 work budget, is not kept.  Surjectivity is one such fact: every epic,
 bijectivity, regular-monic and cokernel test reads ``surjectivity(f)``,
-which builds no image.  Its YES is the Garden-of-Eden theorem for a preinjective
-endomorphism of a transitive SFT, and otherwise an exhausted search for a
-target word outside the image, whose first hit is the NO witness.
+which builds no image.  For an endomorphism of a transitive SFT its
+answer is preinjectivity's, by the Garden-of-Eden theorem, and a NO
+carries the diamond pair.  For any other map it searches for a target word
+outside the image, ``missed_word``, whose first hit is the NO witness.
 
 Each shift fact is one pass over a graph already built.  SFT-ness and the
 least window are read off the pairs of follower sets, ``_memory_window``,
@@ -576,19 +577,28 @@ def surjectivity(f: BlockMap) -> v.Verdict:
 
     No image is built.  An endomorphism of a transitive SFT is onto exactly
     when it is preinjective: the Garden-of-Eden theorem (Moore 1962, Myhill
-    1963), for irreducible SFTs in Lind & Marcus, Section 8.1.  So there a
-    YES of ``is_preinjective`` is a YES.  Otherwise ``automata.missing_word``
-    searches the target automaton against the image graph: NO carries the
-    shortlex-least target word outside the image, and a search that finds
-    none is a YES.
+    1963), for irreducible SFTs in Lind & Marcus, Section 8.1, where an onto
+    endomorphism is finite-to-one and so has no diamond.  There the answer
+    is ``is_preinjective``'s, and a NO carries its diamond pair.  Otherwise
+    NO carries :func:`missed_word`, and a search that finds none is a YES.
     """
     x = f.source
-    if (x.language_equal(f.target) and is_transitive(x) and is_sft(x).yes
-            and is_preinjective(f).yes):
-        return v.yes(note="Garden of Eden: a preinjective endomorphism of a transitive SFT is onto")
-    g = image_graph(x, f.radius, f.rule_dict, f.target.alphabet)
-    word = au.missing_word(f.target.dfa, partial(au._subset_step, g.trans), g.initial, g.accepting)
+    if x.language_equal(f.target) and is_transitive(x) and is_sft(x).yes:
+        if (pre := is_preinjective(f)).yes:
+            return v.yes(note="Garden of Eden: a preinjective endomorphism of a transitive SFT is onto")
+        return v.no(witness=pre.witness, note="Garden of Eden: an endomorphism of a transitive"
+                    " SFT that is not preinjective is not onto")
+    word = missed_word(f)
     return v.yes() if word is None else v.no(witness={"word": word})
+
+
+@_per_object
+def missed_word(f: BlockMap) -> Word | None:
+    """The shortlex-least target word outside the image of ``f``, or None
+    when ``f`` is onto: ``automata.missing_word`` searches the target
+    automaton against the image graph, and builds no image."""
+    g = image_graph(f.source, f.radius, f.rule_dict, f.target.alphabet)
+    return au.missing_word(f.target.dfa, partial(au._subset_step, g.trans), g.initial, g.accepting)
 
 
 @record

@@ -301,7 +301,7 @@ def cokernel_p(f: BlockMap, cat: CategoryTag) -> LimitResult:
     if surj.yes:
         t = trivial_shift(y.point if y.point is not None else "0")
         return exists(t, constant_map(y, t, t.point), reason="cokernel of a surjection is the zero map")
-    h = _cokernel_diagnostic(f, surj.witness["word"])
+    h = _cokernel_diagnostic(f, an.missed_word(f))
     return LimitResult(
         "not-exists",
         reason="morphism is neither surjective nor zero",

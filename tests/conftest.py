@@ -87,14 +87,44 @@ def recheck_petals(f, petals):
     assert maps_equal(compose(f, g), compose(f, h))
 
 
-def recheck_pair(f, pair):
+def recheck_pair(f, pair, diamond=False):
     """Re-verify a pair witness of non-injectivity through ``core`` alone:
     two distinct points of the source that ``apply_map_ep`` sends to the
-    same image."""
+    same image.  A ``diamond``, the NO witness of preinjectivity, also
+    agrees outside a finite window: the two points have equal left and
+    right tails."""
     p1, p2 = pair
     assert p1.in_shift(f.source) and p2.in_shift(f.source)
     assert not p1.same_point(p2)
     assert apply_map_ep(f, p1).same_point(apply_map_ep(f, p2))
+    if diamond:
+        lo, hi = min(p1.start, p2.start), max(p1.mid_end(), p2.mid_end())
+        ll = math.lcm(len(p1.left), len(p2.left))
+        lr = math.lcm(len(p1.right), len(p2.right))
+        assert p1.segment(lo - ll, lo) == p2.segment(lo - ll, lo)
+        assert p1.segment(hi, hi + lr) == p2.segment(hi, hi + lr)
+
+
+def recheck_garden_of_eden(f, verdict):
+    """Re-verify a Garden-of-Eden NO of surjectivity: its pair is a
+    diamond, and the premise of Moore's theorem that its note names holds.
+    ``f`` is an endomorphism; its source is an SFT, equal to its
+    approximation at the window that ``is_sft`` certifies; and that SFT is
+    transitive, as the graph on its words of that length, joined by its
+    words one longer, is strongly connected."""
+    assert verdict.no and verdict.note.startswith("Garden of Eden")
+    recheck_pair(f, verdict.witness["pair"], diamond=True)
+    x = f.source
+    assert x.language_equal(f.target)
+    k = an.is_sft(x).certificate["window"]
+    assert sft_approximation(x, k).language_equal(x)
+    succ, pred = {}, {}
+    for w in x.words(k + 1):
+        succ.setdefault(w[:-1], []).append(w[1:])
+        pred.setdefault(w[1:], []).append(w[:-1])
+    nodes = x.words(k)
+    for step in (succ, pred):
+        assert au.closure([nodes[0]], step.__getitem__) == set(nodes)
 
 
 def seeded_onto_maps(x, y, count=12, seed=1):

@@ -132,7 +132,7 @@ def test_criterion_07_sofic_preinjectivity(sofic_preinj_map):
     assert len(consts) == 1 and consts[0].language_equal(diag)
     v = an.is_preinjective(f)
     assert v.no
-    recheck_pair(f, v.witness["pair"])
+    recheck_pair(f, v.witness["pair"], diamond=True)
     _report(7, t0, 5.0)
 
 

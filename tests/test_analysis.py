@@ -18,7 +18,7 @@ from sdcat.core import (
     product_presentation,
 )
 
-from conftest import recheck_pair
+from conftest import recheck_garden_of_eden, recheck_pair
 
 # x is no SFT but a subSFT of x | y, with window 8: no witness separates them
 FOUR_NODE_PAIR = (
@@ -374,7 +374,7 @@ class TestPreinjective:
         assert len(consts) == 1 and consts[0].language_equal(diag)
         v = an.is_preinjective(f)
         assert v.no
-        recheck_pair(f, v.witness["pair"])
+        recheck_pair(f, v.witness["pair"], diamond=True)
 
 
 class TestResolvingness:
@@ -476,7 +476,7 @@ class TestFactsDecidedOnce:
             pre = an.is_preinjective(f)
             res = an.resolvingness(f)
         assert not fam.injective and pre.no and res == an.Resolvingness(False, False)
-        recheck_pair(f, pre.witness["pair"])
+        recheck_pair(f, pre.witness["pair"], diamond=True)
         # the witness searches on the first off-diagonal edge decide, so
         # no component pass runs
         assert len(sccs) == 0
@@ -635,14 +635,21 @@ class TestFactsDecidedOnce:
             assert v.note == ("diagonal is a constituent: True" if pre else None)
             assert "kernel" not in vars(f)
 
-    def test_non_surjective_verdicts_carry_the_missing_word(self, and_rule):
+    def test_non_surjective_verdicts_carry_the_missing_word(self, golden, full2, and_rule):
         from sdcat import classify as cl
         from sdcat.limits import CategoryTag
 
-        word = an.surjectivity(and_rule).witness["word"]
-        assert not and_rule.image.contains_word(word) and and_rule.target.contains_word(word)
+        # the golden-mean inclusion is no endomorphism, so its NO carries
+        # the missed word; the AND rule's is a Garden-of-Eden diamond
+        inc = make_block_map(golden, full2, 0, {("0",): "0", ("1",): "1"})
+        word = an.surjectivity(inc).witness["word"]
+        assert word == an.missed_word(inc)
+        assert not inc.image.contains_word(word) and inc.target.contains_word(word)
+        surj = an.surjectivity(and_rule)
+        recheck_garden_of_eden(and_rule, surj)
         for cat in ("K2", "T2", "M2", "M3"):
-            assert cl.is_regular_epic(and_rule, CategoryTag.parse(cat)).witness == {"word": word}
+            assert cl.is_regular_epic(inc, CategoryTag.parse(cat)).witness == {"word": word}
+            assert cl.is_regular_epic(and_rule, CategoryTag.parse(cat)).witness == surj.witness
 
     def test_undecided_sft_answer_is_not_kept(self):
         from sdcat.core import make_presentation

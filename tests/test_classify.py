@@ -100,7 +100,9 @@ class TestMonic:
 
     def test_t3_periodic_injectivity_suffices(self, t3_monic_map):
         assert cl.is_monic(t3_monic_map, T3).yes
-        assert an.is_preinjective(t3_monic_map).no
+        pre = an.is_preinjective(t3_monic_map)
+        assert pre.no
+        recheck_pair(t3_monic_map, pre.witness["pair"], diamond=True)
 
     def test_m1_uniform_point_violation(self, const0):
         v = cl.is_monic(const0, M1)

@@ -252,3 +252,15 @@ class TestKernelCokernel:
             assert maps_equal(
                 compose(h, inc), zero_map(gp, h.target)
             )
+
+    def test_cokernel_of_a_non_onto_endomorphism_fails_with_its_leg(self, full2p):
+        # the AND rule's surjectivity NO carries a Garden-of-Eden pair, so
+        # the separating leg is built at the missed word's length
+        rule = {w: str(int(w[1]) & int(w[2])) for w in full2p.words(3)}
+        f = make_block_map(full2p, full2p, 1, rule)
+        res = co.cokernel_p(f, P2)
+        assert res.status == "not-exists" and len(res.legs) == 1
+        h = res.legs[0]
+        assert h.radius == len(an.missed_word(f)) == 3
+        assert maps_equal(compose(h, f), zero_map(full2p, h.target))
+        assert not maps_equal(h, zero_map(full2p, h.target))

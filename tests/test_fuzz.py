@@ -8,7 +8,8 @@ equality, the shift period, and transitivity, mixing and constituents.
 The constructions built on ``automata.explore`` and ``automata.closure``, the
 section search's constraint solver, the surjectivity verdict (on
 endomorphisms of transitive SFTs too, where the Garden-of-Eden theorem
-answers YES), the image validation of ``make_block_map``, the
+answers with preinjectivity, and a NO's diamond is rechecked), the
+missed word against a direct search, the image validation of ``make_block_map``, the
 many-sided difference product, the non-SFT witness search, the SFT window
 read off the follower sets, the period set read off the explored monoid
 and the orbit peel of a partial function are checked against the loops
@@ -108,7 +109,8 @@ from sdcat.errors import BudgetExceeded, DomainMismatch, ValidationError, set_bu
 from sdcat.files import format_shift
 from sdcat.limits import CategoryTag
 
-from conftest import recheck_certificates, recheck_pair, recheck_petals, recheck_pumpable, shortest_accepted
+from conftest import (recheck_certificates, recheck_garden_of_eden, recheck_pair, recheck_petals,
+                      recheck_pumpable, shortest_accepted)
 
 
 @st.composite
@@ -1279,11 +1281,59 @@ def endomorphisms(draw, min_radius=0):
         assume(False)
 
 
+def _direct_missed_word(f):
+    """Reference: the shortlex-least target word outside the image, from
+    a direct ``automata.missing_word`` search against the image graph."""
+    g = image_graph(f.source, f.radius, f.rule_dict, f.target.alphabet)
+    return au.missing_word(f.target.dfa, functools.partial(au._subset_step, g.trans), g.initial,
+                           g.accepting)
+
+
+def _garden_of_eden_premise(f):
+    x = f.source
+    return x.language_equal(f.target) and an.is_transitive(x) and an.is_sft(x).yes
+
+
+@functools.cache
+def _seeded_surjectivity_maps():
+    """Seeded maps of radius 0-2 (0-1 from full3): 160 endomorphisms of
+    full2, full3, the golden mean and the period-2 SFT, which the
+    Garden-of-Eden theorem decides, and 60 maps off its premise,
+    endomorphisms of the even shift and maps from one of these shifts into
+    another."""
+    even = make_presentation(*EVEN)
+    shifts = [FULL2, full_shift(("0", "1", "2")), golden_mean(), make_presentation(*ORBIT_01), even]
+    rng, on, off = random.Random(48), [], []
+    while len(on) < 160 or len(off) < 60:
+        x, y = rng.choice(shifts), rng.choice(shifts)
+        radius = rng.randint(0, 1 if len(x.alphabet) == 3 else 2)
+        rule = {w: rng.choice(y.alphabet) for w in x.words(2 * radius + 1)}
+        try:
+            f = make_block_map(x, y, radius, rule)
+        except ValidationError:
+            continue
+        pool = on if x is y and x is not even else off
+        if len(pool) < (160 if pool is on else 60):
+            pool.append(f)
+    return on, off
+
+
 class TestSurjectivity:
+    """The answer against the difference product everywhere, and
+    ``missed_word`` with it.  Off the Garden-of-Eden premise the NO
+    carries that word; on it the answer is preinjectivity's, and a NO's
+    diamond and premise are rechecked."""
+
     def _check(self, f):
         got, ref = an.surjectivity(f), _old_surjectivity_word(f)
         assert got.yes == (ref is None) and got.no == (ref is not None)
-        assert got.witness == (None if ref is None else {"word": ref})
+        assert an.missed_word(f) == ref
+        if _garden_of_eden_premise(f):
+            assert got.yes == an.is_preinjective(f).yes
+            if got.no:
+                recheck_garden_of_eden(f, got)
+        else:
+            assert got.witness == (None if ref is None else {"word": ref})
 
     @given(binary_maps() | sofic_maps())
     @example(make_block_map(empty_shift(("0", "1")), FULL2, 0, {}))
@@ -1299,6 +1349,25 @@ class TestSurjectivity:
     def test_census_maps_match_the_difference_product(self):
         for f in _census_maps():
             self._check(f)
+
+    def test_census_and_seeded_maps_match_the_direct_search(self):
+        on, off = _seeded_surjectivity_maps()
+        for f in _census_maps() + on:
+            got = an.surjectivity(f)
+            assert got.yes == (_direct_missed_word(f) is None)
+            if got.no:
+                recheck_garden_of_eden(f, got)
+        for f in off:
+            word = _direct_missed_word(f)
+            assert an.surjectivity(f).witness == (None if word is None else {"word": word})
+
+    def test_census_classification_searches_no_missed_word(self, monkeypatch):
+        calls = []
+        real = au.missing_word
+        monkeypatch.setattr(au, "missing_word", lambda *args: calls.append(args) or real(*args))
+        for f in _census_maps():
+            cl.classify(f, CategoryTag.parse("K2"))
+        assert calls == []
 
 
 def _old_escaping_word(x, y, radius, rule):
@@ -1482,19 +1551,6 @@ def small_sofic_maps(draw):
     return f
 
 
-def _check_pair(f, pair, diamond):
-    """Re-verify a NO witness through ``core`` alone: two distinct points
-    of the source with equal images and, for a diamond, equal tails."""
-    recheck_pair(f, pair)
-    p1, p2 = pair
-    if diamond:
-        lo, hi = min(p1.start, p2.start), max(p1.mid_end(), p2.mid_end())
-        ll = math.lcm(len(p1.left), len(p2.left))
-        lr = math.lcm(len(p1.right), len(p2.right))
-        assert p1.segment(lo - ll, lo) == p2.segment(lo - ll, lo)
-        assert p1.segment(hi, hi + lr) == p2.segment(hi, hi + lr)
-
-
 def _old_walk_to_cycle(q, step):
     """Reference: the walk that steps each node twice, once to find the
     cycle and once more for its token."""
@@ -1614,12 +1670,12 @@ class TestDiagonalView:
         pre = an.is_preinjective(f)
         assert (pre.answer, pre.note) == _old_is_preinjective(f)
         if pre.no:
-            _check_pair(f, pre.witness["pair"], diamond=True)
+            recheck_pair(f, pre.witness["pair"], diamond=True)
         fam = an.injectivity_family(f)
         assert fam == _old_injectivity_family(f)
         assert (fam.pair is None) == fam.injective
         if fam.pair is not None:
-            _check_pair(f, fam.pair, diamond=False)
+            recheck_pair(f, fam.pair)
         assert (fam.periodic_pair is None) == fam.injective_on_periodic
         if fam.periodic_pair is not None:
             p1, p2 = fam.periodic_pair
@@ -3191,14 +3247,52 @@ def _check_orbit_quotient(f, k, p):
     return True
 
 
+def _built_eventually_periodic_endomorphisms():
+    """Radius-1 endomorphisms of full shifts and the period-2 SFT built to
+    have (preperiod, period) (0, 2), (1, 1) or (2, 1), which seeded draws
+    seldom have, each with its eventual periodicity."""
+    full3, full4 = full_shift(("0", "1", "2")), full_shift(("0", "1", "2", "3"))
+    period2 = make_presentation(*ORBIT_01)
+
+    def pair_involution(a, b):
+        # on symbols 2p + q: flip p, and flip q where the neighbour a's p is 1
+        (p, q), ap = divmod(int(b), 2), int(a) // 2
+        return str(2 * (1 - p) + (q ^ p ^ ap))
+
+    built = {
+        (0, 2): [(period2, lambda a, b, c: c),
+                 (full4, lambda a, b, c: pair_involution(a, b)),
+                 (full4, lambda a, b, c: pair_involution(c, b))],
+        # erase isolated 1s or 0s, or fill the gap between two 1s
+        (1, 1): [(FULL2, lambda a, b, c: "0" if (a, b, c) == ("0", "1", "0") else b),
+                 (FULL2, lambda a, b, c: "1" if (a, b, c) == ("1", "0", "1") else b),
+                 (FULL2, lambda a, b, c: "1" if (a, c) == ("1", "1") else b)],
+        # 2 -> 1 -> 0 in two steps, one of them read off a neighbour
+        (2, 1): [(full3, lambda a, b, c: "1" if b == "2" else "0" if b == "1" and a != "0" else b),
+                 (full3, lambda a, b, c: "1" if b == "2" else "0" if b == "1" and c != "0" else b),
+                 (full3, lambda a, b, c: "1" if b == "2" and a == "0" else "0" if b in "12" else b),
+                 (full3, lambda a, b, c: "1" if b == "2" and c == "0" else "0" if b in "12" else b)],
+    }
+    pool = []
+    for cls, maps in built.items():
+        for x, fn in maps:
+            f = make_block_map(x, x, 1, {w: fn(*w) for w in x.words(3)})
+            ep = dy.eventual_periodicity(f, cap=4)
+            assert (ep.status, ep.preperiod, ep.period) == ("found", *cls)
+            pool.append((f, ep))
+    return pool
+
+
 @functools.cache
 def _eventually_periodic_endomorphisms():
     """60 radius-1 endomorphisms of seeded transitive SFTs, drawn as
     :func:`endomorphisms` draws them, each with its eventual periodicity
-    found within four powers.  About one draw in seven has one, so the
-    pool is found once, not filtered per example."""
-    rng, pool = random.Random(47), []
-    while len(pool) < 60:
+    found within four powers, and the built maps of
+    :func:`_built_eventually_periodic_endomorphisms`.  About one draw in
+    seven has an eventual periodicity, so the pool is found once, not
+    filtered per example."""
+    rng, pool = random.Random(47), _built_eventually_periodic_endomorphisms()
+    while len(pool) < 70:
         alphabet = rng.choice([("0", "1"), ("0", "1", "2")])
         forbidden = [tuple(rng.choice(alphabet) for _ in range(rng.randint(1, 3)))
                      for _ in range(rng.randint(0, 3))]
@@ -3240,6 +3334,10 @@ class TestOrbitQuotient:
     def test_radius_one_maps_match_the_orbit_sets(self, drawn):
         f, ep = drawn
         _check_orbit_quotient(f, ep.preperiod, ep.period)
+
+    def test_built_maps_of_rare_classes_match_the_orbit_sets(self):
+        for f, ep in _built_eventually_periodic_endomorphisms():
+            assert _check_orbit_quotient(f, ep.preperiod, ep.period)
 
 
 # ---------------------------------------------------------------------------

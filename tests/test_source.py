@@ -434,3 +434,23 @@ def test_only_bijectivity_reads_the_inverse():
                 found += [(path.name, fn.name) for call in ast.walk(fn) if isinstance(call, ast.Call)
                           and getattr(call.func, "id", getattr(call.func, "attr", None)) == "inverse"]
     assert found == [("limits.py", "bijectivity")], found
+
+
+def test_one_missed_word_search_over_the_image_graph():
+    # surjectivity's NO on an endomorphism of a transitive SFT carries a
+    # Garden-of-Eden pair, not a word, so no code reads ``["word"]`` off a
+    # verdict's witness: a target word outside the image is asked of
+    # ``analysis.missed_word``, the one ``missing_word`` search over an
+    # image graph.  The strong condition's search reads the target bridges
+    reads, callers = [], []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.Subscript) and isinstance(node.value, ast.Attribute)
+                    and node.value.attr == "witness" and isinstance(node.slice, ast.Constant)
+                    and node.slice.value == "word"):
+                reads.append(f"{path.name}:{node.lineno}")
+            if isinstance(node, ast.FunctionDef) and any(
+                    isinstance(c, ast.Call) and "missing_word" in _names(c.func) for c in ast.walk(node)):
+                callers.append((path.stem, node.name, "image_graph" in _names(node)))
+    assert not reads, f"a verdict's word witness read at {reads}"
+    assert sorted(callers) == [("analysis", "missed_word", True), ("classify", "_missed", False)], callers
