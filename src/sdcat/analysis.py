@@ -33,7 +33,8 @@ kernel pair has a bi-infinite path with a given label pattern, so they
 read the kernel graph through one diagonal view per map, built in the pass
 that pairs the map's windows, ``_diagonal_view``, and build no canonical
 kernel: each product edge is one tuple on both its ends' lists, which
-``core._infinite_past`` peels.  Their NO witnesses, two distinct
+``core._infinite_past`` trims, and seeds kept per source close its
+diagonal tails.  Their NO witnesses, two distinct
 eventually periodic points with equal images, are read off a path of that
 graph: a plain pair walks first edges from its edge's ends, and each
 witness walk steps a node once, through ``_orbit``.  A resolving map is
@@ -72,6 +73,7 @@ from .core import (
     sft_approximation,
     side_by_side,
     window_graph,
+    _identical_tails,
     _infinite_past,
     _fiber_sides,
     _live_nodes,
@@ -625,17 +627,25 @@ class _DiagonalView:
     ``(token, node)`` out of node ``q`` in edge order; several may carry the
     same token.  ``into[p]`` lists the edges ``(token, node)`` into ``p``
     back to their start nodes, in node order and then in edge order, and
-    ``off_edges`` every edge ``(q, t, p)`` off the diagonal, ``t[0] !=
-    t[1]``, in node order and then in edge order.  ``backward`` holds the
-    nodes with an infinite diagonal past (reachable from a diagonal cycle
-    along diagonal edges), ``forward`` those with an infinite diagonal
-    future.  ``succ`` and ``pred`` hold the nodes of ``out`` and ``into``,
-    built when a sweep first asks.
+    ``first_off`` is the first edge ``(q, t, p)`` in that order off the
+    diagonal, ``t[0] != t[1]``, or None.  ``backward`` holds the nodes with
+    an infinite diagonal past, ``forward`` those with an infinite diagonal
+    future.  ``succ``, ``pred`` (the nodes of ``out`` and ``into``) and
+    ``off_edges`` (every off-diagonal edge in order) are built on demand.
+
+    ``backward`` is closed along diagonal edges from the live seeds of
+    ``core._identical_tails``, with an infinite past of identical windows.
+    A left-infinite diagonal path into ``q`` is two points that agree up to
+    its end, so its edges ``r`` or more steps before the end read identical
+    windows: seeds, live since they reach ``q``.  Conversely identical
+    windows give equal outputs and a diagonal token, whatever the rule, so
+    a seed and all it reaches along diagonal edges are in ``backward``.
+    ``forward`` is the mirror image, closed along ``into``.
     """
 
     out: tuple[tuple[tuple[str, int], ...], ...]
     into: list[list[tuple[str, int]]]
-    off_edges: tuple[tuple[int, str, int], ...]
+    first_off: tuple[int, str, int] | None
     backward: frozenset[int]
     forward: frozenset[int]
 
@@ -646,6 +656,10 @@ class _DiagonalView:
     @cached_property
     def pred(self) -> list[list[int]]:
         return [[q for _, q in row] for row in self.into]
+
+    @cached_property
+    def off_edges(self) -> tuple[tuple[int, str, int], ...]:
+        return tuple((q, t, p) for q, row in enumerate(self.out) for t, p in row if t[0] != t[1])
 
 
 @_per_object
@@ -665,23 +679,21 @@ def _diagonal_view(f: BlockMap) -> _DiagonalView:
     idx = [-1] * (n * n)
     for q, old in enumerate(live):
         idx[old] = q
-    out, off_edges = [], []
-    into, dout, dinto = ([[] for _ in live] for _ in range(3))
+    out, into = [], [[] for _ in live]
     for q, old in enumerate(live):
         row = []
         for t, _, p in outs[old]:
             p = idx[p]
             if p >= 0:
-                row.append(edge := (t, p))
-                into[p].append(back := (t, q))
-                if t[0] != t[1]:
-                    off_edges.append((q, t, p))
-                else:
-                    dout[q].append(edge)
-                    dinto[p].append(back)
+                row.append((t, p))
+                into[p].append((t, q))
         out.append(tuple(row))
-    return _DiagonalView(tuple(out), into, tuple(off_edges), _infinite_past(dout, map(len, dinto), 1),
-                         _infinite_past(dinto, map(len, dout), 1))
+    first_off = next(((q, t, p) for q, row in enumerate(out) for t, p in row if t[0] != t[1]), None)
+    past, future = ([q for q in map(idx.__getitem__, s) if q >= 0]
+                    for s in _identical_tails(f.source, 2 * f.radius + 1))
+    return _DiagonalView(tuple(out), into, first_off,
+                         frozenset(au.closure(past, lambda q: [p for t, p in out[q] if t[0] == t[1]])),
+                         frozenset(au.closure(future, lambda q: [p for t, p in into[q] if t[0] == t[1]])))
 
 
 @_per_object
@@ -692,7 +704,7 @@ def off_diagonal_components(f: BlockMap) -> tuple[tuple[tuple, tuple[int, ...], 
     component and its graph period.  One SCC pass per map, made only when
     a witness search on the first off-diagonal edge finds nothing."""
     view = _diagonal_view(f)
-    if not view.off_edges:
+    if not view.first_off:
         return ()
     sccs = au.strongly_connected_components(range(len(view.out)), view.succ.__getitem__)
     comp = [0] * len(view.out)
@@ -708,14 +720,14 @@ def off_diagonal_components(f: BlockMap) -> tuple[tuple[tuple, tuple[int, ...], 
     return tuple(out.values())
 
 
-def _search_first(edges, search, sweep):
-    """``(edge, search(edge))`` for the first of the off-diagonal ``edges``
-    if that search finds something, else for the first edge ``sweep()``
-    lists, whose search must; None if none.  So a kernel fact's witness
-    search decides, and the graph is swept only when it finds nothing."""
-    if edges and (found := search(edges[0])):
-        return edges[0], found
-    edge = next(iter(sweep()), None) if edges else None
+def _search_first(first, search, sweep):
+    """``(edge, search(edge))`` for the first off-diagonal edge if that
+    search finds something, else for the first edge ``sweep()`` lists,
+    whose search must; None if none.  So a kernel fact's witness search
+    decides, and the graph is swept only when it finds nothing."""
+    if first and (found := search(first)):
+        return first, found
+    edge = next(iter(sweep()), None) if first else None
     found = edge and search(edge)
     if edge and not found:
         raise InternalError("witness search found no path to a stopping node")
@@ -735,7 +747,7 @@ def _first_cycle(f: BlockMap) -> tuple[tuple, Word] | None:
     """``(edge, tokens)``: the first off-diagonal edge on a cycle (that of
     the first off-diagonal component) and a shortest cycle from it, or None."""
     view = _diagonal_view(f)
-    return _search_first(view.off_edges, partial(_cycle_through, view),
+    return _search_first(view.first_off, partial(_cycle_through, view),
                          lambda: [edge for edge, _, _ in off_diagonal_components(f)])
 
 
@@ -766,7 +778,7 @@ def mixing_petals(f: BlockMap) -> tuple[Word, Word] | None:
             lambda s: s[0] == q and s[1] > 0 and math.gcd(s[1], n) == 1, "witness walk")
         return w2 and (w1, w2[0])
 
-    found = first and _search_first([first[0]], petals, lambda: [
+    found = first and _search_first(first[0], petals, lambda: [
         edge for edge, _, period in off_diagonal_components(f) if period == 1])
     return found and found[1]
 
@@ -780,8 +792,8 @@ def injectivity_family(f: BlockMap) -> InjectivityFamily:
     off the kept cycle of :func:`_first_cycle`: the search back from that
     edge's end decides, and the component pass runs only if it finds none."""
     view = _diagonal_view(f)
-    inj = not view.off_edges
-    pair = None if inj else _pair_witness(view, *view.off_edges[0], diamond=False)
+    inj = not view.first_off
+    pair = None if inj else _pair_witness(view, *view.first_off, diamond=False)
     first = _first_cycle(f)
     periodic_pair = first and tuple(map(PeriodicPoint, zip(*first[1])))
     uniform_pair, images = None, {}
@@ -823,7 +835,7 @@ def is_preinjective(f: BlockMap) -> v.Verdict:
 
     res = resolvingness(f)
     found = not (res.right_resolving or res.left_resolving) and _search_first(
-        view.off_edges, lambda e: _pair_witness(view, *e, diamond=True), diamonds)
+        view.first_off, lambda e: _pair_witness(view, *e, diamond=True), diamonds)
     if found:
         return v.no(witness={"pair": found[1]})
     note = None
@@ -901,10 +913,10 @@ class Resolvingness:
 def resolvingness(f: BlockMap) -> Resolvingness:
     """Read off the kernel graph: no off-diagonal edge leaves a node with an
     infinite diagonal past (right), or enters one with an infinite diagonal
-    future (left)."""
+    future (left), on the rows of those nodes alone."""
     view = _diagonal_view(f)
-    return Resolvingness(not any(i in view.backward for i, _, _ in view.off_edges),
-                         not any(j in view.forward for _, _, j in view.off_edges))
+    return Resolvingness(not any(t[0] != t[1] for q in view.backward for t, _ in view.out[q]),
+                         not any(t[0] != t[1] for p in view.forward for t, _ in view.into[p]))
 
 
 # ---------------------------------------------------------------------------

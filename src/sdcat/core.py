@@ -24,7 +24,8 @@ canonical form.  Surjectivity reads :func:`image_graph`, a relabelled
 window graph, whose every node lies on a bi-infinite path; injectivity,
 preinjectivity and resolvingness read ``analysis._diagonal_view``, which
 writes each pair of :func:`_matched_rows` once, as an edge tuple that both
-its ends list, for the one peel, :func:`_infinite_past`.
+its ends list, for the one peel, :func:`_infinite_past`, and closes its
+diagonal tails from the seeds of :func:`_identical_tails`.
 ``BlockMap.image`` and ``BlockMap.kernel`` canonicalize only when a
 question about their language asks.
 
@@ -558,6 +559,26 @@ def _window_graph(x: Presentation, w: int):
     return tuple(nodes), tuple(edges)
 
 
+@_per_object
+def _identical_tails(x: Presentation, w: int) -> tuple[frozenset[int], frozenset[int]]:
+    """The width-``w`` window-graph node pairs, as ``k1 * n + k2``, with an
+    infinite past, and those with an infinite future, of identical windows:
+    one peel each over the :func:`_matched_edges` of edges on one window."""
+    nodes, edges = _window_graph(x, w)
+    keyed = [(k, window, None, t) for k, window, t in edges]
+    index: dict[int, int] = {}  # the pairs met, numbered in order
+    pairs = [(index.setdefault(q, len(index)), index.setdefault(p, len(index)))
+             for q, _, p in _matched_edges(keyed, keyed, len(nodes), pair_symbol)]
+    outs, ins = [[] for _ in index], [[] for _ in index]
+    for e in pairs:
+        outs[e[0]].append(e)
+        ins[e[1]].append(e)
+    product = list(index)
+    past = _infinite_past(outs, map(len, ins), 1)
+    future = _infinite_past(ins, map(len, outs), 0)
+    return frozenset(product[i] for i in past), frozenset(product[i] for i in future)
+
+
 def center_of(window: Word) -> str:
     return window[len(window) // 2]
 
@@ -838,7 +859,8 @@ def apply_map(f: BlockMap, x: PeriodicPoint) -> PeriodicPoint:
 def image_word(f: BlockMap, word: Word) -> Word:
     """The image word of the repetition of ``word``, a point of the source (unchecked)."""
     n, r, w, local = len(word), f.radius, f.width(), f.rule_dict
-    line = PeriodicPoint(word).segment(-r, n + r)
+    # coordinates -r to n + r - 1, coordinate -r being word[-r % n]
+    line = (tuple(word) * (2 * r // n + 3))[-r % n : -r % n + n + 2 * r]
     return tuple(local[line[i : i + w]] for i in range(n))
 
 

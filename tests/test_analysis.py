@@ -551,9 +551,10 @@ class TestFactsDecidedOnce:
 
     @staticmethod
     def _count_sweep_lists(monkeypatch):
-        """The builds of the view's node lists ``succ`` and ``pred``."""
+        """The builds of the view's node lists ``succ`` and ``pred`` and of
+        its off-diagonal edge list ``off_edges``."""
         built = Counter()
-        for name in ("succ", "pred"):
+        for name in ("succ", "pred", "off_edges"):
             real = vars(an._DiagonalView)[name].func
             prop = cached_property(lambda view, name=name, real=real: built.update([name]) or real(view))
             prop.__set_name__(an._DiagonalView, name)
@@ -568,20 +569,21 @@ class TestFactsDecidedOnce:
         self._kernel_facts(f)
         an.resolvingness(f)
         view = an._diagonal_view(f)
-        assert "succ" not in vars(view) and "pred" not in vars(view)
+        assert not {"succ", "pred", "off_edges"} & set(vars(view))
         assert not built
 
-        # census rule 81: the one component pass builds ``succ`` once, and
-        # a component pass run again on the same view builds nothing
+        # census rule 81: the one component pass builds ``succ`` and
+        # ``off_edges`` once, a component pass run again on the same view
+        # builds nothing, and the diamond sweep reads the kept edge list
         rule = {w: str(81 >> i & 1) for i, w in enumerate(full2.words(3))}
         f = make_block_map(full2, full2, 1, rule)
         comps = an.off_diagonal_components(f)
-        assert comps and built == {"succ": 1}
+        assert comps and built == {"succ": 1, "off_edges": 1}
         del vars(f)[an.off_diagonal_components.key]
         assert an.off_diagonal_components(f) == comps
-        assert built == {"succ": 1}
+        assert built == {"succ": 1, "off_edges": 1}
         self._kernel_facts(f)
-        assert built == {"succ": 1, "pred": 1}
+        assert built == {"succ": 1, "pred": 1, "off_edges": 1}
 
     def test_mixing_of_kernel_constituents_builds_no_components(self, xor3, monkeypatch):
         from sdcat.core import full_shift

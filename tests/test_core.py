@@ -10,12 +10,14 @@ from hypothesis import given, settings, strategies as st
 from sdcat.core import (
     EventuallyPeriodicPoint,
     PeriodicPoint,
+    _block_conjugacy,
     apply_map,
     apply_map_ep,
     compose,
     empty_shift,
     full_shift,
     identity_map,
+    image_word,
     make_block_map,
     make_presentation,
     maps_equal,
@@ -166,6 +168,18 @@ class TestApplyMap:
                     assert x.segment(lo, hi) == tuple(x.at(i) for i in range(lo, hi))
                     assert image.segment(-15, 15) == tuple(
                         f.local(tuple(x.at(i + k) for k in range(-r, r + 1))) for i in range(-15, 15))
+
+    def test_image_word_reads_the_windows_of_the_repetition(self, full2):
+        # the map to the higher block shift outputs each window itself, so
+        # its image word is the line of windows that ``image_word`` cut,
+        # here against the segment of the periodic point, also for words
+        # shorter than the radius
+        for r in range(4):
+            to_blocks, w = _block_conjugacy(full2, 2 * r + 1)[0], 2 * r + 1
+            for n in range(1, 9):
+                for word in itertools.product("01", repeat=n):
+                    line = PeriodicPoint(word).segment(-r, n + r)
+                    assert image_word(to_blocks, word) == tuple(line[i : i + w] for i in range(n))
 
 
 class TestCompose:

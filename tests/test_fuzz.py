@@ -53,6 +53,7 @@ import itertools
 import math
 import random
 import re
+import types
 from collections import deque
 
 import pytest
@@ -71,6 +72,7 @@ from sdcat.core import (
     PeriodicPoint,
     _block_conjugacy,
     _center_index,
+    _identical_tails,
     _live_nodes,
     _orbit_ends,
     _window_table,
@@ -1783,7 +1785,7 @@ def _old_search_first_is_preinjective(f):
         coreach = au.closure(view.forward, view.pred.__getitem__)
         return [(i, t, j) for i, t, j in view.off_edges if i in reach and j in coreach]
 
-    found = an._search_first(view.off_edges, lambda e: an._pair_witness(view, *e, diamond=True),
+    found = an._search_first(view.first_off, lambda e: an._pair_witness(view, *e, diamond=True),
                              diamonds)
     if found:
         return "NO", None, {"pair": found[1]}
@@ -2835,13 +2837,13 @@ def _old_diagonal_view(f):
             else:
                 dsucc[q].append(p)
                 dpred[p].append(q)
-    view = an._DiagonalView(tuple(map(tuple, out)), into, tuple(off_edges),
-                            _fixed_point_trim(n, [[q] for q in range(n)], dpred),
-                            _fixed_point_trim(n, [[q] for q in range(n)], dsucc))
-    # the node lists built here, not read off ``out`` and ``into`` as the
-    # view's own properties would
-    vars(view).update(succ=succ, pred=pred)
-    return view
+    # the node lists and the off-diagonal edges built here, not read off
+    # ``out`` and ``into`` as the view's own properties would, and the
+    # diagonal tails peeled from every node, not closed from seeds
+    return types.SimpleNamespace(
+        out=tuple(map(tuple, out)), succ=succ, pred=pred, into=into, off_edges=tuple(off_edges),
+        backward=_fixed_point_trim(n, [[q] for q in range(n)], dpred),
+        forward=_fixed_point_trim(n, [[q] for q in range(n)], dsucc))
 
 
 def _check_diagonal_view(f):
@@ -2850,9 +2852,14 @@ def _check_diagonal_view(f):
     got, want = an._diagonal_view(f), _old_diagonal_view(f)
     for name in ("out", "succ", "pred", "into", "off_edges", "backward", "forward"):
         assert getattr(got, name) == getattr(want, name), name
+    assert got.first_off == (want.off_edges[0] if want.off_edges else None)
 
 
 class TestOnePassDiagonalView:
+    """Every check compares the view's ``backward`` and ``forward``, closed
+    from the source's identical-window seeds, with the reference's
+    diagonal peels over every node."""
+
     def test_census_views_match_the_trimmed_fiber_graph(self):
         for f in _census_maps():
             _check_diagonal_view(f)
@@ -2878,6 +2885,29 @@ class TestOnePassDiagonalView:
             for _ in range(3):
                 rule = {w: rng.choice("01") for w in x.words(2 * r + 1)}
                 _check_diagonal_view(make_block_map(x, FULL2, r, rule))
+
+    def test_seeded_graph_views_match_the_diagonal_peels(self):
+        # sources presented by random graphs of 2-4 nodes: on a sofic
+        # source two distinct window-graph nodes may read one window word,
+        # so the seeds leave the true diagonal, as on the even shift
+        rng = random.Random(4949)
+        sources = [(make_presentation(*EVEN), r) for r in (1, 2)]
+        while len(sources) < 62:
+            n = rng.randint(2, 4)
+            edges = [(q, a, rng.randrange(n)) for q in range(n) for a in "01" if rng.random() < 0.7]
+            x = presentation_from_edges(("0", "1"), n, edges)
+            sources += [(x, r) for r in (0, 1, 2) if not x.is_empty()]
+        off = []
+        for x, r in sources:
+            n = len(window_graph(x, 2 * r + 1)[0])
+            past, future = _identical_tails(x, 2 * r + 1)
+            if any(q // n != q % n for q in past | future):
+                off.append((x, r))
+            for _ in range(2):
+                rule = {w: rng.choice("01") for w in x.words(2 * r + 1)}
+                _check_diagonal_view(make_block_map(x, FULL2, r, rule))
+        assert sources[0] in off and sources[1] in off
+        assert len(off) > 10, len(off)
 
 
 def _old_higher_block(x, w):

@@ -365,10 +365,10 @@ def test_one_orbit_routine():
 
 def test_one_peel_routine():
     # dropping the nodes with no infinite past is ``core._infinite_past``:
-    # the kernel view's two trims and two diagonal peels, ``_live_nodes``
-    # and ``_orbit_ends`` all run it over their own edge tuples, so no
-    # copy of the loop is left inline.  Found here: a loop that counts a
-    # subscripted counter down, ``deg[p] -= 1``
+    # the kernel view's two trims, the identical-window tails of a source,
+    # ``_live_nodes`` and ``_orbit_ends`` all run it over their own edge
+    # tuples, so no copy of the loop is left inline.  Found here: a loop
+    # that counts a subscripted counter down, ``deg[p] -= 1``
     found, callers = [], set()
     for path in sorted(SRC.glob("*.py")):
         for fn in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
@@ -383,8 +383,20 @@ def test_one_peel_routine():
                    and call.func.id == "_infinite_past" for call in ast.walk(fn)):
                 callers.add(f"{path.name}:{fn.name}")
     assert found == ["core.py:_infinite_past"], found
-    assert callers == {"analysis.py:_diagonal_view", "core.py:_live_nodes",
-                       "core.py:_orbit_ends"}, callers
+    assert callers == {"analysis.py:_diagonal_view", "core.py:_identical_tails",
+                       "core.py:_live_nodes", "core.py:_orbit_ends"}, callers
+
+
+def test_kernel_view_peels_only_its_trim():
+    # the kernel view's diagonal tails are closures from the source's
+    # identical-window seeds, so its only peels are the two of the trim.
+    # Found here: a diagonal peel per map
+    tree = ast.parse((SRC / "analysis.py").read_text(encoding="utf-8"))
+    (fn,) = [node for node in tree.body
+             if isinstance(node, ast.FunctionDef) and node.name == "_diagonal_view"]
+    peels = [call.lineno for call in ast.walk(fn) if isinstance(call, ast.Call)
+             and isinstance(call.func, ast.Name) and call.func.id == "_infinite_past"]
+    assert len(peels) == 2, peels
 
 
 def test_equalizer_reads_no_level():
