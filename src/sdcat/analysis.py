@@ -39,8 +39,9 @@ eventually periodic points with equal images, are read off a path of that
 graph: a plain pair walks first edges from its edge's ends, and each
 witness walk steps a node once, through ``_orbit``.  A resolving map is
 preinjective with no search.  Injectivity on periodic points, the mixing
-petals that decide monicness in M2 and M3, and preinjectivity otherwise
-first run their witness search on the first off-diagonal edge, and sweep
+petals that decide monicness in M2 and M3 for a preinjective map, and
+preinjectivity otherwise first run their witness search on the first
+off-diagonal edge, and sweep
 the graph (one SCC pass, ``off_diagonal_components``, or two reach
 closures, over node lists built only then) only when it finds nothing.
 Constituents of the kernel, kernel pairs and other questions about its

@@ -1,7 +1,11 @@
 """The morphism classifier: epic, monic, split epic, split monic,
 regular epic, regular monic, per category.
 
-The split and regular-mono rules read premises, never the level.  A
+Monicness in M2, and in M3 from an SFT source, reads preinjectivity
+first: a map from a mixing SFT that is not preinjective is NO with its
+diamond pair, since a diamond spans a mixing SFT off the diagonal of its
+kernel, and only the other maps search the kernel graph for petals.  The
+split and regular-mono rules read premises, never the level.  A
 bijection is an isomorphism, decided by ``limits.bijectivity``: its
 inverse is its section and its retraction, and nothing is searched, even
 past the inverse's cap.  Nor is it for an endomorphism of a transitive
@@ -48,6 +52,7 @@ from .records import record
 DEFAULT_P_CAP = 6
 DEFAULT_RADIUS_CAP = 3
 REGULAR_MONIC_WINDOW_CAP = 8
+_DIAMOND_NOTE = "diamond on a mixing SFT: the kernel holds a mixing SFT off the diagonal"
 
 
 # ---------------------------------------------------------------------------
@@ -98,14 +103,28 @@ def is_monic(f: BlockMap, cat: CategoryTag) -> v.Verdict:
 
 def _monic_m2(f: BlockMap) -> v.Verdict:
     """Monic in M2 exactly when Ker f has no mixing constituent other than
-    the diagonal Δ, decided on the kernel graph: NO exactly when some
-    strongly connected component has an off-diagonal edge inside it and
-    graph period 1.
+    the diagonal Δ.  A map that is not preinjective is NO with the diamond
+    pair of ``analysis.is_preinjective``, and no petal search runs; any
+    other map is decided on the kernel graph: NO exactly when some strongly
+    connected component has an off-diagonal edge inside it and graph
+    period 1.
 
-    The source is an SFT, so its canonical presentation has finite memory
-    (Lind & Marcus, Theorem 3.4.17): the last few symbols of a point fix
-    its state, so its labels fix its window-graph path, and the kernel
-    graph's edge shift is conjugate to Ker f by its labels.  Hence:
+    Why a diamond decides: X is a mixing SFT, and Ker f is an SFT.  Take M
+    at least its memory.  In the M-block graph of Ker f the diagonal blocks
+    form a copy of the M-block graph of X, strongly connected and, as X is
+    mixing, aperiodic.  A diamond, x ≠ y agreeing outside a finite window
+    with f(x) = f(y), is a path that starts and ends in that copy, so its
+    off-diagonal blocks lie in the copy's component C, of period 1.  The
+    edge shift Z of C is a mixing SFT with Δ ⊊ Z ⊆ Ker f, and its two
+    coordinate projections are distinct maps that f makes equal.  This is
+    the converse of the note ``is_preinjective`` makes: on a transitive SFT,
+    preinjectivity makes Δ a constituent.
+
+    For a preinjective map the graph decides.  The source is an SFT, so its
+    canonical presentation has finite memory (Lind & Marcus, Theorem
+    3.4.17): the last few symbols of a point fix its state, so its labels
+    fix its window-graph path, and the kernel graph's edge shift is
+    conjugate to Ker f by its labels.  Hence:
 
     - the constituents of Ker f are the edge shifts of the components that
       carry an edge, each with shift period equal to its graph period
@@ -115,11 +134,14 @@ def _monic_m2(f: BlockMap) -> v.Verdict:
       subshift of Δ presented by another would have paths in both;
     - any other component presents a constituent other than Δ.
 
-    A NO carries the petals of ``analysis.mixing_petals``, searched before
-    any component pass: their flower is a mixing SFT with two distinct
-    projections that ``f`` makes equal.  A YES lists the component pass's
-    period of each component with an off-diagonal edge, each 2 or more.
+    That NO carries the petals of ``analysis.mixing_petals``, searched
+    before any component pass: their flower is a mixing SFT with two
+    distinct projections that ``f`` makes equal.  A YES lists the component
+    pass's period of each component with an off-diagonal edge, each 2 or
+    more.
     """
+    if (pre := an.is_preinjective(f)).no:
+        return v.no(witness=pre.witness, note=_DIAMOND_NOTE)
     petals = an.mixing_petals(f)
     if petals is not None:
         return v.no(note="kernel has a mixing constituent besides the diagonal",
@@ -129,15 +151,22 @@ def _monic_m2(f: BlockMap) -> v.Verdict:
 
 
 def _monic_m3(f: BlockMap, fam) -> v.Verdict:
-    """The graph test of :func:`_monic_m2` first.  On a sofic source its
-    petals still span a mixing SFT whose two projections ``f`` makes
-    equal, so a NO is sound.  But labels need not fix paths there, and a
-    component of period 2 or more can present a mixing sofic subshift off
-    the diagonal, so when the test finds nothing the canonical kernel
-    decides: NO when one of its maximal mixing subshifts leaves the
-    diagonal, YES when every mixing subshift lies in one of them.  The
-    source is mixing, so a constituent that contains the diagonal has a
-    cofinite period set and makes the candidates not exhaustive."""
+    """On an SFT source, by the follower-set window that ``analysis.is_sft``
+    reads, a map that is not preinjective is NO with its diamond pair, as in
+    :func:`_monic_m2`: the mixing SFT Z found there is sofic, so its
+    projections are morphisms of M3 too.  A sofic source is not searched
+    for an SFT witness, and keeps the rest.  Then the graph test of
+    :func:`_monic_m2`.  On a sofic source its petals still span a mixing
+    SFT whose two projections ``f`` makes equal, so a NO is sound.  But
+    labels need not fix paths there, and a component of period 2 or more
+    can present a mixing sofic subshift off the diagonal, so when the test
+    finds nothing the canonical kernel decides: NO when one of its maximal
+    mixing subshifts leaves the diagonal, YES when every mixing subshift
+    lies in one of them.  The source is mixing, so a constituent that
+    contains the diagonal has a cofinite period set and makes the
+    candidates not exhaustive."""
+    if an._memory_window(f.source) is not None and (pre := an.is_preinjective(f)).no:
+        return v.no(witness=pre.witness, note=_DIAMOND_NOTE)
     petals = an.mixing_petals(f)
     if petals is not None:
         return v.no(note="kernel graph has a mixing component off the diagonal",

@@ -105,17 +105,13 @@ def recheck_pair(f, pair, diamond=False):
         assert p1.segment(hi, hi + lr) == p2.segment(hi, hi + lr)
 
 
-def recheck_garden_of_eden(f, verdict):
-    """Re-verify a Garden-of-Eden NO of surjectivity: its pair is a
-    diamond, and the premise of Moore's theorem that its note names holds.
-    ``f`` is an endomorphism; its source is an SFT, equal to its
-    approximation at the window that ``is_sft`` certifies; and that SFT is
-    transitive, as the graph on its words of that length, joined by its
-    words one longer, is strongly connected."""
-    assert verdict.no and verdict.note.startswith("Garden of Eden")
-    recheck_pair(f, verdict.witness["pair"], diamond=True)
-    x = f.source
-    assert x.language_equal(f.target)
+def recheck_sft_premise(x, mixing=False):
+    """Re-verify that ``x`` is a transitive SFT, and with ``mixing`` a
+    mixing one: ``x`` equals its approximation at the window that
+    ``is_sft`` certifies, and the graph on its words of that length,
+    joined by its words one longer, is strongly connected; for ``mixing``
+    the gcd of that graph's cycle lengths is 1, read off breadth-first
+    depths as the gcd of ``depth(u) + 1 - depth(v)`` over its edges."""
     k = an.is_sft(x).certificate["window"]
     assert sft_approximation(x, k).language_equal(x)
     succ, pred = {}, {}
@@ -125,6 +121,34 @@ def recheck_garden_of_eden(f, verdict):
     nodes = x.words(k)
     for step in (succ, pred):
         assert au.closure([nodes[0]], step.__getitem__) == set(nodes)
+    if mixing:
+        depth, queue = {nodes[0]: 0}, [nodes[0]]
+        for u in queue:
+            for v in succ[u]:
+                if v not in depth:
+                    depth[v] = depth[u] + 1
+                    queue.append(v)
+        assert math.gcd(*(depth[u] + 1 - depth[v] for u in nodes for v in succ[u])) == 1
+
+
+def recheck_garden_of_eden(f, verdict):
+    """Re-verify a Garden-of-Eden NO of surjectivity: its pair is a
+    diamond, and the premise of Moore's theorem that its note names holds:
+    ``f`` is an endomorphism of a transitive SFT."""
+    assert verdict.no and verdict.note.startswith("Garden of Eden")
+    recheck_pair(f, verdict.witness["pair"], diamond=True)
+    assert f.source.language_equal(f.target)
+    recheck_sft_premise(f.source)
+
+
+def recheck_mixing_diamond(f, verdict):
+    """Re-verify a NO of monicness in M2 or M3 read off a diamond: its pair
+    is a diamond, and the premise its note names holds: the source is a
+    mixing SFT, on which a diamond spans a mixing SFT off the diagonal of
+    the kernel."""
+    assert verdict.no and verdict.note.startswith("diamond on a mixing SFT")
+    recheck_pair(f, verdict.witness["pair"], diamond=True)
+    recheck_sft_premise(f.source, mixing=True)
 
 
 def seeded_onto_maps(x, y, count=12, seed=1):

@@ -494,8 +494,7 @@ class TestFactsDecidedOnce:
         from sdcat import classify as cl
         from sdcat.limits import CategoryTag
 
-        # a fresh map, so no kernel fact is kept from another test
-        f = make_block_map(full2, full2, 1, and_rule.rule_dict)
+        m2_m3 = [CategoryTag.parse(t) for t in ("M2", "M3")]
         searches = []
         real = an._bfs_path
 
@@ -506,9 +505,18 @@ class TestFactsDecidedOnce:
             return real(start, succ, stop, *what)
 
         monkeypatch.setattr(an, "_bfs_path", counting)
-        m2 = cl.is_monic(f, CategoryTag.parse("M2"))
-        m3 = cl.is_monic(f, CategoryTag.parse("M3"))
-        assert m2.no and m3.no and m2.witness == m3.witness
+        # fresh maps, so no kernel fact is kept from another test.  The AND
+        # rule is not preinjective, so its diamond pair answers both and no
+        # petal search runs
+        f = make_block_map(full2, full2, 1, and_rule.rule_dict)
+        m2, m3 = (cl.is_monic(f, cat) for cat in m2_m3)
+        assert m2.no and m3.no and m2.witness == m3.witness == an.is_preinjective(f).witness
+        assert not searches
+        # census rule 30 is preinjective, and NO in both by its petals
+        g = make_block_map(full2, full2, 1, {w: str(30 >> i & 1) for i, w in enumerate(full2.words(3))})
+        m2, m3 = (cl.is_monic(g, cat) for cat in m2_m3)
+        assert an.is_preinjective(g).yes
+        assert m2.no and m3.no and m2.witness == m3.witness and "petals" in m2.witness
         assert len(searches) == 1
 
     @staticmethod
@@ -540,14 +548,24 @@ class TestFactsDecidedOnce:
         assert not sweeps
 
     def test_one_component_pass_when_the_first_component_is_periodic(self, full2, monkeypatch):
-        # census rule 81: the first off-diagonal component has period 2 or
-        # more and a later one period 1, and the first edge is no diamond
-        rule = {w: str(81 >> i & 1) for i, w in enumerate(full2.words(3))}
-        f = make_block_map(full2, full2, 1, rule)
+        def census_rule(k):
+            return make_block_map(full2, full2, 1, {w: str(k >> i & 1) for i, w in enumerate(full2.words(3))})
+
+        # census rule 90: preinjective, and its first off-diagonal component
+        # has period 2 or more and a later one period 1
+        f = census_rule(90)
+        sweeps = self._count_sweeps(an._diagonal_view(f), monkeypatch)
+        fam, pre, m2, m3 = self._kernel_facts(f)
+        assert not fam.injective_on_periodic and pre.yes and m2.no and m3.no
+        assert [period for _, _, period in an.off_diagonal_components(f)] == [2, 1]
+        assert sweeps == {"strongly_connected_components": 1}
+        # census rule 81 has such components too, but it is not preinjective:
+        # the sweep for its diamond answers M2 and M3, with no component pass
+        f = census_rule(81)
         sweeps = self._count_sweeps(an._diagonal_view(f), monkeypatch)
         fam, pre, m2, m3 = self._kernel_facts(f)
         assert not fam.injective_on_periodic and pre.no and m2.no and m3.no
-        assert sweeps == {"strongly_connected_components": 1, "closure": 2}
+        assert sweeps == {"closure": 2}
 
     @staticmethod
     def _count_sweep_lists(monkeypatch):

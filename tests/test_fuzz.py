@@ -111,8 +111,8 @@ from sdcat.errors import BudgetExceeded, DomainMismatch, ValidationError, set_bu
 from sdcat.files import format_shift
 from sdcat.limits import CategoryTag
 
-from conftest import (recheck_certificates, recheck_garden_of_eden, recheck_pair, recheck_petals,
-                      recheck_pumpable, shortest_accepted)
+from conftest import (recheck_certificates, recheck_garden_of_eden, recheck_mixing_diamond,
+                      recheck_pair, recheck_petals, recheck_pumpable, shortest_accepted)
 
 
 @st.composite
@@ -2315,15 +2315,24 @@ class TestBijectionInverse:
 class TestMonicOnTheKernelGraph:
     """The M2 graph test against the constituent test on the canonical
     kernel, and M3 against its kernel-only verdict, which the graph test
-    may turn from UNDECIDED into NO but never between YES and NO.  Every
-    petal witness is re-verified through ``core``."""
+    may turn from UNDECIDED into NO but never between YES and NO.  A NO of
+    a map that is not preinjective, from an SFT source, carries the diamond
+    pair of ``is_preinjective``, and is re-verified with its premise; every
+    other NO with a witness carries petals, re-verified through ``core``."""
+
+    @staticmethod
+    def _check_no(f, got):
+        if got.no and an.is_sft(f.source).yes and an.is_preinjective(f).no:
+            assert got.witness == an.is_preinjective(f).witness
+            recheck_mixing_diamond(f, got)
+        elif got.no:
+            recheck_petals(f, got.witness["petals"])
 
     def _check_m2(self, f):
         got = cl.is_monic(f, M2)
         assert got.answer == _old_monic_m2(f)
-        if got.no:
-            recheck_petals(f, got.witness["petals"])
-        else:
+        self._check_no(f, got)
+        if got.yes:
             assert all(p >= 2 for p in got.certificate["off_diagonal_periods"])
 
     def _check_m3(self, f):
@@ -2332,8 +2341,8 @@ class TestMonicOnTheKernelGraph:
         if got.no and got.witness is None:
             # only a sofic source can need the canonical kernel to say NO
             assert not an.is_sft(f.source).yes
-        elif got.no:
-            recheck_petals(f, got.witness["petals"])
+        else:
+            self._check_no(f, got)
 
     def test_census_maps_match_the_constituent_test(self):
         for f in _census_maps():
@@ -2367,6 +2376,60 @@ class TestMonicOnTheKernelGraph:
             cl.is_monic(f, M2)
             assert "kernel" not in vars(f)
         assert not built
+
+    def test_census_pass_searches_petals_only_for_preinjective_maps(self, monkeypatch):
+        # the petal search runs over (node, length) pairs; a map that is not
+        # preinjective is NO with its diamond pair before any (256 without)
+        searches = []
+        real = an._bfs_path
+
+        def counting(start, succ, stop, *what):
+            if isinstance(start, tuple):
+                searches.append(start)
+            return real(start, succ, stop, *what)
+
+        monkeypatch.setattr(an, "_bfs_path", counting)
+        for f in _census_maps():
+            cl.classify(f, K2)
+            before = len(searches)
+            cl.is_monic(f, M2)
+            assert len(searches) == before or an.is_preinjective(f).yes
+        assert len(searches) == 26
+
+    def test_sofic_source_is_not_searched_for_an_sft_witness(self, monkeypatch):
+        # the premise is the follower-set window; the even shift, fresh so
+        # that no fact is kept on it, has none
+        calls = []
+        real = an._non_subsft_witness
+        monkeypatch.setattr(an, "_non_subsft_witness", lambda *args: calls.append(args) or real(*args))
+        x = make_presentation(("0", "1"), "graph",
+                              (["e", "o"], [("e", "o", "0"), ("o", "e", "0"), ("e", "e", "1")]))
+        rng, answers = random.Random(50), set()
+        for r in (0, 1) * 3:
+            f = make_block_map(x, FULL2, r, {w: rng.choice("01") for w in x.words(2 * r + 1)})
+            answers.add(cl.is_monic(f, M3).answer)
+        assert answers == {"YES", "NO"}
+        assert not calls
+
+    def test_seeded_maps_between_mixing_sfts_match_the_constituent_test(self):
+        # sft_maps() draws maps into the binary full shift only
+        full3, golden = full_shift(("0", "1", "2")), golden_mean()
+        no00_111 = make_presentation(("0", "1"), "sft", [("0", "0"), ("1", "1", "1")])
+        rng, kinds = random.Random(50), set()
+        for x, y in [(full3, FULL2), (FULL2, full3), (FULL2, golden), (golden, full3),
+                     (no00_111, golden), (golden, no00_111)]:
+            for r in (0, 1):
+                for _ in range(40):
+                    rule = {w: rng.choice(y.alphabet) for w in x.words(2 * r + 1)}
+                    try:
+                        f = make_block_map(x, y, r, rule)
+                    except ValidationError:
+                        continue
+                    self._check_m2(f)
+                    self._check_m3(f)
+                    got = cl.is_monic(f, M2)
+                    kinds.add(got.answer if got.yes else next(iter(got.witness)))
+        assert kinds == {"YES", "pair", "petals"}
 
 
 # ---------------------------------------------------------------------------
