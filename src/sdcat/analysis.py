@@ -15,7 +15,8 @@ carries the diamond pair.  For any other map it searches for a target word
 outside the image, ``missed_word``, whose first hit is the NO witness.
 
 Each shift fact is one pass over a graph already built.  SFT-ness and the
-least window are read off the pairs of follower sets, ``_memory_window``,
+least window are read off the pairs of follower sets, ``sft_window``, a
+kept fact that every rule asking only whether a shift is an SFT reads,
 and only a shift that is none is searched for a witness.  The period set
 explores the syntactic monoid once, as partial word actions on the
 canonical automaton, and keeps its size; cycles are found by the peel of
@@ -38,12 +39,13 @@ diagonal tails.  Their NO witnesses, two distinct
 eventually periodic points with equal images, are read off a path of that
 graph: a plain pair walks first edges from its edge's ends, and each
 witness walk steps a node once, through ``_orbit``.  A resolving map is
-preinjective with no search.  Injectivity on periodic points, the mixing
-petals that decide monicness in M2 and M3 for a preinjective map, and
+preinjective with no search.  Injectivity on periodic points and
 preinjectivity otherwise first run their witness search on the first
-off-diagonal edge, and sweep
-the graph (one SCC pass, ``off_diagonal_components``, or two reach
-closures, over node lists built only then) only when it finds nothing.
+off-diagonal edge, and sweep the graph (one SCC pass,
+``off_diagonal_components``, or two reach closures, over node lists built
+only then) only when it finds nothing.  The mixing petals that decide
+monicness in M2 and M3 for a preinjective map read that SCC pass, and
+search only inside its first component of period 1.
 Constituents of the kernel, kernel pairs and other questions about its
 language read ``f.kernel``.
 """
@@ -403,7 +405,7 @@ def is_subsft_of(inner: Presentation, outer: Presentation) -> v.Verdict:
         except BudgetExceeded:
             return 0
 
-    window = _memory_window(inner)
+    window = sft_window(inner)
     if window is not None:
         return v.yes(certificate={"window": first_fit(range(lo, window)) or window})
     # small windows first, then a witness search, then the remaining windows
@@ -425,7 +427,7 @@ def is_sft(x: Presentation) -> v.Verdict:
     """Whether ``x`` is a shift of finite type: YES carries the least
     window, read off the follower sets; otherwise NO carries a pumpable
     witness family, as in :func:`is_subsft_of`, or none is found."""
-    window = _memory_window(x)
+    window = sft_window(x)
     if window is not None:
         return v.yes(certificate={"window": window})
     bound = 2 * x.dfa.n**2 + 2
@@ -436,8 +438,10 @@ def is_sft(x: Presentation) -> v.Verdict:
     return v.undecided(bound_used=bound, note=note)
 
 
-def _memory_window(x: Presentation) -> int | None:
-    """The least window of ``x`` as an SFT, None when it is none.
+@_per_object
+def sft_window(x: Presentation) -> int | None:
+    """The least window of ``x`` as an SFT, None when it is none, kept:
+    :func:`is_sft` answers YES exactly when it is not None.
 
     The automaton's states are the follower sets, and X is an M-step SFT
     exactly when F(uv) = F(v) for all words v of length M or more (Lind &
@@ -586,7 +590,7 @@ def surjectivity(f: BlockMap) -> v.Verdict:
     NO carries :func:`missed_word`, and a search that finds none is a YES.
     """
     x = f.source
-    if x.language_equal(f.target) and is_transitive(x) and is_sft(x).yes:
+    if x.language_equal(f.target) and is_transitive(x) and sft_window(x) is not None:
         if (pre := is_preinjective(f)).yes:
             return v.yes(note="Garden of Eden: a preinjective endomorphism of a transitive SFT is onto")
         return v.no(witness=pre.witness, note="Garden of Eden: an endomorphism of a transitive"
@@ -702,8 +706,9 @@ def off_diagonal_components(f: BlockMap) -> tuple[tuple[tuple, tuple[int, ...], 
     """The strongly connected components of the kernel graph with an
     off-diagonal edge inside them, in the order of their first such edge
     in ``off_edges``: that edge ``(q, token, p)``, the nodes of the
-    component and its graph period.  One SCC pass per map, made only when
-    a witness search on the first off-diagonal edge finds nothing."""
+    component and its graph period.  One SCC pass per map, made when a
+    witness search on the first off-diagonal edge finds nothing, and for
+    the mixing petals."""
     view = _diagonal_view(f)
     if not view.first_off:
         return ()
@@ -759,29 +764,27 @@ def mixing_petals(f: BlockMap) -> tuple[Word, Word] | None:
     when every component with an off-diagonal edge inside it has graph
     period 2 or more.
 
-    The edge is the first of the first component of period 1, ``w1`` a
-    shortest cycle through it and ``w2`` a shortest closed walk from its
-    start of length coprime to ``len(w1)``, by a breadth-first search over
-    pairs (node, length mod ``len(w1)``) charged to the budget; it succeeds
-    exactly on a component of period 1, so it runs first from the kept
-    cycle of :func:`_first_cycle`.  The flower with petals ``w1`` and
-    ``w2`` is irreducible of period 1: its edge shift is a mixing SFT, and
-    its two projections are distinct maps that ``f`` makes equal.
+    The edge is the first of the first component of period 1 that
+    :func:`off_diagonal_components` lists, ``w1`` a shortest cycle through
+    it and ``w2`` a shortest closed walk from its start of length coprime
+    to ``len(w1)``, by a breadth-first search over pairs (node, length mod
+    ``len(w1)``) charged to the budget.  Both walk inside the component,
+    so the search for ``w2`` never fails: the component's cycle lengths
+    have gcd 1.  The flower with petals ``w1`` and ``w2`` is irreducible of
+    period 1: its edge shift is a mixing SFT, and its two projections are
+    distinct maps that ``f`` makes equal.
     """
-    view, first = _diagonal_view(f), _first_cycle(f)
-
-    def petals(edge):
-        w1 = first[1] if edge == first[0] else _cycle_through(view, edge)
-        q, n = edge[0], len(w1)
-        # lengths mod n are kept as 1..n, so the start (q, 0) stops nothing
-        w2 = _bfs_path(
-            (q, 0), lambda s: [(t, (p, s[1] % n + 1)) for t, p in view.out[s[0]]],
-            lambda s: s[0] == q and s[1] > 0 and math.gcd(s[1], n) == 1, "witness walk")
-        return w2 and (w1, w2[0])
-
-    found = first and _search_first(first[0], petals, lambda: [
-        edge for edge, _, period in off_diagonal_components(f) if period == 1])
-    return found and found[1]
+    out = _diagonal_view(f).out
+    for (q, t, p), nodes, period in off_diagonal_components(f):
+        if period == 1:
+            inside = frozenset(nodes)
+            w1 = (t, *_bfs_path(p, lambda a: [e for e in out[a] if e[1] in inside], q.__eq__)[0])
+            n = len(w1)
+            # lengths mod n are kept as 1..n, so the start (q, 0) stops nothing
+            w2 = _bfs_path((q, 0), lambda s: [(u, (b, s[1] % n + 1)) for u, b in out[s[0]] if b in inside],
+                           lambda s: s[0] == q and s[1] > 0 and math.gcd(s[1], n) == 1, "witness walk")
+            return w1, w2[0]
+    return None
 
 
 @_per_object
@@ -841,7 +844,7 @@ def is_preinjective(f: BlockMap) -> v.Verdict:
         return v.no(witness={"pair": found[1]})
     note = None
     x = f.source
-    if is_transitive(x) and is_sft(x).yes:
+    if is_transitive(x) and sft_window(x) is not None:
         note = f"diagonal is a constituent: {not x.is_empty()}"
     return v.yes(note=note)
 

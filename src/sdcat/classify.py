@@ -1,11 +1,13 @@
 """The morphism classifier: epic, monic, split epic, split monic,
 regular epic, regular monic, per category.
 
-Monicness in M2, and in M3 from an SFT source, reads preinjectivity
-first: a map from a mixing SFT that is not preinjective is NO with its
-diamond pair, since a diamond spans a mixing SFT off the diagonal of its
-kernel, and only the other maps search the kernel graph for petals.  The
-split and regular-mono rules read premises, never the level.  A
+Monicness reads the level once, for level 1, where a verdict is one about
+the monoid End(X).  At levels 2 and 3 each restriction has one rule, and
+one premise picks it: whether the source is an SFT.  On an SFT source M3
+and P3 take the level-2 rule, and a map that is not preinjective is NO in
+M and P with its diamond pair, since a diamond spans a mixing SFT off the
+diagonal of its kernel; only the other maps search the kernel graph for
+petals.  The split and regular-mono rules read premises, never the level.  A
 bijection is an isomorphism, decided by ``limits.bijectivity``: its
 inverse is its section and its retraction, and nothing is searched, even
 past the inverse's cap.  Nor is it for an endomorphism of a transitive
@@ -70,35 +72,66 @@ def is_epic(f: BlockMap, cat: CategoryTag) -> v.Verdict:
 
 
 def is_monic(f: BlockMap, cat: CategoryTag) -> v.Verdict:
+    """Whether ``f`` is monic: the level is read once, for level 1, and at
+    levels 2 and 3 one premise, an SFT source, picks the rule of M and P.
+
+    - **Level 1 is End(X).**  Level-1 morphisms are endomorphisms, so a
+      K1, T1 or M1 verdict depends on the monoid End(X) alone.  Injective
+      is YES, and not preinjective NO.  Two uniform points with equal
+      images are NO in all three: the constant maps to them are distinct
+      endomorphisms that ``f`` makes equal.  In P1 those maps keep no
+      point, and preinjective is YES, anything else NO.
+    - **K:** injective.
+    - **T:** injective on periodic points.  A T2 source is a transitive
+      SFT, and there this is injectivity.  Labels fix paths of the kernel
+      graph, so two points with equal images are a path through an
+      off-diagonal edge whose past and future each end in a component.  A
+      component whose cycles stay on the diagonal is the diagonal's copy,
+      strongly connected as the source is transitive.  So either an end
+      holds a cycle off the diagonal, or the edge lies on a path from that
+      copy back to it, inside it, on a cycle: a periodic pair either way,
+      and a NO carries it.
+    - **M:** :func:`_monic_m2` on an SFT source, else :func:`_monic_m3`.
+      Monic in M3 is monic in M2, which has fewer pairs to tell apart.
+      Conversely let g, h: Z → X with f∘g = f∘h, and W = (g×h)(Z) ⊆ Ker f.
+      A doubly transitive point of W lifts to a path that cannot leave a
+      component and come back, so W lies in one component C.  Labels fix
+      paths, and W is mixing, so C has cycles of all large lengths and
+      period 1.  When :func:`_monic_m2` says YES every component with an
+      off-diagonal edge has period 2 or more, so W lies in the diagonal
+      and g = h.
+    - **P:** preinjective is YES.  On an SFT source any other map is NO
+      with its diamond pair: the mixing SFT of :func:`_monic_m2`'s proof
+      holds the diagonal's copy, so the point (p^∞, p^∞), and with that
+      point it is an object of P2 and P3 whose projections keep the point.
+      A sofic source stays UNDECIDED.
+    """
     li.check_morphism(cat, f)
     fam = an.injectivity_family(f)
-    r, lvl = cat.restriction, cat.level
-    if (r, lvl) in (("K", 2), ("K", 3), ("T", 2)):
+    r, end = cat.restriction, cat.level == 1
+    if r == "P":
+        if (pre := an.is_preinjective(f)).yes:
+            return v.yes(note="preinjective")
+        if end:
+            return v.no(witness=pre.witness, note="not preinjective")
+        if an.sft_window(f.source) is not None:
+            return v.no(witness=pre.witness, note=_DIAMOND_NOTE)
+        return v.undecided(note="not preinjective; no exact P3 criterion")
+    if end:
+        if fam.injective:
+            return v.yes(note="injective")
+        if (pre := an.is_preinjective(f)).no:
+            return v.no(witness=pre.witness, note="not preinjective")
+        if not fam.injective_on_uniform:
+            return v.no(witness={"pair": fam.uniform_pair}, note="not injective on uniform points")
+        return v.undecided(note="open in the classification table")
+    if r == "K":
         return v.yes() if fam.injective else v.no(witness={"pair": fam.pair}, note="not injective")
-    if (r, lvl) == ("T", 3):
+    if r == "T":
         if fam.injective_on_periodic:
             return v.yes()
         return v.no(witness={"pair": fam.periodic_pair}, note="not injective on periodic points")
-    if r == "P":
-        pre = an.is_preinjective(f)
-        if pre.yes:
-            return v.yes(note="preinjective")
-        if lvl in (1, 2):
-            return v.no(witness=pre.witness, note="not preinjective")
-        return v.undecided(note="not preinjective; no exact P3 criterion")
-    if r == "M" and lvl == 2:
-        return _monic_m2(f)
-    if r == "M" and lvl == 3:
-        return _monic_m3(f, fam)
-    # level-1 unpointed categories: only the known implications
-    if fam.injective:
-        return v.yes(note="injective")
-    pre = an.is_preinjective(f)
-    if pre.no:
-        return v.no(witness=pre.witness, note="not preinjective")
-    if r == "M" and not fam.injective_on_uniform:
-        return v.no(witness={"pair": fam.uniform_pair}, note="not injective on uniform points")
-    return v.undecided(note="open in the classification table")
+    return _monic_m2(f) if an.sft_window(f.source) is not None else _monic_m3(f, fam)
 
 
 def _monic_m2(f: BlockMap) -> v.Verdict:
@@ -135,10 +168,10 @@ def _monic_m2(f: BlockMap) -> v.Verdict:
     - any other component presents a constituent other than Δ.
 
     That NO carries the petals of ``analysis.mixing_petals``, searched
-    before any component pass: their flower is a mixing SFT with two
-    distinct projections that ``f`` makes equal.  A YES lists the component
-    pass's period of each component with an off-diagonal edge, each 2 or
-    more.
+    inside the first component of period 1 that the component pass lists:
+    their flower is a mixing SFT with two distinct projections that ``f``
+    makes equal.  A YES lists the component pass's period of each
+    component with an off-diagonal edge, each 2 or more.
     """
     if (pre := an.is_preinjective(f)).no:
         return v.no(witness=pre.witness, note=_DIAMOND_NOTE)
@@ -151,22 +184,17 @@ def _monic_m2(f: BlockMap) -> v.Verdict:
 
 
 def _monic_m3(f: BlockMap, fam) -> v.Verdict:
-    """On an SFT source, by the follower-set window that ``analysis.is_sft``
-    reads, a map that is not preinjective is NO with its diamond pair, as in
-    :func:`_monic_m2`: the mixing SFT Z found there is sofic, so its
-    projections are morphisms of M3 too.  A sofic source is not searched
-    for an SFT witness, and keeps the rest.  Then the graph test of
-    :func:`_monic_m2`.  On a sofic source its petals still span a mixing
-    SFT whose two projections ``f`` makes equal, so a NO is sound.  But
-    labels need not fix paths there, and a component of period 2 or more
-    can present a mixing sofic subshift off the diagonal, so when the test
-    finds nothing the canonical kernel decides: NO when one of its maximal
-    mixing subshifts leaves the diagonal, YES when every mixing subshift
-    lies in one of them.  The source is mixing, so a constituent that
-    contains the diagonal has a cofinite period set and makes the
-    candidates not exhaustive."""
-    if an._memory_window(f.source) is not None and (pre := an.is_preinjective(f)).no:
-        return v.no(witness=pre.witness, note=_DIAMOND_NOTE)
+    """Monic in M3 from a sofic source; an SFT source takes
+    :func:`_monic_m2`'s rule (see :func:`is_monic`).  First the graph test
+    of :func:`_monic_m2`: its petals still span a mixing SFT whose two
+    projections ``f`` makes equal, so a NO is sound.  But labels need not
+    fix paths here, and a component of period 2 or more can present a
+    mixing sofic subshift off the diagonal, so when the test finds nothing
+    the canonical kernel decides: NO when one of its maximal mixing
+    subshifts leaves the diagonal, YES when every mixing subshift lies in
+    one of them.  The source is mixing, so a constituent that contains the
+    diagonal has a cofinite period set and makes the candidates not
+    exhaustive."""
     petals = an.mixing_petals(f)
     if petals is not None:
         return v.no(note="kernel graph has a mixing component off the diagonal",
@@ -650,7 +678,7 @@ def is_split_epic(
                 return v.yes(certificate=g, bound_used={"radius": g.radius})
     note = f"no section at block radius <= {radius_cap}"
     # every strong-condition phase up to p_cap has run and held
-    if an.is_sft(f.source).yes:
+    if an.sft_window(f.source) is not None:
         note = (
             f"strong periodic point condition holds up to p = {p_cap} on an SFT domain"
             " (YES at bound); no explicit section within the radius cap"
@@ -689,7 +717,7 @@ def is_split_monic(
     if h is not None:
         return v.yes(certificate=h, bound_used={"radius": h.radius})
     searched = f"no retraction of radius <= {radius_cap}"
-    if an.is_mixing(f.source) and an.is_sft(f.source).yes:
+    if an.is_mixing(f.source) and an.sft_window(f.source) is not None:
         return v.yes(note=f"{searched}, but one exists by the Extension Lemma"
                      " (Lind & Marcus, Lemma 10.1.8)")
     if (reg := is_regular_monic(f, cat)).no:
@@ -741,7 +769,7 @@ def is_regular_monic(f: BlockMap, cat: CategoryTag) -> v.Verdict:
     if not fam.injective:
         return v.no(witness={"pair": fam.pair}, note="not injective")
     img = f.target if an.surjectivity(f).yes else an.image(f)
-    if cat.restriction == "K" or an.is_sft(f.source).yes:
+    if cat.restriction == "K" or an.sft_window(f.source) is not None:
         sub = an.is_subsft_of(img, f.target)
         if sub.yes:
             return v.yes(certificate=sub.certificate)
@@ -831,7 +859,7 @@ def exists_morphism(z: Presentation, y: Presentation) -> v.Verdict:
     per = an.period_inclusion(z, y)
     if per.no:
         return v.no(witness=per.witness)
-    if an.is_mixing(y) and an.is_sft(y).yes:
+    if an.is_mixing(y) and an.sft_window(y) is not None:
         return v.yes(note="period condition holds and target is a mixing SFT")
     return v.undecided(note="period condition holds; target is not a mixing SFT,"
                        " so only the necessary direction applies")

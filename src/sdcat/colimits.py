@@ -173,7 +173,7 @@ def coequalizer_id(
         t = trivial_shift("0")
         return exists(t, constant_map(x, t, "0"), reason=reason)
 
-    if mixing and an.is_sft(x).yes:
+    if mixing and an.sft_window(x) is not None:
         ep = dy.eventual_periodicity(f, cap=ep_cap)
         if ep.status == "found":
             vep = dy.is_visibly_eventually_periodic(f, ep)

@@ -66,7 +66,7 @@ class CategoryTag:
 def object_problems(x: Presentation, cat: CategoryTag) -> tuple[str, ...]:
     """Hard legality violations of ``x`` as an object of ``cat``, kept."""
     problems = []
-    if cat.level in (1, 2) and not an.is_sft(x).yes:
+    if cat.level in (1, 2) and an.sft_window(x) is None:
         problems.append("object is not an SFT")
     if cat.restriction == "T":
         if x.is_empty():

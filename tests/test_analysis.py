@@ -437,7 +437,7 @@ class TestFactsDecidedOnce:
             monkeypatch.setattr(owner, name, counting)
 
         # the step each fact's computation cannot skip
-        steps = [(an, "_memory_window"), (an, "scc_subshift"), (au, "minimize"),
+        steps = [(an, "sft_window"), (an, "scc_subshift"), (au, "minimize"),
                  (au, "compose_pfn"), (an, "image_word"), (an, "_diagonal_view"),
                  (Presentation, "language_equal")]
         for owner, name in steps:

@@ -11,6 +11,7 @@ from sdcat import limits as li
 from sdcat import oracle as orc
 from sdcat.core import (
     Presentation,
+    apply_map,
     compose,
     empty_shift,
     full_shift,
@@ -23,13 +24,13 @@ from sdcat.core import (
 from sdcat.errors import ValidationError, set_budget
 from sdcat.limits import CategoryTag
 
-from conftest import (recheck_certificates, recheck_pair, recheck_petals, recheck_pumpable,
-                      seeded_onto_maps)
+from conftest import (recheck_certificates, recheck_mixing_diamond, recheck_pair, recheck_petals,
+                      recheck_pumpable, seeded_onto_maps)
 
 K1, K2, K3 = (CategoryTag.parse(t) for t in ("K1", "K2", "K3"))
 T1, T2, T3 = (CategoryTag.parse(t) for t in ("T1", "T2", "T3"))
 M1, M2, M3 = (CategoryTag.parse(t) for t in ("M1", "M2", "M3"))
-P1, P2 = CategoryTag.parse("P1"), CategoryTag.parse("P2")
+P1, P2, P3 = (CategoryTag.parse(t) for t in ("P1", "P2", "P3"))
 
 
 @pytest.fixture(scope="module")
@@ -79,7 +80,7 @@ class TestMonic:
     def test_not_injective_verdicts_carry_a_pair(self, xor2, t3_monic_map):
         from sdcat import dynamics as dy
 
-        for f, cats in ((xor2, (K2, K3, CategoryTag.parse("T2"))), (t3_monic_map, (K3,))):
+        for f, cats in ((xor2, (K2, K3)), (t3_monic_map, (K3,))):
             verdicts = [cl.is_monic(f, cat) for cat in cats]
             verdicts += [cl.classify(f, cats[0])["injective"], cl.is_split_monic(f, cats[0]),
                          cl.is_regular_monic(f, cats[0])]
@@ -90,9 +91,10 @@ class TestMonic:
                 recheck_pair(f, v.witness["pair"])
 
     def test_not_injective_on_periodic_points_carries_a_periodic_pair(self, xor2):
-        from sdcat.core import apply_map
-
-        for v in (cl.is_monic(xor2, T3), cl.classify(xor2, K2)["injective_on_periodic"]):
+        # T2 asks injectivity on periodic points too, which on its
+        # transitive SFT sources is injectivity
+        for v in (cl.is_monic(xor2, T2), cl.is_monic(xor2, T3),
+                  cl.classify(xor2, K2)["injective_on_periodic"]):
             assert v.no
             p1, p2 = v.witness["pair"]
             assert not p1.same_point(p2)
@@ -107,6 +109,37 @@ class TestMonic:
     def test_m1_uniform_point_violation(self, const0):
         v = cl.is_monic(const0, M1)
         assert v.no
+
+    def test_level_one_reads_the_endomorphism_monoid(self, full2, full2p):
+        # rule 30 is preinjective and sends 0^inf and 1^inf to 0^inf: the
+        # constant maps to them are endomorphisms in K1 and T1 as in M1,
+        # but keep no point in P1
+        windows = full2.words(3)
+        rule = {w: str(30 >> i & 1) for i, w in enumerate(windows)}
+        f = make_block_map(full2, full2, 1, rule)
+        for cat in (K1, T1, M1):
+            v = cl.is_monic(f, cat)
+            assert v.no and v.note == "not injective on uniform points"
+            p1, p2 = v.witness["pair"]
+            assert len(p1.word) == len(p2.word) == 1 and not p1.same_point(p2)
+            assert apply_map(f, p1).same_point(apply_map(f, p2))
+        v = cl.is_monic(make_block_map(full2p, full2p, 1, rule), P1)
+        assert v.yes and v.note == "preinjective"
+
+    def test_pointed_monic_reads_preinjectivity(self, full2p, even_shift, xor2, and_rule):
+        # preinjective is YES; any other map from an SFT source is NO with
+        # its diamond pair, and from a sofic source, in P3, stays open
+        for cat in (P1, P2, P3):
+            v = cl.is_monic(make_block_map(full2p, full2p, 1, xor2.rule_dict), cat)
+            assert v.yes and v.note == "preinjective"
+            f = make_block_map(full2p, full2p, 1, and_rule.rule_dict)
+            v = cl.is_monic(f, cat)
+            assert v.no and v.witness == an.is_preinjective(f).witness
+            if cat != P1:
+                recheck_mixing_diamond(f, v)
+        zero_map = make_block_map(even_shift.with_point("1"), full2p, 0, {("0",): "0", ("1",): "0"})
+        v = cl.is_monic(zero_map, P3)
+        assert v.undecided and v.note == "not preinjective; no exact P3 criterion"
 
 
 class TestStrongCondition:

@@ -190,13 +190,21 @@ class TestCoequalizerId:
         assert maps_equal(compose(res.legs[0], xor2), res.legs[0])
 
     def test_closure_search_reports_undecided_when_unstable(self, full2, golden):
-        # an endomorphism of the golden mean with no exact branch: the
-        # engine may answer undecided rather than guess
+        # this golden-mean rule reads the window's right symbol, so it is
+        # the shift, an exact branch
         rule = {w: ("0" if w[1] == "1" else ("1" if w[2] == "1" else "0"))
                 for w in golden.words(3)}
         f = make_block_map(golden, golden, 1, rule)
         res = co.coequalizer_id(f, K2, window_cap=2, ep_cap=3)
-        assert res.status in ("exists", "undecided", "not-exists")
+        assert res.status == "exists"
+        assert res.reason == "shift power 1 on a mixing shift is chain transitive"
+        # census rule 30 takes no exact branch, is not reversible, and its
+        # closure does not stabilize at window 1: the engine answers
+        # undecided rather than guess
+        f = make_block_map(full2, full2, 1, {w: str(30 >> i & 1) for i, w in enumerate(full2.words(3))})
+        res = co.coequalizer_id(f, K2, window_cap=1)
+        assert res.status == "undecided"
+        assert res.reason == "no exact branch applied and the closure search did not stabilize"
 
     def test_one_closure_search_and_dynamics_only_for_the_note(self, full2, flip, monkeypatch):
         # the shift after the flip is reversible and no exact branch takes

@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 import sdcat
 from sdcat import analysis as an
 from sdcat.cli import main
-from sdcat.core import full_shift, maps_equal, product_presentation
+from sdcat.core import full_shift, make_block_map, maps_equal, product_presentation
 from sdcat.files import (
     format_shift,
     load_bmap,
@@ -236,6 +236,31 @@ class TestBmapFormat:
         save_bmap(f, str(out))
         g = load_bmap(str(out))
         assert maps_equal(f, g)
+
+    def test_tuple_symbols_round_trip_as_comma_separated_words(self, tmp_path):
+        # each window of three pair symbols is written as their spellings
+        # joined by commas, and read back through the comma split
+        pairs = [("0", "0"), ("0", "1"), ("1", "1")]
+        x, y = full_shift(pairs), full_shift(["0", "1"])
+        f = make_block_map(x, y, 1, {w: w[0][1] if w[1] == w[2] else w[2][0] for w in x.words(3)})
+        save_bmap(f, str(tmp_path / "pairs.bmap"))
+        assert "rule: (0,0),(0,1),(1,1) -> 1" in (tmp_path / "pairs.bmap").read_text()
+        g = load_bmap(str(tmp_path / "pairs.bmap"))
+        spelled = {f"({a},{b})": (a, b) for a, b in pairs}
+        assert set(g.source.alphabet) == spelled.keys() and g.radius == 1
+        assert {tuple(map(spelled.get, w)): out for w, out in g.rule_dict.items()} == f.rule_dict
+
+    def test_multi_character_symbols_are_split_at_commas(self, tmp_path):
+        (tmp_path / "ab.shift").write_text("alphabet: ab cd\nkind: sft\nforbidden: cd,cd\n")
+        (tmp_path / "m.bmap").write_text("source: ab.shift\ntarget: ab.shift\nradius: 1\n"
+                                         "rule: ab,cd,ab -> cd\ndefault: ab\n")
+        f = load_bmap(str(tmp_path / "m.bmap"))
+        assert f.source.words(2) == [("ab", "ab"), ("ab", "cd"), ("cd", "ab")]
+        assert {w: out for w, out in f.rule_dict.items() if out != "ab"} == {("ab", "cd", "ab"): "cd"}
+        (tmp_path / "bad.bmap").write_text("source: ab.shift\ntarget: ab.shift\nradius: 1\n"
+                                           "rule: ab,c,ab -> cd\n")
+        with pytest.raises(ParseError, match="unknown symbol 'c'"):
+            load_bmap(str(tmp_path / "bad.bmap"))
 
     def test_a_file_named_twice_is_one_shift(self, workdir):
         f = load_bmap(str(workdir / "xor3.bmap"))

@@ -2379,14 +2379,17 @@ class TestMonicOnTheKernelGraph:
 
     def test_census_pass_searches_petals_only_for_preinjective_maps(self, monkeypatch):
         # the petal search runs over (node, length) pairs; a map that is not
-        # preinjective is NO with its diamond pair before any (256 without)
+        # preinjective is NO with its diamond pair before any (256 without),
+        # and the search runs only inside a component of period 1, where it
+        # cannot fail
         searches = []
         real = an._bfs_path
 
         def counting(start, succ, stop, *what):
+            found = real(start, succ, stop, *what)
             if isinstance(start, tuple):
-                searches.append(start)
-            return real(start, succ, stop, *what)
+                searches.append(found)
+            return found
 
         monkeypatch.setattr(an, "_bfs_path", counting)
         for f in _census_maps():
@@ -2394,7 +2397,7 @@ class TestMonicOnTheKernelGraph:
             before = len(searches)
             cl.is_monic(f, M2)
             assert len(searches) == before or an.is_preinjective(f).yes
-        assert len(searches) == 26
+        assert len(searches) == 14 and all(searches)
 
     def test_sofic_source_is_not_searched_for_an_sft_witness(self, monkeypatch):
         # the premise is the follower-set window; the even shift, fresh so
@@ -2410,6 +2413,31 @@ class TestMonicOnTheKernelGraph:
             answers.add(cl.is_monic(f, M3).answer)
         assert answers == {"YES", "NO"}
         assert not calls
+
+    def test_transitive_sofic_source_is_not_searched_for_an_sft_witness(self, monkeypatch):
+        # preinjectivity's note asks only whether a transitive source has a
+        # follower-set window; the even shift, fresh, has none
+        calls = []
+        real = an._non_subsft_witness
+        monkeypatch.setattr(an, "_non_subsft_witness", lambda *args: calls.append(args) or real(*args))
+        x = make_presentation(("0", "1"), "graph",
+                              (["e", "o"], [("e", "o", "0"), ("o", "e", "0"), ("e", "e", "1")]))
+        pre = an.is_preinjective(identity_map(x))
+        assert pre.yes and pre.note is None
+        assert not calls
+
+    def test_sofic_source_keeps_the_canonical_kernel_undecided(self):
+        # a mixing strictly sofic source whose kernel graph has one
+        # off-diagonal component, of period 2: no petals, and the canonical
+        # kernel's maximal mixing parts are not exhaustive
+        x = presentation_from_edges(("0", "1", "2"), 3, [
+            (0, "1", 0), (0, "2", 1), (1, "0", 2), (1, "2", 0), (2, "1", 0), (2, "2", 2)])
+        f = make_block_map(x, FULL2, 0, {("0",): "1", ("1",): "1", ("2",): "0"})
+        assert an.sft_window(x) is None and an.is_mixing(x)
+        assert [period for _, _, period in an.off_diagonal_components(f)] == [2]
+        got = cl.is_monic(f, M3)
+        assert got.undecided and got.note == "no witness among the implemented classes"
+        assert _old_monic_m3(f) == "UNDECIDED"
 
     def test_seeded_maps_between_mixing_sfts_match_the_constituent_test(self):
         # sft_maps() draws maps into the binary full shift only

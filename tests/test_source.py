@@ -129,6 +129,17 @@ def test_split_and_regular_mono_rules_read_premises_not_levels():
     found = [f"{name}:{node.lineno}" for name in ("is_split_epic", "is_split_monic", "is_regular_monic")
              for node in ast.walk(fns[name]) if isinstance(node, ast.Attribute) and node.attr == "level"]
     assert not found, f".level read in classify.py: {found}"
+    # monicness reads the level once, to ask whether it is 1 for the End(X)
+    # rule, and the sofic-source M rule asks no SFT question: the premise
+    # picked it
+    levels = [node for node in ast.walk(fns["is_monic"])
+              if isinstance(node, ast.Attribute) and node.attr == "level"]
+    level_one = [node.left for node in ast.walk(fns["is_monic"]) if isinstance(node, ast.Compare)
+                 and [type(op) for op in node.ops] == [ast.Eq]
+                 and isinstance(node.comparators[0], ast.Constant) and node.comparators[0].value == 1]
+    assert len(levels) == 1 and levels[0] in level_one, \
+        f"is_monic reads .level at lines {[node.lineno for node in levels]}"
+    assert not {"is_sft", "sft_window", "level"} & _names(fns["_monic_m3"])
 
 
 def test_no_module_imports_a_name_it_never_reads():
