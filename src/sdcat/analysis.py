@@ -33,8 +33,9 @@ The injectivity family, preinjectivity and resolvingness ask whether the
 kernel pair has a bi-infinite path with a given label pattern, so they
 read the kernel graph through one diagonal view per map, built in the pass
 that pairs the map's windows, ``_diagonal_view``, and build no canonical
-kernel: each product edge is one tuple on both its ends' lists, which
-``core._infinite_past`` trims, and seeds kept per source close its
+kernel: the view keeps the product numbering of node pairs, each edge's
+out-row tuple is made once in that pass, ``core._infinite_past`` trims
+the out-rows and the plain in-lists, and seeds kept per source close its
 diagonal tails.  Their NO witnesses, two distinct
 eventually periodic points with equal images, are read off a path of that
 graph: a plain pair walks first edges from its edge's ends, and each
@@ -54,6 +55,7 @@ from __future__ import annotations
 
 import math
 from functools import cached_property, partial, reduce
+from itertools import chain
 
 from . import automata as au
 from . import verdicts as v
@@ -628,15 +630,19 @@ class _DiagonalView:
     """How the kernel graph of a map sits against the diagonal.
 
     The kernel graph is ``core.fiber_graph(f, f)`` trimmed to its nodes on
-    bi-infinite paths, in product order.  ``out[q]`` lists the edges
-    ``(token, node)`` out of node ``q`` in edge order; several may carry the
-    same token.  ``into[p]`` lists the edges ``(token, node)`` into ``p``
-    back to their start nodes, in node order and then in edge order, and
+    bi-infinite paths, kept in product numbering: the pair of window-graph
+    nodes ``(k1, k2)`` is node ``k1 * n + k2``, and ``live`` lists the
+    nodes of the trimmed graph in increasing order.  ``out[q]`` lists the
+    edges ``(token, node)`` out of node ``q`` in edge order; several may
+    carry the same token.  ``into[p]`` lists the edges ``(token, node)``
+    into ``p`` back to their start nodes, in node order and then in edge
+    order.  Every row of a dead node is empty, and no row names one.
     ``first_off`` is the first edge ``(q, t, p)`` in that order off the
     diagonal, ``t[0] != t[1]``, or None.  ``backward`` holds the nodes with
     an infinite diagonal past, ``forward`` those with an infinite diagonal
     future.  ``succ``, ``pred`` (the nodes of ``out`` and ``into``) and
-    ``off_edges`` (every off-diagonal edge in order) are built on demand.
+    ``off_edges`` (every off-diagonal edge in order) are built on demand,
+    from the rows of ``live`` alone.
 
     ``backward`` is closed along diagonal edges from the live seeds of
     ``core._identical_tails``, with an infinite past of identical windows.
@@ -648,57 +654,83 @@ class _DiagonalView:
     ``forward`` is the mirror image, closed along ``into``.
     """
 
-    out: tuple[tuple[tuple[str, int], ...], ...]
+    out: list[list[tuple[str, int]]]
     into: list[list[tuple[str, int]]]
+    live: list[int]
     first_off: tuple[int, str, int] | None
     backward: frozenset[int]
     forward: frozenset[int]
 
     @cached_property
     def succ(self) -> list[list[int]]:
-        return [[p for _, p in row] for row in self.out]
+        succ = [()] * len(self.out)
+        for q in self.live:
+            succ[q] = [p for _, p in self.out[q]]
+        return succ
 
     @cached_property
     def pred(self) -> list[list[int]]:
-        return [[q for _, q in row] for row in self.into]
+        pred = [()] * len(self.into)
+        for p in self.live:
+            pred[p] = [q for _, q in self.into[p]]
+        return pred
 
     @cached_property
     def off_edges(self) -> tuple[tuple[int, str, int], ...]:
-        return tuple((q, t, p) for q, row in enumerate(self.out) for t, p in row if t[0] != t[1])
+        return tuple((q, t, p) for q in self.live for t, p in self.out[q] if t[0] != t[1])
 
 
 @_per_object
 def _diagonal_view(f: BlockMap) -> _DiagonalView:
-    """The diagonal structure of the kernel graph, once per map: pairing the
-    window edges puts each product edge, one tuple, on both its ends' lists,
-    the peel trims them, and one pass renumbers the live nodes by ``idx``."""
+    """The diagonal structure of the kernel graph, once per map, in product
+    numbering: pairing the window edges puts each product edge's final
+    tuple ``(token, end)`` on its start's out-row and the start alone on
+    its end's in-list.  The one peel trims along the out-rows for an
+    infinite past and along the in-lists for an infinite future.  Dead
+    nodes keep empty rows, a live row that reaches a dead node is filtered,
+    and ``into`` is written once, from the live out-rows in node order.
+    The diagonal tails are closed from the live seeds in one loop each."""
     n, _, labelled, _ = _fiber_sides(f, f)
-    outs, ins = [[] for _ in range(n * n)], [[] for _ in range(n * n)]
+    nodes = range(n * n)
+    out, ins = [[] for _ in nodes], [[] for _ in nodes]
     for q, row, p in _matched_rows(labelled, labelled, n, pair_symbol):
         for k, t, j in row:
             k += q
             j += p
-            outs[k].append(edge := (t, k, j))
-            ins[j].append(edge)
-    live = sorted(_infinite_past(outs, map(len, ins), 2) & _infinite_past(ins, map(len, outs), 1))
-    idx = [-1] * (n * n)
-    for q, old in enumerate(live):
-        idx[old] = q
-    out, into = [], [[] for _ in live]
-    for q, old in enumerate(live):
-        row = []
-        for t, _, p in outs[old]:
-            p = idx[p]
-            if p >= 0:
-                row.append((t, p))
-                into[p].append((t, q))
-        out.append(tuple(row))
-    first_off = next(((q, t, p) for q, row in enumerate(out) for t, p in row if t[0] != t[1]), None)
-    past, future = ([q for q in map(idx.__getitem__, s) if q >= 0]
-                    for s in _identical_tails(f.source, 2 * f.radius + 1))
-    return _DiagonalView(tuple(out), into, first_off,
-                         frozenset(au.closure(past, lambda q: [p for t, p in out[q] if t[0] == t[1]])),
-                         frozenset(au.closure(future, lambda q: [p for t, p in into[q] if t[0] == t[1]])))
+            out[k].append((t, j))
+            ins[j].append(k)
+    past = _infinite_past(out, map(len, ins), 1)
+    future = _infinite_past(ins, map(len, out))
+    alive = past & future
+    live = sorted(alive)
+    rows, into = [()] * len(nodes), [()] * len(nodes)
+    for q in live:
+        rows[q] = out[q]
+        into[q] = []
+    # the successors of a live node have an infinite past, so a dead one
+    # lacks a future, and its in-list names the live rows that reach it
+    for q in alive.intersection(chain.from_iterable(map(ins.__getitem__, past - future))):
+        rows[q] = [e for e in out[q] if e[1] in alive]
+    for q in live:
+        for t, p in rows[q]:
+            into[p].append((t, q))
+    first_off = next(((q, t, p) for q in live for t, p in rows[q] if t[0] != t[1]), None)
+    behind, ahead = (alive & s for s in _identical_tails(f.source, 2 * f.radius + 1))
+    return _DiagonalView(rows, into, live, first_off,
+                         _diagonal_closure(behind, rows), _diagonal_closure(ahead, into))
+
+
+def _diagonal_closure(seeds, rows) -> frozenset[int]:
+    """The nodes reached from ``seeds`` along the diagonal ``(token, node)``
+    edges of ``rows``, seeds included: one worklist, no call per node."""
+    seen = set(seeds)
+    stack = list(seen)
+    while stack:
+        for t, p in rows[stack.pop()]:
+            if t[0] == t[1] and p not in seen:
+                seen.add(p)
+                stack.append(p)
+    return frozenset(seen)
 
 
 @_per_object
@@ -706,13 +738,13 @@ def off_diagonal_components(f: BlockMap) -> tuple[tuple[tuple, tuple[int, ...], 
     """The strongly connected components of the kernel graph with an
     off-diagonal edge inside them, in the order of their first such edge
     in ``off_edges``: that edge ``(q, token, p)``, the nodes of the
-    component and its graph period.  One SCC pass per map, made when a
-    witness search on the first off-diagonal edge finds nothing, and for
-    the mixing petals."""
+    component and its graph period.  One SCC pass per map, rooted at the
+    view's live nodes in increasing order, made when a witness search on
+    the first off-diagonal edge finds nothing, and for the mixing petals."""
     view = _diagonal_view(f)
     if not view.first_off:
         return ()
-    sccs = au.strongly_connected_components(range(len(view.out)), view.succ.__getitem__)
+    sccs = au.strongly_connected_components(view.live, view.succ.__getitem__)
     comp = [0] * len(view.out)
     for k, (c, _) in enumerate(sccs):
         for q in c:

@@ -368,14 +368,17 @@ def count_words(dfa: Dfa, n: int, cap: int | None = None) -> int:
 
 def strongly_connected_components(nodes, succ) -> list[tuple[list[int], int]]:
     """``(component, period)`` for each SCC of the graph given by ``succ``
-    on ``nodes``, which is ``range(n)``, in reverse topological order.
+    on ``nodes``, in reverse topological order: ``nodes`` is ``range(n)``
+    or a list of nodes in increasing order that ``succ`` never leaves, such
+    as the live nodes of a graph in a wider numbering, and the roots of the
+    depth-first search are taken in that order.
 
     The period is the gcd of the component's cycle lengths, 0 when it has
     no inner edge.  A component spans a subtree of the DFS forest, so its
     period is the gcd of ``depth(q) + 1 - depth(p)`` over its inner edges
     ``q -> p``: tree edges add 0, and every other inner edge ends at a node
     that is still on the stack."""
-    n = len(nodes)
+    n = nodes[-1] + 1 if nodes else 0
     index = [-1] * n
     low = [0] * n
     depth = [0] * n

@@ -23,9 +23,10 @@ Questions that only ask whether some bi-infinite path exists need no
 canonical form.  Surjectivity reads :func:`image_graph`, a relabelled
 window graph, whose every node lies on a bi-infinite path; injectivity,
 preinjectivity and resolvingness read ``analysis._diagonal_view``, which
-writes each pair of :func:`_matched_rows` once, as an edge tuple that both
-its ends list, for the one peel, :func:`_infinite_past`, and closes its
-diagonal tails from the seeds of :func:`_identical_tails`.
+keeps product numbering and writes each pair of :func:`_matched_rows`
+once, as an out-row tuple and its start on an in-list, for the one peel,
+:func:`_infinite_past`, and closes its diagonal tails from the seeds of
+:func:`_identical_tails`.
 ``BlockMap.image`` and ``BlockMap.kernel`` canonicalize only when a
 question about their language asks.
 
@@ -335,17 +336,19 @@ def _live_nodes(n: int, edges) -> frozenset[int]:
     return _infinite_past(out, map(len, into), 2) & _infinite_past(into, map(len, out), 0)
 
 
-def _infinite_past(edges, deg, end: int) -> frozenset[int]:
+def _infinite_past(edges, deg, end: int | None = None) -> frozenset[int]:
     """The one peel: the nodes with an infinite path into them, those
     reachable from a cycle, where ``edges[q]`` lists the edge tuples ``e``
-    out of ``q``, into ``e[end]``, and ``deg`` the in-degrees; on in-lists
-    and out-degrees, those with an infinite future.  A worklist drops each
-    node whose in-degree from kept nodes reaches zero: linear in size."""
+    out of ``q``, into ``e[end]``, or with no ``end`` the plain nodes after
+    ``q``, and ``deg`` the in-degrees; on in-lists and out-degrees, those
+    with an infinite future.  A worklist drops each node whose in-degree
+    from kept nodes reaches zero: linear in size."""
     deg = list(deg)
     stack = [q for q, d in enumerate(deg) if not d]
     while stack:
-        for e in edges[stack.pop()]:
-            p = e[end]
+        for p in edges[stack.pop()]:
+            if end is not None:
+                p = p[end]
             deg[p] -= 1
             if not deg[p]:
                 stack.append(p)

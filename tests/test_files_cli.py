@@ -614,6 +614,22 @@ class TestCli:
         assert report["rows"][204] == {"rule_bits": 204, "epic": True, "injective": True}
         assert report["rows"][0] == {"rule_bits": 0, "epic": False, "injective": False}
 
+    def test_oracle_census_takes_no_size_options(self, capsys):
+        # the census is the radius-1 binary one, so it names no radius or
+        # alphabet: either option is a usage error
+        for option in ("--radius", "--alphabet"):
+            assert main(["oracle", "census", option, "1"]) == 64
+        assert capsys.readouterr().out == ""
+
+    def test_build_seconds_ignore_a_wall_clock_step_back(self, workdir, capsys, monkeypatch):
+        # a wall clock that steps back by a second at every reading, as
+        # one set back by a time server may, leaves the timing nonnegative
+        wall = iter(range(10**9, 0, -1))
+        monkeypatch.setattr(time, "time", lambda: float(next(wall)))
+        assert main(["build", "product", str(workdir / "golden.shift"), str(workdir / "golden.shift"),
+                     "--category", "K3", "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["seconds"] >= 0
+
     def test_closed_stdout_exits_74_without_a_traceback(self, workdir):
         read_end, write_end = os.pipe()
         os.close(read_end)

@@ -2939,11 +2939,27 @@ def _old_diagonal_view(f):
 
 def _check_diagonal_view(f):
     """The view built in the pass that pairs the windows, field by field
-    against the reference."""
+    against the reference, whose node i is the view's product node
+    ``live[i]``; every dead product node has empty rows."""
     got, want = an._diagonal_view(f), _old_diagonal_view(f)
-    for name in ("out", "succ", "pred", "into", "off_edges", "backward", "forward"):
-        assert getattr(got, name) == getattr(want, name), name
-    assert got.first_off == (want.off_edges[0] if want.off_edges else None)
+    live = got.live
+    assert live == sorted(live) and len(live) == len(want.out)
+    n = len(window_graph(f.source, 2 * f.radius + 1)[0])
+    assert len(got.out) == len(got.into) == n * n
+    for name in ("out", "into"):
+        rows = getattr(got, name)
+        assert [tuple(rows[q]) for q in live] == \
+            [tuple((t, live[p]) for t, p in row) for row in getattr(want, name)], name
+    for name in ("succ", "pred"):
+        rows = getattr(got, name)
+        assert [list(rows[q]) for q in live] == [[live[p] for p in row] for row in getattr(want, name)], name
+    off_edges = tuple((live[q], t, live[p]) for q, t, p in want.off_edges)
+    assert got.off_edges == off_edges
+    for name in ("backward", "forward"):
+        assert getattr(got, name) == {live[q] for q in getattr(want, name)}, name
+    assert got.first_off == (off_edges[0] if off_edges else None)
+    dead = set(range(n * n)).difference(live)
+    assert not [q for q in dead if got.out[q] or got.into[q]]
 
 
 class TestOnePassDiagonalView:
@@ -2967,7 +2983,8 @@ class TestOnePassDiagonalView:
     def test_seeded_sparse_views_match_the_trimmed_fiber_graph(self):
         # wide windows on the even shift and the golden mean leave most
         # product nodes dead (about 150 of 625 for a radius-2 even-shift
-        # kernel), so the trim and the renumbering do the most work here
+        # kernel), so the trim, the emptied dead rows and the filtered live
+        # rows do the most work here
         rng = random.Random(44)
         even = make_presentation(*EVEN)
         sources = [(x, r) for x in (even, golden_mean()) for r in (2, 3)]
